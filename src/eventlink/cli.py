@@ -401,9 +401,9 @@ def cmd_link(args) -> None:
         inputs["responses"] = responses_path
     decisions = []
     for query in tagged:
-        embedding = encoder.encode(format_query(query, style, max_query_len))
-        candidates = retrieve(index, embedding, k, query_id=query.base.query_id)
         query_tokens = format_query(query, style, max_query_len)
+        embedding = encoder.encode(query_tokens)
+        candidates = retrieve(index, embedding, k, query_id=query.base.query_id)
         if rule == "learned":
             scores = score_pairs(scorer, query_tokens, candidates, kb, max_candidate_len)
             decisions.append(select_learned_nil(scores, candidates))

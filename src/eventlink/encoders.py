@@ -5,7 +5,16 @@ vectors are reproducible from (seed, token) alone, used as a test oracle
 and for untrained retrieval, and a tiny trainable encoder (embedding
 table, mean pool, affine map, L2 normalization) whose analytic gradients
 back the desk-scale training loops. Both emit unit-norm vectors, so dot
-product equals cosine everywhere downstream.
+product equals cosine everywhere downstream; a zero vector that would
+have to be normalized raises ``DegenerateNormError`` instead of NaN.
+
+Training runs on batched kernels: ``TinyEncoder.forward_batch`` encodes a
+whole step's sequences through one bag-count matrix over the step's
+distinct token ids, and ``TinyEncoder.backward`` turns that batch cache
+into every parameter gradient with a few matmuls. ``TinyEncoder.forward``
+stays per-sequence. It serves ``encode``, and through it index building,
+retrieval, negative generation and pair scoring, whose outputs goldens
+and oracles pin bit for bit by recomputing it row by row.
 
 Adapters may sub-tokenize internally but must treat marker tokens as
 atomic. ``encode`` is safe for concurrent calls on frozen parameters.
@@ -22,6 +31,10 @@ import numpy as np
 OOV_TOKEN = "[OOV]"
 
 CHECKPOINT_VERSION = 1
+
+
+class DegenerateNormError(ValueError):
+    """A vector that must be L2-normalized has zero norm."""
 
 
 @runtime_checkable
@@ -66,7 +79,7 @@ class HashingEncoder:
             total += self.token_vector(token)
         norm = np.linalg.norm(total)
         if norm == 0.0:
-            raise ValueError("token vectors cancelled out; cannot normalize")
+            raise DegenerateNormError("token vectors cancelled out; cannot normalize")
         return total / norm
 
     def state_dict(self) -> dict:
@@ -82,8 +95,9 @@ class TinyEncoder:
     """Trainable bag encoder: token embeddings, mean pool, affine, L2 norm.
 
     Unknown tokens map to the ``[OOV]`` embedding. Parameters live in
-    float64 numpy arrays; ``forward``/``backward`` expose the caches and
-    analytic gradients used by the training loops.
+    float64 numpy arrays. ``forward`` encodes one sequence;
+    ``forward_batch`` encodes many and returns the cache from which
+    ``backward`` adds the analytic gradients the training loops use.
     """
 
     trainable = True
@@ -104,6 +118,7 @@ class TinyEncoder:
         self.dim = dim
         self._ids = {token: i for i, token in enumerate(vocab)}
         self._oov = self._ids[OOV_TOKEN]
+        self._row_id_memo: dict[tuple[str, ...], np.ndarray] = {}
         if rng is None:
             rng = np.random.default_rng(seed)
         self.embed = rng.normal(0.0, 1.0 / np.sqrt(dim), (len(vocab), dim))
@@ -119,28 +134,60 @@ class TinyEncoder:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.params().items()}
 
-    def forward(self, tokens: Sequence[str]) -> tuple[np.ndarray, dict]:
+    def forward(self, tokens: Sequence[str]) -> np.ndarray:
+        """Encode one sequence (the inference path)."""
         if not tokens:
             raise ValueError("cannot encode an empty token sequence")
         ids = self.token_ids(tokens)
         mean = self.embed[ids].mean(axis=0)
         pre = self.weight @ mean + self.bias
         norm = np.linalg.norm(pre)
-        out = pre / norm
-        return out, {"ids": ids, "mean": mean, "norm": norm, "out": out}
+        if norm == 0.0:
+            raise DegenerateNormError("encoder pre-activation has zero norm")
+        return pre / norm
+
+    def forward_batch(self, rows: Sequence[Sequence[str]]) -> tuple[np.ndarray, dict]:
+        """Encode every row at once: ``(B, dim)`` unit rows and the batch cache.
+
+        ``bag[r, u]`` counts distinct id ``uniq[u]`` in row ``r``, divided
+        by the row's length, so ``bag @ embed[uniq]`` mean-pools every row.
+        """
+        id_rows = [self._row_ids(row) for row in rows]
+        lengths = np.array([len(ids) for ids in id_rows])
+        if not lengths.all():
+            raise ValueError("cannot encode an empty token sequence")
+        uniq, col = np.unique(np.concatenate(id_rows), return_inverse=True)
+        batch, width = len(id_rows), len(uniq)
+        cell = np.repeat(np.arange(batch) * width, lengths) + col
+        counts = np.bincount(cell, minlength=batch * width).reshape(batch, width)
+        bag = counts / lengths[:, None]
+        means = bag @ self.embed[uniq]
+        pre = means @ self.weight.T + self.bias
+        norms = np.linalg.norm(pre, axis=1)
+        if not norms.all():
+            raise DegenerateNormError("encoder pre-activation has zero norm")
+        out = pre / norms[:, None]
+        return out, {"uniq": uniq, "bag": bag, "means": means, "norms": norms, "out": out}
+
+    def _row_ids(self, row: Sequence[str]) -> np.ndarray:
+        """Token ids of one row, memoized per distinct row (the vocabulary is fixed)."""
+        key = tuple(row)
+        ids = self._row_id_memo.get(key)
+        if ids is None:
+            ids = self._row_id_memo[key] = np.array(self.token_ids(key), dtype=np.intp)
+        return ids
 
     def backward(self, cache: dict, grad_out: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-        out, norm, mean, ids = cache["out"], cache["norm"], cache["mean"], cache["ids"]
-        grad_pre = (grad_out - out * (out @ grad_out)) / norm
-        grads["weight"] += np.outer(grad_pre, mean)
-        grads["bias"] += grad_pre
-        grad_mean = self.weight.T @ grad_pre
-        share = grad_mean / len(ids)
-        for idx in ids:
-            grads["embed"][idx] += share
+        """Add the gradients of one ``forward_batch`` given its ``(B, dim)`` output gradients."""
+        out, norms = cache["out"], cache["norms"]
+        radial = np.einsum("ij,ij->i", out, grad_out)
+        grad_pre = (grad_out - out * radial[:, None]) / norms[:, None]
+        grads["weight"] += grad_pre.T @ cache["means"]
+        grads["bias"] += grad_pre.sum(axis=0)
+        grads["embed"][cache["uniq"]] += cache["bag"].T @ (grad_pre @ self.weight)
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        return self.forward(tokens)[0]
+        return self.forward(tokens)
 
     def state_dict(self) -> dict:
         return {
@@ -160,18 +207,11 @@ class TinyEncoder:
         enc.dim = int(state["dim"])
         enc._ids = {token: i for i, token in enumerate(enc.vocab)}
         enc._oov = enc._ids[OOV_TOKEN]
+        enc._row_id_memo = {}
         enc.embed = np.array(state["embed"], dtype=float)
         enc.weight = np.array(state["weight"], dtype=float)
         enc.bias = np.array(state["bias"], dtype=float)
         return enc
-
-
-def hashing_encoder(dim: int, seed: int) -> HashingEncoder:
-    return HashingEncoder(dim, seed)
-
-
-def tiny_encoder(vocab: Sequence[str], dim: int, seed: int) -> TinyEncoder:
-    return TinyEncoder(vocab, dim, seed=seed)
 
 
 def fingerprint(state: dict) -> str:

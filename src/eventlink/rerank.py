@@ -15,7 +15,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .encoders import CHECKPOINT_VERSION, TinyEncoder, fingerprint
+from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, fingerprint
 from .kb import NIL, KBError, KnowledgeBase, candidate_text, tokenize
 from .llm import TextCompletionClient
 from .retrieval import CandidateSet
@@ -89,7 +89,10 @@ class TinyCrossScorer:
 
     def nil_score(self, query_tokens: Sequence[str]) -> float:
         q = self.encoder.encode(query_tokens)
-        nil_unit = self.nil_embedding / np.linalg.norm(self.nil_embedding)
+        nil_norm = np.linalg.norm(self.nil_embedding)
+        if nil_norm == 0.0:
+            raise DegenerateNormError("NIL embedding has zero norm")
+        nil_unit = self.nil_embedding / nil_norm
         return float(self.scale[0] * (q @ nil_unit))
 
     def state_dict(self) -> dict:

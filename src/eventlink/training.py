@@ -6,6 +6,14 @@ cross-entropy of the diagonal over the batch-by-batch logit matrix of dot
 products. The cross scorer trains as (k+1)-way classification over
 [NIL, c_1..c_k]; synthetic negatives target index 0.
 
+Each step is one batched encoder pass: the loss functions send all of a
+step's sequences (queries and gold candidates, or queries and their
+distinct candidates) through one ``TinyEncoder.forward_batch`` and one
+``TinyEncoder.backward``, so the in-batch logits are one matmul. Queries
+and retriever golds are tokenized once per run, and the encoder memoizes
+the token ids of every row it has seen; a cross step still serializes its
+distinct candidates from the KB, because its loss takes the KB.
+
 Gradients are analytic (see the encoder modules) and plain SGD applies
 them; both loss functions also return their gradients so finite
 differences can audit them directly.
@@ -19,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoders import TinyEncoder
+from .encoders import DegenerateNormError, TinyEncoder
 from .extraction import TaggedQuery
 from .formatting import format_query
 from .kb import NIL, KBEntry, KnowledgeBase, candidate_text
@@ -100,10 +108,11 @@ def _sgd_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
         params[name] -= lr * grad
 
 
-def _softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def biencoder_batch_loss(
@@ -111,36 +120,22 @@ def biencoder_batch_loss(
     query_batches: Sequence[Sequence[str]],
     candidate_batches: Sequence[Sequence[str]],
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """In-batch-negative cross-entropy and its parameter gradients."""
+    """In-batch-negative cross-entropy and its parameter gradients.
+
+    Queries and gold candidates go through one ``forward_batch`` and one
+    ``backward``.
+    """
     batch = len(query_batches)
-    q_caches, c_caches = [], []
-    q_rows, c_rows = [], []
-    for tokens in query_batches:
-        out, cache = encoder.forward(tokens)
-        q_rows.append(out)
-        q_caches.append(cache)
-    for tokens in candidate_batches:
-        out, cache = encoder.forward(tokens)
-        c_rows.append(out)
-        c_caches.append(cache)
-    q_mat = np.stack(q_rows)
-    c_mat = np.stack(c_rows)
-    logits = q_mat @ c_mat.T
-    loss = 0.0
-    grad_logits = np.empty_like(logits)
-    for i in range(batch):
-        probs = _softmax(logits[i])
-        loss += -np.log(probs[i])
-        grad_row = probs.copy()
-        grad_row[i] -= 1.0
-        grad_logits[i] = grad_row / batch
-    loss /= batch
+    out, cache = encoder.forward_batch([*query_batches, *candidate_batches])
+    q_mat, c_mat = out[:batch], out[batch:]
+    probs = _softmax(q_mat @ c_mat.T)
+    diagonal = np.arange(batch)
+    loss = -np.log(probs[diagonal, diagonal]).sum() / batch
+    grad_logits = probs
+    grad_logits[diagonal, diagonal] -= 1.0
+    grad_logits /= batch
     grads = encoder.zero_grads()
-    grad_q = grad_logits @ c_mat
-    grad_c = grad_logits.T @ q_mat
-    for i in range(batch):
-        encoder.backward(q_caches[i], grad_q[i], grads)
-        encoder.backward(c_caches[i], grad_c[i], grads)
+    encoder.backward(cache, np.vstack([grad_logits @ c_mat, grad_logits.T @ q_mat]), grads)
     return float(loss), grads
 
 
@@ -152,6 +147,8 @@ def train_biencoder(
     """Train the shared retriever encoder on (formatted query, gold entry) pairs."""
     if len(data) < cfg.batch_size:
         raise ValueError(f"need at least {cfg.batch_size} pairs, got {len(data)}")
+    queries = [tuple(query) for query, _ in data]
+    golds = [tuple(candidate_text(entry, cfg.max_candidate_len)) for _, entry in data]
     rng = np.random.default_rng(cfg.seed)
     params = encoder.params()
     epoch_losses: list[float] = []
@@ -160,9 +157,9 @@ def train_biencoder(
         losses = []
         for start in range(0, len(order), cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
-            queries = [data[i][0] for i in chunk]
-            golds = [candidate_text(data[i][1], cfg.max_candidate_len) for i in chunk]
-            loss, grads = biencoder_batch_loss(encoder, queries, golds)
+            loss, grads = biencoder_batch_loss(
+                encoder, [queries[i] for i in chunk], [golds[i] for i in chunk]
+            )
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss {loss!r} at epoch {epoch}, step {start // cfg.batch_size}"
@@ -197,39 +194,50 @@ def crossencoder_batch_loss(
     kb: KnowledgeBase,
     max_candidate_len: int,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """(k+1)-way cross-entropy over [NIL, candidates] and its gradients."""
+    """(k+1)-way cross-entropy over [NIL, candidates] and its gradients.
+
+    The step's queries and its distinct candidates go through one
+    ``forward_batch`` and one ``backward``, so a candidate that several
+    examples share is encoded once.
+    """
     encoder = scorer.encoder
-    grads = scorer.zero_grads()
     nil_norm = np.linalg.norm(scorer.nil_embedding)
+    if nil_norm == 0.0:
+        raise DegenerateNormError("NIL embedding has zero norm")
     nil_unit = scorer.nil_embedding / nil_norm
     scale = float(scorer.scale[0])
-    total = 0.0
+    batch = len(examples)
+    rows = [example.query_tokens for example in examples]
+    slots: dict[str, int] = {}
     for example in examples:
-        q_out, q_cache = encoder.forward(example.query_tokens)
-        cand_outs, cand_caches = [], []
         for cid in example.candidate_ids:
-            entry = kb.get(cid)
-            if entry is None:
-                raise TrainingError(f"candidate id {cid!r} not found in the KB")
-            out, cache = encoder.forward(candidate_text(entry, max_candidate_len))
-            cand_outs.append(out)
-            cand_caches.append(cache)
-        partners = [nil_unit, *cand_outs]
-        raw = np.array([q_out @ p for p in partners])
-        logits = scale * raw
-        probs = _softmax(logits)
+            if cid not in slots:
+                entry = kb.get(cid)
+                if entry is None:
+                    raise TrainingError(f"candidate id {cid!r} not found in the KB")
+                slots[cid] = len(rows)
+                rows.append(candidate_text(entry, max_candidate_len))
+    out, cache = encoder.forward_batch(rows)
+    grads = scorer.zero_grads()
+    grad_out = np.zeros_like(out)
+    grad_nil_unit = np.zeros_like(nil_unit)
+    total = 0.0
+    for i, example in enumerate(examples):
+        slot = [slots[cid] for cid in example.candidate_ids]
+        partners = np.vstack([nil_unit, out[slot]])
+        raw = partners @ out[i]
+        probs = _softmax(scale * raw)
         total += -np.log(probs[example.target])
-        grad_logits = probs.copy()
+        grad_logits = probs
         grad_logits[example.target] -= 1.0
-        grad_logits /= len(examples)
+        grad_logits /= batch
         grads["scale"][0] += grad_logits @ raw
-        grad_q = scale * sum(g * p for g, p in zip(grad_logits, partners))
-        encoder.backward(q_cache, grad_q, grads)
-        for g, cache in zip(grad_logits[1:], cand_caches):
-            encoder.backward(cache, scale * g * q_out, grads)
-        grad_nil_unit = scale * grad_logits[0] * q_out
-        grads["nil"] += (grad_nil_unit - nil_unit * (nil_unit @ grad_nil_unit)) / nil_norm
-    return float(total / len(examples)), grads
+        grad_out[i] += scale * (grad_logits @ partners)
+        np.add.at(grad_out, slot, scale * np.outer(grad_logits[1:], out[i]))
+        grad_nil_unit += scale * grad_logits[0] * out[i]
+    encoder.backward(cache, grad_out, grads)
+    grads["nil"] += (grad_nil_unit - nil_unit * (nil_unit @ grad_nil_unit)) / nil_norm
+    return float(total / batch), grads
 
 
 def mine_candidates(

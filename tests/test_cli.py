@@ -130,6 +130,21 @@ def test_fingerprint_mismatch_between_index_and_encoder(tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
+def test_degenerate_nil_embedding_is_data_error(tmp_path, capsys):
+    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, neg_count=2)
+    scorer = tmp_path / "zero-nil-scorer.json"
+    state = json.loads(open(paths["scorer"], encoding="utf-8").read())
+    state["nil"] = [0.0] * len(state["nil"])
+    scorer.write_text(json.dumps(state, sort_keys=True), encoding="utf-8")
+    code = main(
+        ["link", "--kb", paths["kb_norm"], "--queries", paths["test_tagged"],
+         "--index", paths["index"], "--encoder", paths["encoder"], "--scorer", str(scorer),
+         "--rule", "learned", "--out", str(tmp_path / "d.jsonl")]
+    )
+    assert code == 2
+    assert "zero norm" in capsys.readouterr().err
+
+
 def test_failed_command_leaves_no_partial_output(toy_inputs, tmp_path):
     out = tmp_path / "never.jsonl"
     code = main(

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from eventlink.encoders import (
     OOV_TOKEN,
+    DegenerateNormError,
     HashingEncoder,
     TinyEncoder,
     encoder_fingerprint,
-    hashing_encoder,
     load_encoder,
     save_encoder,
-    tiny_encoder,
     token_hash,
 )
 
@@ -28,19 +27,19 @@ def _oracle_token_vector(dim, seed, token):
 
 
 def test_hashing_deterministic():
-    a = hashing_encoder(32, seed=9).encode(["a", "b"])
-    b = hashing_encoder(32, seed=9).encode(["a", "b"])
+    a = HashingEncoder(32, seed=9).encode(["a", "b"])
+    b = HashingEncoder(32, seed=9).encode(["a", "b"])
     assert np.array_equal(a, b)
 
 
 def test_hashing_single_token_identity():
-    enc = hashing_encoder(32, seed=9)
+    enc = HashingEncoder(32, seed=9)
     np.testing.assert_allclose(enc.encode(["a"]), enc.token_vector("a"), atol=1e-12)
 
 
 def test_hashing_cosine_matches_independent_oracle():
     dim, seed = 48, 5
-    enc = hashing_encoder(dim, seed)
+    enc = HashingEncoder(dim, seed)
     got = float(enc.encode(["a", "b"]) @ enc.encode(["a", "c"]))
     vecs = {t: _oracle_token_vector(dim, seed, t) for t in "abc"}
     left = vecs["a"] + vecs["b"]
@@ -53,16 +52,16 @@ def test_hashing_cosine_matches_independent_oracle():
 
 def test_hashing_empty_sequence_error():
     with pytest.raises(ValueError):
-        hashing_encoder(8, 0).encode([])
+        HashingEncoder(8, 0).encode([])
 
 
 def test_hashing_dim_validation():
     with pytest.raises(ValueError):
-        hashing_encoder(1, 0)
+        HashingEncoder(1, 0)
 
 
 def test_marker_tokens_distinct_from_corpus():
-    enc = hashing_encoder(64, seed=11)
+    enc = HashingEncoder(64, seed=11)
     corpus = [f"word{i}" for i in range(40)]
     markers = ["[M_s]", "[M_e]", "[SEP]", "[TITLE_SEP]", "[Victim_s]", "[Victim_e]"]
     vectors = {t: enc.token_vector(t) for t in corpus + markers}
@@ -77,7 +76,7 @@ def test_marker_tokens_distinct_from_corpus():
 )
 @settings(max_examples=100)
 def test_unit_norm_everywhere(tokens):
-    for enc in (hashing_encoder(16, 3), tiny_encoder(["war", "city", "a"], 16, 3)):
+    for enc in (HashingEncoder(16, 3), TinyEncoder(["war", "city", "a"], 16, seed=3)):
         norm = float(np.linalg.norm(enc.encode(tokens)))
         assert norm == pytest.approx(1.0, abs=1e-6)
 
@@ -88,14 +87,14 @@ def test_token_hash_is_stable():
 
 
 def test_tiny_seeded_init_deterministic():
-    a = tiny_encoder(["a", "b"], 8, seed=4)
-    b = tiny_encoder(["a", "b"], 8, seed=4)
+    a = TinyEncoder(["a", "b"], 8, seed=4)
+    b = TinyEncoder(["a", "b"], 8, seed=4)
     assert np.array_equal(a.embed, b.embed)
     assert np.array_equal(a.encode(["a", "b"]), b.encode(["a", "b"]))
 
 
 def test_tiny_unknown_tokens_map_to_oov():
-    enc = tiny_encoder(["a", "b"], 8, seed=4)
+    enc = TinyEncoder(["a", "b"], 8, seed=4)
     unknown = enc.encode(["zzz", "qqq"])
     oov = enc.encode([OOV_TOKEN, OOV_TOKEN])
     np.testing.assert_allclose(unknown, oov, atol=1e-12)
@@ -103,11 +102,11 @@ def test_tiny_unknown_tokens_map_to_oov():
 
 def test_tiny_empty_sequence_error():
     with pytest.raises(ValueError):
-        tiny_encoder(["a"], 8, 0).encode([])
+        TinyEncoder(["a"], 8, seed=0).encode([])
 
 
 def test_checkpoint_round_trip(tmp_path):
-    enc = tiny_encoder(["a", "b", "c"], 8, seed=2)
+    enc = TinyEncoder(["a", "b", "c"], 8, seed=2)
     path = tmp_path / "enc.json"
     save_encoder(enc, path)
     loaded = load_encoder(path)
@@ -117,7 +116,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_hashing_checkpoint_round_trip(tmp_path):
-    enc = hashing_encoder(16, seed=7)
+    enc = HashingEncoder(16, seed=7)
     path = tmp_path / "enc.json"
     save_encoder(enc, path)
     loaded = load_encoder(path)
@@ -126,7 +125,79 @@ def test_hashing_checkpoint_round_trip(tmp_path):
 
 
 def test_fingerprint_tracks_parameters():
-    enc = tiny_encoder(["a", "b"], 8, seed=2)
+    enc = TinyEncoder(["a", "b"], 8, seed=2)
     before = encoder_fingerprint(enc)
     enc.embed[0, 0] += 1.0
     assert encoder_fingerprint(enc) != before
+
+
+# --- batched training kernels -------------------------------------------------
+
+KERNEL_VOCAB = ["war", "city", "north", "harbor", "[M_s]"]
+
+
+def _reference_forward(enc, tokens):
+    # per-sequence mean pool, affine map and L2 norm, written out independently
+    ids = [enc.vocab.index(t) if t in enc.vocab else enc.vocab.index(OOV_TOKEN) for t in tokens]
+    mean = enc.embed[ids].mean(axis=0)
+    pre = enc.weight @ mean + enc.bias
+    norm = np.linalg.norm(pre)
+    return pre / norm, (ids, mean, norm)
+
+
+def _reference_backward(enc, tokens, grad_out, grads):
+    out, (ids, mean, norm) = _reference_forward(enc, tokens)
+    grad_pre = (grad_out - out * (out @ grad_out)) / norm
+    grads["weight"] += np.outer(grad_pre, mean)
+    grads["bias"] += grad_pre
+    share = enc.weight.T @ grad_pre / len(ids)
+    for idx in ids:
+        grads["embed"][idx] += share
+
+
+@given(
+    rows=st.lists(
+        st.lists(st.sampled_from(KERNEL_VOCAB + ["zzz", "qqq"]), min_size=1, max_size=9),
+        min_size=1, max_size=6,
+    ),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_kernels_match_per_sequence_reference(rows, seed):
+    enc = TinyEncoder(KERNEL_VOCAB, 8, seed=seed)
+    grad_out = np.random.default_rng(seed).normal(size=(len(rows), 8))
+    out, cache = enc.forward_batch(rows)
+    expected = np.stack([_reference_forward(enc, row)[0] for row in rows])
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    for row, got in zip(rows, out):
+        np.testing.assert_allclose(got, enc.encode(row), rtol=0, atol=1e-12)
+    grads = enc.zero_grads()
+    enc.backward(cache, grad_out, grads)
+    reference = enc.zero_grads()
+    for row, g in zip(rows, grad_out):
+        _reference_backward(enc, row, g, reference)
+    for name in reference:
+        np.testing.assert_allclose(grads[name], reference[name], rtol=0, atol=1e-12)
+
+
+def test_forward_batch_empty_row_error():
+    with pytest.raises(ValueError):
+        TinyEncoder(["a"], 8, seed=0).forward_batch([["a"], []])
+
+
+def _degenerate(enc):
+    enc.weight[:] = 0.0
+    enc.bias[:] = 0.0
+    return enc
+
+
+def test_forward_zero_norm_raises_named_error():
+    enc = _degenerate(TinyEncoder(["a"], 8, seed=0))
+    with pytest.raises(DegenerateNormError):
+        enc.forward(["a"])
+
+
+def test_forward_batch_zero_norm_raises_named_error():
+    enc = _degenerate(TinyEncoder(["a"], 8, seed=0))
+    with pytest.raises(DegenerateNormError):
+        enc.forward_batch([["a"], ["a", "b"]])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventlink.encoders import DegenerateNormError
 from eventlink.kb import NIL, KBEntry, KBError, KnowledgeBase
 from eventlink.llm import ScriptedClient
 from eventlink.rerank import (
@@ -65,6 +66,13 @@ def test_nil_score_independent_of_candidates(kb10):
     a = score_pairs(scorer, ["war", "city"], _cands(["E0", "E1"]), kb10)
     b = score_pairs(scorer, ["war", "city"], _cands(["E5", "E6", "E7"]), kb10)
     assert a[0] == b[0]
+
+
+def test_nil_score_zero_nil_embedding_raises_named_error():
+    scorer = TinyCrossScorer(VOCAB, 16, seed=0)
+    scorer.nil_embedding[:] = 0.0
+    with pytest.raises(DegenerateNormError):
+        scorer.nil_score(["war"])
 
 
 def test_select_learned_nil_argmax():

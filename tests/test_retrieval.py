@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eventlink.encoders import hashing_encoder
+from eventlink.encoders import HashingEncoder
 from eventlink.kb import KnowledgeBase
 from eventlink.retrieval import CandidateSet, DenseIndex, build_index, retrieve
 
@@ -90,18 +90,18 @@ def test_k_bounds():
 
 
 def test_build_index_shape_and_determinism(small_kb):
-    encoder = hashing_encoder(64, seed=1)
+    encoder = HashingEncoder(64, seed=1)
     index = build_index(small_kb, encoder, max_len=300)
     assert index.matrix.shape == (3, 64)
     assert index.ids == ("E1", "E2", "E3")
-    again = build_index(small_kb, hashing_encoder(64, seed=1), max_len=300)
+    again = build_index(small_kb, HashingEncoder(64, seed=1), max_len=300)
     assert np.array_equal(index.matrix, again.matrix)
 
 
 def test_build_index_rows_match_direct_encoding(small_kb):
     from eventlink.kb import candidate_text
 
-    encoder = hashing_encoder(32, seed=2)
+    encoder = HashingEncoder(32, seed=2)
     index = build_index(small_kb, encoder, max_len=50)
     for i, entry in enumerate(small_kb):
         np.testing.assert_array_equal(
@@ -111,11 +111,11 @@ def test_build_index_rows_match_direct_encoding(small_kb):
 
 def test_build_index_empty_kb():
     with pytest.raises(ValueError, match="empty"):
-        build_index(KnowledgeBase([]), hashing_encoder(8, 0))
+        build_index(KnowledgeBase([]), HashingEncoder(8, 0))
 
 
 def test_index_save_load_round_trip(tmp_path, small_kb):
-    encoder = hashing_encoder(16, seed=5)
+    encoder = HashingEncoder(16, seed=5)
     index = build_index(small_kb, encoder, max_len=20)
     path = tmp_path / "index.json"
     index.save(path)

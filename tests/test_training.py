@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eventlink.encoders import TinyEncoder
+from eventlink.encoders import DegenerateNormError, TinyEncoder
 
 from eventlink.kb import NIL, KBEntry, KnowledgeBase
 from eventlink.neggen import STYLE_ARGUMENT_AWARE, generate_negatives
@@ -73,6 +73,74 @@ def test_crossencoder_gradients_match_finite_differences():
         lambda: crossencoder_batch_loss(scorer, examples, kb, 50)[0],
         grads,
     )
+
+
+def test_crossencoder_gradients_with_shared_candidates_and_ragged_lists():
+    kb = KnowledgeBase(
+        [KBEntry(f"E{i}", f"city {i}", f"war north {i}") for i in range(4)]
+    )
+    scorer = TinyCrossScorer(VOCAB, 6, seed=3)
+    # E1 appears in all three examples and E0 in two; lists have 3, 1 and 2 entries
+    examples = [
+        CrossExample("a", ("war", "city", "war"), ("E0", "E1", "E3"), 3),
+        CrossExample("b", ("north", "zzz"), ("E1",), 0),
+        CrossExample("c", ("harbor",), ("E1", "E0"), 1),
+    ]
+    _, grads = crossencoder_batch_loss(scorer, examples, kb, 50)
+    _fd_check(
+        scorer.params(),
+        lambda: crossencoder_batch_loss(scorer, examples, kb, 50)[0],
+        grads,
+    )
+
+
+def test_cross_step_encodes_each_distinct_candidate_once(monkeypatch):
+    kb = KnowledgeBase([KBEntry(f"E{i}", f"city {i}", "war") for i in range(3)])
+    scorer = TinyCrossScorer(VOCAB, 6, seed=0)
+    examples = [
+        CrossExample("a", ("war",), ("E0", "E1"), 1),
+        CrossExample("b", ("city",), ("E1", "E2"), 2),
+        CrossExample("c", ("north",), ("E2", "E0"), 0),
+    ]
+    batches = []
+    original = TinyEncoder.forward_batch
+
+    def counting(self, rows):
+        batches.append(len(rows))
+        return original(self, rows)
+
+    monkeypatch.setattr(TinyEncoder, "forward_batch", counting)
+    crossencoder_batch_loss(scorer, examples, kb, 50)
+    assert batches == [3 + 3]
+
+
+def test_train_biencoder_runs_one_backward_per_step(small_toy, monkeypatch):
+    from eventlink.formatting import format_query
+
+    data, vocab = small_toy
+    pairs = [(format_query(t, "args", 300), data.kb.get(t.base.gold)) for t in data.train]
+    cfg = TrainConfig.biencoder_defaults(learning_rate=0.3, batch_size=8, epochs=3, seed=0)
+    calls = []
+    original = TinyEncoder.backward
+
+    def counting(self, cache, grad_out, grads):
+        calls.append(grad_out.shape[0])
+        return original(self, cache, grad_out, grads)
+
+    monkeypatch.setattr(TinyEncoder, "backward", counting)
+    train_biencoder(pairs, TinyEncoder(vocab, 16, seed=0), cfg)
+    steps_per_epoch = -(-len(pairs) // cfg.batch_size)
+    assert len(calls) == cfg.epochs * steps_per_epoch
+    # every backward covers a whole step: queries plus their gold candidates
+    assert sum(calls) == cfg.epochs * 2 * len(pairs)
+
+
+def test_crossencoder_zero_nil_embedding_raises_named_error():
+    kb = KnowledgeBase([KBEntry("E0", "city", "war")])
+    scorer = TinyCrossScorer(VOCAB, 6, seed=0)
+    scorer.nil_embedding[:] = 0.0
+    with pytest.raises(DegenerateNormError):
+        crossencoder_batch_loss(scorer, [CrossExample("a", ("war",), ("E0",), 1)], kb, 50)
 
 
 def test_batch_size_one_loss_is_exactly_zero():
