@@ -75,6 +75,16 @@ def _float(value, name: str) -> float:
         raise UsageError(f"option {name} must be a number, got {value!r}")
 
 
+def _bool(value, name: str) -> bool:
+    """A flag's value: True, False, None (unset) or a config word such as yes/off."""
+    if value is None or isinstance(value, bool):
+        return bool(value)
+    word = str(value).strip().lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise UsageError(f"option {name} must be a boolean, got {value!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
+
+
 def _apply_config(args: argparse.Namespace, command: str) -> None:
     if not getattr(args, "config", None):
         return
@@ -115,10 +125,7 @@ def _load_decisions(path):
 
 
 def _save_checkpoint(obj, path: str, report: training.TrainReport) -> None:
-    import json
-
-    state = obj.state_dict()
-    artifacts.atomic_write_text(path, json.dumps(state, sort_keys=True))
+    encoders.save_encoder(obj, path)
     report.checkpoint_path = os.path.basename(path)
     artifacts.write_json(path + ".report.json", report.to_dict())
 
@@ -198,32 +205,13 @@ def cmd_index(args) -> None:
     kb = load_kb(kb_path)
     encoder = encoders.load_encoder(encoder_path)
     index = build_index(kb, encoder, _int(args.max_len or 300, "--max-len"))
-    payload_manifest = _manifest("index", args, {"kb": kb_path, "encoder": encoder_path})
-    import json
-
-    payload = {
-        "_manifest": payload_manifest,
-        "format_version": 1,
-        "encoder_fingerprint": index.encoder_fingerprint,
-        "ids": list(index.ids),
-        "matrix": index.matrix.tolist(),
-    }
-    artifacts.atomic_write_text(args.out, json.dumps(payload, sort_keys=True))
-    return payload_manifest
+    manifest = _manifest("index", args, {"kb": kb_path, "encoder": encoder_path})
+    index.save(args.out, manifest)
+    return manifest
 
 
 def _load_index(path) -> DenseIndex:
-    import json
-
-    import numpy as np
-
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return DenseIndex(
-        ids=tuple(payload["ids"]),
-        matrix=np.array(payload["matrix"], dtype=float),
-        encoder_fingerprint=str(payload["encoder_fingerprint"]),
-    )
+    return DenseIndex.load(path)
 
 
 def _check_fingerprint(index: DenseIndex, encoder) -> None:
@@ -381,6 +369,7 @@ def cmd_link(args) -> None:
     _check_fingerprint(index, encoder)
     rule = args.rule or "learned"
     style = args.style or "args"
+    args.allow_nil = _bool(args.allow_nil, "--allow-nil")
     k = _int(args.k or 10, "--k")
     max_query_len = _int(args.max_query_len or 256, "--max-query-len")
     max_candidate_len = _int(args.max_candidate_len or 256, "--max-candidate-len")
@@ -418,7 +407,7 @@ def cmd_link(args) -> None:
             )
         elif rule == "llm":
             decisions.append(
-                llm_rerank(client, query_tokens, candidates, kb, allow_nil=bool(args.allow_nil))
+                llm_rerank(client, query_tokens, candidates, kb, allow_nil=args.allow_nil)
             )
         else:
             raise UsageError(f"unknown rule {rule!r}; expected learned, threshold, or llm")
@@ -529,7 +518,8 @@ def build_parser() -> _Parser:
         ("--kb", dict()), ("--queries", dict()), ("--index", dict()),
         ("--encoder", dict()), ("--scorer", dict()), out,
         ("--rule", dict()), ("--theta", dict()), ("--direction", dict()),
-        ("--k", dict()), ("--style", dict()), ("--allow-nil", dict(action="store_true")),
+        ("--k", dict()), ("--style", dict()),
+        ("--allow-nil", dict(action="store_true", default=None)),
         ("--responses", dict()), ("--max-query-len", dict()), ("--max-candidate-len", dict()),
     ])
     add("eval", cmd_eval, [

@@ -28,6 +28,8 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from . import artifacts
+
 OOV_TOKEN = "[OOV]"
 
 CHECKPOINT_VERSION = 1
@@ -221,10 +223,9 @@ def fingerprint(state: dict) -> str:
 
 
 def save_encoder(encoder, path) -> str:
+    """Write an encoder or scorer checkpoint atomically; returns its fingerprint."""
     state = encoder.state_dict()
-    payload = json.dumps(state, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    artifacts.atomic_write_text(path, json.dumps(state, sort_keys=True))
     return fingerprint(state)
 
 

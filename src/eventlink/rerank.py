@@ -15,7 +15,7 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, fingerprint
+from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, save_encoder
 from .kb import NIL, KBError, KnowledgeBase, candidate_text, tokenize
 from .llm import TextCompletionClient
 from .retrieval import CandidateSet
@@ -112,12 +112,7 @@ class TinyCrossScorer:
         return scorer
 
     def save(self, path) -> str:
-        import json
-
-        state = self.state_dict()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(state, sort_keys=True))
-        return fingerprint(state)
+        return save_encoder(self, path)
 
     @classmethod
     def load(cls, path) -> "TinyCrossScorer":

@@ -1,10 +1,13 @@
+import base64
 import json
 import os
 
+import numpy as np
 import pytest
 
 from eventlink.artifacts import read_json, read_jsonl
 from eventlink.cli import main
+from eventlink.encoders import HashingEncoder, save_encoder
 from eventlink.toy import build_toy_data, write_toy_inputs
 
 from conftest import write_jsonl
@@ -16,6 +19,105 @@ def toy_inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("inputs")
     data = build_toy_data(n_entries=10, n_train=30, n_test=5, seed=7)
     return write_toy_inputs(directory, data)
+
+
+@pytest.fixture(scope="module")
+def dense_stack(toy_inputs, tmp_path_factory):
+    """A KB, tagged test queries, a hashing encoder and its dense index."""
+    directory = tmp_path_factory.mktemp("dense")
+    paths = {name: str(directory / name) for name in
+             ("kb.jsonl", "tagged.jsonl", "encoder.json", "index.json")}
+    assert main(["build-kb", "--in", toy_inputs["kb"], "--out", paths["kb.jsonl"]]) == 0
+    assert main(["tag", "--in", toy_inputs["test"], "--out", paths["tagged.jsonl"],
+                 "--extractor", "rule", "--lexicon", toy_inputs["lexicon"]]) == 0
+    save_encoder(HashingEncoder(16, seed=3), paths["encoder.json"])
+    assert main(["index", "--kb", paths["kb.jsonl"], "--encoder", paths["encoder.json"],
+                 "--out", paths["index.json"]]) == 0
+    return paths
+
+
+def _drop_key(doc):
+    del doc["ids"]
+
+
+def _format_v1(doc):
+    raw = base64.b64decode(doc["matrix"]["base64"])
+    rows = np.frombuffer(raw, dtype="<f8").reshape(doc["matrix"]["shape"])
+    doc["format_version"] = 1
+    doc["matrix"] = rows.tolist()
+
+
+def _shape_vs_ids(doc):
+    doc["ids"] = doc["ids"][:-1]
+
+
+def _shape_vs_bytes(doc):
+    doc["matrix"]["shape"][1] += 1
+
+
+def _non_finite(doc):
+    rows = np.frombuffer(base64.b64decode(doc["matrix"]["base64"]), dtype="<f8").copy()
+    rows[3] = np.nan
+    doc["matrix"]["base64"] = base64.b64encode(rows.tobytes()).decode("ascii")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_key, "missing key 'ids'"),
+    (_format_v1, "rebuild it with `eventlink index`"),
+    (_shape_vs_ids, "shape [10, 16] does not hold one row per id for 9 ids"),
+    (_shape_vs_bytes, "shape [10, 17] needs 1360 bytes, found 1280"),
+    (_non_finite, "non-finite"),
+], ids=["missing-key", "format-v1", "shape-vs-ids", "shape-vs-bytes", "non-finite"])
+def test_malformed_index_is_data_error_naming_file(dense_stack, tmp_path, capsys, corrupt, message):
+    _, doc = read_json(dense_stack["index.json"])
+    corrupt(doc)
+    bad = tmp_path / "bad-index.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    code = main(["retrieve", "--index", str(bad), "--queries", dense_stack["tagged.jsonl"],
+                 "--encoder", dense_stack["encoder.json"], "--k", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(bad) in err and message in err
+    assert not out.exists()
+
+
+def _link_llm(stack, tmp_path, extra):
+    responses = tmp_path / "responses.jsonl"
+    _, tagged = read_jsonl(stack["tagged.jsonl"])
+    write_jsonl(responses, [{"completion": "The passage should be labeled as NIL."}] * len(tagged))
+    out = tmp_path / "llm.jsonl"
+    code = main(["link", "--kb", stack["kb.jsonl"], "--queries", stack["tagged.jsonl"],
+                 "--index", stack["index.json"], "--encoder", stack["encoder.json"],
+                 "--rule", "llm", "--responses", str(responses), "--out", str(out), *extra])
+    return code, out
+
+
+def test_allow_nil_from_config(dense_stack, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[link]\nallow-nil = yes\n", encoding="utf-8")
+    code, out = _link_llm(dense_stack, tmp_path, ["--config", str(config)])
+    assert code == 0
+    manifest, decisions = read_jsonl(out)
+    assert manifest["config"]["allow_nil"] is True
+    assert all(d["prediction"] == "NIL" and d.get("note") is None for d in decisions)
+    config.write_text("[link]\nallow-nil = maybe\n", encoding="utf-8")
+    assert _link_llm(dense_stack, tmp_path, ["--config", str(config)])[0] == 1
+
+
+def test_allow_nil_flag_wins_over_config(dense_stack, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[link]\nallow-nil = off\n", encoding="utf-8")
+    code, out = _link_llm(dense_stack, tmp_path, ["--config", str(config)])
+    assert code == 0
+    manifest, decisions = read_jsonl(out)
+    assert manifest["config"]["allow_nil"] is False
+    assert all(d["note"].startswith("parse_failure") for d in decisions)
+    code, out = _link_llm(dense_stack, tmp_path, ["--config", str(config), "--allow-nil"])
+    assert code == 0
+    manifest, decisions = read_jsonl(out)
+    assert manifest["config"]["allow_nil"] is True
+    assert all(d.get("note") is None for d in decisions)
 
 
 def test_build_kb_normalizes_and_embeds_manifest(toy_inputs, tmp_path):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from eventlink.artifacts import read_json
 from eventlink.encoders import HashingEncoder
 from eventlink.kb import KnowledgeBase
-from eventlink.retrieval import CandidateSet, DenseIndex, build_index, retrieve
+from eventlink.retrieval import CandidateSet, DenseIndex, _shortlist, build_index, retrieve
 
 
 def _index_from_matrix(matrix):
@@ -16,6 +20,20 @@ def _brute_force(matrix, q, k):
     scores = [float(np.dot(row, q)) for row in matrix]
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
     return [f"E{i}" for i in order], [scores[i] for i in order]
+
+
+def _adversarial_matrix(rng, n, d, spread_norms):
+    """Rows built to defeat a single matrix-vector pass: exact duplicates,
+    one-ulp neighbours, and (optionally) row norms from 1e-150 to 1e150."""
+    base = rng.normal(size=(max(1, n // 4), d))
+    if spread_norms:
+        base *= 10.0 ** rng.uniform(-150, 150, size=(len(base), 1))
+    matrix = base[rng.integers(0, len(base), size=n)]
+    matrix[-1] = matrix[0]  # bit-identical rows far apart
+    nudged = rng.random(n) < 0.25
+    toward = np.where(rng.random((n, 1)) < 0.5, -np.inf, np.inf)
+    matrix[nudged] = np.nextafter(matrix[nudged], toward[nudged])
+    return matrix
 
 
 def test_orthogonal_basis():
@@ -45,6 +63,8 @@ def test_matches_brute_force_oracle_randomized():
         matrix = rng.normal(size=(n, d))
         if rng.random() < 0.3:
             matrix[rng.integers(0, n)] = matrix[rng.integers(0, n)]  # force ties
+        if rng.random() < 0.3:
+            matrix = _adversarial_matrix(rng, n, d, spread_norms=rng.random() < 0.5)
         q = rng.normal(size=d)
         index = DenseIndex(
             ids=tuple(f"E{i}" for i in range(n)), matrix=matrix, encoder_fingerprint="t"
@@ -52,7 +72,46 @@ def test_matches_brute_force_oracle_randomized():
         got = retrieve(index, q, k)
         ids, scores = _brute_force(matrix, q, k)
         assert list(got.ids) == ids
-        np.testing.assert_allclose(got.scores, scores, atol=1e-9)
+        assert list(got.scores) == scores  # same per-row products, same bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5000),
+    d=st.integers(1, 64),
+    k_rule=st.sampled_from(["one", "all", "any"]),
+    spread_norms=st.booleans(),
+)
+def test_matches_oracle_on_adversarial_matrices(seed, n, d, k_rule, spread_norms):
+    rng = np.random.default_rng(seed)
+    matrix = _adversarial_matrix(rng, n, d, spread_norms)
+    q = rng.normal(size=d)
+    k = {"one": 1, "all": n, "any": int(rng.integers(1, n + 1))}[k_rule]
+    got = retrieve(_index_from_matrix(matrix), q, k)
+    ids, scores = _brute_force(matrix, q, k)
+    assert list(got.ids) == ids
+    assert list(got.scores) == scores
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-140, 1e140])
+def test_shortlist_keeps_rows_rounding_cannot_separate(scale):
+    # A row, its copy grown by a few ulps and its exact copy score within
+    # rounding error of one another at any magnitude, so the matrix-vector
+    # pass alone cannot tell which is first: the shortlist for k=1 must keep
+    # all three, although their matrix-vector values differ.
+    rng = np.random.default_rng(11)
+    row = rng.normal(size=64)
+    matrix = scale * np.vstack([rng.normal(size=(3, 64)), row, rng.normal(size=(50, 64)), row, row])
+    for _ in range(4):
+        matrix[54] = np.nextafter(matrix[54], np.copysign(np.inf, row))
+    assert len(set((matrix @ row)[[3, 54, 55]].tolist())) > 1
+    index = _index_from_matrix(matrix)
+    rows = _shortlist(index, row, 1)
+    assert {3, 54, 55} <= set(rows.tolist())
+    got = retrieve(index, row, 1)
+    ids, scores = _brute_force(matrix, row, 1)
+    assert list(got.ids) == ids and list(got.scores) == scores
 
 
 def test_prefix_property():
@@ -123,6 +182,31 @@ def test_index_save_load_round_trip(tmp_path, small_kb):
     assert loaded.ids == index.ids
     assert loaded.encoder_fingerprint == index.encoder_fingerprint
     np.testing.assert_array_equal(loaded.matrix, index.matrix)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+              elements=st.floats(allow_nan=False, allow_infinity=False)))
+@example(np.array([[-0.0, 0.0, 5e-324, -2.5e-310], [1e308, -1e-308, np.nextafter(1.0, 2.0), np.pi]]))
+def test_index_round_trip_is_bit_exact(tmp_path_factory, matrix):
+    path = tmp_path_factory.mktemp("index") / "index.json"
+    index = DenseIndex(
+        ids=tuple(f"E{i}" for i in range(len(matrix))), matrix=matrix, encoder_fingerprint="f"
+    )
+    index.save(path, manifest={"command": "index"})
+    loaded = DenseIndex.load(path)
+    assert loaded.matrix.tobytes() == matrix.tobytes()
+    assert loaded.ids == index.ids and loaded.encoder_fingerprint == "f"
+    manifest, payload = read_json(path)
+    assert manifest == {"command": "index"}
+    assert payload["format_version"] == 2 and payload["matrix"]["dtype"] == "<f8"
+
+
+def test_index_rejects_non_finite_and_misshapen_matrices():
+    with pytest.raises(ValueError, match="non-finite"):
+        _index_from_matrix(np.array([[1.0, np.inf]]))
+    with pytest.raises(ValueError, match="one row per id"):
+        DenseIndex(ids=("a",), matrix=np.eye(2), encoder_fingerprint="t")
 
 
 def test_candidate_set_validation():
