@@ -6,7 +6,7 @@ controlled manipulation of tagged event arguments.
 """
 
 from .extraction import Argument, EventQuery, Span, TaggedQuery
-from .kb import NIL, KBEntry, KnowledgeBase, candidate_text, get_entry, load_kb
+from .kb import NIL, KBEntry, KnowledgeBase, candidate_text, load_kb
 from .retrieval import CandidateSet, DenseIndex
 from .rerank import LinkDecision
 
@@ -24,7 +24,6 @@ __all__ = [
     "Span",
     "TaggedQuery",
     "candidate_text",
-    "get_entry",
     "load_kb",
     "__version__",
 ]

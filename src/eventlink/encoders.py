@@ -229,15 +229,29 @@ def save_encoder(encoder, path) -> str:
     return fingerprint(state)
 
 
+def load_checkpoint(path, builders: dict):
+    """Read a checkpoint, embedded ``_manifest`` optional, and build it with ``builders[kind]``.
+
+    Another kind, malformed JSON or a missing or malformed field is a
+    ``ValueError`` naming the file.
+    """
+    try:
+        _, state = artifacts.read_json(path)
+        kind = state.get("kind") if isinstance(state, dict) else None
+        if kind not in builders:
+            raise ValueError(f"checkpoint kind {kind!r}, expected one of {sorted(builders)}")
+        return builders[kind](state)
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint is missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_encoder(path):
-    with open(path, encoding="utf-8") as fh:
-        state = json.load(fh)
-    kind = state.get("kind")
-    if kind == "hashing":
-        return HashingEncoder(int(state["dim"]), int(state["seed"]))
-    if kind == "tiny":
-        return TinyEncoder.from_state_dict(state)
-    raise ValueError(f"unknown encoder kind {kind!r}")
+    return load_checkpoint(path, {
+        "hashing": lambda state: HashingEncoder(int(state["dim"]), int(state["seed"])),
+        "tiny": TinyEncoder.from_state_dict,
+    })
 
 
 def encoder_fingerprint(encoder) -> str:

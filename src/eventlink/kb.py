@@ -83,11 +83,6 @@ class KnowledgeBase:
         return tuple(e.id for e in self._entries)
 
 
-def get_entry(kb: KnowledgeBase, entry_id: str) -> KBEntry | None:
-    """Lookup by id; not-found is the value None, never an exception."""
-    return kb.get(entry_id)
-
-
 def entry_from_record(record: dict, lineno: int | None = None) -> KBEntry:
     where = f" (line {lineno})" if lineno is not None else ""
     if not isinstance(record, dict):
@@ -124,10 +119,7 @@ def load_kb(path) -> KnowledgeBase:
                 raise KBError(f"malformed JSON at line {lineno}: {exc.msg}") from exc
             if isinstance(record, dict) and set(record) == {"_manifest"}:
                 continue
-            try:
-                entry = entry_from_record(record, lineno)
-            except KBError:
-                raise
+            entry = entry_from_record(record, lineno)
             if entry.id in seen:
                 raise KBError(f"duplicate entry id {entry.id!r} at line {lineno}")
             seen.add(entry.id)

@@ -38,12 +38,3 @@ class ScriptedClient:
         self._cursor += 1
         return completion
 
-
-class CallableClient:
-    """Wraps a ``prompt -> completion`` function as a client."""
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def complete(self, prompt: str) -> str:
-        return self._fn(prompt)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from typing import Sequence
 
@@ -38,12 +38,8 @@ PROVENANCE_KB_PRUNING = "kb_pruning"
 GENERATED_STYLES = (STYLE_ARGUMENT_AWARE, STYLE_PLAIN)
 PROVENANCES = (*GENERATED_STYLES, PROVENANCE_KB_PRUNING)
 
-# Generation budgets: full-scale defaults and the desk-scale counts used
-# by tests and the toy pipeline.
-FULL_SCALE_TRAIN_GENERATIONS = 6600
-FULL_SCALE_VALIDATION_GENERATIONS = 1600
+# Default generation budget of ``eventlink neg-gen``.
 DESK_SCALE_TRAIN_GENERATIONS = 200
-DESK_SCALE_VALIDATION_GENERATIONS = 50
 
 MENTION_OPEN = "<mention>"
 MENTION_CLOSE = "</mention>"
@@ -133,18 +129,7 @@ class GenerationRecord:
     passage_after_polish: str | None = None
 
     def to_record(self) -> dict:
-        return {
-            "origin_query_id": self.origin_query_id,
-            "style": self.style,
-            "prompt": self.prompt,
-            "completion": self.completion,
-            "status": self.status,
-            "reason": self.reason,
-            "plan_edit": self.plan_edit,
-            "passage_after_edit": self.passage_after_edit,
-            "plan_polish": self.plan_polish,
-            "passage_after_polish": self.passage_after_polish,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

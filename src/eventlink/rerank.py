@@ -15,7 +15,8 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, save_encoder
+from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, load_checkpoint
+from .encoders import save_encoder
 from .kb import NIL, KBError, KnowledgeBase, candidate_text, tokenize
 from .llm import TextCompletionClient
 from .retrieval import CandidateSet
@@ -116,13 +117,7 @@ class TinyCrossScorer:
 
     @classmethod
     def load(cls, path) -> "TinyCrossScorer":
-        import json
-
-        with open(path, encoding="utf-8") as fh:
-            state = json.load(fh)
-        if state.get("kind") != "tiny_cross":
-            raise ValueError(f"not a cross-scorer checkpoint: kind={state.get('kind')!r}")
-        return cls.from_state_dict(state)
+        return load_checkpoint(path, {"tiny_cross": cls.from_state_dict})
 
 
 @dataclass(frozen=True)

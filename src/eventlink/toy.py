@@ -14,15 +14,17 @@ vocabulary disjoint from the corpus, deterministically in (seed, prompt).
 
 from __future__ import annotations
 
+import json
+import os
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import OOV_TOKEN, token_hash
-from .extraction import EventQuery, RoleLexicon, Span, TaggedQuery, extract, rule_extractor
-from .formatting import format_query
-from .kb import KBEntry, KnowledgeBase, full_candidate_tokens
+from .encoders import token_hash
+from .extraction import EventQuery, RoleLexicon, Span, TaggedQuery, extract, query_to_record
+from .extraction import rule_extractor
+from .kb import KBEntry, KnowledgeBase, entry_to_record
 
 _ONSETS = (
     "Bar", "Dren", "Kel", "Mor", "Tar", "Vas", "Zor", "Quen", "Hal", "Fen",
@@ -150,25 +152,8 @@ def build_toy_data(
     return ToyData(kb=kb, train=train, test=test, lexicon=lexicon)
 
 
-def build_vocab(kb: KnowledgeBase, tagged: list[TaggedQuery], max_len: int = 300) -> list[str]:
-    """Deterministic token vocabulary covering candidates, queries, markers."""
-    tokens: set[str] = {OOV_TOKEN, "[NIL]"}
-    for entry in kb:
-        tokens.update(full_candidate_tokens(entry))
-    for query in tagged:
-        for style in ("args", "blink"):
-            tokens.update(format_query(query, style, max_len))
-    return sorted(tokens)
-
-
 def write_toy_inputs(directory, data: ToyData) -> dict[str, str]:
     """Write raw pipeline inputs (KB, untagged queries, lexicon) as files."""
-    import json
-    import os
-
-    from .extraction import query_to_record
-    from .kb import entry_to_record
-
     os.makedirs(directory, exist_ok=True)
     paths = {
         "kb": os.path.join(directory, "kb.jsonl"),

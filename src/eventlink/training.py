@@ -27,12 +27,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoders import DegenerateNormError, TinyEncoder
+from .encoders import OOV_TOKEN, DegenerateNormError, TinyEncoder
 from .extraction import TaggedQuery
 from .formatting import format_query
-from .kb import NIL, KBEntry, KnowledgeBase, candidate_text
+from .kb import NIL, KBEntry, KnowledgeBase, candidate_text, full_candidate_tokens
 from .neggen import NegativeExample
-from .rerank import TinyCrossScorer
+from .rerank import NIL_PSEUDO_TOKEN, TinyCrossScorer
 from .retrieval import CandidateSet, DenseIndex, retrieve
 
 
@@ -91,16 +91,21 @@ class TrainReport:
 
     epoch_losses: list[float]
     config: dict
-    final_metric: float | None = None
     checkpoint_path: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "epoch_losses": self.epoch_losses,
-            "config": self.config,
-            "final_metric": self.final_metric,
-            "checkpoint_path": self.checkpoint_path,
-        }
+        return asdict(self)
+
+
+def build_vocab(kb: KnowledgeBase, tagged: Sequence[TaggedQuery], max_len: int = 300) -> list[str]:
+    """Deterministic token vocabulary covering candidates, queries, markers."""
+    tokens: set[str] = {OOV_TOKEN, NIL_PSEUDO_TOKEN}
+    for entry in kb:
+        tokens.update(full_candidate_tokens(entry))
+    for query in tagged:
+        for style in ("args", "blink"):
+            tokens.update(format_query(query, style, max_len))
+    return sorted(tokens)
 
 
 def _sgd_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray], lr: float) -> None:
@@ -267,6 +272,28 @@ def mine_candidates(
             )
         mined[query.base.query_id] = result
     return mined
+
+
+def apply_kb_pruning(
+    queries: Sequence[TaggedQuery],
+    pruned: Sequence[NegativeExample],
+    index: DenseIndex,
+) -> tuple[list[TaggedQuery], DenseIndex]:
+    """Training queries and mining index of the KB-pruning baseline.
+
+    Each KB-pruning negative replaces its origin query with its NIL
+    relabeling, so no query trains toward both NIL and its old gold, and
+    the entries of the pruned labels leave the index.
+    """
+    if not pruned:
+        return list(queries), index
+    origins = {n.origin_query_id for n in pruned}
+    labels = {q.base.gold for q in queries if q.base.query_id in origins}
+    kept = [q for q in queries if q.base.query_id not in origins]
+    rows = [i for i, entry_id in enumerate(index.ids) if entry_id not in labels]
+    ids = tuple(index.ids[i] for i in rows)
+    smaller = DenseIndex(ids, index.matrix[rows], index.encoder_fingerprint)
+    return kept + [n.generated for n in pruned], smaller
 
 
 def positive_examples(

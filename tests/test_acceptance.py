@@ -43,10 +43,11 @@ from eventlink.rerank import (
     select_threshold,
 )
 from eventlink.retrieval import CandidateSet, DenseIndex, bm25_build, build_index, retrieve
-from eventlink.toy import StorytellerMock, build_toy_data, build_vocab
+from eventlink.toy import StorytellerMock, build_toy_data
 from eventlink.training import (
     TrainConfig,
     biencoder_batch_loss,
+    build_vocab,
     crossencoder_batch_loss,
     mine_candidates,
     positive_examples,

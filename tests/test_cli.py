@@ -1,12 +1,13 @@
 import base64
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
 
 from eventlink.artifacts import read_json, read_jsonl
-from eventlink.cli import main
+from eventlink.cli import build_parser, main
 from eventlink.encoders import HashingEncoder, save_encoder
 from eventlink.toy import build_toy_data, write_toy_inputs
 
@@ -352,3 +353,186 @@ def test_report_command_compares_runs(tmp_path):
     _, payload = read_json(comparison)
     assert set(payload["rows"]) == {"report", "threshold-report"}
     assert "accuracy_all" in payload["best"]
+
+
+# --- the option table ---------------------------------------------------------
+
+def _link_argv(stack, out, *extra):
+    return ["link", "--kb", stack["kb.jsonl"], "--queries", stack["tagged.jsonl"],
+            "--index", stack["index.json"], "--encoder", stack["encoder.json"],
+            "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("section", [
+    "[link]\nbogus = 1\n",
+    "[link]\nk = ten\n",
+    "[link]\nrule = bogus\n",
+], ids=["unknown-key", "wrong-type", "outside-choices"])
+def test_bad_config_value_is_usage_error(dense_stack, tmp_path, capsys, section):
+    config = tmp_path / "run.ini"
+    config.write_text(section, encoding="utf-8")
+    out = tmp_path / "d.jsonl"
+    assert main(_link_argv(dense_stack, out, "--config", str(config))) == 1
+    assert str(config) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "k = 3\n",
+    "[link]\nk = 100%\n",
+], ids=["no-section-header", "bad-interpolation"])
+def test_malformed_config_file_is_data_error(dense_stack, tmp_path, capsys, text):
+    config = tmp_path / "run.ini"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "d.jsonl"
+    assert main(_link_argv(dense_stack, out, "--config", str(config))) == 2
+    assert str(config) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_rule_on_empty_queries_is_usage_error(dense_stack, tmp_path):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    out = tmp_path / "d.jsonl"
+    stack = dict(dense_stack, **{"tagged.jsonl": str(empty)})
+    assert main(_link_argv(stack, out, "--rule", "bogus")) == 1
+    assert not out.exists()
+
+
+def test_bad_direction_and_ks_are_usage_errors(dense_stack, tmp_path):
+    out = tmp_path / "d.jsonl"
+    assert main(_link_argv(dense_stack, out, "--rule", "threshold", "--direction", "bogus")) == 1
+    assert not out.exists()
+    report = tmp_path / "r.json"
+    code = main(["eval", "--preds", str(out), "--gold", dense_stack["tagged.jsonl"],
+                 "--ks", "1,x", "--out", str(report)])
+    assert code == 1
+    assert not report.exists()
+
+
+def test_manifest_records_every_default_typed(dense_stack, tmp_path):
+    out = tmp_path / "c.jsonl"
+    assert main(["retrieve", "--index", dense_stack["index.json"],
+                 "--queries", dense_stack["tagged.jsonl"],
+                 "--encoder", dense_stack["encoder.json"], "--out", str(out)]) == 0
+    config = read_jsonl(out)[0]["config"]
+    assert config["k"] == 10 and isinstance(config["k"], int)
+    assert config["max_query_len"] == 300
+    assert (config["retriever"], config["style"]) == ("dense", "args")
+
+
+def test_config_values_parse_like_flags(dense_stack, tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[retrieve]\nk = 3\nmax_query_len = 12\n", encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert main(["retrieve", "--index", dense_stack["index.json"],
+                 "--queries", dense_stack["tagged.jsonl"], "--encoder", dense_stack["encoder.json"],
+                 "--config", str(config), "--k", "4", "--out", str(out)]) == 0
+    manifest, records = read_jsonl(out)
+    assert (manifest["config"]["k"], manifest["config"]["max_query_len"]) == (4, 12)
+    assert all(len(r["candidates"]) == 4 for r in records)
+
+
+def _readme_commands():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(readme, encoding="utf-8").read()
+    block = text.split("## Command-line pipeline", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("eventlink ")]
+
+
+def _choice_variants(argv):
+    """One argv per alternative of every ``{a,b,c}`` placeholder."""
+    for i, token in enumerate(argv):
+        if token.startswith("{") and token.endswith("}"):
+            return [variant
+                    for choice in token[1:-1].split(",")
+                    for variant in _choice_variants([*argv[:i], choice, *argv[i + 1:]])]
+    return [argv]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == {
+        "build-kb", "tag", "format", "train-bi", "index", "retrieve",
+        "neg-gen", "train-cross", "link", "eval", "report",
+    }
+    parser = build_parser()
+    for argv in commands:
+        for variant in _choice_variants(argv):
+            args = parser.parse_args(variant)
+            assert args.command == variant[0]
+
+
+# --- checkpoints and scripted responses ------------------------------------------
+
+def test_encoder_checkpoint_missing_key_is_data_error(dense_stack, tmp_path, capsys):
+    state = json.loads(open(dense_stack["encoder.json"], encoding="utf-8").read())
+    del state["seed"]
+    bad = tmp_path / "no-seed.json"
+    bad.write_text(json.dumps(state), encoding="utf-8")
+    out = tmp_path / "index.json"
+    assert main(["index", "--kb", dense_stack["kb.jsonl"], "--encoder", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "'seed'" in err
+    assert not out.exists()
+
+
+def test_checkpoint_of_another_kind_is_data_error(dense_stack, tmp_path, capsys):
+    out = tmp_path / "d.jsonl"
+    code = main(_link_argv(dense_stack, out, "--scorer", dense_stack["encoder.json"]))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert dense_stack["encoder.json"] in err and "'hashing'" in err
+    assert not out.exists()
+
+
+def _bad_responses(tmp_path):
+    responses = tmp_path / "responses.jsonl"
+    write_jsonl(responses, [{"completion": "fine"}, {"text": "no completion"}])
+    return responses
+
+
+def test_link_malformed_responses_is_data_error(dense_stack, tmp_path, capsys):
+    responses = _bad_responses(tmp_path)
+    out = tmp_path / "d.jsonl"
+    code = main(_link_argv(dense_stack, out, "--rule", "llm", "--responses", str(responses)))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(responses) in err and "line 2" in err
+    assert not out.exists()
+
+
+def test_neg_gen_malformed_responses_is_data_error(dense_stack, tmp_path, capsys):
+    responses = _bad_responses(tmp_path)
+    out = tmp_path / "negs.jsonl"
+    code = main(["neg-gen", "--queries", dense_stack["tagged.jsonl"], "--kb", dense_stack["kb.jsonl"],
+                 "--index", dense_stack["index.json"], "--encoder", dense_stack["encoder.json"],
+                 "--client", "scripted", "--responses", str(responses), "--count", "2",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(responses) in err and "line 2" in err
+    assert not out.exists()
+
+
+def test_kb_pruning_negatives_train_cross_and_link(tmp_path):
+    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, neg_count=2)
+    pruned = tmp_path / "pruned.jsonl"
+    assert main(["neg-gen", "--queries", paths["train_tagged"], "--style", "prune",
+                 "--prune-fraction", "0.2", "--out", str(pruned)]) == 0
+    manifest, negatives = read_jsonl(pruned)
+    assert len(manifest["config"]["pruned_labels"]) == 4
+    assert negatives
+    scorer = tmp_path / "pruned-scorer.json"
+    assert main(["train-cross", "--kb", paths["kb_norm"], "--queries", paths["train_tagged"],
+                 "--negatives", str(pruned), "--index", paths["index"],
+                 "--encoder", paths["encoder"], "--out", str(scorer), "--dim", "32",
+                 "--lr", "0.1", "--batch-size", "8", "--epochs", "1"]) == 0
+    decisions = tmp_path / "d.jsonl"
+    assert main(["link", "--kb", paths["kb_norm"], "--queries", paths["test_tagged"],
+                 "--index", paths["index"], "--encoder", paths["encoder"],
+                 "--scorer", str(scorer), "--out", str(decisions)]) == 0
+    _, records = read_jsonl(decisions)
+    assert len(records) == 10

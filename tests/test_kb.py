@@ -9,7 +9,6 @@ from eventlink.kb import (
     KBError,
     KnowledgeBase,
     candidate_text,
-    get_entry,
     load_kb,
     tokenize,
 )
@@ -79,9 +78,9 @@ def test_manifest_header_skipped(tmp_path):
 
 
 def test_get_entry_lookup(small_kb):
-    assert get_entry(small_kb, "E2").title == "Harbor uprising"
-    assert get_entry(small_kb, "E9") is None
-    assert get_entry(small_kb, NIL) is None
+    assert small_kb.get("E2").title == "Harbor uprising"
+    assert small_kb.get("E9") is None
+    assert small_kb.get(NIL) is None
 
 
 def test_empty_title_rejected():

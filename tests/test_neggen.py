@@ -17,7 +17,8 @@ from eventlink.neggen import (
     tagged_passage,
 )
 from eventlink.retrieval import build_index
-from eventlink.toy import StorytellerMock, build_toy_data, build_vocab
+from eventlink.toy import StorytellerMock, build_toy_data
+from eventlink.training import build_vocab
 
 
 def _tagged(tokens, mention, pos="verb", n_args=2, gold="E1"):

@@ -4,15 +4,23 @@ import pytest
 from eventlink.encoders import DegenerateNormError, TinyEncoder
 
 from eventlink.kb import NIL, KBEntry, KnowledgeBase
-from eventlink.neggen import STYLE_ARGUMENT_AWARE, generate_negatives
+from eventlink.neggen import (
+    PROVENANCE_KB_PRUNING,
+    STYLE_ARGUMENT_AWARE,
+    NegativeExample,
+    generate_negatives,
+    kb_pruning_negatives,
+)
 from eventlink.rerank import TinyCrossScorer
 from eventlink.retrieval import CandidateSet, build_index
-from eventlink.toy import StorytellerMock, build_toy_data, build_vocab
+from eventlink.toy import StorytellerMock, build_toy_data
 from eventlink.training import (
     CrossExample,
     TrainConfig,
     TrainingError,
+    apply_kb_pruning,
     biencoder_batch_loss,
+    build_vocab,
     crossencoder_batch_loss,
     mine_candidates,
     negative_examples,
@@ -254,6 +262,31 @@ def test_mine_nil_query_gets_plain_candidates(mined_stack):
     mined = mine_candidates([nil_query], index, encoder, k=5)
     assert not mined["nilq"].gold_injected
     assert len(mined["nilq"]) == 5
+
+
+def test_kb_pruning_replaces_origin_queries_and_drops_pruned_rows(mined_stack):
+    data, encoder, index = mined_stack
+    pruned_labels, relabeled = kb_pruning_negatives(data.train, 0.2, seed=0)
+    pruned = [
+        NegativeExample(query, query.base.query_id, (), PROVENANCE_KB_PRUNING)
+        for query, before in zip(relabeled, data.train)
+        if before.base.gold in pruned_labels
+    ]
+    queries, smaller = apply_kb_pruning(data.train, pruned, index)
+    ids = [q.base.query_id for q in queries]
+    assert len(ids) == len(set(ids)) == len(data.train)
+    golds = {q.base.query_id: q.base.gold for q in queries}
+    for query in data.train:
+        expected = NIL if query.base.gold in pruned_labels else query.base.gold
+        assert golds[query.base.query_id] == expected
+    assert not pruned_labels & set(smaller.ids)
+    assert smaller.n == index.n - len(pruned_labels)
+    for entry_id, row in zip(smaller.ids, smaller.matrix):
+        np.testing.assert_array_equal(row, index.matrix[index.ids.index(entry_id)])
+    mined = mine_candidates(queries, smaller, encoder, k=10)
+    assert all(not pruned_labels & set(result.ids) for result in mined.values())
+    unchanged, same_index = apply_kb_pruning(data.train, [], index)
+    assert unchanged == list(data.train) and same_index is index
 
 
 def test_positive_examples_target_points_at_gold(mined_stack):
