@@ -74,14 +74,20 @@ def write_jsonl(path, records: Iterable[dict], manifest: dict | None = None) -> 
 
 
 def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    """Yield (lineno, record), skipping the manifest header if present."""
-    with open(path, encoding="utf-8") as fh:
+    """Yield (lineno, record), skipping the manifest header if present.
+
+    A blank line, or a line that is not UTF-8 JSON (a truncated file, say),
+    raises ValueError naming the file and the line.
+    """
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:
                 raise ValueError(f"{path}: blank line at line {lineno}")
             try:
-                record = json.loads(stripped)
+                record = json.loads(stripped.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: line {lineno} is not UTF-8") from None
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
             if isinstance(record, dict) and set(record) == {MANIFEST_KEY}:
@@ -116,7 +122,13 @@ def write_json(path, payload: dict, manifest: dict | None = None) -> None:
 
 
 def read_json(path) -> tuple[dict | None, dict]:
-    with open(path, encoding="utf-8") as fh:
-        document = json.load(fh)
+    """Return (manifest or None, document); a file that is not UTF-8 JSON raises ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            document = json.load(fh)
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from None
     manifest = document.pop(MANIFEST_KEY, None) if isinstance(document, dict) else None
     return manifest, document

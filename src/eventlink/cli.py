@@ -166,9 +166,8 @@ def cmd_format(args) -> None:
 def cmd_train_bi(args) -> None:
     inputs, kb, tagged, _, _ = _stack(args, dense=False)
     cfg = _train_config(args)
-    encoder = encoders.TinyEncoder(
-        training.build_vocab(kb, tagged, cfg.max_query_len), args.dim, seed=cfg.seed
-    )
+    vocab = training.build_vocab(kb, tagged, cfg.max_query_len, args.style)
+    encoder = encoders.TinyEncoder(vocab, args.dim, seed=cfg.seed)
     data = []
     for query in tagged:
         if query.base.gold == NIL:
@@ -246,7 +245,7 @@ def cmd_train_cross(args) -> None:
         records = artifacts.iter_jsonl(_require(args.negatives, "--negatives"))
         negatives = [neggen.NegativeExample.from_record(record) for _, record in records]
         inputs["negatives"] = args.negatives
-    vocab = training.build_vocab(kb, tagged, cfg.max_query_len)
+    vocab = training.build_vocab(kb, tagged, cfg.max_query_len, args.style)
     pruned = [n for n in negatives if n.provenance == neggen.PROVENANCE_KB_PRUNING]
     generated = [n for n in negatives if n.provenance != neggen.PROVENANCE_KB_PRUNING]
     queries, index = training.apply_kb_pruning(tagged, pruned, index)

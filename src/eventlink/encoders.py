@@ -235,8 +235,8 @@ def load_checkpoint(path, builders: dict):
     Another kind, malformed JSON or a missing or malformed field is a
     ``ValueError`` naming the file.
     """
+    _, state = artifacts.read_json(path)
     try:
-        _, state = artifacts.read_json(path)
         kind = state.get("kind") if isinstance(state, dict) else None
         if kind not in builders:
             raise ValueError(f"checkpoint kind {kind!r}, expected one of {sorted(builders)}")

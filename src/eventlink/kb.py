@@ -7,9 +7,10 @@ out-of-KB label and may never appear as an entry id.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from . import artifacts
 
 NIL = "NIL"
 
@@ -102,28 +103,26 @@ def entry_to_record(entry: KBEntry) -> dict:
 def load_kb(path) -> KnowledgeBase:
     """Load a JSON-lines KB file, preserving record order.
 
-    Rejects duplicate ids (naming the id), the reserved id ``NIL``, and
-    malformed lines (naming the line number). Lines holding a single
+    Rejects duplicate ids (naming the id), the reserved id ``NIL``,
+    malformed lines (naming the line number) and a file without entries,
+    always with a ``KBError`` naming the file. Lines holding a single
     ``_manifest`` object are artifact headers and are skipped.
     """
     entries: list[KBEntry] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise KBError(f"blank line at line {lineno}")
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as exc:
-                raise KBError(f"malformed JSON at line {lineno}: {exc.msg}") from exc
-            if isinstance(record, dict) and set(record) == {"_manifest"}:
-                continue
+    try:
+        for lineno, record in artifacts.iter_jsonl(path):
             entry = entry_from_record(record, lineno)
             if entry.id in seen:
                 raise KBError(f"duplicate entry id {entry.id!r} at line {lineno}")
             seen.add(entry.id)
             entries.append(entry)
+    except KBError as exc:
+        raise KBError(f"{path}: {exc}") from None
+    except ValueError as exc:  # a line iter_jsonl cannot read; its message names the file
+        raise KBError(str(exc)) from None
+    if not entries:
+        raise KBError(f"{path}: no entries")
     return KnowledgeBase(entries)
 
 

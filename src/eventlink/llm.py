@@ -11,6 +11,10 @@ from __future__ import annotations
 from typing import Iterable, Protocol, runtime_checkable
 
 
+# How many times a request is retried after an LLMTransportError.
+TRANSPORT_RETRIES = 1
+
+
 class LLMTransportError(RuntimeError):
     """A retryable transport-level client failure."""
 

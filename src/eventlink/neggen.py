@@ -28,7 +28,7 @@ from .encoders import EncoderAdapter
 from .extraction import Argument, EventQuery, Span, TaggedQuery
 from .formatting import format_arguments
 from .kb import NIL, KnowledgeBase
-from .llm import LLMTransportError, TextCompletionClient
+from .llm import TRANSPORT_RETRIES, LLMTransportError, TextCompletionClient
 from .retrieval import DenseIndex, retrieve
 
 STYLE_ARGUMENT_AWARE = "argument_aware"
@@ -398,7 +398,7 @@ def generate_negatives(
     shots: Sequence[Exemplar] | None = None,
     k: int = 10,
     query_max_len: int = 300,
-    retries: int = 1,
+    retries: int = TRANSPORT_RETRIES,
 ) -> tuple[list[NegativeExample], list[GenerationRecord]]:
     """Generate up to ``count`` accepted negatives, logging every attempt.
 

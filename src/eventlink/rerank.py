@@ -1,10 +1,20 @@
 """Second-stage re-ranking: cross-scoring with a learned out-of-KB option.
 
-A cross scorer maps a (query tokens, candidate tokens) pair to a scalar.
-The scorer also owns a learned embedding standing in for the reserved
-out-of-KB pseudo-candidate, so selection becomes a (k+1)-way argmax with
-index 0 meaning "not in the KB". The thresholded baseline and an
-LLM-as-reranker baseline share the same decision record.
+A cross scorer scores all k+1 options of one query in one call:
+``score_candidates(query_tokens, entries, max_candidate_len)`` returns a
+``(k+1,)`` vector whose index 0 is the score of a learned embedding
+standing in for the reserved out-of-KB pseudo-candidate, so selection
+becomes a (k+1)-way argmax with index 0 meaning "not in the KB".
+``score_pairs`` resolves candidate ids against the KB and delegates to it.
+The thresholded baseline and an LLM-as-reranker baseline share the same
+decision record.
+
+``TinyCrossScorer`` encodes the query once per call and each distinct
+(entry, candidate length) once per parameter state: a candidate's
+encoding does not depend on the query, so it is memoized, the way BLINK
+(arXiv 1911.03814) precomputes entity encodings. Every score is computed
+with the same per-sequence ``forward`` and dot product as a per-pair
+scorer would use, so decisions do not change by a bit.
 """
 
 from __future__ import annotations
@@ -17,8 +27,8 @@ import numpy as np
 
 from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, load_checkpoint
 from .encoders import save_encoder
-from .kb import NIL, KBError, KnowledgeBase, candidate_text, tokenize
-from .llm import TextCompletionClient
+from .kb import NIL, KBEntry, KBError, KnowledgeBase, candidate_text, tokenize
+from .llm import TRANSPORT_RETRIES, LLMTransportError, TextCompletionClient
 from .retrieval import CandidateSet
 
 NIL_PSEUDO_TOKEN = "[NIL]"
@@ -36,19 +46,22 @@ NIL_ANSWER_SENTENCE = "The passage should be labeled as NIL."
 
 @runtime_checkable
 class CrossScorer(Protocol):
-    """Pair scorer with a learned out-of-KB score.
+    """Scorer of the k+1 options of one query, out-of-KB first.
 
-    ``nil_score`` must depend only on the query representation and the
-    learned embedding, never on the retrieved candidates. Joint-encoding
-    implementations serialize a pair as query tokens, ``[SEP]``, candidate
-    tokens.
+    ``score_candidates`` returns a ``(len(entries) + 1,)`` vector: index 0
+    is the out-of-KB score, index i the score of ``entries[i - 1]``
+    serialized by ``candidate_text`` at ``max_candidate_len`` tokens. The
+    out-of-KB score must depend only on the query and the learned
+    embedding, never on the candidates, and each candidate's score only on
+    the query and that candidate. Joint-encoding implementations serialize
+    a pair as query tokens, ``[SEP]``, candidate tokens.
     """
 
     trainable: bool
 
-    def score(self, query_tokens: Sequence[str], candidate_tokens: Sequence[str]) -> float: ...
-
-    def nil_score(self, query_tokens: Sequence[str]) -> float: ...
+    def score_candidates(
+        self, query_tokens: Sequence[str], entries: Sequence[KBEntry], max_candidate_len: int
+    ) -> np.ndarray: ...
 
 
 class TinyCrossScorer:
@@ -58,6 +71,13 @@ class TinyCrossScorer:
     out-of-KB score replaces the candidate encoding with the learned
     embedding (unit-normalized). A joint pair encoder can be slotted in
     behind the same protocol.
+
+    Candidate encodings are memoized per ``(entry, max_candidate_len)``;
+    ``KBEntry`` is frozen, so the key covers id, title and description.
+    Parameters change only in place, through the arrays that ``params()``
+    returns, and ``params()`` empties the memo; training calls it, through
+    ``zero_grads``, on every step. Changing the encoder's arrays any other
+    way leaves the memo stale.
     """
 
     trainable = True
@@ -69,12 +89,15 @@ class TinyCrossScorer:
         rng = np.random.default_rng(nil_seed)
         self.nil_embedding = rng.normal(0.0, 1.0 / np.sqrt(dim), dim)
         self.scale = np.array([10.0])
+        self._candidate_memo: dict[tuple[KBEntry, int], np.ndarray] = {}
 
     @property
     def dim(self) -> int:
         return self.encoder.dim
 
     def params(self) -> dict[str, np.ndarray]:
+        """The parameter arrays, to be changed in place; empties the candidate memo."""
+        self._candidate_memo.clear()
         out = self.encoder.params()
         out["nil"] = self.nil_embedding
         out["scale"] = self.scale
@@ -83,18 +106,24 @@ class TinyCrossScorer:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.params().items()}
 
-    def score(self, query_tokens: Sequence[str], candidate_tokens: Sequence[str]) -> float:
-        q = self.encoder.encode(query_tokens)
-        c = self.encoder.encode(candidate_tokens)
-        return float(self.scale[0] * (q @ c))
-
-    def nil_score(self, query_tokens: Sequence[str]) -> float:
-        q = self.encoder.encode(query_tokens)
+    def score_candidates(
+        self, query_tokens: Sequence[str], entries: Sequence[KBEntry], max_candidate_len: int
+    ) -> np.ndarray:
+        """``scale·(q·c)`` for the NIL unit vector, then each entry's memoized encoding."""
+        q = self.encoder.forward(query_tokens)
         nil_norm = np.linalg.norm(self.nil_embedding)
         if nil_norm == 0.0:
             raise DegenerateNormError("NIL embedding has zero norm")
-        nil_unit = self.nil_embedding / nil_norm
-        return float(self.scale[0] * (q @ nil_unit))
+        scores = np.empty(len(entries) + 1)
+        scores[0] = float(self.scale[0] * (q @ (self.nil_embedding / nil_norm)))
+        memo = self._candidate_memo
+        for i, entry in enumerate(entries, start=1):
+            key = (entry, max_candidate_len)
+            c = memo.get(key)
+            if c is None:
+                c = memo[key] = self.encoder.forward(candidate_text(entry, max_candidate_len))
+            scores[i] = float(self.scale[0] * (q @ c))
+        return scores
 
     def state_dict(self) -> dict:
         state = self.encoder.state_dict()
@@ -110,6 +139,7 @@ class TinyCrossScorer:
         scorer.encoder = TinyEncoder.from_state_dict(state)
         scorer.nil_embedding = np.array(state["nil"], dtype=float)
         scorer.scale = np.array(state["scale"], dtype=float)
+        scorer._candidate_memo = {}
         return scorer
 
     def save(self, path) -> str:
@@ -160,14 +190,13 @@ def score_pairs(
     max_candidate_len: int = 256,
 ) -> np.ndarray:
     """Score the k+1 options for one query: index 0 is the out-of-KB score."""
-    scores = np.empty(len(candidates) + 1)
-    scores[0] = scorer.nil_score(query_tokens)
-    for i, cid in enumerate(candidates.ids, start=1):
+    entries = []
+    for cid in candidates.ids:
         entry = kb.get(cid)
         if entry is None:
             raise KBError(f"candidate id {cid!r} not found in the KB")
-        scores[i] = scorer.score(query_tokens, candidate_text(entry, max_candidate_len))
-    return scores
+        entries.append(entry)
+    return scorer.score_candidates(query_tokens, entries, max_candidate_len)
 
 
 def select_learned_nil(scores: np.ndarray, candidates: CandidateSet) -> LinkDecision:
@@ -288,13 +317,22 @@ def llm_rerank(
 ) -> LinkDecision:
     """Prompt-based re-ranking baseline; the top-ranked title wins.
 
-    Transport failures propagate (retryable); malformed completions fall
-    back to a NIL decision carrying a parse-failure note.
+    A transport failure is retried up to ``TRANSPORT_RETRIES`` times, as in
+    negative generation. When every attempt fails, and when a completion
+    is malformed, the decision falls back to NIL with a note
+    (``transport_failure: …`` or ``parse_failure: …``).
     """
     passage = " ".join(query_tokens)
     prompt = build_rerank_prompt(passage, candidates, kb, allow_nil)
-    completion = client.complete(prompt)
-    prediction, note = parse_rerank_completion(completion, candidates, kb, allow_nil)
+    prediction, note = NIL, None
+    for _ in range(TRANSPORT_RETRIES + 1):
+        try:
+            completion = client.complete(prompt)
+        except LLMTransportError as exc:
+            note = f"transport_failure: {exc}"
+            continue
+        prediction, note = parse_rerank_completion(completion, candidates, kb, allow_nil)
+        break
     return LinkDecision(
         query_id=candidates.query_id,
         prediction=prediction,

@@ -135,8 +135,8 @@ class DenseIndex:
     @classmethod
     def load(cls, path) -> "DenseIndex":
         """Read an index written by ``save``; a malformed file raises ValueError naming it."""
+        _, payload = artifacts.read_json(path)
         try:
-            _, payload = artifacts.read_json(path)
             version = payload["format_version"]
             if version != INDEX_FORMAT_VERSION:
                 raise ValueError(

@@ -97,14 +97,21 @@ class TrainReport:
         return asdict(self)
 
 
-def build_vocab(kb: KnowledgeBase, tagged: Sequence[TaggedQuery], max_len: int = 300) -> list[str]:
-    """Deterministic token vocabulary covering candidates, queries, markers."""
+def build_vocab(
+    kb: KnowledgeBase, tagged: Sequence[TaggedQuery], max_len: int = 300, style: str = "args"
+) -> list[str]:
+    """Deterministic token vocabulary covering candidates, queries, markers.
+
+    Queries are formatted in the ``args`` and ``blink`` styles and in
+    ``style``, the style the run trains on, so an ``evelink`` run also
+    gets ``[SEP]``; the other styles add no token beyond those two.
+    """
     tokens: set[str] = {OOV_TOKEN, NIL_PSEUDO_TOKEN}
     for entry in kb:
         tokens.update(full_candidate_tokens(entry))
     for query in tagged:
-        for style in ("args", "blink"):
-            tokens.update(format_query(query, style, max_len))
+        for query_style in {"args", "blink", style}:
+            tokens.update(format_query(query, query_style, max_len))
     return sorted(tokens)
 
 

@@ -1,9 +1,14 @@
+import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from eventlink.encoders import TinyEncoder, save_encoder
+from eventlink.artifacts import iter_jsonl, read_json
+from eventlink.encoders import HashingEncoder, TinyEncoder, load_encoder, save_encoder
+from eventlink.kb import KBError, KnowledgeBase, entry_to_record, load_kb
 from eventlink.rerank import TinyCrossScorer
 from eventlink.retrieval import DenseIndex
 
@@ -38,3 +43,116 @@ def test_library_save_failing_partway_leaves_no_file(tmp_path, monkeypatch, save
     with pytest.raises(OSError, match="no space"):
         save(target)
     assert os.listdir(tmp_path) == []
+
+
+# --- readers on truncated, manifest-only and wrong-kind files -------------------
+
+_TEXT = st.text(st.characters(codec="utf-8", exclude_categories=("Cs", "Cc")), min_size=1, max_size=12)
+_MANIFEST = {"_manifest": {"command": "build-kb", "config": {}}}
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValueError as exc:
+        return exc
+
+
+def _truncated(tmp_path, text, cut):
+    path = tmp_path / "cut.txt"
+    path.write_bytes(text.encode("utf-8")[:cut])
+    return path
+
+
+def _assert_names_file(error, path):
+    assert isinstance(error, ValueError)
+    assert not isinstance(error, UnicodeDecodeError)
+    assert str(path) in str(error)
+
+
+@given(records=st.lists(st.dictionaries(_TEXT, _TEXT, min_size=1, max_size=3), min_size=1, max_size=4),
+       data=st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_iter_jsonl_truncated_file_names_file_or_reads_a_prefix(tmp_path, records, data):
+    lines = [json.dumps(_MANIFEST)] + [json.dumps(r, ensure_ascii=False) for r in records]
+    text = "\n".join(lines) + "\n"
+    path = _truncated(tmp_path, text, data.draw(st.integers(0, len(text.encode("utf-8")) - 1)))
+    result = _outcome(lambda: [record for _, record in iter_jsonl(path)])
+    if isinstance(result, list):
+        assert result == records[: len(result)]
+    else:
+        _assert_names_file(result, path)
+
+
+@given(payload=st.dictionaries(_TEXT, st.lists(_TEXT, max_size=3), min_size=1, max_size=3),
+       data=st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_json_truncated_file_names_file(tmp_path, payload, data):
+    text = json.dumps({**_MANIFEST, **payload}, ensure_ascii=False, indent=2)
+    path = _truncated(tmp_path, text, data.draw(st.integers(0, len(text.encode("utf-8")) - 1)))
+    _assert_names_file(_outcome(lambda: read_json(path)), path)
+
+
+def test_generic_readers_accept_a_manifest_only_file(tmp_path):
+    # an empty queries file is a valid input, so a manifest alone is an empty artifact
+    path = tmp_path / "only.jsonl"
+    path.write_text(json.dumps(_MANIFEST) + "\n", encoding="utf-8")
+    assert list(iter_jsonl(path)) == []
+    assert read_json(path) == (_MANIFEST["_manifest"], {})
+
+
+@given(entries=st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=4, unique_by=lambda e: e[0]),
+       data=st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_kb_truncated_file_names_file_or_reads_a_prefix(tmp_path, entries, data):
+    records = [{"id": f"E{i}", "title": title, "description": description}
+               for i, (title, description) in enumerate(entries)]
+    text = "\n".join(json.dumps(r, ensure_ascii=False) for r in [_MANIFEST, *records]) + "\n"
+    path = _truncated(tmp_path, text, data.draw(st.integers(0, len(text.encode("utf-8")) - 1)))
+    result = _outcome(lambda: load_kb(path))
+    if isinstance(result, KnowledgeBase):
+        assert [entry_to_record(e) for e in result] == records[: result.n]
+        assert result.n > 0
+    else:
+        assert isinstance(result, KBError)
+        _assert_names_file(result, path)
+
+
+@pytest.mark.parametrize("read", [load_kb, TinyCrossScorer.load, load_encoder, DenseIndex.load],
+                         ids=["kb", "scorer", "encoder", "index"])
+def test_typed_readers_reject_a_manifest_only_file(tmp_path, read):
+    path = tmp_path / "only.json"
+    path.write_text(json.dumps(_MANIFEST) + "\n", encoding="utf-8")
+    _assert_names_file(_outcome(lambda: read(path)), path)
+
+
+_CHECKPOINTS = {
+    "tiny": lambda: TinyEncoder(["a", "é", "[M_s]"], 4, seed=0),
+    "tiny_cross": lambda: TinyCrossScorer(["a", "é", "[M_s]"], 4, seed=0),
+    "hashing": lambda: HashingEncoder(4, seed=0),
+}
+
+
+@given(kind=st.sampled_from(sorted(_CHECKPOINTS)), data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_checkpoint_truncated_file_names_file(tmp_path, kind, data):
+    path = tmp_path / "full.json"
+    save_encoder(_CHECKPOINTS[kind](), path)
+    text = path.read_text(encoding="utf-8")
+    cut = _truncated(tmp_path, text, data.draw(st.integers(0, len(text.encode("utf-8")) - 1)))
+    for read in (TinyCrossScorer.load, load_encoder):
+        _assert_names_file(_outcome(lambda: read(cut)), cut)
+
+
+@given(kind=st.one_of(st.sampled_from(sorted(_CHECKPOINTS)), _TEXT, st.integers(), st.none(),
+                      st.lists(st.integers(), max_size=2)))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_checkpoint_of_the_wrong_kind_names_file(tmp_path, kind):
+    path = tmp_path / "ckpt.json"
+    state = _CHECKPOINTS["tiny_cross"]().state_dict()
+    state["kind"] = kind
+    path.write_text(json.dumps(state), encoding="utf-8")
+    if kind != "tiny_cross":
+        _assert_names_file(_outcome(lambda: TinyCrossScorer.load(path)), path)
+    if kind not in ("tiny", "hashing"):
+        _assert_names_file(_outcome(lambda: load_encoder(path)), path)

@@ -488,6 +488,60 @@ def test_checkpoint_of_another_kind_is_data_error(dense_stack, tmp_path, capsys)
     assert not out.exists()
 
 
+def _cut(path, tmp_path, fraction=0.5):
+    data = open(path, "rb").read()
+    bad = tmp_path / ("cut-" + os.path.basename(path))
+    bad.write_bytes(data[: int(len(data) * fraction)])
+    return str(bad)
+
+
+@pytest.mark.parametrize("case", ["truncated kb", "manifest-only kb", "truncated encoder",
+                                  "truncated queries", "truncated index"])
+def test_unreadable_input_is_data_error_naming_file(dense_stack, tmp_path, capsys, case):
+    stack = dict(dense_stack)
+    if case == "manifest-only kb":
+        bad = stack["kb.jsonl"] = str(tmp_path / "only.jsonl")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write(open(dense_stack["kb.jsonl"], encoding="utf-8").readline())
+    else:
+        name = {"truncated kb": "kb.jsonl", "truncated encoder": "encoder.json",
+                "truncated queries": "tagged.jsonl", "truncated index": "index.json"}[case]
+        bad = stack[name] = _cut(dense_stack[name], tmp_path)
+    out = tmp_path / "c.jsonl"
+    code = main(["retrieve", "--kb", stack["kb.jsonl"], "--queries", stack["tagged.jsonl"],
+                 "--index", stack["index.json"], "--encoder", stack["encoder.json"],
+                 "--retriever", "bm25" if "kb" in case else "dense", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert bad in err
+    assert not out.exists()
+
+
+def test_llm_link_out_of_responses_keeps_nil_decisions(dense_stack, tmp_path):
+    _, tagged = read_jsonl(dense_stack["tagged.jsonl"])
+    responses = tmp_path / "responses.jsonl"
+    write_jsonl(responses, [{"completion": "The passage should be labeled as NIL."}])
+    out = tmp_path / "llm.jsonl"
+    code = main(_link_argv(dense_stack, out, "--rule", "llm", "--allow-nil",
+                           "--responses", str(responses)))
+    assert code == 0
+    _, decisions = read_jsonl(out)
+    assert len(decisions) == len(tagged) > 1
+    assert decisions[0].get("note") is None
+    assert all(d["prediction"] == "NIL" for d in decisions)
+    assert all(d["note"].startswith("transport_failure:") for d in decisions[1:])
+
+
+def test_train_bi_evelink_vocab_has_sep(toy_inputs, tmp_path):
+    kb, tagged, out = (str(tmp_path / n) for n in ("kb.jsonl", "tagged.jsonl", "enc.json"))
+    assert main(["build-kb", "--in", toy_inputs["kb"], "--out", kb]) == 0
+    assert main(["tag", "--in", toy_inputs["train"], "--out", tagged,
+                 "--extractor", "rule", "--lexicon", toy_inputs["lexicon"]]) == 0
+    assert main(["train-bi", "--kb", kb, "--queries", tagged, "--style", "evelink",
+                 "--epochs", "1", "--batch-size", "4", "--dim", "8", "--out", out]) == 0
+    assert "[SEP]" in read_json(out)[1]["vocab"]
+
+
 def _bad_responses(tmp_path):
     responses = tmp_path / "responses.jsonl"
     write_jsonl(responses, [{"completion": "fine"}, {"text": "no completion"}])

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventlink.encoders import DegenerateNormError
-from eventlink.kb import NIL, KBEntry, KBError, KnowledgeBase
-from eventlink.llm import ScriptedClient
+from eventlink.encoders import DegenerateNormError, TinyEncoder
+from eventlink.kb import NIL, KBEntry, KBError, KnowledgeBase, candidate_text
+from eventlink.llm import LLMTransportError, ScriptedClient
 from eventlink.rerank import (
     RULE_LEARNED,
     RULE_LLM,
@@ -18,6 +18,7 @@ from eventlink.rerank import (
     softmax,
 )
 from eventlink.retrieval import CandidateSet
+from eventlink.training import CrossExample, TrainConfig, train_crossencoder
 
 VOCAB = ["city", "war", "north", "siege", "harbor", "[SEP]", "[M_s]", "[M_e]"]
 
@@ -72,7 +73,95 @@ def test_nil_score_zero_nil_embedding_raises_named_error():
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
     scorer.nil_embedding[:] = 0.0
     with pytest.raises(DegenerateNormError):
-        scorer.nil_score(["war"])
+        scorer.score_candidates(["war"], [], 256)
+
+
+def _reference_scores(scorer, query_tokens, entries, max_candidate_len):
+    """Per-pair scoring: encode the query and each candidate afresh for every option."""
+    nil_unit = scorer.nil_embedding / np.linalg.norm(scorer.nil_embedding)
+    scores = [float(scorer.scale[0] * (scorer.encoder.forward(query_tokens) @ nil_unit))]
+    for entry in entries:
+        q = scorer.encoder.forward(query_tokens)
+        c = scorer.encoder.forward(candidate_text(entry, max_candidate_len))
+        scores.append(float(scorer.scale[0] * (q @ c)))
+    return np.array(scores)
+
+
+_WORDS = st.sampled_from(VOCAB + ["unseen", "harbor"])
+_ENTRIES = [
+    KBEntry(f"E{i}", f"Entry {i}", " ".join(VOCAB[(i + j) % 5] for j in range(3 + 2 * i)))
+    for i in range(6)
+]
+
+
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.lists(_WORDS, min_size=1, max_size=8),
+            st.lists(st.integers(0, len(_ENTRIES) - 1), max_size=12),
+            st.sampled_from([3, 5, 256]),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_score_candidates_matches_per_pair_reference(calls, seed):
+    # one scorer across every call: repeated candidates, repeated calls and
+    # the same entry at several candidate lengths all go through one memo
+    scorer = TinyCrossScorer(VOCAB, 64, seed=seed)
+    for query, picks, max_len in [*calls, *calls]:
+        entries = [_ENTRIES[i] for i in picks]
+        got = scorer.score_candidates(query, entries, max_len)
+        assert got.shape == (len(entries) + 1,)
+        np.testing.assert_array_equal(got, _reference_scores(scorer, query, entries, max_len))
+
+
+def test_score_candidates_same_entry_at_two_lengths():
+    scorer = TinyCrossScorer(VOCAB, 16, seed=0)
+    entry = _ENTRIES[5]
+    assert candidate_text(entry, 4) != candidate_text(entry, 256)
+    for max_len in (4, 256, 4):
+        np.testing.assert_array_equal(
+            scorer.score_candidates(["war"], [entry], max_len),
+            _reference_scores(scorer, ["war"], [entry], max_len),
+        )
+
+
+def test_score_pairs_encodes_each_query_once_and_each_candidate_once(kb10, monkeypatch):
+    calls = []
+    original = TinyEncoder.forward
+
+    def counting(self, tokens):
+        calls.append(tuple(tokens))
+        return original(self, tokens)
+
+    monkeypatch.setattr(TinyEncoder, "forward", counting)
+    scorer = TinyCrossScorer(VOCAB, 16, seed=0)
+    queries = [["war"], ["city", "war"], ["north"], ["war"]]
+    pools = [["E0", "E1", "E2"], ["E2", "E3", "E0"], ["E3", "E5", "E1"], ["E0", "E1", "E2"]]
+    for query, ids in zip(queries, pools):
+        score_pairs(scorer, query, _cands(ids), kb10)
+    distinct = {cid for ids in pools for cid in ids}
+    assert len(calls) == len(queries) + len(distinct)
+
+
+def test_scores_after_training_match_a_fresh_scorer(kb10):
+    scorer = TinyCrossScorer(VOCAB, 16, seed=0)
+    cands = _cands(["E0", "E1", "E2"])
+    before = score_pairs(scorer, ["war", "city"], cands, kb10)
+    rows = [
+        CrossExample("a", ("war", "city"), cands.ids, 1),
+        CrossExample("b", ("north",), cands.ids, 0),
+    ]
+    cfg = TrainConfig(learning_rate=0.5, batch_size=2, epochs=1,
+                      max_query_len=256, max_candidate_len=256)
+    train_crossencoder(rows, [], scorer, cfg, kb10)
+    after = score_pairs(scorer, ["war", "city"], cands, kb10)
+    fresh = TinyCrossScorer.from_state_dict(scorer.state_dict())
+    np.testing.assert_array_equal(after, score_pairs(fresh, ["war", "city"], cands, kb10))
+    assert not np.array_equal(after[1:], before[1:])
 
 
 def test_select_learned_nil_argmax():
@@ -190,6 +279,42 @@ def test_llm_rerank_unknown_title_falls_back_to_nil(kb10):
     decision = llm_rerank(client, ["war"], _cands(ids), kb10, allow_nil=False)
     assert decision.prediction == NIL
     assert "parse_failure" in decision.note
+
+
+class _FlakyClient:
+    """Fails with a transport error ``failures`` times, then answers."""
+
+    def __init__(self, failures, completion):
+        self.failures = failures
+        self.completion = completion
+        self.calls = 0
+
+    def complete(self, prompt):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise LLMTransportError("connection reset")
+        return self.completion
+
+
+def test_llm_rerank_retries_a_transport_failure(kb10):
+    ids = [f"E{i}" for i in range(10)]
+    client = _FlakyClient(1, _reverse_completion(kb10, ids))
+    decision = llm_rerank(client, ["war"], _cands(ids), kb10, allow_nil=False)
+    assert client.calls == 2
+    assert decision.prediction == "E9"
+    assert decision.note is None
+
+
+def test_llm_rerank_keeps_nil_after_every_attempt_fails(kb10):
+    ids = [f"E{i}" for i in range(10)]
+    client = _FlakyClient(10**9, "unused")
+    decision = llm_rerank(client, ["war"], _cands(ids), kb10, allow_nil=False)
+    assert client.calls == 2
+    assert decision.prediction == NIL
+    assert decision.rule == RULE_LLM
+    assert decision.note.startswith("transport_failure:")
+    assert "connection reset" in decision.note
+    assert len(decision.scores) == 11
 
 
 def test_llm_rerank_requires_ten_candidates(kb10):

@@ -183,6 +183,14 @@ def small_toy():
     return data, vocab
 
 
+def test_evelink_vocab_contains_sep_and_other_styles_are_unchanged(small_toy):
+    data, vocab = small_toy
+    assert "[SEP]" not in vocab
+    assert "[SEP]" in build_vocab(data.kb, data.train, style="evelink")
+    for style in ("args", "blink"):
+        assert build_vocab(data.kb, data.train, style=style) == vocab
+
+
 def test_training_progress_on_toy_pairs(small_toy):
     from eventlink.formatting import format_query
 
