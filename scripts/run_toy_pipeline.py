@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from eventlink.artifacts import iter_jsonl, read_json
+from eventlink.artifacts import iter_jsonl, read_json, read_records
 from eventlink.cli import main as cli
 from eventlink.evaluation import RECALL_GRID, recall_at_k
 from eventlink.extraction import tagged_from_record
@@ -131,8 +131,8 @@ def main():
         print(f"{name:<24}{cells}")
 
     def recall_table(path):
-        sets = [CandidateSet.from_record(r) for _, r in iter_jsonl(path)]
-        golds = [tagged_from_record(r).base for _, r in iter_jsonl(p("test.tagged.jsonl"))]
+        sets = read_records(path, CandidateSet.from_record)
+        golds = [t.base for t in read_records(p("test.tagged.jsonl"), tagged_from_record)]
         return recall_at_k(sets, golds, ks=grid)
 
     print("\n== retrieval recall on the in-KB test split")

@@ -8,6 +8,12 @@ temporary file in the target directory and are renamed into place, so a
 failed command never leaves a partial artifact behind. Manifests carry
 paths exactly as given (never resolved), keeping reruns byte-identical
 across working directories.
+
+Every input is parsed through ``read_records`` (JSON lines) or
+``read_document`` (one JSON document). They refuse a record that is not a
+JSON object and turn a ``KeyError``, ``TypeError``, ``ValueError`` or
+``AttributeError`` of the caller's ``parse`` into one ``ValueError``
+naming the file, and the line for JSON lines.
 """
 
 from __future__ import annotations
@@ -16,9 +22,11 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 MANIFEST_KEY = "_manifest"
+
+T = TypeVar("T")
 
 
 def canonical_json(obj) -> str:
@@ -34,8 +42,9 @@ def file_digest(path) -> str:
         return digest_bytes(fh.read())
 
 
-def manifest_digest(manifest: dict) -> str:
-    return digest_bytes(canonical_json(manifest).encode("utf-8"))
+def json_digest(obj) -> str:
+    """sha256 of the canonical JSON of ``obj`` (manifests, checkpoint states)."""
+    return digest_bytes(canonical_json(obj).encode("utf-8"))
 
 
 def make_manifest(command: str, config: dict, inputs: dict[str, str]) -> dict:
@@ -95,11 +104,6 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def read_jsonl(path) -> tuple[dict | None, list[dict]]:
-    manifest = read_manifest(path)
-    return manifest, [record for _, record in iter_jsonl(path)]
-
-
 def read_manifest(path) -> dict | None:
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
@@ -132,3 +136,24 @@ def read_json(path) -> tuple[dict | None, dict]:
         raise ValueError(f"{path}: malformed JSON: {exc}") from None
     manifest = document.pop(MANIFEST_KEY, None) if isinstance(document, dict) else None
     return manifest, document
+
+
+def _parse(parse: Callable[[dict], T], record, path, lineno: int | None = None) -> T:
+    try:
+        if not isinstance(record, dict):
+            raise TypeError(f"expected a JSON object, found {type(record).__name__}")
+        return parse(record)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        where = str(path) if lineno is None else f"{path}: line {lineno}"
+        message = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"{where}: {message}") from exc
+
+
+def read_records(path, parse: Callable[[dict], T]) -> list[T]:
+    """``parse`` of every record of a JSON-lines file, in order; errors name the file and line."""
+    return [_parse(parse, record, path, lineno) for lineno, record in iter_jsonl(path)]
+
+
+def read_document(path, parse: Callable[[dict], T]) -> T:
+    """``parse`` of a single-document JSON file, manifest removed; errors name the file."""
+    return _parse(parse, read_json(path)[1], path)

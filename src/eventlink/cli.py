@@ -48,6 +48,8 @@ def _require(path, what: str) -> str:
         raise UsageError(f"missing required option for {what}")
     if not os.path.exists(path):
         raise DataError(f"missing input: {path}")
+    if os.path.isdir(path):
+        raise DataError(f"{path}: is a directory, not a file")
     return path
 
 
@@ -72,7 +74,7 @@ def _manifest(command: str, args: argparse.Namespace, inputs: dict[str, str]) ->
 
 
 def _load_tagged(path):
-    return [tagged_from_record(record, lineno) for lineno, record in artifacts.iter_jsonl(path)]
+    return artifacts.read_records(path, tagged_from_record)
 
 
 def _load_index(path) -> DenseIndex:
@@ -103,15 +105,16 @@ def _stack(args, kb: bool = True, dense: bool = True):
     return inputs, loaded_kb, tagged, index, encoder
 
 
+def _completion(record: dict) -> str:
+    if not isinstance(record.get("completion"), str):
+        raise ValueError("no string 'completion'")
+    return record["completion"]
+
+
 def _scripted_client(args, inputs: dict) -> ScriptedClient:
     """A client replaying the ``completion`` of each ``--responses`` record in order."""
-    path = inputs["responses"] = _require(args.responses, "--responses")
-    completions = []
-    for lineno, record in artifacts.iter_jsonl(path):
-        if not isinstance(record, dict) or not isinstance(record.get("completion"), str):
-            raise DataError(f"{path}: line {lineno} has no string 'completion'")
-        completions.append(record["completion"])
-    return ScriptedClient(completions)
+    inputs["responses"] = _require(args.responses, "--responses")
+    return ScriptedClient(artifacts.read_records(inputs["responses"], _completion))
 
 
 def _train_config(args) -> training.TrainConfig:
@@ -142,10 +145,7 @@ def cmd_tag(args) -> None:
     source = _require(args.in_path, "--in")
     lexicon_path = _require(args.lexicon, "--lexicon")
     extractor = rule_extractor(RoleLexicon.from_file(lexicon_path))
-    tagged = [
-        extract(extractor, query_from_record(record, lineno))
-        for lineno, record in artifacts.iter_jsonl(source)
-    ]
+    tagged = [extract(extractor, q) for q in artifacts.read_records(source, query_from_record)]
     manifest = _manifest("tag", args, {"queries": source, "lexicon": lexicon_path})
     artifacts.write_jsonl(args.out, (tagged_to_record(t) for t in tagged), manifest)
     return manifest
@@ -242,9 +242,8 @@ def cmd_train_cross(args) -> None:
     cfg = _train_config(args)
     negatives = []
     if args.negatives:
-        records = artifacts.iter_jsonl(_require(args.negatives, "--negatives"))
-        negatives = [neggen.NegativeExample.from_record(record) for _, record in records]
-        inputs["negatives"] = args.negatives
+        inputs["negatives"] = _require(args.negatives, "--negatives")
+        negatives = artifacts.read_records(args.negatives, neggen.NegativeExample.from_record)
     vocab = training.build_vocab(kb, tagged, cfg.max_query_len, args.style)
     pruned = [n for n in negatives if n.provenance == neggen.PROVENANCE_KB_PRUNING]
     generated = [n for n in negatives if n.provenance != neggen.PROVENANCE_KB_PRUNING]
@@ -288,7 +287,7 @@ def cmd_link(args) -> None:
 def cmd_eval(args) -> None:
     preds_path = _require(args.preds, "--preds")
     gold_path = _require(args.gold, "--gold")
-    decisions = [LinkDecision.from_record(r) for _, r in artifacts.iter_jsonl(preds_path)]
+    decisions = artifacts.read_records(preds_path, LinkDecision.from_record)
     golds = [q.base for q in _load_tagged(gold_path)]
     preds_manifest = artifacts.read_manifest(preds_path)
     gold_digest = artifacts.file_digest(gold_path)
@@ -300,14 +299,13 @@ def cmd_eval(args) -> None:
             )
     candidate_sets = None
     if args.candidates:
-        candidate_sets = [
-            CandidateSet.from_record(record)
-            for _, record in artifacts.iter_jsonl(_require(args.candidates, "--candidates"))
-        ]
+        candidate_sets = artifacts.read_records(
+            _require(args.candidates, "--candidates"), CandidateSet.from_record
+        )
     report = evaluation.evaluate(
         decisions, golds, candidate_sets, args.ks,
         dataset_fingerprint=gold_digest,
-        config_fingerprint=artifacts.manifest_digest(preds_manifest) if preds_manifest else "",
+        config_fingerprint=artifacts.json_digest(preds_manifest) if preds_manifest else "",
     )
     manifest = _manifest("eval", args, {"preds": preds_path, "gold": gold_path})
     artifacts.write_json(args.out, report.to_dict(), manifest)
@@ -317,7 +315,7 @@ def cmd_eval(args) -> None:
 def cmd_report(args) -> None:
     names = [os.path.splitext(os.path.basename(_require(p, "--runs")))[0] for p in args.runs]
     runs = [
-        (name, evaluation.EvalReport.from_dict(artifacts.read_json(path)[1]))
+        (name, artifacts.read_document(path, evaluation.EvalReport.from_dict))
         for name, path in zip(names, args.runs)
     ]
     manifest = _manifest("report", args, dict(zip(names, args.runs)))

@@ -216,17 +216,11 @@ class TinyEncoder:
         return enc
 
 
-def fingerprint(state: dict) -> str:
-    """Content hash of an encoder or scorer checkpoint."""
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def save_encoder(encoder, path) -> str:
     """Write an encoder or scorer checkpoint atomically; returns its fingerprint."""
     state = encoder.state_dict()
     artifacts.atomic_write_text(path, json.dumps(state, sort_keys=True))
-    return fingerprint(state)
+    return artifacts.json_digest(state)
 
 
 def load_checkpoint(path, builders: dict):
@@ -235,16 +229,13 @@ def load_checkpoint(path, builders: dict):
     Another kind, malformed JSON or a missing or malformed field is a
     ``ValueError`` naming the file.
     """
-    _, state = artifacts.read_json(path)
-    try:
-        kind = state.get("kind") if isinstance(state, dict) else None
+    def build(state: dict):
+        kind = state.get("kind")
         if kind not in builders:
             raise ValueError(f"checkpoint kind {kind!r}, expected one of {sorted(builders)}")
         return builders[kind](state)
-    except KeyError as exc:
-        raise ValueError(f"{path}: checkpoint is missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+
+    return artifacts.read_document(path, build)
 
 
 def load_encoder(path):
@@ -255,4 +246,5 @@ def load_encoder(path):
 
 
 def encoder_fingerprint(encoder) -> str:
-    return fingerprint(encoder.state_dict())
+    """Content hash of an encoder or scorer checkpoint."""
+    return artifacts.json_digest(encoder.state_dict())

@@ -49,15 +49,15 @@ class EvalReport:
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
         return cls(
-            accuracy_all=payload.get("accuracy_all"),
-            accuracy_verb=payload.get("accuracy_verb"),
-            accuracy_noun=payload.get("accuracy_noun"),
-            accuracy_in_kb=payload.get("accuracy_in_kb"),
-            accuracy_out_of_kb=payload.get("accuracy_out_of_kb"),
-            recall_at={int(k): float(v) for k, v in payload.get("recall_at", {}).items()},
-            counts={k: int(v) for k, v in payload.get("counts", {}).items()},
-            dataset_fingerprint=str(payload.get("dataset_fingerprint", "")),
-            config_fingerprint=str(payload.get("config_fingerprint", "")),
+            accuracy_all=payload["accuracy_all"],
+            accuracy_verb=payload["accuracy_verb"],
+            accuracy_noun=payload["accuracy_noun"],
+            accuracy_in_kb=payload["accuracy_in_kb"],
+            accuracy_out_of_kb=payload["accuracy_out_of_kb"],
+            recall_at={int(k): float(v) for k, v in payload["recall_at"].items()},
+            counts={k: int(v) for k, v in payload["counts"].items()},
+            dataset_fingerprint=str(payload["dataset_fingerprint"]),
+            config_fingerprint=str(payload["config_fingerprint"]),
         )
 
 

@@ -9,10 +9,10 @@ desk-scale runs in place of learned extraction models.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
 
+from . import artifacts
 from .kb import NIL
 
 POS_CLASSES = ("verb", "noun", "other")
@@ -186,9 +186,9 @@ class RoleLexicon:
 
     @classmethod
     def from_file(cls, path) -> "RoleLexicon":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(roles=dict(data.get("roles", {})), triggers=dict(data.get("triggers", {})))
+        return artifacts.read_document(path, lambda data: cls(
+            roles=dict(data.get("roles", {})), triggers=dict(data.get("triggers", {}))
+        ))
 
     def to_dict(self) -> dict:
         return {"roles": dict(self.roles), "triggers": dict(self.triggers)}
@@ -242,20 +242,10 @@ def rule_extractor(lexicon: RoleLexicon) -> RuleExtractor:
 
 # --- record (de)serialization for query files -------------------------------
 
-def _span_fields(record: dict, prefix: str, where: str) -> Span:
-    try:
-        return Span(int(record[f"{prefix}_start"]), int(record[f"{prefix}_end"]))
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc.args[0]!r}{where}") from exc
-
-
-def query_from_record(record: dict, lineno: int | None = None) -> EventQuery:
-    where = f" (line {lineno})" if lineno is not None else ""
-    if not isinstance(record, dict):
-        raise ValueError(f"record is not an object{where}")
-    for field in ("query_id", "tokens"):
+def query_from_record(record: dict) -> EventQuery:
+    for field in ("query_id", "tokens", "mention_start", "mention_end"):
         if field not in record:
-            raise ValueError(f"missing field {field!r}{where}")
+            raise ValueError(f"missing field {field!r}")
     entities = tuple(
         NamedEntityAnnotation(Span(int(e["start"]), int(e["end"])), str(e["entity_type"]))
         for e in record.get("entities", [])
@@ -263,7 +253,7 @@ def query_from_record(record: dict, lineno: int | None = None) -> EventQuery:
     return EventQuery(
         query_id=str(record["query_id"]),
         tokens=tuple(str(t) for t in record["tokens"]),
-        mention=_span_fields(record, "mention", where),
+        mention=Span(int(record["mention_start"]), int(record["mention_end"])),
         pos=str(record.get("pos", "other")),
         gold=str(record.get("gold", NIL)),
         entities=entities,
@@ -287,8 +277,8 @@ def query_to_record(query: EventQuery) -> dict:
     return record
 
 
-def tagged_from_record(record: dict, lineno: int | None = None) -> TaggedQuery:
-    base = query_from_record(record, lineno)
+def tagged_from_record(record: dict) -> TaggedQuery:
+    base = query_from_record(record)
     arguments = tuple(
         Argument(Span(int(a["start"]), int(a["end"])), str(a["role"]))
         for a in record.get("arguments", [])

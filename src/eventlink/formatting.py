@@ -32,7 +32,8 @@ from .extraction import Argument, EventQuery, NamedEntityAnnotation, Span, Tagge
 _MARKER_RE = re.compile(r"^\[[A-Za-z0-9_]+\]$")
 
 
-def _slug(name: str) -> str:
+def slug(name: str) -> str:
+    """Marker-safe form of a role or type name: other characters become ``_``; ``X`` if empty."""
     cleaned = re.sub(r"[^A-Za-z0-9]+", "_", name).strip("_")
     return cleaned or "X"
 
@@ -50,12 +51,12 @@ class MarkerVocabulary:
     sep: str = "[SEP]"
 
     def role_markers(self, role: str) -> tuple[str, str]:
-        slug = _slug(role)
-        return f"[{slug}_s]", f"[{slug}_e]"
+        tag = slug(role)
+        return f"[{tag}_s]", f"[{tag}_e]"
 
     def type_markers(self, entity_type: str) -> tuple[str, str]:
-        slug = _slug(entity_type)
-        return f"[{slug}_s]", f"[{slug}_e]"
+        tag = slug(entity_type)
+        return f"[{tag}_s]", f"[{tag}_e]"
 
     def is_marker(self, token: str) -> bool:
         return bool(_MARKER_RE.match(token))

@@ -84,15 +84,10 @@ class KnowledgeBase:
         return tuple(e.id for e in self._entries)
 
 
-def entry_from_record(record: dict, lineno: int | None = None) -> KBEntry:
-    where = f" (line {lineno})" if lineno is not None else ""
-    if not isinstance(record, dict):
-        raise KBError(f"record is not an object{where}")
+def entry_from_record(record: dict) -> KBEntry:
     for field in ("id", "title", "description"):
-        if field not in record:
-            raise KBError(f"missing field {field!r}{where}")
         if not isinstance(record[field], str):
-            raise KBError(f"field {field!r} must be a string{where}")
+            raise KBError(f"field {field!r} must be a string")
     return KBEntry(id=record["id"], title=record["title"], description=record["description"])
 
 
@@ -108,18 +103,18 @@ def load_kb(path) -> KnowledgeBase:
     always with a ``KBError`` naming the file. Lines holding a single
     ``_manifest`` object are artifact headers and are skipped.
     """
-    entries: list[KBEntry] = []
     seen: set[str] = set()
+
+    def parse(record: dict) -> KBEntry:
+        entry = entry_from_record(record)
+        if entry.id in seen:
+            raise KBError(f"duplicate entry id {entry.id!r}")
+        seen.add(entry.id)
+        return entry
+
     try:
-        for lineno, record in artifacts.iter_jsonl(path):
-            entry = entry_from_record(record, lineno)
-            if entry.id in seen:
-                raise KBError(f"duplicate entry id {entry.id!r} at line {lineno}")
-            seen.add(entry.id)
-            entries.append(entry)
-    except KBError as exc:
-        raise KBError(f"{path}: {exc}") from None
-    except ValueError as exc:  # a line iter_jsonl cannot read; its message names the file
+        entries = artifacts.read_records(path, parse)
+    except ValueError as exc:  # its message names the file and the line
         raise KBError(str(exc)) from None
     if not entries:
         raise KBError(f"{path}: no entries")

@@ -8,11 +8,17 @@ bound in-flight calls themselves; the shipped clients are synchronous.
 
 from __future__ import annotations
 
+from importlib import resources
 from typing import Iterable, Protocol, runtime_checkable
 
 
 # How many times a request is retried after an LLMTransportError.
 TRANSPORT_RETRIES = 1
+
+
+def prompt_file(name: str) -> str:
+    """A prompt template or exemplar file shipped in ``eventlink.prompts``."""
+    return resources.files("eventlink.prompts").joinpath(name).read_text(encoding="utf-8")
 
 
 class LLMTransportError(RuntimeError):

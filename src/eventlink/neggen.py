@@ -19,16 +19,16 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, replace
-from importlib import resources
 from typing import Sequence
 
 import numpy as np
 
 from .encoders import EncoderAdapter
-from .extraction import Argument, EventQuery, Span, TaggedQuery
-from .formatting import format_arguments
+from .extraction import Argument, EventQuery, Span, TaggedQuery, tagged_from_record
+from .extraction import tagged_to_record
+from .formatting import format_arguments, slug
 from .kb import NIL, KnowledgeBase
-from .llm import TRANSPORT_RETRIES, LLMTransportError, TextCompletionClient
+from .llm import TRANSPORT_RETRIES, LLMTransportError, TextCompletionClient, prompt_file
 from .retrieval import DenseIndex, retrieve
 
 STYLE_ARGUMENT_AWARE = "argument_aware"
@@ -92,8 +92,6 @@ class NegativeExample:
             raise ValueError("generated negatives must carry paired candidate ids")
 
     def to_record(self) -> dict:
-        from .extraction import tagged_to_record
-
         return {
             "generated": tagged_to_record(self.generated),
             "origin_query_id": self.origin_query_id,
@@ -103,8 +101,6 @@ class NegativeExample:
 
     @classmethod
     def from_record(cls, record: dict) -> "NegativeExample":
-        from .extraction import tagged_from_record
-
         return cls(
             generated=tagged_from_record(record["generated"]),
             origin_query_id=str(record["origin_query_id"]),
@@ -183,18 +179,13 @@ def sample_filter(pool: Sequence[TaggedQuery]) -> list[TaggedQuery]:
     ]
 
 
-def _role_tag(role: str) -> str:
-    cleaned = re.sub(r"[^A-Za-z0-9]+", "_", role).strip("_")
-    return cleaned or "X"
-
-
 def tagged_passage(tagged: TaggedQuery, include_roles: bool) -> str:
     """Serialize a query as prose with mention (and optionally role) tags."""
     opens: dict[int, str] = {}
     closes: dict[int, str] = {}
     if include_roles:
         for arg in tagged.arguments:
-            tag = _role_tag(arg.role)
+            tag = slug(arg.role)
             opens[arg.span.start] = f"<{tag}>"
             closes[arg.span.end] = f"</{tag}>"
     pieces: list[str] = []
@@ -222,20 +213,16 @@ def strip_role_tags(passage: str) -> str:
     return " ".join(kept)
 
 
-def _load_template(name: str) -> str:
-    return resources.files("eventlink.prompts").joinpath(name).read_text(encoding="utf-8")
-
-
 def negative_prompt_template(style: str) -> str:
     if style == STYLE_ARGUMENT_AWARE:
-        return _load_template("negative_argument_aware.txt")
+        return prompt_file("negative_argument_aware.txt")
     if style == STYLE_PLAIN:
-        return _load_template("negative_plain.txt")
+        return prompt_file("negative_plain.txt")
     raise ValueError(f"unknown generation style {style!r}")
 
 
 def default_exemplars() -> tuple[Exemplar, Exemplar]:
-    raw = json.loads(_load_template("exemplars.json"))
+    raw = json.loads(prompt_file("exemplars.json"))
     return tuple(Exemplar(**item) for item in raw)  # type: ignore[return-value]
 
 

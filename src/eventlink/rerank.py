@@ -20,7 +20,6 @@ scorer would use, so decisions do not change by a bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, load_checkpoint
 from .encoders import save_encoder
 from .kb import NIL, KBEntry, KBError, KnowledgeBase, candidate_text, tokenize
-from .llm import TRANSPORT_RETRIES, LLMTransportError, TextCompletionClient
+from .llm import TRANSPORT_RETRIES, LLMTransportError, TextCompletionClient, prompt_file
 from .retrieval import CandidateSet
 
 NIL_PSEUDO_TOKEN = "[NIL]"
@@ -255,12 +254,8 @@ def select_threshold(
     )
 
 
-def _load_prompt(name: str) -> str:
-    return resources.files("eventlink.prompts").joinpath(name).read_text(encoding="utf-8")
-
-
 def rerank_prompt_template(allow_nil: bool) -> str:
-    return _load_prompt("rerank_nil.txt" if allow_nil else "rerank.txt")
+    return prompt_file("rerank_nil.txt" if allow_nil else "rerank.txt")
 
 
 def build_rerank_prompt(

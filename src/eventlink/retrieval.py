@@ -135,33 +135,31 @@ class DenseIndex:
     @classmethod
     def load(cls, path) -> "DenseIndex":
         """Read an index written by ``save``; a malformed file raises ValueError naming it."""
-        _, payload = artifacts.read_json(path)
-        try:
-            version = payload["format_version"]
-            if version != INDEX_FORMAT_VERSION:
-                raise ValueError(
-                    f"index format_version {version!r} is not supported; "
-                    f"rebuild it with `eventlink index` (format_version {INDEX_FORMAT_VERSION})"
-                )
-            ids = tuple(str(i) for i in payload["ids"])
-            block = payload["matrix"]
-            if block["dtype"] != INDEX_DTYPE:
-                raise ValueError(f"matrix dtype {block['dtype']!r} is not {INDEX_DTYPE!r}")
-            shape = block["shape"]
-            if not (isinstance(shape, list) and len(shape) == 2
-                    and all(isinstance(x, int) and x >= 0 for x in shape)):
-                raise ValueError(f"matrix shape {shape!r} is not a pair of sizes")
-            data = base64.b64decode(block["base64"], validate=True)
-            n, d = shape
-            if len(data) != n * d * 8:
-                raise ValueError(f"matrix shape {shape} needs {n * d * 8} bytes, found {len(data)}")
-            matrix = np.frombuffer(data, dtype=INDEX_DTYPE).reshape(n, d).astype(np.float64)
-            fingerprint = str(payload["encoder_fingerprint"])
-            return cls(ids=ids, matrix=matrix, encoder_fingerprint=fingerprint)
-        except KeyError as exc:
-            raise ValueError(f"{path}: malformed index: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed index: {exc}") from exc
+        return artifacts.read_document(path, cls._from_payload)
+
+    @classmethod
+    def _from_payload(cls, payload: dict) -> "DenseIndex":
+        version = payload["format_version"]
+        if version != INDEX_FORMAT_VERSION:
+            raise ValueError(
+                f"index format_version {version!r} is not supported; "
+                f"rebuild it with `eventlink index` (format_version {INDEX_FORMAT_VERSION})"
+            )
+        ids = tuple(str(i) for i in payload["ids"])
+        block = payload["matrix"]
+        if block["dtype"] != INDEX_DTYPE:
+            raise ValueError(f"matrix dtype {block['dtype']!r} is not {INDEX_DTYPE!r}")
+        shape = block["shape"]
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(isinstance(x, int) and x >= 0 for x in shape)):
+            raise ValueError(f"matrix shape {shape!r} is not a pair of sizes")
+        data = base64.b64decode(block["base64"], validate=True)
+        n, d = shape
+        if len(data) != n * d * 8:
+            raise ValueError(f"matrix shape {shape} needs {n * d * 8} bytes, found {len(data)}")
+        matrix = np.frombuffer(data, dtype=INDEX_DTYPE).reshape(n, d).astype(np.float64)
+        fingerprint = str(payload["encoder_fingerprint"])
+        return cls(ids=ids, matrix=matrix, encoder_fingerprint=fingerprint)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -120,6 +120,34 @@ def _sgd_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray],
         params[name] -= lr * grad
 
 
+def _sgd_epochs(
+    params: Mapping[str, np.ndarray],
+    n: int,
+    cfg: TrainConfig,
+    step_loss: Callable[[np.ndarray], tuple[float, dict[str, np.ndarray]]],
+) -> TrainReport:
+    """SGD over ``n`` examples: a seeded permutation per epoch, one step per batch.
+
+    ``step_loss`` takes a batch's example positions and returns its loss
+    and gradients; a non-finite loss raises ``TrainingError``.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    epoch_losses: list[float] = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, cfg.batch_size):
+            loss, grads = step_loss(order[start : start + cfg.batch_size])
+            if not np.isfinite(loss):
+                raise TrainingError(
+                    f"non-finite loss {loss!r} at epoch {epoch}, step {start // cfg.batch_size}"
+                )
+            _sgd_step(params, grads, cfg.learning_rate)
+            losses.append(loss)
+        epoch_losses.append(float(np.mean(losses)))
+    return TrainReport(epoch_losses=epoch_losses, config=cfg.to_dict())
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -161,25 +189,9 @@ def train_biencoder(
         raise ValueError(f"need at least {cfg.batch_size} pairs, got {len(data)}")
     queries = [tuple(query) for query, _ in data]
     golds = [tuple(candidate_text(entry, cfg.max_candidate_len)) for _, entry in data]
-    rng = np.random.default_rng(cfg.seed)
-    params = encoder.params()
-    epoch_losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(data))
-        losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = order[start : start + cfg.batch_size]
-            loss, grads = biencoder_batch_loss(
-                encoder, [queries[i] for i in chunk], [golds[i] for i in chunk]
-            )
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss {loss!r} at epoch {epoch}, step {start // cfg.batch_size}"
-                )
-            _sgd_step(params, grads, cfg.learning_rate)
-            losses.append(loss)
-        epoch_losses.append(float(np.mean(losses)))
-    return TrainReport(epoch_losses=epoch_losses, config=cfg.to_dict())
+    return _sgd_epochs(encoder.params(), len(data), cfg, lambda chunk: biencoder_batch_loss(
+        encoder, [queries[i] for i in chunk], [golds[i] for i in chunk]
+    ))
 
 
 @dataclass(frozen=True)
@@ -382,20 +394,6 @@ def train_crossencoder(
     if not rows:
         raise ValueError("no training examples")
     rows.sort(key=lambda r: r.query_id)
-    rng = np.random.default_rng(cfg.seed)
-    params = scorer.params()
-    epoch_losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(rows))
-        losses = []
-        for start in range(0, len(order), cfg.batch_size):
-            chunk = [rows[i] for i in order[start : start + cfg.batch_size]]
-            loss, grads = crossencoder_batch_loss(scorer, chunk, kb, cfg.max_candidate_len)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss {loss!r} at epoch {epoch}, step {start // cfg.batch_size}"
-                )
-            _sgd_step(params, grads, cfg.learning_rate)
-            losses.append(loss)
-        epoch_losses.append(float(np.mean(losses)))
-    return TrainReport(epoch_losses=epoch_losses, config=cfg.to_dict())
+    return _sgd_epochs(scorer.params(), len(rows), cfg, lambda chunk: crossencoder_batch_loss(
+        scorer, [rows[i] for i in chunk], kb, cfg.max_candidate_len
+    ))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eventlink.artifacts import iter_jsonl, read_json
+from eventlink.artifacts import iter_jsonl, read_document, read_json, read_records
 from eventlink.encoders import HashingEncoder, TinyEncoder, load_encoder, save_encoder
 from eventlink.kb import KBError, KnowledgeBase, entry_to_record, load_kb
 from eventlink.rerank import TinyCrossScorer
@@ -156,3 +156,66 @@ def test_load_checkpoint_of_the_wrong_kind_names_file(tmp_path, kind):
         _assert_names_file(_outcome(lambda: TinyCrossScorer.load(path)), path)
     if kind not in ("tiny", "hashing"):
         _assert_names_file(_outcome(lambda: load_encoder(path)), path)
+
+
+# --- read_records and read_document ------------------------------------------
+
+_RECORDS = st.lists(st.dictionaries(_TEXT.filter(lambda key: key != "_manifest"), _TEXT, max_size=3),
+                    min_size=1, max_size=5)
+_NOT_OBJECTS = st.one_of(st.none(), st.booleans(), st.integers(), _TEXT, st.lists(st.integers(), max_size=2))
+
+
+def _write_records(tmp_path, records, header):
+    lines = [json.dumps(r, ensure_ascii=False) for r in ([_MANIFEST] if header else []) + records]
+    path = tmp_path / "records.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@given(records=_RECORDS, header=st.booleans(), data=st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_records_names_file_and_line_of_a_refused_record(tmp_path, records, header, data):
+    path = _write_records(tmp_path, records, header)
+    k = data.draw(st.integers(0, len(records) - 1))
+    error = data.draw(st.sampled_from([KeyError, TypeError, ValueError, AttributeError]))
+    seen = []
+
+    def parse(record):
+        if len(seen) == k:
+            raise error("refused")
+        seen.append(record)
+        return record
+
+    with pytest.raises(ValueError) as info:
+        read_records(path, parse)
+    assert str(info.value).startswith(f"{path}: line {k + 1 + header}: ")
+    assert seen == records[:k]
+
+
+@given(records=_RECORDS, header=st.booleans(), value=_NOT_OBJECTS, data=st.data())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_readers_refuse_a_record_or_document_that_is_not_an_object(tmp_path, records, header, value,
+                                                                  data):
+    k = data.draw(st.integers(0, len(records) - 1))
+    path = _write_records(tmp_path, records[:k] + [value] + records[k + 1:], header)
+    seen = []
+    with pytest.raises(ValueError) as info:
+        read_records(path, seen.append)
+    assert str(info.value).startswith(f"{path}: line {k + 1 + header}: ")
+    assert seen == records[:k]
+    document = tmp_path / "document.json"
+    document.write_text(json.dumps(value), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read_document(document, seen.append)
+    assert str(info.value).startswith(f"{document}: ")
+    assert seen == records[:k]
+
+
+@given(records=_RECORDS, header=st.booleans())
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_readers_return_every_accepted_record_in_order(tmp_path, records, header):
+    path = _write_records(tmp_path, records, header)
+    assert read_records(path, lambda record: record) == records
+    document = tmp_path / "document.json"
+    document.write_text(json.dumps({**(_MANIFEST if header else {}), **records[0]}), encoding="utf-8")
+    assert read_document(document, lambda payload: payload) == records[0]

@@ -6,7 +6,7 @@ import shlex
 import numpy as np
 import pytest
 
-from eventlink.artifacts import read_json, read_jsonl
+from eventlink.artifacts import read_json, read_manifest, read_records
 from eventlink.cli import build_parser, main
 from eventlink.encoders import HashingEncoder, save_encoder
 from eventlink.toy import build_toy_data, write_toy_inputs
@@ -85,7 +85,7 @@ def test_malformed_index_is_data_error_naming_file(dense_stack, tmp_path, capsys
 
 def _link_llm(stack, tmp_path, extra):
     responses = tmp_path / "responses.jsonl"
-    _, tagged = read_jsonl(stack["tagged.jsonl"])
+    tagged = read_records(stack["tagged.jsonl"], dict)
     write_jsonl(responses, [{"completion": "The passage should be labeled as NIL."}] * len(tagged))
     out = tmp_path / "llm.jsonl"
     code = main(["link", "--kb", stack["kb.jsonl"], "--queries", stack["tagged.jsonl"],
@@ -99,7 +99,7 @@ def test_allow_nil_from_config(dense_stack, tmp_path):
     config.write_text("[link]\nallow-nil = yes\n", encoding="utf-8")
     code, out = _link_llm(dense_stack, tmp_path, ["--config", str(config)])
     assert code == 0
-    manifest, decisions = read_jsonl(out)
+    manifest, decisions = read_manifest(out), read_records(out, dict)
     assert manifest["config"]["allow_nil"] is True
     assert all(d["prediction"] == "NIL" and d.get("note") is None for d in decisions)
     config.write_text("[link]\nallow-nil = maybe\n", encoding="utf-8")
@@ -111,12 +111,12 @@ def test_allow_nil_flag_wins_over_config(dense_stack, tmp_path):
     config.write_text("[link]\nallow-nil = off\n", encoding="utf-8")
     code, out = _link_llm(dense_stack, tmp_path, ["--config", str(config)])
     assert code == 0
-    manifest, decisions = read_jsonl(out)
+    manifest, decisions = read_manifest(out), read_records(out, dict)
     assert manifest["config"]["allow_nil"] is False
     assert all(d["note"].startswith("parse_failure") for d in decisions)
     code, out = _link_llm(dense_stack, tmp_path, ["--config", str(config), "--allow-nil"])
     assert code == 0
-    manifest, decisions = read_jsonl(out)
+    manifest, decisions = read_manifest(out), read_records(out, dict)
     assert manifest["config"]["allow_nil"] is True
     assert all(d.get("note") is None for d in decisions)
 
@@ -124,7 +124,7 @@ def test_allow_nil_flag_wins_over_config(dense_stack, tmp_path):
 def test_build_kb_normalizes_and_embeds_manifest(toy_inputs, tmp_path):
     out = tmp_path / "kb.jsonl"
     assert main(["build-kb", "--in", toy_inputs["kb"], "--out", str(out)]) == 0
-    manifest, records = read_jsonl(out)
+    manifest, records = read_manifest(out), read_records(out, dict)
     assert manifest["command"] == "build-kb"
     assert "sha256" in manifest["inputs"]["kb"]
     assert len(records) == 10
@@ -175,7 +175,7 @@ def test_tag_output_schema(toy_inputs, tmp_path):
         ["tag", "--in", toy_inputs["train"], "--out", str(out),
          "--extractor", "rule", "--lexicon", toy_inputs["lexicon"]]
     ) == 0
-    _, records = read_jsonl(out)
+    records = read_records(out, dict)
     first = records[0]
     for field in ("query_id", "tokens", "mention_start", "mention_end",
                   "pos", "gold", "event_type", "arguments"):
@@ -190,7 +190,7 @@ def test_format_styles(toy_inputs, tmp_path):
     for style in ("blink", "evelink", "args"):
         out = tmp_path / f"{style}.jsonl"
         assert main(["format", "--in", str(tagged), "--out", str(out), "--style", style]) == 0
-        _, records = read_jsonl(out)
+        records = read_records(out, dict)
         assert records[0]["format"] == style
         assert "[M_s]" in records[0]["tokens"]
 
@@ -204,9 +204,9 @@ def test_full_pipeline_smoke(tmp_path):
         assert field in report
     assert report["counts"]["all"] == 10
     assert manifest["command"] == "eval"
-    _, negatives = read_jsonl(paths["negatives"])
+    negatives = read_records(paths["negatives"], dict)
     assert len(negatives) == 10
-    _, log = read_jsonl(paths["genlog"])
+    log = read_records(paths["genlog"], dict)
     assert all(r["status"] == "accepted" for r in log)
 
 
@@ -266,7 +266,7 @@ def test_config_file_supplies_defaults_and_flags_win(toy_inputs, tmp_path):
     config.write_text("[format]\nstyle = blink\nmax-len = 12\n", encoding="utf-8")
     out = tmp_path / "fmt.jsonl"
     assert main(["format", "--in", str(tagged), "--out", str(out), "--config", str(config)]) == 0
-    _, records = read_jsonl(out)
+    records = read_records(out, dict)
     assert records[0]["format"] == "blink"
     assert all(len(r["tokens"]) <= 12 for r in records)
     out2 = tmp_path / "fmt2.jsonl"
@@ -274,7 +274,7 @@ def test_config_file_supplies_defaults_and_flags_win(toy_inputs, tmp_path):
         ["format", "--in", str(tagged), "--out", str(out2),
          "--config", str(config), "--style", "args"]
     ) == 0
-    _, records2 = read_jsonl(out2)
+    records2 = read_records(out2, dict)
     assert records2[0]["format"] == "args"
 
 
@@ -289,7 +289,7 @@ def test_neg_gen_prune_style(toy_inputs, tmp_path):
          "--prune-fraction", "0.1", "--seed", "3", "--out", str(out),
          "--labels-out", str(labels_out)]
     ) == 0
-    manifest, records = read_jsonl(out)
+    manifest, records = read_manifest(out), read_records(out, dict)
     pruned = set(manifest["config"]["pruned_labels"])
     assert len(pruned) == 1  # ceil(0.1 * 10 unique labels)
     assert all(r["provenance"] == "kb_pruning" for r in records)
@@ -300,7 +300,7 @@ def test_neg_gen_prune_style(toy_inputs, tmp_path):
 
 def test_llm_link_rule_with_scripted_responses(tmp_path):
     paths = run_toy_pipeline(tmp_path / "run", n_entries=12, bi_epochs=2, cross_epochs=1, neg_count=2)
-    _, tagged = read_jsonl(paths["test_tagged"])
+    tagged = read_records(paths["test_tagged"], dict)
     responses = tmp_path / "responses.jsonl"
     write_jsonl(
         responses,
@@ -313,7 +313,7 @@ def test_llm_link_rule_with_scripted_responses(tmp_path):
          "--rule", "llm", "--allow-nil", "--responses", str(responses),
          "--k", "10", "--out", str(out)]
     ) == 0
-    _, decisions = read_jsonl(out)
+    decisions = read_records(out, dict)
     assert all(d["prediction"] == "NIL" for d in decisions)
     assert all(d["rule"] == "llm" for d in decisions)
 
@@ -327,7 +327,7 @@ def test_retrieve_bm25_baseline(toy_inputs, tmp_path):
         ["retrieve", "--retriever", "bm25", "--kb", toy_inputs["kb"],
          "--queries", str(tagged), "--k", "5", "--out", str(out)]
     ) == 0
-    _, records = read_jsonl(out)
+    records = read_records(out, dict)
     assert all(len(r["candidates"]) == 5 for r in records)
 
 
@@ -415,7 +415,7 @@ def test_manifest_records_every_default_typed(dense_stack, tmp_path):
     assert main(["retrieve", "--index", dense_stack["index.json"],
                  "--queries", dense_stack["tagged.jsonl"],
                  "--encoder", dense_stack["encoder.json"], "--out", str(out)]) == 0
-    config = read_jsonl(out)[0]["config"]
+    config = read_manifest(out)["config"]
     assert config["k"] == 10 and isinstance(config["k"], int)
     assert config["max_query_len"] == 300
     assert (config["retriever"], config["style"]) == ("dense", "args")
@@ -428,7 +428,7 @@ def test_config_values_parse_like_flags(dense_stack, tmp_path):
     assert main(["retrieve", "--index", dense_stack["index.json"],
                  "--queries", dense_stack["tagged.jsonl"], "--encoder", dense_stack["encoder.json"],
                  "--config", str(config), "--k", "4", "--out", str(out)]) == 0
-    manifest, records = read_jsonl(out)
+    manifest, records = read_manifest(out), read_records(out, dict)
     assert (manifest["config"]["k"], manifest["config"]["max_query_len"]) == (4, 12)
     assert all(len(r["candidates"]) == 4 for r in records)
 
@@ -517,15 +517,76 @@ def test_unreadable_input_is_data_error_naming_file(dense_stack, tmp_path, capsy
     assert not out.exists()
 
 
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
+@pytest.mark.parametrize("case", [
+    "query format", "query tag", "negatives", "decisions", "candidates", "report list",
+    "report recall_at", "report keys", "lexicon list", "lexicon json", "lexicon utf-8",
+    "directory kb", "directory lexicon",
+])
+def test_malformed_input_is_data_error_naming_file_and_line(toy_inputs, dense_stack, tmp_path,
+                                                            capsys, case):
+    query = read_records(dense_stack["tagged.jsonl"], dict)[0]
+    decision = {"query_id": query["query_id"], "prediction": "NIL", "scores": [0.0],
+                "rule": "learned"}
+    gold = ["--gold", dense_stack["tagged.jsonl"]]
+    kind, _, variant = case.partition(" ")
+    bad, line = tmp_path / "bad.jsonl", None
+    if kind == "query":
+        write_jsonl(bad, [query, _without(query, "mention_start")])
+        line = 2
+        argv = (["format", "--in", str(bad)] if variant == "format" else
+                ["tag", "--in", str(bad), "--lexicon", toy_inputs["lexicon"]])
+    elif kind == "negatives":
+        write_jsonl(bad, [{"origin_query_id": "q", "paired_candidate_ids": [],
+                           "provenance": "kb_pruning"}])
+        line = 1
+        argv = ["train-cross", "--kb", dense_stack["kb.jsonl"],
+                "--queries", dense_stack["tagged.jsonl"], "--index", dense_stack["index.json"],
+                "--encoder", dense_stack["encoder.json"], "--negatives", str(bad)]
+    elif kind == "decisions":
+        write_jsonl(bad, [decision, _without(decision, "prediction")])
+        line = 2
+        argv = ["eval", "--preds", str(bad), *gold]
+    elif kind == "candidates":
+        preds = tmp_path / "preds.jsonl"
+        write_jsonl(preds, [decision])
+        write_jsonl(bad, [{"query_id": query["query_id"]}])
+        line = 1
+        argv = ["eval", "--preds", str(preds), *gold, "--candidates", str(bad)]
+    elif kind == "report":
+        bad.write_text({"list": "[]", "recall_at": '{"recall_at": []}', "keys": '{"runs": 1}'}[variant],
+                       encoding="utf-8")
+        argv = ["report", "--runs", str(bad)]
+    elif kind == "lexicon":
+        bad.write_bytes({"list": b"[]", "json": b'{"roles": ',
+                         "utf-8": b'{"roles": {"\xff": "Agent"}}'}[variant])
+        argv = ["tag", "--in", toy_inputs["test"], "--lexicon", str(bad)]
+    else:  # a directory given where a file is expected
+        bad.mkdir()
+        argv = (["build-kb", "--in", str(bad)] if variant == "kb" else
+                ["tag", "--in", toy_inputs["test"], "--lexicon", str(bad)])
+    out = tmp_path / "out.json"
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(bad) in err
+    if line is not None:
+        assert f"line {line}" in err, err
+    assert not out.exists()
+
+
 def test_llm_link_out_of_responses_keeps_nil_decisions(dense_stack, tmp_path):
-    _, tagged = read_jsonl(dense_stack["tagged.jsonl"])
+    tagged = read_records(dense_stack["tagged.jsonl"], dict)
     responses = tmp_path / "responses.jsonl"
     write_jsonl(responses, [{"completion": "The passage should be labeled as NIL."}])
     out = tmp_path / "llm.jsonl"
     code = main(_link_argv(dense_stack, out, "--rule", "llm", "--allow-nil",
                            "--responses", str(responses)))
     assert code == 0
-    _, decisions = read_jsonl(out)
+    decisions = read_records(out, dict)
     assert len(decisions) == len(tagged) > 1
     assert decisions[0].get("note") is None
     assert all(d["prediction"] == "NIL" for d in decisions)
@@ -576,7 +637,7 @@ def test_kb_pruning_negatives_train_cross_and_link(tmp_path):
     pruned = tmp_path / "pruned.jsonl"
     assert main(["neg-gen", "--queries", paths["train_tagged"], "--style", "prune",
                  "--prune-fraction", "0.2", "--out", str(pruned)]) == 0
-    manifest, negatives = read_jsonl(pruned)
+    manifest, negatives = read_manifest(pruned), read_records(pruned, dict)
     assert len(manifest["config"]["pruned_labels"]) == 4
     assert negatives
     scorer = tmp_path / "pruned-scorer.json"
@@ -588,5 +649,5 @@ def test_kb_pruning_negatives_train_cross_and_link(tmp_path):
     assert main(["link", "--kb", paths["kb_norm"], "--queries", paths["test_tagged"],
                  "--index", paths["index"], "--encoder", paths["encoder"],
                  "--scorer", str(scorer), "--out", str(decisions)]) == 0
-    _, records = read_jsonl(decisions)
+    records = read_records(decisions, dict)
     assert len(records) == 10
