@@ -101,7 +101,8 @@ def _stack(args, kb: bool = True, dense: bool = True):
         index = _load_index(path("index"))
         encoder = encoders.load_encoder(path("encoder"))
         if index.encoder_fingerprint != encoders.encoder_fingerprint(encoder):
-            raise DataError("index was built by a different encoder (fingerprint mismatch)")
+            raise DataError(f"index {inputs['index']} does not match encoder {inputs['encoder']}"
+                            " (fingerprint mismatch); rebuild the index with `eventlink index`")
     return inputs, loaded_kb, tagged, index, encoder
 
 
@@ -334,8 +335,11 @@ def boolean(word: str) -> bool:
 
 
 def recall_ks(text: str) -> tuple[int, ...]:
-    """A comma-separated list of recall depths, such as ``1,5,10``."""
-    return tuple(int(k) for k in text.split(","))
+    """A comma-separated list of recall depths of at least 1, such as ``1,5,10``."""
+    ks = tuple(int(k) for k in text.split(","))
+    if min(ks) < 1:
+        raise ValueError(text)
+    return ks
 
 
 def build_parser() -> _Parser:

@@ -84,7 +84,8 @@ class HashingEncoder:
             raise DegenerateNormError("token vectors cancelled out; cannot normalize")
         return total / norm
 
-    def state_dict(self) -> dict:
+    def state_dict(self, array=None) -> dict:
+        """The checkpoint state; there are no parameter arrays for ``array`` to encode."""
         return {
             "format_version": CHECKPOINT_VERSION,
             "kind": "hashing",
@@ -191,15 +192,16 @@ class TinyEncoder:
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         return self.forward(tokens)
 
-    def state_dict(self) -> dict:
+    def state_dict(self, array=np.ndarray.tolist) -> dict:
+        """The checkpoint state, each parameter array encoded by ``array`` (nested lists)."""
         return {
             "format_version": CHECKPOINT_VERSION,
             "kind": "tiny",
             "dim": self.dim,
             "vocab": list(self.vocab),
-            "embed": self.embed.tolist(),
-            "weight": self.weight.tolist(),
-            "bias": self.bias.tolist(),
+            "embed": array(self.embed),
+            "weight": array(self.weight),
+            "bias": array(self.bias),
         }
 
     @classmethod
@@ -216,11 +218,9 @@ class TinyEncoder:
         return enc
 
 
-def save_encoder(encoder, path) -> str:
-    """Write an encoder or scorer checkpoint atomically; returns its fingerprint."""
-    state = encoder.state_dict()
-    artifacts.atomic_write_text(path, json.dumps(state, sort_keys=True))
-    return artifacts.json_digest(state)
+def save_encoder(encoder, path) -> None:
+    """Write an encoder or scorer checkpoint atomically."""
+    artifacts.atomic_write_text(path, json.dumps(encoder.state_dict(), sort_keys=True))
 
 
 def load_checkpoint(path, builders: dict):
@@ -245,6 +245,16 @@ def load_encoder(path):
     })
 
 
+def _array_digest(arr: np.ndarray) -> dict:
+    data = np.ascontiguousarray(arr, dtype="<f8")
+    digest = artifacts.digest_bytes(data.tobytes())
+    return {"dtype": "<f8", "shape": list(data.shape), "sha256": digest}
+
+
 def encoder_fingerprint(encoder) -> str:
-    """Content hash of an encoder or scorer checkpoint."""
-    return artifacts.json_digest(encoder.state_dict())
+    """Content hash of an encoder or scorer checkpoint.
+
+    ``json_digest`` of its state with each parameter array given by dtype,
+    shape and the sha256 of its ``<f8`` bytes; no float becomes text.
+    """
+    return artifacts.json_digest(encoder.state_dict(_array_digest))

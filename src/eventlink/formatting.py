@@ -66,9 +66,7 @@ DEFAULT_MARKERS = MarkerVocabulary()
 
 
 def _marked_sequence(
-    query: EventQuery,
-    arguments: Sequence[Argument] = (),
-    markers: MarkerVocabulary = DEFAULT_MARKERS,
+    query: EventQuery, arguments: Sequence[Argument] = ()
 ) -> tuple[list[str], tuple[int, int], list[tuple[int, int]]]:
     """Insert mention and argument markers around the raw tokens.
 
@@ -84,17 +82,17 @@ def _marked_sequence(
     for i, token in enumerate(query.tokens):
         if i == query.mention.start:
             mention_block[0] = len(out)
-            out.append(markers.mention_start)
+            out.append(DEFAULT_MARKERS.mention_start)
         if i in starts:
             groups[starts[i].span.start] = [len(out), -1]
-            out.append(markers.role_markers(starts[i].role)[0])
+            out.append(DEFAULT_MARKERS.role_markers(starts[i].role)[0])
         out.append(token)
         if i in ends:
             groups[ends[i].span.start][1] = len(out)
-            out.append(markers.role_markers(ends[i].role)[1])
+            out.append(DEFAULT_MARKERS.role_markers(ends[i].role)[1])
         if i == query.mention.end:
             mention_block[1] = len(out)
-            out.append(markers.mention_end)
+            out.append(DEFAULT_MARKERS.mention_end)
     extents = [tuple(v) for _, v in sorted(groups.items())]
     return out, (mention_block[0], mention_block[1]), extents
 
@@ -164,16 +162,14 @@ def _align_to_groups(
     return start, end
 
 
-def format_blink(
-    query: EventQuery, max_len: int, markers: MarkerVocabulary = DEFAULT_MARKERS
-) -> list[str]:
+def format_blink(query: EventQuery, max_len: int) -> list[str]:
     """Mention-marked token sequence, windowed to ``max_len``."""
     mention_size = len(query.mention) + 2
     if max_len < mention_size:
         raise ValueError(
             f"max_len {max_len} cannot hold the marked mention ({mention_size} tokens)"
         )
-    marked, block, _ = _marked_sequence(query, (), markers)
+    marked, block, _ = _marked_sequence(query)
     if len(marked) <= max_len:
         return marked
     start, end = _centered_window(len(marked), block, max_len)
@@ -184,7 +180,6 @@ def format_evelink(
     query: EventQuery,
     entities: Sequence[NamedEntityAnnotation],
     max_len: int,
-    markers: MarkerVocabulary = DEFAULT_MARKERS,
 ) -> list[str]:
     """Mention-marked sequence, ``[SEP]``, then typed entity groups.
 
@@ -195,10 +190,10 @@ def format_evelink(
     for entity in entities:
         if not entity.span.within(len(query.tokens)):
             raise ValueError(f"entity span {entity.span} outside query tokens")
-    marked, block, _ = _marked_sequence(query, (), markers)
+    marked, block, _ = _marked_sequence(query)
     group_tokens: list[list[str]] = []
     for entity in entities:
-        ts, te = markers.type_markers(entity.entity_type)
+        ts, te = DEFAULT_MARKERS.type_markers(entity.entity_type)
         surface = list(query.tokens[entity.span.start : entity.span.end + 1])
         group_tokens.append([ts, *surface, te])
     kept = list(group_tokens)
@@ -211,15 +206,13 @@ def format_evelink(
         start, end = _centered_window(len(marked), block, max_len - 1)
         base = marked[start : end + 1]
     out = list(base)
-    out.append(markers.sep)
+    out.append(DEFAULT_MARKERS.sep)
     for group in kept:
         out.extend(group)
     return out
 
 
-def format_arguments(
-    tagged: TaggedQuery, max_len: int, markers: MarkerVocabulary = DEFAULT_MARKERS
-) -> list[str]:
+def format_arguments(tagged: TaggedQuery, max_len: int) -> list[str]:
     """Inline role-tagged serialization, windowed without splitting groups.
 
     With zero arguments this is exactly ``format_blink`` on the base query.
@@ -229,7 +222,7 @@ def format_arguments(
         raise ValueError(
             f"max_len {max_len} cannot hold the marked mention ({mention_size} tokens)"
         )
-    marked, block, groups = _marked_sequence(tagged.base, tagged.arguments, markers)
+    marked, block, groups = _marked_sequence(tagged.base, tagged.arguments)
     if len(marked) <= max_len:
         return marked
     start, end = _centered_window(len(marked), block, max_len)
@@ -237,29 +230,22 @@ def format_arguments(
     return marked[start : end + 1]
 
 
-def strip_markers(
-    tokens: Sequence[str], markers: MarkerVocabulary = DEFAULT_MARKERS
-) -> list[str]:
+def strip_markers(tokens: Sequence[str]) -> list[str]:
     """Remove every marker token, leaving the surface tokens."""
-    return [t for t in tokens if not markers.is_marker(t)]
+    return [t for t in tokens if not DEFAULT_MARKERS.is_marker(t)]
 
 
 FORMAT_STYLES = ("blink", "evelink", "args")
 
 
-def format_query(
-    tagged: TaggedQuery,
-    style: str,
-    max_len: int,
-    markers: MarkerVocabulary = DEFAULT_MARKERS,
-) -> list[str]:
+def format_query(tagged: TaggedQuery, style: str, max_len: int) -> list[str]:
     """Dispatch on the format style name used by files and the CLI."""
     if style == "blink":
-        return format_blink(tagged.base, max_len, markers)
+        return format_blink(tagged.base, max_len)
     if style == "evelink":
-        return format_evelink(tagged.base, tagged.base.entities, max_len, markers)
+        return format_evelink(tagged.base, tagged.base.entities, max_len)
     if style == "args":
-        return format_arguments(tagged, max_len, markers)
+        return format_arguments(tagged, max_len)
     raise ValueError(f"unknown format style {style!r}; expected one of {FORMAT_STYLES}")
 
 

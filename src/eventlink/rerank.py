@@ -124,12 +124,12 @@ class TinyCrossScorer:
             scores[i] = float(self.scale[0] * (q @ c))
         return scores
 
-    def state_dict(self) -> dict:
-        state = self.encoder.state_dict()
+    def state_dict(self, array=np.ndarray.tolist) -> dict:
+        state = self.encoder.state_dict(array)
         state["kind"] = "tiny_cross"
         state["format_version"] = CHECKPOINT_VERSION
-        state["nil"] = self.nil_embedding.tolist()
-        state["scale"] = self.scale.tolist()
+        state["nil"] = array(self.nil_embedding)
+        state["scale"] = array(self.scale)
         return state
 
     @classmethod
@@ -141,8 +141,8 @@ class TinyCrossScorer:
         scorer._candidate_memo = {}
         return scorer
 
-    def save(self, path) -> str:
-        return save_encoder(self, path)
+    def save(self, path) -> None:
+        save_encoder(self, path)
 
     @classmethod
     def load(cls, path) -> "TinyCrossScorer":

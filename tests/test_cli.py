@@ -6,9 +6,9 @@ import shlex
 import numpy as np
 import pytest
 
-from eventlink.artifacts import read_json, read_manifest, read_records
+from eventlink.artifacts import json_digest, read_json, read_manifest, read_records
 from eventlink.cli import build_parser, main
-from eventlink.encoders import HashingEncoder, save_encoder
+from eventlink.encoders import HashingEncoder, load_encoder, save_encoder
 from eventlink.toy import build_toy_data, write_toy_inputs
 
 from conftest import write_jsonl
@@ -231,6 +231,47 @@ def test_fingerprint_mismatch_between_index_and_encoder(tmp_path, capsys):
     )
     assert code == 2
     assert "fingerprint" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Every artifact of one short toy pipeline run; tests must not change them."""
+    return run_toy_pipeline(tmp_path_factory.mktemp("run"), bi_epochs=2, cross_epochs=1,
+                            neg_count=2)
+
+
+def test_index_with_json_dump_fingerprint_asks_for_rebuild(small_run, tmp_path, capsys):
+    # before encoder fingerprints hashed array bytes, they hashed the canonical
+    # JSON of the whole checkpoint state, every float included
+    _, doc = read_json(small_run["index"])
+    doc["encoder_fingerprint"] = json_digest(load_encoder(small_run["encoder"]).state_dict())
+    old = tmp_path / "old-index.json"
+    old.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["retrieve", "--index", str(old), "--queries", small_run["test_tagged"],
+                 "--encoder", small_run["encoder"], "--k", "3",
+                 "--out", str(tmp_path / "c.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(old) in err and small_run["encoder"] in err and "rebuild" in err
+
+
+@pytest.mark.parametrize("ks", ["0,-3,5", "5,0", "-1"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_eval_recall_depth_below_one_is_usage_error(small_run, tmp_path, capsys, ks, via):
+    report = tmp_path / "r.json"
+    argv = ["eval", "--preds", small_run["decisions"], "--gold", small_run["test_tagged"],
+            "--candidates", small_run["candidates"], "--out", str(report)]
+    assert main([*argv, "--ks", "1,5"]) == 0
+    report.unlink()
+    if via == "flag":
+        argv += [f"--ks={ks}"]
+    else:
+        config = tmp_path / "run.ini"
+        config.write_text(f"[eval]\nks = {ks}\n", encoding="utf-8")
+        argv += ["--config", str(config)]
+    assert main(argv) == 1
+    assert ks in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_degenerate_nil_embedding_is_data_error(tmp_path, capsys):

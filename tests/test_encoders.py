@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eventlink.artifacts import json_digest
 from eventlink.encoders import (
     OOV_TOKEN,
     DegenerateNormError,
@@ -129,6 +130,74 @@ def test_fingerprint_tracks_parameters():
     before = encoder_fingerprint(enc)
     enc.embed[0, 0] += 1.0
     assert encoder_fingerprint(enc) != before
+
+
+# --- fingerprints from array bytes -------------------------------------------
+
+# finite doubles, with signed zeros and subnormals drawn often
+_ELEMENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def tiny_encoders(draw):
+    vocab = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=6, unique=True))
+    enc = TinyEncoder(vocab, draw(st.integers(2, 5)), seed=0)
+    for arr in enc.params().values():
+        values = draw(st.lists(_ELEMENTS, min_size=arr.size, max_size=arr.size))
+        arr[...] = np.array(values, dtype=float).reshape(arr.shape)
+    return enc
+
+
+def _element(draw, enc):
+    """A parameter array of ``enc`` and the flat index of one of its elements."""
+    arr = enc.params()[draw(st.sampled_from(["embed", "weight", "bias"]))]
+    return arr.reshape(-1), draw(st.integers(0, arr.size - 1))
+
+
+@given(enc=tiny_encoders())
+@settings(max_examples=60, deadline=None)
+def test_fingerprint_survives_save_and_load(tmp_path_factory, enc):
+    path = tmp_path_factory.mktemp("fp") / "enc.json"
+    save_encoder(enc, path)
+    assert encoder_fingerprint(load_encoder(path)) == encoder_fingerprint(enc)
+
+
+@given(enc=tiny_encoders(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fingerprint_sees_one_ulp(enc, data):
+    flat, i = _element(data.draw, enc)
+    before = encoder_fingerprint(enc)
+    flat[i] = np.nextafter(flat[i], data.draw(st.sampled_from([np.inf, -np.inf])))
+    assert encoder_fingerprint(enc) != before
+
+
+@given(enc=tiny_encoders(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fingerprint_sees_the_sign_of_zero(enc, data):
+    flat, i = _element(data.draw, enc)
+    flat[i] = 0.0
+    before = encoder_fingerprint(enc)
+    flat[i] = -0.0
+    assert encoder_fingerprint(enc) != before
+
+
+@given(enc=tiny_encoders(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_fingerprint_sees_vocabulary_order(enc, data):
+    state = enc.state_dict()
+    i, j = data.draw(st.lists(st.integers(0, len(enc.vocab) - 1), min_size=2, max_size=2,
+                              unique=True))
+    state["vocab"][i], state["vocab"][j] = state["vocab"][j], state["vocab"][i]
+    assert encoder_fingerprint(TinyEncoder.from_state_dict(state)) != encoder_fingerprint(enc)
+
+
+@given(dim=st.integers(2, 64), seed=st.integers(0, 2**63 - 1))
+def test_hashing_fingerprint_is_digest_of_state(dim, seed):
+    enc = HashingEncoder(dim, seed)
+    assert encoder_fingerprint(enc) == json_digest(enc.state_dict())
 
 
 # --- batched training kernels -------------------------------------------------
