@@ -198,10 +198,11 @@ def cmd_retrieve(args) -> None:
         index = bm25_build(kb)
         results = [bm25_retrieve(index, query.base, args.k) for query in tagged]
     else:
+        embeddings = encoder.encode_many(
+            [format_query(query, args.style, args.max_query_len) for query in tagged])
         results = [
-            retrieve(index, encoder.encode(format_query(query, args.style, args.max_query_len)),
-                     args.k, query_id=query.base.query_id)
-            for query in tagged
+            retrieve(index, embedding, args.k, query_id=query.base.query_id)
+            for query, embedding in zip(tagged, embeddings)
         ]
     manifest = _manifest("retrieve", args, inputs)
     artifacts.write_jsonl(args.out, (r.to_record() for r in results), manifest)
@@ -265,10 +266,10 @@ def cmd_link(args) -> None:
     else:
         inputs["scorer"] = _require(args.scorer, "--scorer")
         scorer = TinyCrossScorer.load(args.scorer)
+    query_rows = [format_query(query, args.style, args.max_query_len) for query in tagged]
+    embeddings = encoder.encode_many(query_rows)
     decisions = []
-    for query in tagged:
-        query_tokens = format_query(query, args.style, args.max_query_len)
-        embedding = encoder.encode(query_tokens)
+    for query, query_tokens, embedding in zip(tagged, query_rows, embeddings):
         candidates = retrieve(index, embedding, args.k, query_id=query.base.query_id)
         if client is not None:
             decisions.append(llm_rerank(client, query_tokens, candidates, kb, args.allow_nil))

@@ -8,13 +8,19 @@ back the desk-scale training loops. Both emit unit-norm vectors, so dot
 product equals cosine everywhere downstream; a zero vector that would
 have to be normalized raises ``DegenerateNormError`` instead of NaN.
 
+Every adapter has ``encode`` for one sequence and ``encode_many`` for a
+list of them. ``encode_many(rows)`` equals ``np.stack([encode(r) for r in
+rows])`` bit for bit, so index building and the query lists of
+``retrieve``, ``link`` and candidate mining encode in one call, and goldens
+and oracles that recompute rows one at a time still pin every bit.
+``TinyEncoder.forward`` encodes one sequence; it serves ``encode``, pair
+scoring and negative generation.
+
 Training runs on batched kernels: ``TinyEncoder.forward_batch`` encodes a
 whole step's sequences through one bag-count matrix over the step's
 distinct token ids, and ``TinyEncoder.backward`` turns that batch cache
-into every parameter gradient with a few matmuls. ``TinyEncoder.forward``
-stays per-sequence. It serves ``encode``, and through it index building,
-retrieval, negative generation and pair scoring, whose outputs goldens
-and oracles pin bit for bit by recomputing it row by row.
+into every parameter gradient with a few matmuls. Its bag matmul rounds
+differently from ``forward``, so it serves training only.
 
 Adapters may sub-tokenize internally but must treat marker tokens as
 atomic. ``encode`` is safe for concurrent calls on frozen parameters.
@@ -23,6 +29,7 @@ atomic. ``encode`` is safe for concurrent calls on frozen parameters.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -45,6 +52,9 @@ class EncoderAdapter(Protocol):
     trainable: bool
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray: ...
+
+    def encode_many(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
+        """``(len(rows), dim)``, equal bit for bit to stacking ``encode`` of each row."""
 
 
 def token_hash(token: str) -> int:
@@ -83,6 +93,12 @@ class HashingEncoder:
         if norm == 0.0:
             raise DegenerateNormError("token vectors cancelled out; cannot normalize")
         return total / norm
+
+    def encode_many(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
+        out = np.empty((len(rows), self.dim))
+        for i, row in enumerate(rows):
+            out[i] = self.encode(row)
+        return out
 
     def state_dict(self, array=None) -> dict:
         """The checkpoint state; there are no parameter arrays for ``array`` to encode."""
@@ -192,6 +208,39 @@ class TinyEncoder:
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         return self.forward(tokens)
 
+    def encode_many(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
+        """Encode every row; equal bit for bit to stacking ``forward`` of each row.
+
+        The mean pool sums position by position over the rows sorted longest
+        first, so the rows still running at a position are a prefix, and
+        each row adds its embeddings in token order starting from 0.0, as
+        ``mean`` does. No padded matrix is built. The affine map and the
+        norm stay per row: a batched matmul rounds differently.
+        """
+        ids = [self.token_ids(row) for row in rows]
+        lengths = np.array([len(row) for row in ids], dtype=np.intp)
+        if not lengths.all():
+            raise ValueError("cannot encode an empty token sequence")
+        flat = np.fromiter(itertools.chain.from_iterable(ids), dtype=np.intp, count=lengths.sum())
+        order = np.argsort(-lengths, kind="stable")
+        sorted_lengths = lengths[order]
+        starts = (np.cumsum(lengths) - lengths)[order]
+        # how many rows are longer than each position: a prefix of the sorted rows
+        running = np.searchsorted(-sorted_lengths, -np.arange(lengths.max(initial=0)))
+        sums = np.zeros((len(ids), self.dim))
+        for position, m in enumerate(running):
+            sums[:m] += self.embed[flat[starts[:m] + position]]
+        means = np.empty_like(sums)
+        means[order] = sums / sorted_lengths[:, None]
+        pre = np.empty_like(means)
+        for mean, row in zip(means, pre):
+            np.dot(self.weight, mean, out=row)
+        pre += self.bias
+        norms = np.array([np.sqrt(row.dot(row)) for row in pre])
+        if not norms.all():
+            raise DegenerateNormError("encoder pre-activation has zero norm")
+        return pre / norms[:, None]
+
     def state_dict(self, array=np.ndarray.tolist) -> dict:
         """The checkpoint state, each parameter array encoded by ``array`` (nested lists)."""
         return {
@@ -212,10 +261,19 @@ class TinyEncoder:
         enc._ids = {token: i for i, token in enumerate(enc.vocab)}
         enc._oov = enc._ids[OOV_TOKEN]
         enc._row_id_memo = {}
-        enc.embed = np.array(state["embed"], dtype=float)
-        enc.weight = np.array(state["weight"], dtype=float)
-        enc.bias = np.array(state["bias"], dtype=float)
+        enc.embed = checkpoint_array(state, "embed", (len(enc.vocab), enc.dim))
+        enc.weight = checkpoint_array(state, "weight", (enc.dim, enc.dim))
+        enc.bias = checkpoint_array(state, "bias", (enc.dim,))
         return enc
+
+
+def checkpoint_array(state: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """``state[name]`` as a float64 array; any shape but ``shape`` is a ``ValueError``."""
+    arr = np.array(state[name], dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"checkpoint array {name!r} has shape {list(arr.shape)}, "
+                         f"expected {list(shape)}")
+    return arr
 
 
 def save_encoder(encoder, path) -> None:

@@ -24,8 +24,8 @@ from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, load_checkpoint
-from .encoders import save_encoder
+from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, checkpoint_array
+from .encoders import load_checkpoint, save_encoder
 from .kb import NIL, KBEntry, KBError, KnowledgeBase, candidate_text, tokenize
 from .llm import TRANSPORT_RETRIES, LLMTransportError, TextCompletionClient, prompt_file
 from .retrieval import CandidateSet
@@ -136,8 +136,8 @@ class TinyCrossScorer:
     def from_state_dict(cls, state: dict) -> "TinyCrossScorer":
         scorer = cls.__new__(cls)
         scorer.encoder = TinyEncoder.from_state_dict(state)
-        scorer.nil_embedding = np.array(state["nil"], dtype=float)
-        scorer.scale = np.array(state["scale"], dtype=float)
+        scorer.nil_embedding = checkpoint_array(state, "nil", (scorer.dim,))
+        scorer.scale = checkpoint_array(state, "scale", (1,))
         scorer._candidate_memo = {}
         return scorer
 

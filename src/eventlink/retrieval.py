@@ -174,13 +174,16 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def build_index(kb: KnowledgeBase, encoder: EncoderAdapter, max_len: int = 300) -> DenseIndex:
-    """Encode every entry's candidate text into one index row, in KB order."""
+    """Encode every entry's candidate text into one index row, in KB order.
+
+    One ``encode_many`` call encodes the whole KB; its rows equal per-entry
+    ``encode`` bit for bit.
+    """
     if kb.n == 0:
         raise ValueError("cannot index an empty knowledge base")
-    rows = [np.asarray(encoder.encode(candidate_text(e, max_len)), dtype=float) for e in kb]
     return DenseIndex(
         ids=kb.ids,
-        matrix=np.stack(rows),
+        matrix=encoder.encode_many([candidate_text(e, max_len) for e in kb]),
         encoder_fingerprint=encoder_fingerprint(encoder),
     )
 

@@ -278,9 +278,9 @@ def mine_candidates(
     the lowest-ranked candidate, flagged via ``gold_injected``. NIL-gold
     queries pass through unmodified.
     """
+    embeddings = encoder.encode_many([format_query(q, style, max_query_len) for q in queries])
     mined: dict[str, CandidateSet] = {}
-    for query in queries:
-        embedding = encoder.encode(format_query(query, style, max_query_len))
+    for query, embedding in zip(queries, embeddings):
         result = retrieve(index, embedding, k, query_id=query.base.query_id)
         gold = query.base.gold
         if gold != NIL and gold not in result.ids:

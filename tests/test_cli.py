@@ -9,6 +9,7 @@ import pytest
 from eventlink.artifacts import json_digest, read_json, read_manifest, read_records
 from eventlink.cli import build_parser, main
 from eventlink.encoders import HashingEncoder, load_encoder, save_encoder
+from eventlink.rerank import TinyCrossScorer
 from eventlink.toy import build_toy_data, write_toy_inputs
 
 from conftest import write_jsonl
@@ -527,6 +528,44 @@ def test_checkpoint_of_another_kind_is_data_error(dense_stack, tmp_path, capsys)
     err = capsys.readouterr().err
     assert dense_stack["encoder.json"] in err and "'hashing'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("embed", [2, 4]), ("weight", [4, 3]), ("bias", [5]), ("nil", [3]), ("scale", [2]),
+], ids=["embed", "weight", "bias", "nil", "scale"])
+def test_checkpoint_array_of_wrong_shape_is_data_error(dense_stack, tmp_path, capsys, name, shape):
+    # vocabulary a, b and [OOV] at dim 4: embed is (3, 4), weight (4, 4), bias and nil (4,)
+    state = TinyCrossScorer(["a", "b"], 4, seed=0).state_dict()
+    state[name] = np.zeros(shape).tolist()
+    bad = tmp_path / "bad.json"
+    out = tmp_path / "out.jsonl"
+    if name in ("nil", "scale"):
+        argv = _link_argv(dense_stack, out, "--scorer", str(bad))
+    else:
+        state = dict(state, kind="tiny")
+        del state["nil"], state["scale"]
+        argv = ["index", "--kb", dense_stack["kb.jsonl"], "--encoder", str(bad), "--out", str(out)]
+    bad.write_text(json.dumps(state), encoding="utf-8")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"{name!r} has shape {shape}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["retrieve", "link"])
+def test_empty_queries_file_writes_manifest_only(dense_stack, tmp_path, command):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    stack = dict(dense_stack, **{"tagged.jsonl": str(empty)})
+    out = tmp_path / "out.jsonl"
+    scorer = tmp_path / "scorer.json"
+    TinyCrossScorer(["a"], 16, seed=0).save(scorer)
+    argv = {"retrieve": ["retrieve", "--index", stack["index.json"], "--queries", str(empty),
+                         "--encoder", stack["encoder.json"], "--out", str(out)],
+            "link": _link_argv(stack, out, "--scorer", str(scorer))}[command]
+    assert main(argv) == 0
+    assert read_manifest(out)["command"] == command
+    assert read_records(out, dict) == []
 
 
 def _cut(path, tmp_path, fraction=0.5):

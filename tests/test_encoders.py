@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventlink.artifacts import json_digest
@@ -52,8 +52,12 @@ def test_hashing_cosine_matches_independent_oracle():
 
 
 def test_hashing_empty_sequence_error():
+    enc = HashingEncoder(8, 0)
     with pytest.raises(ValueError):
-        HashingEncoder(8, 0).encode([])
+        enc.encode([])
+    with pytest.raises(ValueError):
+        enc.encode_many([["a"], []])
+    assert enc.encode_many([]).shape == (0, 8)
 
 
 def test_hashing_dim_validation():
@@ -102,8 +106,12 @@ def test_tiny_unknown_tokens_map_to_oov():
 
 
 def test_tiny_empty_sequence_error():
-    with pytest.raises(ValueError):
-        TinyEncoder(["a"], 8, seed=0).encode([])
+    enc = TinyEncoder(["a"], 8, seed=0)
+    with pytest.raises(ValueError, match="empty token sequence"):
+        enc.encode([])
+    with pytest.raises(ValueError, match="empty token sequence"):
+        enc.encode_many([["a"], []])
+    assert enc.encode_many([]).shape == (0, 8)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -264,9 +272,40 @@ def test_forward_zero_norm_raises_named_error():
     enc = _degenerate(TinyEncoder(["a"], 8, seed=0))
     with pytest.raises(DegenerateNormError):
         enc.forward(["a"])
+    with pytest.raises(DegenerateNormError):
+        enc.encode_many([["a"], ["a", "b"]])
 
 
 def test_forward_batch_zero_norm_raises_named_error():
     enc = _degenerate(TinyEncoder(["a"], 8, seed=0))
     with pytest.raises(DegenerateNormError):
         enc.forward_batch([["a"], ["a", "b"]])
+
+
+# --- batch inference ---------------------------------------------------------
+
+@st.composite
+def _rows_over_vocab(draw):
+    """A vocabulary and rows over it plus unknown tokens: 1-30 tokens, maybe one long outlier."""
+    vocab = draw(st.lists(st.text("abcdefgh", min_size=1, max_size=3),
+                          min_size=1, max_size=15, unique=True))
+    token = st.sampled_from(vocab + [OOV_TOKEN, "zz-unknown", "[M_s]"])
+    rows = draw(st.lists(st.lists(token, min_size=1, max_size=30), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.lists(token, min_size=31, max_size=300)))
+    if draw(st.booleans()):
+        rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+    return vocab, rows
+
+
+@given(case=_rows_over_vocab(), dim=st.integers(2, 80), seed=st.integers(0, 2**16))
+@example(case=(["a"], [["a", "b"]]), dim=64, seed=0)
+@example(case=(["a", "b"], [["a"], ["b", "a", "b"], ["a"], ["a", "a"], ["b", "a", "b"]]),
+         dim=3, seed=1)
+@settings(max_examples=150, deadline=None)
+def test_encode_many_is_bit_identical_to_stacked_rows(case, dim, seed):
+    vocab, rows = case
+    for enc in (HashingEncoder(dim, seed), TinyEncoder(vocab, dim, seed=seed)):
+        expected = np.stack([enc.encode(row) for row in rows])
+        assert enc.encode_many(rows).tobytes() == expected.tobytes()

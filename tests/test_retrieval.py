@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eventlink.artifacts import read_json
-from eventlink.encoders import HashingEncoder
-from eventlink.kb import KnowledgeBase
+from eventlink.encoders import HashingEncoder, TinyEncoder
+from eventlink.kb import KnowledgeBase, candidate_text
 from eventlink.retrieval import CandidateSet, DenseIndex, _shortlist, build_index, retrieve
 
 
@@ -158,14 +158,13 @@ def test_build_index_shape_and_determinism(small_kb):
 
 
 def test_build_index_rows_match_direct_encoding(small_kb):
-    from eventlink.kb import candidate_text
-
-    encoder = HashingEncoder(32, seed=2)
-    index = build_index(small_kb, encoder, max_len=50)
-    for i, entry in enumerate(small_kb):
-        np.testing.assert_array_equal(
-            index.matrix[i], encoder.encode(candidate_text(entry, 50))
-        )
+    texts = [candidate_text(entry, 50) for entry in small_kb]
+    # every other distinct token is left out of the vocabulary, so it encodes as [OOV]
+    vocab = sorted({token for text in texts for token in text})[::2]
+    for encoder in (HashingEncoder(32, seed=2), TinyEncoder(vocab, 32, seed=2)):
+        index = build_index(small_kb, encoder, max_len=50)
+        expected = np.stack([encoder.encode(text) for text in texts])
+        assert index.matrix.tobytes() == expected.tobytes()
 
 
 def test_build_index_empty_kb():
