@@ -253,10 +253,13 @@ def context_window(tokens: Sequence[str], span: Span, width: int) -> list[str]:
     """Plain (marker-free) token window of ``width`` centered on ``span``.
 
     Shares the mention-centering tie rule with the marked formats; used by
-    the BM25 query side.
+    the BM25 query side. A mention wider than ``width`` gives its central
+    ``width`` tokens; the same left-heavy rule drops the odd token on the
+    right.
     """
     if width < len(span):
-        raise ValueError(f"window width {width} smaller than span {span}")
+        start = span.start + (len(span) - width) // 2
+        return list(tokens[start : start + width])
     if len(tokens) <= width:
         return list(tokens)
     start, end = _centered_window(len(tokens), (span.start, span.end), width)

@@ -11,6 +11,13 @@ proven bound, picks a shortlist certain to hold the true top k. Only the
 shortlist is then scored by the per-row dot product that every candidate
 file is pinned to, and sorted by (score descending, KB position).
 
+BM25 follows BM25S (arXiv 2407.03618): each (term, entry) Okapi
+contribution is computed once, when the index is built, and stored in
+per-term posting arrays. A query's scores are then one ``bincount`` over
+its terms' postings, and top-k sorts only the entries that scored. The
+weights keep the association order of the per-posting formula and the
+sums its addition order, so every score equals that formula bit for bit.
+
 ``DenseIndex.save`` and ``DenseIndex.load`` are the only writer and
 reader of the index artifact: one JSON document holding the ids, the
 encoder fingerprint, an optional manifest, and the matrix as base64 of its
@@ -21,8 +28,8 @@ from __future__ import annotations
 
 import base64
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Sequence
 
 import numpy as np
@@ -240,69 +247,91 @@ def retrieve(index: DenseIndex, query_embedding: np.ndarray, k: int, query_id: s
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BM25Index:
-    """Okapi BM25 statistics over candidate texts.
+    """Okapi BM25 over candidate texts, with every posting's weight precomputed.
 
-    Query terms are drawn from a fixed-width context window centered on
-    the event mention.
+    The postings are three aligned arrays: ``docs`` (KB positions), ``tf``
+    (term frequencies) and ``weights``. ``postings`` maps each term to its
+    slice of them; the slices tile the arrays in the dict's order. A
+    posting's weight is its whole Okapi contribution,
+    ``idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))``,
+    computed once here in that association order, with ``idf`` taken per
+    term by ``math.log``, so every score equals the per-posting formula bit
+    for bit. Every weight is positive. Query terms are drawn from a
+    fixed-width context window centered on the event mention.
     """
 
     ids: tuple[str, ...]
-    doc_lens: list[int]
-    avgdl: float
-    postings: dict[str, list[tuple[int, int]]]
-    df: dict[str, int]
+    postings: dict[str, slice]
+    docs: np.ndarray
+    tf: np.ndarray
+    doc_lens: np.ndarray
     k1: float = BM25_K1
     b: float = BM25_B
     window: int = BM25_WINDOW
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k1 <= 0:
             raise ValueError("k1 must be positive")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must lie in [0, 1]")
+        if self.window < 1:
+            raise ValueError(f"window must be at least 1, got {self.window}")
+        n, k1, b = self.n, self.k1, self.b
+        df = [s.stop - s.start for s in self.postings.values()]
+        idf = np.repeat([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df], df)
+        tf = self.tf.astype(np.float64)
+        dl = self.doc_lens[self.docs].astype(np.float64)
+        avgdl = int(self.doc_lens.sum()) / n
+        weights = idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
-    def idf(self, term: str) -> float:
-        df = self.df.get(term, 0)
-        if df == 0:
-            return 0.0
-        return math.log(1.0 + (self.n - df + 0.5) / (df + 0.5))
-
     def scores(self, terms: Sequence[str]) -> np.ndarray:
-        out = np.zeros(self.n)
-        for term in terms:
-            idf = self.idf(term)
-            if idf == 0.0:
-                continue
-            for doc, tf in self.postings[term]:
-                norm = tf + self.k1 * (1.0 - self.b + self.b * self.doc_lens[doc] / self.avgdl)
-                out[doc] += idf * tf * (self.k1 + 1.0) / norm
-        return out
+        """Per-entry scores, each adding its weights in query-term order from 0.0.
+
+        A repeated term counts each time; an unknown term adds nothing.
+        ``bincount`` adds its weights in input order, so concatenating the
+        terms' postings in query order keeps the per-posting sums exact.
+        """
+        rows = [self.postings[term] for term in terms if term in self.postings]
+        if not rows:
+            return np.zeros(self.n)
+        docs = np.concatenate([self.docs[r] for r in rows])
+        weights = np.concatenate([self.weights[r] for r in rows])
+        return np.bincount(docs, weights=weights, minlength=self.n)
 
 
 def bm25_build(
     kb: KnowledgeBase, k1: float = BM25_K1, b: float = BM25_B, window: int = BM25_WINDOW
 ) -> BM25Index:
-    """Index candidate texts (title, separator, description) for BM25."""
+    """Index candidate texts (title, separator, description) for BM25.
+
+    Each term's id is the position of its first occurrence in the KB's
+    token stream; one sort of the (term id, KB position) keys groups the
+    postings by term, in first-occurrence order, and counts each one's tf.
+    """
     if kb.n == 0:
         raise ValueError("cannot index an empty knowledge base")
-    doc_lens: list[int] = []
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for position, entry in enumerate(kb):
-        tokens = full_candidate_tokens(entry)
-        doc_lens.append(len(tokens))
-        for term, tf in Counter(tokens).items():
-            postings.setdefault(term, []).append((position, tf))
-    df = {term: len(rows) for term, rows in postings.items()}
-    avgdl = sum(doc_lens) / len(doc_lens)
+    texts = [full_candidate_tokens(entry) for entry in kb]
+    doc_lens = np.fromiter(map(len, texts), dtype=np.intp, count=kb.n)
+    first: dict[str, int] = {}
+    term_ids = np.fromiter(
+        map(first.setdefault, chain.from_iterable(texts), count()),
+        dtype=np.int64, count=int(doc_lens.sum()),
+    )
+    keys, tf = np.unique(term_ids * kb.n + np.repeat(np.arange(kb.n), doc_lens),
+                         return_counts=True)
+    bounds = [*np.flatnonzero(np.diff(keys // kb.n, prepend=-1)).tolist(), len(keys)]
     return BM25Index(
-        ids=kb.ids, doc_lens=doc_lens, avgdl=avgdl, postings=postings, df=df,
-        k1=k1, b=b, window=window,
+        ids=kb.ids,
+        postings={term: slice(a, z) for term, a, z in zip(first, bounds, bounds[1:])},
+        docs=keys % kb.n, tf=tf, doc_lens=doc_lens, k1=k1, b=b, window=window,
     )
 
 
@@ -311,14 +340,27 @@ def bm25_query_terms(index: BM25Index, query: EventQuery) -> list[str]:
     return context_window(query.tokens, query.mention, index.window)
 
 
+def _scored_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """``_top_k`` for non-negative scores, sorting only the positive ones.
+
+    Positive scores come first, stable-sorted; zero-score positions pad
+    the rest in ascending order, as a stable sort of all n would.
+    """
+    scored = np.flatnonzero(scores)
+    top = scored[np.argsort(-scores[scored], kind="stable")[:k]]
+    if len(top) < k:
+        top = np.concatenate([top, np.flatnonzero(scores == 0.0)[: k - len(top)]])
+    return top
+
+
 def bm25_retrieve(index: BM25Index, query: EventQuery, k: int) -> CandidateSet:
     """Okapi BM25 top-k with the same KB-position tie rule as dense retrieval."""
     if not 1 <= k <= index.n:
         raise ValueError(f"k={k} outside [1, {index.n}]")
     scores = index.scores(bm25_query_terms(index, query))
-    order = _top_k(scores, k)
+    order = _scored_top_k(scores, k)
     return CandidateSet(
         query_id=query.query_id,
-        ids=tuple(index.ids[i] for i in order),
-        scores=tuple(float(scores[i]) for i in order),
+        ids=tuple(index.ids[i] for i in order.tolist()),
+        scores=tuple(scores[order].tolist()),
     )

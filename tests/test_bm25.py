@@ -1,12 +1,19 @@
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventlink.extraction import EventQuery, Span
-from eventlink.kb import KBEntry, KnowledgeBase
+from eventlink.kb import KBEntry, KnowledgeBase, full_candidate_tokens, tokenize
 from eventlink.retrieval import bm25_build, bm25_query_terms, bm25_retrieve
+from eventlink.toy import build_toy_data
+
+DATA = Path(__file__).parent / "data"
 
 # Hand-computed Okapi scores (k1=1.2, b=0.75) for the five-document
 # fixture below; documents include the title separator token.
@@ -166,3 +173,100 @@ def test_parameter_validation(five_doc_kb):
         bm25_build(five_doc_kb, k1=0.0)
     with pytest.raises(ValueError):
         bm25_build(five_doc_kb, b=1.5)
+    for window in (0, -3):
+        with pytest.raises(ValueError, match="window"):
+            bm25_build(five_doc_kb, window=window)
+    assert bm25_build(five_doc_kb, window=1).window == 1
+
+
+def test_wide_mention_retrieves_k_candidates(five_doc_kb):
+    tokens = tuple("alpha beta gamma delta epsilon zeta eta theta iota".split()) * 2
+    index = bm25_build(five_doc_kb)
+    result = bm25_retrieve(index, EventQuery("q", tokens, Span(0, len(tokens) - 1)), 3)
+    terms = list(tokens[1:17])
+    assert len(result) == 3
+    assert result.scores == tuple(sorted(index.scores(terms), reverse=True)[:3])
+
+
+# --- bit-exact reference ---------------------------------------------------
+
+def _reference_scores(kb, terms, k1, b):
+    # the per-posting loop BM25 scores are pinned to, bit for bit: postings
+    # in KB order, idf by math.log, each weight added in query-term order
+    doc_lens = []
+    postings = {}
+    for position, entry in enumerate(kb):
+        tokens = full_candidate_tokens(entry)
+        doc_lens.append(len(tokens))
+        for term, tf in Counter(tokens).items():
+            postings.setdefault(term, []).append((position, tf))
+    n = len(doc_lens)
+    avgdl = sum(doc_lens) / len(doc_lens)
+    out = np.zeros(n)
+    for term in terms:
+        rows = postings.get(term, [])
+        if not rows:
+            continue
+        idf = math.log(1.0 + (n - len(rows) + 0.5) / (len(rows) + 0.5))
+        for doc, tf in rows:
+            norm = tf + k1 * (1.0 - b + b * doc_lens[doc] / avgdl)
+            out[doc] += idf * tf * (k1 + 1.0) / norm
+    return out
+
+
+VOCAB = ["war", "siege", "port", "city", "raid", "north", "1453", "."]
+ABSENT = ["absent", "missing", "[TITLE_SEP]x"]
+words = st.lists(st.sampled_from(VOCAB), max_size=12)
+
+
+@st.composite
+def bm25_cases(draw):
+    n = draw(st.integers(1, 60))
+    kb = KnowledgeBase([
+        KBEntry(f"E{i}", " ".join(draw(words.filter(bool))), " ".join(draw(words)))
+        for i in range(n)
+    ])
+    pool = draw(st.sampled_from([VOCAB, ABSENT, VOCAB + ABSENT]))
+    queries = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=16),
+                            min_size=1, max_size=4))
+    k1 = draw(st.one_of(st.just(1.2), st.floats(0.01, 4.0)))
+    b = draw(st.one_of(st.just(0.75), st.floats(0.0, 1.0)))
+    return kb, queries, k1, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(bm25_cases())
+def test_scores_and_top_k_bit_identical_to_reference_loop(case):
+    kb, queries, k1, b = case
+    index = bm25_build(kb, k1=k1, b=b)
+    for tokens in queries:
+        query = EventQuery("q", tuple(tokens), Span(0, 0))
+        terms = bm25_query_terms(index, query)
+        assert terms == tokens
+        expected = _reference_scores(kb, terms, k1, b)
+        assert index.scores(terms).tobytes() == expected.tobytes()
+        order = np.argsort(-expected, kind="stable")
+        for k in range(1, kb.n + 1):
+            got = bm25_retrieve(index, query, k)
+            assert got.ids == tuple(kb.ids[i] for i in order[:k])
+            assert np.array(got.scores).tobytes() == expected[order[:k]].tobytes()
+
+
+def _golden_queries():
+    data = build_toy_data(n_entries=20, n_train=20, n_test=20, seed=11)
+    queries = [q.base for q in data.train + data.test]
+    for entry in data.kb:
+        tokens = tuple(tokenize(entry.description))
+        middle = Span(len(tokens) // 2, len(tokens) // 2)
+        queries.append(EventQuery(f"desc-{entry.id}", tokens, middle))
+    return data.kb, queries
+
+
+def test_candidates_match_golden_file_byte_for_byte():
+    # written by the per-posting implementation that preceded the posting arrays
+    kb, queries = _golden_queries()
+    index = bm25_build(kb)
+    lines = [json.dumps(bm25_retrieve(index, q, index.n).to_record(), sort_keys=True)
+             for q in queries]
+    golden = (DATA / "bm25_golden.jsonl").read_bytes()
+    assert ("\n".join(lines) + "\n").encode("utf-8") == golden

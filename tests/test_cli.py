@@ -373,6 +373,28 @@ def test_retrieve_bm25_baseline(toy_inputs, tmp_path):
     assert all(len(r["candidates"]) == 5 for r in records)
 
 
+def test_retrieve_query_with_mention_wider_than_bm25_window(dense_stack, tmp_path):
+    record = read_records(dense_stack["tagged.jsonl"], dict)[0]
+    kb = read_records(dense_stack["kb.jsonl"], dict)
+    # an 18-token mention, wider than BM25's 16-token window
+    mention = (kb[0]["title"] + " " + kb[0]["description"]).split()[:18]
+    assert len(mention) == 18
+    record["mention_start"] = len(record["tokens"])
+    record["tokens"] = record["tokens"] + mention
+    record["mention_end"] = len(record["tokens"]) - 1
+    queries = tmp_path / "wide.jsonl"
+    write_jsonl(queries, [record])
+    bm25, dense = tmp_path / "bm25.jsonl", tmp_path / "dense.jsonl"
+    assert main(["retrieve", "--retriever", "bm25", "--kb", dense_stack["kb.jsonl"],
+                 "--queries", str(queries), "--k", "3", "--out", str(bm25)]) == 0
+    assert main(["retrieve", "--index", dense_stack["index.json"], "--queries", str(queries),
+                 "--encoder", dense_stack["encoder.json"], "--k", "3",
+                 "--out", str(dense)]) == 0
+    for path in (bm25, dense):
+        (candidates,) = read_records(path, dict)
+        assert len(candidates["candidates"]) == 3
+
+
 def test_report_command_compares_runs(tmp_path):
     paths = run_toy_pipeline(tmp_path / "run")
     second = tmp_path / "run" / "threshold-decisions.jsonl"

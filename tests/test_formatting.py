@@ -187,6 +187,14 @@ def test_context_window_centering():
     assert out == ["t8", "t9", "t10", "t11"]
 
 
+def test_context_window_inside_wide_mention():
+    tokens = tuple(f"t{i}" for i in range(20))
+    # an odd surplus drops one more token on the right, as ties lean left
+    assert context_window(tokens, Span(2, 8), 4) == ["t3", "t4", "t5", "t6"]
+    assert context_window(tokens, Span(2, 7), 4) == ["t3", "t4", "t5", "t6"]
+    assert context_window(tokens, Span(0, 19), 1) == ["t9"]
+
+
 def test_format_query_dispatch(invasion_tagged):
     assert format_query(invasion_tagged, "blink", 300) == format_blink(invasion_tagged.base, 300)
     assert format_query(invasion_tagged, "args", 300) == format_arguments(invasion_tagged, 300)
