@@ -211,7 +211,8 @@ def cmd_retrieve(args) -> None:
 
 def cmd_neg_gen(args) -> None:
     generated = args.style != "prune"
-    inputs, kb, tagged, index, encoder = _stack(args, kb=generated, dense=generated)
+    # the KB is read for the manifest: paired candidate ids name its entries
+    inputs, _, tagged, index, encoder = _stack(args, kb=generated, dense=generated)
     if not generated:
         pruned, relabeled = neggen.kb_pruning_negatives(tagged, args.prune_fraction, args.seed)
         negatives = [
@@ -222,14 +223,12 @@ def cmd_neg_gen(args) -> None:
         manifest = _manifest("neg-gen", args, inputs)
         manifest["config"]["pruned_labels"] = sorted(pruned)
         artifacts.write_jsonl(args.out, (n.to_record() for n in negatives), manifest)
-        if args.labels_out:
-            artifacts.write_json(args.labels_out, {"pruned_labels": sorted(pruned)}, manifest)
         return manifest
     storyteller = args.client == "storyteller"
     client = StorytellerMock(args.client_seed) if storyteller else _scripted_client(args, inputs)
     gen_style = neggen.STYLE_ARGUMENT_AWARE if args.style == "args" else neggen.STYLE_PLAIN
     negatives, records = neggen.generate_negatives(
-        tagged, kb, index, encoder, client, gen_style, args.count,
+        tagged, index, encoder, client, gen_style, args.count,
         seed=args.seed, k=args.k, query_max_len=args.max_query_len,
     )
     manifest = _manifest("neg-gen", args, inputs)
@@ -384,7 +383,7 @@ def build_parser() -> _Parser:
             "client": dict(choices=("storyteller", "scripted"), default="storyteller"),
             "client-seed": of(int, 0), "responses": path, "log": path,
             "k": of(int, bi.k), "max-query-len": of(int, bi.max_query_len),
-            "prune-fraction": of(float, 0.1), "labels-out": path,
+            "prune-fraction": of(float, 0.1),
         }),
         "train-cross": (cmd_train_cross, {
             **trainer(cross), **dense, "negatives": path, "k": of(int, cross.k),

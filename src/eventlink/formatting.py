@@ -2,11 +2,16 @@
 
 Three query-side input formats share one truncation discipline:
 
-* ``format_blink``: mention wrapped in ``[M_s]``/``[M_e]``.
+* ``blink``: mention wrapped in ``[M_s]``/``[M_e]``; this is
+  ``format_arguments`` on the query without its arguments.
 * ``format_evelink``: the mention-marked sequence, then ``[SEP]``, then one
   ``[type_s] entity [type_e]`` group per named-entity annotation.
 * ``format_arguments``: mention markers plus inline ``[role_s] ... [role_e]``
   groups around every tagged argument span.
+
+All of them, and the tagged passages of negative-generation prompts,
+insert their markers with one walk, ``marked_sequence``, which takes the
+marker spelling from its caller.
 
 Truncation always keeps the marked mention. The window is centered on the
 mention with ties biased so the mention sits right of center (the extra
@@ -24,8 +29,7 @@ assumed not to contain tokens of that shape.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .extraction import Argument, EventQuery, NamedEntityAnnotation, Span, TaggedQuery
 
@@ -38,41 +42,34 @@ def slug(name: str) -> str:
     return cleaned or "X"
 
 
-@dataclass(frozen=True)
-class MarkerVocabulary:
-    """The atomic marker tokens used by all query-side formats.
+MENTION_START = "[M_s]"
+MENTION_END = "[M_e]"
+SEP = "[SEP]"
 
-    Role and entity-type markers are derived deterministically from the
-    role or type string, so equal strings always yield equal markers.
+
+def group_markers(name: str) -> tuple[str, str]:
+    """The ``[name_s]``/``[name_e]`` pair around a role or entity-type group.
+
+    Derived from the name alone, so equal names always yield equal markers.
     """
-
-    mention_start: str = "[M_s]"
-    mention_end: str = "[M_e]"
-    sep: str = "[SEP]"
-
-    def role_markers(self, role: str) -> tuple[str, str]:
-        tag = slug(role)
-        return f"[{tag}_s]", f"[{tag}_e]"
-
-    def type_markers(self, entity_type: str) -> tuple[str, str]:
-        tag = slug(entity_type)
-        return f"[{tag}_s]", f"[{tag}_e]"
-
-    def is_marker(self, token: str) -> bool:
-        return bool(_MARKER_RE.match(token))
+    tag = slug(name)
+    return f"[{tag}_s]", f"[{tag}_e]"
 
 
-DEFAULT_MARKERS = MarkerVocabulary()
-
-
-def _marked_sequence(
-    query: EventQuery, arguments: Sequence[Argument] = ()
+def marked_sequence(
+    query: EventQuery,
+    arguments: Sequence[Argument],
+    mention: tuple[str, str],
+    role: Callable[[str], tuple[str, str]],
 ) -> tuple[list[str], tuple[int, int], list[tuple[int, int]]]:
-    """Insert mention and argument markers around the raw tokens.
+    """Insert the ``mention`` marker pair and each argument's ``role(name)`` pair.
 
-    Returns the marked tokens, the extent of the marked mention block, and
-    the extents of each argument group, all as inclusive index pairs into
-    the marked sequence.
+    The one walk behind every marked serialization: the query formats
+    spell markers as ``[M_s]`` and ``[Role_s]`` tokens, negative-generation
+    prompts as ``<mention>`` and ``<Role>`` tags. Returns the marked
+    tokens, the extent of the marked mention block, and the extents of
+    each argument group, all as inclusive index pairs into the marked
+    sequence.
     """
     starts: dict[int, Argument] = {a.span.start: a for a in arguments}
     ends: dict[int, Argument] = {a.span.end: a for a in arguments}
@@ -82,17 +79,17 @@ def _marked_sequence(
     for i, token in enumerate(query.tokens):
         if i == query.mention.start:
             mention_block[0] = len(out)
-            out.append(DEFAULT_MARKERS.mention_start)
+            out.append(mention[0])
         if i in starts:
             groups[starts[i].span.start] = [len(out), -1]
-            out.append(DEFAULT_MARKERS.role_markers(starts[i].role)[0])
+            out.append(role(starts[i].role)[0])
         out.append(token)
         if i in ends:
             groups[ends[i].span.start][1] = len(out)
-            out.append(DEFAULT_MARKERS.role_markers(ends[i].role)[1])
+            out.append(role(ends[i].role)[1])
         if i == query.mention.end:
             mention_block[1] = len(out)
-            out.append(DEFAULT_MARKERS.mention_end)
+            out.append(mention[1])
     extents = [tuple(v) for _, v in sorted(groups.items())]
     return out, (mention_block[0], mention_block[1]), extents
 
@@ -162,20 +159,6 @@ def _align_to_groups(
     return start, end
 
 
-def format_blink(query: EventQuery, max_len: int) -> list[str]:
-    """Mention-marked token sequence, windowed to ``max_len``."""
-    mention_size = len(query.mention) + 2
-    if max_len < mention_size:
-        raise ValueError(
-            f"max_len {max_len} cannot hold the marked mention ({mention_size} tokens)"
-        )
-    marked, block, _ = _marked_sequence(query)
-    if len(marked) <= max_len:
-        return marked
-    start, end = _centered_window(len(marked), block, max_len)
-    return marked[start : end + 1]
-
-
 def format_evelink(
     query: EventQuery,
     entities: Sequence[NamedEntityAnnotation],
@@ -190,10 +173,10 @@ def format_evelink(
     for entity in entities:
         if not entity.span.within(len(query.tokens)):
             raise ValueError(f"entity span {entity.span} outside query tokens")
-    marked, block, _ = _marked_sequence(query)
+    marked, block, _ = marked_sequence(query, (), (MENTION_START, MENTION_END), group_markers)
     group_tokens: list[list[str]] = []
     for entity in entities:
-        ts, te = DEFAULT_MARKERS.type_markers(entity.entity_type)
+        ts, te = group_markers(entity.entity_type)
         surface = list(query.tokens[entity.span.start : entity.span.end + 1])
         group_tokens.append([ts, *surface, te])
     kept = list(group_tokens)
@@ -206,7 +189,7 @@ def format_evelink(
         start, end = _centered_window(len(marked), block, max_len - 1)
         base = marked[start : end + 1]
     out = list(base)
-    out.append(DEFAULT_MARKERS.sep)
+    out.append(SEP)
     for group in kept:
         out.extend(group)
     return out
@@ -215,14 +198,17 @@ def format_evelink(
 def format_arguments(tagged: TaggedQuery, max_len: int) -> list[str]:
     """Inline role-tagged serialization, windowed without splitting groups.
 
-    With zero arguments this is exactly ``format_blink`` on the base query.
+    With zero arguments this is the ``blink`` style: the mention-marked
+    token sequence, windowed to ``max_len``.
     """
     mention_size = len(tagged.base.mention) + 2
     if max_len < mention_size:
         raise ValueError(
             f"max_len {max_len} cannot hold the marked mention ({mention_size} tokens)"
         )
-    marked, block, groups = _marked_sequence(tagged.base, tagged.arguments)
+    marked, block, groups = marked_sequence(
+        tagged.base, tagged.arguments, (MENTION_START, MENTION_END), group_markers
+    )
     if len(marked) <= max_len:
         return marked
     start, end = _centered_window(len(marked), block, max_len)
@@ -232,7 +218,7 @@ def format_arguments(tagged: TaggedQuery, max_len: int) -> list[str]:
 
 def strip_markers(tokens: Sequence[str]) -> list[str]:
     """Remove every marker token, leaving the surface tokens."""
-    return [t for t in tokens if not DEFAULT_MARKERS.is_marker(t)]
+    return [t for t in tokens if not _MARKER_RE.match(t)]
 
 
 FORMAT_STYLES = ("blink", "evelink", "args")
@@ -241,7 +227,7 @@ FORMAT_STYLES = ("blink", "evelink", "args")
 def format_query(tagged: TaggedQuery, style: str, max_len: int) -> list[str]:
     """Dispatch on the format style name used by files and the CLI."""
     if style == "blink":
-        return format_blink(tagged.base, max_len)
+        return format_arguments(TaggedQuery(tagged.base), max_len)
     if style == "evelink":
         return format_evelink(tagged.base, tagged.base.entities, max_len)
     if style == "args":

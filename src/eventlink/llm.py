@@ -2,8 +2,10 @@
 
 No vendor client is baked in. Pipelines take any object with a
 ``complete(prompt) -> str`` method; tests and desk-scale runs use the
-deterministic clients here. Callers that issue requests concurrently must
-bound in-flight calls themselves; the shipped clients are synchronous.
+deterministic clients here. Pipelines send every request through
+``complete(client, prompt)``, the one place that retries a transport
+failure. Callers that issue requests concurrently must bound in-flight
+calls themselves; the shipped clients are synchronous.
 """
 
 from __future__ import annotations
@@ -28,6 +30,21 @@ class LLMTransportError(RuntimeError):
 @runtime_checkable
 class TextCompletionClient(Protocol):
     def complete(self, prompt: str) -> str: ...
+
+
+def complete(client: TextCompletionClient, prompt: str) -> tuple[str | None, str | None]:
+    """Send ``prompt``, retrying an LLMTransportError up to ``TRANSPORT_RETRIES`` times.
+
+    Returns ``(completion, None)`` on success, or ``(None, message)`` with
+    the message of the last failure when every attempt failed.
+    """
+    failure = None
+    for _ in range(TRANSPORT_RETRIES + 1):
+        try:
+            return client.complete(prompt), None
+        except LLMTransportError as exc:
+            failure = str(exc)
+    return None, failure
 
 
 class ScriptedClient:

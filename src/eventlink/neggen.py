@@ -10,7 +10,10 @@ when the candidate pool looks plausible. A KB-pruning baseline instead
 relabels training queries whose gold label was pruned.
 
 Prompt templates are versioned text files filled by placeholder
-substitution; every generation attempt is logged as a GenerationRecord.
+substitution. A prompt's tagged passage is written by
+``formatting.marked_sequence`` with ``<mention>`` and ``<Role>`` tags, and
+each prompt is sent through ``llm.complete``, which retries transport
+failures; every generation attempt is logged as a GenerationRecord.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import numpy as np
 from .encoders import EncoderAdapter
 from .extraction import Argument, EventQuery, Span, TaggedQuery, tagged_from_record
 from .extraction import tagged_to_record
-from .formatting import format_arguments, slug
-from .kb import NIL, KnowledgeBase
-from .llm import TRANSPORT_RETRIES, LLMTransportError, TextCompletionClient, prompt_file
+from .formatting import format_arguments, marked_sequence, slug
+from .kb import NIL
+from .llm import TextCompletionClient, complete, prompt_file
 from .retrieval import DenseIndex, retrieve
 
 STYLE_ARGUMENT_AWARE = "argument_aware"
@@ -179,27 +182,18 @@ def sample_filter(pool: Sequence[TaggedQuery]) -> list[TaggedQuery]:
     ]
 
 
+def _role_tags(role: str) -> tuple[str, str]:
+    tag = slug(role)
+    return f"<{tag}>", f"</{tag}>"
+
+
 def tagged_passage(tagged: TaggedQuery, include_roles: bool) -> str:
     """Serialize a query as prose with mention (and optionally role) tags."""
-    opens: dict[int, str] = {}
-    closes: dict[int, str] = {}
-    if include_roles:
-        for arg in tagged.arguments:
-            tag = slug(arg.role)
-            opens[arg.span.start] = f"<{tag}>"
-            closes[arg.span.end] = f"</{tag}>"
-    pieces: list[str] = []
-    for i, token in enumerate(tagged.base.tokens):
-        if i == tagged.base.mention.start:
-            pieces.append(MENTION_OPEN)
-        if i in opens:
-            pieces.append(opens[i])
-        pieces.append(token)
-        if i in closes:
-            pieces.append(closes[i])
-        if i == tagged.base.mention.end:
-            pieces.append(MENTION_CLOSE)
-    return " ".join(pieces)
+    arguments = tagged.arguments if include_roles else ()
+    tokens, _, _ = marked_sequence(
+        tagged.base, arguments, (MENTION_OPEN, MENTION_CLOSE), _role_tags
+    )
+    return " ".join(tokens)
 
 
 def strip_role_tags(passage: str) -> str:
@@ -249,16 +243,9 @@ def render_exemplar(exemplar: Exemplar, style: str) -> str:
     raise ValueError(f"unknown generation style {style!r}")
 
 
-def build_prompt(
-    query: TaggedQuery,
-    style: str,
-    shots: Sequence[Exemplar] | None = None,
-) -> str:
+def build_prompt(query: TaggedQuery, style: str) -> str:
     """Fill the generation template for one query, byte-exactly."""
-    if shots is None:
-        shots = default_exemplars()
-    if len(shots) != 2:
-        raise ValueError("exactly two exemplars are required")
+    shots = default_exemplars()
     template = negative_prompt_template(style)
     filled = template.replace("{Example 1}", render_exemplar(shots[0], style), 1)
     filled = filled.replace("{Example 2}", render_exemplar(shots[1], style), 1)
@@ -374,7 +361,6 @@ def passage_to_tagged(passage: str, origin: TaggedQuery, query_id: str) -> Tagge
 
 def generate_negatives(
     pool: Sequence[TaggedQuery],
-    kb: KnowledgeBase,
     index: DenseIndex,
     encoder: EncoderAdapter,
     client: TextCompletionClient,
@@ -382,10 +368,8 @@ def generate_negatives(
     count: int,
     *,
     seed: int = 0,
-    shots: Sequence[Exemplar] | None = None,
     k: int = 10,
     query_max_len: int = 300,
-    retries: int = TRANSPORT_RETRIES,
 ) -> tuple[list[NegativeExample], list[GenerationRecord]]:
     """Generate up to ``count`` accepted negatives, logging every attempt.
 
@@ -406,16 +390,8 @@ def generate_negatives(
             break
         origin = filtered[position]
         origin_id = origin.base.query_id
-        prompt = build_prompt(origin, style, shots)
-        completion: str | None = None
-        failure: str | None = None
-        for _ in range(retries + 1):
-            try:
-                completion = client.complete(prompt)
-                failure = None
-                break
-            except LLMTransportError as exc:
-                failure = str(exc)
+        prompt = build_prompt(origin, style)
+        completion, failure = complete(client, prompt)
         if completion is None:
             records.append(
                 GenerationRecord(origin_id, style, prompt, None, "skipped", reason=failure)

@@ -27,7 +27,7 @@ import numpy as np
 from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, checkpoint_array
 from .encoders import load_checkpoint, save_encoder
 from .kb import NIL, KBEntry, KBError, KnowledgeBase, candidate_text, tokenize
-from .llm import TRANSPORT_RETRIES, LLMTransportError, TextCompletionClient, prompt_file
+from .llm import TextCompletionClient, complete, prompt_file
 from .retrieval import CandidateSet
 
 NIL_PSEUDO_TOKEN = "[NIL]"
@@ -312,22 +312,18 @@ def llm_rerank(
 ) -> LinkDecision:
     """Prompt-based re-ranking baseline; the top-ranked title wins.
 
-    A transport failure is retried up to ``TRANSPORT_RETRIES`` times, as in
-    negative generation. When every attempt fails, and when a completion
-    is malformed, the decision falls back to NIL with a note
-    (``transport_failure: …`` or ``parse_failure: …``).
+    The request goes through ``llm.complete``, which retries a transport
+    failure as it does for negative generation. When every attempt fails,
+    and when a completion is malformed, the decision falls back to NIL
+    with a note (``transport_failure: …`` or ``parse_failure: …``).
     """
     passage = " ".join(query_tokens)
     prompt = build_rerank_prompt(passage, candidates, kb, allow_nil)
-    prediction, note = NIL, None
-    for _ in range(TRANSPORT_RETRIES + 1):
-        try:
-            completion = client.complete(prompt)
-        except LLMTransportError as exc:
-            note = f"transport_failure: {exc}"
-            continue
+    completion, failure = complete(client, prompt)
+    if completion is None:
+        prediction, note = NIL, f"transport_failure: {failure}"
+    else:
         prediction, note = parse_rerank_completion(completion, candidates, kb, allow_nil)
-        break
     return LinkDecision(
         query_id=candidates.query_id,
         prediction=prediction,

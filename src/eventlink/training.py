@@ -21,7 +21,6 @@ differences can audit them directly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -51,17 +50,12 @@ class TrainConfig:
     max_candidate_len: int
     seed: int = 0
     k: int = 10
-    # cap on negatives per positive when subsampling is requested; None
-    # uses every provided negative (full-scale runs used roughly 0.1)
-    negative_ratio: float | None = None
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("learning rate, batch size, and epochs must be positive")
         if self.max_query_len <= 0 or self.max_candidate_len <= 0 or self.k <= 0:
             raise ValueError("lengths and k must be positive")
-        if self.negative_ratio is not None and self.negative_ratio <= 0:
-            raise ValueError("negative_ratio must be positive when set")
 
     @classmethod
     def biencoder_defaults(cls, **overrides) -> "TrainConfig":
@@ -379,17 +373,9 @@ def train_crossencoder(
     """Train the cross scorer on interleaved in-KB and out-of-KB rows.
 
     The example order is canonicalized before the seeded shuffle, so it
-    depends only on cfg.seed, never on insertion order. When
-    cfg.negative_ratio is set, negatives are deterministically subsampled
-    to at most ratio * len(positives).
+    depends only on cfg.seed, never on insertion order.
     """
     negatives = sorted(negatives, key=lambda n: n.generated.base.query_id)
-    if cfg.negative_ratio is not None:
-        cap = math.ceil(cfg.negative_ratio * len(positives))
-        if len(negatives) > cap:
-            rng = np.random.default_rng(cfg.seed)
-            keep = sorted(rng.choice(len(negatives), size=cap, replace=False))
-            negatives = [negatives[i] for i in keep]
     rows = list(positives) + negative_examples(negatives, style, cfg.max_query_len)
     if not rows:
         raise ValueError("no training examples")

@@ -24,7 +24,7 @@ from eventlink.extraction import (
     TaggedQuery,
     resolve_overlaps,
 )
-from eventlink.formatting import format_arguments, format_blink, format_query, strip_markers
+from eventlink.formatting import format_arguments, format_query, strip_markers
 from eventlink.kb import NIL, KBEntry, KnowledgeBase
 from eventlink.neggen import (
     STYLE_ARGUMENT_AWARE,
@@ -96,7 +96,7 @@ def stack():
 
     t1 = time.monotonic()
     negatives, records = generate_negatives(
-        data.train, data.kb, index, encoder, StorytellerMock(seed=0),
+        data.train, index, encoder, StorytellerMock(seed=0),
         STYLE_ARGUMENT_AWARE, 80, seed=SEED,
     )
     assert len(negatives) == 80 and all(r.status == "accepted" for r in records)
@@ -271,7 +271,7 @@ def test_criterion_04_formatting_goldens_and_round_trip():
                 NamedEntityAnnotation(Span(e["start"], e["end"]), e["entity_type"])
                 for e in case["entities"]
             ]
-            assert format_blink(base, case["max_len"]) == case["blink"]
+            assert format_query(TaggedQuery(base), "blink", case["max_len"]) == case["blink"]
             assert format_evelink(base, entities, case["max_len"]) == case["evelink"]
             assert format_arguments(tagged, case["max_len"]) == case["args"]
             if not case["arguments"]:

@@ -325,19 +325,63 @@ def test_neg_gen_prune_style(toy_inputs, tmp_path):
     main(["tag", "--in", toy_inputs["train"], "--out", str(tagged),
           "--extractor", "rule", "--lexicon", toy_inputs["lexicon"]])
     out = tmp_path / "pruned.jsonl"
-    labels_out = tmp_path / "labels.json"
     assert main(
         ["neg-gen", "--queries", str(tagged), "--style", "prune",
-         "--prune-fraction", "0.1", "--seed", "3", "--out", str(out),
-         "--labels-out", str(labels_out)]
+         "--prune-fraction", "0.1", "--seed", "3", "--out", str(out)]
     ) == 0
     manifest, records = read_manifest(out), read_records(out, dict)
     pruned = set(manifest["config"]["pruned_labels"])
     assert len(pruned) == 1  # ceil(0.1 * 10 unique labels)
     assert all(r["provenance"] == "kb_pruning" for r in records)
     assert all(r["generated"]["gold"] == "NIL" for r in records)
-    _, labels_doc = read_json(labels_out)
-    assert set(labels_doc["pruned_labels"]) == pruned
+    assert {r["origin_query_id"] for r in records} == {
+        q["query_id"] for q in read_records(tagged, dict) if q["gold"] in pruned
+    }
+
+
+def _neg_gen_train(stack, toy_inputs, tmp_path, *extra):
+    """Run neg-gen on the tagged toy training queries; return the negatives and log paths."""
+    tagged = tmp_path / "tagged.jsonl"
+    assert main(["tag", "--in", toy_inputs["train"], "--out", str(tagged),
+                 "--extractor", "rule", "--lexicon", toy_inputs["lexicon"]]) == 0
+    out, log = tmp_path / "negs.jsonl", tmp_path / "genlog.jsonl"
+    code = main(["neg-gen", "--queries", str(tagged), "--kb", stack["kb.jsonl"],
+                 "--index", stack["index.json"], "--encoder", stack["encoder.json"],
+                 "--seed", "1", "--k", "4", "--out", str(out), "--log", str(log), *extra])
+    assert code == 0
+    return out, log
+
+
+def test_neg_gen_plain_style(dense_stack, toy_inputs, tmp_path):
+    out, log = _neg_gen_train(dense_stack, toy_inputs, tmp_path, "--style", "plain",
+                              "--count", "3")
+    negatives, records = read_records(out, dict), read_records(log, dict)
+    assert read_manifest(out)["config"]["style"] == "plain"
+    assert len(negatives) == 3
+    for negative in negatives:
+        assert negative["provenance"] == "non_argument_aware"
+        assert negative["generated"]["gold"] == "NIL"
+        assert negative["generated"]["arguments"] == []
+        assert len(negative["paired_candidate_ids"]) == 4
+    assert [r["status"] for r in records] == ["accepted"] * 3
+    assert all("<mention>" in r["passage_after_polish"] for r in records)
+    assert all(r["plan_edit"] is None for r in records)
+
+
+def test_neg_gen_scripted_client_running_dry_skips_the_rest(dense_stack, toy_inputs, tmp_path):
+    responses = tmp_path / "responses.jsonl"
+    write_jsonl(responses, [{"completion": "New passage: a fleet <mention> sank </mention> ."}])
+    out, log = _neg_gen_train(dense_stack, toy_inputs, tmp_path, "--style", "plain",
+                              "--count", "3", "--client", "scripted",
+                              "--responses", str(responses))
+    negatives, records = read_records(out, dict), read_records(log, dict)
+    accepted = [r for r in records if r["status"] == "accepted"]
+    skipped = [r for r in records if r["status"] == "skipped"]
+    assert len(accepted) == 1 and len(skipped) == len(records) - 1 >= 2
+    assert all(r["reason"] == "scripted client has no completions left" for r in skipped)
+    assert all(r["completion"] is None for r in skipped)
+    assert [n["origin_query_id"] for n in negatives] == [accepted[0]["origin_query_id"]]
+    assert negatives[0]["generated"]["tokens"] == ["a", "fleet", "sank", "."]
 
 
 def test_llm_link_rule_with_scripted_responses(tmp_path):

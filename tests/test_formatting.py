@@ -14,12 +14,11 @@ from eventlink.extraction import (
     resolve_overlaps,
 )
 from eventlink.formatting import (
-    DEFAULT_MARKERS,
     context_window,
     format_arguments,
-    format_blink,
     format_evelink,
     format_query,
+    group_markers,
     strip_markers,
 )
 
@@ -30,16 +29,20 @@ def q(tokens, mention, **kw):
     return EventQuery("q", tuple(tokens.split()), mention, **kw)
 
 
-# --- format_blink ------------------------------------------------------------
+def blink(query, max_len):
+    return format_query(TaggedQuery(query), "blink", max_len)
+
+
+# --- blink -------------------------------------------------------------------
 
 def test_blink_basic():
     query = q("Germany invaded Poland", Span(1, 1))
-    assert format_blink(query, 300) == ["Germany", "[M_s]", "invaded", "[M_e]", "Poland"]
+    assert blink(query, 300) == ["Germany", "[M_s]", "invaded", "[M_e]", "Poland"]
 
 
 def test_blink_boundary_mention():
     query = q("Germany invaded Poland", Span(0, 0))
-    assert format_blink(query, 300) == ["[M_s]", "Germany", "[M_e]", "invaded", "Poland"]
+    assert blink(query, 300) == ["[M_s]", "Germany", "[M_e]", "invaded", "Poland"]
 
 
 def test_blink_window_tie_is_left_heavy():
@@ -48,7 +51,7 @@ def test_blink_window_tie_is_left_heavy():
     query = q("Germany invaded Poland", Span(1, 1))
     marked = ["Germany", "[M_s]", "invaded", "[M_e]", "Poland"]
     valid = [marked[s : s + 4] for s in (0, 1)]
-    out = format_blink(query, 4)
+    out = blink(query, 4)
     assert out in valid
     assert out == ["Germany", "[M_s]", "invaded", "[M_e]"]
 
@@ -56,14 +59,14 @@ def test_blink_window_tie_is_left_heavy():
 def test_blink_budget_too_small_for_mention():
     query = q("a b c", Span(0, 1))
     with pytest.raises(ValueError):
-        format_blink(query, 3)
+        blink(query, 3)
 
 
 def test_blink_window_clamps_at_edges():
     query = q("a b c d e f", Span(0, 0))
-    assert format_blink(query, 4) == ["[M_s]", "a", "[M_e]", "b"]
+    assert blink(query, 4) == ["[M_s]", "a", "[M_e]", "b"]
     query = q("a b c d e f", Span(5, 5))
-    assert format_blink(query, 4) == ["e", "[M_s]", "f", "[M_e]"]
+    assert blink(query, 4) == ["e", "[M_s]", "f", "[M_e]"]
 
 
 # --- format_evelink ----------------------------------------------------------
@@ -79,7 +82,7 @@ def test_evelink_basic():
 
 def test_evelink_zero_entities():
     query = q("Germany invaded Poland", Span(1, 1))
-    assert format_evelink(query, [], 300) == format_blink(query, 300) + ["[SEP]"]
+    assert format_evelink(query, [], 300) == blink(query, 300) + ["[SEP]"]
 
 
 def test_evelink_budget_allows_one_entity():
@@ -124,10 +127,12 @@ def test_arguments_inline_serialization(invasion_tagged):
     ]
 
 
-def test_arguments_zero_args_equals_blink(invasion_query):
-    tagged = TaggedQuery(invasion_query, "Attack", ())
+def test_arguments_zero_args_equals_blink(invasion_tagged):
+    # the blink style ignores the arguments of a tagged query
+    untagged = TaggedQuery(invasion_tagged.base, "Attack", ())
     for max_len in (4, 5, 7, 300):
-        assert format_arguments(tagged, max_len) == format_blink(invasion_query, max_len)
+        blink_out = format_query(invasion_tagged, "blink", max_len)
+        assert format_arguments(untagged, max_len) == blink_out
 
 
 def _two_group_query():
@@ -196,7 +201,9 @@ def test_context_window_inside_wide_mention():
 
 
 def test_format_query_dispatch(invasion_tagged):
-    assert format_query(invasion_tagged, "blink", 300) == format_blink(invasion_tagged.base, 300)
+    assert format_query(invasion_tagged, "blink", 300) == format_arguments(
+        TaggedQuery(invasion_tagged.base), 300
+    )
     assert format_query(invasion_tagged, "args", 300) == format_arguments(invasion_tagged, 300)
     with pytest.raises(ValueError, match="style"):
         format_query(invasion_tagged, "nope", 300)
@@ -225,7 +232,7 @@ def test_formatting_golden_fixture():
             for e in case["entities"]
         ]
         max_len = case["max_len"]
-        assert format_blink(base, max_len) == case["blink"], case["query_id"]
+        assert blink(base, max_len) == case["blink"], case["query_id"]
         assert format_evelink(base, entities, max_len) == case["evelink"], case["query_id"]
         assert format_arguments(tagged, max_len) == case["args"], case["query_id"]
 
@@ -265,7 +272,7 @@ def _is_contiguous_window(window, tokens):
 @settings(max_examples=200)
 def test_property_marked_formats(case):
     tagged, max_len = case
-    for out in (format_blink(tagged.base, max_len), format_arguments(tagged, max_len)):
+    for out in (blink(tagged.base, max_len), format_arguments(tagged, max_len)):
         assert len(out) <= max_len
         assert out.count("[M_s]") == 1 and out.count("[M_e]") == 1
         assert out.index("[M_s]") < out.index("[M_e]")
@@ -273,5 +280,5 @@ def test_property_marked_formats(case):
         assert _is_contiguous_window(stripped, tagged.base.tokens)
     out = format_arguments(tagged, max_len)
     for arg in tagged.arguments:
-        start, end = DEFAULT_MARKERS.role_markers(arg.role)
+        start, end = group_markers(arg.role)
         assert (start in out) == (end in out)

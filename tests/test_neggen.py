@@ -1,9 +1,12 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from eventlink.encoders import TinyEncoder
 from eventlink.extraction import Argument, EventQuery, Span, TaggedQuery
 from eventlink.kb import NIL
-from eventlink.llm import LLMTransportError
+from eventlink.llm import TRANSPORT_RETRIES, LLMTransportError, ScriptedClient
 from eventlink.neggen import (
     STYLE_ARGUMENT_AWARE,
     STYLE_PLAIN,
@@ -158,7 +161,7 @@ def toy_stack():
 def test_generate_negatives_pipeline(toy_stack):
     data, encoder, index = toy_stack
     negatives, records = generate_negatives(
-        data.train, data.kb, index, encoder, StorytellerMock(seed=2),
+        data.train, index, encoder, StorytellerMock(seed=2),
         STYLE_ARGUMENT_AWARE, 12, seed=3,
     )
     assert len(negatives) == 12
@@ -175,7 +178,7 @@ def test_generate_negatives_pipeline(toy_stack):
 def test_generate_negatives_origin_pairing_may_contain_gold(toy_stack):
     data, encoder, index = toy_stack
     negatives, _ = generate_negatives(
-        data.train, data.kb, index, encoder, StorytellerMock(seed=2),
+        data.train, index, encoder, StorytellerMock(seed=2),
         STYLE_ARGUMENT_AWARE, 20, seed=3,
     )
     by_id = {q.base.query_id: q for q in data.train}
@@ -188,11 +191,11 @@ def test_generate_negatives_origin_pairing_may_contain_gold(toy_stack):
 def test_generate_negatives_reproducible(toy_stack):
     data, encoder, index = toy_stack
     first, first_records = generate_negatives(
-        data.train, data.kb, index, encoder, StorytellerMock(seed=2),
+        data.train, index, encoder, StorytellerMock(seed=2),
         STYLE_ARGUMENT_AWARE, 8, seed=9,
     )
     second, second_records = generate_negatives(
-        data.train, data.kb, index, encoder, StorytellerMock(seed=2),
+        data.train, index, encoder, StorytellerMock(seed=2),
         STYLE_ARGUMENT_AWARE, 8, seed=9,
     )
     assert [n.to_record() for n in first] == [n.to_record() for n in second]
@@ -210,7 +213,7 @@ class _TagDropper:
 def test_generate_negatives_all_rejected(toy_stack):
     data, encoder, index = toy_stack
     negatives, records = generate_negatives(
-        data.train, data.kb, index, encoder, _TagDropper(), STYLE_ARGUMENT_AWARE, 5, seed=1,
+        data.train, index, encoder, _TagDropper(), STYLE_ARGUMENT_AWARE, 5, seed=1,
     )
     assert negatives == []
     assert records and all(r.status == "rejected" for r in records)
@@ -230,22 +233,66 @@ def test_generate_negatives_transport_failures_logged(toy_stack):
     data, encoder, index = toy_stack
     client = _FlakyClient()
     negatives, records = generate_negatives(
-        data.train, data.kb, index, encoder, client, STYLE_PLAIN, 3, seed=1, retries=2,
+        data.train, index, encoder, client, STYLE_PLAIN, 3, seed=1,
     )
     assert negatives == []
     assert all(r.status == "skipped" for r in records)
-    assert client.calls == len(records) * 3
+    assert all(r.reason == "connection reset" for r in records)
+    assert client.calls == len(records) * (TRANSPORT_RETRIES + 1)
 
 
 def test_plain_style_negatives_have_no_arguments(toy_stack):
     data, encoder, index = toy_stack
     negatives, _ = generate_negatives(
-        data.train, data.kb, index, encoder, StorytellerMock(seed=2), STYLE_PLAIN, 4, seed=3,
+        data.train, index, encoder, StorytellerMock(seed=2), STYLE_PLAIN, 4, seed=3,
     )
     assert len(negatives) == 4
     for negative in negatives:
         assert negative.generated.arguments == ()
         assert negative.provenance == STYLE_PLAIN
+
+
+# Written by the code that preceded the shared marker walk and retry loop.
+_GOLDEN = Path(__file__).parent / "data" / "neggen_golden.jsonl"
+
+_SCRIPTED_ACCEPTED = (
+    "Plan 1: swap the details.\n"
+    "Following Plan 1, we can generate this passage after Step 1: "
+    "<A> Xan </A> <mention> clashed </mention> <B> Yor </B> .\n"
+    "Plan 2: polish.\n"
+    "Following Plan 2, we can generate this passage after Step 2: "
+    "<A> Xan </A> <mention> clashed </mention> <B> Yorland </B> ."
+)
+_SCRIPTED_NESTED = _SCRIPTED_ACCEPTED.replace(
+    "<A> Xan </A> <mention> clashed </mention> <B> Yorland </B>",
+    "<A> Xan <B> Yorland </B> </A> <mention> clashed </mention>",
+)
+
+
+def test_generation_matches_golden_file_byte_for_byte():
+    # both styles from the storyteller, then a script with one accepted and
+    # one malformed completion that runs dry, so every log status is pinned
+    data = build_toy_data(n_entries=20, n_train=10, n_test=2, seed=11)
+    encoder = TinyEncoder(build_vocab(data.kb, data.train), 32, seed=1)
+    index = build_index(data.kb, encoder, 300)
+    cases = [
+        ("storyteller-" + STYLE_ARGUMENT_AWARE, StorytellerMock(seed=2), STYLE_ARGUMENT_AWARE),
+        ("storyteller-" + STYLE_PLAIN, StorytellerMock(seed=2), STYLE_PLAIN),
+        ("scripted-" + STYLE_ARGUMENT_AWARE,
+         ScriptedClient([_SCRIPTED_ACCEPTED, _SCRIPTED_NESTED]), STYLE_ARGUMENT_AWARE),
+    ]
+    lines, statuses = [], set()
+    for name, client, style in cases:
+        negatives, records = generate_negatives(
+            data.train, index, encoder, client, style, 3, seed=3
+        )
+        lines += [json.dumps({"case": name, "negative": n.to_record()}, sort_keys=True)
+                  for n in negatives]
+        lines += [json.dumps({"case": name, "log": r.to_record()}, sort_keys=True)
+                  for r in records]
+        statuses.update(r.status for r in records)
+    assert statuses == {"accepted", "rejected", "skipped"}
+    assert ("\n".join(lines) + "\n").encode("utf-8") == _GOLDEN.read_bytes()
 
 
 def test_negative_example_invariants(invasion_tagged):

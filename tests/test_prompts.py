@@ -132,11 +132,6 @@ def test_build_prompt_requires_event_type(fixture_tagged):
         build_prompt(untyped, STYLE_ARGUMENT_AWARE)
 
 
-def test_build_prompt_requires_two_shots(fixture_tagged):
-    with pytest.raises(ValueError, match="two exemplars"):
-        build_prompt(fixture_tagged, STYLE_PLAIN, shots=default_exemplars()[:1])
-
-
 def test_rerank_prompt_byte_exact(kb10):
     cands = CandidateSet(
         "fix-1", tuple(f"E{i}" for i in range(10)), tuple(float(10 - i) for i in range(10))

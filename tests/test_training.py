@@ -317,7 +317,7 @@ def test_positive_examples_missing_gold_is_error(mined_stack):
 
 def _negatives(data, encoder, index, count, seed=3):
     negatives, _ = generate_negatives(
-        data.train, data.kb, index, encoder, StorytellerMock(seed=0),
+        data.train, index, encoder, StorytellerMock(seed=0),
         STYLE_ARGUMENT_AWARE, count, seed=seed,
     )
     return negatives
@@ -380,23 +380,21 @@ def test_train_config_validation():
         TrainConfig.biencoder_defaults(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig.crossencoder_defaults(epochs=-1)
-    with pytest.raises(ValueError):
-        TrainConfig.crossencoder_defaults(negative_ratio=0.0)
 
 
-def test_negative_ratio_subsamples_deterministically(mined_stack):
+def test_cross_training_ignores_negative_order(mined_stack):
     data, encoder, index = mined_stack
     mined = mine_candidates(data.train, index, encoder, k=5)
     positives = positive_examples(data.train, mined, "args", 256)
     negatives = _negatives(data, encoder, index, 12)
     cfg = TrainConfig.crossencoder_defaults(
-        learning_rate=0.1, batch_size=4, epochs=1, seed=7, k=5, negative_ratio=0.1,
+        learning_rate=0.1, batch_size=4, epochs=1, seed=7, k=5,
     )
     vocab = build_vocab(data.kb, data.train)
     a = TinyCrossScorer(vocab, 16, seed=7)
     train_crossencoder(positives, negatives, a, cfg, data.kb)
     b = TinyCrossScorer(vocab, 16, seed=7)
-    # subsampling is canonical: permuting the input negatives changes nothing
+    # the example order is canonical: permuting the input negatives changes nothing
     train_crossencoder(positives, list(reversed(negatives)), b, cfg, data.kb)
     for name, array in a.params().items():
         np.testing.assert_array_equal(array, b.params()[name])
