@@ -211,8 +211,9 @@ def cmd_retrieve(args) -> None:
 
 def cmd_neg_gen(args) -> None:
     generated = args.style != "prune"
-    # the KB is read for the manifest: paired candidate ids name its entries
-    inputs, _, tagged, index, encoder = _stack(args, kb=generated, dense=generated)
+    inputs, _, tagged, index, encoder = _stack(args, kb=False, dense=generated)
+    if generated:  # paired candidate ids name the KB's entries, so the manifest records it
+        inputs["kb"] = _require(args.kb, "--kb")
     if not generated:
         pruned, relabeled = neggen.kb_pruning_negatives(tagged, args.prune_fraction, args.seed)
         negatives = [
@@ -244,7 +245,13 @@ def cmd_train_cross(args) -> None:
     negatives = []
     if args.negatives:
         inputs["negatives"] = _require(args.negatives, "--negatives")
-        negatives = artifacts.read_records(args.negatives, neggen.NegativeExample.from_record)
+
+        def negative(record: dict) -> neggen.NegativeExample:
+            example = neggen.NegativeExample.from_record(record)
+            kb.entries(example.paired_candidate_ids)  # an unknown id fails naming file and line
+            return example
+
+        negatives = artifacts.read_records(args.negatives, negative)
     vocab = training.build_vocab(kb, tagged, cfg.max_query_len, args.style)
     pruned = [n for n in negatives if n.provenance == neggen.PROVENANCE_KB_PRUNING]
     generated = [n for n in negatives if n.provenance != neggen.PROVENANCE_KB_PRUNING]
@@ -259,7 +266,6 @@ def cmd_train_cross(args) -> None:
 
 def cmd_link(args) -> None:
     inputs, kb, tagged, index, encoder = _stack(args)
-    scorer = client = None
     if args.rule == "llm":
         client = _scripted_client(args, inputs)
     else:
@@ -267,19 +273,20 @@ def cmd_link(args) -> None:
         scorer = TinyCrossScorer.load(args.scorer)
     query_rows = [format_query(query, args.style, args.max_query_len) for query in tagged]
     embeddings = encoder.encode_many(query_rows)
-    decisions = []
-    for query, query_tokens, embedding in zip(tagged, query_rows, embeddings):
-        candidates = retrieve(index, embedding, args.k, query_id=query.base.query_id)
-        if client is not None:
-            decisions.append(llm_rerank(client, query_tokens, candidates, kb, args.allow_nil))
-            continue
-        scores = score_pairs(scorer, query_tokens, candidates, kb, args.max_candidate_len)
-        if args.rule == "learned":
-            decisions.append(select_learned_nil(scores, candidates))
-        else:
-            decisions.append(
-                select_threshold(scores[1:], candidates, theta=args.theta, direction=args.direction)
-            )
+    candidate_sets = [
+        retrieve(index, embedding, args.k, query_id=query.base.query_id)
+        for query, embedding in zip(tagged, embeddings)
+    ]
+    if args.rule == "llm":
+        decisions = [llm_rerank(client, query_tokens, candidates, kb, args.allow_nil)
+                     for query_tokens, candidates in zip(query_rows, candidate_sets)]
+    else:
+        score_lists = score_pairs(scorer, query_rows, candidate_sets, kb, args.max_candidate_len)
+        decisions = [
+            select_learned_nil(scores, candidates) if args.rule == "learned" else
+            select_threshold(scores[1:], candidates, theta=args.theta, direction=args.direction)
+            for scores, candidates in zip(score_lists, candidate_sets)
+        ]
     manifest = _manifest("link", args, inputs)
     artifacts.write_jsonl(args.out, (d.to_record() for d in decisions), manifest)
     return manifest

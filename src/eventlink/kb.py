@@ -76,6 +76,13 @@ class KnowledgeBase:
         """Return the entry with this id, or None. Never stores ``NIL``."""
         return self._by_id.get(entry_id)
 
+    def entries(self, ids: Iterable[str]) -> list[KBEntry]:
+        """The entry of each id, in order; an unknown id is a ``KBError``."""
+        try:
+            return [self._by_id[entry_id] for entry_id in ids]
+        except KeyError as exc:
+            raise KBError(f"candidate id {exc.args[0]!r} not found in the KB") from None
+
     def __contains__(self, entry_id: str) -> bool:
         return entry_id in self._by_id
 

@@ -10,6 +10,7 @@ calls themselves; the shipped clients are synchronous.
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from typing import Iterable, Protocol, runtime_checkable
 
@@ -18,8 +19,9 @@ from typing import Iterable, Protocol, runtime_checkable
 TRANSPORT_RETRIES = 1
 
 
+@cache
 def prompt_file(name: str) -> str:
-    """A prompt template or exemplar file shipped in ``eventlink.prompts``."""
+    """A prompt template or exemplar file shipped in ``eventlink.prompts``, read once."""
     return resources.files("eventlink.prompts").joinpath(name).read_text(encoding="utf-8")
 
 

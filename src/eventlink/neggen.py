@@ -22,6 +22,7 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -215,7 +216,9 @@ def negative_prompt_template(style: str) -> str:
     raise ValueError(f"unknown generation style {style!r}")
 
 
+@cache
 def default_exemplars() -> tuple[Exemplar, Exemplar]:
+    """The two shipped few-shot exemplars, parsed once."""
     raw = json.loads(prompt_file("exemplars.json"))
     return tuple(Exemplar(**item) for item in raw)  # type: ignore[return-value]
 

@@ -1,20 +1,18 @@
 """Second-stage re-ranking: cross-scoring with a learned out-of-KB option.
 
-A cross scorer scores all k+1 options of one query in one call:
-``score_candidates(query_tokens, entries, max_candidate_len)`` returns a
-``(k+1,)`` vector whose index 0 is the score of a learned embedding
-standing in for the reserved out-of-KB pseudo-candidate, so selection
-becomes a (k+1)-way argmax with index 0 meaning "not in the KB".
-``score_pairs`` resolves candidate ids against the KB and delegates to it.
-The thresholded baseline and an LLM-as-reranker baseline share the same
-decision record.
+A cross scorer scores the k+1 options of every query of a batch in one
+call: ``score_candidates(query_rows, entry_lists, max_candidate_len)``
+returns one ``(k+1,)`` vector per query, whose index 0 is the score of a
+learned embedding standing in for the reserved out-of-KB pseudo-candidate,
+so selection becomes a (k+1)-way argmax with index 0 meaning "not in the
+KB". ``score_pairs`` resolves the candidate ids of every query against the
+KB and makes that one call. The thresholded baseline and an LLM-as-reranker
+baseline share the same decision record.
 
-``TinyCrossScorer`` encodes the query once per call and each distinct
-(entry, candidate length) once per parameter state: a candidate's
-encoding does not depend on the query, so it is memoized, the way BLINK
-(arXiv 1911.03814) precomputes entity encodings. Every score is computed
-with the same per-sequence ``forward`` and dot product as a per-pair
-scorer would use, so decisions do not change by a bit.
+``TinyCrossScorer`` encodes a call's queries, and its distinct entries, in
+one ``encode_many`` each, the way BLINK (arXiv 1911.03814) precomputes
+entity encodings. ``encode_many`` equals ``forward`` bit for bit, so every
+score keeps the bits of a per-pair scorer.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import numpy as np
 
 from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, checkpoint_array
 from .encoders import load_checkpoint, save_encoder
-from .kb import NIL, KBEntry, KBError, KnowledgeBase, candidate_text, tokenize
+from .kb import NIL, KBEntry, KnowledgeBase, candidate_text, tokenize
 from .llm import TextCompletionClient, complete, prompt_file
 from .retrieval import CandidateSet
 
@@ -45,22 +43,26 @@ NIL_ANSWER_SENTENCE = "The passage should be labeled as NIL."
 
 @runtime_checkable
 class CrossScorer(Protocol):
-    """Scorer of the k+1 options of one query, out-of-KB first.
+    """Scorer of the k+1 options of each query of a batch, out-of-KB first.
 
-    ``score_candidates`` returns a ``(len(entries) + 1,)`` vector: index 0
-    is the out-of-KB score, index i the score of ``entries[i - 1]``
-    serialized by ``candidate_text`` at ``max_candidate_len`` tokens. The
-    out-of-KB score must depend only on the query and the learned
-    embedding, never on the candidates, and each candidate's score only on
-    the query and that candidate. Joint-encoding implementations serialize
-    a pair as query tokens, ``[SEP]``, candidate tokens.
+    ``score_candidates`` returns one vector per query, of length
+    ``len(entries) + 1`` for that query's ``entries``: index 0 is the
+    out-of-KB score, index i the score of ``entries[i - 1]`` serialized by
+    ``candidate_text`` at ``max_candidate_len`` tokens. The out-of-KB score
+    must depend only on the query and the learned embedding, never on the
+    candidates, and each candidate's score only on the query and that
+    candidate. Joint-encoding implementations serialize a pair as query
+    tokens, ``[SEP]``, candidate tokens.
     """
 
     trainable: bool
 
     def score_candidates(
-        self, query_tokens: Sequence[str], entries: Sequence[KBEntry], max_candidate_len: int
-    ) -> np.ndarray: ...
+        self,
+        query_rows: Sequence[Sequence[str]],
+        entry_lists: Sequence[Sequence[KBEntry]],
+        max_candidate_len: int,
+    ) -> list[np.ndarray]: ...
 
 
 class TinyCrossScorer:
@@ -70,13 +72,6 @@ class TinyCrossScorer:
     out-of-KB score replaces the candidate encoding with the learned
     embedding (unit-normalized). A joint pair encoder can be slotted in
     behind the same protocol.
-
-    Candidate encodings are memoized per ``(entry, max_candidate_len)``;
-    ``KBEntry`` is frozen, so the key covers id, title and description.
-    Parameters change only in place, through the arrays that ``params()``
-    returns, and ``params()`` empties the memo; training calls it, through
-    ``zero_grads``, on every step. Changing the encoder's arrays any other
-    way leaves the memo stale.
     """
 
     trainable = True
@@ -88,15 +83,13 @@ class TinyCrossScorer:
         rng = np.random.default_rng(nil_seed)
         self.nil_embedding = rng.normal(0.0, 1.0 / np.sqrt(dim), dim)
         self.scale = np.array([10.0])
-        self._candidate_memo: dict[tuple[KBEntry, int], np.ndarray] = {}
 
     @property
     def dim(self) -> int:
         return self.encoder.dim
 
     def params(self) -> dict[str, np.ndarray]:
-        """The parameter arrays, to be changed in place; empties the candidate memo."""
-        self._candidate_memo.clear()
+        """The parameter arrays, to be changed in place."""
         out = self.encoder.params()
         out["nil"] = self.nil_embedding
         out["scale"] = self.scale
@@ -106,23 +99,31 @@ class TinyCrossScorer:
         return {name: np.zeros_like(arr) for name, arr in self.params().items()}
 
     def score_candidates(
-        self, query_tokens: Sequence[str], entries: Sequence[KBEntry], max_candidate_len: int
-    ) -> np.ndarray:
-        """``scale·(q·c)`` for the NIL unit vector, then each entry's memoized encoding."""
-        q = self.encoder.forward(query_tokens)
+        self,
+        query_rows: Sequence[Sequence[str]],
+        entry_lists: Sequence[Sequence[KBEntry]],
+        max_candidate_len: int,
+    ) -> list[np.ndarray]:
+        """Per query, ``scale·(q·c)`` for the NIL unit vector, then for each entry."""
         nil_norm = np.linalg.norm(self.nil_embedding)
         if nil_norm == 0.0:
             raise DegenerateNormError("NIL embedding has zero norm")
-        scores = np.empty(len(entries) + 1)
-        scores[0] = float(self.scale[0] * (q @ (self.nil_embedding / nil_norm)))
-        memo = self._candidate_memo
-        for i, entry in enumerate(entries, start=1):
-            key = (entry, max_candidate_len)
-            c = memo.get(key)
-            if c is None:
-                c = memo[key] = self.encoder.forward(candidate_text(entry, max_candidate_len))
-            scores[i] = float(self.scale[0] * (q @ c))
-        return scores
+        nil_unit = self.nil_embedding / nil_norm
+        slots: dict[KBEntry, int] = {}
+        for entries in entry_lists:
+            for entry in entries:
+                slots.setdefault(entry, len(slots))
+        encode = self.encoder.encode_many
+        queries = encode(query_rows)
+        candidates = encode([candidate_text(entry, max_candidate_len) for entry in slots])
+        out = []
+        for q, entries in zip(queries, entry_lists, strict=True):
+            scores = np.empty(len(entries) + 1)
+            scores[0] = float(self.scale[0] * (q @ nil_unit))
+            for i, entry in enumerate(entries, start=1):
+                scores[i] = float(self.scale[0] * (q @ candidates[slots[entry]]))
+            out.append(scores)
+        return out
 
     def state_dict(self, array=np.ndarray.tolist) -> dict:
         state = self.encoder.state_dict(array)
@@ -138,7 +139,6 @@ class TinyCrossScorer:
         scorer.encoder = TinyEncoder.from_state_dict(state)
         scorer.nil_embedding = checkpoint_array(state, "nil", (scorer.dim,))
         scorer.scale = checkpoint_array(state, "scale", (1,))
-        scorer._candidate_memo = {}
         return scorer
 
     def save(self, path) -> None:
@@ -183,19 +183,14 @@ class LinkDecision:
 
 def score_pairs(
     scorer: CrossScorer,
-    query_tokens: Sequence[str],
-    candidates: CandidateSet,
+    query_rows: Sequence[Sequence[str]],
+    candidate_sets: Sequence[CandidateSet],
     kb: KnowledgeBase,
     max_candidate_len: int = 256,
-) -> np.ndarray:
-    """Score the k+1 options for one query: index 0 is the out-of-KB score."""
-    entries = []
-    for cid in candidates.ids:
-        entry = kb.get(cid)
-        if entry is None:
-            raise KBError(f"candidate id {cid!r} not found in the KB")
-        entries.append(entry)
-    return scorer.score_candidates(query_tokens, entries, max_candidate_len)
+) -> list[np.ndarray]:
+    """Score the k+1 options of every query in one call; index 0 of each is out-of-KB."""
+    entry_lists = [kb.entries(candidates.ids) for candidates in candidate_sets]
+    return scorer.score_candidates(query_rows, entry_lists, max_candidate_len)
 
 
 def select_learned_nil(scores: np.ndarray, candidates: CandidateSet) -> LinkDecision:
@@ -213,10 +208,11 @@ def select_learned_nil(scores: np.ndarray, candidates: CandidateSet) -> LinkDeci
     )
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - np.max(scores)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 def select_threshold(
@@ -268,10 +264,7 @@ def build_rerank_prompt(
     if len(candidates) != RERANK_POOL_SIZE:
         raise ValueError(f"re-ranking prompts require exactly {RERANK_POOL_SIZE} candidates")
     lines = []
-    for i, cid in enumerate(candidates.ids, start=1):
-        entry = kb.get(cid)
-        if entry is None:
-            raise KBError(f"candidate id {cid!r} not found in the KB")
+    for i, entry in enumerate(kb.entries(candidates.ids), start=1):
         description = " ".join(tokenize(entry.description)[:PROMPT_DESCRIPTION_TOKENS])
         lines.append(f"Document {i}: {entry.title}")
         lines.append(description)
@@ -286,11 +279,7 @@ def parse_rerank_completion(
     """Return (prediction, note). Unparseable output falls back to NIL."""
     if allow_nil and NIL_ANSWER_SENTENCE in completion:
         return NIL, None
-    titles = {}
-    for cid in candidates.ids:
-        entry = kb.get(cid)
-        if entry is not None:
-            titles[entry.title] = cid
+    titles = {entry.title: entry.id for entry in kb.entries(candidates.ids)}
     for line in completion.splitlines():
         line = line.strip()
         if not line.lower().startswith("document"):

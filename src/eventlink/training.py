@@ -31,7 +31,7 @@ from .extraction import TaggedQuery
 from .formatting import format_query
 from .kb import NIL, KBEntry, KnowledgeBase, candidate_text, full_candidate_tokens
 from .neggen import NegativeExample
-from .rerank import NIL_PSEUDO_TOKEN, TinyCrossScorer
+from .rerank import NIL_PSEUDO_TOKEN, TinyCrossScorer, softmax
 from .retrieval import CandidateSet, DenseIndex, retrieve
 
 
@@ -142,13 +142,6 @@ def _sgd_epochs(
     return TrainReport(epoch_losses=epoch_losses, config=cfg.to_dict())
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
-
-
 def biencoder_batch_loss(
     encoder: TinyEncoder,
     query_batches: Sequence[Sequence[str]],
@@ -162,7 +155,7 @@ def biencoder_batch_loss(
     batch = len(query_batches)
     out, cache = encoder.forward_batch([*query_batches, *candidate_batches])
     q_mat, c_mat = out[:batch], out[batch:]
-    probs = _softmax(q_mat @ c_mat.T)
+    probs = softmax(q_mat @ c_mat.T)
     diagonal = np.arange(batch)
     loss = -np.log(probs[diagonal, diagonal]).sum() / batch
     grad_logits = probs
@@ -225,16 +218,10 @@ def crossencoder_batch_loss(
     nil_unit = scorer.nil_embedding / nil_norm
     scale = float(scorer.scale[0])
     batch = len(examples)
+    ids = list(dict.fromkeys(cid for example in examples for cid in example.candidate_ids))
+    slots = {cid: batch + i for i, cid in enumerate(ids)}
     rows = [example.query_tokens for example in examples]
-    slots: dict[str, int] = {}
-    for example in examples:
-        for cid in example.candidate_ids:
-            if cid not in slots:
-                entry = kb.get(cid)
-                if entry is None:
-                    raise TrainingError(f"candidate id {cid!r} not found in the KB")
-                slots[cid] = len(rows)
-                rows.append(candidate_text(entry, max_candidate_len))
+    rows += [candidate_text(entry, max_candidate_len) for entry in kb.entries(ids)]
     out, cache = encoder.forward_batch(rows)
     grads = scorer.zero_grads()
     grad_out = np.zeros_like(out)
@@ -244,7 +231,7 @@ def crossencoder_batch_loss(
         slot = [slots[cid] for cid in example.candidate_ids]
         partners = np.vstack([nil_unit, out[slot]])
         raw = partners @ out[i]
-        probs = _softmax(scale * raw)
+        probs = softmax(scale * raw)
         total += -np.log(probs[example.target])
         grad_logits = probs
         grad_logits[example.target] -= 1.0

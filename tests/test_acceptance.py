@@ -148,21 +148,15 @@ def _negative_candidates(negative):
 
 def _decide(stack_dict, scorer, rule, theta=0.5, direction="conventional"):
     """Decisions over the combined eval set: in-KB test plus held-out negatives."""
-    data, kb = stack_dict["data"], stack_dict["data"].kb
-    decisions, golds = [], []
-    for t in data.test:
-        cands = _test_candidate_sets_one(stack_dict, t)
-        scores = score_pairs(scorer, format_query(t, STYLE, CLEN), cands, kb, CLEN)
-        decisions.append(_select(scores, cands, rule, theta, direction))
-        golds.append(t.base)
-    for negative in stack_dict["held_negs"]:
-        cands = _negative_candidates(negative)
-        scores = score_pairs(
-            scorer, format_query(negative.generated, STYLE, CLEN), cands, kb, CLEN
-        )
-        decisions.append(_select(scores, cands, rule, theta, direction))
-        golds.append(negative.generated.base)
-    return decisions, golds
+    data, negatives = stack_dict["data"], stack_dict["held_negs"]
+    queries = [*data.test, *(negative.generated for negative in negatives)]
+    cand_sets = [*(_test_candidate_sets_one(stack_dict, t) for t in data.test),
+                 *(_negative_candidates(negative) for negative in negatives)]
+    rows = [format_query(query, STYLE, CLEN) for query in queries]
+    score_lists = score_pairs(scorer, rows, cand_sets, data.kb, CLEN)
+    decisions = [_select(scores, cands, rule, theta, direction)
+                 for scores, cands in zip(score_lists, cand_sets)]
+    return decisions, [query.base for query in queries]
 
 
 def _test_candidate_sets_one(stack_dict, tagged, k=10):
@@ -412,23 +406,23 @@ def test_criterion_08_learned_nil_effectiveness(stack):
     with criterion(8, "learned NIL balances in-KB and out-of-KB"):
         data, kb = stack["data"], stack["data"].kb
 
+        def decide(scorer, queries, cand_sets):
+            rows = [format_query(query, STYLE, CLEN) for query in queries]
+            score_lists = score_pairs(scorer, rows, cand_sets, kb, CLEN)
+            return [select_learned_nil(scores, cands).prediction
+                    for scores, cands in zip(score_lists, cand_sets)]
+
         def in_kb_accuracy(scorer):
-            hits = 0
-            for t in data.test:
-                cands = _test_candidate_sets_one(stack, t)
-                scores = score_pairs(scorer, format_query(t, STYLE, CLEN), cands, kb, CLEN)
-                hits += select_learned_nil(scores, cands).prediction == t.base.gold
+            cand_sets = [_test_candidate_sets_one(stack, t) for t in data.test]
+            predictions = decide(scorer, data.test, cand_sets)
+            hits = sum(p == t.base.gold for p, t in zip(predictions, data.test))
             return hits / len(data.test)
 
         def nil_rate(scorer):
-            hits = 0
-            for negative in stack["held_negs"]:
-                cands = _negative_candidates(negative)
-                scores = score_pairs(
-                    scorer, format_query(negative.generated, STYLE, CLEN), cands, kb, CLEN
-                )
-                hits += select_learned_nil(scores, cands).prediction == NIL
-            return hits / len(stack["held_negs"])
+            negatives = stack["held_negs"]
+            predictions = decide(scorer, [negative.generated for negative in negatives],
+                                 [_negative_candidates(negative) for negative in negatives])
+            return predictions.count(NIL) / len(negatives)
 
         acc_plain = in_kb_accuracy(stack["scorer_plain"])
         acc_nil = in_kb_accuracy(stack["scorer_nil"])

@@ -6,7 +6,8 @@ import shlex
 import numpy as np
 import pytest
 
-from eventlink.artifacts import json_digest, read_json, read_manifest, read_records
+from eventlink import cli
+from eventlink.artifacts import file_digest, json_digest, read_json, read_manifest, read_records
 from eventlink.cli import build_parser, main
 from eventlink.encoders import HashingEncoder, load_encoder, save_encoder
 from eventlink.rerank import TinyCrossScorer
@@ -256,6 +257,52 @@ def test_index_with_json_dump_fingerprint_asks_for_rebuild(small_run, tmp_path, 
     assert str(old) in err and small_run["encoder"] in err and "rebuild" in err
 
 
+# Written by the code that scored each query in its own call, before one
+# batched call per run.
+_LINK_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "link_golden.jsonl")
+
+_LINK_CASES = {
+    "learned": ["--rule", "learned"],
+    "threshold-conventional": ["--rule", "threshold", "--direction", "conventional"],
+    "threshold-literal": ["--rule", "threshold", "--direction", "literal"],
+}
+
+
+def _link_decision_lines(run, directory):
+    """Every decision record of ``link`` under each scoring rule, manifest excluded."""
+    lines = []
+    for case, rule in _LINK_CASES.items():
+        out = os.path.join(directory, case + ".jsonl")
+        assert main(["link", "--kb", run["kb_norm"], "--queries", run["test_tagged"],
+                     "--index", run["index"], "--encoder", run["encoder"],
+                     "--scorer", run["scorer"], *rule, "--out", out]) == 0
+        lines += [json.dumps({"case": case, "decision": record}, sort_keys=True)
+                  for record in read_records(out, dict)]
+    return lines
+
+
+def test_link_decisions_match_golden_file_byte_for_byte(small_run, tmp_path):
+    lines = _link_decision_lines(small_run, str(tmp_path))
+    assert len(lines) == len(_LINK_CASES) * 10
+    with open(_LINK_GOLDEN, "rb") as fh:
+        assert ("\n".join(lines) + "\n").encode("utf-8") == fh.read()
+
+
+def test_negative_paired_with_unknown_candidate_is_data_error(small_run, tmp_path, capsys):
+    negatives = read_records(small_run["negatives"], dict)
+    negatives[1]["paired_candidate_ids"][0] = "NOPE"
+    bad = tmp_path / "negatives.jsonl"
+    write_jsonl(bad, negatives)
+    out = tmp_path / "scorer.json"
+    code = main(["train-cross", "--kb", small_run["kb_norm"], "--queries", small_run["train_tagged"],
+                 "--negatives", str(bad), "--index", small_run["index"],
+                 "--encoder", small_run["encoder"], "--epochs", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(bad) in err and "line 2" in err and "NOPE" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ks", ["0,-3,5", "5,0", "-1"])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_eval_recall_depth_below_one_is_usage_error(small_run, tmp_path, capsys, ks, via):
@@ -366,6 +413,18 @@ def test_neg_gen_plain_style(dense_stack, toy_inputs, tmp_path):
     assert [r["status"] for r in records] == ["accepted"] * 3
     assert all("<mention>" in r["passage_after_polish"] for r in records)
     assert all(r["plan_edit"] is None for r in records)
+
+
+def test_neg_gen_records_the_kb_without_parsing_it(dense_stack, toy_inputs, tmp_path,
+                                                   monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"neg-gen parsed {path}")
+
+    monkeypatch.setattr(cli, "load_kb", refuse)
+    out, _ = _neg_gen_train(dense_stack, toy_inputs, tmp_path, "--style", "args", "--count", "2")
+    assert len(read_records(out, dict)) == 2
+    assert read_manifest(out)["inputs"]["kb"] == {
+        "path": dense_stack["kb.jsonl"], "sha256": file_digest(dense_stack["kb.jsonl"])}
 
 
 def test_neg_gen_scripted_client_running_dry_skips_the_rest(dense_stack, toy_inputs, tmp_path):

@@ -83,6 +83,13 @@ def test_get_entry_lookup(small_kb):
     assert small_kb.get(NIL) is None
 
 
+def test_entries_resolve_ids_in_order(small_kb):
+    assert [e.id for e in small_kb.entries(["E3", "E1", "E3"])] == ["E3", "E1", "E3"]
+    assert small_kb.entries([]) == []
+    with pytest.raises(KBError, match="candidate id 'E9' not found in the KB"):
+        small_kb.entries(["E1", "E9"])
+
+
 def test_empty_title_rejected():
     with pytest.raises(KBError):
         KBEntry("E1", "", "desc")

@@ -37,43 +37,46 @@ def kb10():
 
 def test_score_pairs_shape(kb10):
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
-    scores = score_pairs(scorer, ["war", "city"], _cands(["E0", "E1", "E2"]), kb10)
-    assert scores.shape == (4,)
+    scores = score_pairs(scorer, [["war", "city"], ["war"]],
+                         [_cands(["E0", "E1", "E2"]), _cands(["E3"])], kb10)
+    assert [s.shape for s in scores] == [(4,), (2,)]
+    assert score_pairs(scorer, [], [], kb10) == []
 
 
 def test_score_pairs_permutation_moves_scores_and_keeps_nil(kb10):
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
-    forward = score_pairs(scorer, ["war"], _cands(["E0", "E1", "E2"]), kb10)
-    reverse = score_pairs(scorer, ["war"], _cands(["E2", "E1", "E0"]), kb10)
+    forward, reverse = score_pairs(scorer, [["war"], ["war"]],
+                                   [_cands(["E0", "E1", "E2"]), _cands(["E2", "E1", "E0"])], kb10)
     assert forward[0] == reverse[0]
     np.testing.assert_allclose(forward[1:], reverse[1:][::-1], atol=0)
 
 
 def test_score_pairs_deterministic(kb10):
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
-    a = score_pairs(scorer, ["war"], _cands(["E0", "E1"]), kb10)
-    b = score_pairs(scorer, ["war"], _cands(["E0", "E1"]), kb10)
+    a = score_pairs(scorer, [["war"]], [_cands(["E0", "E1"])], kb10)
+    b = score_pairs(scorer, [["war"]], [_cands(["E0", "E1"])], kb10)
     np.testing.assert_array_equal(a, b)
 
 
 def test_score_pairs_unresolvable_id(kb10):
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
     with pytest.raises(KBError, match="E99"):
-        score_pairs(scorer, ["war"], _cands(["E0", "E99"]), kb10)
+        score_pairs(scorer, [["war"], ["war"]], [_cands(["E0"]), _cands(["E0", "E99"])], kb10)
 
 
 def test_nil_score_independent_of_candidates(kb10):
     scorer = TinyCrossScorer(VOCAB, 16, seed=1)
-    a = score_pairs(scorer, ["war", "city"], _cands(["E0", "E1"]), kb10)
-    b = score_pairs(scorer, ["war", "city"], _cands(["E5", "E6", "E7"]), kb10)
-    assert a[0] == b[0]
+    a, b = score_pairs(scorer, [["war", "city"]] * 2,
+                       [_cands(["E0", "E1"]), _cands(["E5", "E6", "E7"])], kb10)
+    [alone] = score_pairs(scorer, [["war", "city"]], [_cands(["E9"])], kb10)
+    assert a[0] == b[0] == alone[0]
 
 
 def test_nil_score_zero_nil_embedding_raises_named_error():
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
     scorer.nil_embedding[:] = 0.0
     with pytest.raises(DegenerateNormError):
-        scorer.score_candidates(["war"], [], 256)
+        scorer.score_candidates([["war"]], [[]], 256)
 
 
 def _reference_scores(scorer, query_tokens, entries, max_candidate_len):
@@ -95,27 +98,35 @@ _ENTRIES = [
 
 
 @given(
-    calls=st.lists(
+    batches=st.lists(
         st.tuples(
-            st.lists(_WORDS, min_size=1, max_size=8),
-            st.lists(st.integers(0, len(_ENTRIES) - 1), max_size=12),
+            st.lists(
+                st.tuples(
+                    st.lists(_WORDS, min_size=1, max_size=8),
+                    st.lists(st.integers(0, len(_ENTRIES) - 1), max_size=12),
+                ),
+                max_size=6,
+            ),
             st.sampled_from([3, 5, 256]),
         ),
         min_size=1,
-        max_size=6,
+        max_size=4,
     ),
     seed=st.integers(0, 3),
 )
 @settings(max_examples=60, deadline=None)
-def test_score_candidates_matches_per_pair_reference(calls, seed):
-    # one scorer across every call: repeated candidates, repeated calls and
-    # the same entry at several candidate lengths all go through one memo
+def test_score_candidates_matches_per_pair_reference(batches, seed):
+    # one call per batch: entries repeat across a batch's queries, and one
+    # scorer sees the same entry at several candidate lengths across batches
     scorer = TinyCrossScorer(VOCAB, 64, seed=seed)
-    for query, picks, max_len in [*calls, *calls]:
-        entries = [_ENTRIES[i] for i in picks]
-        got = scorer.score_candidates(query, entries, max_len)
-        assert got.shape == (len(entries) + 1,)
-        np.testing.assert_array_equal(got, _reference_scores(scorer, query, entries, max_len))
+    for queries, max_len in [*batches, *batches]:
+        rows = [query for query, _ in queries]
+        entry_lists = [[_ENTRIES[i] for i in picks] for _, picks in queries]
+        got = scorer.score_candidates(rows, entry_lists, max_len)
+        assert len(got) == len(queries)
+        for query, entries, scores in zip(rows, entry_lists, got):
+            assert scores.shape == (len(entries) + 1,)
+            np.testing.assert_array_equal(scores, _reference_scores(scorer, query, entries, max_len))
 
 
 def test_score_candidates_same_entry_at_two_lengths():
@@ -123,34 +134,38 @@ def test_score_candidates_same_entry_at_two_lengths():
     entry = _ENTRIES[5]
     assert candidate_text(entry, 4) != candidate_text(entry, 256)
     for max_len in (4, 256, 4):
-        np.testing.assert_array_equal(
-            scorer.score_candidates(["war"], [entry], max_len),
-            _reference_scores(scorer, ["war"], [entry], max_len),
-        )
+        [got] = scorer.score_candidates([["war"]], [[entry]], max_len)
+        np.testing.assert_array_equal(got, _reference_scores(scorer, ["war"], [entry], max_len))
 
 
 def test_score_pairs_encodes_each_query_once_and_each_candidate_once(kb10, monkeypatch):
-    calls = []
-    original = TinyEncoder.forward
+    encoded = []
+    original = TinyEncoder.encode_many
 
-    def counting(self, tokens):
-        calls.append(tuple(tokens))
-        return original(self, tokens)
+    def counting(self, rows):
+        encoded.append([tuple(row) for row in rows])
+        return original(self, rows)
 
-    monkeypatch.setattr(TinyEncoder, "forward", counting)
+    def refuse(self, tokens):
+        raise AssertionError("score_pairs encodes through encode_many only")
+
+    monkeypatch.setattr(TinyEncoder, "encode_many", counting)
+    monkeypatch.setattr(TinyEncoder, "forward", refuse)
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
     queries = [["war"], ["city", "war"], ["north"], ["war"]]
     pools = [["E0", "E1", "E2"], ["E2", "E3", "E0"], ["E3", "E5", "E1"], ["E0", "E1", "E2"]]
-    for query, ids in zip(queries, pools):
-        score_pairs(scorer, query, _cands(ids), kb10)
-    distinct = {cid for ids in pools for cid in ids}
-    assert len(calls) == len(queries) + len(distinct)
+    score_pairs(scorer, queries, [_cands(ids) for ids in pools], kb10, 256)
+    distinct = dict.fromkeys(cid for ids in pools for cid in ids)
+    assert encoded == [
+        [tuple(query) for query in queries],
+        [tuple(candidate_text(kb10.get(cid), 256)) for cid in distinct],
+    ]
 
 
 def test_scores_after_training_match_a_fresh_scorer(kb10):
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
     cands = _cands(["E0", "E1", "E2"])
-    before = score_pairs(scorer, ["war", "city"], cands, kb10)
+    [before] = score_pairs(scorer, [["war", "city"]], [cands], kb10)
     rows = [
         CrossExample("a", ("war", "city"), cands.ids, 1),
         CrossExample("b", ("north",), cands.ids, 0),
@@ -158,10 +173,18 @@ def test_scores_after_training_match_a_fresh_scorer(kb10):
     cfg = TrainConfig(learning_rate=0.5, batch_size=2, epochs=1,
                       max_query_len=256, max_candidate_len=256)
     train_crossencoder(rows, [], scorer, cfg, kb10)
-    after = score_pairs(scorer, ["war", "city"], cands, kb10)
+    [after] = score_pairs(scorer, [["war", "city"]], [cands], kb10)
     fresh = TinyCrossScorer.from_state_dict(scorer.state_dict())
-    np.testing.assert_array_equal(after, score_pairs(fresh, ["war", "city"], cands, kb10))
+    np.testing.assert_array_equal([after], score_pairs(fresh, [["war", "city"]], [cands], kb10))
     assert not np.array_equal(after[1:], before[1:])
+
+
+def test_cross_scorer_keeps_only_its_parameters():
+    scorer = TinyCrossScorer(VOCAB, 16, seed=0)
+    scorer.score_candidates([["war"]], [_ENTRIES[:3]], 256)
+    loaded = TinyCrossScorer.from_state_dict(scorer.state_dict())
+    for obj in (scorer, loaded):
+        assert set(vars(obj)) == {"encoder", "nil_embedding", "scale"}
 
 
 def test_select_learned_nil_argmax():
@@ -248,6 +271,11 @@ def test_softmax_stability():
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
 
+def test_softmax_takes_the_last_axis_row_by_row():
+    logits = np.random.default_rng(0).normal(size=(4, 7)) * 30.0
+    np.testing.assert_array_equal(softmax(logits), np.stack([softmax(row) for row in logits]))
+
+
 # --- LLM reranking baseline ---------------------------------------------------
 
 def _reverse_completion(kb, ids):
@@ -328,6 +356,6 @@ def test_scorer_checkpoint_round_trip(tmp_path, kb10):
     path = tmp_path / "scorer.json"
     scorer.save(path)
     loaded = TinyCrossScorer.load(path)
-    a = score_pairs(scorer, ["war"], _cands(["E0", "E1"]), kb10)
-    b = score_pairs(loaded, ["war"], _cands(["E0", "E1"]), kb10)
+    a = score_pairs(scorer, [["war"]], [_cands(["E0", "E1"])], kb10)
+    b = score_pairs(loaded, [["war"]], [_cands(["E0", "E1"])], kb10)
     np.testing.assert_array_equal(a, b)

@@ -3,7 +3,7 @@ import pytest
 
 from eventlink.encoders import DegenerateNormError, TinyEncoder
 
-from eventlink.kb import NIL, KBEntry, KnowledgeBase
+from eventlink.kb import NIL, KBEntry, KBError, KnowledgeBase
 from eventlink.neggen import (
     PROVENANCE_KB_PRUNING,
     STYLE_ARGUMENT_AWARE,
@@ -11,7 +11,7 @@ from eventlink.neggen import (
     generate_negatives,
     kb_pruning_negatives,
 )
-from eventlink.rerank import TinyCrossScorer
+from eventlink.rerank import TinyCrossScorer, score_pairs, select_learned_nil
 from eventlink.retrieval import CandidateSet, build_index
 from eventlink.toy import StorytellerMock, build_toy_data
 from eventlink.training import (
@@ -149,6 +149,13 @@ def test_crossencoder_zero_nil_embedding_raises_named_error():
     scorer.nil_embedding[:] = 0.0
     with pytest.raises(DegenerateNormError):
         crossencoder_batch_loss(scorer, [CrossExample("a", ("war",), ("E0",), 1)], kb, 50)
+
+
+def test_cross_step_with_unknown_candidate_is_kb_error():
+    kb = KnowledgeBase([KBEntry("E0", "city", "war")])
+    scorer = TinyCrossScorer(VOCAB, 6, seed=0)
+    with pytest.raises(KBError, match="'E9' not found"):
+        crossencoder_batch_loss(scorer, [CrossExample("a", ("war",), ("E0", "E9"), 1)], kb, 50)
 
 
 def test_batch_size_one_loss_is_exactly_zero():
@@ -333,15 +340,14 @@ def test_all_negative_training_prefers_nil(mined_stack):
     )
     train_crossencoder([], train_negs, scorer, cfg, data.kb)
     rows = negative_examples(held_negs, "args", 256)
-    nil_hits = 0
-    for row in rows:
-        cands = CandidateSet(row.query_id, row.candidate_ids, tuple(float(len(row.candidate_ids) - i) for i in range(len(row.candidate_ids))))
-        from eventlink.rerank import score_pairs, select_learned_nil
-
-        decision = select_learned_nil(
-            score_pairs(scorer, row.query_tokens, cands, data.kb, 256), cands
-        )
-        nil_hits += decision.prediction == NIL
+    cand_sets = [
+        CandidateSet(row.query_id, row.candidate_ids,
+                     tuple(float(len(row.candidate_ids) - i) for i in range(len(row.candidate_ids))))
+        for row in rows
+    ]
+    score_lists = score_pairs(scorer, [row.query_tokens for row in rows], cand_sets, data.kb, 256)
+    nil_hits = sum(select_learned_nil(scores, cands).prediction == NIL
+                   for scores, cands in zip(score_lists, cand_sets))
     assert nil_hits / len(rows) > 0.9
 
 
