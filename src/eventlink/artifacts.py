@@ -105,6 +105,7 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
 
 
 def read_manifest(path) -> dict | None:
+    """The first line's ``_manifest`` value if that is its only key, as ``iter_jsonl`` skips it."""
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().strip()
     if not first:
@@ -113,7 +114,7 @@ def read_manifest(path) -> dict | None:
         record = json.loads(first)
     except json.JSONDecodeError:
         return None
-    if isinstance(record, dict) and MANIFEST_KEY in record:
+    if isinstance(record, dict) and set(record) == {MANIFEST_KEY}:
         return record[MANIFEST_KEY]
     return None
 

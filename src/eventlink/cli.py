@@ -292,6 +292,11 @@ def cmd_link(args) -> None:
     return manifest
 
 
+def _lineage_digest(manifest: dict) -> str | None:
+    """The sha256 a predictions manifest records for the queries file it linked."""
+    return manifest.get("inputs", {}).get("queries", {}).get("sha256")
+
+
 def cmd_eval(args) -> None:
     preds_path = _require(args.preds, "--preds")
     gold_path = _require(args.gold, "--gold")
@@ -299,8 +304,8 @@ def cmd_eval(args) -> None:
     golds = [q.base for q in _load_tagged(gold_path)]
     preds_manifest = artifacts.read_manifest(preds_path)
     gold_digest = artifacts.file_digest(gold_path)
-    if preds_manifest:
-        recorded = preds_manifest.get("inputs", {}).get("queries", {}).get("sha256")
+    if preds_manifest is not None:
+        recorded = artifacts._parse(_lineage_digest, preds_manifest, preds_path)
         if recorded and recorded != gold_digest:
             raise DataError(
                 "lineage mismatch: predictions were linked against a different queries file"

@@ -85,25 +85,31 @@ def _align(
     return pairs
 
 
+# Accuracy splits in EvalReport's order; an "other" mention counts toward "all" only.
+_SPLITS = ("all", "verb", "noun", "in_kb", "out_of_kb")
+
+
+def _split_counts(
+    pairs: Sequence[tuple[LinkDecision, EventQuery]]
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Per split, the number of aligned pairs and the number of exact matches."""
+    totals = dict.fromkeys(_SPLITS, 0)
+    hits = dict.fromkeys(_SPLITS, 0)
+    for decision, gold in pairs:
+        correct = decision.prediction == gold.gold
+        for split in ("all", gold.pos, "in_kb" if gold.gold != NIL else "out_of_kb"):
+            if split in totals:
+                totals[split] += 1
+                hits[split] += correct
+    return totals, hits
+
+
 def accuracy(
     decisions: Sequence[LinkDecision], golds: Sequence[EventQuery]
 ) -> tuple[float | None, float | None, float | None]:
     """Exact-match accuracy overall and per mention POS class."""
-    pairs = _align(decisions, golds)
-    totals = {"all": 0, "verb": 0, "noun": 0}
-    hits = {"all": 0, "verb": 0, "noun": 0}
-    for decision, gold in pairs:
-        correct = decision.prediction == gold.gold
-        totals["all"] += 1
-        hits["all"] += correct
-        if gold.pos in ("verb", "noun"):
-            totals[gold.pos] += 1
-            hits[gold.pos] += correct
-    return (
-        _ratio(hits["all"], totals["all"]),
-        _ratio(hits["verb"], totals["verb"]),
-        _ratio(hits["noun"], totals["noun"]),
-    )
+    totals, hits = _split_counts(_align(decisions, golds))
+    return tuple(_ratio(hits[split], totals[split]) for split in ("all", "verb", "noun"))
 
 
 def recall_at_k(
@@ -147,31 +153,21 @@ def evaluate(
 ) -> EvalReport:
     """Build the full report: accuracy splits, optional recall grid, counts."""
     pairs = _align(decisions, golds)
-    acc_all, acc_verb, acc_noun = accuracy(decisions, golds)
-    in_kb = [(d, g) for d, g in pairs if g.gold != NIL]
-    out_kb = [(d, g) for d, g in pairs if g.gold == NIL]
-    acc_in = _ratio(sum(d.prediction == g.gold for d, g in in_kb), len(in_kb))
-    acc_out = _ratio(sum(d.prediction == g.gold for d, g in out_kb), len(out_kb))
+    counts, hits = _split_counts(pairs)
+    acc = {split: _ratio(hits[split], counts[split]) for split in _SPLITS}
     recall: dict[int, float] = {}
     if candidate_sets is not None:
-        in_kb_golds = [g for _, g in in_kb]
+        in_kb_golds = [g for _, g in pairs if g.gold != NIL]
         in_kb_ids = {g.query_id for g in in_kb_golds}
         kept = [cs for cs in candidate_sets if cs.query_id in in_kb_ids]
         if kept:
             recall = recall_at_k(kept, in_kb_golds, ks)
-    counts = {
-        "all": len(pairs),
-        "verb": sum(g.pos == "verb" for _, g in pairs),
-        "noun": sum(g.pos == "noun" for _, g in pairs),
-        "in_kb": len(in_kb),
-        "out_of_kb": len(out_kb),
-    }
     return EvalReport(
-        accuracy_all=acc_all,
-        accuracy_verb=acc_verb,
-        accuracy_noun=acc_noun,
-        accuracy_in_kb=acc_in,
-        accuracy_out_of_kb=acc_out,
+        accuracy_all=acc["all"],
+        accuracy_verb=acc["verb"],
+        accuracy_noun=acc["noun"],
+        accuracy_in_kb=acc["in_kb"],
+        accuracy_out_of_kb=acc["out_of_kb"],
         recall_at=recall,
         counts=counts,
         dataset_fingerprint=dataset_fingerprint,

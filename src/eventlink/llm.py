@@ -29,6 +29,10 @@ class LLMTransportError(RuntimeError):
     """A retryable transport-level client failure."""
 
 
+class ClientExhausted(RuntimeError):
+    """The client has no completions left; retrying cannot help."""
+
+
 @runtime_checkable
 class TextCompletionClient(Protocol):
     def complete(self, prompt: str) -> str: ...
@@ -38,7 +42,8 @@ def complete(client: TextCompletionClient, prompt: str) -> tuple[str | None, str
     """Send ``prompt``, retrying an LLMTransportError up to ``TRANSPORT_RETRIES`` times.
 
     Returns ``(completion, None)`` on success, or ``(None, message)`` with
-    the message of the last failure when every attempt failed.
+    the message of the last failure when every attempt failed. A
+    ClientExhausted error is not retried: it propagates at once.
     """
     failure = None
     for _ in range(TRANSPORT_RETRIES + 1):
@@ -50,7 +55,7 @@ def complete(client: TextCompletionClient, prompt: str) -> tuple[str | None, str
 
 
 class ScriptedClient:
-    """Replays canned completions in order; raises when the script runs dry."""
+    """Replays canned completions in order; raises ClientExhausted when the script runs dry."""
 
     def __init__(self, completions: Iterable[str]):
         self._completions = list(completions)
@@ -62,7 +67,7 @@ class ScriptedClient:
 
     def complete(self, prompt: str) -> str:
         if self._cursor >= len(self._completions):
-            raise LLMTransportError("scripted client has no completions left")
+            raise ClientExhausted("scripted client has no completions left")
         completion = self._completions[self._cursor]
         self._cursor += 1
         return completion

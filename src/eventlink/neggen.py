@@ -13,7 +13,9 @@ Prompt templates are versioned text files filled by placeholder
 substitution. A prompt's tagged passage is written by
 ``formatting.marked_sequence`` with ``<mention>`` and ``<Role>`` tags, and
 each prompt is sent through ``llm.complete``, which retries transport
-failures; every generation attempt is logged as a GenerationRecord.
+failures. Each completion is decoded once, by ``passage_to_tagged``, whose
+error message is the logged reason; every origin tried is logged as one
+GenerationRecord, and a client that runs out of completions ends the run.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .extraction import Argument, EventQuery, Span, TaggedQuery, tagged_from_rec
 from .extraction import tagged_to_record
 from .formatting import format_arguments, marked_sequence, slug
 from .kb import NIL
-from .llm import TextCompletionClient, complete, prompt_file
+from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
 from .retrieval import DenseIndex, retrieve
 
 STYLE_ARGUMENT_AWARE = "argument_aware"
@@ -45,19 +47,37 @@ PROVENANCES = (*GENERATED_STYLES, PROVENANCE_KB_PRUNING)
 # Default generation budget of ``eventlink neg-gen``.
 DESK_SCALE_TRAIN_GENERATIONS = 200
 
-MENTION_OPEN = "<mention>"
-MENTION_CLOSE = "</mention>"
-
 _TAG_RE = re.compile(r"^<(/?)([A-Za-z0-9_]+)>$")
 
-_ARG_COMPLETION_RE = re.compile(
-    r"Plan 1:(?P<plan_edit>.*?)"
-    r"Following Plan 1, we can generate this passage after Step 1:(?P<after_edit>.*?)"
-    r"Plan 2:(?P<plan_polish>.*?)"
-    r"Following Plan 2, we can generate this passage after Step 2:(?P<after_polish>.*)",
-    re.DOTALL,
-)
-_PLAIN_COMPLETION_RE = re.compile(r"New passage:(?P<passage>.*)", re.DOTALL)
+
+@dataclass(frozen=True)
+class _StyleSpec:
+    """A style's template file, completion pattern and missing-segments reason.
+
+    The pattern's group names are the GenerationRecord fields it fills.
+    """
+
+    template: str
+    completion: re.Pattern
+    missing: str
+
+
+_STYLES = {
+    STYLE_ARGUMENT_AWARE: _StyleSpec("negative_argument_aware.txt", re.compile(
+        r"Plan 1:(?P<plan_edit>.*?)"
+        r"Following Plan 1, we can generate this passage after Step 1:(?P<passage_after_edit>.*?)"
+        r"Plan 2:(?P<plan_polish>.*?)"
+        r"Following Plan 2, we can generate this passage after Step 2:(?P<passage_after_polish>.*)",
+        re.DOTALL), "missing plan or passage segments"),
+    STYLE_PLAIN: _StyleSpec("negative_plain.txt", re.compile(
+        r"New passage:(?P<passage_after_polish>.*)", re.DOTALL), "missing generated passage"),
+}
+
+
+def _style_spec(style: str) -> _StyleSpec:
+    if style not in _STYLES:
+        raise ValueError(f"unknown generation style {style!r}")
+    return _STYLES[style]
 
 
 class PassageParseError(ValueError):
@@ -115,7 +135,7 @@ class NegativeExample:
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """Audit row for one generation attempt."""
+    """Audit row for one origin tried: its prompt, completion, status and reason."""
 
     origin_query_id: str
     style: str
@@ -130,21 +150,6 @@ class GenerationRecord:
 
     def to_record(self) -> dict:
         return asdict(self)
-
-
-@dataclass(frozen=True)
-class CompletionParse:
-    """Outcome of parsing one completion; rejection is a value, not an error."""
-
-    passage: str | None
-    reason: str | None = None
-    plan_edit: str | None = None
-    passage_after_edit: str | None = None
-    plan_polish: str | None = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.reason is None
 
 
 def _mention_is_numeric(query: EventQuery) -> bool:
@@ -192,7 +197,7 @@ def tagged_passage(tagged: TaggedQuery, include_roles: bool) -> str:
     """Serialize a query as prose with mention (and optionally role) tags."""
     arguments = tagged.arguments if include_roles else ()
     tokens, _, _ = marked_sequence(
-        tagged.base, arguments, (MENTION_OPEN, MENTION_CLOSE), _role_tags
+        tagged.base, arguments, ("<mention>", "</mention>"), _role_tags
     )
     return " ".join(tokens)
 
@@ -209,11 +214,7 @@ def strip_role_tags(passage: str) -> str:
 
 
 def negative_prompt_template(style: str) -> str:
-    if style == STYLE_ARGUMENT_AWARE:
-        return prompt_file("negative_argument_aware.txt")
-    if style == STYLE_PLAIN:
-        return prompt_file("negative_plain.txt")
-    raise ValueError(f"unknown generation style {style!r}")
+    return prompt_file(_style_spec(style).template)
 
 
 @cache
@@ -267,54 +268,16 @@ def build_prompt(query: TaggedQuery, style: str) -> str:
     return filled
 
 
-def _tag_counts(passage: str) -> dict[str, list[int]]:
-    counts: dict[str, list[int]] = {}
-    for token in passage.split():
-        m = _TAG_RE.match(token)
-        if not m:
-            continue
-        closing, name = m.group(1) == "/", m.group(2)
-        pair = counts.setdefault(name, [0, 0])
-        pair[1 if closing else 0] += 1
-    return counts
-
-
-def parse_completion(raw: str, style: str, original: str | None = None) -> CompletionParse:
-    """Extract the final generated passage, or a rejection with its reason."""
-    if style == STYLE_ARGUMENT_AWARE:
-        match = _ARG_COMPLETION_RE.search(raw)
-        if not match:
-            return CompletionParse(None, reason="missing plan or passage segments")
-        passage = match.group("after_polish").strip()
-        extras = {
-            "plan_edit": match.group("plan_edit").strip(),
-            "passage_after_edit": match.group("after_edit").strip(),
-            "plan_polish": match.group("plan_polish").strip(),
-        }
-    elif style == STYLE_PLAIN:
-        match = _PLAIN_COMPLETION_RE.search(raw)
-        if not match:
-            return CompletionParse(None, reason="missing generated passage")
-        passage = match.group("passage").strip()
-        extras = {}
-    else:
-        raise ValueError(f"unknown generation style {style!r}")
-
-    counts = _tag_counts(passage)
-    mention = counts.get("mention", [0, 0])
-    if mention[0] != 1 or mention[1] != 1:
-        return CompletionParse(None, reason="mention tags removed", **extras)
-    if style == STYLE_ARGUMENT_AWARE:
-        for name, (n_open, n_close) in counts.items():
-            if name != "mention" and n_open != n_close:
-                return CompletionParse(None, reason=f"unbalanced role tags: {name}", **extras)
-    if original is not None and passage == original:
-        return CompletionParse(None, reason="unchanged", **extras)
-    return CompletionParse(passage, **extras)
+def parse_completion(raw: str, style: str) -> dict[str, str] | None:
+    """The stripped segments a completion logs, or None when it misses the style's format."""
+    match = _style_spec(style).completion.search(raw)
+    if match is None:
+        return None
+    return {field: text.strip() for field, text in match.groupdict().items()}
 
 
 def passage_to_tagged(passage: str, origin: TaggedQuery, query_id: str) -> TaggedQuery:
-    """Decode a tagged passage back into a NIL-labeled query."""
+    """Decode a tagged passage back into a NIL-labeled query; errors carry the logged reason."""
     tokens: list[str] = []
     arguments: list[Argument] = []
     mention_start: int | None = None
@@ -329,26 +292,28 @@ def passage_to_tagged(passage: str, origin: TaggedQuery, query_id: str) -> Tagge
         if name == "mention":
             if not closing:
                 if mention_start is not None or mention_span is not None:
-                    raise PassageParseError("duplicate mention tags")
+                    raise PassageParseError("malformed passage: duplicate mention tags")
                 mention_start = len(tokens)
             else:
                 if mention_start is None or len(tokens) <= mention_start:
-                    raise PassageParseError("empty or unopened mention span")
+                    raise PassageParseError("malformed passage: empty or unopened mention span")
                 mention_span = Span(mention_start, len(tokens) - 1)
                 mention_start = None
         elif not closing:
             if open_role is not None:
-                raise PassageParseError("nested role tags")
+                raise PassageParseError("malformed passage: nested role tags")
             open_role = (name, len(tokens))
         else:
             if open_role is None or open_role[0] != name:
-                raise PassageParseError(f"mismatched closing tag {name!r}")
+                raise PassageParseError(f"malformed passage: mismatched closing tag {name!r}")
             if len(tokens) <= open_role[1]:
-                raise PassageParseError(f"empty role span {name!r}")
+                raise PassageParseError(f"malformed passage: empty role span {name!r}")
             arguments.append(Argument(Span(open_role[1], len(tokens) - 1), name))
             open_role = None
-    if mention_span is None or mention_start is not None or open_role is not None:
-        raise PassageParseError("unterminated tags in passage")
+    if mention_span is None:
+        raise PassageParseError("mention tags removed")
+    if open_role is not None:
+        raise PassageParseError("malformed passage: unterminated tags in passage")
     try:
         base = EventQuery(
             query_id=query_id,
@@ -359,7 +324,7 @@ def passage_to_tagged(passage: str, origin: TaggedQuery, query_id: str) -> Tagge
         )
         return TaggedQuery(base=base, event_type=origin.event_type, arguments=tuple(arguments))
     except ValueError as exc:
-        raise PassageParseError(str(exc)) from exc
+        raise PassageParseError(f"malformed passage: {exc}") from exc
 
 
 def generate_negatives(
@@ -381,8 +346,7 @@ def generate_negatives(
     produces the same files. Pairing retrieves top-k for the origin query
     (never the generated text).
     """
-    if style not in GENERATED_STYLES:
-        raise ValueError(f"unknown generation style {style!r}")
+    spec = _style_spec(style)
     filtered = sample_filter(pool)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(filtered))
@@ -394,53 +358,32 @@ def generate_negatives(
         origin = filtered[position]
         origin_id = origin.base.query_id
         prompt = build_prompt(origin, style)
-        completion, failure = complete(client, prompt)
-        if completion is None:
-            records.append(
-                GenerationRecord(origin_id, style, prompt, None, "skipped", reason=failure)
-            )
-            continue
-        original = tagged_passage(origin, include_roles=style == STYLE_ARGUMENT_AWARE)
-        parsed = parse_completion(completion, style, original=original)
-        segments = {
-            "plan_edit": parsed.plan_edit,
-            "passage_after_edit": parsed.passage_after_edit,
-            "plan_polish": parsed.plan_polish,
-            "passage_after_polish": parsed.passage,
-        }
-        if not parsed.accepted:
-            records.append(
-                GenerationRecord(
-                    origin_id, style, prompt, completion, "rejected",
-                    reason=parsed.reason, **segments,
-                )
-            )
-            continue
         try:
-            generated = passage_to_tagged(parsed.passage, origin, f"{origin_id}::neg")
-        except PassageParseError as exc:
-            records.append(
-                GenerationRecord(
-                    origin_id, style, prompt, completion, "rejected",
-                    reason=f"malformed passage: {exc}", **segments,
-                )
-            )
-            continue
-        origin_embedding = encoder.encode(format_arguments(origin, query_max_len))
-        paired = retrieve(index, origin_embedding, k, query_id=origin_id)
-        accepted.append(
-            NegativeExample(
-                generated=generated,
-                origin_query_id=origin_id,
-                paired_candidate_ids=paired.ids,
-                provenance=style,
-            )
-        )
+            completion, reason = complete(client, prompt)
+        except ClientExhausted as exc:
+            records.append(GenerationRecord(origin_id, style, prompt, None, "skipped", str(exc)))
+            break
+        segments = {}
+        if completion is not None:
+            segments = parse_completion(completion, style) or {}
+            passage = segments.get("passage_after_polish")
+            if passage is None:
+                reason = spec.missing
+            elif passage == tagged_passage(origin, include_roles=style == STYLE_ARGUMENT_AWARE):
+                reason = "unchanged"
+            else:
+                try:
+                    generated = passage_to_tagged(passage, origin, f"{origin_id}::neg")
+                except PassageParseError as exc:
+                    reason = str(exc)
+        status = "skipped" if completion is None else "rejected" if reason else "accepted"
         records.append(
-            GenerationRecord(
-                origin_id, style, prompt, completion, "accepted", **segments
-            )
+            GenerationRecord(origin_id, style, prompt, completion, status, reason, **segments)
         )
+        if status == "accepted":
+            origin_embedding = encoder.encode(format_arguments(origin, query_max_len))
+            paired = retrieve(index, origin_embedding, k, query_id=origin_id)
+            accepted.append(NegativeExample(generated, origin_id, paired.ids, style))
     accepted.sort(key=lambda n: n.origin_query_id)
     records.sort(key=lambda r: r.origin_query_id)
     return accepted, records

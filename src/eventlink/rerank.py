@@ -25,7 +25,7 @@ import numpy as np
 from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, checkpoint_array
 from .encoders import load_checkpoint, save_encoder
 from .kb import NIL, KBEntry, KnowledgeBase, candidate_text, tokenize
-from .llm import TextCompletionClient, complete, prompt_file
+from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
 from .retrieval import CandidateSet
 
 NIL_PSEUDO_TOKEN = "[NIL]"
@@ -301,14 +301,17 @@ def llm_rerank(
 ) -> LinkDecision:
     """Prompt-based re-ranking baseline; the top-ranked title wins.
 
-    The request goes through ``llm.complete``, which retries a transport
-    failure as it does for negative generation. When every attempt fails,
-    and when a completion is malformed, the decision falls back to NIL
+    The request goes through ``llm.complete``, as for negative generation.
+    When it fails (a transport failure after its retry, or an exhausted
+    client) or the completion is malformed, the decision falls back to NIL
     with a note (``transport_failure: …`` or ``parse_failure: …``).
     """
     passage = " ".join(query_tokens)
     prompt = build_rerank_prompt(passage, candidates, kb, allow_nil)
-    completion, failure = complete(client, prompt)
+    try:
+        completion, failure = complete(client, prompt)
+    except ClientExhausted as exc:
+        completion, failure = None, str(exc)
     if completion is None:
         prediction, note = NIL, f"transport_failure: {failure}"
     else:

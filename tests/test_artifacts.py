@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eventlink.artifacts import iter_jsonl, read_document, read_json, read_records
+from eventlink.artifacts import iter_jsonl, read_document, read_json, read_manifest, read_records
 from eventlink.encoders import HashingEncoder, TinyEncoder, load_encoder, save_encoder
 from eventlink.kb import KBError, KnowledgeBase, entry_to_record, load_kb
 from eventlink.rerank import TinyCrossScorer
@@ -99,6 +99,18 @@ def test_generic_readers_accept_a_manifest_only_file(tmp_path):
     path.write_text(json.dumps(_MANIFEST) + "\n", encoding="utf-8")
     assert list(iter_jsonl(path)) == []
     assert read_json(path) == (_MANIFEST["_manifest"], {})
+
+
+def test_manifest_header_is_a_line_whose_only_key_is_the_manifest(tmp_path):
+    # read_manifest and iter_jsonl agree on which first line is a header
+    path = tmp_path / "records.jsonl"
+    record = {**_MANIFEST, "query_id": "q1"}
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert read_manifest(path) is None
+    assert list(iter_jsonl(path)) == [(1, record)]
+    path.write_text(json.dumps(_MANIFEST) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    assert read_manifest(path) == _MANIFEST["_manifest"]
+    assert list(iter_jsonl(path)) == [(2, record)]
 
 
 @given(entries=st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=4, unique_by=lambda e: e[0]),

@@ -221,6 +221,20 @@ def test_eval_lineage_mismatch(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("header", [5, {"inputs": []}, {"inputs": {"queries": "x"}}],
+                         ids=["int", "list-inputs", "str-queries"])
+def test_eval_malformed_preds_manifest_is_data_error(small_run, tmp_path, capsys, header):
+    preds = tmp_path / "preds.jsonl"
+    write_jsonl(preds, [{"_manifest": header}, *read_records(small_run["decisions"], dict)])
+    report = tmp_path / "r.json"
+    code = main(["eval", "--preds", str(preds), "--gold", small_run["test_tagged"],
+                 "--out", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert str(preds) in err
+    assert not report.exists()
+
+
 def test_fingerprint_mismatch_between_index_and_encoder(tmp_path, capsys):
     paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, neg_count=2)
     other = tmp_path / "other-encoder.json"
@@ -434,11 +448,12 @@ def test_neg_gen_scripted_client_running_dry_skips_the_rest(dense_stack, toy_inp
                               "--count", "3", "--client", "scripted",
                               "--responses", str(responses))
     negatives, records = read_records(out, dict), read_records(log, dict)
+    # the origin where the script ran dry is logged once, and no later origin is tried
     accepted = [r for r in records if r["status"] == "accepted"]
     skipped = [r for r in records if r["status"] == "skipped"]
-    assert len(accepted) == 1 and len(skipped) == len(records) - 1 >= 2
-    assert all(r["reason"] == "scripted client has no completions left" for r in skipped)
-    assert all(r["completion"] is None for r in skipped)
+    assert len(accepted) == len(skipped) == 1 and len(records) == 2
+    assert skipped[0]["reason"] == "scripted client has no completions left"
+    assert skipped[0]["completion"] is None
     assert [n["origin_query_id"] for n in negatives] == [accepted[0]["origin_query_id"]]
     assert negatives[0]["generated"]["tokens"] == ["a", "fleet", "sank", "."]
 

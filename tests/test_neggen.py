@@ -12,6 +12,7 @@ from eventlink.neggen import (
     STYLE_PLAIN,
     NegativeExample,
     PassageParseError,
+    build_prompt,
     generate_negatives,
     kb_pruning_negatives,
     parse_completion,
@@ -83,46 +84,123 @@ GOOD_COMPLETION = (
 )
 
 
-def test_parse_two_step_completion():
-    parsed = parse_completion(GOOD_COMPLETION, STYLE_ARGUMENT_AWARE)
-    assert parsed.accepted
-    assert parsed.passage == "<A> Xan </A> <mention> invaded </mention> <B> Yorland </B> ."
-    assert parsed.plan_edit == "swap the details."
-    assert parsed.plan_polish == "polish."
+def test_parse_two_step_completion(invasion_tagged):
+    segments = parse_completion(GOOD_COMPLETION, STYLE_ARGUMENT_AWARE)
+    assert segments == {
+        "plan_edit": "swap the details.",
+        "passage_after_edit": "<A> Xan </A> <mention> invaded </mention> <B> Yor </B> .",
+        "plan_polish": "polish.",
+        "passage_after_polish": "<A> Xan </A> <mention> invaded </mention> <B> Yorland </B> .",
+    }
+    decoded = passage_to_tagged(segments["passage_after_polish"], invasion_tagged, "n")
+    assert decoded.base.tokens == ("Xan", "invaded", "Yorland", ".")
+    assert decoded.base.mention == Span(1, 1)
 
 
-def test_parse_rejects_missing_mention_tags():
+def test_parse_rejects_missing_mention_tags(invasion_tagged):
     completion = GOOD_COMPLETION.replace("</mention>", "")
-    parsed = parse_completion(completion, STYLE_ARGUMENT_AWARE)
-    assert not parsed.accepted
-    assert "mention tags" in parsed.reason
+    passage = parse_completion(completion, STYLE_ARGUMENT_AWARE)["passage_after_polish"]
+    with pytest.raises(PassageParseError, match="^mention tags removed$"):
+        passage_to_tagged(passage, invasion_tagged, "n")
 
 
-def test_parse_rejects_unbalanced_role_tags():
+def test_parse_rejects_unbalanced_role_tags(invasion_tagged):
     completion = GOOD_COMPLETION.replace("</B> .", ".")
-    parsed = parse_completion(completion, STYLE_ARGUMENT_AWARE)
-    assert not parsed.accepted
-    assert "unbalanced" in parsed.reason
+    passage = parse_completion(completion, STYLE_ARGUMENT_AWARE)["passage_after_polish"]
+    with pytest.raises(PassageParseError, match="unterminated tags"):
+        passage_to_tagged(passage, invasion_tagged, "n")
 
 
-def test_parse_rejects_unchanged_passage():
-    passage = "<A> Xan </A> <mention> invaded </mention> <B> Yorland </B> ."
-    parsed = parse_completion(GOOD_COMPLETION, STYLE_ARGUMENT_AWARE, original=passage)
-    assert not parsed.accepted
-    assert parsed.reason == "unchanged"
-
-
-def test_parse_rejects_missing_segments():
-    parsed = parse_completion("no structure at all", STYLE_ARGUMENT_AWARE)
-    assert not parsed.accepted
+def test_parse_rejects_missing_segments(toy_stack):
+    # the plain pattern alone does not satisfy the two-step format
+    assert parse_completion("New passage: a <mention> b </mention>", STYLE_ARGUMENT_AWARE) is None
+    data, encoder, index = toy_stack
+    for style, reason in ((STYLE_ARGUMENT_AWARE, "missing plan or passage segments"),
+                          (STYLE_PLAIN, "missing generated passage")):
+        assert parse_completion("no structure at all", style) is None
+        _, records = generate_negatives(
+            data.train, index, encoder, ScriptedClient(["no structure at all"]), style, 1,
+        )
+        assert [(r.status, r.reason) for r in records if r.completion] == [("rejected", reason)]
 
 
 def test_parse_plain_style():
-    parsed = parse_completion(
+    segments = parse_completion(
         "New passage: the fleet <mention> sank </mention> off Qarr .", STYLE_PLAIN
     )
-    assert parsed.accepted
-    assert parsed.passage == "the fleet <mention> sank </mention> off Qarr ."
+    assert segments == {"passage_after_polish": "the fleet <mention> sank </mention> off Qarr ."}
+
+
+def _completion(passage, style):
+    if style == STYLE_PLAIN:
+        return f"New passage: {passage}"
+    return GOOD_COMPLETION.replace(
+        "<A> Xan </A> <mention> invaded </mention> <B> Yorland </B> .", passage
+    )
+
+
+class _EchoClient:
+    """Answers every prompt with its origin's own passage, unchanged."""
+
+    def __init__(self, pool, style):
+        roles = style == STYLE_ARGUMENT_AWARE
+        self.answers = {build_prompt(q, style): _completion(tagged_passage(q, roles), style)
+                        for q in sample_filter(pool)}
+
+    def complete(self, prompt):
+        return self.answers[prompt]
+
+
+def test_parse_rejects_unchanged_passage(toy_stack):
+    data, encoder, index = toy_stack
+    for style in (STYLE_ARGUMENT_AWARE, STYLE_PLAIN):
+        negatives, records = generate_negatives(
+            data.train, index, encoder, _EchoClient(data.train, style), style, 2, seed=1,
+        )
+        assert negatives == []
+        assert len(records) == len(sample_filter(data.train))
+        assert all(r.status == "rejected" and r.reason == "unchanged" for r in records)
+
+
+# Each malformed final passage and the reason its generation record logs,
+# the same in both styles.
+_MALFORMED = {
+    "no tags": ("Xan clashed Yorland .", "mention tags removed"),
+    "two mentions": ("<A> Xan </A> <mention> clashed </mention> <mention> fought </mention> .",
+                     "malformed passage: duplicate mention tags"),
+    "close before open": ("<A> Xan </A> </mention> clashed <mention> .",
+                          "malformed passage: empty or unopened mention span"),
+    "empty mention": ("<A> Xan </A> <mention> </mention> clashed .",
+                      "malformed passage: empty or unopened mention span"),
+    "unclosed mention": ("<A> Xan </A> <mention> clashed .", "mention tags removed"),
+    "nested role": ("<A> Xan <B> Yorland </B> </A> <mention> clashed </mention> .",
+                    "malformed passage: nested role tags"),
+    "mismatched close": ("<A> Xan </B> <mention> clashed </mention> .",
+                         "malformed passage: mismatched closing tag 'B'"),
+    "unclosed role": ("<A> Xan </A> <mention> clashed </mention> <B> Yorland .",
+                      "malformed passage: unterminated tags in passage"),
+    "empty role": ("<A> </A> Xan <mention> clashed </mention> .",
+                   "malformed passage: empty role span 'A'"),
+    "role close without open": ("Xan </A> <mention> clashed </mention> .",
+                                "malformed passage: mismatched closing tag 'A'"),
+}
+
+
+@pytest.mark.parametrize("shape", list(_MALFORMED))
+@pytest.mark.parametrize("style", [STYLE_ARGUMENT_AWARE, STYLE_PLAIN])
+def test_malformed_passage_is_rejected_with_the_decoder_reason(toy_stack, style, shape):
+    data, encoder, index = toy_stack
+    passage, reason = _MALFORMED[shape]
+    client = ScriptedClient([_completion(passage, style)])
+    negatives, records = generate_negatives(
+        data.train, index, encoder, client, style, 1, seed=0,
+    )
+    assert negatives == []
+    # the one completion is rejected, then the dry script ends the run
+    assert sorted((r.status, r.reason, r.passage_after_polish) for r in records) == [
+        ("rejected", reason, passage),
+        ("skipped", "scripted client has no completions left", None),
+    ]
 
 
 # --- passage_to_tagged ----------------------------------------------------------
@@ -252,7 +330,9 @@ def test_plain_style_negatives_have_no_arguments(toy_stack):
         assert negative.provenance == STYLE_PLAIN
 
 
-# Written by the code that preceded the shared marker walk and retry loop.
+# Written by the code that preceded the shared marker walk and retry loop;
+# the scripted case's log was cut to one skipped record once a dry script
+# began ending the run.
 _GOLDEN = Path(__file__).parent / "data" / "neggen_golden.jsonl"
 
 _SCRIPTED_ACCEPTED = (

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from eventlink.encoders import DegenerateNormError, TinyEncoder
 from eventlink.kb import NIL, KBEntry, KBError, KnowledgeBase, candidate_text
-from eventlink.llm import LLMTransportError, ScriptedClient
+from eventlink.llm import ClientExhausted, LLMTransportError, ScriptedClient
 from eventlink.rerank import (
     RULE_LEARNED,
     RULE_LLM,
@@ -343,6 +343,26 @@ def test_llm_rerank_keeps_nil_after_every_attempt_fails(kb10):
     assert decision.note.startswith("transport_failure:")
     assert "connection reset" in decision.note
     assert len(decision.scores) == 11
+
+
+class _DryClient:
+    """Has no completions left, like a scripted client at the end of its script."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, prompt):
+        self.calls += 1
+        raise ClientExhausted("scripted client has no completions left")
+
+
+def test_llm_rerank_does_not_retry_an_exhausted_client(kb10):
+    ids = [f"E{i}" for i in range(10)]
+    client = _DryClient()
+    decision = llm_rerank(client, ["war"], _cands(ids), kb10, allow_nil=False)
+    assert client.calls == 1
+    assert decision.prediction == NIL
+    assert decision.note == "transport_failure: scripted client has no completions left"
 
 
 def test_llm_rerank_requires_ten_candidates(kb10):
