@@ -3,7 +3,9 @@
 One subcommand per pipeline stage, driven by flags or an INI config file
 with one section per command. ``build_parser`` declares every option once,
 with its type, choices and default; a config section is parsed as flags
-placed before the command line, so explicit flags win. Outputs are written
+placed before the command line, so explicit flags win. Sequence lengths are
+not options: each stage uses the budget of the model it feeds,
+``kb.RETRIEVER_MAX_LEN`` or ``kb.SCORER_MAX_LEN``. Outputs are written
 atomically and carry a manifest header recording the command, every
 resolved option, and sha256 digests of every input, so downstream stages
 can refuse mismatched lineages.
@@ -19,10 +21,10 @@ import os
 import sys
 
 from . import artifacts, encoders, evaluation, neggen, rerank, training
-from .extraction import RoleLexicon, extract, query_from_record, rule_extractor
+from .extraction import RoleLexicon, RuleExtractor, extract, query_from_record
 from .extraction import tagged_from_record, tagged_to_record
 from .formatting import FORMAT_STYLES, format_query
-from .kb import NIL, KBError, entry_to_record, load_kb
+from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBError, entry_to_record, load_kb
 from .llm import ScriptedClient
 from .rerank import LinkDecision, TinyCrossScorer, llm_rerank, score_pairs
 from .rerank import select_learned_nil, select_threshold
@@ -120,9 +122,7 @@ def _scripted_client(args, inputs: dict) -> ScriptedClient:
 
 def _train_config(args) -> training.TrainConfig:
     return training.TrainConfig(
-        learning_rate=args.lr, batch_size=args.batch_size, epochs=args.epochs,
-        max_query_len=args.max_query_len, max_candidate_len=args.max_candidate_len,
-        seed=args.seed, k=getattr(args, "k", training.TrainConfig.k),
+        learning_rate=args.lr, batch_size=args.batch_size, epochs=args.epochs, seed=args.seed,
     )
 
 
@@ -134,7 +134,7 @@ def _save_checkpoint(obj, path: str, report: training.TrainReport) -> None:
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_build_kb(args) -> None:
+def cmd_build_kb(args) -> dict:
     source = _require(args.in_path, "--in")
     kb = load_kb(source)
     manifest = _manifest("build-kb", args, {"kb": source})
@@ -142,21 +142,21 @@ def cmd_build_kb(args) -> None:
     return manifest
 
 
-def cmd_tag(args) -> None:
+def cmd_tag(args) -> dict:
     source = _require(args.in_path, "--in")
     lexicon_path = _require(args.lexicon, "--lexicon")
-    extractor = rule_extractor(RoleLexicon.from_file(lexicon_path))
+    extractor = RuleExtractor(RoleLexicon.from_file(lexicon_path))
     tagged = [extract(extractor, q) for q in artifacts.read_records(source, query_from_record)]
     manifest = _manifest("tag", args, {"queries": source, "lexicon": lexicon_path})
     artifacts.write_jsonl(args.out, (tagged_to_record(t) for t in tagged), manifest)
     return manifest
 
 
-def cmd_format(args) -> None:
+def cmd_format(args) -> dict:
     source = _require(args.in_path, "--in")
     records = (
         {"query_id": t.base.query_id, "format": args.style,
-         "tokens": format_query(t, args.style, args.max_len)}
+         "tokens": format_query(t, args.style, RETRIEVER_MAX_LEN)}
         for t in _load_tagged(source)
     )
     manifest = _manifest("format", args, {"queries": source})
@@ -164,10 +164,10 @@ def cmd_format(args) -> None:
     return manifest
 
 
-def cmd_train_bi(args) -> None:
+def cmd_train_bi(args) -> dict:
     inputs, kb, tagged, _, _ = _stack(args, dense=False)
     cfg = _train_config(args)
-    vocab = training.build_vocab(kb, tagged, cfg.max_query_len, args.style)
+    vocab = training.build_vocab(kb, tagged, RETRIEVER_MAX_LEN, args.style)
     encoder = encoders.TinyEncoder(vocab, args.dim, seed=cfg.seed)
     data = []
     for query in tagged:
@@ -176,22 +176,22 @@ def cmd_train_bi(args) -> None:
         entry = kb.get(query.base.gold)
         if entry is None:
             raise DataError(f"query {query.base.query_id!r}: gold {query.base.gold!r} not in KB")
-        data.append((format_query(query, args.style, cfg.max_query_len), entry))
+        data.append((format_query(query, args.style, RETRIEVER_MAX_LEN), entry))
     report = training.train_biencoder(data, encoder, cfg)
     _save_checkpoint(encoder, args.out, report)
     return _manifest("train-bi", args, inputs)
 
 
-def cmd_index(args) -> None:
+def cmd_index(args) -> dict:
     inputs = {"kb": _require(args.kb, "--kb"), "encoder": _require(args.encoder, "--encoder")}
     encoder = encoders.load_encoder(inputs["encoder"])
-    index = build_index(load_kb(inputs["kb"]), encoder, args.max_len)
+    index = build_index(load_kb(inputs["kb"]), encoder, RETRIEVER_MAX_LEN)
     manifest = _manifest("index", args, inputs)
     index.save(args.out, manifest)
     return manifest
 
 
-def cmd_retrieve(args) -> None:
+def cmd_retrieve(args) -> dict:
     bm25 = args.retriever == "bm25"
     inputs, kb, tagged, index, encoder = _stack(args, kb=bm25, dense=not bm25)
     if bm25:
@@ -199,7 +199,7 @@ def cmd_retrieve(args) -> None:
         results = [bm25_retrieve(index, query.base, args.k) for query in tagged]
     else:
         embeddings = encoder.encode_many(
-            [format_query(query, args.style, args.max_query_len) for query in tagged])
+            [format_query(query, args.style, RETRIEVER_MAX_LEN) for query in tagged])
         results = [
             retrieve(index, embedding, args.k, query_id=query.base.query_id)
             for query, embedding in zip(tagged, embeddings)
@@ -209,7 +209,7 @@ def cmd_retrieve(args) -> None:
     return manifest
 
 
-def cmd_neg_gen(args) -> None:
+def cmd_neg_gen(args) -> dict:
     generated = args.style != "prune"
     inputs, _, tagged, index, encoder = _stack(args, kb=False, dense=generated)
     if generated:  # paired candidate ids name the KB's entries, so the manifest records it
@@ -226,11 +226,11 @@ def cmd_neg_gen(args) -> None:
         artifacts.write_jsonl(args.out, (n.to_record() for n in negatives), manifest)
         return manifest
     storyteller = args.client == "storyteller"
-    client = StorytellerMock(args.client_seed) if storyteller else _scripted_client(args, inputs)
+    client = StorytellerMock() if storyteller else _scripted_client(args, inputs)
     gen_style = neggen.STYLE_ARGUMENT_AWARE if args.style == "args" else neggen.STYLE_PLAIN
     negatives, records = neggen.generate_negatives(
         tagged, index, encoder, client, gen_style, args.count,
-        seed=args.seed, k=args.k, query_max_len=args.max_query_len,
+        seed=args.seed, k=args.k, query_max_len=RETRIEVER_MAX_LEN,
     )
     manifest = _manifest("neg-gen", args, inputs)
     artifacts.write_jsonl(args.out, (n.to_record() for n in negatives), manifest)
@@ -239,7 +239,7 @@ def cmd_neg_gen(args) -> None:
     return manifest
 
 
-def cmd_train_cross(args) -> None:
+def cmd_train_cross(args) -> dict:
     inputs, kb, tagged, index, encoder = _stack(args)
     cfg = _train_config(args)
     negatives = []
@@ -252,26 +252,26 @@ def cmd_train_cross(args) -> None:
             return example
 
         negatives = artifacts.read_records(args.negatives, negative)
-    vocab = training.build_vocab(kb, tagged, cfg.max_query_len, args.style)
+    vocab = training.build_vocab(kb, tagged, SCORER_MAX_LEN, args.style)
     pruned = [n for n in negatives if n.provenance == neggen.PROVENANCE_KB_PRUNING]
     generated = [n for n in negatives if n.provenance != neggen.PROVENANCE_KB_PRUNING]
     queries, index = training.apply_kb_pruning(tagged, pruned, index)
-    mined = training.mine_candidates(queries, index, encoder, cfg.k, args.style, cfg.max_query_len)
-    positives = training.positive_examples(queries, mined, args.style, cfg.max_query_len)
+    mined = training.mine_candidates(queries, index, encoder, args.k, args.style, SCORER_MAX_LEN)
+    positives = training.positive_examples(queries, mined, args.style, SCORER_MAX_LEN)
     scorer = TinyCrossScorer(vocab, args.dim, seed=cfg.seed)
     report = training.train_crossencoder(positives, generated, scorer, cfg, kb, args.style)
     _save_checkpoint(scorer, args.out, report)
     return _manifest("train-cross", args, inputs)
 
 
-def cmd_link(args) -> None:
+def cmd_link(args) -> dict:
     inputs, kb, tagged, index, encoder = _stack(args)
     if args.rule == "llm":
         client = _scripted_client(args, inputs)
     else:
         inputs["scorer"] = _require(args.scorer, "--scorer")
         scorer = TinyCrossScorer.load(args.scorer)
-    query_rows = [format_query(query, args.style, args.max_query_len) for query in tagged]
+    query_rows = [format_query(query, args.style, SCORER_MAX_LEN) for query in tagged]
     embeddings = encoder.encode_many(query_rows)
     candidate_sets = [
         retrieve(index, embedding, args.k, query_id=query.base.query_id)
@@ -281,7 +281,7 @@ def cmd_link(args) -> None:
         decisions = [llm_rerank(client, query_tokens, candidates, kb, args.allow_nil)
                      for query_tokens, candidates in zip(query_rows, candidate_sets)]
     else:
-        score_lists = score_pairs(scorer, query_rows, candidate_sets, kb, args.max_candidate_len)
+        score_lists = score_pairs(scorer, query_rows, candidate_sets, kb, SCORER_MAX_LEN)
         decisions = [
             select_learned_nil(scores, candidates) if args.rule == "learned" else
             select_threshold(scores[1:], candidates, theta=args.theta, direction=args.direction)
@@ -297,7 +297,7 @@ def _lineage_digest(manifest: dict) -> str | None:
     return manifest.get("inputs", {}).get("queries", {}).get("sha256")
 
 
-def cmd_eval(args) -> None:
+def cmd_eval(args) -> dict:
     preds_path = _require(args.preds, "--preds")
     gold_path = _require(args.gold, "--gold")
     decisions = artifacts.read_records(preds_path, LinkDecision.from_record)
@@ -325,7 +325,7 @@ def cmd_eval(args) -> None:
     return manifest
 
 
-def cmd_report(args) -> None:
+def cmd_report(args) -> dict:
     names = [os.path.splitext(os.path.basename(_require(p, "--runs")))[0] for p in args.runs]
     runs = [
         (name, artifacts.read_document(path, evaluation.EvalReport.from_dict))
@@ -365,13 +365,13 @@ def build_parser() -> _Parser:
     def of(kind, default):
         return dict(type=kind, default=default)
 
+    k = of(int, 10)
+
     def trainer(cfg):
         return {
             "kb": path, "queries": path, "style": style, "dim": of(int, 64),
             "lr": of(float, cfg.learning_rate), "batch-size": of(int, cfg.batch_size),
             "epochs": of(int, cfg.epochs), "seed": of(int, cfg.seed),
-            "max-query-len": of(int, cfg.max_query_len),
-            "max-candidate-len": of(int, cfg.max_candidate_len),
         }
 
     dense = {"kb": path, "queries": path, "index": path, "encoder": path}
@@ -380,35 +380,27 @@ def build_parser() -> _Parser:
         "tag": (cmd_tag, {
             "in": source, "extractor": dict(choices=("rule",), default="rule"), "lexicon": path,
         }),
-        "format": (cmd_format, {"in": source, "style": style, "max-len": of(int, bi.max_query_len)}),
+        "format": (cmd_format, {"in": source, "style": style}),
         "train-bi": (cmd_train_bi, trainer(bi)),
-        "index": (cmd_index, {
-            "kb": path, "encoder": path, "max-len": of(int, bi.max_candidate_len),
-        }),
+        "index": (cmd_index, {"kb": path, "encoder": path}),
         "retrieve": (cmd_retrieve, {
             **dense, "retriever": dict(choices=("dense", "bm25"), default="dense"),
-            "style": style, "k": of(int, bi.k), "max-query-len": of(int, bi.max_query_len),
+            "style": style, "k": k,
         }),
         "neg-gen": (cmd_neg_gen, {
             **dense, "style": dict(choices=("args", "plain", "prune"), default="args"),
             "count": of(int, neggen.DESK_SCALE_TRAIN_GENERATIONS), "seed": of(int, 0),
             "client": dict(choices=("storyteller", "scripted"), default="storyteller"),
-            "client-seed": of(int, 0), "responses": path, "log": path,
-            "k": of(int, bi.k), "max-query-len": of(int, bi.max_query_len),
-            "prune-fraction": of(float, 0.1),
+            "responses": path, "log": path, "k": k, "prune-fraction": of(float, 0.1),
         }),
-        "train-cross": (cmd_train_cross, {
-            **trainer(cross), **dense, "negatives": path, "k": of(int, cross.k),
-        }),
+        "train-cross": (cmd_train_cross, {**trainer(cross), **dense, "negatives": path, "k": k}),
         "link": (cmd_link, {
             **dense, "scorer": path,
             "rule": dict(choices=("learned", "threshold", "llm"), default="learned"),
             "theta": of(float, rerank.DEFAULT_THETA),
             "direction": dict(choices=("conventional", "literal"), default="conventional"),
-            "k": of(int, cross.k), "style": style,
+            "k": k, "style": style, "responses": path,
             "allow-nil": dict(nargs="?", const=True, type=boolean, default=False),
-            "responses": path, "max-query-len": of(int, cross.max_query_len),
-            "max-candidate-len": of(int, cross.max_candidate_len),
         }),
         "eval": (cmd_eval, {
             "preds": path, "gold": path, "candidates": path,
@@ -439,9 +431,7 @@ def main(argv=None) -> int:
                 args = parser.parse_args([argv[0], *config_argv, *argv[1:]])
             except UsageError as exc:
                 raise UsageError(f"{args.config} [{args.command}]: {exc}") from None
-        manifest = args.func(args)
-        if manifest is not None:
-            print(artifacts.canonical_json({"manifest": manifest}))
+        print(artifacts.canonical_json({"manifest": args.func(args)}))
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -46,10 +46,8 @@ class DegenerateNormError(ValueError):
     """A vector that must be L2-normalized has zero norm."""
 
 
-@runtime_checkable
 class EncoderAdapter(Protocol):
     dim: int
-    trainable: bool
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray: ...
 
@@ -64,8 +62,6 @@ def token_hash(token: str) -> int:
 
 class HashingEncoder:
     """Deterministic bag encoder: seeded unit vector per token, normalized sum."""
-
-    trainable = False
 
     def __init__(self, dim: int, seed: int):
         if dim < 2:
@@ -118,8 +114,6 @@ class TinyEncoder:
     ``forward_batch`` encodes many and returns the cache from which
     ``backward`` adds the analytic gradients the training loops use.
     """
-
-    trainable = True
 
     def __init__(
         self,

@@ -10,7 +10,7 @@ desk-scale runs in place of learned extraction models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from . import artifacts
 from .kb import NIL
@@ -128,16 +128,8 @@ class TaggedQuery:
                 raise ValueError(f"argument spans {ordered[i-1].span} and {arg.span} overlap")
 
 
-@runtime_checkable
 class ExtractorAdapter(Protocol):
-    """Adapter contract for event-type and argument extraction.
-
-    ``serial`` adapters are called from a single thread; others must be
-    safe for concurrent calls.
-    """
-
-    name: str
-    serial: bool
+    """Adapter contract for event-type and argument extraction."""
 
     def tag(self, query: EventQuery) -> tuple[str, Sequence[Argument]]: ...
 
@@ -202,9 +194,6 @@ class RuleExtractor:
     (lexicon, query).
     """
 
-    name = "rule"
-    serial = False
-
     def __init__(self, lexicon: RoleLexicon):
         self._roles = {
             tuple(phrase.lower().split()): role for phrase, role in lexicon.roles.items()
@@ -233,11 +222,6 @@ class RuleExtractor:
             else:
                 i += 1
         return event_type, arguments
-
-
-def rule_extractor(lexicon: RoleLexicon) -> RuleExtractor:
-    """Build the deterministic lexicon-matching adapter."""
-    return RuleExtractor(lexicon)
 
 
 # --- record (de)serialization for query files -------------------------------

@@ -18,6 +18,12 @@ NIL = "NIL"
 # candidate-side serializations.
 TITLE_SEP = "[TITLE_SEP]"
 
+# Input budgets, in tokens, of the two models (the BLINK setting, arXiv
+# 1911.03814): the retriever encodes queries and candidates at
+# RETRIEVER_MAX_LEN, the cross scorer at SCORER_MAX_LEN.
+RETRIEVER_MAX_LEN = 300
+SCORER_MAX_LEN = 256
+
 
 class KBError(ValueError):
     """A knowledge-base file or entry violates its schema or invariants."""
@@ -59,14 +65,8 @@ class KnowledgeBase:
                 raise KBError(f"duplicate entry id {entry.id!r}")
             self._by_id[entry.id] = entry
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __iter__(self) -> Iterator[KBEntry]:
         return iter(self._entries)
-
-    def __getitem__(self, position: int) -> KBEntry:
-        return self._entries[position]
 
     @property
     def n(self) -> int:
@@ -82,9 +82,6 @@ class KnowledgeBase:
             return [self._by_id[entry_id] for entry_id in ids]
         except KeyError as exc:
             raise KBError(f"candidate id {exc.args[0]!r} not found in the KB") from None
-
-    def __contains__(self, entry_id: str) -> bool:
-        return entry_id in self._by_id
 
     @property
     def ids(self) -> tuple[str, ...]:

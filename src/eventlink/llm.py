@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 from importlib import resources
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Iterable, Protocol
 
 
 # How many times a request is retried after an LLMTransportError.
@@ -33,7 +33,6 @@ class ClientExhausted(RuntimeError):
     """The client has no completions left; retrying cannot help."""
 
 
-@runtime_checkable
 class TextCompletionClient(Protocol):
     def complete(self, prompt: str) -> str: ...
 

@@ -33,7 +33,7 @@ from .encoders import EncoderAdapter
 from .extraction import Argument, EventQuery, Span, TaggedQuery, tagged_from_record
 from .extraction import tagged_to_record
 from .formatting import format_arguments, marked_sequence, slug
-from .kb import NIL
+from .kb import NIL, RETRIEVER_MAX_LEN
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
 from .retrieval import DenseIndex, retrieve
 
@@ -337,16 +337,18 @@ def generate_negatives(
     *,
     seed: int = 0,
     k: int = 10,
-    query_max_len: int = 300,
+    query_max_len: int = RETRIEVER_MAX_LEN,
 ) -> tuple[list[NegativeExample], list[GenerationRecord]]:
     """Generate up to ``count`` accepted negatives, logging every attempt.
 
     Origins are drawn without replacement from the filtered pool in a
     seed-determined order, so a fixed (pool, seed, client) triple always
     produces the same files. Pairing retrieves top-k for the origin query
-    (never the generated text).
+    (never the generated text). A plain-style passage must carry mention
+    tags only.
     """
     spec = _style_spec(style)
+    roles = style == STYLE_ARGUMENT_AWARE
     filtered = sample_filter(pool)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(filtered))
@@ -369,11 +371,14 @@ def generate_negatives(
             passage = segments.get("passage_after_polish")
             if passage is None:
                 reason = spec.missing
-            elif passage == tagged_passage(origin, include_roles=style == STYLE_ARGUMENT_AWARE):
+            elif passage == tagged_passage(origin, include_roles=roles):
                 reason = "unchanged"
             else:
                 try:
                     generated = passage_to_tagged(passage, origin, f"{origin_id}::neg")
+                    if generated.arguments and not roles:
+                        raise PassageParseError(
+                            "malformed passage: role tags in a plain-style passage")
                 except PassageParseError as exc:
                     reason = str(exc)
         status = "skipped" if completion is None else "rejected" if reason else "accepted"

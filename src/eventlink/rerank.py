@@ -18,13 +18,13 @@ score keeps the bits of a per-pair scorer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
 from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, checkpoint_array
 from .encoders import load_checkpoint, save_encoder
-from .kb import NIL, KBEntry, KnowledgeBase, candidate_text, tokenize
+from .kb import NIL, SCORER_MAX_LEN, KBEntry, KnowledgeBase, candidate_text, tokenize
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
 from .retrieval import CandidateSet
 
@@ -41,7 +41,6 @@ PROMPT_DESCRIPTION_TOKENS = 50
 NIL_ANSWER_SENTENCE = "The passage should be labeled as NIL."
 
 
-@runtime_checkable
 class CrossScorer(Protocol):
     """Scorer of the k+1 options of each query of a batch, out-of-KB first.
 
@@ -54,8 +53,6 @@ class CrossScorer(Protocol):
     candidate. Joint-encoding implementations serialize a pair as query
     tokens, ``[SEP]``, candidate tokens.
     """
-
-    trainable: bool
 
     def score_candidates(
         self,
@@ -73,8 +70,6 @@ class TinyCrossScorer:
     embedding (unit-normalized). A joint pair encoder can be slotted in
     behind the same protocol.
     """
-
-    trainable = True
 
     def __init__(self, vocab: Sequence[str], dim: int, seed: int = 0):
         root = np.random.SeedSequence(seed)
@@ -186,7 +181,7 @@ def score_pairs(
     query_rows: Sequence[Sequence[str]],
     candidate_sets: Sequence[CandidateSet],
     kb: KnowledgeBase,
-    max_candidate_len: int = 256,
+    max_candidate_len: int = SCORER_MAX_LEN,
 ) -> list[np.ndarray]:
     """Score the k+1 options of every query in one call; index 0 of each is out-of-KB."""
     entry_lists = [kb.entries(candidates.ids) for candidates in candidate_sets]

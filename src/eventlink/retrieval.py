@@ -38,7 +38,7 @@ from . import artifacts
 from .encoders import EncoderAdapter, encoder_fingerprint
 from .extraction import EventQuery
 from .formatting import context_window
-from .kb import KnowledgeBase, candidate_text, full_candidate_tokens
+from .kb import RETRIEVER_MAX_LEN, KnowledgeBase, candidate_text, full_candidate_tokens
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -180,7 +180,9 @@ def _norms(x: np.ndarray) -> np.ndarray:
         return scale[..., 0] * np.linalg.norm(x / scale, axis=-1)
 
 
-def build_index(kb: KnowledgeBase, encoder: EncoderAdapter, max_len: int = 300) -> DenseIndex:
+def build_index(
+    kb: KnowledgeBase, encoder: EncoderAdapter, max_len: int = RETRIEVER_MAX_LEN
+) -> DenseIndex:
     """Encode every entry's candidate text into one index row, in KB order.
 
     One ``encode_many`` call encodes the whole KB; its rows equal per-entry

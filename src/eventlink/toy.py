@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import token_hash
-from .extraction import EventQuery, RoleLexicon, Span, TaggedQuery, extract, query_to_record
-from .extraction import rule_extractor
+from .extraction import EventQuery, RoleLexicon, RuleExtractor, Span, TaggedQuery, extract
+from .extraction import query_to_record
 from .kb import KBEntry, KnowledgeBase, entry_to_record
 
 _ONSETS = (
@@ -115,7 +115,7 @@ def build_toy_data(
         roles[place.lower()] = "Place"
         roles[year] = "Time"
     lexicon = RoleLexicon(roles=roles, triggers=dict(_TRIGGERS))
-    extractor = rule_extractor(lexicon)
+    extractor = RuleExtractor(lexicon)
 
     def make_query(qid: str, i: int, variant: int) -> TaggedQuery:
         _, verb, place, year, a, d = facts[i]

@@ -29,7 +29,8 @@ import numpy as np
 from .encoders import OOV_TOKEN, DegenerateNormError, TinyEncoder
 from .extraction import TaggedQuery
 from .formatting import format_query
-from .kb import NIL, KBEntry, KnowledgeBase, candidate_text, full_candidate_tokens
+from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBEntry, KnowledgeBase, candidate_text
+from .kb import full_candidate_tokens
 from .neggen import NegativeExample
 from .rerank import NIL_PSEUDO_TOKEN, TinyCrossScorer, softmax
 from .retrieval import CandidateSet, DenseIndex, retrieve
@@ -41,39 +42,28 @@ class TrainingError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one training run."""
+    """Optimizer settings for one training run.
+
+    Sequence lengths are not settings: the retriever trains at
+    ``RETRIEVER_MAX_LEN`` tokens and the cross scorer at ``SCORER_MAX_LEN``.
+    """
 
     learning_rate: float
     batch_size: int
     epochs: int
-    max_query_len: int
-    max_candidate_len: int
     seed: int = 0
-    k: int = 10
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("learning rate, batch size, and epochs must be positive")
-        if self.max_query_len <= 0 or self.max_candidate_len <= 0 or self.k <= 0:
-            raise ValueError("lengths and k must be positive")
 
     @classmethod
     def biencoder_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(
-            learning_rate=1e-5, batch_size=48, epochs=15,
-            max_query_len=300, max_candidate_len=300, seed=0, k=10,
-        )
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{"learning_rate": 1e-5, "batch_size": 48, "epochs": 15, **overrides})
 
     @classmethod
     def crossencoder_defaults(cls, **overrides) -> "TrainConfig":
-        base = dict(
-            learning_rate=2e-5, batch_size=6, epochs=20,
-            max_query_len=256, max_candidate_len=256, seed=0, k=10,
-        )
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{"learning_rate": 2e-5, "batch_size": 6, "epochs": 20, **overrides})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -92,7 +82,10 @@ class TrainReport:
 
 
 def build_vocab(
-    kb: KnowledgeBase, tagged: Sequence[TaggedQuery], max_len: int = 300, style: str = "args"
+    kb: KnowledgeBase,
+    tagged: Sequence[TaggedQuery],
+    max_len: int = RETRIEVER_MAX_LEN,
+    style: str = "args",
 ) -> list[str]:
     """Deterministic token vocabulary covering candidates, queries, markers.
 
@@ -175,7 +168,7 @@ def train_biencoder(
     if len(data) < cfg.batch_size:
         raise ValueError(f"need at least {cfg.batch_size} pairs, got {len(data)}")
     queries = [tuple(query) for query, _ in data]
-    golds = [tuple(candidate_text(entry, cfg.max_candidate_len)) for _, entry in data]
+    golds = [tuple(candidate_text(entry, RETRIEVER_MAX_LEN)) for _, entry in data]
     return _sgd_epochs(encoder.params(), len(data), cfg, lambda chunk: biencoder_batch_loss(
         encoder, [queries[i] for i in chunk], [golds[i] for i in chunk]
     ))
@@ -251,7 +244,7 @@ def mine_candidates(
     encoder,
     k: int = 10,
     style: str = "args",
-    max_query_len: int = 300,
+    max_query_len: int = RETRIEVER_MAX_LEN,
 ) -> dict[str, CandidateSet]:
     """Top-k retrieval per query, injecting a missing gold at the last rank.
 
@@ -300,7 +293,7 @@ def positive_examples(
     queries: Sequence[TaggedQuery],
     mined: Mapping[str, CandidateSet],
     style: str = "args",
-    max_query_len: int = 256,
+    max_query_len: int = SCORER_MAX_LEN,
 ) -> list[CrossExample]:
     """Assemble scorer training rows from mined candidates.
 
@@ -333,7 +326,7 @@ def positive_examples(
 def negative_examples(
     negatives: Sequence[NegativeExample],
     style: str = "args",
-    max_query_len: int = 256,
+    max_query_len: int = SCORER_MAX_LEN,
 ) -> list[CrossExample]:
     """Scorer training rows for synthetic negatives: target is always NIL."""
     rows: list[CrossExample] = []
@@ -363,10 +356,10 @@ def train_crossencoder(
     depends only on cfg.seed, never on insertion order.
     """
     negatives = sorted(negatives, key=lambda n: n.generated.base.query_id)
-    rows = list(positives) + negative_examples(negatives, style, cfg.max_query_len)
+    rows = list(positives) + negative_examples(negatives, style, SCORER_MAX_LEN)
     if not rows:
         raise ValueError("no training examples")
     rows.sort(key=lambda r: r.query_id)
     return _sgd_epochs(scorer.params(), len(rows), cfg, lambda chunk: crossencoder_batch_loss(
-        scorer, [rows[i] for i in chunk], kb, cfg.max_candidate_len
+        scorer, [rows[i] for i in chunk], kb, SCORER_MAX_LEN
     ))

@@ -366,12 +366,12 @@ def test_config_file_supplies_defaults_and_flags_win(toy_inputs, tmp_path):
     main(["tag", "--in", toy_inputs["train"], "--out", str(tagged),
           "--extractor", "rule", "--lexicon", toy_inputs["lexicon"]])
     config = tmp_path / "run.ini"
-    config.write_text("[format]\nstyle = blink\nmax-len = 12\n", encoding="utf-8")
+    config.write_text("[format]\nstyle = blink\n", encoding="utf-8")
     out = tmp_path / "fmt.jsonl"
     assert main(["format", "--in", str(tagged), "--out", str(out), "--config", str(config)]) == 0
     records = read_records(out, dict)
     assert records[0]["format"] == "blink"
-    assert all(len(r["tokens"]) <= 12 for r in records)
+    assert read_manifest(out)["config"]["style"] == "blink"
     out2 = tmp_path / "fmt2.jsonl"
     assert main(
         ["format", "--in", str(tagged), "--out", str(out2),
@@ -599,20 +599,54 @@ def test_manifest_records_every_default_typed(dense_stack, tmp_path):
                  "--encoder", dense_stack["encoder.json"], "--out", str(out)]) == 0
     config = read_manifest(out)["config"]
     assert config["k"] == 10 and isinstance(config["k"], int)
-    assert config["max_query_len"] == 300
     assert (config["retriever"], config["style"]) == ("dense", "args")
+    assert set(config) == {"command", "encoder", "index", "k", "out", "queries", "retriever",
+                           "style"}
 
 
 def test_config_values_parse_like_flags(dense_stack, tmp_path):
     config = tmp_path / "run.ini"
-    config.write_text("[retrieve]\nk = 3\nmax_query_len = 12\n", encoding="utf-8")
+    config.write_text("[retrieve]\nk = 3\nstyle = blink\n", encoding="utf-8")
     out = tmp_path / "c.jsonl"
+    assert main(["retrieve", "--index", dense_stack["index.json"],
+                 "--queries", dense_stack["tagged.jsonl"], "--encoder", dense_stack["encoder.json"],
+                 "--config", str(config), "--out", str(out)]) == 0
+    manifest, records = read_manifest(out), read_records(out, dict)
+    assert (manifest["config"]["k"], manifest["config"]["style"]) == (3, "blink")
+    assert all(len(r["candidates"]) == 3 for r in records)
     assert main(["retrieve", "--index", dense_stack["index.json"],
                  "--queries", dense_stack["tagged.jsonl"], "--encoder", dense_stack["encoder.json"],
                  "--config", str(config), "--k", "4", "--out", str(out)]) == 0
     manifest, records = read_manifest(out), read_records(out, dict)
-    assert (manifest["config"]["k"], manifest["config"]["max_query_len"]) == (4, 12)
+    assert (manifest["config"]["k"], manifest["config"]["style"]) == (4, "blink")
     assert all(len(r["candidates"]) == 4 for r in records)
+
+
+_COMMANDS = ("build-kb", "tag", "format", "train-bi", "index", "retrieve", "neg-gen",
+             "train-cross", "link", "eval", "report")
+
+
+@pytest.mark.parametrize("flag", ["--max-len", "--max-query-len", "--max-candidate-len",
+                                  "--client-seed"])
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_length_and_client_seed_flags_are_usage_errors(command, flag, tmp_path, capsys):
+    out = tmp_path / "never.jsonl"
+    assert main([command, flag, "12", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and f"unrecognized arguments: {flag} 12" in err
+    assert not out.exists()
+
+
+def test_config_setting_a_length_names_the_config_file(dense_stack, tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[retrieve]\nmax_query_len = 12\n", encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert main(["retrieve", "--index", dense_stack["index.json"],
+                 "--queries", dense_stack["tagged.jsonl"], "--encoder", dense_stack["encoder.json"],
+                 "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{config} [retrieve]: unrecognized arguments: --max-query-len=12" in err
+    assert not out.exists()
 
 
 def _readme_commands():
@@ -635,10 +669,7 @@ def _choice_variants(argv):
 
 def test_readme_commands_parse():
     commands = _readme_commands()
-    assert {argv[0] for argv in commands} == {
-        "build-kb", "tag", "format", "train-bi", "index", "retrieve",
-        "neg-gen", "train-cross", "link", "eval", "report",
-    }
+    assert {argv[0] for argv in commands} == set(_COMMANDS)
     parser = build_parser()
     for argv in commands:
         for variant in _choice_variants(argv):

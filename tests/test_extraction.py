@@ -5,22 +5,19 @@ from eventlink.extraction import (
     EventQuery,
     ExtractionError,
     RoleLexicon,
+    RuleExtractor,
     Span,
     TaggedQuery,
     extract,
     query_from_record,
     query_to_record,
     resolve_overlaps,
-    rule_extractor,
     tagged_from_record,
     tagged_to_record,
 )
 
 
 class _StubExtractor:
-    name = "stub"
-    serial = False
-
     def __init__(self, event_type, arguments):
         self._out = (event_type, arguments)
 
@@ -29,9 +26,6 @@ class _StubExtractor:
 
 
 class _FailingExtractor:
-    name = "boom"
-    serial = False
-
     def tag(self, query):
         raise RuntimeError("backend unavailable")
 
@@ -102,7 +96,7 @@ def test_resolve_overlaps_tie_earlier_start():
 
 def test_rule_extractor_exact_case_insensitive(invasion_query):
     lexicon = RoleLexicon(roles={"germany": "Assailant"}, triggers={"invaded": "Attack"})
-    tagged = extract(rule_extractor(lexicon), invasion_query)
+    tagged = extract(RuleExtractor(lexicon), invasion_query)
     assert tagged.event_type == "Attack"
     assert tagged.arguments == (Argument(Span(0, 0), "Assailant"),)
 
@@ -110,7 +104,7 @@ def test_rule_extractor_exact_case_insensitive(invasion_query):
 def test_rule_extractor_no_match():
     lexicon = RoleLexicon(roles={"germany": "Assailant"}, triggers={})
     query = EventQuery("q", ("France", "fell"), Span(1, 1))
-    tagged = extract(rule_extractor(lexicon), query)
+    tagged = extract(RuleExtractor(lexicon), query)
     assert tagged.arguments == ()
     assert tagged.event_type == "UNKNOWN"
 
@@ -118,7 +112,7 @@ def test_rule_extractor_no_match():
 def test_rule_extractor_adjacent_matches_disjoint():
     lexicon = RoleLexicon(roles={"red": "A", "blue": "B"}, triggers={})
     query = EventQuery("q", ("red", "blue", "won"), Span(2, 2))
-    tagged = extract(rule_extractor(lexicon), query)
+    tagged = extract(RuleExtractor(lexicon), query)
     assert tagged.arguments == (
         Argument(Span(0, 0), "A"),
         Argument(Span(1, 1), "B"),
@@ -130,7 +124,7 @@ def test_rule_extractor_longest_phrase_first(invasion_query):
         roles={"the soviet union": "Victim", "soviet": "Wrong"},
         triggers={},
     )
-    tagged = extract(rule_extractor(lexicon), invasion_query)
+    tagged = extract(RuleExtractor(lexicon), invasion_query)
     assert tagged.arguments == (Argument(Span(2, 4), "Victim"),)
 
 
@@ -139,7 +133,7 @@ def test_rule_extractor_deterministic(invasion_query):
         roles={"germany": "Assailant", "the soviet union": "Victim"},
         triggers={"invaded": "Attack"},
     )
-    extractor = rule_extractor(lexicon)
+    extractor = RuleExtractor(lexicon)
     first = extract(extractor, invasion_query)
     second = extract(extractor, invasion_query)
     assert first == second

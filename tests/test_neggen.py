@@ -203,6 +203,27 @@ def test_malformed_passage_is_rejected_with_the_decoder_reason(toy_stack, style,
     ]
 
 
+def test_plain_style_rejects_role_tags_that_argument_aware_accepts(toy_stack):
+    data, encoder, index = toy_stack
+    passage = "<Attacker> Xan </Attacker> <mention> clashed </mention> ."
+    reasons = {}
+    for style in (STYLE_ARGUMENT_AWARE, STYLE_PLAIN):
+        client = ScriptedClient([_completion(passage, style)])
+        negatives, records = generate_negatives(
+            data.train, index, encoder, client, style, 1, seed=0,
+        )
+        assert [n.generated.arguments for n in negatives] == (
+            [(Argument(Span(0, 0), "Attacker"),)] if style == STYLE_ARGUMENT_AWARE else [])
+        reasons[style] = sorted((r.status, r.reason) for r in records)
+    assert reasons == {
+        STYLE_ARGUMENT_AWARE: [("accepted", None)],
+        STYLE_PLAIN: [
+            ("rejected", "malformed passage: role tags in a plain-style passage"),
+            ("skipped", "scripted client has no completions left"),
+        ],
+    }
+
+
 # --- passage_to_tagged ----------------------------------------------------------
 
 def test_passage_round_trip(invasion_tagged):

@@ -170,8 +170,7 @@ def test_scores_after_training_match_a_fresh_scorer(kb10):
         CrossExample("a", ("war", "city"), cands.ids, 1),
         CrossExample("b", ("north",), cands.ids, 0),
     ]
-    cfg = TrainConfig(learning_rate=0.5, batch_size=2, epochs=1,
-                      max_query_len=256, max_candidate_len=256)
+    cfg = TrainConfig(learning_rate=0.5, batch_size=2, epochs=1)
     train_crossencoder(rows, [], scorer, cfg, kb10)
     [after] = score_pairs(scorer, [["war", "city"]], [cands], kb10)
     fresh = TinyCrossScorer.from_state_dict(scorer.state_dict())

@@ -3,7 +3,7 @@ import pytest
 
 from eventlink.encoders import DegenerateNormError, TinyEncoder
 
-from eventlink.kb import NIL, KBEntry, KBError, KnowledgeBase
+from eventlink.kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBEntry, KBError, KnowledgeBase
 from eventlink.neggen import (
     PROVENANCE_KB_PRUNING,
     STYLE_ARGUMENT_AWARE,
@@ -357,7 +357,7 @@ def test_zero_negatives_is_plain_reranker_training(mined_stack):
     positives = positive_examples(data.train, mined, "args", 256)
     scorer = TinyCrossScorer(build_vocab(data.kb, data.train), 32, seed=0)
     cfg = TrainConfig.crossencoder_defaults(
-        learning_rate=0.1, batch_size=4, epochs=2, seed=0, k=5
+        learning_rate=0.1, batch_size=4, epochs=2, seed=0
     )
     report = train_crossencoder(positives, [], scorer, cfg, data.kb)
     assert len(report.epoch_losses) == 2
@@ -370,7 +370,7 @@ def test_cross_training_shuffle_ignores_insertion_order(mined_stack):
     positives = positive_examples(data.train[:12], mined, "args", 256)
     negatives = _negatives(data, encoder, index, 6)
     cfg = TrainConfig.crossencoder_defaults(
-        learning_rate=0.1, batch_size=4, epochs=2, seed=7, k=5
+        learning_rate=0.1, batch_size=4, epochs=2, seed=7
     )
     vocab = build_vocab(data.kb, data.train)
     a = TinyCrossScorer(vocab, 16, seed=7)
@@ -394,7 +394,7 @@ def test_cross_training_ignores_negative_order(mined_stack):
     positives = positive_examples(data.train, mined, "args", 256)
     negatives = _negatives(data, encoder, index, 12)
     cfg = TrainConfig.crossencoder_defaults(
-        learning_rate=0.1, batch_size=4, epochs=1, seed=7, k=5,
+        learning_rate=0.1, batch_size=4, epochs=1, seed=7,
     )
     vocab = build_vocab(data.kb, data.train)
     a = TinyCrossScorer(vocab, 16, seed=7)
@@ -408,9 +408,8 @@ def test_cross_training_ignores_negative_order(mined_stack):
 
 def test_train_config_defaults_match_documented_values():
     bi = TrainConfig.biencoder_defaults()
-    assert (bi.learning_rate, bi.batch_size, bi.epochs) == (1e-5, 48, 15)
-    assert bi.max_query_len == bi.max_candidate_len == 300
+    assert (bi.learning_rate, bi.batch_size, bi.epochs, bi.seed) == (1e-5, 48, 15, 0)
     cross = TrainConfig.crossencoder_defaults()
-    assert (cross.learning_rate, cross.batch_size, cross.epochs) == (2e-5, 6, 20)
-    assert cross.max_query_len == cross.max_candidate_len == 256
-    assert cross.k == 10
+    assert (cross.learning_rate, cross.batch_size, cross.epochs, cross.seed) == (2e-5, 6, 20, 0)
+    assert list(bi.to_dict()) == ["learning_rate", "batch_size", "epochs", "seed"]
+    assert (RETRIEVER_MAX_LEN, SCORER_MAX_LEN) == (300, 256)
