@@ -436,7 +436,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, KBError, FileNotFoundError, ValueError) as exc:
+    except (DataError, KBError, FileNotFoundError, ValueError, training.TrainingError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -16,11 +16,14 @@ encode in one call each, and goldens and oracles that recompute rows one
 at a time still pin every bit. ``TinyEncoder.forward`` encodes one
 sequence; it serves ``encode`` and negative generation.
 
-Training runs on batched kernels: ``TinyEncoder.forward_batch`` encodes a
-whole step's sequences through one bag-count matrix over the step's
-distinct token ids, and ``TinyEncoder.backward`` turns that batch cache
-into every parameter gradient with a few matmuls. Its bag matmul rounds
-differently from ``forward``, so it serves training only.
+Training runs on batched kernels over token ids that the trainers map
+once per run (``TinyEncoder.id_rows``): ``TinyEncoder.forward_batch``
+encodes a whole step's id rows through one bag-count matrix over the
+step's distinct ids, and ``TinyEncoder.backward`` turns that batch cache
+into every parameter gradient with a few matmuls. The embedding gradient
+is row-sparse, ``(uniq, rows)``: the step's distinct ids and one gradient
+row each, so no step touches the rest of the table. The bag matmul rounds
+differently from ``forward``, so these kernels serve training only.
 
 Adapters may sub-tokenize internally but must treat marker tokens as
 atomic. ``encode`` is safe for concurrent calls on frozen parameters.
@@ -111,8 +114,8 @@ class TinyEncoder:
 
     Unknown tokens map to the ``[OOV]`` embedding. Parameters live in
     float64 numpy arrays. ``forward`` encodes one sequence;
-    ``forward_batch`` encodes many and returns the cache from which
-    ``backward`` adds the analytic gradients the training loops use.
+    ``forward_batch`` encodes many id rows and returns the cache from which
+    ``backward`` makes the analytic gradients the training loops use.
     """
 
     def __init__(
@@ -131,7 +134,6 @@ class TinyEncoder:
         self.dim = dim
         self._ids = {token: i for i, token in enumerate(vocab)}
         self._oov = self._ids[OOV_TOKEN]
-        self._row_id_memo: dict[tuple[str, ...], np.ndarray] = {}
         if rng is None:
             rng = np.random.default_rng(seed)
         self.embed = rng.normal(0.0, 1.0 / np.sqrt(dim), (len(vocab), dim))
@@ -141,11 +143,16 @@ class TinyEncoder:
     def token_ids(self, tokens: Sequence[str]) -> list[int]:
         return [self._ids.get(t, self._oov) for t in tokens]
 
+    def id_rows(self, rows: Sequence[Sequence[str]]) -> list[np.ndarray]:
+        """The token ids of every row as an ``np.intp`` array, the input of ``forward_batch``."""
+        return [np.array(self.token_ids(row), dtype=np.intp) for row in rows]
+
     def params(self) -> dict[str, np.ndarray]:
         return {"embed": self.embed, "weight": self.weight, "bias": self.bias}
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.params().items()}
+        """Zeroed dense gradients; ``backward`` sets the row-sparse ``embed`` one."""
+        return {"weight": np.zeros_like(self.weight), "bias": np.zeros_like(self.bias)}
 
     def forward(self, tokens: Sequence[str]) -> np.ndarray:
         """Encode one sequence (the inference path)."""
@@ -159,17 +166,16 @@ class TinyEncoder:
             raise DegenerateNormError("encoder pre-activation has zero norm")
         return pre / norm
 
-    def forward_batch(self, rows: Sequence[Sequence[str]]) -> tuple[np.ndarray, dict]:
-        """Encode every row at once: ``(B, dim)`` unit rows and the batch cache.
+    def forward_batch(self, id_rows: Sequence[np.ndarray]) -> tuple[np.ndarray, dict]:
+        """Encode every id row at once: ``(B, dim)`` unit rows and the batch cache.
 
         ``bag[r, u]`` counts distinct id ``uniq[u]`` in row ``r``, divided
         by the row's length, so ``bag @ embed[uniq]`` mean-pools every row.
         """
-        id_rows = [self._row_ids(row) for row in rows]
         lengths = np.array([len(ids) for ids in id_rows])
         if not lengths.all():
             raise ValueError("cannot encode an empty token sequence")
-        uniq, col = np.unique(np.concatenate(id_rows), return_inverse=True)
+        uniq, col = distinct_ids(np.concatenate(id_rows), len(self.vocab))
         batch, width = len(id_rows), len(uniq)
         cell = np.repeat(np.arange(batch) * width, lengths) + col
         counts = np.bincount(cell, minlength=batch * width).reshape(batch, width)
@@ -182,22 +188,20 @@ class TinyEncoder:
         out = pre / norms[:, None]
         return out, {"uniq": uniq, "bag": bag, "means": means, "norms": norms, "out": out}
 
-    def _row_ids(self, row: Sequence[str]) -> np.ndarray:
-        """Token ids of one row, memoized per distinct row (the vocabulary is fixed)."""
-        key = tuple(row)
-        ids = self._row_id_memo.get(key)
-        if ids is None:
-            ids = self._row_id_memo[key] = np.array(self.token_ids(key), dtype=np.intp)
-        return ids
+    def backward(self, cache: dict, grad_out: np.ndarray, grads: dict) -> None:
+        """Gradients of one ``forward_batch`` given its ``(B, dim)`` output gradients.
 
-    def backward(self, cache: dict, grad_out: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-        """Add the gradients of one ``forward_batch`` given its ``(B, dim)`` output gradients."""
+        Adds into the dense ``grads`` of ``zero_grads`` and sets
+        ``grads["embed"]`` to ``(uniq, rows)``, row ``rows[u]`` being the
+        gradient of ``embed[uniq[u]]``. Each row starts from ``0.0``, as a
+        sum into a zeroed table does, so a ``-0.0`` gradient is ``+0.0``.
+        """
         out, norms = cache["out"], cache["norms"]
         radial = np.einsum("ij,ij->i", out, grad_out)
         grad_pre = (grad_out - out * radial[:, None]) / norms[:, None]
         grads["weight"] += grad_pre.T @ cache["means"]
         grads["bias"] += grad_pre.sum(axis=0)
-        grads["embed"][cache["uniq"]] += cache["bag"].T @ (grad_pre @ self.weight)
+        grads["embed"] = (cache["uniq"], 0.0 + cache["bag"].T @ (grad_pre @ self.weight))
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         return self.forward(tokens)
@@ -254,11 +258,19 @@ class TinyEncoder:
         enc.dim = int(state["dim"])
         enc._ids = {token: i for i, token in enumerate(enc.vocab)}
         enc._oov = enc._ids[OOV_TOKEN]
-        enc._row_id_memo = {}
         enc.embed = checkpoint_array(state, "embed", (len(enc.vocab), enc.dim))
         enc.weight = checkpoint_array(state, "weight", (enc.dim, enc.dim))
         enc.bias = checkpoint_array(state, "bias", (enc.dim,))
         return enc
+
+
+def distinct_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` for ids in ``[0, size)``, by marking a table."""
+    where = np.zeros(size, dtype=np.intp)
+    where[ids] = 1
+    uniq = np.flatnonzero(where)
+    where[uniq] = np.arange(len(uniq))
+    return uniq, where[ids]
 
 
 def checkpoint_array(state: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:

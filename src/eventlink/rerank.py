@@ -91,7 +91,9 @@ class TinyCrossScorer:
         return out
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(arr) for name, arr in self.params().items()}
+        """Zeroed dense gradients; ``TinyEncoder.backward`` sets the row-sparse ``embed`` one."""
+        dense = {"nil": np.zeros_like(self.nil_embedding), "scale": np.zeros_like(self.scale)}
+        return {**self.encoder.zero_grads(), **dense}
 
     def score_candidates(
         self,

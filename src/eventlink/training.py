@@ -9,18 +9,21 @@ products. The cross scorer trains as (k+1)-way classification over
 Each step is one batched encoder pass: the loss functions send all of a
 step's sequences (queries and gold candidates, or queries and their
 distinct candidates) through one ``TinyEncoder.forward_batch`` and one
-``TinyEncoder.backward``, so the in-batch logits are one matmul. Queries
-and retriever golds are tokenized once per run, and the encoder memoizes
-the token ids of every row it has seen; a cross step still serializes its
-distinct candidates from the KB, because its loss takes the KB.
+``TinyEncoder.backward``, so the in-batch logits are one matmul. Every
+query and every candidate a run uses is serialized and mapped to token
+ids once per run, before the first step; the loss functions take those
+id rows.
 
 Gradients are analytic (see the encoder modules) and plain SGD applies
-them; both loss functions also return their gradients so finite
-differences can audit them directly.
+them. The embedding gradient is row-sparse, ``(uniq, rows)``, and its
+step updates only those rows; every other row would have moved by
+``lr * 0.0``, which leaves any value as it is. Both loss functions also
+return their gradients so finite differences can audit them directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -54,8 +57,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.batch_size <= 0 or self.epochs <= 0:
-            raise ValueError("learning rate, batch size, and epochs must be positive")
+        if not 0 < self.learning_rate < math.inf or self.batch_size <= 0 or self.epochs <= 0:
+            raise ValueError("learning rate must be positive and finite, "
+                             "and batch size and epochs positive")
 
     @classmethod
     def biencoder_defaults(cls, **overrides) -> "TrainConfig":
@@ -102,9 +106,14 @@ def build_vocab(
     return sorted(tokens)
 
 
-def _sgd_step(params: Mapping[str, np.ndarray], grads: Mapping[str, np.ndarray], lr: float) -> None:
+def _sgd_step(params: Mapping[str, np.ndarray], grads: Mapping, lr: float) -> None:
+    """``params -= lr * grads``; a ``(rows, grad)`` pair updates only those rows."""
     for name, grad in grads.items():
-        params[name] -= lr * grad
+        if isinstance(grad, tuple):
+            rows, grad = grad
+            params[name][rows] -= lr * grad
+        else:
+            params[name] -= lr * grad
 
 
 def _sgd_epochs(
@@ -137,13 +146,13 @@ def _sgd_epochs(
 
 def biencoder_batch_loss(
     encoder: TinyEncoder,
-    query_batches: Sequence[Sequence[str]],
-    candidate_batches: Sequence[Sequence[str]],
-) -> tuple[float, dict[str, np.ndarray]]:
+    query_batches: Sequence[np.ndarray],
+    candidate_batches: Sequence[np.ndarray],
+) -> tuple[float, dict]:
     """In-batch-negative cross-entropy and its parameter gradients.
 
-    Queries and gold candidates go through one ``forward_batch`` and one
-    ``backward``.
+    Queries and gold candidates, as id rows, go through one
+    ``forward_batch`` and one ``backward``.
     """
     batch = len(query_batches)
     out, cache = encoder.forward_batch([*query_batches, *candidate_batches])
@@ -167,8 +176,8 @@ def train_biencoder(
     """Train the shared retriever encoder on (formatted query, gold entry) pairs."""
     if len(data) < cfg.batch_size:
         raise ValueError(f"need at least {cfg.batch_size} pairs, got {len(data)}")
-    queries = [tuple(query) for query, _ in data]
-    golds = [tuple(candidate_text(entry, RETRIEVER_MAX_LEN)) for _, entry in data]
+    queries = encoder.id_rows([query for query, _ in data])
+    golds = encoder.id_rows([candidate_text(entry, RETRIEVER_MAX_LEN) for _, entry in data])
     return _sgd_epochs(encoder.params(), len(data), cfg, lambda chunk: biencoder_batch_loss(
         encoder, [queries[i] for i in chunk], [golds[i] for i in chunk]
     ))
@@ -192,14 +201,32 @@ class CrossExample:
             raise ValueError("target outside [0, k]")
 
 
-def crossencoder_batch_loss(
-    scorer: TinyCrossScorer,
+def cross_id_rows(
+    encoder: TinyEncoder,
     examples: Sequence[CrossExample],
     kb: KnowledgeBase,
     max_candidate_len: int,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
+    """Token ids of each example's query and, by candidate id, of each candidate they name.
+
+    A candidate is serialized by ``candidate_text``; an id not in ``kb`` is a ``KBError``.
+    """
+    ids = list(dict.fromkeys(cid for example in examples for cid in example.candidate_ids))
+    texts = [candidate_text(entry, max_candidate_len) for entry in kb.entries(ids)]
+    queries = encoder.id_rows([example.query_tokens for example in examples])
+    return queries, dict(zip(ids, encoder.id_rows(texts)))
+
+
+def crossencoder_batch_loss(
+    scorer: TinyCrossScorer,
+    examples: Sequence[CrossExample],
+    query_rows: Sequence[np.ndarray],
+    candidate_rows: Mapping[str, np.ndarray],
+) -> tuple[float, dict]:
     """(k+1)-way cross-entropy over [NIL, candidates] and its gradients.
 
+    ``query_rows[i]`` holds the token ids of the query of ``examples[i]``,
+    and ``candidate_rows`` those of every candidate id (``cross_id_rows``).
     The step's queries and its distinct candidates go through one
     ``forward_batch`` and one ``backward``, so a candidate that several
     examples share is encoded once.
@@ -213,26 +240,42 @@ def crossencoder_batch_loss(
     batch = len(examples)
     ids = list(dict.fromkeys(cid for example in examples for cid in example.candidate_ids))
     slots = {cid: batch + i for i, cid in enumerate(ids)}
-    rows = [example.query_tokens for example in examples]
-    rows += [candidate_text(entry, max_candidate_len) for entry in kb.entries(ids)]
-    out, cache = encoder.forward_batch(rows)
-    grads = scorer.zero_grads()
+    out, cache = encoder.forward_batch([*query_rows, *(candidate_rows[cid] for cid in ids)])
+    slot_lists = [np.array([slots[cid] for cid in example.candidate_ids], dtype=np.intp)
+                  for example in examples]
+    # Each example's terms, for all examples of one candidate count at once: a
+    # stacked matmul rounds as each example's own matmul does.
+    losses, scale_terms = np.empty(batch), np.empty(batch)
+    nil_terms = np.empty((batch, encoder.dim))
+    candidate_terms = [None] * batch
     grad_out = np.zeros_like(out)
+    for k in {len(slot) for slot in slot_lists}:
+        members = [i for i, slot in enumerate(slot_lists) if len(slot) == k]
+        group_slots = np.array([slot_lists[i] for i in members])
+        q = out[members]
+        nil_rows = np.broadcast_to(nil_unit, (len(members), 1, encoder.dim))
+        partners = np.concatenate([nil_rows, out[group_slots]], axis=1)
+        raw = np.matmul(partners, q[:, :, None])[:, :, 0]
+        probs = softmax(scale * raw)
+        at = (np.arange(len(members)), [examples[i].target for i in members])
+        losses[members] = -np.log(probs[at])
+        grad_logits = probs
+        grad_logits[at] -= 1.0
+        grad_logits /= batch
+        scale_terms[members] = np.matmul(grad_logits[:, None, :], raw[:, :, None])[:, 0, 0]
+        grad_out[members] += scale * np.matmul(grad_logits[:, None, :], partners)[:, 0]
+        nil_terms[members] = (scale * grad_logits[:, 0])[:, None] * q
+        for i, terms in zip(members, scale * (grad_logits[:, 1:, None] * q[:, None, :])):
+            candidate_terms[i] = terms
+    # sums over the examples, in example order, each from 0.0
+    grads = scorer.zero_grads()
     grad_nil_unit = np.zeros_like(nil_unit)
     total = 0.0
-    for i, example in enumerate(examples):
-        slot = [slots[cid] for cid in example.candidate_ids]
-        partners = np.vstack([nil_unit, out[slot]])
-        raw = partners @ out[i]
-        probs = softmax(scale * raw)
-        total += -np.log(probs[example.target])
-        grad_logits = probs
-        grad_logits[example.target] -= 1.0
-        grad_logits /= batch
-        grads["scale"][0] += grad_logits @ raw
-        grad_out[i] += scale * (grad_logits @ partners)
-        np.add.at(grad_out, slot, scale * np.outer(grad_logits[1:], out[i]))
-        grad_nil_unit += scale * grad_logits[0] * out[i]
+    for loss, scale_term, nil_term in zip(losses, scale_terms, nil_terms):
+        total += loss
+        grads["scale"][0] += scale_term
+        grad_nil_unit += nil_term
+    np.add.at(grad_out, np.concatenate(slot_lists), np.concatenate(candidate_terms))
     encoder.backward(cache, grad_out, grads)
     grads["nil"] += (grad_nil_unit - nil_unit * (nil_unit @ grad_nil_unit)) / nil_norm
     return float(total / batch), grads
@@ -360,6 +403,7 @@ def train_crossencoder(
     if not rows:
         raise ValueError("no training examples")
     rows.sort(key=lambda r: r.query_id)
+    queries, candidates = cross_id_rows(scorer.encoder, rows, kb, SCORER_MAX_LEN)
     return _sgd_epochs(scorer.params(), len(rows), cfg, lambda chunk: crossencoder_batch_loss(
-        scorer, [rows[i] for i in chunk], kb, SCORER_MAX_LEN
+        scorer, [rows[i] for i in chunk], [queries[i] for i in chunk], candidates
     ))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from eventlink.extraction import Argument, EventQuery, Span, TaggedQuery
@@ -42,3 +43,11 @@ def invasion_tagged(invasion_query):
 
 def write_jsonl(path, records):
     path.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+
+
+def dense_grads(params, grads):
+    """``grads`` with the row-sparse ``embed`` pair scattered into a zeroed full table."""
+    rows, embed = grads["embed"]
+    full = dict(grads, embed=np.zeros_like(params["embed"]))
+    full["embed"][rows] = embed
+    return full

@@ -17,6 +17,8 @@ def run_toy_pipeline(
     bi_epochs=20,
     cross_epochs=3,
     neg_count=10,
+    neg_k=10,
+    cross_k=10,
     lr_bi="0.3",
     lr_cross="0.1",
 ):
@@ -58,13 +60,14 @@ def run_toy_pipeline(
          "--encoder", paths["encoder"], "--k", str(n_entries), "--out", paths["candidates"]],
         ["neg-gen", "--queries", paths["train_tagged"], "--kb", paths["kb_norm"],
          "--index", paths["index"], "--encoder", paths["encoder"], "--style", "args",
-         "--count", str(neg_count), "--seed", seed, "--out", paths["negatives"],
+         "--count", str(neg_count), "--k", str(neg_k), "--seed", seed,
+         "--out", paths["negatives"],
          "--log", paths["genlog"]],
         ["train-cross", "--kb", paths["kb_norm"], "--queries", paths["train_tagged"],
          "--negatives", paths["negatives"], "--index", paths["index"],
          "--encoder", paths["encoder"], "--out", paths["scorer"], "--dim", str(dim),
          "--lr", lr_cross, "--batch-size", "8", "--epochs", str(cross_epochs),
-         "--seed", seed],
+         "--k", str(cross_k), "--seed", seed],
         ["link", "--kb", paths["kb_norm"], "--queries", paths["test_tagged"],
          "--index", paths["index"], "--encoder", paths["encoder"],
          "--scorer", paths["scorer"], "--rule", "learned", "--out", paths["decisions"]],

@@ -48,6 +48,7 @@ from eventlink.training import (
     TrainConfig,
     biencoder_batch_loss,
     build_vocab,
+    cross_id_rows,
     crossencoder_batch_loss,
     mine_candidates,
     positive_examples,
@@ -55,6 +56,7 @@ from eventlink.training import (
     train_crossencoder,
 )
 
+from conftest import dense_grads
 from pipeline import run_toy_pipeline
 from test_bm25 import FIVE_DOC_EXPECTED
 from test_training import _fd_check
@@ -352,13 +354,13 @@ def test_criterion_06_gradient_checks():
         start = time.monotonic()
         vocab = ["war", "city", "north", "harbor", "siege", "[M_s]", "[M_e]", "[TITLE_SEP]"]
         encoder = TinyEncoder(vocab, 6, seed=0)
-        queries = [["war", "city"], ["north", "war", "[M_s]"], ["harbor"]]
-        cands = [["city", "city"], ["north"], ["siege", "war"]]
+        queries = encoder.id_rows([["war", "city"], ["north", "war", "[M_s]"], ["harbor"]])
+        cands = encoder.id_rows([["city", "city"], ["north"], ["siege", "war"]])
         _, grads = biencoder_batch_loss(encoder, queries, cands)
         _fd_check(
             encoder.params(),
             lambda: biencoder_batch_loss(encoder, queries, cands)[0],
-            grads,
+            dense_grads(encoder.params(), grads),
             tol=1e-4,
         )
         kb = KnowledgeBase([KBEntry(f"E{i}", f"city {i}", f"war north {i}") for i in range(3)])
@@ -370,11 +372,12 @@ def test_criterion_06_gradient_checks():
             CrossExample("b", ("north",), ("E1", "E2"), 0),
             CrossExample("c", ("harbor", "siege"), ("E2", "E0"), 2),
         ]
-        _, grads = crossencoder_batch_loss(scorer, examples, kb, 50)
+        rows = cross_id_rows(scorer.encoder, examples, kb, 50)
+        _, grads = crossencoder_batch_loss(scorer, examples, *rows)
         _fd_check(
             scorer.params(),
-            lambda: crossencoder_batch_loss(scorer, examples, kb, 50)[0],
-            grads,
+            lambda: crossencoder_batch_loss(scorer, examples, *rows)[0],
+            dense_grads(scorer.params(), grads),
             tol=1e-4,
         )
         elapsed = time.monotonic() - start

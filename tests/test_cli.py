@@ -302,6 +302,71 @@ def test_link_decisions_match_golden_file_byte_for_byte(small_run, tmp_path):
         assert ("\n".join(lines) + "\n").encode("utf-8") == fh.read()
 
 
+# Written by the trainers that serialized each step's candidates, looked up
+# token ids inside every step and updated the whole embedding table per step.
+_TRAIN_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "train_golden.json")
+
+
+def _train_digests(run) -> dict:
+    """sha256 of each trainer's checkpoint bytes and of its report without ``checkpoint_path``."""
+    digests = {}
+    for stage, checkpoint in (("train-bi", run["encoder"]), ("train-cross", run["scorer"])):
+        _, report = read_json(checkpoint + ".report.json")
+        del report["checkpoint_path"]  # the basename of the output path
+        digests[stage] = {"checkpoint": file_digest(checkpoint), "report": json_digest(report)}
+    return digests
+
+
+def test_train_checkpoints_and_reports_match_golden_digests(tmp_path):
+    # negatives pair 6 candidates and mining keeps 4, so cross steps mix both lengths
+    run = run_toy_pipeline(tmp_path, neg_k=6, cross_k=4)
+    with open(_TRAIN_GOLDEN, encoding="utf-8") as fh:
+        assert _train_digests(run) == json.load(fh)
+
+
+def _train_bi_argv(run, out, *flags):
+    return ["train-bi", "--kb", run["kb_norm"], "--queries", run["train_tagged"],
+            "--epochs", "1", "--batch-size", "8", "--out", str(out), *flags]
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-1"])
+def test_non_finite_or_non_positive_learning_rate_is_data_error(small_run, tmp_path, capsys, lr):
+    out = tmp_path / "encoder.json"
+    code = main(_train_bi_argv(small_run, out, f"--lr={lr}"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "data error: learning rate must be positive and finite" in err
+    assert not out.exists()
+
+
+def test_diverging_training_run_is_data_error(small_run, tmp_path, capsys):
+    out = tmp_path / "encoder.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(_train_bi_argv(small_run, out, "--lr", "1e308"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "data error: non-finite loss nan at epoch 0" in err
+    assert not out.exists()
+
+
+def test_in_kb_query_gold_missing_from_mined_candidates_is_data_error(small_run, tmp_path, capsys):
+    # a second query under the first one's id, with another gold, takes its
+    # mined candidates, and one candidate leaves no room for the first gold
+    queries = read_records(small_run["train_tagged"], dict)
+    first = queries[0]
+    other = next(q for q in queries if q["gold"] not in ("NIL", first["gold"]))
+    bad = tmp_path / "queries.jsonl"
+    write_jsonl(bad, [*queries, dict(other, query_id=first["query_id"])])
+    out = tmp_path / "scorer.json"
+    code = main(["train-cross", "--kb", small_run["kb_norm"], "--queries", str(bad),
+                 "--index", small_run["index"], "--encoder", small_run["encoder"],
+                 "--k", "1", "--epochs", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"data error: query {first['query_id']!r}: gold {first['gold']!r} missing" in err
+    assert not out.exists()
+
+
 def test_negative_paired_with_unknown_candidate_is_data_error(small_run, tmp_path, capsys):
     negatives = read_records(small_run["negatives"], dict)
     negatives[1]["paired_candidate_ids"][0] = "NOPE"

@@ -11,11 +11,14 @@ from eventlink.encoders import (
     DegenerateNormError,
     HashingEncoder,
     TinyEncoder,
+    distinct_ids,
     encoder_fingerprint,
     load_encoder,
     save_encoder,
     token_hash,
 )
+
+from conftest import dense_grads
 
 
 def _oracle_token_vector(dim, seed, token):
@@ -246,23 +249,35 @@ def _reference_backward(enc, tokens, grad_out, grads):
 def test_batched_kernels_match_per_sequence_reference(rows, seed):
     enc = TinyEncoder(KERNEL_VOCAB, 8, seed=seed)
     grad_out = np.random.default_rng(seed).normal(size=(len(rows), 8))
-    out, cache = enc.forward_batch(rows)
+    out, cache = enc.forward_batch(enc.id_rows(rows))
     expected = np.stack([_reference_forward(enc, row)[0] for row in rows])
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
     for row, got in zip(rows, out):
         np.testing.assert_allclose(got, enc.encode(row), rtol=0, atol=1e-12)
     grads = enc.zero_grads()
     enc.backward(cache, grad_out, grads)
-    reference = enc.zero_grads()
+    grads = dense_grads(enc.params(), grads)
+    reference = {name: np.zeros_like(array) for name, array in enc.params().items()}
     for row, g in zip(rows, grad_out):
         _reference_backward(enc, row, g, reference)
     for name in reference:
         np.testing.assert_allclose(grads[name], reference[name], rtol=0, atol=1e-12)
 
 
+@given(ids=st.lists(st.integers(0, 40), min_size=1, max_size=60), spare=st.integers(0, 5))
+def test_distinct_ids_equal_np_unique(ids, spare):
+    ids = np.array(ids, dtype=np.intp)
+    uniq, inverse = distinct_ids(ids, int(ids.max()) + 1 + spare)
+    expected, expected_inverse = np.unique(ids, return_inverse=True)
+    assert (uniq.dtype, inverse.dtype) == (expected.dtype, expected_inverse.dtype)
+    np.testing.assert_array_equal(uniq, expected)
+    np.testing.assert_array_equal(inverse, expected_inverse)
+
+
 def test_forward_batch_empty_row_error():
     with pytest.raises(ValueError):
-        TinyEncoder(["a"], 8, seed=0).forward_batch([["a"], []])
+        enc = TinyEncoder(["a"], 8, seed=0)
+        enc.forward_batch(enc.id_rows([["a"], []]))
 
 
 def _degenerate(enc):
@@ -282,7 +297,7 @@ def test_forward_zero_norm_raises_named_error():
 def test_forward_batch_zero_norm_raises_named_error():
     enc = _degenerate(TinyEncoder(["a"], 8, seed=0))
     with pytest.raises(DegenerateNormError):
-        enc.forward_batch([["a"], ["a", "b"]])
+        enc.forward_batch(enc.id_rows([["a"], ["a", "b"]]))
 
 
 # --- batch inference ---------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eventlink.encoders import DegenerateNormError, TinyEncoder
+from eventlink.encoders import DegenerateNormError, TinyEncoder, distinct_ids
 
 from eventlink.kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBEntry, KBError, KnowledgeBase
 from eventlink.neggen import (
@@ -11,16 +13,18 @@ from eventlink.neggen import (
     generate_negatives,
     kb_pruning_negatives,
 )
-from eventlink.rerank import TinyCrossScorer, score_pairs, select_learned_nil
+from eventlink.rerank import TinyCrossScorer, score_pairs, select_learned_nil, softmax
 from eventlink.retrieval import CandidateSet, build_index
 from eventlink.toy import StorytellerMock, build_toy_data
 from eventlink.training import (
     CrossExample,
     TrainConfig,
     TrainingError,
+    _sgd_step,
     apply_kb_pruning,
     biencoder_batch_loss,
     build_vocab,
+    cross_id_rows,
     crossencoder_batch_loss,
     mine_candidates,
     negative_examples,
@@ -28,6 +32,8 @@ from eventlink.training import (
     train_biencoder,
     train_crossencoder,
 )
+
+from conftest import dense_grads
 
 VOCAB = ["war", "city", "north", "harbor", "siege", "[M_s]", "[M_e]", "[TITLE_SEP]"]
 
@@ -53,15 +59,41 @@ def _fd_check(params, loss_fn, analytic, h=1e-5, tol=1e-4):
             assert rel < tol, (name, i, a, fd, rel)
 
 
+_EDGE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@given(data=st.data(), vocab=st.integers(1, 10), dim=st.integers(1, 4),
+       lr=st.floats(5e-324, 1e3))
+@settings(max_examples=200, deadline=None)
+def test_row_sparse_sgd_step_equals_dense_step_bit_for_bit(data, vocab, dim, lr):
+    embed = np.array(data.draw(st.lists(_EDGE, min_size=vocab * dim, max_size=vocab * dim)))
+    embed = embed.reshape(vocab, dim)
+    tokens = data.draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=20))
+    uniq, _ = distinct_ids(np.array(tokens, dtype=np.intp), vocab)
+    size = len(uniq) * dim
+    rows = np.array(data.draw(st.lists(_EDGE, min_size=size, max_size=size))).reshape(-1, dim)
+    full = np.zeros_like(embed)
+    full[uniq] += rows  # the zeroed full gradient table, summed into
+    dense = embed.copy()
+    dense -= lr * full
+    sparse = embed.copy()
+    # the pair as TinyEncoder.backward makes it: every row starts from 0.0
+    _sgd_step({"embed": sparse}, {"embed": (uniq, 0.0 + rows)}, lr)
+    assert sparse.tobytes() == dense.tobytes()
+
+
 def test_biencoder_gradients_match_finite_differences():
     encoder = TinyEncoder(VOCAB, 6, seed=0)
-    queries = [["war", "city"], ["north", "war", "[M_s]"], ["harbor"]]
-    cands = [["city", "city"], ["north"], ["siege", "war"]]
+    queries = encoder.id_rows([["war", "city"], ["north", "war", "[M_s]"], ["harbor"]])
+    cands = encoder.id_rows([["city", "city"], ["north"], ["siege", "war"]])
     _, grads = biencoder_batch_loss(encoder, queries, cands)
     _fd_check(
         encoder.params(),
         lambda: biencoder_batch_loss(encoder, queries, cands)[0],
-        grads,
+        dense_grads(encoder.params(), grads),
     )
 
 
@@ -75,11 +107,12 @@ def test_crossencoder_gradients_match_finite_differences():
         CrossExample("b", ("north",), ("E1", "E2"), 0),
         CrossExample("c", ("harbor", "siege"), ("E2", "E0"), 2),
     ]
-    _, grads = crossencoder_batch_loss(scorer, examples, kb, 50)
+    rows = cross_id_rows(scorer.encoder, examples, kb, 50)
+    _, grads = crossencoder_batch_loss(scorer, examples, *rows)
     _fd_check(
         scorer.params(),
-        lambda: crossencoder_batch_loss(scorer, examples, kb, 50)[0],
-        grads,
+        lambda: crossencoder_batch_loss(scorer, examples, *rows)[0],
+        dense_grads(scorer.params(), grads),
     )
 
 
@@ -94,12 +127,74 @@ def test_crossencoder_gradients_with_shared_candidates_and_ragged_lists():
         CrossExample("b", ("north", "zzz"), ("E1",), 0),
         CrossExample("c", ("harbor",), ("E1", "E0"), 1),
     ]
-    _, grads = crossencoder_batch_loss(scorer, examples, kb, 50)
+    rows = cross_id_rows(scorer.encoder, examples, kb, 50)
+    _, grads = crossencoder_batch_loss(scorer, examples, *rows)
     _fd_check(
         scorer.params(),
-        lambda: crossencoder_batch_loss(scorer, examples, kb, 50)[0],
-        grads,
+        lambda: crossencoder_batch_loss(scorer, examples, *rows)[0],
+        dense_grads(scorer.params(), grads),
     )
+
+
+def _per_example_cross_loss(scorer, examples, query_rows, candidate_rows):
+    """The cross loss one example at a time, each sum in example order from 0.0."""
+    encoder = scorer.encoder
+    nil_norm = np.linalg.norm(scorer.nil_embedding)
+    nil_unit = scorer.nil_embedding / nil_norm
+    scale = float(scorer.scale[0])
+    batch = len(examples)
+    ids = list(dict.fromkeys(cid for example in examples for cid in example.candidate_ids))
+    slots = {cid: batch + i for i, cid in enumerate(ids)}
+    out, cache = encoder.forward_batch([*query_rows, *(candidate_rows[cid] for cid in ids)])
+    grads = scorer.zero_grads()
+    grad_out = np.zeros_like(out)
+    grad_nil_unit = np.zeros_like(nil_unit)
+    total = 0.0
+    for i, example in enumerate(examples):
+        slot = [slots[cid] for cid in example.candidate_ids]
+        partners = np.vstack([nil_unit, out[slot]])
+        raw = partners @ out[i]
+        probs = softmax(scale * raw)
+        total += -np.log(probs[example.target])
+        grad_logits = probs
+        grad_logits[example.target] -= 1.0
+        grad_logits /= batch
+        grads["scale"][0] += grad_logits @ raw
+        grad_out[i] += scale * (grad_logits @ partners)
+        np.add.at(grad_out, slot, scale * np.outer(grad_logits[1:], out[i]))
+        grad_nil_unit += scale * grad_logits[0] * out[i]
+    encoder.backward(cache, grad_out, grads)
+    grads["nil"] += (grad_nil_unit - nil_unit * (nil_unit @ grad_nil_unit)) / nil_norm
+    return float(total / batch), grads
+
+
+@st.composite
+def _cross_batches(draw):
+    """Ragged candidate lists (0 to 6 of 8 entries, shared across examples) and valid targets."""
+    examples = []
+    for i in range(draw(st.integers(1, 9))):
+        ids = draw(st.lists(st.sampled_from([f"E{j}" for j in range(8)]), max_size=6,
+                            unique=True))
+        queries = st.lists(st.sampled_from(VOCAB + ["zzz"]), min_size=1, max_size=6)
+        examples.append(CrossExample(f"q{i}", tuple(draw(queries)), tuple(ids),
+                                     draw(st.integers(0, len(ids)))))
+    return examples
+
+
+@given(examples=_cross_batches(), seed=st.integers(0, 2**16),
+       scale=st.sampled_from([1.0, 10.0, 100.0]), dim=st.sampled_from([2, 6, 64]))
+@settings(max_examples=150, deadline=None)
+def test_batched_cross_loss_equals_per_example_loss_bit_for_bit(examples, seed, scale, dim):
+    kb = KnowledgeBase([KBEntry(f"E{j}", f"city {j}", "war north " * j) for j in range(8)])
+    scorer = TinyCrossScorer(VOCAB, dim, seed=seed)
+    scorer.scale[0] = scale
+    rows = cross_id_rows(scorer.encoder, examples, kb, 50)
+    loss, grads = crossencoder_batch_loss(scorer, examples, *rows)
+    expected_loss, expected = _per_example_cross_loss(scorer, examples, *rows)
+    assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+    got, want = dense_grads(scorer.params(), grads), dense_grads(scorer.params(), expected)
+    assert {name: got[name].tobytes() for name in got} == {
+        name: want[name].tobytes() for name in want}
 
 
 def test_cross_step_encodes_each_distinct_candidate_once(monkeypatch):
@@ -118,7 +213,7 @@ def test_cross_step_encodes_each_distinct_candidate_once(monkeypatch):
         return original(self, rows)
 
     monkeypatch.setattr(TinyEncoder, "forward_batch", counting)
-    crossencoder_batch_loss(scorer, examples, kb, 50)
+    crossencoder_batch_loss(scorer, examples, *cross_id_rows(scorer.encoder, examples, kb, 50))
     assert batches == [3 + 3]
 
 
@@ -147,28 +242,33 @@ def test_crossencoder_zero_nil_embedding_raises_named_error():
     kb = KnowledgeBase([KBEntry("E0", "city", "war")])
     scorer = TinyCrossScorer(VOCAB, 6, seed=0)
     scorer.nil_embedding[:] = 0.0
+    examples = [CrossExample("a", ("war",), ("E0",), 1)]
     with pytest.raises(DegenerateNormError):
-        crossencoder_batch_loss(scorer, [CrossExample("a", ("war",), ("E0",), 1)], kb, 50)
+        crossencoder_batch_loss(scorer, examples, *cross_id_rows(scorer.encoder, examples, kb, 50))
 
 
 def test_cross_step_with_unknown_candidate_is_kb_error():
     kb = KnowledgeBase([KBEntry("E0", "city", "war")])
     scorer = TinyCrossScorer(VOCAB, 6, seed=0)
+    examples = [CrossExample("a", ("war",), ("E0", "E9"), 1)]
+    # candidates are mapped to token ids once per run, before any step
     with pytest.raises(KBError, match="'E9' not found"):
-        crossencoder_batch_loss(scorer, [CrossExample("a", ("war",), ("E0", "E9"), 1)], kb, 50)
+        crossencoder_batch_loss(scorer, examples, *cross_id_rows(scorer.encoder, examples, kb, 50))
 
 
 def test_batch_size_one_loss_is_exactly_zero():
     encoder = TinyEncoder(VOCAB, 6, seed=0)
-    loss, grads = biencoder_batch_loss(encoder, [["war"]], [["city"]])
+    loss, grads = biencoder_batch_loss(
+        encoder, encoder.id_rows([["war"]]), encoder.id_rows([["city"]])
+    )
     assert loss == 0.0
-    assert all(np.all(g == 0.0) for g in grads.values())
+    assert all(np.all(g == 0.0) for g in dense_grads(encoder.params(), grads).values())
 
 
 def test_inseparable_batch_has_positive_loss():
     encoder = TinyEncoder(VOCAB, 6, seed=0)
     loss, _ = biencoder_batch_loss(
-        encoder, [["war"], ["war"]], [["city"], ["north"]]
+        encoder, encoder.id_rows([["war"], ["war"]]), encoder.id_rows([["city"], ["north"]])
     )
     assert loss > 0.0
 
@@ -177,8 +277,8 @@ def test_losses_nonnegative():
     encoder = TinyEncoder(VOCAB, 6, seed=1)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        qs = [[rng.choice(VOCAB)] for _ in range(3)]
-        cs = [[rng.choice(VOCAB)] for _ in range(3)]
+        qs = encoder.id_rows([[rng.choice(VOCAB)] for _ in range(3)])
+        cs = encoder.id_rows([[rng.choice(VOCAB)] for _ in range(3)])
         loss, _ = biencoder_batch_loss(encoder, qs, cs)
         assert loss >= 0.0
 
@@ -384,6 +484,9 @@ def test_cross_training_shuffle_ignores_insertion_order(mined_stack):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig.biencoder_defaults(learning_rate=0.0)
+    for lr in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            TrainConfig.crossencoder_defaults(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig.crossencoder_defaults(epochs=-1)
 
