@@ -9,9 +9,10 @@ failed command never leaves a partial artifact behind. Manifests carry
 paths exactly as given (never resolved), keeping reruns byte-identical
 across working directories.
 
-Every input is parsed through ``read_records`` (JSON lines) or
-``read_document`` (one JSON document). They refuse a record that is not a
-JSON object and turn a ``KeyError``, ``TypeError``, ``ValueError`` or
+Every input is parsed through ``read_records`` (JSON lines),
+``read_document`` (one JSON document) or ``read_framed`` (a one-line JSON
+header, then raw bytes). They refuse a record or header that is not a JSON
+object and turn a ``KeyError``, ``TypeError``, ``ValueError`` or
 ``AttributeError`` of the caller's ``parse`` into one ``ValueError``
 naming the file, and the line for JSON lines.
 """
@@ -25,6 +26,10 @@ import tempfile
 from typing import Callable, Iterable, Iterator, TypeVar
 
 MANIFEST_KEY = "_manifest"
+
+# what bytes.strip() removes; str.strip() would also remove \x1c-\x1f, \x85 and more
+_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
+_DECODER = json.JSONDecoder()
 
 T = TypeVar("T")
 
@@ -60,17 +65,22 @@ def make_manifest(command: str, config: dict, inputs: dict[str, str]) -> dict:
     }
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it into place."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_jsonl(path, records: Iterable[dict], manifest: dict | None = None) -> None:
@@ -86,22 +96,48 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Yield (lineno, record), skipping the manifest header if present.
 
     A blank line, or a line that is not UTF-8 JSON (a truncated file, say),
-    raises ValueError naming the file and the line.
+    raises ValueError naming the file and the line. The file is read and
+    decoded once, split on ``\\n`` only, and each line loses the ASCII
+    whitespace that ``bytes.strip`` removes. A file that is not UTF-8 as a
+    whole is decoded line by line, so that the error of an earlier line
+    still comes first.
     """
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise ValueError(f"{path}: blank line at line {lineno}")
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines = data.split(b"\n")
+    if not lines[-1]:  # what follows the final newline
+        lines.pop()
+    for lineno, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
             try:
-                record = json.loads(stripped.decode("utf-8"))
+                line = line.decode("utf-8")
             except UnicodeDecodeError:
                 raise ValueError(f"{path}: line {lineno} is not UTF-8") from None
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
-            if isinstance(record, dict) and set(record) == {MANIFEST_KEY}:
-                continue
-            yield lineno, record
+        line = line.strip(_ASCII_WHITESPACE)
+        if not line:
+            raise ValueError(f"{path}: blank line at line {lineno}")
+        try:
+            record = _loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
+        if isinstance(record, dict) and len(record) == 1 and MANIFEST_KEY in record:
+            continue
+        yield lineno, record
+
+
+def _loads(line: str):
+    """``json.loads`` of a stripped line, by a single ``raw_decode`` when the whole line parses.
+
+    Otherwise ``json.loads`` itself runs, so its error is the one raised.
+    """
+    try:
+        record, end = _DECODER.raw_decode(line)
+    except json.JSONDecodeError:
+        end = -1
+    return record if end == len(line) else json.loads(line)
 
 
 def read_manifest(path) -> dict | None:
@@ -139,6 +175,17 @@ def read_json(path) -> tuple[dict | None, dict]:
     return manifest, document
 
 
+def write_framed(path, header: dict, body: bytes, manifest: dict | None = None) -> None:
+    """Write ``header`` as one line of canonical JSON, ``manifest`` embedded if given, then ``body``.
+
+    JSON escapes every newline inside a string, so the first newline of the
+    file ends the header.
+    """
+    if manifest is not None:
+        header = {MANIFEST_KEY: manifest, **header}
+    atomic_write_bytes(path, canonical_json(header).encode("utf-8") + b"\n" + body)
+
+
 def _parse(parse: Callable[[dict], T], record, path, lineno: int | None = None) -> T:
     try:
         if not isinstance(record, dict):
@@ -158,3 +205,22 @@ def read_records(path, parse: Callable[[dict], T]) -> list[T]:
 def read_document(path, parse: Callable[[dict], T]) -> T:
     """``parse`` of a single-document JSON file, manifest removed; errors name the file."""
     return _parse(parse, read_json(path)[1], path)
+
+
+def read_framed(path, parse: Callable[[dict, bytes], T], unframed: str) -> T:
+    """``parse(header, body)`` of a file written by ``write_framed``, manifest removed; errors name the file.
+
+    A file whose first line is not a UTF-8 JSON object, such as a file of
+    an older format, raises ValueError with the message ``unframed``.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        try:
+            header = json.loads(line.decode("utf-8")) if line.endswith(b"\n") else None
+        except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+            header = None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: {unframed}")
+        body = fh.read()
+    header.pop(MANIFEST_KEY, None)
+    return _parse(lambda fields: parse(fields, body), header, path)

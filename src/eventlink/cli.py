@@ -75,20 +75,32 @@ def _manifest(command: str, args: argparse.Namespace, inputs: dict[str, str]) ->
     return artifacts.make_manifest(command, config, inputs)
 
 
-def _load_tagged(path):
-    return artifacts.read_records(path, tagged_from_record)
+def _load_tagged(path, distinct: bool = False):
+    """Tagged queries in file order; with ``distinct``, a repeated query_id fails naming its line."""
+    seen: set[str] = set()
+
+    def parse(record: dict):
+        query = tagged_from_record(record)
+        if distinct:
+            if query.base.query_id in seen:
+                raise ValueError(f"duplicate query_id {query.base.query_id!r}")
+            seen.add(query.base.query_id)
+        return query
+
+    return artifacts.read_records(path, parse)
 
 
 def _load_index(path) -> DenseIndex:
     return DenseIndex.load(path)
 
 
-def _stack(args, kb: bool = True, dense: bool = True):
+def _stack(args, kb: bool = True, dense: bool = True, distinct: bool = False):
     """Load ``--queries``, and ``--kb`` and the ``--index``/``--encoder`` pair as asked.
 
     Returns ``(inputs, kb, tagged, index, encoder)``: the manifest inputs
     of every file read, then the loaded objects, None where not asked. The
-    index must have been built by the encoder.
+    index must have been built by the encoder. With ``distinct``, no two
+    queries may share a query_id.
     """
     inputs = {}
 
@@ -97,7 +109,7 @@ def _stack(args, kb: bool = True, dense: bool = True):
         return inputs[name]
 
     loaded_kb = load_kb(path("kb")) if kb else None
-    tagged = _load_tagged(path("queries"))
+    tagged = _load_tagged(path("queries"), distinct)
     index = encoder = None
     if dense:
         index = _load_index(path("index"))
@@ -240,7 +252,8 @@ def cmd_neg_gen(args) -> dict:
 
 
 def cmd_train_cross(args) -> dict:
-    inputs, kb, tagged, index, encoder = _stack(args)
+    # mined candidates are keyed by query_id
+    inputs, kb, tagged, index, encoder = _stack(args, distinct=True)
     cfg = _train_config(args)
     negatives = []
     if args.negatives:

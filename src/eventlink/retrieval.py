@@ -19,14 +19,14 @@ weights keep the association order of the per-posting formula and the
 sums its addition order, so every score equals that formula bit for bit.
 
 ``DenseIndex.save`` and ``DenseIndex.load`` are the only writer and
-reader of the index artifact: one JSON document holding the ids, the
-encoder fingerprint, an optional manifest, and the matrix as base64 of its
-little-endian float64 bytes, so a round trip restores every bit.
+reader of the index artifact. The file is one line of JSON holding the ids,
+the encoder fingerprint, an optional manifest and the matrix's dtype and
+shape, then the matrix's raw little-endian float64 bytes
+(``artifacts.write_framed``), so a round trip restores every bit.
 """
 
 from __future__ import annotations
 
-import base64
 import math
 from dataclasses import dataclass, field
 from itertools import chain, count
@@ -44,8 +44,9 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 BM25_WINDOW = 16
 
-INDEX_FORMAT_VERSION = 2
+INDEX_FORMAT_VERSION = 3
 INDEX_DTYPE = "<f8"
+_REBUILD = f"rebuild it with `eventlink index` (format_version {INDEX_FORMAT_VERSION})"
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SMALLEST_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
@@ -126,46 +127,38 @@ class DenseIndex:
 
     def save(self, path, manifest: dict | None = None) -> None:
         """Write the index atomically, embedding ``manifest`` if given."""
-        data = np.ascontiguousarray(self.matrix, dtype=INDEX_DTYPE).tobytes()
-        payload = {
+        header = {
             "format_version": INDEX_FORMAT_VERSION,
             "encoder_fingerprint": self.encoder_fingerprint,
             "ids": list(self.ids),
-            "matrix": {
-                "dtype": INDEX_DTYPE,
-                "shape": [self.n, self.dim],
-                "base64": base64.b64encode(data).decode("ascii"),
-            },
+            "matrix": {"dtype": INDEX_DTYPE, "shape": [self.n, self.dim]},
         }
-        artifacts.write_json(path, payload, manifest)
+        body = np.ascontiguousarray(self.matrix, dtype=INDEX_DTYPE).tobytes()
+        artifacts.write_framed(path, header, body, manifest)
 
     @classmethod
     def load(cls, path) -> "DenseIndex":
         """Read an index written by ``save``; a malformed file raises ValueError naming it."""
-        return artifacts.read_document(path, cls._from_payload)
+        return artifacts.read_framed(path, cls._from_parts, f"no index header line; {_REBUILD}")
 
     @classmethod
-    def _from_payload(cls, payload: dict) -> "DenseIndex":
-        version = payload["format_version"]
+    def _from_parts(cls, header: dict, body: bytes) -> "DenseIndex":
+        version = header["format_version"]
         if version != INDEX_FORMAT_VERSION:
-            raise ValueError(
-                f"index format_version {version!r} is not supported; "
-                f"rebuild it with `eventlink index` (format_version {INDEX_FORMAT_VERSION})"
-            )
-        ids = tuple(str(i) for i in payload["ids"])
-        block = payload["matrix"]
+            raise ValueError(f"index format_version {version!r} is not supported; {_REBUILD}")
+        ids = tuple(str(i) for i in header["ids"])
+        block = header["matrix"]
         if block["dtype"] != INDEX_DTYPE:
             raise ValueError(f"matrix dtype {block['dtype']!r} is not {INDEX_DTYPE!r}")
         shape = block["shape"]
         if not (isinstance(shape, list) and len(shape) == 2
                 and all(isinstance(x, int) and x >= 0 for x in shape)):
             raise ValueError(f"matrix shape {shape!r} is not a pair of sizes")
-        data = base64.b64decode(block["base64"], validate=True)
         n, d = shape
-        if len(data) != n * d * 8:
-            raise ValueError(f"matrix shape {shape} needs {n * d * 8} bytes, found {len(data)}")
-        matrix = np.frombuffer(data, dtype=INDEX_DTYPE).reshape(n, d).astype(np.float64)
-        fingerprint = str(payload["encoder_fingerprint"])
+        if len(body) != n * d * 8:
+            raise ValueError(f"matrix shape {shape} needs {n * d * 8} bytes, found {len(body)}")
+        matrix = np.frombuffer(body, dtype=INDEX_DTYPE).reshape(n, d).astype(np.float64, copy=False)
+        fingerprint = str(header["encoder_fingerprint"])
         return cls(ids=ids, matrix=matrix, encoder_fingerprint=fingerprint)
 
 

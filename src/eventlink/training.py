@@ -125,22 +125,29 @@ def _sgd_epochs(
     """SGD over ``n`` examples: a seeded permutation per epoch, one step per batch.
 
     ``step_loss`` takes a batch's example positions and returns its loss
-    and gradients; a non-finite loss raises ``TrainingError``.
+    and gradients. A non-finite loss, or a parameter left non-finite by the
+    last step, raises ``TrainingError``. The run is one ``np.errstate``
+    block, so a diverging run reports that error alone, without numpy's
+    overflow and invalid-value warnings before it.
     """
     rng = np.random.default_rng(cfg.seed)
     epoch_losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, cfg.batch_size):
-            loss, grads = step_loss(order[start : start + cfg.batch_size])
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss {loss!r} at epoch {epoch}, step {start // cfg.batch_size}"
-                )
-            _sgd_step(params, grads, cfg.learning_rate)
-            losses.append(loss)
-        epoch_losses.append(float(np.mean(losses)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            losses = []
+            for start in range(0, n, cfg.batch_size):
+                loss, grads = step_loss(order[start : start + cfg.batch_size])
+                if not np.isfinite(loss):
+                    raise TrainingError(
+                        f"non-finite loss {loss!r} at epoch {epoch}, step {start // cfg.batch_size}"
+                    )
+                _sgd_step(params, grads, cfg.learning_rate)
+                losses.append(loss)
+            epoch_losses.append(float(np.mean(losses)))
+        for name, value in params.items():
+            if not np.isfinite(value).all():
+                raise TrainingError(f"non-finite parameter {name!r} after the last step")
     return TrainReport(epoch_losses=epoch_losses, config=cfg.to_dict())
 
 

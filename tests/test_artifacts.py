@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eventlink.artifacts import iter_jsonl, read_document, read_json, read_manifest, read_records
@@ -84,6 +84,70 @@ def test_iter_jsonl_truncated_file_names_file_or_reads_a_prefix(tmp_path, record
         _assert_names_file(result, path)
 
 
+def _reference_iter_jsonl(path):
+    """The line-by-line reader that ``iter_jsonl`` replaced: the reference for its records and errors."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped:
+                raise ValueError(f"{path}: blank line at line {lineno}")
+            try:
+                record = json.loads(stripped.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: line {lineno} is not UTF-8") from None
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
+            if isinstance(record, dict) and set(record) == {"_manifest"}:
+                continue
+            yield lineno, record
+
+
+def _first_error(reader, path, refuse):
+    """What a reader yields until it fails or the caller's parse refuses record ``refuse``.
+
+    Records are compared by ``repr``, so that NaN equals NaN.
+    """
+    read = []
+    try:
+        for lineno, record in reader(path):
+            if len(read) == refuse:
+                return read, f"parse refused line {lineno}"
+            read.append(repr((lineno, record)))
+    except ValueError as exc:
+        return read, str(exc)
+    return read, None
+
+
+# what a line may start or end with: ASCII whitespace that bytes.strip removes, and
+# characters that str.strip or str.splitlines would also treat as whitespace or breaks
+_EDGES = st.sampled_from([b"", b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1f",
+                          "\x85".encode(), "\u2028".encode(), "\xa0".encode(), b"\xef\xbb\xbf"])
+_BODIES = st.one_of(
+    st.dictionaries(_TEXT, st.one_of(_TEXT, st.integers(), st.floats()), max_size=3).map(
+        lambda record: json.dumps(record, ensure_ascii=False).encode("utf-8")),
+    st.sampled_from([b"", b"NaN", b"-Infinity", b"[1, 2]", b'"s"', b"{", b'{"a": 1} x',
+                     b'{"_manifest": {}}', '{"a": "\x0c\x1c\x85\u2028"}'.encode(),
+                     b'{"a": "\xc3\xa9"}', b"\xff", b'{"a": "\xc3"}', b"\xed\xa0\x80"]),
+    st.binary(max_size=4),
+)
+_LINES = st.lists(st.tuples(_EDGES, _BODIES, _EDGES).map(b"".join), max_size=5)
+
+
+@given(lines=_LINES, ending=st.sampled_from([b"", b"\n", b"\r\n", b"\n\n", b"\n "]),
+       refuse=st.integers(0, 5))
+@example(lines=[b'{"a": 1}', b"{", b"\xff"], ending=b"\n", refuse=5)
+@example(lines=[b'{"a": 1}', b" \x0c", b"\xff"], ending=b"", refuse=5)
+@example(lines=[b'{"a": 1}\r', b"\xef\xbb\xbf{}", "NaN\x85".encode()], ending=b"\n", refuse=5)
+@example(lines=[b'{"a": "\x1c"}\x1c', b"{}"], ending=b"\n", refuse=5)
+@example(lines=[b'{"a": 1}', b"\xff"], ending=b"\n", refuse=1)
+@example(lines=[b"{}", b"{}"], ending=b"\n ", refuse=5)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_iter_jsonl_matches_the_line_by_line_reader(tmp_path, lines, ending, refuse):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(b"\n".join(lines) + ending)
+    assert _first_error(iter_jsonl, path, refuse) == _first_error(_reference_iter_jsonl, path, refuse)
+
+
 @given(payload=st.dictionaries(_TEXT, st.lists(_TEXT, max_size=3), min_size=1, max_size=3),
        data=st.data())
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -154,6 +218,21 @@ def test_load_checkpoint_truncated_file_names_file(tmp_path, kind, data):
     cut = _truncated(tmp_path, text, data.draw(st.integers(0, len(text.encode("utf-8")) - 1)))
     for read in (TinyCrossScorer.load, load_encoder):
         _assert_names_file(_outcome(lambda: read(cut)), cut)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_index_truncated_file_names_file(tmp_path, data):
+    # an id holding a newline: JSON escapes it, so the header stays one line
+    path = tmp_path / "index.json"
+    index = DenseIndex(("E0", "é\n1"), np.array([[1.0, -0.0], [5e-324, 2.0]]), "t")
+    index.save(path, manifest=_MANIFEST["_manifest"])
+    loaded = DenseIndex.load(path)
+    assert loaded.ids == index.ids and loaded.matrix.tobytes() == index.matrix.tobytes()
+    full = path.read_bytes()
+    cut = tmp_path / "cut.json"
+    cut.write_bytes(full[: data.draw(st.integers(0, len(full) - 1))])
+    _assert_names_file(_outcome(lambda: DenseIndex.load(cut)), cut)
 
 
 @given(kind=st.one_of(st.sampled_from(sorted(_CHECKPOINTS)), _TEXT, st.integers(), st.none(),

@@ -39,43 +39,84 @@ def dense_stack(toy_inputs, tmp_path_factory):
     return paths
 
 
-def _drop_key(doc):
-    del doc["ids"]
+def _framed(header, body):
+    return json.dumps(header).encode("utf-8") + b"\n" + body
 
 
-def _format_v1(doc):
-    raw = base64.b64decode(doc["matrix"]["base64"])
-    rows = np.frombuffer(raw, dtype="<f8").reshape(doc["matrix"]["shape"])
-    doc["format_version"] = 1
-    doc["matrix"] = rows.tolist()
+def _drop_key(header, body):
+    del header["ids"]
+    return _framed(header, body)
 
 
-def _shape_vs_ids(doc):
-    doc["ids"] = doc["ids"][:-1]
+def _format_v1(header, body):
+    # one JSON document with the matrix as nested lists
+    header["format_version"] = 1
+    header["matrix"] = np.frombuffer(body, dtype="<f8").reshape(header["matrix"]["shape"]).tolist()
+    return json.dumps(header).encode("utf-8")
 
 
-def _shape_vs_bytes(doc):
-    doc["matrix"]["shape"][1] += 1
+def _format_v2(header, body):
+    # one JSON document with the matrix as base64 of its bytes
+    header["format_version"] = 2
+    header["matrix"]["base64"] = base64.b64encode(body).decode("ascii")
+    return json.dumps(header, sort_keys=True, indent=2).encode("utf-8") + b"\n"
 
 
-def _non_finite(doc):
-    rows = np.frombuffer(base64.b64decode(doc["matrix"]["base64"]), dtype="<f8").copy()
+def _old_version_header(header, body):
+    header["format_version"] = 2
+    return _framed(header, body)
+
+
+def _shape_vs_ids(header, body):
+    header["ids"] = header["ids"][:-1]
+    return _framed(header, body)
+
+
+def _shape_vs_bytes(header, body):
+    header["matrix"]["shape"][1] += 1
+    return _framed(header, body)
+
+
+def _non_finite(header, body):
+    rows = np.frombuffer(body, dtype="<f8").copy()
     rows[3] = np.nan
-    doc["matrix"]["base64"] = base64.b64encode(rows.tobytes()).decode("ascii")
+    return _framed(header, rows.tobytes())
+
+
+def _truncated_body(header, body):
+    return _framed(header, body[:-8])
+
+
+def _empty(header, body):
+    return b""
+
+
+def _no_newline(header, body):
+    return json.dumps(header).encode("utf-8")
+
+
+def _index_parts(path):
+    """The JSON header line, manifest included, and the matrix bytes of an index file."""
+    head, _, body = open(path, "rb").read().partition(b"\n")
+    return json.loads(head), body
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_key, "missing key 'ids'"),
     (_format_v1, "rebuild it with `eventlink index`"),
+    (_format_v2, "rebuild it with `eventlink index`"),
+    (_old_version_header, "index format_version 2 is not supported; rebuild it with `eventlink index`"),
     (_shape_vs_ids, "shape [10, 16] does not hold one row per id for 9 ids"),
     (_shape_vs_bytes, "shape [10, 17] needs 1360 bytes, found 1280"),
     (_non_finite, "non-finite"),
-], ids=["missing-key", "format-v1", "shape-vs-ids", "shape-vs-bytes", "non-finite"])
+    (_truncated_body, "shape [10, 16] needs 1280 bytes, found 1272"),
+    (_empty, "no index header line; rebuild it with `eventlink index`"),
+    (_no_newline, "no index header line; rebuild it with `eventlink index`"),
+], ids=["missing-key", "format-v1", "format-v2", "old-version-header", "shape-vs-ids",
+        "shape-vs-bytes", "non-finite", "truncated-body", "empty", "no-newline"])
 def test_malformed_index_is_data_error_naming_file(dense_stack, tmp_path, capsys, corrupt, message):
-    _, doc = read_json(dense_stack["index.json"])
-    corrupt(doc)
     bad = tmp_path / "bad-index.json"
-    bad.write_text(json.dumps(doc), encoding="utf-8")
+    bad.write_bytes(corrupt(*_index_parts(dense_stack["index.json"])))
     out = tmp_path / "c.jsonl"
     code = main(["retrieve", "--index", str(bad), "--queries", dense_stack["tagged.jsonl"],
                  "--encoder", dense_stack["encoder.json"], "--k", "3", "--out", str(out)])
@@ -259,10 +300,10 @@ def small_run(tmp_path_factory):
 def test_index_with_json_dump_fingerprint_asks_for_rebuild(small_run, tmp_path, capsys):
     # before encoder fingerprints hashed array bytes, they hashed the canonical
     # JSON of the whole checkpoint state, every float included
-    _, doc = read_json(small_run["index"])
-    doc["encoder_fingerprint"] = json_digest(load_encoder(small_run["encoder"]).state_dict())
+    header, body = _index_parts(small_run["index"])
+    header["encoder_fingerprint"] = json_digest(load_encoder(small_run["encoder"]).state_dict())
     old = tmp_path / "old-index.json"
-    old.write_text(json.dumps(doc), encoding="utf-8")
+    old.write_bytes(_framed(header, body))
     code = main(["retrieve", "--index", str(old), "--queries", small_run["test_tagged"],
                  "--encoder", small_run["encoder"], "--k", "3",
                  "--out", str(tmp_path / "c.jsonl")])
@@ -341,17 +382,17 @@ def test_non_finite_or_non_positive_learning_rate_is_data_error(small_run, tmp_p
 
 def test_diverging_training_run_is_data_error(small_run, tmp_path, capsys):
     out = tmp_path / "encoder.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(_train_bi_argv(small_run, out, "--lr", "1e308"))
+    code = main(_train_bi_argv(small_run, out, "--lr", "1e308"))
     err = capsys.readouterr().err
     assert code == 2, err
     assert "data error: non-finite loss nan at epoch 0" in err
     assert not out.exists()
 
 
-def test_in_kb_query_gold_missing_from_mined_candidates_is_data_error(small_run, tmp_path, capsys):
-    # a second query under the first one's id, with another gold, takes its
-    # mined candidates, and one candidate leaves no room for the first gold
+def test_train_cross_duplicate_query_id_is_data_error_naming_file_and_line(small_run, tmp_path,
+                                                                           capsys):
+    # mined candidates are keyed by query_id, so a second query under the
+    # first one's id would take the first one's candidates
     queries = read_records(small_run["train_tagged"], dict)
     first = queries[0]
     other = next(q for q in queries if q["gold"] not in ("NIL", first["gold"]))
@@ -363,7 +404,8 @@ def test_in_kb_query_gold_missing_from_mined_candidates_is_data_error(small_run,
                  "--k", "1", "--epochs", "1", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2, err
-    assert f"data error: query {first['query_id']!r}: gold {first['gold']!r} missing" in err
+    line = len(queries) + 1
+    assert f"data error: {bad}: line {line}: duplicate query_id {first['query_id']!r}" in err
     assert not out.exists()
 
 

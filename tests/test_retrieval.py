@@ -1,10 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eventlink.artifacts import read_json
 from eventlink.encoders import HashingEncoder, TinyEncoder
 from eventlink.kb import KnowledgeBase, candidate_text
 from eventlink.retrieval import CandidateSet, DenseIndex, _shortlist, build_index, retrieve
@@ -196,9 +197,15 @@ def test_index_round_trip_is_bit_exact(tmp_path_factory, matrix):
     loaded = DenseIndex.load(path)
     assert loaded.matrix.tobytes() == matrix.tobytes()
     assert loaded.ids == index.ids and loaded.encoder_fingerprint == "f"
-    manifest, payload = read_json(path)
-    assert manifest == {"command": "index"}
-    assert payload["format_version"] == 2 and payload["matrix"]["dtype"] == "<f8"
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    assert header.pop("_manifest") == {"command": "index"}
+    assert header == {"encoder_fingerprint": "f", "format_version": 3, "ids": list(index.ids),
+                      "matrix": {"dtype": "<f8", "shape": list(matrix.shape)}}
+    assert body == matrix.astype("<f8").tobytes()
+    again = path.with_name("again.json")
+    loaded.save(again, manifest={"command": "index"})
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_index_rejects_non_finite_and_misshapen_matrices():

@@ -20,6 +20,7 @@ from eventlink.training import (
     CrossExample,
     TrainConfig,
     TrainingError,
+    _sgd_epochs,
     _sgd_step,
     apply_kb_pruning,
     biencoder_batch_loss,
@@ -332,6 +333,15 @@ def test_training_reproducible(small_toy):
     train_biencoder(pairs, second, cfg)
     for name in ("embed", "weight", "bias"):
         np.testing.assert_array_equal(first.params()[name], second.params()[name])
+
+
+def test_run_ending_with_a_non_finite_parameter_is_training_error():
+    # every step's loss is finite, but the last update overflows, silently
+    # inside the run's errstate block
+    params = {"w": np.array([1e308])}
+    cfg = TrainConfig(learning_rate=1.0, batch_size=1, epochs=1)
+    with pytest.raises(TrainingError, match="non-finite parameter 'w' after the last step"):
+        _sgd_epochs(params, 1, cfg, lambda chunk: (0.5, {"w": np.array([-1e308])}))
 
 
 # --- candidate mining ---------------------------------------------------------
