@@ -28,7 +28,7 @@ from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBError, entry_to_record
 from .llm import ScriptedClient
 from .rerank import LinkDecision, TinyCrossScorer, llm_rerank, score_pairs
 from .rerank import select_learned_nil, select_threshold
-from .retrieval import CandidateSet, DenseIndex, bm25_build, bm25_retrieve, build_index, retrieve
+from .retrieval import CandidateSet, DenseIndex, bm25_build, bm25_retrieve, build_index, retrieve_many
 from .toy import StorytellerMock
 
 
@@ -212,10 +212,7 @@ def cmd_retrieve(args) -> dict:
     else:
         embeddings = encoder.encode_many(
             [format_query(query, args.style, RETRIEVER_MAX_LEN) for query in tagged])
-        results = [
-            retrieve(index, embedding, args.k, query_id=query.base.query_id)
-            for query, embedding in zip(tagged, embeddings)
-        ]
+        results = retrieve_many(index, embeddings, args.k, [q.base.query_id for q in tagged])
     manifest = _manifest("retrieve", args, inputs)
     artifacts.write_jsonl(args.out, (r.to_record() for r in results), manifest)
     return manifest
@@ -286,10 +283,7 @@ def cmd_link(args) -> dict:
         scorer = TinyCrossScorer.load(args.scorer)
     query_rows = [format_query(query, args.style, SCORER_MAX_LEN) for query in tagged]
     embeddings = encoder.encode_many(query_rows)
-    candidate_sets = [
-        retrieve(index, embedding, args.k, query_id=query.base.query_id)
-        for query, embedding in zip(tagged, embeddings)
-    ]
+    candidate_sets = retrieve_many(index, embeddings, args.k, [q.base.query_id for q in tagged])
     if args.rule == "llm":
         decisions = [llm_rerank(client, query_tokens, candidates, kb, args.allow_nil)
                      for query_tokens, candidates in zip(query_rows, candidate_sets)]

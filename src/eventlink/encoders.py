@@ -11,10 +11,10 @@ have to be normalized raises ``DegenerateNormError`` instead of NaN.
 Every adapter has ``encode`` for one sequence and ``encode_many`` for a
 list of them. ``encode_many(rows)`` equals ``np.stack([encode(r) for r in
 rows])`` bit for bit, so index building, the query lists of ``retrieve``,
-``link`` and candidate mining, and cross scoring's queries and candidates
-encode in one call each, and goldens and oracles that recompute rows one
-at a time still pin every bit. ``TinyEncoder.forward`` encodes one
-sequence; it serves ``encode`` and negative generation.
+``link``, candidate mining and negative pairing, and cross scoring's
+queries and candidates encode in one call each, and goldens and oracles
+that recompute rows one at a time still pin every bit.
+``TinyEncoder.forward`` encodes one sequence; it serves ``encode``.
 
 Training runs on batched kernels over token ids that the trainers map
 once per run (``TinyEncoder.id_rows``): ``TinyEncoder.forward_batch``

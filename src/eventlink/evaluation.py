@@ -120,26 +120,34 @@ def recall_at_k(
     """Fraction of queries whose gold id appears in the first k candidates.
 
     Callers exclude NIL-gold queries first; passing one is an error, as is
-    asking for k beyond the retrieved depth.
+    asking for k beyond the retrieved depth. Every query needs exactly one
+    candidate set, and every candidate set a query.
     """
     gold_map = {q.query_id: q.gold for q in golds}
     for gold in gold_map.values():
         if gold == NIL:
             raise ValueError("recall is defined over in-KB golds only")
     sets = list(candidate_sets)
-    if not sets:
-        raise ValueError("no candidate sets to evaluate")
     max_k = max(ks)
     hits = {k: 0 for k in ks}
+    seen = set()
     for cs in sets:
         if cs.query_id not in gold_map:
             raise ValueError(f"candidates for unknown query {cs.query_id!r}")
+        if cs.query_id in seen:
+            raise ValueError(f"repeated candidates for query {cs.query_id!r}")
+        seen.add(cs.query_id)
         if len(cs) < max_k:
             raise ValueError(f"k={max_k} exceeds retrieved depth {len(cs)}")
         gold = gold_map[cs.query_id]
         for k in ks:
             if gold in cs.ids[:k]:
                 hits[k] += 1
+    missing = set(gold_map) - seen
+    if missing:
+        raise ValueError(f"no candidates for queries: {sorted(missing)[:5]}")
+    if not sets:
+        raise ValueError("no candidate sets to evaluate")
     return {k: hits[k] / len(sets) for k in ks}
 
 
@@ -151,16 +159,20 @@ def evaluate(
     dataset_fingerprint: str = "",
     config_fingerprint: str = "",
 ) -> EvalReport:
-    """Build the full report: accuracy splits, optional recall grid, counts."""
+    """Build the full report: accuracy splits, optional recall grid, counts.
+
+    Candidate sets of NIL-gold queries are skipped; the rest must hold one
+    set per in-KB gold query, as ``recall_at_k`` requires.
+    """
     pairs = _align(decisions, golds)
     counts, hits = _split_counts(pairs)
     acc = {split: _ratio(hits[split], counts[split]) for split in _SPLITS}
     recall: dict[int, float] = {}
     if candidate_sets is not None:
         in_kb_golds = [g for _, g in pairs if g.gold != NIL]
-        in_kb_ids = {g.query_id for g in in_kb_golds}
-        kept = [cs for cs in candidate_sets if cs.query_id in in_kb_ids]
-        if kept:
+        nil_ids = {g.query_id for _, g in pairs if g.gold == NIL}
+        kept = [cs for cs in candidate_sets if cs.query_id not in nil_ids]
+        if kept or in_kb_golds:
             recall = recall_at_k(kept, in_kb_golds, ks)
     return EvalReport(
         accuracy_all=acc["all"],

@@ -35,7 +35,7 @@ from .extraction import tagged_to_record
 from .formatting import format_arguments, marked_sequence, slug
 from .kb import NIL, RETRIEVER_MAX_LEN
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
-from .retrieval import DenseIndex, retrieve
+from .retrieval import DenseIndex, retrieve_many
 
 STYLE_ARGUMENT_AWARE = "argument_aware"
 STYLE_PLAIN = "non_argument_aware"
@@ -344,15 +344,15 @@ def generate_negatives(
     Origins are drawn without replacement from the filtered pool in a
     seed-determined order, so a fixed (pool, seed, client) triple always
     produces the same files. Pairing retrieves top-k for the origin query
-    (never the generated text). A plain-style passage must carry mention
-    tags only.
+    (never the generated text), for every accepted origin at once after
+    the last attempt. A plain-style passage must carry mention tags only.
     """
     spec = _style_spec(style)
     roles = style == STYLE_ARGUMENT_AWARE
     filtered = sample_filter(pool)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(filtered))
-    accepted: list[NegativeExample] = []
+    accepted: list[tuple[TaggedQuery, TaggedQuery]] = []  # (generated, origin)
     records: list[GenerationRecord] = []
     for position in order:
         if len(accepted) >= count:
@@ -386,12 +386,16 @@ def generate_negatives(
             GenerationRecord(origin_id, style, prompt, completion, status, reason, **segments)
         )
         if status == "accepted":
-            origin_embedding = encoder.encode(format_arguments(origin, query_max_len))
-            paired = retrieve(index, origin_embedding, k, query_id=origin_id)
-            accepted.append(NegativeExample(generated, origin_id, paired.ids, style))
-    accepted.sort(key=lambda n: n.origin_query_id)
+            accepted.append((generated, origin))
+    origins = [origin for _, origin in accepted]
+    paired = retrieve_many(
+        index, encoder.encode_many([format_arguments(o, query_max_len) for o in origins]), k,
+        [o.base.query_id for o in origins])
+    negatives = [NegativeExample(generated, p.query_id, p.ids, style)
+                 for (generated, _), p in zip(accepted, paired)]
+    negatives.sort(key=lambda n: n.origin_query_id)
     records.sort(key=lambda r: r.origin_query_id)
-    return accepted, records
+    return negatives, records
 
 
 def kb_pruning_negatives(

@@ -5,11 +5,12 @@ so any (index, query, k) triple has exactly one correct answer. Search is
 exact; no approximation is applied at any scale this package targets.
 
 Dense search is the exact flat inner-product search of FAISS
-``IndexFlatIP`` (arXiv 1702.08734), done in numpy and in two steps. One
-matrix-vector product over the whole index, whose rounding error has a
-proven bound, picks a shortlist certain to hold the true top k. Only the
-shortlist is then scored by the per-row dot product that every candidate
-file is pinned to, and sorted by (score descending, KB position).
+``IndexFlatIP`` (arXiv 1702.08734), done in numpy and in two steps. Queries
+go in blocks sized so that a block's scores fill at most 2 MB; one matrix
+product of a block with the whole index, whose rounding error has a proven
+bound, picks for each query a shortlist certain to hold the true top k.
+Only the shortlist is then scored by the per-row dot product that every
+candidate file is pinned to, and sorted by (score descending, KB position).
 
 BM25 follows BM25S (arXiv 2407.03618): each (term, entry) Okapi
 contribution is computed once, when the index is built, and stored in
@@ -51,6 +52,9 @@ _REBUILD = f"rebuild it with `eventlink index` (format_version {INDEX_FORMAT_VER
 _UNIT_ROUNDOFF = 2.0 ** -53
 _SMALLEST_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 _FLOAT_MAX = float(np.finfo(float).max)
+# Caps the (block, n) score matrix of one block of queries at 2**18 float64
+# values (2 MB), so peak memory stays flat at any index size.
+_BLOCK_ELEMENTS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ class DenseIndex:
     """Entry ids aligned with a finite (n, d) embedding matrix.
 
     ``max_row_norm`` is computed once here; it sizes the shortlist bound
-    of every ``retrieve`` call.
+    of every query.
     """
 
     ids: tuple[str, ...]
@@ -195,51 +199,76 @@ def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, kind="stable")[:k]
 
 
-def _shortlist(index: DenseIndex, q: np.ndarray, k: int) -> np.ndarray:
-    """Ascending KB positions of every row that can be in the exact top k.
+def _shortlist(index: DenseIndex, block: np.ndarray, k: int) -> list[np.ndarray]:
+    """For each query row of ``block``, the ascending KB positions of every
+    row that can be in its exact top k.
 
-    Each computed dot product of a row with q, by the matrix-vector
+    Each computed dot product of a row with a query q, by the block's matrix
     product here or by ``np.dot`` on one row, lies within
     e = gamma_d * |row| * |q| + d * 2**-1074 of the exact product, for any
     summation order and blocking a BLAS kernel may choose, FMA included;
     gamma_d = d*u / (1 - d*u) with u = 2**-53, and the second term covers
     underflow. So the two computed values of one row differ by at most 2B,
-    where B bounds every e. Let T be the k-th largest matrix-vector value.
-    The k rows at or above T all score at least T - 2B per row, so the k-th
-    best per-row score is at least T - 2B, and any row reaching it has a
-    matrix-vector value of at least T - 4B. B is doubled to cover the
-    rounding of the norms. A product large enough to overflow falls back to
-    every row.
+    where B bounds every e of q. Let T be the k-th largest value in q's row
+    of the matrix product. The k rows at or above T all score at least
+    T - 2B per row, so the k-th best per-row score is at least T - 2B, and
+    any row reaching it has a matrix-product value of at least T - 4B. B is
+    doubled to cover the rounding of the norms. A query whose products can
+    overflow stays out of the matrix product and falls back to every row.
     """
     d = index.dim
-    scale = index.max_row_norm * float(_norms(q))
-    if not scale < _FLOAT_MAX / 4:
-        return np.arange(index.n)
+    with np.errstate(over="ignore"):
+        scales = index.max_row_norm * _norms(block)
+    exact = scales < _FLOAT_MAX / 4
     gamma = d * _UNIT_ROUNDOFF / (1.0 - d * _UNIT_ROUNDOFF)
-    bound = 2.0 * (gamma * scale + d * _SMALLEST_SUBNORMAL)
-    approx = index.matrix @ q
-    kth = np.partition(approx, index.n - k)[index.n - k]
-    return np.flatnonzero(approx >= kth - 4.0 * bound)
+    bounds = 2.0 * (gamma * scales[exact] + d * _SMALLEST_SUBNORMAL)
+    approx = block[exact] @ index.matrix.T
+    kth = np.partition(approx, index.n - k, axis=1)[:, index.n - k]
+    kept = iter(approx >= (kth - 4.0 * bounds)[:, None])
+    return [np.flatnonzero(next(kept)) if e else np.arange(index.n) for e in exact]
+
+
+def retrieve_many(
+    index: DenseIndex, embeddings: np.ndarray, k: int, query_ids: Sequence[str]
+) -> list[CandidateSet]:
+    """Exact top-k by dot product for each row of ``embeddings``, named by ``query_ids``.
+
+    Ties break toward lower KB position. Queries are shortlisted in blocks
+    of ``_BLOCK_ELEMENTS // index.n`` rows, one matrix product per block.
+    """
+    queries = np.asarray(embeddings, dtype=float)
+    if queries.ndim != 2 or queries.shape[1] != index.dim:
+        raise ValueError(
+            f"query dimension {queries.shape[1:]} does not match index ({index.dim},)")
+    if len(query_ids) != len(queries):
+        raise ValueError(f"{len(query_ids)} query ids for {len(queries)} query embeddings")
+    if not 1 <= k <= index.n:
+        raise ValueError(f"k={k} outside [1, {index.n}]")
+    if not np.isfinite(queries).all():
+        raise ValueError("query embedding holds a non-finite value")
+    step = max(1, _BLOCK_ELEMENTS // index.n)
+    results = []
+    for start in range(0, len(queries), step):
+        block = queries[start:start + step]
+        for q, query_id, rows in zip(block, query_ids[start:start + step],
+                                     _shortlist(index, block, k)):
+            # scored row by row, as the oracle does, so scores keep their exact
+            # bits; a product beyond the float range is inf there too
+            with np.errstate(over="ignore"):
+                scores = np.array([np.dot(index.matrix[i], q) for i in rows])
+            top = _top_k(scores, k)
+            results.append(CandidateSet(
+                query_id=query_id,
+                ids=tuple(index.ids[rows[j]] for j in top),
+                scores=tuple(float(scores[j]) for j in top),
+            ))
+    return results
 
 
 def retrieve(index: DenseIndex, query_embedding: np.ndarray, k: int, query_id: str = "") -> CandidateSet:
-    """Exact top-k by dot product; ties broken toward lower KB position."""
+    """Exact top-k by dot product for one query: ``retrieve_many`` of a one-row block."""
     q = np.asarray(query_embedding, dtype=float)
-    if q.shape != (index.dim,):
-        raise ValueError(f"query dimension {q.shape} does not match index ({index.dim},)")
-    if not 1 <= k <= index.n:
-        raise ValueError(f"k={k} outside [1, {index.n}]")
-    if not np.isfinite(q).all():
-        raise ValueError("query embedding holds a non-finite value")
-    rows = _shortlist(index, q, k)
-    # scored row by row, as the oracle does, so scores keep their exact bits
-    scores = np.array([np.dot(index.matrix[i], q) for i in rows])
-    top = _top_k(scores, k)
-    return CandidateSet(
-        query_id=query_id,
-        ids=tuple(index.ids[rows[j]] for j in top),
-        scores=tuple(float(scores[j]) for j in top),
-    )
+    return retrieve_many(index, q[None], k, [query_id])[0]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBEntry, KnowledgeBase, 
 from .kb import full_candidate_tokens
 from .neggen import NegativeExample
 from .rerank import NIL_PSEUDO_TOKEN, TinyCrossScorer, softmax
-from .retrieval import CandidateSet, DenseIndex, retrieve
+from .retrieval import CandidateSet, DenseIndex, retrieve_many
 
 
 class TrainingError(RuntimeError):
@@ -303,9 +303,9 @@ def mine_candidates(
     queries pass through unmodified.
     """
     embeddings = encoder.encode_many([format_query(q, style, max_query_len) for q in queries])
+    results = retrieve_many(index, embeddings, k, [q.base.query_id for q in queries])
     mined: dict[str, CandidateSet] = {}
-    for query, embedding in zip(queries, embeddings):
-        result = retrieve(index, embedding, k, query_id=query.base.query_id)
+    for query, result in zip(queries, results):
         gold = query.base.gold
         if gold != NIL and gold not in result.ids:
             ids = (*result.ids[:-1], gold)

@@ -276,6 +276,24 @@ def test_eval_malformed_preds_manifest_is_data_error(small_run, tmp_path, capsys
     assert not report.exists()
 
 
+@pytest.mark.parametrize("case", ["repeated", "unknown", "missing"])
+def test_eval_candidates_not_one_per_in_kb_gold_is_data_error(small_run, tmp_path, capsys, case):
+    records = read_records(small_run["candidates"], dict)
+    first = records[0]["query_id"]
+    records = {"repeated": [*records, records[0]],
+               "unknown": [*records, dict(records[0], query_id="zzz")],
+               "missing": records[1:]}[case]
+    candidates = tmp_path / "candidates.jsonl"
+    write_jsonl(candidates, records)
+    report = tmp_path / "r.json"
+    code = main(["eval", "--preds", small_run["decisions"], "--gold", small_run["test_tagged"],
+                 "--candidates", str(candidates), "--out", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert repr("zzz" if case == "unknown" else first) in err
+    assert not report.exists()
+
+
 def test_fingerprint_mismatch_between_index_and_encoder(tmp_path, capsys):
     paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, neg_count=2)
     other = tmp_path / "other-encoder.json"
@@ -340,6 +358,30 @@ def test_link_decisions_match_golden_file_byte_for_byte(small_run, tmp_path):
     lines = _link_decision_lines(small_run, str(tmp_path))
     assert len(lines) == len(_LINK_CASES) * 10
     with open(_LINK_GOLDEN, "rb") as fh:
+        assert ("\n".join(lines) + "\n").encode("utf-8") == fh.read()
+
+
+# Written by the code that retrieved for each query in its own call, before
+# one blocked matrix product per query list.
+_RETRIEVE_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "retrieve_golden.jsonl")
+
+
+def _dense_candidate_lines(run, directory):
+    """Every dense ``retrieve`` record of the test queries at a short and a full depth."""
+    lines = []
+    for k in (3, 20):
+        out = os.path.join(directory, f"k{k}.jsonl")
+        assert main(["retrieve", "--index", run["index"], "--queries", run["test_tagged"],
+                     "--encoder", run["encoder"], "--k", str(k), "--out", out]) == 0
+        lines += [json.dumps({"k": k, "candidates": record}, sort_keys=True)
+                  for record in read_records(out, dict)]
+    return lines
+
+
+def test_dense_candidates_match_golden_file_byte_for_byte(small_run, tmp_path):
+    lines = _dense_candidate_lines(small_run, str(tmp_path))
+    assert len(lines) == 2 * 10
+    with open(_RETRIEVE_GOLDEN, "rb") as fh:
         assert ("\n".join(lines) + "\n").encode("utf-8") == fh.read()
 
 

@@ -112,6 +112,30 @@ def test_evaluate_builds_full_report():
     assert EvalReport.from_dict(report.to_dict()) == report
 
 
+def test_evaluate_skips_candidates_of_nil_golds():
+    golds = [_gold("a", "E1"), _gold("b", NIL)]
+    decisions = [_decision("a", "E2"), _decision("b", NIL)]
+    sets = [_cands("b", ["E1", "E2"]), _cands("a", ["E2", "E1"])]
+    assert evaluate(decisions, golds, sets, ks=(1, 2)).recall_at == {1: 0.0, 2: 1.0}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("repeated", "repeated candidates for query 'q0'"),
+    ("unknown", "candidates for unknown query 'zzz'"),
+    ("missing", r"no candidates for queries: \['q1', 'q2', 'q3'\]"),
+    ("none", r"no candidates for queries: \['q0', 'q1', 'q2', 'q3'\]"),
+])
+def test_evaluate_rejects_candidates_not_one_per_in_kb_gold(case, message):
+    # q0 listed twice once reported recall@1 = 1.0 over four in-KB golds
+    golds = [_gold(f"q{i}", f"E{i}") for i in range(4)] + [_gold("n", NIL)]
+    decisions = [_decision(g.query_id, g.gold) for g in golds]
+    full = [_cands(f"q{i}", [f"E{i}", "E9"]) for i in range(4)]
+    sets = {"repeated": [full[0], full[0]], "unknown": [*full, _cands("zzz", ["E1", "E2"])],
+            "missing": full[:1], "none": []}[case]
+    with pytest.raises(ValueError, match=message):
+        evaluate(decisions, golds, sets, ks=(1,))
+
+
 def test_evaluate_is_pure():
     golds = [_gold("a", "E1")]
     decisions = [_decision("a", "E1")]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from hypothesis.extra.numpy import arrays
 
 from eventlink.encoders import HashingEncoder, TinyEncoder
 from eventlink.kb import KnowledgeBase, candidate_text
-from eventlink.retrieval import CandidateSet, DenseIndex, _shortlist, build_index, retrieve
+from eventlink import retrieval
+from eventlink.retrieval import (
+    CandidateSet, DenseIndex, _shortlist, build_index, retrieve, retrieve_many,
+)
 
 
 def _index_from_matrix(matrix):
@@ -98,9 +102,10 @@ def test_matches_oracle_on_adversarial_matrices(seed, n, d, k_rule, spread_norms
 @pytest.mark.parametrize("scale", [1.0, 1e-140, 1e140])
 def test_shortlist_keeps_rows_rounding_cannot_separate(scale):
     # A row, its copy grown by a few ulps and its exact copy score within
-    # rounding error of one another at any magnitude, so the matrix-vector
-    # pass alone cannot tell which is first: the shortlist for k=1 must keep
-    # all three, although their matrix-vector values differ.
+    # rounding error of one another at any magnitude, so the block's matrix
+    # product alone cannot tell which is first: the shortlist for k=1 must
+    # keep all three, although their matrix-product values differ. The
+    # other queries of the block get shortlists of their own.
     rng = np.random.default_rng(11)
     row = rng.normal(size=64)
     matrix = scale * np.vstack([rng.normal(size=(3, 64)), row, rng.normal(size=(50, 64)), row, row])
@@ -108,11 +113,113 @@ def test_shortlist_keeps_rows_rounding_cannot_separate(scale):
         matrix[54] = np.nextafter(matrix[54], np.copysign(np.inf, row))
     assert len(set((matrix @ row)[[3, 54, 55]].tolist())) > 1
     index = _index_from_matrix(matrix)
-    rows = _shortlist(index, row, 1)
-    assert {3, 54, 55} <= set(rows.tolist())
-    got = retrieve(index, row, 1)
-    ids, scores = _brute_force(matrix, row, 1)
-    assert list(got.ids) == ids and list(got.scores) == scores
+    block = np.vstack([rng.normal(size=64), row, -row, matrix[20] / scale])
+    shortlists = _shortlist(index, block, 1)
+    assert len(shortlists) == len(block)
+    assert {3, 54, 55} <= set(shortlists[1].tolist())
+    for q, rows, got in zip(block, shortlists, retrieve_many(index, block, 1, ["a", "b", "c", "d"])):
+        ids, scores = _brute_force(matrix, q, 1)
+        assert int(ids[0][1:]) in rows.tolist()
+        assert list(got.ids) == ids and list(got.scores) == scores
+
+
+def _overflowing_matrix(rng, n, d):
+    # Rows near 1e160 of one sign score +inf or -inf against a positive query
+    # near 1e160, and small rows score finitely, so |row| * |q| overflows and
+    # the shortlist must fall back to every row; no product mixes signs, so
+    # none is NaN.
+    matrix = rng.uniform(0.5, 1.0, size=(n, d))
+    matrix[0::3] *= 1e160
+    matrix[1::3] *= -1e160
+    return matrix
+
+
+def test_overflowing_products_fall_back_to_every_row():
+    rng = np.random.default_rng(5)
+    matrix = _overflowing_matrix(rng, 12, 8)
+    q = 1e160 * rng.uniform(0.5, 1.0, size=8)
+    index = _index_from_matrix(matrix)
+    assert index.max_row_norm * float(q.max()) == np.inf
+    for k in (1, 4, 12):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = retrieve(index, q, k)
+        with np.errstate(over="ignore"):
+            ids, scores = _brute_force(matrix, q, k)
+        assert list(got.ids) == ids and list(got.scores) == scores
+    assert got.scores[:4] == (np.inf,) * 4 and got.scores[-4:] == (-np.inf,) * 4
+
+
+def _retrieve_many_matches_oracles(index, matrix, queries, k):
+    query_ids = [f"q{i}" for i in range(len(queries))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = retrieve_many(index, queries, k, query_ids)
+        one_by_one = [retrieve(index, q, k, query_id=i) for q, i in zip(queries, query_ids)]
+    assert got == one_by_one
+    for q, result in zip(queries, got):
+        with np.errstate(over="ignore"):
+            ids, scores = _brute_force(matrix, q, k)
+        assert list(result.ids) == ids
+        assert list(result.scores) == scores
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2000),
+    d=st.integers(1, 64),
+    m=st.integers(0, 9),
+    k_rule=st.sampled_from(["one", "all", "any"]),
+    spread_norms=st.booleans(),
+    rows_per_block=st.sampled_from([1, 2, 3, None]),
+    fallback=st.booleans(),
+)
+@example(seed=1, n=40, d=8, m=0, k_rule="one", spread_norms=False, rows_per_block=1,
+         fallback=False)
+@example(seed=2, n=40, d=8, m=1, k_rule="all", spread_norms=True, rows_per_block=None,
+         fallback=False)
+@example(seed=3, n=300, d=16, m=9, k_rule="one", spread_norms=False, rows_per_block=2,
+         fallback=True)
+def test_retrieve_many_matches_oracles(seed, n, d, m, k_rule, spread_norms, rows_per_block,
+                                       fallback):
+    rng = np.random.default_rng(seed)
+    matrix = _adversarial_matrix(rng, n, d, spread_norms)
+    index = _index_from_matrix(matrix)
+    queries = rng.normal(size=(m, d))
+    queries[1::3] *= 10.0 ** rng.uniform(-150, 150, size=(len(queries[1::3]), 1))
+    # a query whose |row| * |q| reaches the fallback, yet whose products stay finite
+    if fallback and m and index.max_row_norm >= 1.0:
+        queries[0] /= np.linalg.norm(queries[0])
+        queries[0] *= retrieval._FLOAT_MAX / 3 / index.max_row_norm
+        assert index.max_row_norm * retrieval._norms(queries[:1])[0] >= retrieval._FLOAT_MAX / 4
+    k = {"one": 1, "all": n, "any": int(rng.integers(1, n + 1))}[k_rule]
+    with pytest.MonkeyPatch.context() as patch:
+        if rows_per_block is not None:
+            patch.setattr(retrieval, "_BLOCK_ELEMENTS", rows_per_block * n)
+        _retrieve_many_matches_oracles(index, matrix, queries, k)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 2, 4])
+def test_retrieve_many_block_mixes_overflowing_and_ordinary_queries(monkeypatch, rows_per_block):
+    rng = np.random.default_rng(9)
+    matrix = _overflowing_matrix(rng, 15, 6)
+    index = _index_from_matrix(matrix)
+    queries = rng.normal(size=(4, 6))
+    queries[2] = 1e160 * rng.uniform(0.5, 1.0, size=6)  # every product is +-inf or finite
+    monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", rows_per_block * index.n)
+    for k in (1, 5, 15):
+        _retrieve_many_matches_oracles(index, matrix, queries, k)
+
+
+def test_retrieve_many_rejects_misaligned_ids_and_bad_shapes():
+    index = _index_from_matrix(np.eye(3))
+    with pytest.raises(ValueError, match="2 query ids for 1"):
+        retrieve_many(index, np.ones((1, 3)), 1, ["a", "b"])
+    with pytest.raises(ValueError, match="dimension"):
+        retrieve_many(index, np.ones(3), 1, ["a"])
+    with pytest.raises(ValueError, match="non-finite"):
+        retrieve_many(index, np.array([[1.0, np.nan, 0.0]]), 1, ["a"])
 
 
 def test_prefix_property():
