@@ -322,11 +322,15 @@ def cmd_eval(args) -> dict:
         candidate_sets = artifacts.read_records(
             _require(args.candidates, "--candidates"), CandidateSet.from_record
         )
-    report = evaluation.evaluate(
-        decisions, golds, candidate_sets, args.ks,
-        dataset_fingerprint=gold_digest,
-        config_fingerprint=artifacts.json_digest(preds_manifest) if preds_manifest else "",
-    )
+    try:
+        report = evaluation.evaluate(
+            decisions, golds, candidate_sets, args.ks,
+            dataset_fingerprint=gold_digest,
+            config_fingerprint=artifacts.json_digest(preds_manifest) if preds_manifest else "",
+        )
+    except evaluation.CoverageError as exc:
+        paths = {"decisions": preds_path, "golds": gold_path, "candidate_sets": args.candidates}
+        raise DataError(f"{paths[exc.source]}: {exc}") from None
     manifest = _manifest("eval", args, {"preds": preds_path, "gold": gold_path})
     artifacts.write_json(args.out, report.to_dict(), manifest)
     return manifest

@@ -13,8 +13,9 @@ list of them. ``encode_many(rows)`` equals ``np.stack([encode(r) for r in
 rows])`` bit for bit, so index building, the query lists of ``retrieve``,
 ``link``, candidate mining and negative pairing, and cross scoring's
 queries and candidates encode in one call each, and goldens and oracles
-that recompute rows one at a time still pin every bit.
-``TinyEncoder.forward`` encodes one sequence; it serves ``encode``.
+that recompute rows one at a time still pin every bit. ``forward`` of
+``TinyEncoder`` serves ``encode``; ``encode_many`` stacks its ``gemv`` and
+``ddot`` in ``np.matmul``, which hands each item to the same kernel.
 
 Training runs on batched kernels over token ids that the trainers map
 once per run (``TinyEncoder.id_rows``): ``TinyEncoder.forward_batch``
@@ -22,8 +23,9 @@ encodes a whole step's id rows through one bag-count matrix over the
 step's distinct ids, and ``TinyEncoder.backward`` turns that batch cache
 into every parameter gradient with a few matmuls. The embedding gradient
 is row-sparse, ``(uniq, rows)``: the step's distinct ids and one gradient
-row each, so no step touches the rest of the table. The bag matmul rounds
-differently from ``forward``, so these kernels serve training only.
+row each, so no step touches the rest of the table. The bag and affine
+matmuls are ``gemm`` calls, which block and order sums their own way, so
+these kernels round differently from ``forward`` and serve training only.
 
 Adapters may sub-tokenize internally but must treat marker tokens as
 atomic. ``encode`` is safe for concurrent calls on frozen parameters.
@@ -32,8 +34,8 @@ atomic. ``encode`` is safe for concurrent calls on frozen parameters.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
+from itertools import chain, repeat
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -212,29 +214,28 @@ class TinyEncoder:
         The mean pool sums position by position over the rows sorted longest
         first, so the rows still running at a position are a prefix, and
         each row adds its embeddings in token order starting from 0.0, as
-        ``mean`` does. No padded matrix is built. The affine map and the
-        norm stay per row: a batched matmul rounds differently.
+        ``mean`` does. No padded matrix is built. The affine map and norm are
+        stacked matmuls whose ``(d, d) @ (d, 1)`` and ``(1, d) @ (d, 1)`` items
+        numpy hands to the ``gemv`` and ``ddot`` of ``forward``, bit for bit.
         """
-        ids = [self.token_ids(row) for row in rows]
-        lengths = np.array([len(row) for row in ids], dtype=np.intp)
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
         if not lengths.all():
             raise ValueError("cannot encode an empty token sequence")
-        flat = np.fromiter(itertools.chain.from_iterable(ids), dtype=np.intp, count=lengths.sum())
+        flat = np.fromiter(map(self._ids.get, chain.from_iterable(rows), repeat(self._oov)),
+                           dtype=np.intp, count=lengths.sum())
         order = np.argsort(-lengths, kind="stable")
         sorted_lengths = lengths[order]
         starts = (np.cumsum(lengths) - lengths)[order]
         # how many rows are longer than each position: a prefix of the sorted rows
         running = np.searchsorted(-sorted_lengths, -np.arange(lengths.max(initial=0)))
-        sums = np.zeros((len(ids), self.dim))
+        sums = np.zeros((len(rows), self.dim))
         for position, m in enumerate(running):
             sums[:m] += self.embed[flat[starts[:m] + position]]
         means = np.empty_like(sums)
         means[order] = sums / sorted_lengths[:, None]
-        pre = np.empty_like(means)
-        for mean, row in zip(means, pre):
-            np.dot(self.weight, mean, out=row)
+        pre = np.matmul(self.weight, means[:, :, None])[:, :, 0]
         pre += self.bias
-        norms = np.array([np.sqrt(row.dot(row)) for row in pre])
+        norms = np.sqrt(np.matmul(pre[:, None, :], pre[:, :, None]))[:, 0, 0]
         if not norms.all():
             raise DegenerateNormError("encoder pre-activation has zero norm")
         return pre / norms[:, None]

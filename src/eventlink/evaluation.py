@@ -19,6 +19,14 @@ from .retrieval import CandidateSet
 RECALL_GRID = (1, 2, 3, 4, 5, 8, 10, 15, 20)
 
 
+class CoverageError(ValueError):
+    """Inputs that do not cover one another; ``source`` names the argument at fault."""
+
+    def __init__(self, source: str, message: str):
+        super().__init__(message)
+        self.source = source
+
+
 @dataclass
 class EvalReport:
     """Metric bundle for one run over one dataset."""
@@ -70,18 +78,20 @@ def _align(
 ) -> list[tuple[LinkDecision, EventQuery]]:
     gold_map = {q.query_id: q for q in golds}
     if len(gold_map) != len(golds):
-        raise ValueError("duplicate query ids among golds")
+        raise CoverageError("golds", "duplicate query ids among golds")
     pairs = []
     seen = set()
     for decision in decisions:
         gold = gold_map.get(decision.query_id)
         if gold is None:
-            raise ValueError(f"decision for unknown query {decision.query_id!r}")
+            raise CoverageError("decisions", f"decision for unknown query {decision.query_id!r}")
+        if decision.query_id in seen:
+            raise CoverageError("decisions", f"repeated decision for query {decision.query_id!r}")
         seen.add(decision.query_id)
         pairs.append((decision, gold))
     missing = set(gold_map) - seen
     if missing:
-        raise ValueError(f"no decision for queries: {sorted(missing)[:5]}")
+        raise CoverageError("decisions", f"no decision for queries: {sorted(missing)[:5]}")
     return pairs
 
 
@@ -133,21 +143,21 @@ def recall_at_k(
     seen = set()
     for cs in sets:
         if cs.query_id not in gold_map:
-            raise ValueError(f"candidates for unknown query {cs.query_id!r}")
+            raise CoverageError("candidate_sets", f"candidates for unknown query {cs.query_id!r}")
         if cs.query_id in seen:
-            raise ValueError(f"repeated candidates for query {cs.query_id!r}")
+            raise CoverageError("candidate_sets", f"repeated candidates for query {cs.query_id!r}")
         seen.add(cs.query_id)
         if len(cs) < max_k:
-            raise ValueError(f"k={max_k} exceeds retrieved depth {len(cs)}")
+            raise CoverageError("candidate_sets", f"k={max_k} exceeds retrieved depth {len(cs)}")
         gold = gold_map[cs.query_id]
         for k in ks:
             if gold in cs.ids[:k]:
                 hits[k] += 1
     missing = set(gold_map) - seen
     if missing:
-        raise ValueError(f"no candidates for queries: {sorted(missing)[:5]}")
+        raise CoverageError("candidate_sets", f"no candidates for queries: {sorted(missing)[:5]}")
     if not sets:
-        raise ValueError("no candidate sets to evaluate")
+        raise CoverageError("candidate_sets", "no candidate sets to evaluate")
     return {k: hits[k] / len(sets) for k in ks}
 
 

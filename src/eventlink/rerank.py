@@ -11,13 +11,15 @@ baseline share the same decision record.
 
 ``TinyCrossScorer`` encodes a call's queries, and its distinct entries, in
 one ``encode_many`` each, the way BLINK (arXiv 1911.03814) precomputes
-entity encodings. ``encode_many`` equals ``forward`` bit for bit, so every
-score keeps the bits of a per-pair scorer.
+entity encodings, and takes every (query, option) dot product in one
+stacked matmul (``pair_dots``). These equal ``forward`` and ``q @ c`` bit
+for bit, so every score keeps the bits of a per-pair scorer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -26,7 +28,7 @@ from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, chec
 from .encoders import load_checkpoint, save_encoder
 from .kb import NIL, SCORER_MAX_LEN, KBEntry, KnowledgeBase, candidate_text, tokenize
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
-from .retrieval import CandidateSet
+from .retrieval import CandidateSet, pair_dots
 
 NIL_PSEUDO_TOKEN = "[NIL]"
 
@@ -102,25 +104,22 @@ class TinyCrossScorer:
         max_candidate_len: int,
     ) -> list[np.ndarray]:
         """Per query, ``scale·(q·c)`` for the NIL unit vector, then for each entry."""
+        if len(query_rows) != len(entry_lists):
+            raise ValueError(f"{len(query_rows)} query rows for {len(entry_lists)} entry lists")
         nil_norm = np.linalg.norm(self.nil_embedding)
         if nil_norm == 0.0:
             raise DegenerateNormError("NIL embedding has zero norm")
-        nil_unit = self.nil_embedding / nil_norm
-        slots: dict[KBEntry, int] = {}
-        for entries in entry_lists:
-            for entry in entries:
-                slots.setdefault(entry, len(slots))
-        encode = self.encoder.encode_many
-        queries = encode(query_rows)
-        candidates = encode([candidate_text(entry, max_candidate_len) for entry in slots])
-        out = []
-        for q, entries in zip(queries, entry_lists, strict=True):
-            scores = np.empty(len(entries) + 1)
-            scores[0] = float(self.scale[0] * (q @ nil_unit))
-            for i, entry in enumerate(entries, start=1):
-                scores[i] = float(self.scale[0] * (q @ candidates[slots[entry]]))
-            out.append(scores)
-        return out
+        # entries are named by their first flat position; partner 0, the NIL unit, leads each query
+        first: dict[KBEntry, int] = {}
+        pos = np.fromiter(map(first.setdefault, chain.from_iterable(entry_lists), count()), np.intp)
+        sizes = np.fromiter(map(len, entry_lists), np.intp)
+        partner = np.insert(np.unique(pos, return_inverse=True)[1] + 1, sizes.cumsum() - sizes, 0)
+        owner = np.repeat(np.arange(len(sizes)), sizes + 1)
+        queries = self.encoder.encode_many(query_rows)
+        candidates = self.encoder.encode_many([candidate_text(e, max_candidate_len) for e in first])
+        partners = np.vstack([self.nil_embedding / nil_norm, candidates])
+        scores = self.scale[0] * pair_dots(queries, partners, owner, partner)
+        return np.split(scores, (sizes + 1).cumsum())[:-1]
 
     def state_dict(self, array=np.ndarray.tolist) -> dict:
         state = self.encoder.state_dict(array)

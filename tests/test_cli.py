@@ -291,6 +291,33 @@ def test_eval_candidates_not_one_per_in_kb_gold_is_data_error(small_run, tmp_pat
     err = capsys.readouterr().err
     assert code == 2, err
     assert repr("zzz" if case == "unknown" else first) in err
+    assert f"{candidates}: " in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("case", ["missing-decision", "unknown-decision", "repeated-decision",
+                                  "repeated-gold"])
+def test_eval_coverage_error_names_the_file_at_fault(small_run, tmp_path, capsys, case):
+    # inputs written without manifests, so no lineage check runs first
+    decisions = read_records(small_run["decisions"], dict)
+    golds = read_records(small_run["test_tagged"], dict)
+    preds, gold = tmp_path / "preds.jsonl", tmp_path / "gold.jsonl"
+    write_jsonl(preds, {"missing-decision": decisions[1:],
+                        "unknown-decision": [*decisions, dict(decisions[0], query_id="zzz")],
+                        "repeated-decision": [*decisions, decisions[0]],
+                        "repeated-gold": decisions}[case])
+    write_jsonl(gold, [*golds, golds[0]] if case == "repeated-gold" else golds)
+    report = tmp_path / "r.json"
+    code = main(["eval", "--preds", str(preds), "--gold", str(gold), "--out", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    at_fault, message = {
+        "missing-decision": (preds, f"no decision for queries: [{decisions[0]['query_id']!r}]"),
+        "unknown-decision": (preds, "decision for unknown query 'zzz'"),
+        "repeated-decision": (preds, f"repeated decision for query {decisions[0]['query_id']!r}"),
+        "repeated-gold": (gold, "duplicate query ids among golds"),
+    }[case]
+    assert f"{at_fault}: {message}" in err
     assert not report.exists()
 
 

@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventlink.evaluation import EvalReport, accuracy, compare_report, evaluate, recall_at_k
+from eventlink.evaluation import (
+    CoverageError, EvalReport, accuracy, compare_report, evaluate, recall_at_k,
+)
 from eventlink.extraction import EventQuery, Span
 from eventlink.kb import NIL
 from eventlink.rerank import LinkDecision
@@ -45,6 +47,15 @@ def test_unmatched_query_id_is_error():
         accuracy([_decision("zzz", "E1")], golds)
     with pytest.raises(ValueError, match="no decision"):
         accuracy([], golds)
+
+
+def test_repeated_decision_is_error():
+    # a decision listed three times once counted three times: accuracy 0.75 over two golds
+    golds = [_gold("a", "E1"), _gold("b", "E2")]
+    decisions = [_decision("a", "E1")] * 3 + [_decision("b", NIL)]
+    with pytest.raises(CoverageError, match="repeated decision for query 'a'") as caught:
+        evaluate(decisions, golds)
+    assert caught.value.source == "decisions"
 
 
 def test_other_pos_counts_only_toward_all():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eventlink import retrieval
 from eventlink.encoders import DegenerateNormError, TinyEncoder
 from eventlink.kb import NIL, KBEntry, KBError, KnowledgeBase, candidate_text
 from eventlink.llm import ClientExhausted, LLMTransportError, ScriptedClient
@@ -80,13 +81,13 @@ def test_nil_score_zero_nil_embedding_raises_named_error():
 
 
 def _reference_scores(scorer, query_tokens, entries, max_candidate_len):
-    """Per-pair scoring: encode the query and each candidate afresh for every option."""
+    """Per-pair scoring: encode the query and each candidate afresh, one ``np.dot`` per option."""
     nil_unit = scorer.nil_embedding / np.linalg.norm(scorer.nil_embedding)
-    scores = [float(scorer.scale[0] * (scorer.encoder.forward(query_tokens) @ nil_unit))]
+    scores = [float(scorer.scale[0] * np.dot(scorer.encoder.forward(query_tokens), nil_unit))]
     for entry in entries:
         q = scorer.encoder.forward(query_tokens)
         c = scorer.encoder.forward(candidate_text(entry, max_candidate_len))
-        scores.append(float(scorer.scale[0] * (q @ c)))
+        scores.append(float(scorer.scale[0] * np.dot(q, c)))
     return np.array(scores)
 
 
@@ -113,20 +114,29 @@ _ENTRIES = [
         max_size=4,
     ),
     seed=st.integers(0, 3),
+    dim=st.integers(2, 130),
+    pairs_per_gather=st.sampled_from([1, 5, None]),
 )
+@example(batches=[([(["war"], [0, 1]), (["city"], [1, 0, 1]), (["north"], []), (["war"], [1])],
+                   5), ([], 5)], seed=0, dim=130, pairs_per_gather=1)
 @settings(max_examples=60, deadline=None)
-def test_score_candidates_matches_per_pair_reference(batches, seed):
-    # one call per batch: entries repeat across a batch's queries, and one
-    # scorer sees the same entry at several candidate lengths across batches
-    scorer = TinyCrossScorer(VOCAB, 64, seed=seed)
-    for queries, max_len in [*batches, *batches]:
-        rows = [query for query, _ in queries]
-        entry_lists = [[_ENTRIES[i] for i in picks] for _, picks in queries]
-        got = scorer.score_candidates(rows, entry_lists, max_len)
-        assert len(got) == len(queries)
-        for query, entries, scores in zip(rows, entry_lists, got):
-            assert scores.shape == (len(entries) + 1,)
-            np.testing.assert_array_equal(scores, _reference_scores(scorer, query, entries, max_len))
+def test_score_candidates_matches_per_pair_reference(batches, seed, dim, pairs_per_gather):
+    # one call per batch: entries repeat across a batch's queries and within
+    # one, a batch may hold no query or a query no entry, one scorer sees the
+    # same entry at several candidate lengths across batches, and a
+    # patched-down constant splits the scoring's row gathers
+    scorer = TinyCrossScorer(VOCAB, dim, seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        if pairs_per_gather is not None:
+            patch.setattr(retrieval, "_GATHER_ELEMENTS", pairs_per_gather * dim)
+        for queries, max_len in [*batches, *batches]:
+            rows = [query for query, _ in queries]
+            entry_lists = [[_ENTRIES[i] for i in picks] for _, picks in queries]
+            got = scorer.score_candidates(rows, entry_lists, max_len)
+            assert isinstance(got, list) and len(got) == len(queries)
+            for query, entries, scores in zip(rows, entry_lists, got):
+                expected = _reference_scores(scorer, query, entries, max_len)
+                assert scores.tobytes() == expected.tobytes()
 
 
 def test_score_candidates_same_entry_at_two_lengths():
@@ -378,3 +388,11 @@ def test_scorer_checkpoint_round_trip(tmp_path, kb10):
     a = score_pairs(scorer, [["war"]], [_cands(["E0", "E1"])], kb10)
     b = score_pairs(loaded, [["war"]], [_cands(["E0", "E1"])], kb10)
     np.testing.assert_array_equal(a, b)
+
+
+def test_score_candidates_rejects_misaligned_queries_and_entry_lists():
+    scorer = TinyCrossScorer(VOCAB, 16, seed=0)
+    with pytest.raises(ValueError, match="2 query rows for 1 entry lists"):
+        scorer.score_candidates([["war"], ["city"]], [_ENTRIES[:2]], 256)
+    with pytest.raises(ValueError, match="0 query rows for 1 entry lists"):
+        scorer.score_candidates([], [[]], 256)

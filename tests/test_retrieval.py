@@ -161,28 +161,31 @@ def _retrieve_many_matches_oracles(index, matrix, queries, k):
         with np.errstate(over="ignore"):
             ids, scores = _brute_force(matrix, q, k)
         assert list(result.ids) == ids
-        assert list(result.scores) == scores
+        assert np.array(result.scores).tobytes() == np.array(scores).tobytes()  # -0.0 is not 0.0
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 2000),
-    d=st.integers(1, 64),
+    d=st.integers(1, 130),
     m=st.integers(0, 9),
     k_rule=st.sampled_from(["one", "all", "any"]),
     spread_norms=st.booleans(),
     rows_per_block=st.sampled_from([1, 2, 3, None]),
+    pairs_per_gather=st.sampled_from([1, 5, None]),
     fallback=st.booleans(),
 )
 @example(seed=1, n=40, d=8, m=0, k_rule="one", spread_norms=False, rows_per_block=1,
-         fallback=False)
+         pairs_per_gather=None, fallback=False)
 @example(seed=2, n=40, d=8, m=1, k_rule="all", spread_norms=True, rows_per_block=None,
-         fallback=False)
+         pairs_per_gather=1, fallback=False)
 @example(seed=3, n=300, d=16, m=9, k_rule="one", spread_norms=False, rows_per_block=2,
-         fallback=True)
+         pairs_per_gather=5, fallback=True)
+@example(seed=4, n=30, d=130, m=6, k_rule="all", spread_norms=False, rows_per_block=None,
+         pairs_per_gather=5, fallback=False)
 def test_retrieve_many_matches_oracles(seed, n, d, m, k_rule, spread_norms, rows_per_block,
-                                       fallback):
+                                       pairs_per_gather, fallback):
     rng = np.random.default_rng(seed)
     matrix = _adversarial_matrix(rng, n, d, spread_norms)
     index = _index_from_matrix(matrix)
@@ -197,6 +200,8 @@ def test_retrieve_many_matches_oracles(seed, n, d, m, k_rule, spread_norms, rows
     with pytest.MonkeyPatch.context() as patch:
         if rows_per_block is not None:
             patch.setattr(retrieval, "_BLOCK_ELEMENTS", rows_per_block * n)
+        if pairs_per_gather is not None:
+            patch.setattr(retrieval, "_GATHER_ELEMENTS", pairs_per_gather * d)
         _retrieve_many_matches_oracles(index, matrix, queries, k)
 
 
@@ -204,10 +209,12 @@ def test_retrieve_many_matches_oracles(seed, n, d, m, k_rule, spread_norms, rows
 def test_retrieve_many_block_mixes_overflowing_and_ordinary_queries(monkeypatch, rows_per_block):
     rng = np.random.default_rng(9)
     matrix = _overflowing_matrix(rng, 15, 6)
+    matrix[7] = matrix[4]  # a tie among the -inf products, broken by KB position
     index = _index_from_matrix(matrix)
     queries = rng.normal(size=(4, 6))
     queries[2] = 1e160 * rng.uniform(0.5, 1.0, size=6)  # every product is +-inf or finite
     monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", rows_per_block * index.n)
+    monkeypatch.setattr(retrieval, "_GATHER_ELEMENTS", rows_per_block * 6)
     for k in (1, 5, 15):
         _retrieve_many_matches_oracles(index, matrix, queries, k)
 
@@ -329,3 +336,29 @@ def test_candidate_set_validation():
         CandidateSet("q", ("a", "a"), (0.5, 0.1))
     with pytest.raises(ValueError, match="align"):
         CandidateSet("q", ("a",), (0.5, 0.1))
+
+
+def test_retrieve_many_orders_tied_scores_by_kb_position():
+    # equal scores, zeros included, go to the lower KB position in each query's list
+    matrix = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [-0.0, 1.0]])
+    queries = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    got = retrieve_many(_index_from_matrix(matrix), queries, 5, ["a", "b"])
+    assert got[0].ids == ("E1", "E3", "E0", "E2", "E4")
+    assert got[1].ids == ("E0", "E2", "E4", "E1", "E3")
+    for q, result in zip(queries, got):
+        expected = np.array(_brute_force(matrix, q, 5)[1])
+        assert np.array(result.scores).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 130), pairs=st.integers(0, 60),
+       gather_elements=st.sampled_from([1, 130, 2 ** 15]))
+def test_pair_dots_matches_np_dot_per_pair(seed, d, pairs, gather_elements):
+    rng = np.random.default_rng(seed)
+    left, right = rng.normal(size=(7, d)), rng.normal(size=(5, d))
+    i, j = rng.integers(0, 7, size=pairs), rng.integers(0, 5, size=pairs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval, "_GATHER_ELEMENTS", gather_elements)
+        got = retrieval.pair_dots(left, right, i, j)
+    expected = np.array([np.dot(left[a], right[b]) for a, b in zip(i, j)], dtype=float)
+    assert got.tobytes() == expected.tobytes()
