@@ -14,7 +14,9 @@ Every input is parsed through ``read_records`` (JSON lines),
 header, then raw bytes). They refuse a record or header that is not a JSON
 object and turn a ``KeyError``, ``TypeError``, ``ValueError`` or
 ``AttributeError`` of the caller's ``parse`` into one ``ValueError``
-naming the file, and the line for JSON lines.
+naming the file, and the line for JSON lines. ``read_records`` is one loop
+over ``iter_jsonl`` with one error handler, so a record costs its ``parse``
+call alone; it also refuses a repeated key, such as a KB id.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ MANIFEST_KEY = "_manifest"
 
 # what bytes.strip() removes; str.strip() would also remove \x1c-\x1f, \x85 and more
 _ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
-_DECODER = json.JSONDecoder()
+_SCAN = json.JSONDecoder().scan_once  # what JSONDecoder.raw_decode calls, without its frame
 
 T = TypeVar("T")
 
@@ -119,25 +121,18 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
         line = line.strip(_ASCII_WHITESPACE)
         if not line:
             raise ValueError(f"{path}: blank line at line {lineno}")
-        try:
-            record = _loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
+        try:  # one scan when the whole line is one value; else json.loads raises its error
+            record, end = _SCAN(line, 0)
+        except (StopIteration, json.JSONDecodeError):
+            end = -1
+        if end != len(line):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
         if isinstance(record, dict) and len(record) == 1 and MANIFEST_KEY in record:
             continue
         yield lineno, record
-
-
-def _loads(line: str):
-    """``json.loads`` of a stripped line, by a single ``raw_decode`` when the whole line parses.
-
-    Otherwise ``json.loads`` itself runs, so its error is the one raised.
-    """
-    try:
-        record, end = _DECODER.raw_decode(line)
-    except json.JSONDecodeError:
-        end = -1
-    return record if end == len(line) else json.loads(line)
 
 
 def read_manifest(path) -> dict | None:
@@ -186,20 +181,40 @@ def write_framed(path, header: dict, body: bytes, manifest: dict | None = None) 
     atomic_write_bytes(path, canonical_json(header).encode("utf-8") + b"\n" + body)
 
 
-def _parse(parse: Callable[[dict], T], record, path, lineno: int | None = None) -> T:
+def _refusal(exc: Exception, where) -> ValueError:
+    message = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{where}: {message}")
+
+
+def _not_object(record):
+    raise TypeError(f"expected a JSON object, found {type(record).__name__}")
+
+
+def _parse(parse: Callable[[dict], T], record, path) -> T:
     try:
-        if not isinstance(record, dict):
-            raise TypeError(f"expected a JSON object, found {type(record).__name__}")
-        return parse(record)
+        return parse(record) if isinstance(record, dict) else _not_object(record)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        where = str(path) if lineno is None else f"{path}: line {lineno}"
-        message = f"missing key {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
-        raise ValueError(f"{where}: {message}") from exc
+        raise _refusal(exc, path) from exc
 
 
-def read_records(path, parse: Callable[[dict], T]) -> list[T]:
-    """``parse`` of every record of a JSON-lines file, in order; errors name the file and line."""
-    return [_parse(parse, record, path, lineno) for lineno, record in iter_jsonl(path)]
+def read_records(path, parse: Callable[[dict], T], unique: tuple[str, Callable] | None = None) -> list[T]:
+    """``parse`` of every record of a JSON-lines file, in order; errors name the file and line.
+
+    ``unique=(name, key)`` refuses a record whose ``key`` repeats an earlier one as a duplicate ``name``.
+    """
+    name, key = unique or ("", None)
+    records, seen = [], set()
+    for lineno, record in iter_jsonl(path):
+        try:
+            value = parse(record) if isinstance(record, dict) else _not_object(record)
+            if key is not None:
+                if (repeat := key(value)) in seen:
+                    raise ValueError(f"duplicate {name} {repeat!r}")
+                seen.add(repeat)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise _refusal(exc, f"{path}: line {lineno}") from exc
+        records.append(value)
+    return records
 
 
 def read_document(path, parse: Callable[[dict], T]) -> T:

@@ -19,6 +19,7 @@ import argparse
 import configparser
 import os
 import sys
+from operator import attrgetter
 
 from . import artifacts, encoders, evaluation, neggen, rerank, training
 from .extraction import RoleLexicon, RuleExtractor, extract, query_from_record
@@ -77,17 +78,8 @@ def _manifest(command: str, args: argparse.Namespace, inputs: dict[str, str]) ->
 
 def _load_tagged(path, distinct: bool = False):
     """Tagged queries in file order; with ``distinct``, a repeated query_id fails naming its line."""
-    seen: set[str] = set()
-
-    def parse(record: dict):
-        query = tagged_from_record(record)
-        if distinct:
-            if query.base.query_id in seen:
-                raise ValueError(f"duplicate query_id {query.base.query_id!r}")
-            seen.add(query.base.query_id)
-        return query
-
-    return artifacts.read_records(path, parse)
+    unique = ("query_id", attrgetter("base.query_id")) if distinct else None
+    return artifacts.read_records(path, tagged_from_record, unique)
 
 
 def _load_index(path) -> DenseIndex:
@@ -365,8 +357,8 @@ def recall_ks(text: str) -> tuple[int, ...]:
     return ks
 
 
-def build_parser() -> _Parser:
-    """Every subcommand and its options; each option's type and default are declared here."""
+def build_parser(command: str | None = None) -> _Parser:
+    """Every subcommand, or only ``command`` if it names one; each option's type and default are here."""
     bi = training.TrainConfig.biencoder_defaults()
     cross = training.TrainConfig.crossencoder_defaults()
     path = {}
@@ -422,6 +414,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="eventlink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, options) in commands.items():
+        if command in commands and name != command:
+            continue
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
         p.add_argument("--config")
@@ -432,8 +426,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.config:  # the flags parsed once already, so an error here is the config's

@@ -26,7 +26,7 @@ class ExtractionError(RuntimeError):
         self.query_id = query_id
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Span:
     """Inclusive token span ``[start, end]``."""
 
@@ -47,7 +47,7 @@ class Span:
         return self.end < length
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NamedEntityAnnotation:
     """A named-entity span with its type, consumed as given (no built-in NER)."""
 
@@ -55,7 +55,7 @@ class NamedEntityAnnotation:
     entity_type: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventQuery:
     """A token sequence with one marked event mention and a gold label."""
 
@@ -67,8 +67,10 @@ class EventQuery:
     entities: tuple[NamedEntityAnnotation, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "entities", tuple(self.entities))
+        if type(self.tokens) is not tuple:
+            object.__setattr__(self, "tokens", tuple(self.tokens))
+        if type(self.entities) is not tuple:
+            object.__setattr__(self, "entities", tuple(self.entities))
         if not self.tokens:
             raise ValueError(f"query {self.query_id!r}: empty token sequence")
         if not self.mention.within(len(self.tokens)):
@@ -91,7 +93,7 @@ class EventQuery:
         return " ".join(self.mention_tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Argument:
     """One event participant: a token span and its role name."""
 
@@ -103,7 +105,7 @@ class Argument:
             raise ValueError("argument role must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaggedQuery:
     """EventQuery enriched with a predicted event type and arguments.
 
@@ -116,9 +118,10 @@ class TaggedQuery:
     arguments: tuple[Argument, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arguments", tuple(self.arguments))
+        if type(self.arguments) is not tuple:
+            object.__setattr__(self, "arguments", tuple(self.arguments))
         length = len(self.base.tokens)
-        ordered = sorted(self.arguments, key=lambda a: a.span)
+        ordered = sorted(self.arguments, key=lambda a: (a.span.start, a.span.end))
         for i, arg in enumerate(ordered):
             if not arg.span.within(length):
                 raise ValueError(f"argument span {arg.span} outside query tokens")
@@ -236,7 +239,7 @@ def query_from_record(record: dict) -> EventQuery:
     )
     return EventQuery(
         query_id=str(record["query_id"]),
-        tokens=tuple(str(t) for t in record["tokens"]),
+        tokens=tuple(map(str, record["tokens"])),
         mention=Span(int(record["mention_start"]), int(record["mention_end"])),
         pos=str(record.get("pos", "other")),
         gold=str(record.get("gold", NIL)),

@@ -28,6 +28,7 @@ assumed not to contain tokens of that shape.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Callable, Sequence
 
@@ -47,6 +48,7 @@ MENTION_END = "[M_e]"
 SEP = "[SEP]"
 
 
+@functools.cache
 def group_markers(name: str) -> tuple[str, str]:
     """The ``[name_s]``/``[name_e]`` pair around a role or entity-type group.
 

@@ -8,7 +8,8 @@ out-of-KB label and may never appear as an entry id.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator
 
 from . import artifacts
 
@@ -34,7 +35,7 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KBEntry:
     """One knowledge-base node."""
 
@@ -43,6 +44,8 @@ class KBEntry:
     description: str
 
     def __post_init__(self) -> None:
+        if not type(self.id) is type(self.title) is type(self.description) is str:
+            _check_types(self.__getattribute__)
         if not self.id:
             raise KBError("entry id must be non-empty")
         if self.id == NIL:
@@ -59,11 +62,11 @@ class KnowledgeBase:
 
     def __init__(self, entries: Iterable[KBEntry]):
         self._entries: tuple[KBEntry, ...] = tuple(entries)
-        self._by_id: dict[str, KBEntry] = {}
-        for entry in self._entries:
-            if entry.id in self._by_id:
-                raise KBError(f"duplicate entry id {entry.id!r}")
-            self._by_id[entry.id] = entry
+        self._by_id: dict[str, KBEntry] = {entry.id: entry for entry in self._entries}
+        if len(self._by_id) < len(self._entries):
+            seen: set[str] = set()
+            repeat = next(e.id for e in self._entries if e.id in seen or seen.add(e.id))
+            raise KBError(f"duplicate entry id {repeat!r}")
 
     def __iter__(self) -> Iterator[KBEntry]:
         return iter(self._entries)
@@ -88,11 +91,18 @@ class KnowledgeBase:
         return tuple(e.id for e in self._entries)
 
 
-def entry_from_record(record: dict) -> KBEntry:
+def _check_types(field_value: Callable[[str], object]) -> None:
+    """Refuse the first field, in file order, that is missing or not a string."""
     for field in ("id", "title", "description"):
-        if not isinstance(record[field], str):
+        if not isinstance(field_value(field), str):
             raise KBError(f"field {field!r} must be a string")
-    return KBEntry(id=record["id"], title=record["title"], description=record["description"])
+
+
+def entry_from_record(record: dict) -> KBEntry:
+    try:
+        return KBEntry(record["id"], record["title"], record["description"])
+    except KeyError:  # refuse, in field order, the first field missing or not a string
+        _check_types(record.__getitem__)
 
 
 def entry_to_record(entry: KBEntry) -> dict:
@@ -107,17 +117,8 @@ def load_kb(path) -> KnowledgeBase:
     always with a ``KBError`` naming the file. Lines holding a single
     ``_manifest`` object are artifact headers and are skipped.
     """
-    seen: set[str] = set()
-
-    def parse(record: dict) -> KBEntry:
-        entry = entry_from_record(record)
-        if entry.id in seen:
-            raise KBError(f"duplicate entry id {entry.id!r}")
-        seen.add(entry.id)
-        return entry
-
     try:
-        entries = artifacts.read_records(path, parse)
+        entries = artifacts.read_records(path, entry_from_record, ("entry id", attrgetter("id")))
     except ValueError as exc:  # its message names the file and the line
         raise KBError(str(exc)) from None
     if not entries:

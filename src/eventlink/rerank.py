@@ -145,7 +145,7 @@ class TinyCrossScorer:
         return load_checkpoint(path, {"tiny_cross": cls.from_state_dict})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkDecision:
     """One linking verdict: a KB id or NIL, with the (k+1)-length score vector."""
 

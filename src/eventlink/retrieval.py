@@ -60,7 +60,7 @@ _BLOCK_ELEMENTS = 2 ** 18
 _GATHER_ELEMENTS = 2 ** 15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CandidateSet:
     """Ranked top-k entries for one query: distinct ids, non-increasing scores."""
 
@@ -71,7 +71,7 @@ class CandidateSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+        object.__setattr__(self, "scores", tuple(map(float, self.scores)))
         if len(self.ids) != len(self.scores):
             raise ValueError("ids and scores must align")
         if len(set(self.ids)) != len(self.ids):

@@ -853,6 +853,147 @@ def test_readme_commands_parse():
             assert args.command == variant[0]
 
 
+# --- one subparser per run -------------------------------------------------------
+
+# A representative command line per command, every option away from its default.
+_ARGV = {
+    "build-kb": ["--in", "kb.jsonl"],
+    "tag": ["--in", "q.jsonl", "--extractor", "rule", "--lexicon", "lexicon.json"],
+    "format": ["--in", "q.jsonl", "--style", "evelink"],
+    "train-bi": ["--kb", "kb.jsonl", "--queries", "q.jsonl", "--style", "blink", "--dim", "8",
+                 "--lr", "0.5", "--batch-size", "4", "--epochs", "3", "--seed", "2"],
+    "index": ["--kb", "kb.jsonl", "--encoder", "encoder.json"],
+    "retrieve": ["--kb", "kb.jsonl", "--queries", "q.jsonl", "--index", "index.json",
+                 "--encoder", "encoder.json", "--retriever", "bm25", "--style", "blink", "--k", "3"],
+    "neg-gen": ["--queries", "q.jsonl", "--style", "plain", "--count", "4", "--seed", "5",
+                "--client", "scripted", "--responses", "r.jsonl", "--log", "log.jsonl", "--k", "2",
+                "--prune-fraction", "0.25"],
+    "train-cross": ["--kb", "kb.jsonl", "--queries", "q.jsonl", "--negatives", "n.jsonl",
+                    "--k", "2", "--epochs", "1", "--lr", "0.01"],
+    "link": ["--scorer", "s.json", "--rule", "threshold", "--theta", "0.25",
+             "--direction", "literal", "--k", "4", "--style", "blink", "--allow-nil"],
+    "eval": ["--preds", "p.jsonl", "--gold", "g.jsonl", "--candidates", "c.jsonl", "--ks", "1,3"],
+    "report": ["--runs", "a.json", "b.json"],
+}
+
+# One section per command; each sets an option its command line above leaves alone,
+# and one its command line overrides.
+_CONFIG = """
+[build-kb]
+in = other.jsonl
+[tag]
+lexicon = other.json
+extractor = rule
+[format]
+style = args
+in = other.jsonl
+[train-bi]
+seed = 9
+epochs = 7
+[index]
+encoder = other.json
+kb = other.jsonl
+[retrieve]
+k = 7
+index = other.json
+[neg-gen]
+kb = other.jsonl
+count = 9
+[train-cross]
+dim = 16
+k = 9
+[link]
+allow_nil = no
+responses = other.jsonl
+[eval]
+ks = 2,4
+[report]
+runs = x.json
+"""
+
+
+@pytest.fixture
+def stub_commands(monkeypatch):
+    """Every ``cmd_*`` replaced by one that records its arguments; returns the record."""
+    calls = []
+    for name in _COMMANDS:
+        monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), calls.append)
+    return calls
+
+
+def _run_both(monkeypatch, capsys, argv):
+    """``main(argv)`` as it runs, then with the every-command parser: ``[(code, out, err)] * 2``."""
+    one_subparser = cli.build_parser
+    built, outcomes = [], []
+
+    def every_command(command=None):
+        built.append(command)
+        return one_subparser()
+
+    for parser in (one_subparser, every_command):
+        monkeypatch.setattr(cli, "build_parser", parser)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = ("exit", exc.code)
+        outcomes.append((code, *capsys.readouterr()))
+    monkeypatch.setattr(cli, "build_parser", one_subparser)
+    assert built == [argv[0] if argv else None]
+    return outcomes
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_one_subparser_parses_like_the_full_parser(command, tmp_path, monkeypatch, capsys,
+                                                   stub_commands):
+    parser = build_parser(command)
+    assert parser.format_usage() == f"usage: eventlink [-h] {{{command}}} ...\n"
+    config = tmp_path / "run.ini"
+    config.write_text(_CONFIG, encoding="utf-8")
+    argv = [command, *_ARGV[command], "--out", "out.jsonl"]
+    for run in (argv, [command, "--config", str(config), *argv[1:]]):
+        one, full = _run_both(monkeypatch, capsys, run)
+        assert one == full and one[0] == 0 and one[2] == ""
+    plain, from_config = stub_commands[0::2]
+    assert stub_commands[1::2] == [plain, from_config]
+    assert vars(plain) == vars(build_parser().parse_args(argv))
+    assert plain.command == command and from_config != plain
+    assert vars(from_config).items() >= {("config", str(config)), ("out", "out.jsonl")}
+
+
+@pytest.mark.parametrize("tail", [
+    [],                             # missing required option --out
+    ["--out", "o", "--bogus", "1"],  # unknown option
+    ["--out", "o", "--rule", "bogus"],
+    ["--out", "o", "--k", "ten"],
+], ids=["missing-required", "unknown-option", "bad-choice", "bad-type"])
+def test_one_subparser_refuses_like_the_full_parser(tail, tmp_path, monkeypatch, capsys,
+                                                    stub_commands):
+    config = tmp_path / "run.ini"
+    config.write_text("[link]\nk = ten\n", encoding="utf-8")
+    for argv in (["link", *tail], ["retrieve", *tail], ["link", "--config", str(config), "--out", "o"]):
+        one, full = _run_both(monkeypatch, capsys, argv)
+        assert one == full
+        assert one[0] == 1 and one[1] == "" and one[2].startswith("usage error: "), one
+    assert stub_commands == []
+
+
+def test_help_and_unknown_commands_build_every_subparser(monkeypatch, capsys, stub_commands):
+    one, full = _run_both(monkeypatch, capsys, ["--help"])
+    assert one == full and one[0] == ("exit", 0)
+    assert "{" + ",".join(_COMMANDS) + "}" in one[1]
+    for command in _COMMANDS:
+        one, full = _run_both(monkeypatch, capsys, [command, "--help"])
+        assert one == full and one[0] == ("exit", 0)
+        assert one[1].startswith(f"usage: eventlink {command} [-h] [--config CONFIG] --out OUT")
+    for argv, message in (([], "the following arguments are required: command"),
+                          (["bogus"], "argument command: invalid choice: 'bogus' (choose from "
+                                      + ", ".join(map(repr, _COMMANDS)) + ")"),
+                          (["--out", "o"], "argument command: invalid choice: 'o' (choose from ")):
+        one, full = _run_both(monkeypatch, capsys, argv)
+        assert one == full and one[0] == 1 and one[2].startswith("usage error: " + message), one
+    assert stub_commands == []
+
+
 # --- checkpoints and scripted responses ------------------------------------------
 
 def test_encoder_checkpoint_missing_key_is_data_error(dense_stack, tmp_path, capsys):
