@@ -91,7 +91,8 @@ def write_jsonl(path, records: Iterable[dict], manifest: dict | None = None) -> 
         lines.append(json.dumps({MANIFEST_KEY: manifest}, sort_keys=True))
     for record in records:
         lines.append(json.dumps(record, sort_keys=True))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    # each line ends in a newline, so no records and no manifest is an empty file
+    atomic_write_text(path, "\n".join([*lines, ""]))
 
 
 def iter_jsonl(path) -> Iterator[tuple[int, dict]]:

@@ -1,12 +1,11 @@
 """Text-encoder adapters mapping token sequences to unit vectors.
 
-Two adapters ship with the package: a seeded hashing encoder whose token
-vectors are reproducible from (seed, token) alone, used as a test oracle
-and for untrained retrieval, and a tiny trainable encoder (embedding
-table, mean pool, affine map, L2 normalization) whose analytic gradients
-back the desk-scale training loops. Both emit unit-norm vectors, so dot
-product equals cosine everywhere downstream; a zero vector that would
-have to be normalized raises ``DegenerateNormError`` instead of NaN.
+The package ships one adapter, a tiny trainable encoder (embedding table,
+mean pool, affine map, L2 normalization) whose analytic gradients back the
+desk-scale training loops; seeded and untrained, it also serves tests as
+a fixture encoder. It emits unit-norm vectors, so dot product equals
+cosine everywhere downstream; a zero vector that would have to be
+normalized raises ``DegenerateNormError`` instead of NaN.
 
 Every adapter has ``encode`` for one sequence and ``encode_many`` for a
 list of them. ``encode_many(rows)`` equals ``np.stack([encode(r) for r in
@@ -33,7 +32,6 @@ atomic. ``encode`` is safe for concurrent calls on frozen parameters.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from itertools import chain, repeat
 from typing import Protocol, Sequence
@@ -58,57 +56,6 @@ class EncoderAdapter(Protocol):
 
     def encode_many(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
         """``(len(rows), dim)``, equal bit for bit to stacking ``encode`` of each row."""
-
-
-def token_hash(token: str) -> int:
-    """Stable 64-bit hash of a token string (process- and run-independent)."""
-    return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
-
-
-class HashingEncoder:
-    """Deterministic bag encoder: seeded unit vector per token, normalized sum."""
-
-    def __init__(self, dim: int, seed: int):
-        if dim < 2:
-            raise ValueError("dim must be at least 2")
-        self.dim = dim
-        self.seed = seed
-        self._vectors: dict[str, np.ndarray] = {}
-
-    def token_vector(self, token: str) -> np.ndarray:
-        vec = self._vectors.get(token)
-        if vec is None:
-            rng = np.random.default_rng(np.random.SeedSequence((self.seed, token_hash(token))))
-            raw = rng.standard_normal(self.dim)
-            vec = raw / np.linalg.norm(raw)
-            self._vectors[token] = vec
-        return vec
-
-    def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        if not tokens:
-            raise ValueError("cannot encode an empty token sequence")
-        total = np.zeros(self.dim)
-        for token in tokens:
-            total += self.token_vector(token)
-        norm = np.linalg.norm(total)
-        if norm == 0.0:
-            raise DegenerateNormError("token vectors cancelled out; cannot normalize")
-        return total / norm
-
-    def encode_many(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
-        out = np.empty((len(rows), self.dim))
-        for i, row in enumerate(rows):
-            out[i] = self.encode(row)
-        return out
-
-    def state_dict(self, array=None) -> dict:
-        """The checkpoint state; there are no parameter arrays for ``array`` to encode."""
-        return {
-            "format_version": CHECKPOINT_VERSION,
-            "kind": "hashing",
-            "dim": self.dim,
-            "seed": self.seed,
-        }
 
 
 class TinyEncoder:
@@ -305,7 +252,6 @@ def load_checkpoint(path, builders: dict):
 
 def load_encoder(path):
     return load_checkpoint(path, {
-        "hashing": lambda state: HashingEncoder(int(state["dim"]), int(state["seed"])),
         "tiny": TinyEncoder.from_state_dict,
     })
 

@@ -7,6 +7,11 @@ places, and years with argument roles and maps trigger words to event
 types, which keeps the whole pipeline (extraction included) exercised
 without any learned extractor.
 
+``toy_stages`` is the one definition of a toy run: the ordered CLI argv
+lists from the raw inputs to the decision-rule comparison, and the paths of
+the files they write. ``write_toy_eval_set`` writes the combined eval set
+between its two halves.
+
 ``StorytellerMock`` stands in for the rewrite client: it swaps the tagged
 details of the prompt's final passage for fictional ones drawn from a
 vocabulary disjoint from the corpus, deterministically in (seed, prompt).
@@ -14,14 +19,17 @@ vocabulary disjoint from the corpus, deterministically in (seed, prompt).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .encoders import token_hash
+from . import artifacts
+from .evaluation import RECALL_GRID
 from .extraction import EventQuery, RoleLexicon, RuleExtractor, Span, TaggedQuery, extract
 from .extraction import query_to_record
 from .kb import KBEntry, KnowledgeBase, entry_to_record
@@ -62,6 +70,10 @@ class ToyData:
     lexicon: RoleLexicon
 
 
+# each entry takes 6 distinct names (3 canonical, 3 aliases) from the combinations
+MAX_TOY_ENTRIES = len(_ONSETS) * len(_CODAS) // 6
+
+
 def _names(rng: np.random.Generator, count: int) -> list[str]:
     combos = [onset + coda for onset in _ONSETS for coda in _CODAS]
     picks = rng.choice(len(combos), size=count, replace=False)
@@ -76,8 +88,10 @@ def build_toy_data(
     Queries refer to the factions and the site by alias names that never
     occur in the KB text, so a bag encoder links queries to entries only
     after training aligns the alias embeddings; untrained retrieval stays
-    near chance.
+    near chance. A size outside 1 to ``MAX_TOY_ENTRIES`` entries is a ``ValueError``.
     """
+    if not 1 <= n_entries <= MAX_TOY_ENTRIES:
+        raise ValueError(f"the toy corpus takes 1 to {MAX_TOY_ENTRIES} entries, not {n_entries}")
     rng = np.random.default_rng(seed)
     names = _names(rng, 6 * n_entries)
     canon_a = names[:n_entries]
@@ -171,6 +185,116 @@ def write_toy_inputs(directory, data: ToyData) -> dict[str, str]:
     with open(paths["lexicon"], "w", encoding="utf-8") as fh:
         json.dump(data.lexicon.to_dict(), fh, sort_keys=True, indent=1)
     return paths
+
+
+@dataclass(frozen=True)
+class ToyConfig:
+    """The settings toy runs differ in; every run trains at lr 0.3 / 0.1 in batches of 8."""
+
+    seed: int = 0
+    dim: int = 64
+    bi_epochs: int = 300
+    cross_epochs: int = 10
+    train_negatives: int = 50
+    eval_negatives: int = 30
+
+
+@dataclass(frozen=True)
+class ToyStages:
+    """A toy run: CLI argv lists in order, the paths they read and write, and the recall depths.
+
+    ``write_toy_eval_set(paths)`` runs after ``prepare`` and before ``evaluate``.
+    """
+
+    prepare: list[list[str]]
+    evaluate: list[list[str]]
+    paths: dict[str, str]
+    ks: tuple[int, ...]
+
+
+# the decision rules a toy run compares, by report name
+_RULES = {
+    "learned_nil": ["--rule", "learned"],
+    "threshold_conventional": ["--rule", "threshold", "--theta", "0.5",
+                               "--direction", "conventional"],
+    "threshold_literal": ["--rule", "threshold", "--theta", "0.5", "--direction", "literal"],
+}
+
+
+def toy_stages(workdir, inputs: dict[str, str], n_entries: int,
+               config: ToyConfig = ToyConfig()) -> ToyStages:
+    """Every CLI stage of a toy run over ``write_toy_inputs`` files, writing into ``workdir``.
+
+    ``prepare`` tags the splits, trains the retriever, retrieves the test
+    split densely and with BM25, generates the training and the eval
+    negatives and trains the cross scorer. ``evaluate`` retrieves for the
+    combined eval set, links it under each decision rule, evaluates each
+    rule and compares them. Retrieval goes ``min(n_entries, 20)`` deep;
+    every other ``--k`` is 10, capped at the KB size too.
+    """
+    workdir = os.fspath(workdir)
+    paths = dict(inputs)
+
+    def out(key, name):
+        paths[key] = os.path.join(workdir, name)
+        return paths[key]
+
+    seed = str(config.seed)
+    depth, k = str(min(n_entries, 20)), str(min(n_entries, 10))
+    ks = tuple(x for x in RECALL_GRID if x <= min(n_entries, 20))
+    kb, train, test = (out("kb_norm", "kb.norm.jsonl"), out("train_tagged", "train.tagged.jsonl"),
+                       out("test_tagged", "test.tagged.jsonl"))
+    encoder, index = out("encoder", "encoder.json"), out("index", "index.json")
+    dense = ["--kb", kb, "--index", index, "--encoder", encoder]
+    prepare = [
+        ["build-kb", "--in", inputs["kb"], "--out", kb],
+        *(["tag", "--in", inputs[split], "--out", tagged, "--extractor", "rule",
+           "--lexicon", inputs["lexicon"]] for split, tagged in (("train", train), ("test", test))),
+        ["train-bi", "--kb", kb, "--queries", train, "--out", encoder, "--dim", str(config.dim),
+         "--lr", "0.3", "--batch-size", "8", "--epochs", str(config.bi_epochs), "--seed", seed],
+        ["index", "--kb", kb, "--encoder", encoder, "--out", index],
+        ["retrieve", "--index", index, "--queries", test, "--encoder", encoder, "--k", depth,
+         "--out", out("candidates", "dense.candidates.jsonl")],
+        ["retrieve", "--retriever", "bm25", "--kb", kb, "--queries", test, "--k", depth,
+         "--out", out("bm25_candidates", "bm25.candidates.jsonl")],
+        ["neg-gen", "--queries", train, *dense, "--style", "args",
+         "--count", str(config.train_negatives), "--k", k, "--seed", seed,
+         "--out", out("negatives", "negatives.train.jsonl"),
+         "--log", out("genlog", "negatives.log.jsonl")],
+        ["neg-gen", "--queries", train, *dense, "--style", "args",
+         "--count", str(config.eval_negatives), "--k", k, "--seed", str(config.seed + 1),
+         "--out", out("eval_negatives", "negatives.eval.jsonl")],
+        ["train-cross", "--queries", train, "--negatives", paths["negatives"], *dense,
+         "--out", out("scorer", "scorer.json"), "--dim", str(config.dim), "--lr", "0.1",
+         "--batch-size", "8", "--epochs", str(config.cross_epochs), "--k", k, "--seed", seed],
+    ]
+    queries = out("eval_tagged", "eval.tagged.jsonl")
+    candidates = out("eval_candidates", "eval.candidates.jsonl")
+    evaluate = [["retrieve", "--index", index, "--queries", queries, "--encoder", encoder,
+                 "--k", depth, "--out", candidates]]
+    for rule, flags in _RULES.items():
+        decisions = out(f"decisions_{rule}", f"decisions.{rule}.jsonl")
+        evaluate += [
+            ["link", "--queries", queries, *dense, "--scorer", paths["scorer"], "--k", k,
+             "--out", decisions, *flags],
+            ["eval", "--preds", decisions, "--gold", queries, "--candidates", candidates,
+             "--out", out(f"report_{rule}", f"{rule}.json"), "--ks", ",".join(map(str, ks))],
+        ]
+    evaluate.append(["report", "--runs", *(paths[f"report_{rule}"] for rule in _RULES),
+                     "--out", out("comparison", "comparison.json")])
+    return ToyStages(prepare, evaluate, paths, ks)
+
+
+def write_toy_eval_set(paths: dict[str, str]) -> None:
+    """The combined eval set: the in-KB test rows, then the generated out-of-KB rows."""
+    test = artifacts.read_records(paths["test_tagged"], dict)
+    generated = artifacts.read_records(paths["eval_negatives"], itemgetter("generated"))
+    artifacts.write_jsonl(paths["eval_tagged"], test + generated)
+
+
+def token_hash(token: str) -> int:
+    """Stable 64-bit hash of a token string (process- and run-independent)."""
+    return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
 
 
 _PASSAGE_ARG_RE = re.compile(r"Example 3:\nPassage: (?P<p>.*)\n\nAdditional information")

@@ -483,19 +483,11 @@ def test_criterion_10_pipeline_determinism(tmp_path, monkeypatch):
         for directory in dirs:
             directory.mkdir()
             monkeypatch.chdir(directory)
-            run_toy_pipeline(
-                ".", seed=0, n_entries=20, n_train=60, n_test=10,
-                bi_epochs=20, cross_epochs=2, neg_count=8,
-            )
+            paths = run_toy_pipeline(".", seed=0, bi_epochs=20, cross_epochs=2,
+                                     train_negatives=8, eval_negatives=5)
         monkeypatch.chdir(tmp_path)
-        artifacts = [
-            "kb_norm.jsonl", "train_tagged.jsonl", "test_tagged.jsonl",
-            "encoder.json", "encoder.json.report.json", "index.json",
-            "candidates.jsonl", "negatives.jsonl", "genlog.jsonl",
-            "scorer.json", "scorer.json.report.json",
-            "decisions.jsonl", "report.json",
-        ]
-        for name in artifacts:
-            first, second = dirs[0] / name, dirs[1] / name
-            assert first.exists() and second.exists(), name
-            assert filecmp.cmp(first, second, shallow=False), f"{name} differs"
+        names = sorted(path.name for path in dirs[0].iterdir())
+        assert names == sorted(path.name for path in dirs[1].iterdir())
+        assert {Path(path).name for path in paths.values()} <= set(names)
+        _, mismatch, errors = filecmp.cmpfiles(*dirs, names, shallow=False)
+        assert mismatch == errors == [], f"{mismatch + errors} differ"

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eventlink.artifacts import iter_jsonl, read_document, read_json, read_manifest, read_records
-from eventlink.encoders import HashingEncoder, TinyEncoder, load_encoder, save_encoder
+from eventlink.artifacts import write_jsonl
+from eventlink.encoders import TinyEncoder, load_encoder, save_encoder
 from eventlink.kb import KBError, KnowledgeBase, entry_to_record, load_kb
 from eventlink.rerank import TinyCrossScorer
 from eventlink.retrieval import DenseIndex
@@ -165,6 +166,13 @@ def test_generic_readers_accept_a_manifest_only_file(tmp_path):
     assert read_json(path) == (_MANIFEST["_manifest"], {})
 
 
+@pytest.mark.parametrize("records", [[], [{"a": 1}, {"b": "é"}]], ids=["none", "two"])
+def test_write_jsonl_without_a_manifest_reads_back(tmp_path, records):
+    path = tmp_path / "records.jsonl"
+    write_jsonl(path, records)
+    assert read_records(path, dict) == records
+
+
 def test_manifest_header_is_a_line_whose_only_key_is_the_manifest(tmp_path):
     # read_manifest and iter_jsonl agree on which first line is a header
     path = tmp_path / "records.jsonl"
@@ -205,7 +213,6 @@ def test_typed_readers_reject_a_manifest_only_file(tmp_path, read):
 _CHECKPOINTS = {
     "tiny": lambda: TinyEncoder(["a", "é", "[M_s]"], 4, seed=0),
     "tiny_cross": lambda: TinyCrossScorer(["a", "é", "[M_s]"], 4, seed=0),
-    "hashing": lambda: HashingEncoder(4, seed=0),
 }
 
 
@@ -245,7 +252,7 @@ def test_load_checkpoint_of_the_wrong_kind_names_file(tmp_path, kind):
     path.write_text(json.dumps(state), encoding="utf-8")
     if kind != "tiny_cross":
         _assert_names_file(_outcome(lambda: TinyCrossScorer.load(path)), path)
-    if kind not in ("tiny", "hashing"):
+    if kind != "tiny":
         _assert_names_file(_outcome(lambda: load_encoder(path)), path)
 
 

@@ -9,31 +9,36 @@ import pytest
 from eventlink import cli
 from eventlink.artifacts import file_digest, json_digest, read_json, read_manifest, read_records
 from eventlink.cli import build_parser, main
-from eventlink.encoders import HashingEncoder, load_encoder, save_encoder
+from eventlink.encoders import TinyEncoder, load_encoder, save_encoder
 from eventlink.rerank import TinyCrossScorer
 from eventlink.toy import build_toy_data, write_toy_inputs
+from eventlink.training import build_vocab
 
 from conftest import write_jsonl
-from pipeline import run_toy_pipeline
+from pipeline import run_stages, run_toy_pipeline, toy_fixture_stages
 
 
 @pytest.fixture(scope="module")
-def toy_inputs(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("inputs")
-    data = build_toy_data(n_entries=10, n_train=30, n_test=5, seed=7)
-    return write_toy_inputs(directory, data)
+def toy_data():
+    return build_toy_data(n_entries=10, n_train=30, n_test=5, seed=7)
 
 
 @pytest.fixture(scope="module")
-def dense_stack(toy_inputs, tmp_path_factory):
-    """A KB, tagged test queries, a hashing encoder and its dense index."""
+def toy_inputs(toy_data, tmp_path_factory):
+    return write_toy_inputs(tmp_path_factory.mktemp("inputs"), toy_data)
+
+
+@pytest.fixture(scope="module")
+def dense_stack(toy_data, toy_inputs, tmp_path_factory):
+    """A KB, tagged test queries, a seeded untrained encoder over their tokens and its index."""
     directory = tmp_path_factory.mktemp("dense")
     paths = {name: str(directory / name) for name in
              ("kb.jsonl", "tagged.jsonl", "encoder.json", "index.json")}
     assert main(["build-kb", "--in", toy_inputs["kb"], "--out", paths["kb.jsonl"]]) == 0
     assert main(["tag", "--in", toy_inputs["test"], "--out", paths["tagged.jsonl"],
                  "--extractor", "rule", "--lexicon", toy_inputs["lexicon"]]) == 0
-    save_encoder(HashingEncoder(16, seed=3), paths["encoder.json"])
+    save_encoder(TinyEncoder(build_vocab(toy_data.kb, toy_data.test), 16, seed=3),
+                 paths["encoder.json"])
     assert main(["index", "--kb", paths["kb.jsonl"], "--encoder", paths["encoder.json"],
                  "--out", paths["index.json"]]) == 0
     return paths
@@ -240,7 +245,7 @@ def test_format_styles(toy_inputs, tmp_path):
 
 def test_full_pipeline_smoke(tmp_path):
     paths = run_toy_pipeline(tmp_path / "run")
-    manifest, report = read_json(paths["report"])
+    manifest, report = read_json(paths["report_learned_nil"])
     for field in ("accuracy_all", "accuracy_verb", "accuracy_noun",
                   "accuracy_in_kb", "accuracy_out_of_kb", "recall_at",
                   "counts", "dataset_fingerprint"):
@@ -254,9 +259,9 @@ def test_full_pipeline_smoke(tmp_path):
 
 
 def test_eval_lineage_mismatch(tmp_path):
-    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, neg_count=2)
+    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, train_negatives=2)
     code = main(
-        ["eval", "--preds", paths["decisions"], "--gold", paths["train_tagged"],
+        ["eval", "--preds", paths["decisions_learned_nil"], "--gold", paths["train_tagged"],
          "--out", str(tmp_path / "bad.json")]
     )
     assert code == 2
@@ -266,7 +271,8 @@ def test_eval_lineage_mismatch(tmp_path):
                          ids=["int", "list-inputs", "str-queries"])
 def test_eval_malformed_preds_manifest_is_data_error(small_run, tmp_path, capsys, header):
     preds = tmp_path / "preds.jsonl"
-    write_jsonl(preds, [{"_manifest": header}, *read_records(small_run["decisions"], dict)])
+    decisions = read_records(small_run["decisions_learned_nil"], dict)
+    write_jsonl(preds, [{"_manifest": header}, *decisions])
     report = tmp_path / "r.json"
     code = main(["eval", "--preds", str(preds), "--gold", small_run["test_tagged"],
                  "--out", str(report)])
@@ -286,8 +292,9 @@ def test_eval_candidates_not_one_per_in_kb_gold_is_data_error(small_run, tmp_pat
     candidates = tmp_path / "candidates.jsonl"
     write_jsonl(candidates, records)
     report = tmp_path / "r.json"
-    code = main(["eval", "--preds", small_run["decisions"], "--gold", small_run["test_tagged"],
-                 "--candidates", str(candidates), "--out", str(report)])
+    code = main(["eval", "--preds", small_run["decisions_learned_nil"],
+                 "--gold", small_run["eval_tagged"], "--candidates", str(candidates),
+                 "--out", str(report)])
     err = capsys.readouterr().err
     assert code == 2, err
     assert repr("zzz" if case == "unknown" else first) in err
@@ -299,7 +306,7 @@ def test_eval_candidates_not_one_per_in_kb_gold_is_data_error(small_run, tmp_pat
                                   "repeated-gold"])
 def test_eval_coverage_error_names_the_file_at_fault(small_run, tmp_path, capsys, case):
     # inputs written without manifests, so no lineage check runs first
-    decisions = read_records(small_run["decisions"], dict)
+    decisions = read_records(small_run["decisions_learned_nil"], dict)
     golds = read_records(small_run["test_tagged"], dict)
     preds, gold = tmp_path / "preds.jsonl", tmp_path / "gold.jsonl"
     write_jsonl(preds, {"missing-decision": decisions[1:],
@@ -322,7 +329,7 @@ def test_eval_coverage_error_names_the_file_at_fault(small_run, tmp_path, capsys
 
 
 def test_fingerprint_mismatch_between_index_and_encoder(tmp_path, capsys):
-    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, neg_count=2)
+    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, train_negatives=2)
     other = tmp_path / "other-encoder.json"
     state = json.loads(open(paths["encoder"], encoding="utf-8").read())
     state["bias"][0] += 1.0
@@ -339,7 +346,7 @@ def test_fingerprint_mismatch_between_index_and_encoder(tmp_path, capsys):
 def small_run(tmp_path_factory):
     """Every artifact of one short toy pipeline run; tests must not change them."""
     return run_toy_pipeline(tmp_path_factory.mktemp("run"), bi_epochs=2, cross_epochs=1,
-                            neg_count=2)
+                            train_negatives=2)
 
 
 def test_index_with_json_dump_fingerprint_asks_for_rebuild(small_run, tmp_path, capsys):
@@ -428,8 +435,14 @@ def _train_digests(run) -> dict:
 
 
 def test_train_checkpoints_and_reports_match_golden_digests(tmp_path):
-    # negatives pair 6 candidates and mining keeps 4, so cross steps mix both lengths
-    run = run_toy_pipeline(tmp_path, neg_k=6, cross_k=4)
+    # negatives pair 6 candidates and mining keeps 4, so cross steps mix both lengths;
+    # argparse keeps the last --k
+    stages = toy_fixture_stages(tmp_path)
+    neg_gen, train_cross = (next(argv for argv in stages.prepare if argv[0] == command)
+                            for command in ("neg-gen", "train-cross"))
+    neg_gen += ["--k", "6"]
+    train_cross += ["--k", "4"]
+    run = run_stages(stages)
     with open(_TRAIN_GOLDEN, encoding="utf-8") as fh:
         assert _train_digests(run) == json.load(fh)
 
@@ -497,8 +510,9 @@ def test_negative_paired_with_unknown_candidate_is_data_error(small_run, tmp_pat
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_eval_recall_depth_below_one_is_usage_error(small_run, tmp_path, capsys, ks, via):
     report = tmp_path / "r.json"
-    argv = ["eval", "--preds", small_run["decisions"], "--gold", small_run["test_tagged"],
-            "--candidates", small_run["candidates"], "--out", str(report)]
+    argv = ["eval", "--preds", small_run["decisions_learned_nil"], "--gold",
+            small_run["eval_tagged"], "--candidates", small_run["candidates"],
+            "--out", str(report)]
     assert main([*argv, "--ks", "1,5"]) == 0
     report.unlink()
     if via == "flag":
@@ -513,7 +527,7 @@ def test_eval_recall_depth_below_one_is_usage_error(small_run, tmp_path, capsys,
 
 
 def test_degenerate_nil_embedding_is_data_error(tmp_path, capsys):
-    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, neg_count=2)
+    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, train_negatives=2)
     scorer = tmp_path / "zero-nil-scorer.json"
     state = json.loads(open(paths["scorer"], encoding="utf-8").read())
     state["nil"] = [0.0] * len(state["nil"])
@@ -635,7 +649,7 @@ def test_neg_gen_scripted_client_running_dry_skips_the_rest(dense_stack, toy_inp
 
 
 def test_llm_link_rule_with_scripted_responses(tmp_path):
-    paths = run_toy_pipeline(tmp_path / "run", n_entries=12, bi_epochs=2, cross_epochs=1, neg_count=2)
+    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, train_negatives=2)
     tagged = read_records(paths["test_tagged"], dict)
     responses = tmp_path / "responses.jsonl"
     write_jsonl(
@@ -693,23 +707,23 @@ def test_report_command_compares_runs(tmp_path):
     paths = run_toy_pipeline(tmp_path / "run")
     second = tmp_path / "run" / "threshold-decisions.jsonl"
     assert main(
-        ["link", "--kb", paths["kb_norm"], "--queries", paths["test_tagged"],
+        ["link", "--kb", paths["kb_norm"], "--queries", paths["eval_tagged"],
          "--index", paths["index"], "--encoder", paths["encoder"],
          "--scorer", paths["scorer"], "--rule", "threshold", "--theta", "0.5",
          "--out", str(second)]
     ) == 0
     second_report = tmp_path / "run" / "threshold-report.json"
     assert main(
-        ["eval", "--preds", str(second), "--gold", paths["test_tagged"],
+        ["eval", "--preds", str(second), "--gold", paths["eval_tagged"],
          "--out", str(second_report)]
     ) == 0
     comparison = tmp_path / "comparison.json"
     assert main(
-        ["report", "--runs", paths["report"], str(second_report),
+        ["report", "--runs", paths["report_learned_nil"], str(second_report),
          "--out", str(comparison)]
     ) == 0
     _, payload = read_json(comparison)
-    assert set(payload["rows"]) == {"report", "threshold-report"}
+    assert set(payload["rows"]) == {"learned_nil", "threshold-report"}
     assert "accuracy_all" in payload["best"]
 
 
@@ -998,14 +1012,14 @@ def test_help_and_unknown_commands_build_every_subparser(monkeypatch, capsys, st
 
 def test_encoder_checkpoint_missing_key_is_data_error(dense_stack, tmp_path, capsys):
     state = json.loads(open(dense_stack["encoder.json"], encoding="utf-8").read())
-    del state["seed"]
-    bad = tmp_path / "no-seed.json"
+    del state["vocab"]
+    bad = tmp_path / "no-vocab.json"
     bad.write_text(json.dumps(state), encoding="utf-8")
     out = tmp_path / "index.json"
     assert main(["index", "--kb", dense_stack["kb.jsonl"], "--encoder", str(bad),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert str(bad) in err and "'seed'" in err
+    assert str(bad) in err and "'vocab'" in err
     assert not out.exists()
 
 
@@ -1014,7 +1028,7 @@ def test_checkpoint_of_another_kind_is_data_error(dense_stack, tmp_path, capsys)
     code = main(_link_argv(dense_stack, out, "--scorer", dense_stack["encoder.json"]))
     assert code == 2
     err = capsys.readouterr().err
-    assert dense_stack["encoder.json"] in err and "'hashing'" in err
+    assert dense_stack["encoder.json"] in err and "'tiny'" in err
     assert not out.exists()
 
 
@@ -1201,7 +1215,7 @@ def test_neg_gen_malformed_responses_is_data_error(dense_stack, tmp_path, capsys
 
 
 def test_kb_pruning_negatives_train_cross_and_link(tmp_path):
-    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, neg_count=2)
+    paths = run_toy_pipeline(tmp_path / "run", bi_epochs=2, cross_epochs=1, train_negatives=2)
     pruned = tmp_path / "pruned.jsonl"
     assert main(["neg-gen", "--queries", paths["train_tagged"], "--style", "prune",
                  "--prune-fraction", "0.2", "--out", str(pruned)]) == 0

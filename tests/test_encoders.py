@@ -1,78 +1,27 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eventlink.artifacts import json_digest
 from eventlink.encoders import (
     OOV_TOKEN,
     DegenerateNormError,
-    HashingEncoder,
     TinyEncoder,
     distinct_ids,
     encoder_fingerprint,
     load_encoder,
     save_encoder,
-    token_hash,
 )
+from eventlink.toy import token_hash
 
 from conftest import dense_grads
 
 
-def _oracle_token_vector(dim, seed, token):
-    # independent rebuild of the seeded per-token unit vector
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    h = int.from_bytes(digest, "big")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, h)))
-    raw = rng.standard_normal(dim)
-    return raw / np.linalg.norm(raw)
-
-
-def test_hashing_deterministic():
-    a = HashingEncoder(32, seed=9).encode(["a", "b"])
-    b = HashingEncoder(32, seed=9).encode(["a", "b"])
-    assert np.array_equal(a, b)
-
-
-def test_hashing_single_token_identity():
-    enc = HashingEncoder(32, seed=9)
-    np.testing.assert_allclose(enc.encode(["a"]), enc.token_vector("a"), atol=1e-12)
-
-
-def test_hashing_cosine_matches_independent_oracle():
-    dim, seed = 48, 5
-    enc = HashingEncoder(dim, seed)
-    got = float(enc.encode(["a", "b"]) @ enc.encode(["a", "c"]))
-    vecs = {t: _oracle_token_vector(dim, seed, t) for t in "abc"}
-    left = vecs["a"] + vecs["b"]
-    right = vecs["a"] + vecs["c"]
-    expected = float(
-        (left / np.linalg.norm(left)) @ (right / np.linalg.norm(right))
-    )
-    assert got == pytest.approx(expected, abs=1e-12)
-
-
-def test_hashing_empty_sequence_error():
-    enc = HashingEncoder(8, 0)
-    with pytest.raises(ValueError):
-        enc.encode([])
-    with pytest.raises(ValueError):
-        enc.encode_many([["a"], []])
-    assert enc.encode_many([]).shape == (0, 8)
-
-
-def test_hashing_dim_validation():
-    with pytest.raises(ValueError):
-        HashingEncoder(1, 0)
-
-
 def test_marker_tokens_distinct_from_corpus():
-    enc = HashingEncoder(64, seed=11)
     corpus = [f"word{i}" for i in range(40)]
     markers = ["[M_s]", "[M_e]", "[SEP]", "[TITLE_SEP]", "[Victim_s]", "[Victim_e]"]
-    vectors = {t: enc.token_vector(t) for t in corpus + markers}
+    enc = TinyEncoder(corpus + markers, 64, seed=11)
+    vectors = {t: enc.encode([t]) for t in corpus + markers}
     for marker in markers:
         for token in corpus + [m for m in markers if m != marker]:
             cos = float(vectors[marker] @ vectors[token])
@@ -84,9 +33,8 @@ def test_marker_tokens_distinct_from_corpus():
 )
 @settings(max_examples=100)
 def test_unit_norm_everywhere(tokens):
-    for enc in (HashingEncoder(16, 3), TinyEncoder(["war", "city", "a"], 16, seed=3)):
-        norm = float(np.linalg.norm(enc.encode(tokens)))
-        assert norm == pytest.approx(1.0, abs=1e-6)
+    norm = float(np.linalg.norm(TinyEncoder(["war", "city", "a"], 16, seed=3).encode(tokens)))
+    assert norm == pytest.approx(1.0, abs=1e-6)
 
 
 def test_token_hash_is_stable():
@@ -125,15 +73,6 @@ def test_checkpoint_round_trip(tmp_path):
     assert isinstance(loaded, TinyEncoder)
     np.testing.assert_allclose(loaded.encode(["a", "c"]), enc.encode(["a", "c"]), atol=0)
     assert encoder_fingerprint(loaded) == encoder_fingerprint(enc)
-
-
-def test_hashing_checkpoint_round_trip(tmp_path):
-    enc = HashingEncoder(16, seed=7)
-    path = tmp_path / "enc.json"
-    save_encoder(enc, path)
-    loaded = load_encoder(path)
-    assert isinstance(loaded, HashingEncoder)
-    np.testing.assert_allclose(loaded.encode(["x"]), enc.encode(["x"]), atol=0)
 
 
 def test_fingerprint_tracks_parameters():
@@ -206,12 +145,6 @@ def test_fingerprint_sees_vocabulary_order(enc, data):
                               unique=True))
     state["vocab"][i], state["vocab"][j] = state["vocab"][j], state["vocab"][i]
     assert encoder_fingerprint(TinyEncoder.from_state_dict(state)) != encoder_fingerprint(enc)
-
-
-@given(dim=st.integers(2, 64), seed=st.integers(0, 2**63 - 1))
-def test_hashing_fingerprint_is_digest_of_state(dim, seed):
-    enc = HashingEncoder(dim, seed)
-    assert encoder_fingerprint(enc) == json_digest(enc.state_dict())
 
 
 # --- batched training kernels -------------------------------------------------
@@ -336,7 +269,6 @@ def _encode_row_by_row(enc, rows):
 def test_encode_many_is_bit_identical_to_stacked_rows(case, dim, seed):
     vocab, rows = case
     tiny = TinyEncoder(vocab, dim, seed=seed)
-    for enc in (HashingEncoder(dim, seed), tiny):
-        expected = np.stack([enc.encode(row) for row in rows])
-        assert enc.encode_many(rows).tobytes() == expected.tobytes()
+    expected = np.stack([tiny.encode(row) for row in rows])
+    assert tiny.encode_many(rows).tobytes() == expected.tobytes()
     assert tiny.encode_many(rows).tobytes() == _encode_row_by_row(tiny, rows).tobytes()

@@ -7,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eventlink.encoders import HashingEncoder, TinyEncoder
+from eventlink.encoders import TinyEncoder
 from eventlink.kb import KnowledgeBase, candidate_text
 from eventlink import retrieval
 from eventlink.retrieval import (
     CandidateSet, DenseIndex, _shortlist, build_index, retrieve, retrieve_many,
 )
+from eventlink.training import build_vocab
 
 
 def _index_from_matrix(matrix):
@@ -263,12 +264,17 @@ def test_k_bounds():
         retrieve(index, np.zeros(3), 4)
 
 
+def _untrained(kb, dim, seed):
+    """A seeded untrained encoder over the KB's tokens."""
+    return TinyEncoder(build_vocab(kb, []), dim, seed=seed)
+
+
 def test_build_index_shape_and_determinism(small_kb):
-    encoder = HashingEncoder(64, seed=1)
+    encoder = _untrained(small_kb, 64, seed=1)
     index = build_index(small_kb, encoder, max_len=300)
     assert index.matrix.shape == (3, 64)
     assert index.ids == ("E1", "E2", "E3")
-    again = build_index(small_kb, HashingEncoder(64, seed=1), max_len=300)
+    again = build_index(small_kb, _untrained(small_kb, 64, seed=1), max_len=300)
     assert np.array_equal(index.matrix, again.matrix)
 
 
@@ -276,19 +282,19 @@ def test_build_index_rows_match_direct_encoding(small_kb):
     texts = [candidate_text(entry, 50) for entry in small_kb]
     # every other distinct token is left out of the vocabulary, so it encodes as [OOV]
     vocab = sorted({token for text in texts for token in text})[::2]
-    for encoder in (HashingEncoder(32, seed=2), TinyEncoder(vocab, 32, seed=2)):
-        index = build_index(small_kb, encoder, max_len=50)
-        expected = np.stack([encoder.encode(text) for text in texts])
-        assert index.matrix.tobytes() == expected.tobytes()
+    encoder = TinyEncoder(vocab, 32, seed=2)
+    index = build_index(small_kb, encoder, max_len=50)
+    expected = np.stack([encoder.encode(text) for text in texts])
+    assert index.matrix.tobytes() == expected.tobytes()
 
 
 def test_build_index_empty_kb():
     with pytest.raises(ValueError, match="empty"):
-        build_index(KnowledgeBase([]), HashingEncoder(8, 0))
+        build_index(KnowledgeBase([]), TinyEncoder(["a"], 8, seed=0))
 
 
 def test_index_save_load_round_trip(tmp_path, small_kb):
-    encoder = HashingEncoder(16, seed=5)
+    encoder = _untrained(small_kb, 16, seed=5)
     index = build_index(small_kb, encoder, max_len=20)
     path = tmp_path / "index.json"
     index.save(path)
