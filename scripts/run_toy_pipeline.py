@@ -50,6 +50,8 @@ def main(argv=None):
     for field in dataclasses.fields(ToyConfig):
         parser.add_argument("--" + field.name.replace("_", "-"), type=int, default=field.default)
     args = parser.parse_args(argv)
+    if args.test < 1:  # the recall table averages over the test split
+        parser.error(f"--test must be at least 1, not {args.test}")
     try:
         data = build_toy_data(args.entries, args.train, args.test, seed=7)
     except ValueError as exc:

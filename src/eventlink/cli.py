@@ -26,11 +26,10 @@ from .extraction import RoleLexicon, RuleExtractor, extract, query_from_record
 from .extraction import tagged_from_record, tagged_to_record
 from .formatting import FORMAT_STYLES, format_query
 from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBError, entry_to_record, load_kb
-from .llm import ScriptedClient
+from .llm import ScriptedClient, StorytellerMock
 from .rerank import LinkDecision, TinyCrossScorer, llm_rerank, score_pairs
 from .rerank import select_learned_nil, select_threshold
 from .retrieval import CandidateSet, DenseIndex, bm25_build, bm25_retrieve, build_index, retrieve_many
-from .toy import StorytellerMock
 
 
 class UsageError(Exception):
@@ -189,7 +188,7 @@ def cmd_train_bi(args) -> dict:
 def cmd_index(args) -> dict:
     inputs = {"kb": _require(args.kb, "--kb"), "encoder": _require(args.encoder, "--encoder")}
     encoder = encoders.load_encoder(inputs["encoder"])
-    index = build_index(load_kb(inputs["kb"]), encoder, RETRIEVER_MAX_LEN)
+    index = build_index(load_kb(inputs["kb"]), encoder)
     manifest = _manifest("index", args, inputs)
     index.save(args.out, manifest)
     return manifest
@@ -230,8 +229,7 @@ def cmd_neg_gen(args) -> dict:
     client = StorytellerMock() if storyteller else _scripted_client(args, inputs)
     gen_style = neggen.STYLE_ARGUMENT_AWARE if args.style == "args" else neggen.STYLE_PLAIN
     negatives, records = neggen.generate_negatives(
-        tagged, index, encoder, client, gen_style, args.count,
-        seed=args.seed, k=args.k, query_max_len=RETRIEVER_MAX_LEN,
+        tagged, index, encoder, client, gen_style, args.count, seed=args.seed, k=args.k,
     )
     manifest = _manifest("neg-gen", args, inputs)
     artifacts.write_jsonl(args.out, (n.to_record() for n in negatives), manifest)
@@ -241,7 +239,7 @@ def cmd_neg_gen(args) -> dict:
 
 
 def cmd_train_cross(args) -> dict:
-    # mined candidates are keyed by query_id
+    # KB pruning replaces queries by query_id, and the canonical row order sorts by it
     inputs, kb, tagged, index, encoder = _stack(args, distinct=True)
     cfg = _train_config(args)
     negatives = []
@@ -258,8 +256,7 @@ def cmd_train_cross(args) -> dict:
     pruned = [n for n in negatives if n.provenance == neggen.PROVENANCE_KB_PRUNING]
     generated = [n for n in negatives if n.provenance != neggen.PROVENANCE_KB_PRUNING]
     queries, index = training.apply_kb_pruning(tagged, pruned, index)
-    mined = training.mine_candidates(queries, index, encoder, args.k, args.style, SCORER_MAX_LEN)
-    positives = training.positive_examples(queries, mined, args.style, SCORER_MAX_LEN)
+    positives = training.mine_candidates(queries, index, encoder, args.k, args.style)
     scorer = TinyCrossScorer(vocab, args.dim, seed=cfg.seed)
     report = training.train_crossencoder(positives, generated, scorer, cfg, kb, args.style)
     _save_checkpoint(scorer, args.out, report)
@@ -280,7 +277,7 @@ def cmd_link(args) -> dict:
         decisions = [llm_rerank(client, query_tokens, candidates, kb, args.allow_nil)
                      for query_tokens, candidates in zip(query_rows, candidate_sets)]
     else:
-        score_lists = score_pairs(scorer, query_rows, candidate_sets, kb, SCORER_MAX_LEN)
+        score_lists = score_pairs(scorer, query_rows, candidate_sets, kb)
         decisions = [
             select_learned_nil(scores, candidates) if args.rule == "learned" else
             select_threshold(scores[1:], candidates, theta=args.theta, direction=args.direction)

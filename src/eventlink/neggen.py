@@ -337,15 +337,15 @@ def generate_negatives(
     *,
     seed: int = 0,
     k: int = 10,
-    query_max_len: int = RETRIEVER_MAX_LEN,
 ) -> tuple[list[NegativeExample], list[GenerationRecord]]:
     """Generate up to ``count`` accepted negatives, logging every attempt.
 
     Origins are drawn without replacement from the filtered pool in a
     seed-determined order, so a fixed (pool, seed, client) triple always
     produces the same files. Pairing retrieves top-k for the origin query
-    (never the generated text), for every accepted origin at once after
-    the last attempt. A plain-style passage must carry mention tags only.
+    (never the generated text), formatted at ``RETRIEVER_MAX_LEN`` tokens,
+    for every accepted origin at once after the last attempt. A plain-style
+    passage must carry mention tags only.
     """
     spec = _style_spec(style)
     roles = style == STYLE_ARGUMENT_AWARE
@@ -389,7 +389,7 @@ def generate_negatives(
             accepted.append((generated, origin))
     origins = [origin for _, origin in accepted]
     paired = retrieve_many(
-        index, encoder.encode_many([format_arguments(o, query_max_len) for o in origins]), k,
+        index, encoder.encode_many([format_arguments(o, RETRIEVER_MAX_LEN) for o in origins]), k,
         [o.base.query_id for o in origins])
     negatives = [NegativeExample(generated, p.query_id, p.ids, style)
                  for (generated, _), p in zip(accepted, paired)]

@@ -1,13 +1,14 @@
 """Second-stage re-ranking: cross-scoring with a learned out-of-KB option.
 
 A cross scorer scores the k+1 options of every query of a batch in one
-call: ``score_candidates(query_rows, entry_lists, max_candidate_len)``
-returns one ``(k+1,)`` vector per query, whose index 0 is the score of a
-learned embedding standing in for the reserved out-of-KB pseudo-candidate,
-so selection becomes a (k+1)-way argmax with index 0 meaning "not in the
-KB". ``score_pairs`` resolves the candidate ids of every query against the
-KB and makes that one call. The thresholded baseline and an LLM-as-reranker
-baseline share the same decision record.
+call: ``score_candidates(query_rows, entry_lists)`` returns one ``(k+1,)``
+vector per query, whose index 0 is the score of a learned embedding
+standing in for the reserved out-of-KB pseudo-candidate, so selection
+becomes a (k+1)-way argmax with index 0 meaning "not in the KB". Candidates
+are serialized at ``kb.SCORER_MAX_LEN`` tokens, the scorer's budget, which
+no caller passes. ``score_pairs`` resolves the candidate ids of every query
+against the KB and makes that one call. The thresholded baseline and an
+LLM-as-reranker baseline share the same decision record.
 
 ``TinyCrossScorer`` encodes a call's queries, and its distinct entries, in
 one ``encode_many`` each, the way BLINK (arXiv 1911.03814) precomputes
@@ -49,7 +50,7 @@ class CrossScorer(Protocol):
     ``score_candidates`` returns one vector per query, of length
     ``len(entries) + 1`` for that query's ``entries``: index 0 is the
     out-of-KB score, index i the score of ``entries[i - 1]`` serialized by
-    ``candidate_text`` at ``max_candidate_len`` tokens. The out-of-KB score
+    ``candidate_text`` at ``SCORER_MAX_LEN`` tokens. The out-of-KB score
     must depend only on the query and the learned embedding, never on the
     candidates, and each candidate's score only on the query and that
     candidate. Joint-encoding implementations serialize a pair as query
@@ -60,7 +61,6 @@ class CrossScorer(Protocol):
         self,
         query_rows: Sequence[Sequence[str]],
         entry_lists: Sequence[Sequence[KBEntry]],
-        max_candidate_len: int,
     ) -> list[np.ndarray]: ...
 
 
@@ -101,7 +101,6 @@ class TinyCrossScorer:
         self,
         query_rows: Sequence[Sequence[str]],
         entry_lists: Sequence[Sequence[KBEntry]],
-        max_candidate_len: int,
     ) -> list[np.ndarray]:
         """Per query, ``scale·(q·c)`` for the NIL unit vector, then for each entry."""
         if len(query_rows) != len(entry_lists):
@@ -116,7 +115,7 @@ class TinyCrossScorer:
         partner = np.insert(np.unique(pos, return_inverse=True)[1] + 1, sizes.cumsum() - sizes, 0)
         owner = np.repeat(np.arange(len(sizes)), sizes + 1)
         queries = self.encoder.encode_many(query_rows)
-        candidates = self.encoder.encode_many([candidate_text(e, max_candidate_len) for e in first])
+        candidates = self.encoder.encode_many([candidate_text(e, SCORER_MAX_LEN) for e in first])
         partners = np.vstack([self.nil_embedding / nil_norm, candidates])
         scores = self.scale[0] * pair_dots(queries, partners, owner, partner)
         return np.split(scores, (sizes + 1).cumsum())[:-1]
@@ -182,11 +181,10 @@ def score_pairs(
     query_rows: Sequence[Sequence[str]],
     candidate_sets: Sequence[CandidateSet],
     kb: KnowledgeBase,
-    max_candidate_len: int = SCORER_MAX_LEN,
 ) -> list[np.ndarray]:
     """Score the k+1 options of every query in one call; index 0 of each is out-of-KB."""
     entry_lists = [kb.entries(candidates.ids) for candidates in candidate_sets]
-    return scorer.score_candidates(query_rows, entry_lists, max_candidate_len)
+    return scorer.score_candidates(query_rows, entry_lists)
 
 
 def select_learned_nil(scores: np.ndarray, candidates: CandidateSet) -> LinkDecision:

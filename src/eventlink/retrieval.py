@@ -2,7 +2,10 @@
 
 Both retrievers rank every KB entry and break score ties by KB position,
 so any (index, query, k) triple has exactly one correct answer. Search is
-exact; no approximation is applied at any scale this package targets.
+exact; no approximation is applied at any scale this package targets. No
+caller passes a setting: index rows encode candidate texts at
+``kb.RETRIEVER_MAX_LEN`` tokens, and BM25 runs at ``BM25_K1``, ``BM25_B``
+and ``BM25_WINDOW``.
 
 Dense search is the exact flat inner-product search of FAISS
 ``IndexFlatIP`` (arXiv 1702.08734), done in numpy and in two steps. Queries
@@ -67,7 +70,6 @@ class CandidateSet:
     query_id: str
     ids: tuple[str, ...]
     scores: tuple[float, ...]
-    gold_injected: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -83,13 +85,10 @@ class CandidateSet:
         return len(self.ids)
 
     def to_record(self) -> dict:
-        record = {
+        return {
             "query_id": self.query_id,
             "candidates": [{"id": i, "score": s} for i, s in zip(self.ids, self.scores)],
         }
-        if self.gold_injected:
-            record["gold_injected"] = True
-        return record
 
     @classmethod
     def from_record(cls, record: dict) -> "CandidateSet":
@@ -97,7 +96,6 @@ class CandidateSet:
             query_id=str(record["query_id"]),
             ids=tuple(c["id"] for c in record["candidates"]),
             scores=tuple(float(c["score"]) for c in record["candidates"]),
-            gold_injected=bool(record.get("gold_injected", False)),
         )
 
 
@@ -180,19 +178,17 @@ def _norms(x: np.ndarray) -> np.ndarray:
         return scale[..., 0] * np.linalg.norm(x / scale, axis=-1)
 
 
-def build_index(
-    kb: KnowledgeBase, encoder: EncoderAdapter, max_len: int = RETRIEVER_MAX_LEN
-) -> DenseIndex:
+def build_index(kb: KnowledgeBase, encoder: EncoderAdapter) -> DenseIndex:
     """Encode every entry's candidate text into one index row, in KB order.
 
-    One ``encode_many`` call encodes the whole KB; its rows equal per-entry
-    ``encode`` bit for bit.
+    One ``encode_many`` call encodes the whole KB, each text cut at
+    ``RETRIEVER_MAX_LEN`` tokens; its rows equal per-entry ``encode`` bit for bit.
     """
     if kb.n == 0:
         raise ValueError("cannot index an empty knowledge base")
     return DenseIndex(
         ids=kb.ids,
-        matrix=encoder.encode_many([candidate_text(e, max_len) for e in kb]),
+        matrix=encoder.encode_many([candidate_text(e, RETRIEVER_MAX_LEN) for e in kb]),
         encoder_fingerprint=encoder_fingerprint(encoder),
     )
 
@@ -288,11 +284,12 @@ class BM25Index:
     (term frequencies) and ``weights``. ``postings`` maps each term to its
     slice of them; the slices tile the arrays in the dict's order. A
     posting's weight is its whole Okapi contribution,
-    ``idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))``,
-    computed once here in that association order, with ``idf`` taken per
-    term by ``math.log``, so every score equals the per-posting formula bit
-    for bit. Every weight is positive. Query terms are drawn from a
-    fixed-width context window centered on the event mention.
+    ``idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))``
+    with ``k1 = BM25_K1`` and ``b = BM25_B``, computed once here in that
+    association order, with ``idf`` taken per term by ``math.log``, so every
+    score equals the per-posting formula bit for bit. Every weight is
+    positive. Query terms are drawn from a context window of
+    ``BM25_WINDOW`` tokens centered on the event mention.
     """
 
     ids: tuple[str, ...]
@@ -300,19 +297,10 @@ class BM25Index:
     docs: np.ndarray
     tf: np.ndarray
     doc_lens: np.ndarray
-    k1: float = BM25_K1
-    b: float = BM25_B
-    window: int = BM25_WINDOW
     weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0:
-            raise ValueError("k1 must be positive")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError("b must lie in [0, 1]")
-        if self.window < 1:
-            raise ValueError(f"window must be at least 1, got {self.window}")
-        n, k1, b = self.n, self.k1, self.b
+        n, k1, b = self.n, BM25_K1, BM25_B
         df = [s.stop - s.start for s in self.postings.values()]
         idf = np.repeat([math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for d in df], df)
         tf = self.tf.astype(np.float64)
@@ -340,9 +328,7 @@ class BM25Index:
         return np.bincount(docs, weights=weights, minlength=self.n)
 
 
-def bm25_build(
-    kb: KnowledgeBase, k1: float = BM25_K1, b: float = BM25_B, window: int = BM25_WINDOW
-) -> BM25Index:
+def bm25_build(kb: KnowledgeBase) -> BM25Index:
     """Index candidate texts (title, separator, description) for BM25.
 
     Each term's id is the position of its first occurrence in the KB's
@@ -364,13 +350,13 @@ def bm25_build(
     return BM25Index(
         ids=kb.ids,
         postings={term: slice(a, z) for term, a, z in zip(first, bounds, bounds[1:])},
-        docs=keys % kb.n, tf=tf, doc_lens=doc_lens, k1=k1, b=b, window=window,
+        docs=keys % kb.n, tf=tf, doc_lens=doc_lens,
     )
 
 
-def bm25_query_terms(index: BM25Index, query: EventQuery) -> list[str]:
-    """The mention-centered context window feeding BM25 scoring."""
-    return context_window(query.tokens, query.mention, index.window)
+def bm25_query_terms(query: EventQuery) -> list[str]:
+    """The mention-centered context window of ``BM25_WINDOW`` tokens feeding BM25 scoring."""
+    return context_window(query.tokens, query.mention, BM25_WINDOW)
 
 
 def _scored_top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -390,7 +376,7 @@ def bm25_retrieve(index: BM25Index, query: EventQuery, k: int) -> CandidateSet:
     """Okapi BM25 top-k with the same KB-position tie rule as dense retrieval."""
     if not 1 <= k <= index.n:
         raise ValueError(f"k={k} outside [1, {index.n}]")
-    scores = index.scores(bm25_query_terms(index, query))
+    scores = index.scores(bm25_query_terms(query))
     order = _scored_top_k(scores, k)
     return CandidateSet(
         query_id=query.query_id,

@@ -11,18 +11,12 @@ without any learned extractor.
 lists from the raw inputs to the decision-rule comparison, and the paths of
 the files they write. ``write_toy_eval_set`` writes the combined eval set
 between its two halves.
-
-``StorytellerMock`` stands in for the rewrite client: it swaps the tagged
-details of the prompt's final passage for fictional ones drawn from a
-vocabulary disjoint from the corpus, deterministically in (seed, prompt).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import re
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -52,14 +46,6 @@ _TRIGGERS = {
     "clash": "Conflict",
     "fighting": "Conflict",
 }
-
-# Replacement vocabulary for the storyteller mock; disjoint from the
-# generated corpus names by construction (checked in tests).
-FICTIONAL_NAMES = (
-    "Braxxon", "Quorath", "Zenthia", "Mirelda", "Ostravane", "Kelvorn",
-    "Xanthippe", "Drovak", "Ulrezaj", "Phantor", "Greywall", "Ninevra",
-    "Coriolan", "Vantessa", "Hexmoor",
-)
 
 
 @dataclass
@@ -290,66 +276,3 @@ def write_toy_eval_set(paths: dict[str, str]) -> None:
     test = artifacts.read_records(paths["test_tagged"], dict)
     generated = artifacts.read_records(paths["eval_negatives"], itemgetter("generated"))
     artifacts.write_jsonl(paths["eval_tagged"], test + generated)
-
-
-def token_hash(token: str) -> int:
-    """Stable 64-bit hash of a token string (process- and run-independent)."""
-    return int.from_bytes(hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "big")
-
-
-_PASSAGE_ARG_RE = re.compile(r"Example 3:\nPassage: (?P<p>.*)\n\nAdditional information")
-_PASSAGE_PLAIN_RE = re.compile(r"Example 3:\nPassage: (?P<p>.*)\n\nNew passage:")
-_SPAN_RE = re.compile(r"<(\w+)> (.*?) </\1>")
-
-
-class StorytellerMock:
-    """Deterministic rewrite client for negative-generation prompts."""
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
-    def _replacement(self, original: str) -> str:
-        h = token_hash(f"{self.seed}:{original}")
-        if original.replace(" ", "").isdigit():
-            return str(2100 + h % 900)
-        return FICTIONAL_NAMES[h % len(FICTIONAL_NAMES)]
-
-    def _swap_tagged(self, passage: str) -> str:
-        def swap(match: re.Match) -> str:
-            tag, inner = match.group(1), match.group(2)
-            if tag == "mention":
-                return match.group(0)
-            return f"<{tag}> {self._replacement(inner)} </{tag}>"
-
-        return _SPAN_RE.sub(swap, passage)
-
-    def _swap_plain(self, passage: str) -> str:
-        out = []
-        for position, token in enumerate(passage.split()):
-            if token.startswith("<"):
-                out.append(token)
-            elif token.isdigit():
-                out.append(self._replacement(token))
-            elif position > 0 and token[:1].isupper():
-                out.append(self._replacement(token))
-            else:
-                out.append(token)
-        return " ".join(out)
-
-    def complete(self, prompt: str) -> str:
-        arg_match = _PASSAGE_ARG_RE.search(prompt)
-        if arg_match:
-            swapped = self._swap_tagged(arg_match.group("p"))
-            return (
-                "Plan 1: Replace the tagged participants, place, and time with "
-                "invented ones, keeping every role type.\n"
-                f"Following Plan 1, we can generate this passage after Step 1: {swapped}\n"
-                "Plan 2: Keep the surrounding wording; the invented details already "
-                "read smoothly.\n"
-                f"Following Plan 2, we can generate this passage after Step 2: {swapped}"
-            )
-        plain_match = _PASSAGE_PLAIN_RE.search(prompt)
-        if plain_match:
-            swapped = self._swap_plain(plain_match.group("p"))
-            return f"New passage: {swapped}"
-        raise ValueError("prompt carries no recognizable passage")

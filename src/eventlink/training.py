@@ -4,7 +4,9 @@ The retriever trains with in-batch negatives: each batch member's gold
 candidate is a negative for every other member, and the loss is the mean
 cross-entropy of the diagonal over the batch-by-batch logit matrix of dot
 products. The cross scorer trains as (k+1)-way classification over
-[NIL, c_1..c_k]; synthetic negatives target index 0.
+[NIL, c_1..c_k]; synthetic negatives target index 0. Its other rows come
+from ``mine_candidates``, which formats each query once, at the scorer's
+``SCORER_MAX_LEN`` tokens, both to retrieve the candidates and to train.
 
 Each step is one batched encoder pass: the loss functions send all of a
 step's sequences (queries and gold candidates, or queries and their
@@ -36,11 +38,11 @@ from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBEntry, KnowledgeBase, 
 from .kb import full_candidate_tokens
 from .neggen import NegativeExample
 from .rerank import NIL_PSEUDO_TOKEN, TinyCrossScorer, softmax
-from .retrieval import CandidateSet, DenseIndex, retrieve_many
+from .retrieval import DenseIndex, retrieve_many
 
 
 class TrainingError(RuntimeError):
-    """Training aborted (non-finite loss or violated data contract)."""
+    """Training aborted: a non-finite loss, or a parameter left non-finite."""
 
 
 @dataclass(frozen=True)
@@ -212,14 +214,14 @@ def cross_id_rows(
     encoder: TinyEncoder,
     examples: Sequence[CrossExample],
     kb: KnowledgeBase,
-    max_candidate_len: int,
 ) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
     """Token ids of each example's query and, by candidate id, of each candidate they name.
 
-    A candidate is serialized by ``candidate_text``; an id not in ``kb`` is a ``KBError``.
+    A candidate is serialized by ``candidate_text`` at ``SCORER_MAX_LEN`` tokens; an id
+    not in ``kb`` is a ``KBError``.
     """
     ids = list(dict.fromkeys(cid for example in examples for cid in example.candidate_ids))
-    texts = [candidate_text(entry, max_candidate_len) for entry in kb.entries(ids)]
+    texts = [candidate_text(entry, SCORER_MAX_LEN) for entry in kb.entries(ids)]
     queries = encoder.id_rows([example.query_tokens for example in examples])
     return queries, dict(zip(ids, encoder.id_rows(texts)))
 
@@ -294,27 +296,27 @@ def mine_candidates(
     encoder,
     k: int = 10,
     style: str = "args",
-    max_query_len: int = RETRIEVER_MAX_LEN,
-) -> dict[str, CandidateSet]:
-    """Top-k retrieval per query, injecting a missing gold at the last rank.
+) -> list[CrossExample]:
+    """Scorer training rows for labeled queries: top-k retrieval, then the target.
 
-    In-KB queries whose gold misses the top-k get it appended in place of
-    the lowest-ranked candidate, flagged via ``gold_injected``. NIL-gold
-    queries pass through unmodified.
+    Each query is formatted once, at ``SCORER_MAX_LEN`` tokens; that row is
+    both what retrieval encodes and the example's ``query_tokens``. An
+    in-KB gold that misses the top k takes the place of the last-ranked
+    candidate, and the target points at the gold. A NIL-gold query keeps
+    its candidates and targets index 0.
     """
-    embeddings = encoder.encode_many([format_query(q, style, max_query_len) for q in queries])
-    results = retrieve_many(index, embeddings, k, [q.base.query_id for q in queries])
-    mined: dict[str, CandidateSet] = {}
-    for query, result in zip(queries, results):
-        gold = query.base.gold
-        if gold != NIL and gold not in result.ids:
-            ids = (*result.ids[:-1], gold)
-            scores = result.scores[:-1] + (result.scores[-1],)
-            result = CandidateSet(
-                query_id=result.query_id, ids=ids, scores=scores, gold_injected=True
-            )
-        mined[query.base.query_id] = result
-    return mined
+    rows = [format_query(q, style, SCORER_MAX_LEN) for q in queries]
+    results = retrieve_many(index, encoder.encode_many(rows), k, [q.base.query_id for q in queries])
+    examples: list[CrossExample] = []
+    for query, row, result in zip(queries, rows, results):
+        gold, ids = query.base.gold, result.ids
+        target = 0
+        if gold != NIL:
+            if gold not in ids:
+                ids = (*ids[:-1], gold)
+            target = ids.index(gold) + 1
+        examples.append(CrossExample(query.base.query_id, tuple(row), ids, target))
+    return examples
 
 
 def apply_kb_pruning(
@@ -339,44 +341,9 @@ def apply_kb_pruning(
     return kept + [n.generated for n in pruned], smaller
 
 
-def positive_examples(
-    queries: Sequence[TaggedQuery],
-    mined: Mapping[str, CandidateSet],
-    style: str = "args",
-    max_query_len: int = SCORER_MAX_LEN,
-) -> list[CrossExample]:
-    """Assemble scorer training rows from mined candidates.
-
-    In-KB rows must contain their gold (mining contract); NIL-gold rows
-    target index 0.
-    """
-    rows: list[CrossExample] = []
-    for query in queries:
-        candidates = mined[query.base.query_id]
-        gold = query.base.gold
-        if gold == NIL:
-            target = 0
-        else:
-            if gold not in candidates.ids:
-                raise TrainingError(
-                    f"query {query.base.query_id!r}: gold {gold!r} missing from mined candidates"
-                )
-            target = candidates.ids.index(gold) + 1
-        rows.append(
-            CrossExample(
-                query_id=query.base.query_id,
-                query_tokens=tuple(format_query(query, style, max_query_len)),
-                candidate_ids=candidates.ids,
-                target=target,
-            )
-        )
-    return rows
-
-
 def negative_examples(
     negatives: Sequence[NegativeExample],
     style: str = "args",
-    max_query_len: int = SCORER_MAX_LEN,
 ) -> list[CrossExample]:
     """Scorer training rows for synthetic negatives: target is always NIL."""
     rows: list[CrossExample] = []
@@ -384,7 +351,7 @@ def negative_examples(
         rows.append(
             CrossExample(
                 query_id=negative.generated.base.query_id,
-                query_tokens=tuple(format_query(negative.generated, style, max_query_len)),
+                query_tokens=tuple(format_query(negative.generated, style, SCORER_MAX_LEN)),
                 candidate_ids=negative.paired_candidate_ids,
                 target=0,
             )
@@ -405,12 +372,11 @@ def train_crossencoder(
     The example order is canonicalized before the seeded shuffle, so it
     depends only on cfg.seed, never on insertion order.
     """
-    negatives = sorted(negatives, key=lambda n: n.generated.base.query_id)
-    rows = list(positives) + negative_examples(negatives, style, SCORER_MAX_LEN)
+    rows = list(positives) + negative_examples(negatives, style)
     if not rows:
         raise ValueError("no training examples")
     rows.sort(key=lambda r: r.query_id)
-    queries, candidates = cross_id_rows(scorer.encoder, rows, kb, SCORER_MAX_LEN)
+    queries, candidates = cross_id_rows(scorer.encoder, rows, kb)
     return _sgd_epochs(scorer.params(), len(rows), cfg, lambda chunk: crossencoder_batch_loss(
         scorer, [rows[i] for i in chunk], [queries[i] for i in chunk], candidates
     ))

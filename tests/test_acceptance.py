@@ -26,6 +26,7 @@ from eventlink.extraction import (
 )
 from eventlink.formatting import format_arguments, format_query, strip_markers
 from eventlink.kb import NIL, KBEntry, KnowledgeBase
+from eventlink.llm import StorytellerMock
 from eventlink.neggen import (
     STYLE_ARGUMENT_AWARE,
     STYLE_PLAIN,
@@ -42,8 +43,9 @@ from eventlink.rerank import (
     select_learned_nil,
     select_threshold,
 )
-from eventlink.retrieval import CandidateSet, DenseIndex, bm25_build, build_index, retrieve
-from eventlink.toy import StorytellerMock, build_toy_data
+from eventlink.retrieval import BM25_B, BM25_K1, CandidateSet, DenseIndex, bm25_build
+from eventlink.retrieval import build_index, retrieve
+from eventlink.toy import build_toy_data
 from eventlink.training import (
     TrainConfig,
     biencoder_batch_loss,
@@ -51,7 +53,6 @@ from eventlink.training import (
     cross_id_rows,
     crossencoder_batch_loss,
     mine_candidates,
-    positive_examples,
     train_biencoder,
     train_crossencoder,
 )
@@ -85,7 +86,7 @@ def stack():
     vocab = build_vocab(data.kb, data.train)
 
     untrained = TinyEncoder(vocab, DIM, seed=SEED)
-    untrained_index = build_index(data.kb, untrained, QLEN)
+    untrained_index = build_index(data.kb, untrained)
 
     encoder = TinyEncoder(vocab, DIM, seed=SEED)
     pairs = [(format_query(t, STYLE, QLEN), data.kb.get(t.base.gold)) for t in data.train]
@@ -93,7 +94,7 @@ def stack():
         learning_rate=0.3, batch_size=8, epochs=300, seed=SEED
     )
     train_biencoder(pairs, encoder, bi_cfg)
-    index = build_index(data.kb, encoder, QLEN)
+    index = build_index(data.kb, encoder)
     timings["biencoder"] = time.monotonic() - t0
 
     t1 = time.monotonic()
@@ -104,8 +105,7 @@ def stack():
     assert len(negatives) == 80 and all(r.status == "accepted" for r in records)
     train_negs, held_negs = negatives[:50], negatives[50:]
 
-    mined = mine_candidates(data.train, index, encoder, 10, STYLE, QLEN)
-    positives = positive_examples(data.train, mined, STYLE, CLEN)
+    positives = mine_candidates(data.train, index, encoder, 10, STYLE)
     cross_cfg = TrainConfig.crossencoder_defaults(
         learning_rate=0.1, batch_size=8, epochs=10, seed=SEED
     )
@@ -155,7 +155,7 @@ def _decide(stack_dict, scorer, rule, theta=0.5, direction="conventional"):
     cand_sets = [*(_test_candidate_sets_one(stack_dict, t) for t in data.test),
                  *(_negative_candidates(negative) for negative in negatives)]
     rows = [format_query(query, STYLE, CLEN) for query in queries]
-    score_lists = score_pairs(scorer, rows, cand_sets, data.kb, CLEN)
+    score_lists = score_pairs(scorer, rows, cand_sets, data.kb)
     decisions = [_select(scores, cands, rule, theta, direction)
                  for scores, cands in zip(score_lists, cand_sets)]
     return decisions, [query.base for query in queries]
@@ -212,7 +212,7 @@ def test_criterion_02_bm25_oracle():
             ]
         )
         index = bm25_build(kb)
-        assert index.k1 == 1.2 and index.b == 0.75
+        assert BM25_K1 == 1.2 and BM25_B == 0.75
         for terms, expected in FIVE_DOC_EXPECTED.items():
             scores = index.scores(list(terms))
             for position, entry_id in enumerate(index.ids):
@@ -372,7 +372,7 @@ def test_criterion_06_gradient_checks():
             CrossExample("b", ("north",), ("E1", "E2"), 0),
             CrossExample("c", ("harbor", "siege"), ("E2", "E0"), 2),
         ]
-        rows = cross_id_rows(scorer.encoder, examples, kb, 50)
+        rows = cross_id_rows(scorer.encoder, examples, kb)
         _, grads = crossencoder_batch_loss(scorer, examples, *rows)
         _fd_check(
             scorer.params(),
@@ -411,7 +411,7 @@ def test_criterion_08_learned_nil_effectiveness(stack):
 
         def decide(scorer, queries, cand_sets):
             rows = [format_query(query, STYLE, CLEN) for query in queries]
-            score_lists = score_pairs(scorer, rows, cand_sets, kb, CLEN)
+            score_lists = score_pairs(scorer, rows, cand_sets, kb)
             return [select_learned_nil(scores, cands).prediction
                     for scores, cands in zip(score_lists, cand_sets)]
 

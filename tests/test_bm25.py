@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from eventlink.extraction import EventQuery, Span
 from eventlink.kb import KBEntry, KnowledgeBase, full_candidate_tokens, tokenize
-from eventlink.retrieval import bm25_build, bm25_query_terms, bm25_retrieve
+from eventlink.retrieval import BM25_B, BM25_K1, bm25_build, bm25_query_terms, bm25_retrieve
 from eventlink.toy import build_toy_data
 
 DATA = Path(__file__).parent / "data"
@@ -152,9 +152,7 @@ def test_scores_nonnegative_and_zero_iff_no_overlap(five_doc_kb):
 def test_query_window_is_mention_centered():
     tokens = tuple(f"t{i}" for i in range(40))
     query = EventQuery("q", tokens, Span(20, 20))
-    kb = KnowledgeBase([KBEntry("E0", "x", "y")])
-    index = bm25_build(kb)
-    window = bm25_query_terms(index, query)
+    window = bm25_query_terms(query)
     assert len(window) == 16
     assert "t20" in window
     # left-heavy split around the mention
@@ -168,17 +166,6 @@ def test_k_bounds(five_doc_kb):
         bm25_retrieve(index, query, 6)
 
 
-def test_parameter_validation(five_doc_kb):
-    with pytest.raises(ValueError):
-        bm25_build(five_doc_kb, k1=0.0)
-    with pytest.raises(ValueError):
-        bm25_build(five_doc_kb, b=1.5)
-    for window in (0, -3):
-        with pytest.raises(ValueError, match="window"):
-            bm25_build(five_doc_kb, window=window)
-    assert bm25_build(five_doc_kb, window=1).window == 1
-
-
 def test_wide_mention_retrieves_k_candidates(five_doc_kb):
     tokens = tuple("alpha beta gamma delta epsilon zeta eta theta iota".split()) * 2
     index = bm25_build(five_doc_kb)
@@ -190,9 +177,10 @@ def test_wide_mention_retrieves_k_candidates(five_doc_kb):
 
 # --- bit-exact reference ---------------------------------------------------
 
-def _reference_scores(kb, terms, k1, b):
+def _reference_scores(kb, terms):
     # the per-posting loop BM25 scores are pinned to, bit for bit: postings
     # in KB order, idf by math.log, each weight added in query-term order
+    k1, b = BM25_K1, BM25_B
     doc_lens = []
     postings = {}
     for position, entry in enumerate(kb):
@@ -229,21 +217,19 @@ def bm25_cases(draw):
     pool = draw(st.sampled_from([VOCAB, ABSENT, VOCAB + ABSENT]))
     queries = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=16),
                             min_size=1, max_size=4))
-    k1 = draw(st.one_of(st.just(1.2), st.floats(0.01, 4.0)))
-    b = draw(st.one_of(st.just(0.75), st.floats(0.0, 1.0)))
-    return kb, queries, k1, b
+    return kb, queries
 
 
 @settings(max_examples=80, deadline=None)
 @given(bm25_cases())
 def test_scores_and_top_k_bit_identical_to_reference_loop(case):
-    kb, queries, k1, b = case
-    index = bm25_build(kb, k1=k1, b=b)
+    kb, queries = case
+    index = bm25_build(kb)
     for tokens in queries:
         query = EventQuery("q", tuple(tokens), Span(0, 0))
-        terms = bm25_query_terms(index, query)
+        terms = bm25_query_terms(query)
         assert terms == tokens
-        expected = _reference_scores(kb, terms, k1, b)
+        expected = _reference_scores(kb, terms)
         assert index.scores(terms).tobytes() == expected.tobytes()
         order = np.argsort(-expected, kind="stable")
         for k in range(1, kb.n + 1):

@@ -2,6 +2,8 @@ import base64
 import json
 import os
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +203,15 @@ def test_missing_input_names_path(tmp_path, capsys):
     )
     assert code == 2
     assert "nope.jsonl" in capsys.readouterr().err
+
+
+def test_cli_does_not_import_the_toy_corpus():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, eventlink.cli; print('eventlink.toy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_usage_error_exit_code(capsys):

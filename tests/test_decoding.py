@@ -141,9 +141,8 @@ _VALUES = {
                   "mention=Span(start=1, end=1), pos='verb', gold='E1', entities=("
                   "NamedEntityAnnotation(span=Span(start=0, end=0), entity_type='GPE'),)), "
                   "event_type='Attack', arguments=(Argument(span=Span(start=3, end=3), role='R'),))"),
-    CandidateSet: (CandidateSet("q", ("E1", "E2"), (2.0, 1.0)), dict(gold_injected=True),
-                   "CandidateSet(query_id='q', ids=('E1', 'E2'), scores=(2.0, 1.0), "
-                   "gold_injected=False)"),
+    CandidateSet: (CandidateSet("q", ("E1", "E2"), (2.0, 1.0)), dict(query_id="r"),
+                   "CandidateSet(query_id='q', ids=('E1', 'E2'), scores=(2.0, 1.0))"),
     LinkDecision: (LinkDecision("q", "E1", (0.0, 1.0), "learned_nil"), dict(note="n"),
                    "LinkDecision(query_id='q', prediction='E1', scores=(0.0, 1.0), "
                    "rule='learned_nil', note=None)"),

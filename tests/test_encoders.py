@@ -12,7 +12,7 @@ from eventlink.encoders import (
     load_encoder,
     save_encoder,
 )
-from eventlink.toy import token_hash
+from eventlink.llm import token_hash
 
 from conftest import dense_grads
 

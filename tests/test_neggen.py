@@ -6,7 +6,7 @@ import pytest
 from eventlink.encoders import TinyEncoder
 from eventlink.extraction import Argument, EventQuery, Span, TaggedQuery
 from eventlink.kb import NIL
-from eventlink.llm import TRANSPORT_RETRIES, LLMTransportError, ScriptedClient
+from eventlink.llm import TRANSPORT_RETRIES, LLMTransportError, ScriptedClient, StorytellerMock
 from eventlink.neggen import (
     STYLE_ARGUMENT_AWARE,
     STYLE_PLAIN,
@@ -21,7 +21,7 @@ from eventlink.neggen import (
     tagged_passage,
 )
 from eventlink.retrieval import build_index
-from eventlink.toy import StorytellerMock, build_toy_data
+from eventlink.toy import build_toy_data
 from eventlink.training import build_vocab
 
 
@@ -253,7 +253,7 @@ def toy_stack():
     data = build_toy_data(n_entries=20, n_train=60, n_test=10, seed=11)
     vocab = build_vocab(data.kb, data.train)
     encoder = TinyEncoder(vocab, 32, seed=1)
-    index = build_index(data.kb, encoder, 300)
+    index = build_index(data.kb, encoder)
     return data, encoder, index
 
 
@@ -375,7 +375,7 @@ def test_generation_matches_golden_file_byte_for_byte():
     # one malformed completion that runs dry, so every log status is pinned
     data = build_toy_data(n_entries=20, n_train=10, n_test=2, seed=11)
     encoder = TinyEncoder(build_vocab(data.kb, data.train), 32, seed=1)
-    index = build_index(data.kb, encoder, 300)
+    index = build_index(data.kb, encoder)
     cases = [
         ("storyteller-" + STYLE_ARGUMENT_AWARE, StorytellerMock(seed=2), STYLE_ARGUMENT_AWARE),
         ("storyteller-" + STYLE_PLAIN, StorytellerMock(seed=2), STYLE_PLAIN),

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from eventlink import retrieval
 from eventlink.encoders import DegenerateNormError, TinyEncoder
-from eventlink.kb import NIL, KBEntry, KBError, KnowledgeBase, candidate_text
+from eventlink.kb import NIL, SCORER_MAX_LEN, KBEntry, KBError, KnowledgeBase, candidate_text
+from eventlink.kb import full_candidate_tokens
 from eventlink.llm import ClientExhausted, LLMTransportError, ScriptedClient
 from eventlink.rerank import (
     RULE_LEARNED,
@@ -77,16 +78,16 @@ def test_nil_score_zero_nil_embedding_raises_named_error():
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
     scorer.nil_embedding[:] = 0.0
     with pytest.raises(DegenerateNormError):
-        scorer.score_candidates([["war"]], [[]], 256)
+        scorer.score_candidates([["war"]], [[]])
 
 
-def _reference_scores(scorer, query_tokens, entries, max_candidate_len):
+def _reference_scores(scorer, query_tokens, entries):
     """Per-pair scoring: encode the query and each candidate afresh, one ``np.dot`` per option."""
     nil_unit = scorer.nil_embedding / np.linalg.norm(scorer.nil_embedding)
     scores = [float(scorer.scale[0] * np.dot(scorer.encoder.forward(query_tokens), nil_unit))]
     for entry in entries:
         q = scorer.encoder.forward(query_tokens)
-        c = scorer.encoder.forward(candidate_text(entry, max_candidate_len))
+        c = scorer.encoder.forward(candidate_text(entry, SCORER_MAX_LEN))
         scores.append(float(scorer.scale[0] * np.dot(q, c)))
     return np.array(scores)
 
@@ -100,15 +101,12 @@ _ENTRIES = [
 
 @given(
     batches=st.lists(
-        st.tuples(
-            st.lists(
-                st.tuples(
-                    st.lists(_WORDS, min_size=1, max_size=8),
-                    st.lists(st.integers(0, len(_ENTRIES) - 1), max_size=12),
-                ),
-                max_size=6,
+        st.lists(
+            st.tuples(
+                st.lists(_WORDS, min_size=1, max_size=8),
+                st.lists(st.integers(0, len(_ENTRIES) - 1), max_size=12),
             ),
-            st.sampled_from([3, 5, 256]),
+            max_size=6,
         ),
         min_size=1,
         max_size=4,
@@ -117,35 +115,37 @@ _ENTRIES = [
     dim=st.integers(2, 130),
     pairs_per_gather=st.sampled_from([1, 5, None]),
 )
-@example(batches=[([(["war"], [0, 1]), (["city"], [1, 0, 1]), (["north"], []), (["war"], [1])],
-                   5), ([], 5)], seed=0, dim=130, pairs_per_gather=1)
+@example(batches=[[(["war"], [0, 1]), (["city"], [1, 0, 1]), (["north"], []), (["war"], [1])],
+                  []], seed=0, dim=130, pairs_per_gather=1)
 @settings(max_examples=60, deadline=None)
 def test_score_candidates_matches_per_pair_reference(batches, seed, dim, pairs_per_gather):
     # one call per batch: entries repeat across a batch's queries and within
     # one, a batch may hold no query or a query no entry, one scorer sees the
-    # same entry at several candidate lengths across batches, and a
-    # patched-down constant splits the scoring's row gathers
+    # same entries again in later batches, and a patched-down constant splits
+    # the scoring's row gathers
     scorer = TinyCrossScorer(VOCAB, dim, seed=seed)
     with pytest.MonkeyPatch.context() as patch:
         if pairs_per_gather is not None:
             patch.setattr(retrieval, "_GATHER_ELEMENTS", pairs_per_gather * dim)
-        for queries, max_len in [*batches, *batches]:
+        for queries in [*batches, *batches]:
             rows = [query for query, _ in queries]
             entry_lists = [[_ENTRIES[i] for i in picks] for _, picks in queries]
-            got = scorer.score_candidates(rows, entry_lists, max_len)
+            got = scorer.score_candidates(rows, entry_lists)
             assert isinstance(got, list) and len(got) == len(queries)
             for query, entries, scores in zip(rows, entry_lists, got):
-                expected = _reference_scores(scorer, query, entries, max_len)
+                expected = _reference_scores(scorer, query, entries)
                 assert scores.tobytes() == expected.tobytes()
 
 
-def test_score_candidates_same_entry_at_two_lengths():
+def test_score_candidates_cuts_a_long_entry_at_the_scorer_budget():
+    # 300 description tokens: those past SCORER_MAX_LEN are all "harbor"
+    long = KBEntry("L", "Long siege", " ".join(["war"] * 250 + ["harbor"] * 50))
+    assert len(full_candidate_tokens(long)) > SCORER_MAX_LEN
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
-    entry = _ENTRIES[5]
-    assert candidate_text(entry, 4) != candidate_text(entry, 256)
-    for max_len in (4, 256, 4):
-        [got] = scorer.score_candidates([["war"]], [[entry]], max_len)
-        np.testing.assert_array_equal(got, _reference_scores(scorer, ["war"], [entry], max_len))
+    [got] = scorer.score_candidates([["war"]], [[_ENTRIES[5], long]])
+    np.testing.assert_array_equal(got, _reference_scores(scorer, ["war"], [_ENTRIES[5], long]))
+    q, whole = scorer.encoder.encode(["war"]), scorer.encoder.encode(full_candidate_tokens(long))
+    assert got[2] != scorer.scale[0] * np.dot(q, whole)
 
 
 def test_score_pairs_encodes_each_query_once_and_each_candidate_once(kb10, monkeypatch):
@@ -164,11 +164,11 @@ def test_score_pairs_encodes_each_query_once_and_each_candidate_once(kb10, monke
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
     queries = [["war"], ["city", "war"], ["north"], ["war"]]
     pools = [["E0", "E1", "E2"], ["E2", "E3", "E0"], ["E3", "E5", "E1"], ["E0", "E1", "E2"]]
-    score_pairs(scorer, queries, [_cands(ids) for ids in pools], kb10, 256)
+    score_pairs(scorer, queries, [_cands(ids) for ids in pools], kb10)
     distinct = dict.fromkeys(cid for ids in pools for cid in ids)
     assert encoded == [
         [tuple(query) for query in queries],
-        [tuple(candidate_text(kb10.get(cid), 256)) for cid in distinct],
+        [tuple(candidate_text(kb10.get(cid), SCORER_MAX_LEN)) for cid in distinct],
     ]
 
 
@@ -190,7 +190,7 @@ def test_scores_after_training_match_a_fresh_scorer(kb10):
 
 def test_cross_scorer_keeps_only_its_parameters():
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
-    scorer.score_candidates([["war"]], [_ENTRIES[:3]], 256)
+    scorer.score_candidates([["war"]], [_ENTRIES[:3]])
     loaded = TinyCrossScorer.from_state_dict(scorer.state_dict())
     for obj in (scorer, loaded):
         assert set(vars(obj)) == {"encoder", "nil_embedding", "scale"}
@@ -393,6 +393,6 @@ def test_scorer_checkpoint_round_trip(tmp_path, kb10):
 def test_score_candidates_rejects_misaligned_queries_and_entry_lists():
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
     with pytest.raises(ValueError, match="2 query rows for 1 entry lists"):
-        scorer.score_candidates([["war"], ["city"]], [_ENTRIES[:2]], 256)
+        scorer.score_candidates([["war"], ["city"]], [_ENTRIES[:2]])
     with pytest.raises(ValueError, match="0 query rows for 1 entry lists"):
-        scorer.score_candidates([], [[]], 256)
+        scorer.score_candidates([], [[]])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eventlink.encoders import TinyEncoder
-from eventlink.kb import KnowledgeBase, candidate_text
+from eventlink.kb import RETRIEVER_MAX_LEN, KBEntry, KnowledgeBase, candidate_text
+from eventlink.kb import full_candidate_tokens
 from eventlink import retrieval
 from eventlink.retrieval import (
     CandidateSet, DenseIndex, _shortlist, build_index, retrieve, retrieve_many,
@@ -271,21 +272,26 @@ def _untrained(kb, dim, seed):
 
 def test_build_index_shape_and_determinism(small_kb):
     encoder = _untrained(small_kb, 64, seed=1)
-    index = build_index(small_kb, encoder, max_len=300)
+    index = build_index(small_kb, encoder)
     assert index.matrix.shape == (3, 64)
     assert index.ids == ("E1", "E2", "E3")
-    again = build_index(small_kb, _untrained(small_kb, 64, seed=1), max_len=300)
+    again = build_index(small_kb, _untrained(small_kb, 64, seed=1))
     assert np.array_equal(index.matrix, again.matrix)
 
 
 def test_build_index_rows_match_direct_encoding(small_kb):
-    texts = [candidate_text(entry, 50) for entry in small_kb]
-    # every other distinct token is left out of the vocabulary, so it encodes as [OOV]
-    vocab = sorted({token for text in texts for token in text})[::2]
+    # a 400-token entry whose tokens past the retriever's budget are all "harbor"
+    long = KBEntry("E4", "Long siege", " ".join(["war"] * 300 + ["harbor"] * 100))
+    kb = KnowledgeBase([*small_kb, long])
+    assert len(full_candidate_tokens(long)) > RETRIEVER_MAX_LEN
+    texts = [candidate_text(entry, RETRIEVER_MAX_LEN) for entry in kb]
+    # every other distinct token but "harbor" is left out of the vocabulary, so it encodes as [OOV]
+    vocab = sorted({*sorted({token for text in texts for token in text})[::2], "harbor"})
     encoder = TinyEncoder(vocab, 32, seed=2)
-    index = build_index(small_kb, encoder, max_len=50)
+    index = build_index(kb, encoder)
     expected = np.stack([encoder.encode(text) for text in texts])
     assert index.matrix.tobytes() == expected.tobytes()
+    assert not np.array_equal(index.matrix[-1], encoder.encode(full_candidate_tokens(long)))
 
 
 def test_build_index_empty_kb():
@@ -295,7 +301,7 @@ def test_build_index_empty_kb():
 
 def test_index_save_load_round_trip(tmp_path, small_kb):
     encoder = _untrained(small_kb, 16, seed=5)
-    index = build_index(small_kb, encoder, max_len=20)
+    index = build_index(small_kb, encoder)
     path = tmp_path / "index.json"
     index.save(path)
     loaded = DenseIndex.load(path)

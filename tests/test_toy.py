@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from eventlink.toy import MAX_TOY_ENTRIES, build_toy_data
+from eventlink.llm import FICTIONAL_NAMES, StorytellerMock
+from eventlink.toy import _CODAS, _ONSETS, MAX_TOY_ENTRIES, build_toy_data
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_toy_pipeline.py"
 
@@ -39,3 +40,29 @@ def test_script_reports_a_corpus_too_large_as_usage_error(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "1 to 66 entries, not 67" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_script_refuses_an_empty_test_split_as_usage_error(tmp_path, capsys):
+    # the recall table after the last stage needs at least one test query
+    with pytest.raises(SystemExit) as exit_info:
+        _script_main()(["--workdir", str(tmp_path / "run"), "--entries", "8", "--train", "16",
+                        "--test", "0"])
+    assert exit_info.value.code == 2
+    assert "--test must be at least 1, not 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_storyteller_vocabulary_is_disjoint_from_the_toy_corpus():
+    corpus_names = {(onset + coda).lower() for onset in _ONSETS for coda in _CODAS}
+    assert not {name.lower() for name in FICTIONAL_NAMES} & corpus_names
+    # every toy year, tagged and plain, is replaced by a year after the toy range
+    years = [str(year) for year in range(1400, 1900)]
+    for seed in (0, 1, 2):
+        mock = StorytellerMock(seed)
+        tagged = " ".join(f"<Time> {year} </Time>" for year in years)
+        completion = mock.complete(f"Example 3:\nPassage: {tagged}\n\nAdditional information")
+        written = completion.rsplit("after Step 2: ", 1)[1].split()
+        plain = mock.complete(f"Example 3:\nPassage: <mention> x </mention> {' '.join(years)}"
+                              "\n\nNew passage:").removeprefix("New passage: ").split()[3:]
+        for token in [t for t in written if not t.startswith("<")] + plain:
+            assert 2100 <= int(token) <= 2999

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from eventlink.encoders import DegenerateNormError, TinyEncoder, distinct_ids
 
+from eventlink.extraction import EventQuery, Span, TaggedQuery
+from eventlink.formatting import format_query
 from eventlink.kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBEntry, KBError, KnowledgeBase
+from eventlink.llm import StorytellerMock
 from eventlink.neggen import (
     PROVENANCE_KB_PRUNING,
     STYLE_ARGUMENT_AWARE,
@@ -14,8 +17,8 @@ from eventlink.neggen import (
     kb_pruning_negatives,
 )
 from eventlink.rerank import TinyCrossScorer, score_pairs, select_learned_nil, softmax
-from eventlink.retrieval import CandidateSet, build_index
-from eventlink.toy import StorytellerMock, build_toy_data
+from eventlink.retrieval import CandidateSet, build_index, retrieve_many
+from eventlink.toy import build_toy_data
 from eventlink.training import (
     CrossExample,
     TrainConfig,
@@ -29,7 +32,6 @@ from eventlink.training import (
     crossencoder_batch_loss,
     mine_candidates,
     negative_examples,
-    positive_examples,
     train_biencoder,
     train_crossencoder,
 )
@@ -108,7 +110,7 @@ def test_crossencoder_gradients_match_finite_differences():
         CrossExample("b", ("north",), ("E1", "E2"), 0),
         CrossExample("c", ("harbor", "siege"), ("E2", "E0"), 2),
     ]
-    rows = cross_id_rows(scorer.encoder, examples, kb, 50)
+    rows = cross_id_rows(scorer.encoder, examples, kb)
     _, grads = crossencoder_batch_loss(scorer, examples, *rows)
     _fd_check(
         scorer.params(),
@@ -128,7 +130,7 @@ def test_crossencoder_gradients_with_shared_candidates_and_ragged_lists():
         CrossExample("b", ("north", "zzz"), ("E1",), 0),
         CrossExample("c", ("harbor",), ("E1", "E0"), 1),
     ]
-    rows = cross_id_rows(scorer.encoder, examples, kb, 50)
+    rows = cross_id_rows(scorer.encoder, examples, kb)
     _, grads = crossencoder_batch_loss(scorer, examples, *rows)
     _fd_check(
         scorer.params(),
@@ -189,7 +191,7 @@ def test_batched_cross_loss_equals_per_example_loss_bit_for_bit(examples, seed, 
     kb = KnowledgeBase([KBEntry(f"E{j}", f"city {j}", "war north " * j) for j in range(8)])
     scorer = TinyCrossScorer(VOCAB, dim, seed=seed)
     scorer.scale[0] = scale
-    rows = cross_id_rows(scorer.encoder, examples, kb, 50)
+    rows = cross_id_rows(scorer.encoder, examples, kb)
     loss, grads = crossencoder_batch_loss(scorer, examples, *rows)
     expected_loss, expected = _per_example_cross_loss(scorer, examples, *rows)
     assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
@@ -214,13 +216,11 @@ def test_cross_step_encodes_each_distinct_candidate_once(monkeypatch):
         return original(self, rows)
 
     monkeypatch.setattr(TinyEncoder, "forward_batch", counting)
-    crossencoder_batch_loss(scorer, examples, *cross_id_rows(scorer.encoder, examples, kb, 50))
+    crossencoder_batch_loss(scorer, examples, *cross_id_rows(scorer.encoder, examples, kb))
     assert batches == [3 + 3]
 
 
 def test_train_biencoder_runs_one_backward_per_step(small_toy, monkeypatch):
-    from eventlink.formatting import format_query
-
     data, vocab = small_toy
     pairs = [(format_query(t, "args", 300), data.kb.get(t.base.gold)) for t in data.train]
     cfg = TrainConfig.biencoder_defaults(learning_rate=0.3, batch_size=8, epochs=3, seed=0)
@@ -245,7 +245,7 @@ def test_crossencoder_zero_nil_embedding_raises_named_error():
     scorer.nil_embedding[:] = 0.0
     examples = [CrossExample("a", ("war",), ("E0",), 1)]
     with pytest.raises(DegenerateNormError):
-        crossencoder_batch_loss(scorer, examples, *cross_id_rows(scorer.encoder, examples, kb, 50))
+        crossencoder_batch_loss(scorer, examples, *cross_id_rows(scorer.encoder, examples, kb))
 
 
 def test_cross_step_with_unknown_candidate_is_kb_error():
@@ -254,7 +254,7 @@ def test_cross_step_with_unknown_candidate_is_kb_error():
     examples = [CrossExample("a", ("war",), ("E0", "E9"), 1)]
     # candidates are mapped to token ids once per run, before any step
     with pytest.raises(KBError, match="'E9' not found"):
-        crossencoder_batch_loss(scorer, examples, *cross_id_rows(scorer.encoder, examples, kb, 50))
+        crossencoder_batch_loss(scorer, examples, *cross_id_rows(scorer.encoder, examples, kb))
 
 
 def test_batch_size_one_loss_is_exactly_zero():
@@ -350,30 +350,63 @@ def test_run_ending_with_a_non_finite_parameter_is_training_error():
 def mined_stack(small_toy):
     data, vocab = small_toy
     encoder = TinyEncoder(vocab, 32, seed=1)
-    index = build_index(data.kb, encoder, 300)
+    index = build_index(data.kb, encoder)
     return data, encoder, index
+
+
+def _retrieved(queries, index, encoder, k, max_len=SCORER_MAX_LEN):
+    rows = [format_query(q, "args", max_len) for q in queries]
+    return retrieve_many(index, encoder.encode_many(rows), k, [q.base.query_id for q in queries])
 
 
 def test_mine_gold_present_unchanged(mined_stack):
     data, encoder, index = mined_stack
-    mined = mine_candidates(data.train, index, encoder, k=10)
-    for query in data.train:
-        result = mined[query.base.query_id]
-        assert len(result) == 10
-        if not result.gold_injected:
-            assert query.base.gold in result.ids
+    rows = mine_candidates(data.train, index, encoder, k=10)
+    assert [row.query_id for row in rows] == [q.base.query_id for q in data.train]
+    for query, row, result in zip(data.train, rows, _retrieved(data.train, index, encoder, 10)):
+        assert row.query_tokens == tuple(format_query(query, "args", SCORER_MAX_LEN))
+        assert len(row.candidate_ids) == 10
+        assert row.candidate_ids[row.target - 1] == query.base.gold
+        if query.base.gold in result.ids:
+            assert row.candidate_ids == result.ids
+
+
+def test_positive_examples_target_points_at_gold(mined_stack):
+    # mine_candidates' rows are the scorer's in-KB training examples
+    data, encoder, index = mined_stack
+    rows = mine_candidates(data.train, index, encoder, k=10)
+    for query, row in zip(data.train, rows):
+        assert row.candidate_ids[row.target - 1] == query.base.gold
 
 
 def test_mine_gold_missing_injected_at_last_rank(mined_stack):
     data, encoder, index = mined_stack
-    mined = mine_candidates(data.train, index, encoder, k=3)
-    injected = [
-        (q, mined[q.base.query_id]) for q in data.train if mined[q.base.query_id].gold_injected
-    ]
+    rows = mine_candidates(data.train, index, encoder, k=3)
+    results = _retrieved(data.train, index, encoder, 3)
+    injected = [(q, row, result) for q, row, result in zip(data.train, rows, results)
+                if q.base.gold not in result.ids]
     assert injected, "expected at least one miss at k=3 with an untrained encoder"
-    for query, result in injected:
-        assert result.ids[-1] == query.base.gold
-        assert len(result.ids) == 3
+    for query, row, result in injected:
+        assert row.candidate_ids == (*result.ids[:-1], query.base.gold)
+        assert row.target == 3
+
+
+def test_mine_formats_a_long_query_once_at_the_scorer_budget(mined_stack):
+    # the scorer's window holds only "the" around the mention; the retriever's
+    # wider one also reaches words of one entry's description
+    data, encoder, index = mined_stack
+    near, far = ("the",) * 130, tuple(data.kb.get("E003").description.split())
+    left = ("filler",) * 50 + far + near
+    tokens = (*left, "fighting", *near, *far) + ("filler",) * 50
+    base = EventQuery("long", tokens, Span(len(left), len(left)), pos="noun", gold=NIL)
+    query = TaggedQuery(base=base, event_type="Conflict", arguments=())
+    assert len(tokens) > RETRIEVER_MAX_LEN
+    [row] = mine_candidates([query], index, encoder, k=5)
+    [result] = _retrieved([query], index, encoder, 5)
+    [wider] = _retrieved([query], index, encoder, 5, RETRIEVER_MAX_LEN)
+    assert wider.ids != result.ids
+    assert row.candidate_ids == result.ids and row.target == 0
+    assert row.query_tokens == tuple(format_query(query, "args", SCORER_MAX_LEN))
 
 
 def test_mine_nil_query_gets_plain_candidates(mined_stack):
@@ -384,9 +417,9 @@ def test_mine_nil_query_gets_plain_candidates(mined_stack):
         data.train[0],
         base=replace(data.train[0].base, query_id="nilq", gold=NIL),
     )
-    mined = mine_candidates([nil_query], index, encoder, k=5)
-    assert not mined["nilq"].gold_injected
-    assert len(mined["nilq"]) == 5
+    [row] = mine_candidates([nil_query], index, encoder, k=5)
+    [result] = _retrieved([nil_query], index, encoder, 5)
+    assert row.candidate_ids == result.ids and row.target == 0
 
 
 def test_kb_pruning_replaces_origin_queries_and_drops_pruned_rows(mined_stack):
@@ -408,26 +441,10 @@ def test_kb_pruning_replaces_origin_queries_and_drops_pruned_rows(mined_stack):
     assert smaller.n == index.n - len(pruned_labels)
     for entry_id, row in zip(smaller.ids, smaller.matrix):
         np.testing.assert_array_equal(row, index.matrix[index.ids.index(entry_id)])
-    mined = mine_candidates(queries, smaller, encoder, k=10)
-    assert all(not pruned_labels & set(result.ids) for result in mined.values())
+    rows = mine_candidates(queries, smaller, encoder, k=10)
+    assert all(not pruned_labels & set(row.candidate_ids) for row in rows)
     unchanged, same_index = apply_kb_pruning(data.train, [], index)
     assert unchanged == list(data.train) and same_index is index
-
-
-def test_positive_examples_target_points_at_gold(mined_stack):
-    data, encoder, index = mined_stack
-    mined = mine_candidates(data.train, index, encoder, k=10)
-    rows = positive_examples(data.train, mined, "args", 256)
-    for query, row in zip(data.train, rows):
-        assert row.candidate_ids[row.target - 1] == query.base.gold
-
-
-def test_positive_examples_missing_gold_is_error(mined_stack):
-    data, encoder, index = mined_stack
-    query = data.train[0]
-    bad = {query.base.query_id: CandidateSet(query.base.query_id, ("X1", "X2"), (2.0, 1.0))}
-    with pytest.raises(TrainingError, match="missing"):
-        positive_examples([query], bad, "args", 256)
 
 
 # --- cross-encoder training -----------------------------------------------------
@@ -449,13 +466,13 @@ def test_all_negative_training_prefers_nil(mined_stack):
         learning_rate=0.1, batch_size=4, epochs=5, seed=0
     )
     train_crossencoder([], train_negs, scorer, cfg, data.kb)
-    rows = negative_examples(held_negs, "args", 256)
+    rows = negative_examples(held_negs, "args")
     cand_sets = [
         CandidateSet(row.query_id, row.candidate_ids,
                      tuple(float(len(row.candidate_ids) - i) for i in range(len(row.candidate_ids))))
         for row in rows
     ]
-    score_lists = score_pairs(scorer, [row.query_tokens for row in rows], cand_sets, data.kb, 256)
+    score_lists = score_pairs(scorer, [row.query_tokens for row in rows], cand_sets, data.kb)
     nil_hits = sum(select_learned_nil(scores, cands).prediction == NIL
                    for scores, cands in zip(score_lists, cand_sets))
     assert nil_hits / len(rows) > 0.9
@@ -463,8 +480,7 @@ def test_all_negative_training_prefers_nil(mined_stack):
 
 def test_zero_negatives_is_plain_reranker_training(mined_stack):
     data, encoder, index = mined_stack
-    mined = mine_candidates(data.train, index, encoder, k=5)
-    positives = positive_examples(data.train, mined, "args", 256)
+    positives = mine_candidates(data.train, index, encoder, k=5)
     scorer = TinyCrossScorer(build_vocab(data.kb, data.train), 32, seed=0)
     cfg = TrainConfig.crossencoder_defaults(
         learning_rate=0.1, batch_size=4, epochs=2, seed=0
@@ -476,8 +492,7 @@ def test_zero_negatives_is_plain_reranker_training(mined_stack):
 
 def test_cross_training_shuffle_ignores_insertion_order(mined_stack):
     data, encoder, index = mined_stack
-    mined = mine_candidates(data.train[:12], index, encoder, k=5)
-    positives = positive_examples(data.train[:12], mined, "args", 256)
+    positives = mine_candidates(data.train[:12], index, encoder, k=5)
     negatives = _negatives(data, encoder, index, 6)
     cfg = TrainConfig.crossencoder_defaults(
         learning_rate=0.1, batch_size=4, epochs=2, seed=7
@@ -503,8 +518,7 @@ def test_train_config_validation():
 
 def test_cross_training_ignores_negative_order(mined_stack):
     data, encoder, index = mined_stack
-    mined = mine_candidates(data.train, index, encoder, k=5)
-    positives = positive_examples(data.train, mined, "args", 256)
+    positives = mine_candidates(data.train, index, encoder, k=5)
     negatives = _negatives(data, encoder, index, 12)
     cfg = TrainConfig.crossencoder_defaults(
         learning_rate=0.1, batch_size=4, epochs=1, seed=7,
