@@ -16,7 +16,7 @@ object and turn a ``KeyError``, ``TypeError``, ``ValueError`` or
 ``AttributeError`` of the caller's ``parse`` into one ``ValueError``
 naming the file, and the line for JSON lines. ``read_records`` is one loop
 over ``iter_jsonl`` with one error handler, so a record costs its ``parse``
-call alone; it also refuses a repeated key, such as a KB id.
+call alone; it also refuses a repeated key, such as a query id.
 """
 
 from __future__ import annotations
@@ -137,16 +137,18 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
 
 
 def read_manifest(path) -> dict | None:
-    """The first line's ``_manifest`` value if that is its only key, as ``iter_jsonl`` skips it."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    if not first:
-        return None
+    """The first line's ``_manifest`` value if that is its only key, as ``iter_jsonl`` skips it.
+
+    The line is read as ``iter_jsonl`` reads it: up to the first ``\\n``,
+    less ASCII whitespace at either end.
+    """
+    with open(path, "rb") as fh:
+        first = fh.readline()
     try:
-        record = json.loads(first)
-    except json.JSONDecodeError:
+        record = json.loads(first.decode("utf-8").strip(_ASCII_WHITESPACE))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
         return None
-    if isinstance(record, dict) and set(record) == {MANIFEST_KEY}:
+    if isinstance(record, dict) and len(record) == 1 and MANIFEST_KEY in record:
         return record[MANIFEST_KEY]
     return None
 

@@ -3,13 +3,19 @@
 A KB file is UTF-8 JSON-lines: one object per line with string fields
 ``id``, ``title``, ``description``. The id ``"NIL"`` is reserved for the
 out-of-KB label and may never appear as an entry id.
+
+A ``KnowledgeBase`` holds its entries as three columns (``ids``,
+``titles``, ``descriptions``) and an id → position dict. ``load_kb`` fills
+them straight from the file's records, and candidate texts are tokenized
+from the columns; ``KBEntry`` values are built only when a caller asks for
+entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from . import artifacts
 
@@ -25,6 +31,8 @@ TITLE_SEP = "[TITLE_SEP]"
 RETRIEVER_MAX_LEN = 300
 SCORER_MAX_LEN = 256
 
+_FIELDS = ("id", "title", "description")
+
 
 class KBError(ValueError):
     """A knowledge-base file or entry violates its schema or invariants."""
@@ -33,6 +41,32 @@ class KBError(ValueError):
 def tokenize(text: str) -> list[str]:
     """Whitespace tokenization, the package-wide token convention."""
     return text.split()
+
+
+def _refusal(record, position: dict[str, int]) -> str | None:
+    """Why ``record`` cannot be the next entry of a KB holding ``position``'s ids, or None.
+
+    The checks run in this order: a value that is not an object, the first
+    field in file order that is missing or not a string, an empty id, the
+    reserved id, an empty title, then an id already in ``position``.
+    """
+    if not isinstance(record, dict):
+        return f"expected a JSON object, found {type(record).__name__}"
+    for field in _FIELDS:
+        if field not in record:
+            return f"missing key {field!r}"
+        if not isinstance(record[field], str):
+            return f"field {field!r} must be a string"
+    entry_id = record["id"]
+    if not entry_id:
+        return "entry id must be non-empty"
+    if entry_id == NIL:
+        return f"entry id {NIL!r} is reserved for the out-of-KB label"
+    if not record["title"]:
+        return f"entry {entry_id!r}: title must be non-empty"
+    if entry_id in position:
+        return f"duplicate entry id {entry_id!r}"
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,65 +78,77 @@ class KBEntry:
     description: str
 
     def __post_init__(self) -> None:
-        if not type(self.id) is type(self.title) is type(self.description) is str:
-            _check_types(self.__getattribute__)
-        if not self.id:
-            raise KBError("entry id must be non-empty")
-        if self.id == NIL:
-            raise KBError(f"entry id {NIL!r} is reserved for the out-of-KB label")
-        if not self.title:
-            raise KBError(f"entry {self.id!r}: title must be non-empty")
+        if not (type(self.id) is type(self.title) is type(self.description) is str
+                and self.id and self.title) or self.id == NIL:
+            fields = {"id": self.id, "title": self.title, "description": self.description}
+            if (message := _refusal(fields, {})) is not None:  # None for a str subclass
+                raise KBError(message)
+
+
+def _candidate_tokens(title: str, description: str) -> list[str]:
+    return [*tokenize(title), TITLE_SEP, *tokenize(description)]
 
 
 class KnowledgeBase:
-    """Ordered, immutable collection of entries with unique-id lookup.
+    """Ordered, immutable entries held as columns, with unique-id lookup.
 
-    Safe for concurrent readers once constructed.
+    ``KnowledgeBase(entries)`` takes ``KBEntry`` values; ``load_kb`` reads a
+    file. ``get``, ``entries`` and iteration build a ``KBEntry`` per entry
+    handed out. Safe for concurrent readers once constructed.
     """
 
     def __init__(self, entries: Iterable[KBEntry]):
-        self._entries: tuple[KBEntry, ...] = tuple(entries)
-        self._by_id: dict[str, KBEntry] = {entry.id: entry for entry in self._entries}
-        if len(self._by_id) < len(self._entries):
-            seen: set[str] = set()
-            repeat = next(e.id for e in self._entries if e.id in seen or seen.add(e.id))
-            raise KBError(f"duplicate entry id {repeat!r}")
+        entries = tuple(entries)
+        position: dict[str, int] = {}
+        for row, entry in enumerate(entries):
+            if position.setdefault(entry.id, row) != row:
+                raise KBError(f"duplicate entry id {entry.id!r}")
+        self._fill(position, [e.title for e in entries], [e.description for e in entries])
+
+    @classmethod
+    def _of_columns(cls, position: dict[str, int], titles: list[str],
+                    descriptions: list[str]) -> "KnowledgeBase":
+        kb = cls.__new__(cls)
+        kb._fill(position, titles, descriptions)
+        return kb
+
+    def _fill(self, position: dict[str, int], titles: list[str], descriptions: list[str]) -> None:
+        self._position = position  # ids in KB order, each mapped to its row
+        self.ids: tuple[str, ...] = tuple(position)
+        self.titles: tuple[str, ...] = tuple(titles)
+        self.descriptions: tuple[str, ...] = tuple(descriptions)
+
+    def _entry(self, row: int) -> KBEntry:
+        return KBEntry(self.ids[row], self.titles[row], self.descriptions[row])
 
     def __iter__(self) -> Iterator[KBEntry]:
-        return iter(self._entries)
+        return map(KBEntry, self.ids, self.titles, self.descriptions)
 
     @property
     def n(self) -> int:
-        return len(self._entries)
+        return len(self.ids)
 
     def get(self, entry_id: str) -> KBEntry | None:
         """Return the entry with this id, or None. Never stores ``NIL``."""
-        return self._by_id.get(entry_id)
+        row = self._position.get(entry_id)
+        return None if row is None else self._entry(row)
 
     def entries(self, ids: Iterable[str]) -> list[KBEntry]:
         """The entry of each id, in order; an unknown id is a ``KBError``."""
         try:
-            return [self._by_id[entry_id] for entry_id in ids]
+            rows = [self._position[entry_id] for entry_id in ids]
         except KeyError as exc:
             raise KBError(f"candidate id {exc.args[0]!r} not found in the KB") from None
+        return [self._entry(row) for row in rows]
 
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self._entries)
+    def candidate_texts(self, max_len: int | None = None) -> list[list[str]]:
+        """Every entry's ``title [TITLE_SEP] description`` tokens, in KB order.
 
-
-def _check_types(field_value: Callable[[str], object]) -> None:
-    """Refuse the first field, in file order, that is missing or not a string."""
-    for field in ("id", "title", "description"):
-        if not isinstance(field_value(field), str):
-            raise KBError(f"field {field!r} must be a string")
-
-
-def entry_from_record(record: dict) -> KBEntry:
-    try:
-        return KBEntry(record["id"], record["title"], record["description"])
-    except KeyError:  # refuse, in field order, the first field missing or not a string
-        _check_types(record.__getitem__)
+        Each is cut from the right at ``max_len`` tokens, as ``candidate_text``
+        cuts it, or left whole when ``max_len`` is None.
+        """
+        texts = map(_candidate_tokens, self.titles, self.descriptions)
+        return list(texts) if max_len is None else [tokens[:max_len] for tokens in texts]
 
 
 def entry_to_record(entry: KBEntry) -> dict:
@@ -115,15 +161,31 @@ def load_kb(path) -> KnowledgeBase:
     Rejects duplicate ids (naming the id), the reserved id ``NIL``,
     malformed lines (naming the line number) and a file without entries,
     always with a ``KBError`` naming the file. Lines holding a single
-    ``_manifest`` object are artifact headers and are skipped.
+    ``_manifest`` object are artifact headers and are skipped. One loop
+    fills the columns; no ``KBEntry`` is built.
     """
+    position: dict[str, int] = {}  # also the duplicate check
+    titles, descriptions = [], []
+    fields = itemgetter(*_FIELDS)
     try:
-        entries = artifacts.read_records(path, entry_from_record, ("entry id", attrgetter("id")))
+        for lineno, record in artifacts.iter_jsonl(path):
+            row = len(titles)
+            try:
+                entry_id, title, description = fields(record)
+                accepted = (type(entry_id) is type(title) is type(description) is str
+                            and entry_id and title and entry_id != NIL
+                            and position.setdefault(entry_id, row) == row)
+            except (KeyError, TypeError):  # a missing field, or a record that is not an object
+                accepted = False
+            if not accepted:
+                raise ValueError(f"{path}: line {lineno}: {_refusal(record, position)}")
+            titles.append(title)
+            descriptions.append(description)
     except ValueError as exc:  # its message names the file and the line
         raise KBError(str(exc)) from None
-    if not entries:
+    if not titles:
         raise KBError(f"{path}: no entries")
-    return KnowledgeBase(entries)
+    return KnowledgeBase._of_columns(position, titles, descriptions)
 
 
 def candidate_text(entry: KBEntry, max_len: int) -> list[str]:
@@ -132,10 +194,4 @@ def candidate_text(entry: KBEntry, max_len: int) -> list[str]:
     Truncated from the right to ``max_len`` tokens; callers should pass
     max_len >= 4 so at least the separator and some title survive.
     """
-    tokens = tokenize(entry.title) + [TITLE_SEP] + tokenize(entry.description)
-    return tokens[:max_len]
-
-
-def full_candidate_tokens(entry: KBEntry) -> list[str]:
-    """Untruncated candidate-side token sequence (BM25 indexes this)."""
-    return tokenize(entry.title) + [TITLE_SEP] + tokenize(entry.description)
+    return _candidate_tokens(entry.title, entry.description)[:max_len]

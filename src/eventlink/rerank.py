@@ -182,8 +182,13 @@ def score_pairs(
     candidate_sets: Sequence[CandidateSet],
     kb: KnowledgeBase,
 ) -> list[np.ndarray]:
-    """Score the k+1 options of every query in one call; index 0 of each is out-of-KB."""
-    entry_lists = [kb.entries(candidates.ids) for candidates in candidate_sets]
+    """Score the k+1 options of every query in one call; index 0 of each is out-of-KB.
+
+    Each distinct candidate id is resolved to one entry, shared by every slot naming it.
+    """
+    distinct = dict.fromkeys(chain.from_iterable(c.ids for c in candidate_sets))
+    by_id = dict(zip(distinct, kb.entries(distinct)))
+    entry_lists = [list(map(by_id.__getitem__, candidates.ids)) for candidates in candidate_sets]
     return scorer.score_candidates(query_rows, entry_lists)
 
 

@@ -42,7 +42,7 @@ from . import artifacts
 from .encoders import EncoderAdapter, encoder_fingerprint
 from .extraction import EventQuery
 from .formatting import context_window
-from .kb import RETRIEVER_MAX_LEN, KnowledgeBase, candidate_text, full_candidate_tokens
+from .kb import RETRIEVER_MAX_LEN, KnowledgeBase
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -188,7 +188,7 @@ def build_index(kb: KnowledgeBase, encoder: EncoderAdapter) -> DenseIndex:
         raise ValueError("cannot index an empty knowledge base")
     return DenseIndex(
         ids=kb.ids,
-        matrix=encoder.encode_many([candidate_text(e, RETRIEVER_MAX_LEN) for e in kb]),
+        matrix=encoder.encode_many(kb.candidate_texts(RETRIEVER_MAX_LEN)),
         encoder_fingerprint=encoder_fingerprint(encoder),
     )
 
@@ -337,7 +337,7 @@ def bm25_build(kb: KnowledgeBase) -> BM25Index:
     """
     if kb.n == 0:
         raise ValueError("cannot index an empty knowledge base")
-    texts = [full_candidate_tokens(entry) for entry in kb]
+    texts = kb.candidate_texts()
     doc_lens = np.fromiter(map(len, texts), dtype=np.intp, count=kb.n)
     first: dict[str, int] = {}
     term_ids = np.fromiter(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ from .encoders import OOV_TOKEN, DegenerateNormError, TinyEncoder
 from .extraction import TaggedQuery
 from .formatting import format_query
 from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBEntry, KnowledgeBase, candidate_text
-from .kb import full_candidate_tokens
 from .neggen import NegativeExample
 from .rerank import NIL_PSEUDO_TOKEN, TinyCrossScorer, softmax
 from .retrieval import DenseIndex, retrieve_many
@@ -100,8 +100,7 @@ def build_vocab(
     gets ``[SEP]``; the other styles add no token beyond those two.
     """
     tokens: set[str] = {OOV_TOKEN, NIL_PSEUDO_TOKEN}
-    for entry in kb:
-        tokens.update(full_candidate_tokens(entry))
+    tokens.update(chain.from_iterable(kb.candidate_texts()))
     for query in tagged:
         for query_style in {"args", "blink", style}:
             tokens.update(format_query(query, query_style, max_len))

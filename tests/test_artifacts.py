@@ -183,6 +183,11 @@ def test_manifest_header_is_a_line_whose_only_key_is_the_manifest(tmp_path):
     path.write_text(json.dumps(_MANIFEST) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
     assert read_manifest(path) == _MANIFEST["_manifest"]
     assert list(iter_jsonl(path)) == [(2, record)]
+    # a bare "\r" between JSON tokens is whitespace inside line 1, not a line end
+    header = '{"_manifest":\r' + json.dumps(_MANIFEST["_manifest"]) + "}"
+    path.write_bytes((header + "\n" + json.dumps(record) + "\n").encode("utf-8"))
+    assert read_manifest(path) == _MANIFEST["_manifest"]
+    assert list(iter_jsonl(path)) == [(2, record)]
 
 
 @given(entries=st.lists(st.tuples(_TEXT, _TEXT), min_size=1, max_size=4, unique_by=lambda e: e[0]),

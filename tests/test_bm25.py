@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventlink.extraction import EventQuery, Span
-from eventlink.kb import KBEntry, KnowledgeBase, full_candidate_tokens, tokenize
+from eventlink.kb import KBEntry, KnowledgeBase, tokenize
 from eventlink.retrieval import BM25_B, BM25_K1, bm25_build, bm25_query_terms, bm25_retrieve
 from eventlink.toy import build_toy_data
 
@@ -184,7 +184,7 @@ def _reference_scores(kb, terms):
     doc_lens = []
     postings = {}
     for position, entry in enumerate(kb):
-        tokens = full_candidate_tokens(entry)
+        tokens = entry.title.split() + ["[TITLE_SEP]"] + entry.description.split()
         doc_lens.append(len(tokens))
         for term, tf in Counter(tokens).items():
             postings.setdefault(term, []).append((position, tf))

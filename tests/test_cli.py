@@ -278,6 +278,22 @@ def test_eval_lineage_mismatch(tmp_path):
     assert code == 2
 
 
+def test_eval_checks_lineage_of_a_header_split_by_a_bare_carriage_return(small_run, tmp_path,
+                                                                         capsys):
+    # "\r" is JSON whitespace, so iter_jsonl skips line 1 as the header and eval must read it
+    lines = open(small_run["decisions_learned_nil"], "rb").read().split(b"\n")
+    manifest = json.loads(lines[0])["_manifest"]
+    manifest["inputs"]["queries"]["sha256"] = file_digest(small_run["train_tagged"])
+    lines[0] = b'{"_manifest":\r' + json.dumps(manifest).encode("utf-8") + b"}"
+    preds, report = tmp_path / "preds.jsonl", tmp_path / "r.json"
+    preds.write_bytes(b"\n".join(lines))
+    code = main(["eval", "--preds", str(preds), "--gold", small_run["eval_tagged"],
+                 "--out", str(report)])
+    assert (code, capsys.readouterr().err) == (2, "data error: lineage mismatch: predictions were "
+                                                  "linked against a different queries file\n")
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("header", [5, {"inputs": []}, {"inputs": {"queries": "x"}}],
                          ids=["int", "list-inputs", "str-queries"])
 def test_eval_malformed_preds_manifest_is_data_error(small_run, tmp_path, capsys, header):

@@ -1,7 +1,10 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from eventlink import kb as kb_module
 from eventlink.kb import (
     NIL,
     TITLE_SEP,
@@ -9,6 +12,7 @@ from eventlink.kb import (
     KBError,
     KnowledgeBase,
     candidate_text,
+    entry_to_record,
     load_kb,
     tokenize,
 )
@@ -122,3 +126,56 @@ def test_duplicate_construction_rejected():
     entry = KBEntry("E1", "A", "d")
     with pytest.raises(KBError, match="duplicate"):
         KnowledgeBase([entry, entry])
+
+
+# --- the two ways of building a KB ----------------------------------------------------------
+
+# words and the separators str.split splits on, Unicode and ASCII control ones included
+_KB_TEXT = st.text(st.sampled_from(["a", "b", "\u00e9", " ", "\t", "\u2003", "\x1c", "\x85"]),
+                   max_size=12)
+_ENTRIES = st.lists(st.tuples(_KB_TEXT.filter(len), _KB_TEXT), min_size=1, max_size=6).map(
+    lambda fields: [KBEntry(f"E{i}", title, description)
+                    for i, (title, description) in enumerate(fields)])
+
+
+@given(entries=_ENTRIES)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_loaded_and_constructed_kbs_agree(tmp_path, entries):
+    path = tmp_path / "kb.jsonl"
+    write_jsonl(path, [entry_to_record(e) for e in entries])
+    ids = [e.id for e in entries]
+    loaded, built = load_kb(path), KnowledgeBase(entries)
+    assert (loaded.titles, loaded.descriptions) == (built.titles, built.descriptions)
+    for kb in (loaded, built):
+        assert kb.n == len(entries) and kb.ids == tuple(ids)
+        assert list(kb) == entries
+        assert [entry_to_record(e) for e in kb] == [json.loads(line) for line in
+                                                    path.read_text(encoding="utf-8").splitlines()]
+        assert [kb.get(entry_id) for entry_id in ids] == entries
+        assert kb.get(NIL) is None and kb.get("E99") is None
+        assert kb.entries([*ids[::-1], ids[0]]) == [*entries[::-1], entries[0]]
+        with pytest.raises(KBError, match="^candidate id 'E99' not found in the KB$"):
+            kb.entries([ids[0], "E99"])
+
+
+@given(entries=_ENTRIES)
+@settings(max_examples=60, deadline=None)
+def test_candidate_texts_are_each_entrys_candidate_text(entries):
+    kb = KnowledgeBase(entries)
+    for max_len in (1, 4, 300):
+        assert kb.candidate_texts(max_len) == [candidate_text(e, max_len) for e in entries]
+    # uncut: what BM25 indexes and the vocabulary covers
+    assert kb.candidate_texts() == [e.title.split() + [TITLE_SEP] + e.description.split()
+                                    for e in entries]
+
+
+def test_load_kb_builds_no_entry(tmp_path, monkeypatch):
+    path = tmp_path / "kb.jsonl"
+    write_jsonl(path, [{"id": "E1", "title": "First", "description": "one"}])
+
+    def refuse(*args):
+        raise AssertionError("load_kb built a KBEntry")
+
+    monkeypatch.setattr(kb_module, "KBEntry", refuse)
+    assert load_kb(path).titles == ("First",)

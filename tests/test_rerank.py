@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from eventlink import retrieval
 from eventlink.encoders import DegenerateNormError, TinyEncoder
-from eventlink.kb import NIL, SCORER_MAX_LEN, KBEntry, KBError, KnowledgeBase, candidate_text
-from eventlink.kb import full_candidate_tokens
+from eventlink.kb import NIL, SCORER_MAX_LEN, TITLE_SEP, KBEntry, KBError, KnowledgeBase
+from eventlink.kb import candidate_text
 from eventlink.llm import ClientExhausted, LLMTransportError, ScriptedClient
 from eventlink.rerank import (
     RULE_LEARNED,
@@ -140,11 +140,12 @@ def test_score_candidates_matches_per_pair_reference(batches, seed, dim, pairs_p
 def test_score_candidates_cuts_a_long_entry_at_the_scorer_budget():
     # 300 description tokens: those past SCORER_MAX_LEN are all "harbor"
     long = KBEntry("L", "Long siege", " ".join(["war"] * 250 + ["harbor"] * 50))
-    assert len(full_candidate_tokens(long)) > SCORER_MAX_LEN
+    tokens = long.title.split() + [TITLE_SEP] + long.description.split()
+    assert len(tokens) > SCORER_MAX_LEN
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
     [got] = scorer.score_candidates([["war"]], [[_ENTRIES[5], long]])
     np.testing.assert_array_equal(got, _reference_scores(scorer, ["war"], [_ENTRIES[5], long]))
-    q, whole = scorer.encoder.encode(["war"]), scorer.encoder.encode(full_candidate_tokens(long))
+    q, whole = scorer.encoder.encode(["war"]), scorer.encoder.encode(tokens)
     assert got[2] != scorer.scale[0] * np.dot(q, whole)
 
 

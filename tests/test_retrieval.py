@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eventlink.encoders import TinyEncoder
-from eventlink.kb import RETRIEVER_MAX_LEN, KBEntry, KnowledgeBase, candidate_text
-from eventlink.kb import full_candidate_tokens
+from eventlink.kb import RETRIEVER_MAX_LEN, TITLE_SEP, KBEntry, KnowledgeBase, candidate_text
 from eventlink import retrieval
 from eventlink.retrieval import (
     CandidateSet, DenseIndex, _shortlist, build_index, retrieve, retrieve_many,
@@ -283,7 +282,8 @@ def test_build_index_rows_match_direct_encoding(small_kb):
     # a 400-token entry whose tokens past the retriever's budget are all "harbor"
     long = KBEntry("E4", "Long siege", " ".join(["war"] * 300 + ["harbor"] * 100))
     kb = KnowledgeBase([*small_kb, long])
-    assert len(full_candidate_tokens(long)) > RETRIEVER_MAX_LEN
+    whole = long.title.split() + [TITLE_SEP] + long.description.split()
+    assert len(whole) > RETRIEVER_MAX_LEN
     texts = [candidate_text(entry, RETRIEVER_MAX_LEN) for entry in kb]
     # every other distinct token but "harbor" is left out of the vocabulary, so it encodes as [OOV]
     vocab = sorted({*sorted({token for text in texts for token in text})[::2], "harbor"})
@@ -291,7 +291,7 @@ def test_build_index_rows_match_direct_encoding(small_kb):
     index = build_index(kb, encoder)
     expected = np.stack([encoder.encode(text) for text in texts])
     assert index.matrix.tobytes() == expected.tobytes()
-    assert not np.array_equal(index.matrix[-1], encoder.encode(full_candidate_tokens(long)))
+    assert not np.array_equal(index.matrix[-1], encoder.encode(whole))
 
 
 def test_build_index_empty_kb():
