@@ -2,12 +2,12 @@
 
 Every pipeline output starts with a header line holding a single
 ``_manifest`` object (command, config, seeds, and sha256 digests of the
-inputs that produced it); readers skip it transparently. Single-document
-JSON artifacts embed the manifest under the same key. Writes go to a
-temporary file in the target directory and are renamed into place, so a
-failed command never leaves a partial artifact behind. Manifests carry
-paths exactly as given (never resolved), keeping reruns byte-identical
-across working directories.
+inputs that produced it); readers skip it transparently, and refuse such a
+line anywhere after line 1. Single-document JSON artifacts embed the
+manifest under the same key. Writes go to a temporary file in the target
+directory and are renamed into place, so a failed command never leaves a
+partial artifact behind. Manifests carry paths exactly as given (never
+resolved), keeping reruns byte-identical across working directories.
 
 Every input is parsed through ``read_records`` (JSON lines),
 ``read_document`` (one JSON document) or ``read_framed`` (a one-line JSON
@@ -96,7 +96,10 @@ def write_jsonl(path, records: Iterable[dict], manifest: dict | None = None) -> 
 
 
 def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
-    """Yield (lineno, record), skipping the manifest header if present.
+    """Yield (lineno, record), skipping the manifest header on line 1 if present.
+
+    A line past line 1 whose only key is ``_manifest`` is not a record:
+    it raises ValueError naming the file and the line.
 
     A blank line, or a line that is not UTF-8 JSON (a truncated file, say),
     raises ValueError naming the file and the line. The file is read and
@@ -132,7 +135,9 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
         if isinstance(record, dict) and len(record) == 1 and MANIFEST_KEY in record:
-            continue
+            if lineno == 1:
+                continue
+            raise ValueError(f"{path}: manifest header at line {lineno}, not line 1")
         yield lineno, record
 
 

@@ -25,7 +25,7 @@ from . import artifacts, encoders, evaluation, neggen, rerank, training
 from .extraction import RoleLexicon, RuleExtractor, extract, query_from_record
 from .extraction import tagged_from_record, tagged_to_record
 from .formatting import FORMAT_STYLES, format_query
-from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBError, entry_to_record, load_kb
+from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBError, load_kb
 from .llm import ScriptedClient, StorytellerMock
 from .rerank import LinkDecision, TinyCrossScorer, llm_rerank, score_pairs
 from .rerank import select_learned_nil, select_threshold
@@ -141,7 +141,7 @@ def cmd_build_kb(args) -> dict:
     source = _require(args.in_path, "--in")
     kb = load_kb(source)
     manifest = _manifest("build-kb", args, {"kb": source})
-    artifacts.write_jsonl(args.out, (entry_to_record(e) for e in kb), manifest)
+    artifacts.write_jsonl(args.out, kb.records(), manifest)
     return manifest
 
 
@@ -248,7 +248,7 @@ def cmd_train_cross(args) -> dict:
 
         def negative(record: dict) -> neggen.NegativeExample:
             example = neggen.NegativeExample.from_record(record)
-            kb.entries(example.paired_candidate_ids)  # an unknown id fails naming file and line
+            kb.rows(example.paired_candidate_ids)  # an unknown id fails naming file and line
             return example
 
         negatives = artifacts.read_records(args.negatives, negative)

@@ -1,15 +1,20 @@
 """Accuracy and recall evaluation plus multi-run comparison reports.
 
 Accuracy is exact match of the prediction (KB id or NIL) against the gold
-label, reported overall and restricted to verb and noun mentions; empty
-splits report as absent, not zero. Recall@k covers in-KB queries only.
-Both are pure functions of their inputs.
+label, reported per split in ``_SPLITS``: overall, verb and noun mentions,
+in-KB and out-of-KB golds. An empty split reports as absent, not zero.
+Recall@k covers in-KB queries only. Both are pure functions of their inputs.
+
+Coverage: gold query ids are distinct, and the decisions (for accuracy) or
+candidate sets (for recall) name each gold query exactly once and no other
+query. ``_cover`` is the one check of this rule; its ``CoverageError``
+names the argument at fault.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Iterator, Sequence
 
 from .extraction import EventQuery
 from .kb import NIL
@@ -17,6 +22,9 @@ from .rerank import LinkDecision
 from .retrieval import CandidateSet
 
 RECALL_GRID = (1, 2, 3, 4, 5, 8, 10, 15, 20)
+
+# Accuracy splits in EvalReport's order; an "other" mention counts toward "all" only.
+_SPLITS = ("all", "verb", "noun", "in_kb", "out_of_kb")
 
 
 class CoverageError(ValueError):
@@ -27,80 +35,71 @@ class CoverageError(ValueError):
         self.source = source
 
 
+def _written(value):
+    """A field's value as the document holds it: a dict's keys become sorted strings."""
+    return {str(k): v for k, v in sorted(value.items())} if isinstance(value, dict) else value
+
+
 @dataclass
 class EvalReport:
-    """Metric bundle for one run over one dataset."""
+    """Metric bundle for one run over one dataset; its fields are the document's keys.
+
+    ``from_dict`` passes a stored value through its field's ``decode``, if any.
+    """
 
     accuracy_all: float | None
     accuracy_verb: float | None
     accuracy_noun: float | None
     accuracy_in_kb: float | None
     accuracy_out_of_kb: float | None
-    recall_at: dict[int, float] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
-    dataset_fingerprint: str = ""
-    config_fingerprint: str = ""
+    recall_at: dict[int, float] = field(default_factory=dict, metadata={
+        "decode": lambda stored: {int(k): float(v) for k, v in stored.items()}})
+    counts: dict[str, int] = field(default_factory=dict, metadata={
+        "decode": lambda stored: {k: int(v) for k, v in stored.items()}})
+    dataset_fingerprint: str = field(default="", metadata={"decode": str})
+    config_fingerprint: str = field(default="", metadata={"decode": str})
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy_all": self.accuracy_all,
-            "accuracy_verb": self.accuracy_verb,
-            "accuracy_noun": self.accuracy_noun,
-            "accuracy_in_kb": self.accuracy_in_kb,
-            "accuracy_out_of_kb": self.accuracy_out_of_kb,
-            "recall_at": {str(k): v for k, v in sorted(self.recall_at.items())},
-            "counts": dict(sorted(self.counts.items())),
-            "dataset_fingerprint": self.dataset_fingerprint,
-            "config_fingerprint": self.config_fingerprint,
-        }
+        return {f.name: _written(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
-        return cls(
-            accuracy_all=payload["accuracy_all"],
-            accuracy_verb=payload["accuracy_verb"],
-            accuracy_noun=payload["accuracy_noun"],
-            accuracy_in_kb=payload["accuracy_in_kb"],
-            accuracy_out_of_kb=payload["accuracy_out_of_kb"],
-            recall_at={int(k): float(v) for k, v in payload["recall_at"].items()},
-            counts={k: int(v) for k, v in payload["counts"].items()},
-            dataset_fingerprint=str(payload["dataset_fingerprint"]),
-            config_fingerprint=str(payload["config_fingerprint"]),
-        )
+        return cls(**{f.name: f.metadata.get("decode", lambda stored: stored)(payload[f.name])
+                      for f in fields(cls)})
 
 
 def _ratio(correct: int, total: int) -> float | None:
     return correct / total if total else None
 
 
-def _align(
-    decisions: Sequence[LinkDecision], golds: Sequence[EventQuery]
-) -> list[tuple[LinkDecision, EventQuery]]:
+def _cover(golds: Sequence[EventQuery], items: Iterable, source: str,
+           noun: str) -> Iterator[tuple]:
+    """Yield each of ``items`` with the gold query it names, checking the coverage rule.
+
+    Duplicate gold ids fail first, then an item naming an unknown or an
+    already named query, then the golds no item named. Items are looked at
+    one by one, so a caller's own check of an item fails before a fault of
+    a later item. Errors say ``noun`` and name ``source``.
+    """
     gold_map = {q.query_id: q for q in golds}
     if len(gold_map) != len(golds):
         raise CoverageError("golds", "duplicate query ids among golds")
-    pairs = []
     seen = set()
-    for decision in decisions:
-        gold = gold_map.get(decision.query_id)
+    for item in items:
+        gold = gold_map.get(item.query_id)
         if gold is None:
-            raise CoverageError("decisions", f"decision for unknown query {decision.query_id!r}")
-        if decision.query_id in seen:
-            raise CoverageError("decisions", f"repeated decision for query {decision.query_id!r}")
-        seen.add(decision.query_id)
-        pairs.append((decision, gold))
+            raise CoverageError(source, f"{noun} for unknown query {item.query_id!r}")
+        if item.query_id in seen:
+            raise CoverageError(source, f"repeated {noun} for query {item.query_id!r}")
+        seen.add(item.query_id)
+        yield item, gold
     missing = set(gold_map) - seen
     if missing:
-        raise CoverageError("decisions", f"no decision for queries: {sorted(missing)[:5]}")
-    return pairs
-
-
-# Accuracy splits in EvalReport's order; an "other" mention counts toward "all" only.
-_SPLITS = ("all", "verb", "noun", "in_kb", "out_of_kb")
+        raise CoverageError(source, f"no {noun} for queries: {sorted(missing)[:5]}")
 
 
 def _split_counts(
-    pairs: Sequence[tuple[LinkDecision, EventQuery]]
+    pairs: Iterable[tuple[LinkDecision, EventQuery]]
 ) -> tuple[dict[str, int], dict[str, int]]:
     """Per split, the number of aligned pairs and the number of exact matches."""
     totals = dict.fromkeys(_SPLITS, 0)
@@ -114,14 +113,6 @@ def _split_counts(
     return totals, hits
 
 
-def accuracy(
-    decisions: Sequence[LinkDecision], golds: Sequence[EventQuery]
-) -> tuple[float | None, float | None, float | None]:
-    """Exact-match accuracy overall and per mention POS class."""
-    totals, hits = _split_counts(_align(decisions, golds))
-    return tuple(_ratio(hits[split], totals[split]) for split in ("all", "verb", "noun"))
-
-
 def recall_at_k(
     candidate_sets: Iterable[CandidateSet],
     golds: Sequence[EventQuery],
@@ -130,35 +121,21 @@ def recall_at_k(
     """Fraction of queries whose gold id appears in the first k candidates.
 
     Callers exclude NIL-gold queries first; passing one is an error, as is
-    asking for k beyond the retrieved depth. Every query needs exactly one
-    candidate set, and every candidate set a query.
+    asking for k beyond the retrieved depth. The candidate sets must cover
+    the golds, as the module docstring states.
     """
-    gold_map = {q.query_id: q.gold for q in golds}
-    for gold in gold_map.values():
-        if gold == NIL:
-            raise ValueError("recall is defined over in-KB golds only")
-    sets = list(candidate_sets)
+    if any(q.gold == NIL for q in golds):
+        raise ValueError("recall is defined over in-KB golds only")
     max_k = max(ks)
     hits = {k: 0 for k in ks}
-    seen = set()
-    for cs in sets:
-        if cs.query_id not in gold_map:
-            raise CoverageError("candidate_sets", f"candidates for unknown query {cs.query_id!r}")
-        if cs.query_id in seen:
-            raise CoverageError("candidate_sets", f"repeated candidates for query {cs.query_id!r}")
-        seen.add(cs.query_id)
+    for cs, query in _cover(golds, candidate_sets, "candidate_sets", "candidates"):
         if len(cs) < max_k:
             raise CoverageError("candidate_sets", f"k={max_k} exceeds retrieved depth {len(cs)}")
-        gold = gold_map[cs.query_id]
         for k in ks:
-            if gold in cs.ids[:k]:
-                hits[k] += 1
-    missing = set(gold_map) - seen
-    if missing:
-        raise CoverageError("candidate_sets", f"no candidates for queries: {sorted(missing)[:5]}")
-    if not sets:
+            hits[k] += query.gold in cs.ids[:k]
+    if not golds:
         raise CoverageError("candidate_sets", "no candidate sets to evaluate")
-    return {k: hits[k] / len(sets) for k in ks}
+    return {k: hits[k] / len(golds) for k in ks}
 
 
 def evaluate(
@@ -171,25 +148,20 @@ def evaluate(
 ) -> EvalReport:
     """Build the full report: accuracy splits, optional recall grid, counts.
 
-    Candidate sets of NIL-gold queries are skipped; the rest must hold one
-    set per in-KB gold query, as ``recall_at_k`` requires.
+    The decisions must cover the golds. Candidate sets of NIL-gold queries
+    are skipped; the rest must cover the in-KB golds, as ``recall_at_k``
+    requires.
     """
-    pairs = _align(decisions, golds)
-    counts, hits = _split_counts(pairs)
-    acc = {split: _ratio(hits[split], counts[split]) for split in _SPLITS}
+    counts, hits = _split_counts(_cover(golds, decisions, "decisions", "decision"))
     recall: dict[int, float] = {}
     if candidate_sets is not None:
-        in_kb_golds = [g for _, g in pairs if g.gold != NIL]
-        nil_ids = {g.query_id for _, g in pairs if g.gold == NIL}
+        in_kb_golds = [g for g in golds if g.gold != NIL]
+        nil_ids = {g.query_id for g in golds if g.gold == NIL}
         kept = [cs for cs in candidate_sets if cs.query_id not in nil_ids]
         if kept or in_kb_golds:
             recall = recall_at_k(kept, in_kb_golds, ks)
     return EvalReport(
-        accuracy_all=acc["all"],
-        accuracy_verb=acc["verb"],
-        accuracy_noun=acc["noun"],
-        accuracy_in_kb=acc["in_kb"],
-        accuracy_out_of_kb=acc["out_of_kb"],
+        **{f"accuracy_{split}": _ratio(hits[split], counts[split]) for split in _SPLITS},
         recall_at=recall,
         counts=counts,
         dataset_fingerprint=dataset_fingerprint,
@@ -213,16 +185,8 @@ def compare_report(runs: Sequence[tuple[str, EvalReport]]) -> dict:
         raise ValueError("run names must be unique")
     columns: dict[str, dict[str, float | None]] = {}
     for name, report in runs:
-        payload = report.to_dict()
-        row: dict[str, float | None] = {
-            key: payload[key]
-            for key in (
-                "accuracy_all", "accuracy_verb", "accuracy_noun",
-                "accuracy_in_kb", "accuracy_out_of_kb",
-            )
-        }
-        for k, value in payload["recall_at"].items():
-            row[f"recall_at_{k}"] = value
+        row = {f"accuracy_{split}": getattr(report, f"accuracy_{split}") for split in _SPLITS}
+        row.update((f"recall_at_{k}", value) for k, value in report.recall_at.items())
         columns[name] = row
     all_columns = sorted({col for row in columns.values() for col in row})
     best: dict[str, list[str]] = {}

@@ -78,11 +78,9 @@ class KBEntry:
     description: str
 
     def __post_init__(self) -> None:
-        if not (type(self.id) is type(self.title) is type(self.description) is str
-                and self.id and self.title) or self.id == NIL:
-            fields = {"id": self.id, "title": self.title, "description": self.description}
-            if (message := _refusal(fields, {})) is not None:  # None for a str subclass
-                raise KBError(message)
+        fields = {"id": self.id, "title": self.title, "description": self.description}
+        if (message := _refusal(fields, {})) is not None:
+            raise KBError(message)
 
 
 def _candidate_tokens(title: str, description: str) -> list[str]:
@@ -133,13 +131,20 @@ class KnowledgeBase:
         row = self._position.get(entry_id)
         return None if row is None else self._entry(row)
 
-    def entries(self, ids: Iterable[str]) -> list[KBEntry]:
-        """The entry of each id, in order; an unknown id is a ``KBError``."""
+    def rows(self, ids: Iterable[str]) -> list[int]:
+        """The row of each id, in order; an unknown id is a ``KBError``. Builds no entry."""
         try:
-            rows = [self._position[entry_id] for entry_id in ids]
+            return [self._position[entry_id] for entry_id in ids]
         except KeyError as exc:
             raise KBError(f"candidate id {exc.args[0]!r} not found in the KB") from None
-        return [self._entry(row) for row in rows]
+
+    def entries(self, ids: Iterable[str]) -> list[KBEntry]:
+        """The entry of each id, in order; an unknown id is a ``KBError``."""
+        return [self._entry(row) for row in self.rows(ids)]
+
+    def records(self) -> list[dict]:
+        """Every entry's KB-file record, in KB order, read from the columns."""
+        return [dict(zip(_FIELDS, row)) for row in zip(self.ids, self.titles, self.descriptions)]
 
     def candidate_texts(self, max_len: int | None = None) -> list[list[str]]:
         """Every entry's ``title [TITLE_SEP] description`` tokens, in KB order.
@@ -151,18 +156,14 @@ class KnowledgeBase:
         return list(texts) if max_len is None else [tokens[:max_len] for tokens in texts]
 
 
-def entry_to_record(entry: KBEntry) -> dict:
-    return {"id": entry.id, "title": entry.title, "description": entry.description}
-
-
 def load_kb(path) -> KnowledgeBase:
     """Load a JSON-lines KB file, preserving record order.
 
     Rejects duplicate ids (naming the id), the reserved id ``NIL``,
     malformed lines (naming the line number) and a file without entries,
-    always with a ``KBError`` naming the file. Lines holding a single
-    ``_manifest`` object are artifact headers and are skipped. One loop
-    fills the columns; no ``KBEntry`` is built.
+    always with a ``KBError`` naming the file. A first line holding a
+    single ``_manifest`` object is an artifact header and is skipped. One
+    loop fills the columns; no ``KBEntry`` is built.
     """
     position: dict[str, int] = {}  # also the duplicate check
     titles, descriptions = [], []

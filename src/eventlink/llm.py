@@ -66,10 +66,6 @@ class ScriptedClient:
         self._completions = list(completions)
         self._cursor = 0
 
-    @property
-    def calls(self) -> int:
-        return self._cursor
-
     def complete(self, prompt: str) -> str:
         if self._cursor >= len(self._completions):
             raise ClientExhausted("scripted client has no completions left")

@@ -26,7 +26,7 @@ from . import artifacts
 from .evaluation import RECALL_GRID
 from .extraction import EventQuery, RoleLexicon, RuleExtractor, Span, TaggedQuery, extract
 from .extraction import query_to_record
-from .kb import KBEntry, KnowledgeBase, entry_to_record
+from .kb import KBEntry, KnowledgeBase
 
 _ONSETS = (
     "Bar", "Dren", "Kel", "Mor", "Tar", "Vas", "Zor", "Quen", "Hal", "Fen",
@@ -161,15 +161,11 @@ def write_toy_inputs(directory, data: ToyData) -> dict[str, str]:
         "test": os.path.join(directory, "test.jsonl"),
         "lexicon": os.path.join(directory, "lexicon.json"),
     }
-    with open(paths["kb"], "w", encoding="utf-8") as fh:
-        for entry in data.kb:
-            fh.write(json.dumps(entry_to_record(entry), sort_keys=True) + "\n")
+    artifacts.write_jsonl(paths["kb"], data.kb.records())
     for split, queries in (("train", data.train), ("test", data.test)):
-        with open(paths[split], "w", encoding="utf-8") as fh:
-            for tagged in queries:
-                fh.write(json.dumps(query_to_record(tagged.base), sort_keys=True) + "\n")
-    with open(paths["lexicon"], "w", encoding="utf-8") as fh:
-        json.dump(data.lexicon.to_dict(), fh, sort_keys=True, indent=1)
+        artifacts.write_jsonl(paths[split], (query_to_record(tagged.base) for tagged in queries))
+    artifacts.atomic_write_text(paths["lexicon"],
+                                json.dumps(data.lexicon.to_dict(), sort_keys=True, indent=1))
     return paths
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from eventlink.artifacts import iter_jsonl, read_document, read_json, read_manifest, read_records
 from eventlink.artifacts import write_jsonl
 from eventlink.encoders import TinyEncoder, load_encoder, save_encoder
-from eventlink.kb import KBError, KnowledgeBase, entry_to_record, load_kb
+from eventlink.kb import KBError, KnowledgeBase, load_kb
 from eventlink.rerank import TinyCrossScorer
 from eventlink.retrieval import DenseIndex
 
@@ -86,7 +86,10 @@ def test_iter_jsonl_truncated_file_names_file_or_reads_a_prefix(tmp_path, record
 
 
 def _reference_iter_jsonl(path):
-    """The line-by-line reader that ``iter_jsonl`` replaced: the reference for its records and errors."""
+    """The line-by-line reader that ``iter_jsonl`` replaced: the reference for its records and errors.
+
+    It skips a manifest-only line 1 and refuses a manifest-only line after it.
+    """
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
@@ -99,7 +102,9 @@ def _reference_iter_jsonl(path):
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
             if isinstance(record, dict) and set(record) == {"_manifest"}:
-                continue
+                if lineno == 1:
+                    continue
+                raise ValueError(f"{path}: manifest header at line {lineno}, not line 1")
             yield lineno, record
 
 
@@ -142,6 +147,9 @@ _LINES = st.lists(st.tuples(_EDGES, _BODIES, _EDGES).map(b"".join), max_size=5)
 @example(lines=[b'{"a": "\x1c"}\x1c', b"{}"], ending=b"\n", refuse=5)
 @example(lines=[b'{"a": 1}', b"\xff"], ending=b"\n", refuse=1)
 @example(lines=[b"{}", b"{}"], ending=b"\n ", refuse=5)
+# a manifest-only line past line 1, once skipped wherever it stood
+@example(lines=[b'{"a": 1}', b'{"_manifest": {}}', b"{}"], ending=b"\n", refuse=5)
+@example(lines=[b'{"_manifest": {}}', b"{}", b' {"_manifest": {}}'], ending=b"\n", refuse=5)
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_iter_jsonl_matches_the_line_by_line_reader(tmp_path, lines, ending, refuse):
     path = tmp_path / "lines.jsonl"
@@ -200,7 +208,7 @@ def test_load_kb_truncated_file_names_file_or_reads_a_prefix(tmp_path, entries, 
     path = _truncated(tmp_path, text, data.draw(st.integers(0, len(text.encode("utf-8")) - 1)))
     result = _outcome(lambda: load_kb(path))
     if isinstance(result, KnowledgeBase):
-        assert [entry_to_record(e) for e in result] == records[: result.n]
+        assert result.records() == records[: result.n]
         assert result.n > 0
     else:
         assert isinstance(result, KBError)

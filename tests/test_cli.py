@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from eventlink import cli
+from eventlink import kb as kb_module
 from eventlink.artifacts import file_digest, json_digest, read_json, read_manifest, read_records
 from eventlink.cli import build_parser, main
 from eventlink.encoders import TinyEncoder, load_encoder, save_encoder
@@ -192,6 +193,30 @@ def test_build_kb_rejects_duplicates(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(["build-kb", "--in", str(source), "--out", str(out)]) == 2
     assert "E1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _refuse_entry(*args):
+    raise AssertionError("built a KBEntry")
+
+
+def test_build_kb_writes_the_columns_without_building_entries(toy_inputs, tmp_path, monkeypatch):
+    monkeypatch.setattr(kb_module, "KBEntry", _refuse_entry)
+    out = tmp_path / "kb.jsonl"
+    assert main(["build-kb", "--in", toy_inputs["kb"], "--out", str(out)]) == 0
+    assert read_records(out, dict) == read_records(toy_inputs["kb"], dict)
+
+
+def test_build_kb_refuses_a_manifest_line_past_line_1(tmp_path, capsys):
+    # once skipped, so this KB loaded as ('E1', 'E2') and build-kb exited 0
+    source = tmp_path / "kb.jsonl"
+    write_jsonl(source, [{"id": "E1", "title": "x", "description": "d"},
+                         {"_manifest": {"command": "build-kb"}},
+                         {"id": "E2", "title": "y", "description": "d"}])
+    out = tmp_path / "out.jsonl"
+    assert main(["build-kb", "--in", str(source), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"data error: {source}: manifest header at line 2,"
+                                       " not line 1\n")
     assert not out.exists()
 
 
@@ -474,6 +499,31 @@ def test_train_checkpoints_and_reports_match_golden_digests(tmp_path):
         assert _train_digests(run) == json.load(fh)
 
 
+# Written by the code whose two coverage loops and five spellings of the
+# accuracy fields came before one coverage check and one report schema.
+_EVAL_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "eval_golden.json")
+
+
+def _eval_documents(run) -> bytes:
+    """Each rule's ``eval`` document and the ``report`` comparison, as canonical bytes.
+
+    Manifests record temporary paths, so they and ``config_fingerprint``,
+    the digest of a predictions manifest, are left out.
+    """
+    documents = {"eval": {}, "report": read_json(run["comparison"])[1]}
+    for key, path in run.items():
+        if key.startswith("report_"):
+            document = read_json(path)[1]
+            del document["config_fingerprint"]
+            documents["eval"][key.removeprefix("report_")] = document
+    return (json.dumps(documents, sort_keys=True, indent=1) + "\n").encode("utf-8")
+
+
+def test_eval_and_report_documents_match_golden_file_byte_for_byte(small_run):
+    with open(_EVAL_GOLDEN, "rb") as fh:
+        assert _eval_documents(small_run) == fh.read()
+
+
 def _train_bi_argv(run, out, *flags):
     return ["train-bi", "--kb", run["kb_norm"], "--queries", run["train_tagged"],
             "--epochs", "1", "--batch-size", "8", "--out", str(out), *flags]
@@ -531,6 +581,22 @@ def test_negative_paired_with_unknown_candidate_is_data_error(small_run, tmp_pat
     assert code == 2, err
     assert str(bad) in err and "line 2" in err and "NOPE" in err
     assert not out.exists()
+
+
+def test_train_cross_checks_paired_ids_without_building_entries(small_run, tmp_path, capsys,
+                                                                 monkeypatch):
+    # line 1 pairs known ids, which were once checked by building and dropping their entries
+    negatives = read_records(small_run["negatives"], dict)
+    assert negatives[0]["paired_candidate_ids"]
+    negatives[1]["paired_candidate_ids"][0] = "NOPE"
+    bad = tmp_path / "negatives.jsonl"
+    write_jsonl(bad, negatives)
+    monkeypatch.setattr(kb_module, "KBEntry", _refuse_entry)
+    code = main(["train-cross", "--kb", small_run["kb_norm"], "--queries", small_run["train_tagged"],
+                 "--negatives", str(bad), "--index", small_run["index"],
+                 "--encoder", small_run["encoder"], "--epochs", "1", "--out", str(tmp_path / "s")])
+    assert (code, capsys.readouterr().err) == (
+        2, f"data error: {bad}: line 2: candidate id 'NOPE' not found in the KB\n")
 
 
 @pytest.mark.parametrize("ks", ["0,-3,5", "5,0", "-1"])

@@ -2,9 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eventlink.evaluation import (
-    CoverageError, EvalReport, accuracy, compare_report, evaluate, recall_at_k,
-)
+from eventlink.evaluation import CoverageError, EvalReport, compare_report, evaluate, recall_at_k
 from eventlink.extraction import EventQuery, Span
 from eventlink.kb import NIL
 from eventlink.rerank import LinkDecision
@@ -23,30 +21,36 @@ def _cands(qid, ids):
     return CandidateSet(qid, tuple(ids), tuple(float(len(ids) - i) for i in range(len(ids))))
 
 
+def _accuracy(decisions, golds):
+    """Exact-match accuracy overall and per mention POS class, as ``evaluate`` reports it."""
+    report = evaluate(decisions, golds)
+    return report.accuracy_all, report.accuracy_verb, report.accuracy_noun
+
+
 def test_perfect_predictions():
     golds = [_gold("a", "E1", "verb"), _gold("b", NIL, "noun")]
     decisions = [_decision("a", "E1"), _decision("b", NIL)]
-    assert accuracy(decisions, golds) == (1.0, 1.0, 1.0)
+    assert _accuracy(decisions, golds) == (1.0, 1.0, 1.0)
 
 
 def test_hand_counted_split_accuracy():
     golds = [_gold("a", "E1", "verb"), _gold("b", NIL, "noun")]
     decisions = [_decision("a", "E1"), _decision("b", "E2")]
-    assert accuracy(decisions, golds) == (0.5, 1.0, 0.0)
+    assert _accuracy(decisions, golds) == (0.5, 1.0, 0.0)
 
 
 def test_empty_split_reports_absent():
     golds = [_gold("a", "E1", "verb")]
     decisions = [_decision("a", "E1")]
-    assert accuracy(decisions, golds) == (1.0, 1.0, None)
+    assert _accuracy(decisions, golds) == (1.0, 1.0, None)
 
 
 def test_unmatched_query_id_is_error():
     golds = [_gold("a", "E1")]
     with pytest.raises(ValueError, match="unknown query"):
-        accuracy([_decision("zzz", "E1")], golds)
+        _accuracy([_decision("zzz", "E1")], golds)
     with pytest.raises(ValueError, match="no decision"):
-        accuracy([], golds)
+        _accuracy([], golds)
 
 
 def test_repeated_decision_is_error():
@@ -61,7 +65,7 @@ def test_repeated_decision_is_error():
 def test_other_pos_counts_only_toward_all():
     golds = [_gold("a", "E1", "other"), _gold("b", "E2", "verb")]
     decisions = [_decision("a", "E1"), _decision("b", "E1")]
-    assert accuracy(decisions, golds) == (0.5, 0.0, None)
+    assert _accuracy(decisions, golds) == (0.5, 0.0, None)
 
 
 def test_recall_hand_counted():
@@ -90,6 +94,26 @@ def test_recall_depth_error():
         recall_at_k([_cands("a", ["E1", "E2"])], [_gold("a", "E1")], ks=(5,))
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_recall_rejects_repeated_gold_ids(order):
+    # once scored against whichever repeat came last: R@1 = 0.0 one way round, 1.0 the other
+    golds = [_gold("q1", "E1"), _gold("q1", "E2")][::order]
+    with pytest.raises(CoverageError, match="duplicate query ids among golds") as caught:
+        recall_at_k([_cands("q1", ["E1", "E3"])], golds, ks=(1,))
+    assert caught.value.source == "golds"
+
+
+@pytest.mark.parametrize("shallow_first", [True, False])
+def test_recall_reports_the_first_faulty_candidate_set(shallow_first):
+    # a set too shallow for the grid and a set of an unknown query: the earlier one is reported
+    golds = [_gold("a", "E1"), _gold("b", "E2")]
+    sets = [_cands("a", ["E1"]), _cands("zzz", ["E1", "E2"])]
+    message = "k=2 exceeds retrieved depth 1" if shallow_first else "unknown query 'zzz'"
+    with pytest.raises(CoverageError, match=message) as caught:
+        recall_at_k(sets if shallow_first else sets[::-1], golds, ks=(1, 2))
+    assert caught.value.source == "candidate_sets"
+
+
 @given(st.lists(st.integers(1, 30), min_size=1, max_size=25))
 @settings(max_examples=50)
 def test_recall_monotone_in_k(ranks):
@@ -106,7 +130,7 @@ def test_split_accuracy_is_count_weighted_mean():
         _gold("a", "E1", "verb"), _gold("b", "E2", "verb"), _gold("c", "E3", "noun"),
     ]
     decisions = [_decision("a", "E1"), _decision("b", "X"), _decision("c", "E3")]
-    acc_all, acc_verb, acc_noun = accuracy(decisions, golds)
+    acc_all, acc_verb, acc_noun = _accuracy(decisions, golds)
     assert acc_all == pytest.approx((2 * acc_verb + 1 * acc_noun) / 3)
 
 

@@ -12,7 +12,6 @@ from eventlink.kb import (
     KBError,
     KnowledgeBase,
     candidate_text,
-    entry_to_record,
     load_kb,
     tokenize,
 )
@@ -143,15 +142,16 @@ _ENTRIES = st.lists(st.tuples(_KB_TEXT.filter(len), _KB_TEXT), min_size=1, max_s
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_loaded_and_constructed_kbs_agree(tmp_path, entries):
     path = tmp_path / "kb.jsonl"
-    write_jsonl(path, [entry_to_record(e) for e in entries])
+    write_jsonl(path, [{"id": e.id, "title": e.title, "description": e.description}
+                       for e in entries])
     ids = [e.id for e in entries]
     loaded, built = load_kb(path), KnowledgeBase(entries)
     assert (loaded.titles, loaded.descriptions) == (built.titles, built.descriptions)
     for kb in (loaded, built):
         assert kb.n == len(entries) and kb.ids == tuple(ids)
         assert list(kb) == entries
-        assert [entry_to_record(e) for e in kb] == [json.loads(line) for line in
-                                                    path.read_text(encoding="utf-8").splitlines()]
+        assert kb.records() == [json.loads(line) for line in
+                                path.read_text(encoding="utf-8").splitlines()]
         assert [kb.get(entry_id) for entry_id in ids] == entries
         assert kb.get(NIL) is None and kb.get("E99") is None
         assert kb.entries([*ids[::-1], ids[0]]) == [*entries[::-1], entries[0]]
