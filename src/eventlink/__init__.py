@@ -6,7 +6,7 @@ controlled manipulation of tagged event arguments.
 """
 
 from .extraction import Argument, EventQuery, Span, TaggedQuery
-from .kb import NIL, KBEntry, KnowledgeBase, candidate_text, load_kb
+from .kb import NIL, KBEntry, KnowledgeBase, load_kb
 from .retrieval import CandidateSet, DenseIndex
 from .rerank import LinkDecision
 
@@ -23,7 +23,6 @@ __all__ = [
     "NIL",
     "Span",
     "TaggedQuery",
-    "candidate_text",
     "load_kb",
     "__version__",
 ]

@@ -172,14 +172,15 @@ def cmd_train_bi(args) -> dict:
     cfg = _train_config(args)
     vocab = training.build_vocab(kb, tagged, RETRIEVER_MAX_LEN, args.style)
     encoder = encoders.TinyEncoder(vocab, args.dim, seed=cfg.seed)
-    data = []
-    for query in tagged:
-        if query.base.gold == NIL:
-            continue
-        entry = kb.get(query.base.gold)
-        if entry is None:
-            raise DataError(f"query {query.base.query_id!r}: gold {query.base.gold!r} not in KB")
-        data.append((format_query(query, args.style, RETRIEVER_MAX_LEN), entry))
+    labeled = [query for query in tagged if query.base.gold != NIL]
+    try:
+        gold_rows = kb.rows(query.base.gold for query in labeled)
+    except KBError:
+        query = next(q for q in labeled if q.base.gold not in kb.ids)
+        raise DataError(
+            f"query {query.base.query_id!r}: gold {query.base.gold!r} not in KB") from None
+    queries = [format_query(query, args.style, RETRIEVER_MAX_LEN) for query in labeled]
+    data = list(zip(queries, kb.candidate_texts(RETRIEVER_MAX_LEN, gold_rows)))
     report = training.train_biencoder(data, encoder, cfg)
     _save_checkpoint(encoder, args.out, report)
     return _manifest("train-bi", args, inputs)
@@ -347,9 +348,9 @@ def boolean(word: str) -> bool:
 
 
 def recall_ks(text: str) -> tuple[int, ...]:
-    """A comma-separated list of recall depths of at least 1, such as ``1,5,10``."""
+    """A comma-separated list of distinct recall depths of at least 1, such as ``1,5,10``."""
     ks = tuple(int(k) for k in text.split(","))
-    if min(ks) < 1:
+    if min(ks) < 1 or len(set(ks)) < len(ks):
         raise ValueError(text)
     return ks
 

@@ -120,12 +120,14 @@ def recall_at_k(
 ) -> dict[int, float]:
     """Fraction of queries whose gold id appears in the first k candidates.
 
-    Callers exclude NIL-gold queries first; passing one is an error, as is
-    asking for k beyond the retrieved depth. The candidate sets must cover
-    the golds, as the module docstring states.
+    Callers exclude NIL-gold queries first; passing one is an error, as are
+    a repeated k and asking for k beyond the retrieved depth. The candidate
+    sets must cover the golds, as the module docstring states.
     """
     if any(q.gold == NIL for q in golds):
         raise ValueError("recall is defined over in-KB golds only")
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"repeated recall depth in {tuple(ks)}")
     max_k = max(ks)
     hits = {k: 0 for k in ks}
     for cs, query in _cover(golds, candidate_sets, "candidate_sets", "candidates"):

@@ -6,16 +6,18 @@ out-of-KB label and may never appear as an entry id.
 
 A ``KnowledgeBase`` holds its entries as three columns (``ids``,
 ``titles``, ``descriptions``) and an id → position dict. ``load_kb`` fills
-them straight from the file's records, and candidate texts are tokenized
-from the columns; ``KBEntry`` values are built only when a caller asks for
-entries.
+them straight from the file's records. Below the CLI, candidates travel as
+KB rows (``KnowledgeBase.rows``) and are read from the columns:
+``KnowledgeBase.candidate_texts`` is the one candidate serializer.
+``KBEntry`` values exist only where a KB is built by hand, and iteration
+hands them out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import artifacts
 
@@ -83,16 +85,12 @@ class KBEntry:
             raise KBError(message)
 
 
-def _candidate_tokens(title: str, description: str) -> list[str]:
-    return [*tokenize(title), TITLE_SEP, *tokenize(description)]
-
-
 class KnowledgeBase:
     """Ordered, immutable entries held as columns, with unique-id lookup.
 
     ``KnowledgeBase(entries)`` takes ``KBEntry`` values; ``load_kb`` reads a
-    file. ``get``, ``entries`` and iteration build a ``KBEntry`` per entry
-    handed out. Safe for concurrent readers once constructed.
+    file. Iteration builds a ``KBEntry`` per entry handed out. Safe for
+    concurrent readers once constructed.
     """
 
     def __init__(self, entries: Iterable[KBEntry]):
@@ -116,9 +114,6 @@ class KnowledgeBase:
         self.titles: tuple[str, ...] = tuple(titles)
         self.descriptions: tuple[str, ...] = tuple(descriptions)
 
-    def _entry(self, row: int) -> KBEntry:
-        return KBEntry(self.ids[row], self.titles[row], self.descriptions[row])
-
     def __iter__(self) -> Iterator[KBEntry]:
         return map(KBEntry, self.ids, self.titles, self.descriptions)
 
@@ -126,33 +121,29 @@ class KnowledgeBase:
     def n(self) -> int:
         return len(self.ids)
 
-    def get(self, entry_id: str) -> KBEntry | None:
-        """Return the entry with this id, or None. Never stores ``NIL``."""
-        row = self._position.get(entry_id)
-        return None if row is None else self._entry(row)
-
     def rows(self, ids: Iterable[str]) -> list[int]:
-        """The row of each id, in order; an unknown id is a ``KBError``. Builds no entry."""
+        """The row of each id, in order; an unknown id is a ``KBError``."""
         try:
             return [self._position[entry_id] for entry_id in ids]
         except KeyError as exc:
             raise KBError(f"candidate id {exc.args[0]!r} not found in the KB") from None
 
-    def entries(self, ids: Iterable[str]) -> list[KBEntry]:
-        """The entry of each id, in order; an unknown id is a ``KBError``."""
-        return [self._entry(row) for row in self.rows(ids)]
-
     def records(self) -> list[dict]:
         """Every entry's KB-file record, in KB order, read from the columns."""
         return [dict(zip(_FIELDS, row)) for row in zip(self.ids, self.titles, self.descriptions)]
 
-    def candidate_texts(self, max_len: int | None = None) -> list[list[str]]:
-        """Every entry's ``title [TITLE_SEP] description`` tokens, in KB order.
+    def candidate_texts(self, max_len: int | None = None,
+                        rows: Sequence[int] | None = None) -> list[list[str]]:
+        """The ``title [TITLE_SEP] description`` tokens of each of ``rows``, or of every row.
 
-        Each is cut from the right at ``max_len`` tokens, as ``candidate_text``
-        cuts it, or left whole when ``max_len`` is None.
+        Each is cut from the right at ``max_len`` tokens, or left whole when
+        ``max_len`` is None.
         """
-        texts = map(_candidate_tokens, self.titles, self.descriptions)
+        titles, descriptions = self.titles, self.descriptions
+        if rows is not None:
+            titles, descriptions = [titles[r] for r in rows], [descriptions[r] for r in rows]
+        texts = ([*tokenize(title), TITLE_SEP, *tokenize(description)]
+                 for title, description in zip(titles, descriptions))
         return list(texts) if max_len is None else [tokens[:max_len] for tokens in texts]
 
 
@@ -187,12 +178,3 @@ def load_kb(path) -> KnowledgeBase:
     if not titles:
         raise KBError(f"{path}: no entries")
     return KnowledgeBase._of_columns(position, titles, descriptions)
-
-
-def candidate_text(entry: KBEntry, max_len: int) -> list[str]:
-    """Serialize an entry as ``title [TITLE_SEP] description`` tokens.
-
-    Truncated from the right to ``max_len`` tokens; callers should pass
-    max_len >= 4 so at least the separator and some title survive.
-    """
-    return _candidate_tokens(entry.title, entry.description)[:max_len]

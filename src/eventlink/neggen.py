@@ -345,8 +345,11 @@ def generate_negatives(
     produces the same files. Pairing retrieves top-k for the origin query
     (never the generated text), formatted at ``RETRIEVER_MAX_LEN`` tokens,
     for every accepted origin at once after the last attempt. A plain-style
-    passage must carry mention tags only.
+    passage must carry mention tags only. A negative ``count`` is a
+    ``ValueError``.
     """
+    if count < 0:
+        raise ValueError(f"negative count {count}")
     spec = _style_spec(style)
     roles = style == STYLE_ARGUMENT_AWARE
     filtered = sample_filter(pool)

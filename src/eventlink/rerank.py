@@ -1,16 +1,16 @@
 """Second-stage re-ranking: cross-scoring with a learned out-of-KB option.
 
 A cross scorer scores the k+1 options of every query of a batch in one
-call: ``score_candidates(query_rows, entry_lists)`` returns one ``(k+1,)``
-vector per query, whose index 0 is the score of a learned embedding
-standing in for the reserved out-of-KB pseudo-candidate, so selection
-becomes a (k+1)-way argmax with index 0 meaning "not in the KB". Candidates
-are serialized at ``kb.SCORER_MAX_LEN`` tokens, the scorer's budget, which
-no caller passes. ``score_pairs`` resolves the candidate ids of every query
-against the KB and makes that one call. The thresholded baseline and an
-LLM-as-reranker baseline share the same decision record.
+call, ``score_candidates(query_rows, candidate_rows, partner_lists)``, and
+returns one ``(k+1,)`` vector per query, whose index 0 is the score of a
+learned embedding standing in for the reserved out-of-KB pseudo-candidate,
+so selection becomes a (k+1)-way argmax with index 0 meaning "not in the
+KB". ``score_pairs`` serializes each distinct candidate of a batch once,
+by ``KnowledgeBase.candidate_texts`` at ``kb.SCORER_MAX_LEN`` tokens, and
+makes that one call. The thresholded baseline and an LLM-as-reranker
+baseline share the same decision record.
 
-``TinyCrossScorer`` encodes a call's queries, and its distinct entries, in
+``TinyCrossScorer`` encodes a call's queries, and its candidate rows, in
 one ``encode_many`` each, the way BLINK (arXiv 1911.03814) precomputes
 entity encodings, and takes every (query, option) dot product in one
 stacked matmul (``pair_dots``). These equal ``forward`` and ``q @ c`` bit
@@ -20,14 +20,14 @@ for bit, so every score keeps the bits of a per-pair scorer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain
 from typing import Protocol, Sequence
 
 import numpy as np
 
 from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, checkpoint_array
 from .encoders import load_checkpoint, save_encoder
-from .kb import NIL, SCORER_MAX_LEN, KBEntry, KnowledgeBase, candidate_text, tokenize
+from .kb import NIL, SCORER_MAX_LEN, KnowledgeBase, tokenize
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
 from .retrieval import CandidateSet, pair_dots
 
@@ -47,20 +47,21 @@ NIL_ANSWER_SENTENCE = "The passage should be labeled as NIL."
 class CrossScorer(Protocol):
     """Scorer of the k+1 options of each query of a batch, out-of-KB first.
 
-    ``score_candidates`` returns one vector per query, of length
-    ``len(entries) + 1`` for that query's ``entries``: index 0 is the
-    out-of-KB score, index i the score of ``entries[i - 1]`` serialized by
-    ``candidate_text`` at ``SCORER_MAX_LEN`` tokens. The out-of-KB score
-    must depend only on the query and the learned embedding, never on the
-    candidates, and each candidate's score only on the query and that
-    candidate. Joint-encoding implementations serialize a pair as query
-    tokens, ``[SEP]``, candidate tokens.
+    ``partner_lists[q]`` holds the positions in ``candidate_rows`` of query
+    q's candidates, in rank order; several queries may name one row. Query
+    q's vector has length ``len(partner_lists[q]) + 1``: index 0 is the
+    out-of-KB score, index i that of ``candidate_rows[partner_lists[q][i-1]]``.
+    The out-of-KB score must depend only on the query and the learned
+    embedding, never on the candidates, and each candidate's score only on
+    the query and that candidate's tokens. Joint-encoding implementations
+    serialize a pair as query tokens, ``[SEP]``, candidate tokens.
     """
 
     def score_candidates(
         self,
         query_rows: Sequence[Sequence[str]],
-        entry_lists: Sequence[Sequence[KBEntry]],
+        candidate_rows: Sequence[Sequence[str]],
+        partner_lists: Sequence[Sequence[int]],
     ) -> list[np.ndarray]: ...
 
 
@@ -100,22 +101,22 @@ class TinyCrossScorer:
     def score_candidates(
         self,
         query_rows: Sequence[Sequence[str]],
-        entry_lists: Sequence[Sequence[KBEntry]],
+        candidate_rows: Sequence[Sequence[str]],
+        partner_lists: Sequence[Sequence[int]],
     ) -> list[np.ndarray]:
-        """Per query, ``scale·(q·c)`` for the NIL unit vector, then for each entry."""
-        if len(query_rows) != len(entry_lists):
-            raise ValueError(f"{len(query_rows)} query rows for {len(entry_lists)} entry lists")
+        """Per query, ``scale·(q·c)`` for the NIL unit vector, then for each of its candidates."""
+        if len(query_rows) != len(partner_lists):
+            raise ValueError(f"{len(query_rows)} query rows for {len(partner_lists)} partner lists")
         nil_norm = np.linalg.norm(self.nil_embedding)
         if nil_norm == 0.0:
             raise DegenerateNormError("NIL embedding has zero norm")
-        # entries are named by their first flat position; partner 0, the NIL unit, leads each query
-        first: dict[KBEntry, int] = {}
-        pos = np.fromiter(map(first.setdefault, chain.from_iterable(entry_lists), count()), np.intp)
-        sizes = np.fromiter(map(len, entry_lists), np.intp)
-        partner = np.insert(np.unique(pos, return_inverse=True)[1] + 1, sizes.cumsum() - sizes, 0)
+        # partner 0, the NIL unit, leads each query; candidate row j is partner j + 1
+        sizes = np.fromiter(map(len, partner_lists), np.intp)
+        flat = np.fromiter(chain.from_iterable(partner_lists), np.intp)
+        partner = np.insert(flat + 1, sizes.cumsum() - sizes, 0)
         owner = np.repeat(np.arange(len(sizes)), sizes + 1)
         queries = self.encoder.encode_many(query_rows)
-        candidates = self.encoder.encode_many([candidate_text(e, SCORER_MAX_LEN) for e in first])
+        candidates = self.encoder.encode_many(candidate_rows)
         partners = np.vstack([self.nil_embedding / nil_norm, candidates])
         scores = self.scale[0] * pair_dots(queries, partners, owner, partner)
         return np.split(scores, (sizes + 1).cumsum())[:-1]
@@ -184,12 +185,13 @@ def score_pairs(
 ) -> list[np.ndarray]:
     """Score the k+1 options of every query in one call; index 0 of each is out-of-KB.
 
-    Each distinct candidate id is resolved to one entry, shared by every slot naming it.
+    Distinct candidate ids are numbered by first appearance and their KB rows
+    serialized once, at ``SCORER_MAX_LEN`` tokens; an unknown id is a ``KBError``.
     """
-    distinct = dict.fromkeys(chain.from_iterable(c.ids for c in candidate_sets))
-    by_id = dict(zip(distinct, kb.entries(distinct)))
-    entry_lists = [list(map(by_id.__getitem__, candidates.ids)) for candidates in candidate_sets]
-    return scorer.score_candidates(query_rows, entry_lists)
+    number: dict[str, int] = {}
+    partner_lists = [[number.setdefault(cid, len(number)) for cid in c.ids] for c in candidate_sets]
+    candidate_rows = kb.candidate_texts(SCORER_MAX_LEN, kb.rows(number))
+    return scorer.score_candidates(query_rows, candidate_rows, partner_lists)
 
 
 def select_learned_nil(scores: np.ndarray, candidates: CandidateSet) -> LinkDecision:
@@ -263,9 +265,9 @@ def build_rerank_prompt(
     if len(candidates) != RERANK_POOL_SIZE:
         raise ValueError(f"re-ranking prompts require exactly {RERANK_POOL_SIZE} candidates")
     lines = []
-    for i, entry in enumerate(kb.entries(candidates.ids), start=1):
-        description = " ".join(tokenize(entry.description)[:PROMPT_DESCRIPTION_TOKENS])
-        lines.append(f"Document {i}: {entry.title}")
+    for i, row in enumerate(kb.rows(candidates.ids), start=1):
+        description = " ".join(tokenize(kb.descriptions[row])[:PROMPT_DESCRIPTION_TOKENS])
+        lines.append(f"Document {i}: {kb.titles[row]}")
         lines.append(description)
     lines.append(f"Short passage containing an event: {passage}")
     template = rerank_prompt_template(allow_nil)
@@ -278,7 +280,7 @@ def parse_rerank_completion(
     """Return (prediction, note). Unparseable output falls back to NIL."""
     if allow_nil and NIL_ANSWER_SENTENCE in completion:
         return NIL, None
-    titles = {entry.title: entry.id for entry in kb.entries(candidates.ids)}
+    titles = {kb.titles[row]: kb.ids[row] for row in kb.rows(candidates.ids)}
     for line in completion.splitlines():
         line = line.strip()
         if not line.lower().startswith("document"):

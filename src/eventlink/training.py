@@ -35,7 +35,7 @@ import numpy as np
 from .encoders import OOV_TOKEN, DegenerateNormError, TinyEncoder
 from .extraction import TaggedQuery
 from .formatting import format_query
-from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBEntry, KnowledgeBase, candidate_text
+from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KnowledgeBase
 from .neggen import NegativeExample
 from .rerank import NIL_PSEUDO_TOKEN, TinyCrossScorer, softmax
 from .retrieval import DenseIndex, retrieve_many
@@ -177,15 +177,15 @@ def biencoder_batch_loss(
 
 
 def train_biencoder(
-    data: Sequence[tuple[Sequence[str], KBEntry]],
+    data: Sequence[tuple[Sequence[str], Sequence[str]]],
     encoder: TinyEncoder,
     cfg: TrainConfig,
 ) -> TrainReport:
-    """Train the shared retriever encoder on (formatted query, gold entry) pairs."""
+    """Train the shared retriever encoder on (formatted query, gold candidate text) pairs."""
     if len(data) < cfg.batch_size:
         raise ValueError(f"need at least {cfg.batch_size} pairs, got {len(data)}")
     queries = encoder.id_rows([query for query, _ in data])
-    golds = encoder.id_rows([candidate_text(entry, RETRIEVER_MAX_LEN) for _, entry in data])
+    golds = encoder.id_rows([gold for _, gold in data])
     return _sgd_epochs(encoder.params(), len(data), cfg, lambda chunk: biencoder_batch_loss(
         encoder, [queries[i] for i in chunk], [golds[i] for i in chunk]
     ))
@@ -216,11 +216,12 @@ def cross_id_rows(
 ) -> tuple[list[np.ndarray], dict[str, np.ndarray]]:
     """Token ids of each example's query and, by candidate id, of each candidate they name.
 
-    A candidate is serialized by ``candidate_text`` at ``SCORER_MAX_LEN`` tokens; an id
-    not in ``kb`` is a ``KBError``.
+    Each distinct candidate id's KB row is serialized once, by
+    ``KnowledgeBase.candidate_texts`` at ``SCORER_MAX_LEN`` tokens; an id not
+    in ``kb`` is a ``KBError``.
     """
     ids = list(dict.fromkeys(cid for example in examples for cid in example.candidate_ids))
-    texts = [candidate_text(entry, SCORER_MAX_LEN) for entry in kb.entries(ids)]
+    texts = kb.candidate_texts(SCORER_MAX_LEN, kb.rows(ids))
     queries = encoder.id_rows([example.query_tokens for example in examples])
     return queries, dict(zip(ids, encoder.id_rows(texts)))
 

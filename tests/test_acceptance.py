@@ -25,7 +25,7 @@ from eventlink.extraction import (
     resolve_overlaps,
 )
 from eventlink.formatting import format_arguments, format_query, strip_markers
-from eventlink.kb import NIL, KBEntry, KnowledgeBase
+from eventlink.kb import NIL, RETRIEVER_MAX_LEN, KBEntry, KnowledgeBase
 from eventlink.llm import StorytellerMock
 from eventlink.neggen import (
     STYLE_ARGUMENT_AWARE,
@@ -89,7 +89,9 @@ def stack():
     untrained_index = build_index(data.kb, untrained)
 
     encoder = TinyEncoder(vocab, DIM, seed=SEED)
-    pairs = [(format_query(t, STYLE, QLEN), data.kb.get(t.base.gold)) for t in data.train]
+    rows = data.kb.rows(t.base.gold for t in data.train)
+    golds = data.kb.candidate_texts(RETRIEVER_MAX_LEN, rows)
+    pairs = list(zip([format_query(t, STYLE, QLEN) for t in data.train], golds))
     bi_cfg = TrainConfig.biencoder_defaults(
         learning_rate=0.3, batch_size=8, epochs=300, seed=SEED
     )

@@ -599,7 +599,44 @@ def test_train_cross_checks_paired_ids_without_building_entries(small_run, tmp_p
         2, f"data error: {bad}: line 2: candidate id 'NOPE' not found in the KB\n")
 
 
-@pytest.mark.parametrize("ks", ["0,-3,5", "5,0", "-1"])
+def test_train_bi_gold_not_in_kb_is_data_error(small_run, tmp_path, capsys):
+    # the first query, in file order, whose gold the KB lacks is named
+    queries = read_records(small_run["train_tagged"], dict)
+    queries[3]["gold"], queries[5]["gold"] = "NOPE", "ALSO_NOPE"
+    bad = tmp_path / "train.jsonl"
+    write_jsonl(bad, queries)
+    out = tmp_path / "encoder.json"
+    code = main(["train-bi", "--kb", small_run["kb_norm"], "--queries", str(bad),
+                 "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (
+        2, f"data error: query {queries[3]['query_id']!r}: gold 'NOPE' not in KB\n")
+    assert not out.exists()
+
+
+def test_training_and_linking_build_no_entry(small_run, tmp_path, monkeypatch):
+    # below the CLI, candidates travel as KB rows and are read from the KB's columns
+    monkeypatch.setattr(kb_module, "KBEntry", _refuse_entry)
+    stack = ["--kb", small_run["kb_norm"], "--index", small_run["index"],
+             "--encoder", small_run["encoder"]]
+    assert main(_train_bi_argv(small_run, tmp_path / "encoder.json")) == 0
+    assert main(["train-cross", *stack, "--queries", small_run["train_tagged"],
+                 "--negatives", small_run["negatives"], "--epochs", "1",
+                 "--out", str(tmp_path / "scorer.json")]) == 0
+    link = ["link", *stack, "--queries", small_run["test_tagged"]]
+    for rule in ("learned", "threshold"):
+        assert main([*link, "--rule", rule, "--scorer", small_run["scorer"],
+                     "--out", str(tmp_path / f"{rule}.jsonl")]) == 0, rule
+    # a completion that names no candidate title, so parsing reads every title
+    responses = tmp_path / "responses.jsonl"
+    tagged = read_records(small_run["test_tagged"], dict)
+    write_jsonl(responses, [{"completion": "Document 1: no such title"}] * len(tagged))
+    assert main([*link, "--rule", "llm", "--responses", str(responses),
+                 "--out", str(tmp_path / "llm.jsonl")]) == 0
+    notes = {d["note"] for d in read_records(tmp_path / "llm.jsonl", dict)}
+    assert notes == {"parse_failure: unknown title"}
+
+
+@pytest.mark.parametrize("ks", ["0,-3,5", "5,0", "-1", "10,10"])
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_eval_recall_depth_below_one_is_usage_error(small_run, tmp_path, capsys, ks, via):
     report = tmp_path / "r.json"
@@ -722,6 +759,22 @@ def test_neg_gen_records_the_kb_without_parsing_it(dense_stack, toy_inputs, tmp_
     assert len(read_records(out, dict)) == 2
     assert read_manifest(out)["inputs"]["kb"] == {
         "path": dense_stack["kb.jsonl"], "sha256": file_digest(dense_stack["kb.jsonl"])}
+
+
+def test_neg_gen_count_below_zero_is_data_error(dense_stack, tmp_path, capsys):
+    def neg_gen(count, out):
+        return main(["neg-gen", "--queries", dense_stack["tagged.jsonl"],
+                     "--kb", dense_stack["kb.jsonl"], "--index", dense_stack["index.json"],
+                     "--encoder", dense_stack["encoder.json"], "--count", count,
+                     "--out", str(out), "--log", str(out.with_suffix(".log"))])
+
+    # once accepted: an empty negatives file whose manifest recorded count -3
+    out = tmp_path / "negs.jsonl"
+    assert neg_gen("-3", out) == 2
+    assert capsys.readouterr().err == "data error: negative count -3\n"
+    assert not out.exists() and not out.with_suffix(".log").exists()
+    assert neg_gen("0", tmp_path / "none.jsonl") == 0
+    assert read_records(tmp_path / "none.jsonl", dict) == []
 
 
 def test_neg_gen_scripted_client_running_dry_skips_the_rest(dense_stack, toy_inputs, tmp_path):

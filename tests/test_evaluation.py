@@ -94,6 +94,12 @@ def test_recall_depth_error():
         recall_at_k([_cands("a", ["E1", "E2"])], [_gold("a", "E1")], ks=(5,))
 
 
+def test_recall_rejects_a_repeated_depth():
+    # once counted twice: ks (10, 10) read recall 2.0 when every gold was found
+    with pytest.raises(ValueError, match=r"^repeated recall depth in \(1, 2, 1\)$"):
+        recall_at_k([_cands("a", ["E1", "E2"])], [_gold("a", "E1")], ks=(1, 2, 1))
+
+
 @pytest.mark.parametrize("order", [1, -1])
 def test_recall_rejects_repeated_gold_ids(order):
     # once scored against whichever repeat came last: R@1 = 0.0 one way round, 1.0 the other

@@ -11,7 +11,6 @@ from eventlink.kb import (
     KBEntry,
     KBError,
     KnowledgeBase,
-    candidate_text,
     load_kb,
     tokenize,
 )
@@ -81,16 +80,18 @@ def test_manifest_header_skipped(tmp_path):
 
 
 def test_get_entry_lookup(small_kb):
-    assert small_kb.get("E2").title == "Harbor uprising"
-    assert small_kb.get("E9") is None
-    assert small_kb.get(NIL) is None
+    [row] = small_kb.rows(["E2"])
+    assert small_kb.titles[row] == "Harbor uprising"
+    for unknown in ("E9", NIL):
+        with pytest.raises(KBError, match=f"candidate id '{unknown}' not found in the KB"):
+            small_kb.rows([unknown])
 
 
 def test_entries_resolve_ids_in_order(small_kb):
-    assert [e.id for e in small_kb.entries(["E3", "E1", "E3"])] == ["E3", "E1", "E3"]
-    assert small_kb.entries([]) == []
+    assert [small_kb.ids[row] for row in small_kb.rows(["E3", "E1", "E3"])] == ["E3", "E1", "E3"]
+    assert small_kb.rows([]) == []
     with pytest.raises(KBError, match="candidate id 'E9' not found in the KB"):
-        small_kb.entries(["E1", "E9"])
+        small_kb.rows(["E1", "E9"])
 
 
 def test_empty_title_rejected():
@@ -98,25 +99,26 @@ def test_empty_title_rejected():
         KBEntry("E1", "", "desc")
 
 
+def _candidate_text(title, description, max_len):
+    return KnowledgeBase([KBEntry("E1", title, description)]).candidate_texts(max_len)[0]
+
+
 def test_candidate_text_under_limit():
-    entry = KBEntry("E1", "WWII", "global war")
-    assert candidate_text(entry, 10) == ["WWII", TITLE_SEP, "global", "war"]
+    assert _candidate_text("WWII", "global war", 10) == ["WWII", TITLE_SEP, "global", "war"]
 
 
 def test_candidate_text_right_truncation():
-    entry = KBEntry("E1", "WWII", "global war")
-    assert candidate_text(entry, 3) == ["WWII", TITLE_SEP, "global"]
+    assert _candidate_text("WWII", "global war", 3) == ["WWII", TITLE_SEP, "global"]
 
 
 def test_candidate_text_empty_description():
-    entry = KBEntry("E1", "WWII", "")
-    assert candidate_text(entry, 10) == ["WWII", TITLE_SEP]
+    assert _candidate_text("WWII", "", 10) == ["WWII", TITLE_SEP]
 
 
 def test_candidate_text_strip_marker_is_prefix(small_kb):
-    for entry in small_kb:
-        for max_len in (4, 6, 9, 50):
-            toks = [t for t in candidate_text(entry, max_len) if t != TITLE_SEP]
+    for max_len in (4, 6, 9, 50):
+        for entry, text in zip(small_kb, small_kb.candidate_texts(max_len), strict=True):
+            toks = [t for t in text if t != TITLE_SEP]
             full = tokenize(entry.title) + tokenize(entry.description)
             assert toks == full[: len(toks)]
 
@@ -152,22 +154,24 @@ def test_loaded_and_constructed_kbs_agree(tmp_path, entries):
         assert list(kb) == entries
         assert kb.records() == [json.loads(line) for line in
                                 path.read_text(encoding="utf-8").splitlines()]
-        assert [kb.get(entry_id) for entry_id in ids] == entries
-        assert kb.get(NIL) is None and kb.get("E99") is None
-        assert kb.entries([*ids[::-1], ids[0]]) == [*entries[::-1], entries[0]]
-        with pytest.raises(KBError, match="^candidate id 'E99' not found in the KB$"):
-            kb.entries([ids[0], "E99"])
+        assert kb.rows([*ids[::-1], ids[0]]) == [*range(len(ids))[::-1], 0]
+        for unknown in (NIL, "E99"):
+            with pytest.raises(KBError, match=f"^candidate id '{unknown}' not found in the KB$"):
+                kb.rows([ids[0], unknown])
 
 
-@given(entries=_ENTRIES)
+@given(entries=_ENTRIES, data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_candidate_texts_are_each_entrys_candidate_text(entries):
+def test_candidate_texts_are_each_entrys_candidate_text(entries, data):
     kb = KnowledgeBase(entries)
-    for max_len in (1, 4, 300):
-        assert kb.candidate_texts(max_len) == [candidate_text(e, max_len) for e in entries]
     # uncut: what BM25 indexes and the vocabulary covers
-    assert kb.candidate_texts() == [e.title.split() + [TITLE_SEP] + e.description.split()
-                                    for e in entries]
+    whole = [e.title.split() + [TITLE_SEP] + e.description.split() for e in entries]
+    assert kb.candidate_texts() == whole
+    rows = data.draw(st.lists(st.integers(0, len(entries) - 1), max_size=8))
+    for max_len in (1, 4, 300):
+        assert kb.candidate_texts(max_len) == [text[:max_len] for text in whole]
+        assert kb.candidate_texts(max_len, rows) == [whole[row][:max_len] for row in rows]
+    assert kb.candidate_texts(rows=rows) == [whole[row] for row in rows]
 
 
 def test_load_kb_builds_no_entry(tmp_path, monkeypatch):

@@ -1,9 +1,9 @@
 """Metamorphic relations of the serving stages, end to end through the CLI.
 
 The retriever encoder and the cross scorer come from one toy pipeline run
-and are held fixed; each relation rewrites the KB file, rebuilds the index
-from it, and serves the same queries again (``index``, dense and BM25
-``retrieve``, learned-NIL ``link`` and ``eval``):
+and are held fixed. The KB relations rewrite the KB file, rebuild the index
+from it, and serve the same queries again (``index``, dense and BM25
+``retrieve``, learned-NIL and threshold ``link`` and ``eval``):
 
 - KB order: permuting the KB's entries leaves every candidate score and
   every link score bit-identical, and reorders only candidates whose
@@ -11,12 +11,24 @@ from it, and serves the same queries again (``index``, dense and BM25
 - Rename: renaming every KB id, and the golds with them, renames the ids
   in the outputs and changes nothing else. The renaming reverses the ids'
   sort order, so an id-ordered tie-break would show.
+
+The query relations serve rewritten query files against the same KB and
+index. Each stage batches a file's queries (one ``retrieve_many``, one
+``score_pairs`` call), and a query's records must not depend on which other
+queries share its call:
+
+- Split: serving the query file in parts writes the same records as
+  serving it whole, concatenated.
+- Order: permuting the queries, some of them repeated, permutes the
+  records and changes nothing else; a repeated query gives equal records.
 """
 
 import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventlink.artifacts import read_json, read_records
 from eventlink.cli import main
@@ -54,33 +66,43 @@ def queries(trained, kb):
             *read_records(trained["eval_tagged"], dict), *generated, *described]
 
 
+def _serve_queries(directory, trained, kb, index, query_records):
+    """The records dense and BM25 ``retrieve`` and learned and threshold ``link`` write for
+    these query records, against this KB and index file and the module's checkpoints."""
+    write_jsonl(directory / "queries.jsonl", query_records)
+    queries, encoder = str(directory / "queries.jsonl"), trained["encoder"]
+    link = ["link", "--kb", kb, "--index", index, "--encoder", encoder,
+            "--scorer", trained["scorer"], "--queries", queries, "--k", str(K)]
+    argvs = {
+        "dense": ["retrieve", "--index", index, "--encoder", encoder, "--queries", queries,
+                  "--k", str(DEPTH)],
+        "bm25": ["retrieve", "--retriever", "bm25", "--kb", kb, "--queries", queries,
+                 "--k", str(DEPTH)],
+        "link": link,
+        "threshold": [*link, "--rule", "threshold"],
+    }
+    outputs = {}
+    for name, argv in argvs.items():
+        out = directory / f"{name}.jsonl"
+        assert main([*argv, "--out", str(out)]) == 0, name
+        outputs[name] = read_records(out, dict)
+    return outputs
+
+
 def _serve(directory, trained, kb_records, query_records):
     """Every output of the serving stages over these KB and query records, as records."""
-    path = {name: str(directory / name) for name in
-            ("kb.jsonl", "queries.jsonl", "index.json", "dense.jsonl", "bm25.jsonl", "link.jsonl",
-             "eval.json")}
     write_jsonl(directory / "kb.jsonl", kb_records)
-    write_jsonl(directory / "queries.jsonl", query_records)
-    kb, queries, index = path["kb.jsonl"], path["queries.jsonl"], path["index.json"]
-    encoder = trained["encoder"]
-    for argv in (
-        ["index", "--kb", kb, "--encoder", encoder, "--out", index],
-        ["retrieve", "--index", index, "--encoder", encoder, "--queries", queries,
-         "--k", str(DEPTH), "--out", path["dense.jsonl"]],
-        ["retrieve", "--retriever", "bm25", "--kb", kb, "--queries", queries, "--k", str(DEPTH),
-         "--out", path["bm25.jsonl"]],
-        ["link", "--kb", kb, "--index", index, "--encoder", encoder, "--scorer", trained["scorer"],
-         "--queries", queries, "--k", str(K), "--out", path["link.jsonl"]],
-        ["eval", "--preds", path["link.jsonl"], "--gold", queries, "--candidates",
-         path["dense.jsonl"], "--ks", "1,5,10,20", "--out", path["eval.json"]],
-    ):
-        assert main(argv) == 0, argv[0]
-    outputs = {name: read_records(path[f"{name}.jsonl"], dict)
-               for name in ("dense", "bm25", "link")}
-    report = read_json(path["eval.json"])[1]
+    kb, index = str(directory / "kb.jsonl"), str(directory / "index.json")
+    assert main(["index", "--kb", kb, "--encoder", trained["encoder"], "--out", index]) == 0
+    outputs = _serve_queries(directory, trained, kb, index, query_records)
+    report = directory / "eval.json"
+    assert main(["eval", "--preds", str(directory / "link.jsonl"),
+                 "--gold", str(directory / "queries.jsonl"),
+                 "--candidates", str(directory / "dense.jsonl"), "--ks", "1,5,10,20",
+                 "--out", str(report)]) == 0
+    outputs["eval"] = read_json(report)[1]
     # digests of the input files, which every relation rewrites
-    del report["dataset_fingerprint"], report["config_fingerprint"]
-    outputs["eval"] = report
+    del outputs["eval"]["dataset_fingerprint"], outputs["eval"]["config_fingerprint"]
     return outputs
 
 
@@ -135,6 +157,35 @@ def test_renaming_the_kb_ids_renames_them_in_every_output(tmp_path, trained, kb,
             {**record, "candidates": [{**c, "id": rename[c["id"]]} for c in record["candidates"]]}
             for record in base[name]
         ]
-    assert got["link"] == [{**d, "prediction": rename.get(d["prediction"], d["prediction"])}
-                         for d in base["link"]]
+    for name in ("link", "threshold"):
+        assert got[name] == [{**d, "prediction": rename.get(d["prediction"], d["prediction"])}
+                             for d in base[name]]
     assert got["eval"] == base["eval"]
+
+
+# The query relations serve against the pipeline's own KB file and index; ``base`` served the
+# same KB records with an index the same encoder rebuilt from them.
+_RECORDS = ("dense", "bm25", "link", "threshold")
+
+
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_serving_the_queries_in_parts_writes_the_same_records(tmp_path_factory, trained, queries,
+                                                             base, data):
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(queries) - 1), min_size=1, max_size=3)))
+    parts = [queries[start:end] for start, end in zip([0, *cuts], [*cuts, len(queries)])]
+    served = [_serve_queries(tmp_path_factory.mktemp("part"), trained, trained["kb_norm"],
+                             trained["index"], part) for part in parts]
+    for name in _RECORDS:
+        assert [record for outputs in served for record in outputs[name]] == base[name], name
+
+
+def test_permuting_and_repeating_queries_permutes_the_records(tmp_path, trained, queries, base):
+    n = len(queries)
+    order = random.Random(1).sample([*range(n), 0, n // 2, n - 1], n + 3)
+    got = _serve_queries(tmp_path, trained, trained["kb_norm"], trained["index"],
+                         [queries[i] for i in order])
+    for name in _RECORDS:
+        assert got[name] == [base[name][i] for i in order], name
+    first, second = [position for position, i in enumerate(order) if i == n // 2]
+    assert got["link"][first] == got["link"][second]

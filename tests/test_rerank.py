@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from eventlink import retrieval
 from eventlink.encoders import DegenerateNormError, TinyEncoder
 from eventlink.kb import NIL, SCORER_MAX_LEN, TITLE_SEP, KBEntry, KBError, KnowledgeBase
-from eventlink.kb import candidate_text
 from eventlink.llm import ClientExhausted, LLMTransportError, ScriptedClient
 from eventlink.rerank import (
     RULE_LEARNED,
@@ -78,23 +77,33 @@ def test_nil_score_zero_nil_embedding_raises_named_error():
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
     scorer.nil_embedding[:] = 0.0
     with pytest.raises(DegenerateNormError):
-        scorer.score_candidates([["war"]], [[]])
+        scorer.score_candidates([["war"]], [], [[]])
 
 
-def _reference_scores(scorer, query_tokens, entries):
+def _reference_scores(scorer, query_tokens, candidate_rows):
     """Per-pair scoring: encode the query and each candidate afresh, one ``np.dot`` per option."""
     nil_unit = scorer.nil_embedding / np.linalg.norm(scorer.nil_embedding)
     scores = [float(scorer.scale[0] * np.dot(scorer.encoder.forward(query_tokens), nil_unit))]
-    for entry in entries:
+    for tokens in candidate_rows:
         q = scorer.encoder.forward(query_tokens)
-        c = scorer.encoder.forward(candidate_text(entry, SCORER_MAX_LEN))
+        c = scorer.encoder.forward(tokens)
         scores.append(float(scorer.scale[0] * np.dot(q, c)))
     return np.array(scores)
 
 
+def _spelled(title, description):
+    """A candidate's tokens, spelled out: title tokens, the separator, description tokens."""
+    return [*title.split(), TITLE_SEP, *description.split()]
+
+
+def _kb10_text(entry_id):
+    i = entry_id[1:]
+    return _spelled(f"Entry {i}", f"description number {i} war city")
+
+
 _WORDS = st.sampled_from(VOCAB + ["unseen", "harbor"])
-_ENTRIES = [
-    KBEntry(f"E{i}", f"Entry {i}", " ".join(VOCAB[(i + j) % 5] for j in range(3 + 2 * i)))
+_CANDIDATES = [
+    _spelled(f"Entry {i}", " ".join(VOCAB[(i + j) % 5] for j in range(3 + 2 * i)))
     for i in range(6)
 ]
 
@@ -104,7 +113,7 @@ _ENTRIES = [
         st.lists(
             st.tuples(
                 st.lists(_WORDS, min_size=1, max_size=8),
-                st.lists(st.integers(0, len(_ENTRIES) - 1), max_size=12),
+                st.lists(st.integers(0, len(_CANDIDATES) - 1), max_size=12),
             ),
             max_size=6,
         ),
@@ -119,32 +128,36 @@ _ENTRIES = [
                   []], seed=0, dim=130, pairs_per_gather=1)
 @settings(max_examples=60, deadline=None)
 def test_score_candidates_matches_per_pair_reference(batches, seed, dim, pairs_per_gather):
-    # one call per batch: entries repeat across a batch's queries and within
-    # one, a batch may hold no query or a query no entry, one scorer sees the
-    # same entries again in later batches, and a patched-down constant splits
-    # the scoring's row gathers
+    # one call per batch: candidates repeat across a batch's queries and
+    # within one, a batch may hold no query, a query no candidate, and a
+    # candidate row no query, one scorer sees the same rows again in later
+    # batches, and a patched-down constant splits the scoring's row gathers
     scorer = TinyCrossScorer(VOCAB, dim, seed=seed)
     with pytest.MonkeyPatch.context() as patch:
         if pairs_per_gather is not None:
             patch.setattr(retrieval, "_GATHER_ELEMENTS", pairs_per_gather * dim)
         for queries in [*batches, *batches]:
             rows = [query for query, _ in queries]
-            entry_lists = [[_ENTRIES[i] for i in picks] for _, picks in queries]
-            got = scorer.score_candidates(rows, entry_lists)
+            partner_lists = [picks for _, picks in queries]
+            got = scorer.score_candidates(rows, _CANDIDATES, partner_lists)
             assert isinstance(got, list) and len(got) == len(queries)
-            for query, entries, scores in zip(rows, entry_lists, got):
-                expected = _reference_scores(scorer, query, entries)
+            for query, picks, scores in zip(rows, partner_lists, got):
+                expected = _reference_scores(scorer, query, [_CANDIDATES[i] for i in picks])
                 assert scores.tobytes() == expected.tobytes()
 
 
-def test_score_candidates_cuts_a_long_entry_at_the_scorer_budget():
+def test_score_pairs_cuts_a_long_entry_at_the_scorer_budget():
     # 300 description tokens: those past SCORER_MAX_LEN are all "harbor"
-    long = KBEntry("L", "Long siege", " ".join(["war"] * 250 + ["harbor"] * 50))
-    tokens = long.title.split() + [TITLE_SEP] + long.description.split()
+    description = " ".join(["war"] * 250 + ["harbor"] * 50)
+    kb = KnowledgeBase([KBEntry("E5", "Entry 5", "war city"),
+                        KBEntry("L", "Long siege", description)])
+    tokens = _spelled("Long siege", description)
     assert len(tokens) > SCORER_MAX_LEN
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
-    [got] = scorer.score_candidates([["war"]], [[_ENTRIES[5], long]])
-    np.testing.assert_array_equal(got, _reference_scores(scorer, ["war"], [_ENTRIES[5], long]))
+    [got] = score_pairs(scorer, [["war"]], [_cands(["E5", "L"])], kb)
+    expected = _reference_scores(scorer, ["war"], [_spelled("Entry 5", "war city"),
+                                                   tokens[:SCORER_MAX_LEN]])
+    np.testing.assert_array_equal(got, expected)
     q, whole = scorer.encoder.encode(["war"]), scorer.encoder.encode(tokens)
     assert got[2] != scorer.scale[0] * np.dot(q, whole)
 
@@ -169,8 +182,19 @@ def test_score_pairs_encodes_each_query_once_and_each_candidate_once(kb10, monke
     distinct = dict.fromkeys(cid for ids in pools for cid in ids)
     assert encoded == [
         [tuple(query) for query in queries],
-        [tuple(candidate_text(kb10.get(cid), SCORER_MAX_LEN)) for cid in distinct],
+        [tuple(_kb10_text(cid)) for cid in distinct],
     ]
+
+
+def test_score_pairs_matches_per_pair_reference(kb10):
+    # ids repeat across queries, in different orders
+    scorer = TinyCrossScorer(VOCAB, 16, seed=2)
+    queries = [["war"], ["city", "war"], ["north"], ["harbor"]]
+    pools = [["E4", "E1"], ["E1", "E7", "E4"], ["E9"], ["E7", "E9", "E4"]]
+    got = score_pairs(scorer, queries, [_cands(ids) for ids in pools], kb10)
+    for query, ids, scores in zip(queries, pools, got, strict=True):
+        expected = _reference_scores(scorer, query, [_kb10_text(cid) for cid in ids])
+        assert scores.tobytes() == expected.tobytes()
 
 
 def test_scores_after_training_match_a_fresh_scorer(kb10):
@@ -191,7 +215,7 @@ def test_scores_after_training_match_a_fresh_scorer(kb10):
 
 def test_cross_scorer_keeps_only_its_parameters():
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
-    scorer.score_candidates([["war"]], [_ENTRIES[:3]])
+    scorer.score_candidates([["war"]], _CANDIDATES[:3], [[0, 1, 2]])
     loaded = TinyCrossScorer.from_state_dict(scorer.state_dict())
     for obj in (scorer, loaded):
         assert set(vars(obj)) == {"encoder", "nil_embedding", "scale"}
@@ -289,7 +313,8 @@ def test_softmax_takes_the_last_axis_row_by_row():
 # --- LLM reranking baseline ---------------------------------------------------
 
 def _reverse_completion(kb, ids):
-    lines = [f"Document d{i}: {kb.get(cid).title}" for i, cid in enumerate(reversed(ids), 1)]
+    rows = kb.rows(reversed(ids))
+    lines = [f"Document d{i}: {kb.titles[row]}" for i, row in enumerate(rows, 1)]
     return "\n".join(lines)
 
 
@@ -391,9 +416,9 @@ def test_scorer_checkpoint_round_trip(tmp_path, kb10):
     np.testing.assert_array_equal(a, b)
 
 
-def test_score_candidates_rejects_misaligned_queries_and_entry_lists():
+def test_score_candidates_rejects_misaligned_queries_and_partner_lists():
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)
-    with pytest.raises(ValueError, match="2 query rows for 1 entry lists"):
-        scorer.score_candidates([["war"], ["city"]], [_ENTRIES[:2]])
-    with pytest.raises(ValueError, match="0 query rows for 1 entry lists"):
-        scorer.score_candidates([], [[]])
+    with pytest.raises(ValueError, match="2 query rows for 1 partner lists"):
+        scorer.score_candidates([["war"], ["city"]], _CANDIDATES[:2], [[0, 1]])
+    with pytest.raises(ValueError, match="0 query rows for 1 partner lists"):
+        scorer.score_candidates([], [], [[]])

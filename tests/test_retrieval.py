@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eventlink.encoders import TinyEncoder
-from eventlink.kb import RETRIEVER_MAX_LEN, TITLE_SEP, KBEntry, KnowledgeBase, candidate_text
+from eventlink.kb import RETRIEVER_MAX_LEN, TITLE_SEP, KBEntry, KnowledgeBase
 from eventlink import retrieval
 from eventlink.retrieval import (
     CandidateSet, DenseIndex, _shortlist, build_index, retrieve, retrieve_many,
@@ -284,7 +284,7 @@ def test_build_index_rows_match_direct_encoding(small_kb):
     kb = KnowledgeBase([*small_kb, long])
     whole = long.title.split() + [TITLE_SEP] + long.description.split()
     assert len(whole) > RETRIEVER_MAX_LEN
-    texts = [candidate_text(entry, RETRIEVER_MAX_LEN) for entry in kb]
+    texts = [[*e.title.split(), TITLE_SEP, *e.description.split()][:RETRIEVER_MAX_LEN] for e in kb]
     # every other distinct token but "harbor" is left out of the vocabulary, so it encodes as [OOV]
     vocab = sorted({*sorted({token for text in texts for token in text})[::2], "harbor"})
     encoder = TinyEncoder(vocab, 32, seed=2)

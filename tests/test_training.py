@@ -222,7 +222,7 @@ def test_cross_step_encodes_each_distinct_candidate_once(monkeypatch):
 
 def test_train_biencoder_runs_one_backward_per_step(small_toy, monkeypatch):
     data, vocab = small_toy
-    pairs = [(format_query(t, "args", 300), data.kb.get(t.base.gold)) for t in data.train]
+    pairs = _biencoder_pairs(data)
     cfg = TrainConfig.biencoder_defaults(learning_rate=0.3, batch_size=8, epochs=3, seed=0)
     calls = []
     original = TinyEncoder.backward
@@ -291,6 +291,13 @@ def small_toy():
     return data, vocab
 
 
+def _biencoder_pairs(data):
+    """Each formatted train query and its gold's candidate text at the retriever's budget."""
+    rows = data.kb.rows(t.base.gold for t in data.train)
+    golds = data.kb.candidate_texts(RETRIEVER_MAX_LEN, rows)
+    return list(zip([format_query(t, "args", 300) for t in data.train], golds))
+
+
 def test_evelink_vocab_contains_sep_and_other_styles_are_unchanged(small_toy):
     data, vocab = small_toy
     assert "[SEP]" not in vocab
@@ -304,7 +311,7 @@ def test_training_progress_on_toy_pairs(small_toy):
 
     data, vocab = small_toy
     encoder = TinyEncoder(vocab, 32, seed=0)
-    pairs = [(format_query(t, "args", 300), data.kb.get(t.base.gold)) for t in data.train]
+    pairs = _biencoder_pairs(data)
     cfg = TrainConfig.biencoder_defaults(
         learning_rate=0.3, batch_size=8, epochs=10, seed=0
     )
@@ -325,7 +332,7 @@ def test_training_reproducible(small_toy):
     from eventlink.formatting import format_query
 
     data, vocab = small_toy
-    pairs = [(format_query(t, "args", 300), data.kb.get(t.base.gold)) for t in data.train]
+    pairs = _biencoder_pairs(data)
     cfg = TrainConfig.biencoder_defaults(learning_rate=0.3, batch_size=8, epochs=3, seed=5)
     first = TinyEncoder(vocab, 16, seed=5)
     train_biencoder(pairs, first, cfg)
@@ -395,7 +402,8 @@ def test_mine_formats_a_long_query_once_at_the_scorer_budget(mined_stack):
     # the scorer's window holds only "the" around the mention; the retriever's
     # wider one also reaches words of one entry's description
     data, encoder, index = mined_stack
-    near, far = ("the",) * 130, tuple(data.kb.get("E003").description.split())
+    [row] = data.kb.rows(["E003"])
+    near, far = ("the",) * 130, tuple(data.kb.descriptions[row].split())
     left = ("filler",) * 50 + far + near
     tokens = (*left, "fighting", *near, *far) + ("filler",) * 50
     base = EventQuery("long", tokens, Span(len(left), len(left)), pos="noun", gold=NIL)
