@@ -130,7 +130,7 @@ def _train_config(args) -> training.TrainConfig:
 
 
 def _save_checkpoint(obj, path: str, report: training.TrainReport) -> None:
-    encoders.save_encoder(obj, path)
+    encoders.save_checkpoint(obj, path)
     report.checkpoint_path = os.path.basename(path)
     artifacts.write_json(path + ".report.json", report.to_dict())
 
@@ -265,12 +265,15 @@ def cmd_train_cross(args) -> dict:
 
 
 def cmd_link(args) -> dict:
+    if args.rule == "llm" and args.k != rerank.RERANK_POOL_SIZE:
+        raise UsageError(f"--rule llm re-ranks exactly {rerank.RERANK_POOL_SIZE} candidates, "
+                         f"so --k must be {rerank.RERANK_POOL_SIZE}, not {args.k}")
     inputs, kb, tagged, index, encoder = _stack(args)
     if args.rule == "llm":
         client = _scripted_client(args, inputs)
     else:
         inputs["scorer"] = _require(args.scorer, "--scorer")
-        scorer = TinyCrossScorer.load(args.scorer)
+        scorer = encoders.load_checkpoint(args.scorer, TinyCrossScorer)
     query_rows = [format_query(query, args.style, SCORER_MAX_LEN) for query in tagged]
     embeddings = encoder.encode_many(query_rows)
     candidate_sets = retrieve_many(index, embeddings, args.k, [q.base.query_id for q in tagged])

@@ -7,14 +7,14 @@ a fixture encoder. It emits unit-norm vectors, so dot product equals
 cosine everywhere downstream; a zero vector that would have to be
 normalized raises ``DegenerateNormError`` instead of NaN.
 
-Every adapter has ``encode`` for one sequence and ``encode_many`` for a
-list of them. ``encode_many(rows)`` equals ``np.stack([encode(r) for r in
-rows])`` bit for bit, so index building, the query lists of ``retrieve``,
-``link``, candidate mining and negative pairing, and cross scoring's
-queries and candidates encode in one call each, and goldens and oracles
-that recompute rows one at a time still pin every bit. ``forward`` of
-``TinyEncoder`` serves ``encode``; ``encode_many`` stacks its ``gemv`` and
-``ddot`` in ``np.matmul``, which hands each item to the same kernel.
+Every adapter has ``encode_many`` for a list of sequences. On
+``TinyEncoder`` it equals ``np.stack([forward(r) for r in rows])`` bit for
+bit, ``forward`` being the per-row reference, so index building, the query
+lists of ``retrieve``, ``link``, candidate mining and negative pairing, and
+cross scoring's queries and candidates encode in one call each, and
+goldens and oracles that recompute rows one at a time still pin every bit:
+``encode_many`` stacks the ``gemv`` and ``ddot`` of ``forward`` in
+``np.matmul``, which hands each item to the same kernel.
 
 Training runs on batched kernels over token ids that the trainers map
 once per run (``TinyEncoder.id_rows``): ``TinyEncoder.forward_batch``
@@ -27,7 +27,12 @@ matmuls are ``gemm`` calls, which block and order sums their own way, so
 these kernels round differently from ``forward`` and serve training only.
 
 Adapters may sub-tokenize internally but must treat marker tokens as
-atomic. ``encode`` is safe for concurrent calls on frozen parameters.
+atomic. ``encode_many`` is safe for concurrent calls on frozen parameters.
+
+A model's ``params()`` lists its arrays, and everything else about its
+checkpoint derives from it: ``checkpoint_state`` (version, kind, dim,
+vocab and each array), ``save_checkpoint``, and ``load_checkpoint``, which
+checks the version and kind before the class builds the model.
 """
 
 from __future__ import annotations
@@ -52,10 +57,8 @@ class DegenerateNormError(ValueError):
 class EncoderAdapter(Protocol):
     dim: int
 
-    def encode(self, tokens: Sequence[str]) -> np.ndarray: ...
-
     def encode_many(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
-        """``(len(rows), dim)``, equal bit for bit to stacking ``encode`` of each row."""
+        """``(len(rows), dim)`` unit rows, one per token sequence."""
 
 
 class TinyEncoder:
@@ -67,13 +70,9 @@ class TinyEncoder:
     ``backward`` makes the analytic gradients the training loops use.
     """
 
-    def __init__(
-        self,
-        vocab: Sequence[str],
-        dim: int,
-        seed: int | None = 0,
-        rng: np.random.Generator | None = None,
-    ):
+    kind = "tiny"
+
+    def __init__(self, vocab: Sequence[str], dim: int, seed: int | np.random.SeedSequence = 0):
         if dim < 2:
             raise ValueError("dim must be at least 2")
         vocab = list(dict.fromkeys(vocab))
@@ -83,8 +82,7 @@ class TinyEncoder:
         self.dim = dim
         self._ids = {token: i for i, token in enumerate(vocab)}
         self._oov = self._ids[OOV_TOKEN]
-        if rng is None:
-            rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         self.embed = rng.normal(0.0, 1.0 / np.sqrt(dim), (len(vocab), dim))
         self.weight = np.eye(dim) + rng.normal(0.0, 0.01, (dim, dim))
         self.bias = np.zeros(dim)
@@ -100,11 +98,10 @@ class TinyEncoder:
         return {"embed": self.embed, "weight": self.weight, "bias": self.bias}
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        """Zeroed dense gradients; ``backward`` sets the row-sparse ``embed`` one."""
-        return {"weight": np.zeros_like(self.weight), "bias": np.zeros_like(self.bias)}
+        return dense_zero_grads(self)
 
     def forward(self, tokens: Sequence[str]) -> np.ndarray:
-        """Encode one sequence (the inference path)."""
+        """Encode one sequence: the per-row reference ``encode_many`` equals bit for bit."""
         if not tokens:
             raise ValueError("cannot encode an empty token sequence")
         ids = self.token_ids(tokens)
@@ -152,9 +149,6 @@ class TinyEncoder:
         grads["bias"] += grad_pre.sum(axis=0)
         grads["embed"] = (cache["uniq"], 0.0 + cache["bag"].T @ (grad_pre @ self.weight))
 
-    def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        return self.forward(tokens)
-
     def encode_many(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
         """Encode every row; equal bit for bit to stacking ``forward`` of each row.
 
@@ -188,16 +182,7 @@ class TinyEncoder:
         return pre / norms[:, None]
 
     def state_dict(self, array=np.ndarray.tolist) -> dict:
-        """The checkpoint state, each parameter array encoded by ``array`` (nested lists)."""
-        return {
-            "format_version": CHECKPOINT_VERSION,
-            "kind": "tiny",
-            "dim": self.dim,
-            "vocab": list(self.vocab),
-            "embed": array(self.embed),
-            "weight": array(self.weight),
-            "bias": array(self.bias),
-        }
+        return checkpoint_state(self, array)
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "TinyEncoder":
@@ -205,6 +190,11 @@ class TinyEncoder:
         enc.vocab = list(state["vocab"])
         enc.dim = int(state["dim"])
         enc._ids = {token: i for i, token in enumerate(enc.vocab)}
+        if len(enc._ids) < len(enc.vocab):  # the first token not at its last position repeats
+            repeat = next(t for i, t in enumerate(enc.vocab) if enc._ids[t] != i)
+            raise ValueError(f"checkpoint vocab repeats the token {repeat!r}")
+        if OOV_TOKEN not in enc._ids:
+            raise ValueError(f"checkpoint vocab has no {OOV_TOKEN!r} token")
         enc._oov = enc._ids[OOV_TOKEN]
         enc.embed = checkpoint_array(state, "embed", (len(enc.vocab), enc.dim))
         enc.weight = checkpoint_array(state, "weight", (enc.dim, enc.dim))
@@ -230,30 +220,41 @@ def checkpoint_array(state: dict, name: str, shape: tuple[int, ...]) -> np.ndarr
     return arr
 
 
-def save_encoder(encoder, path) -> None:
+def checkpoint_state(model, array=np.ndarray.tolist) -> dict:
+    """A model's checkpoint: version, kind, dim, vocab and each ``params()`` array encoded by ``array``."""
+    return {"format_version": CHECKPOINT_VERSION, "kind": model.kind, "dim": model.dim,
+            "vocab": list(model.vocab), **{name: array(p) for name, p in model.params().items()}}
+
+
+def dense_zero_grads(model) -> dict[str, np.ndarray]:
+    """Zeroed gradients of every parameter but the row-sparse ``embed``, which ``backward`` sets."""
+    return {name: np.zeros_like(p) for name, p in model.params().items() if name != "embed"}
+
+
+def save_checkpoint(model, path) -> None:
     """Write an encoder or scorer checkpoint atomically."""
-    artifacts.atomic_write_text(path, json.dumps(encoder.state_dict(), sort_keys=True))
+    artifacts.atomic_write_text(path, json.dumps(model.state_dict(), sort_keys=True))
 
 
-def load_checkpoint(path, builders: dict):
-    """Read a checkpoint, embedded ``_manifest`` optional, and build it with ``builders[kind]``.
+def load_checkpoint(path, cls):
+    """Read a ``cls`` checkpoint, embedded ``_manifest`` optional, and build it with ``cls.from_state_dict``.
 
-    Another kind, malformed JSON or a missing or malformed field is a
-    ``ValueError`` naming the file.
+    Another format_version or kind, malformed JSON or a missing or malformed
+    field is a ``ValueError`` naming the file.
     """
     def build(state: dict):
-        kind = state.get("kind")
-        if kind not in builders:
-            raise ValueError(f"checkpoint kind {kind!r}, expected one of {sorted(builders)}")
-        return builders[kind](state)
+        if (version := state.get("format_version")) != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint format_version {version!r} is not supported, "
+                             f"expected {CHECKPOINT_VERSION}")
+        if (kind := state.get("kind")) != cls.kind:
+            raise ValueError(f"checkpoint kind {kind!r}, expected {cls.kind!r}")
+        return cls.from_state_dict(state)
 
     return artifacts.read_document(path, build)
 
 
-def load_encoder(path):
-    return load_checkpoint(path, {
-        "tiny": TinyEncoder.from_state_dict,
-    })
+def load_encoder(path) -> TinyEncoder:
+    return load_checkpoint(path, TinyEncoder)
 
 
 def _array_digest(arr: np.ndarray) -> dict:

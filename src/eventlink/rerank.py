@@ -25,8 +25,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .encoders import CHECKPOINT_VERSION, DegenerateNormError, TinyEncoder, checkpoint_array
-from .encoders import load_checkpoint, save_encoder
+from .encoders import DegenerateNormError, TinyEncoder, checkpoint_array, checkpoint_state
+from .encoders import dense_zero_grads
 from .kb import NIL, SCORER_MAX_LEN, KnowledgeBase, tokenize
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
 from .retrieval import CandidateSet, pair_dots
@@ -74,10 +74,11 @@ class TinyCrossScorer:
     behind the same protocol.
     """
 
+    kind = "tiny_cross"
+
     def __init__(self, vocab: Sequence[str], dim: int, seed: int = 0):
-        root = np.random.SeedSequence(seed)
-        enc_seed, nil_seed = root.spawn(2)
-        self.encoder = TinyEncoder(vocab, dim, rng=np.random.default_rng(enc_seed))
+        enc_seed, nil_seed = np.random.SeedSequence(seed).spawn(2)
+        self.encoder = TinyEncoder(vocab, dim, enc_seed)
         rng = np.random.default_rng(nil_seed)
         self.nil_embedding = rng.normal(0.0, 1.0 / np.sqrt(dim), dim)
         self.scale = np.array([10.0])
@@ -86,17 +87,23 @@ class TinyCrossScorer:
     def dim(self) -> int:
         return self.encoder.dim
 
+    @property
+    def vocab(self) -> list[str]:
+        return self.encoder.vocab
+
     def params(self) -> dict[str, np.ndarray]:
         """The parameter arrays, to be changed in place."""
-        out = self.encoder.params()
-        out["nil"] = self.nil_embedding
-        out["scale"] = self.scale
-        return out
+        return {**self.encoder.params(), "nil": self.nil_embedding, "scale": self.scale}
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        """Zeroed dense gradients; ``TinyEncoder.backward`` sets the row-sparse ``embed`` one."""
-        dense = {"nil": np.zeros_like(self.nil_embedding), "scale": np.zeros_like(self.scale)}
-        return {**self.encoder.zero_grads(), **dense}
+        return dense_zero_grads(self)
+
+    def nil_unit(self) -> tuple[np.ndarray, float]:
+        """The NIL embedding scaled to unit length, and its norm; a zero norm is ``DegenerateNormError``."""
+        norm = np.linalg.norm(self.nil_embedding)
+        if norm == 0.0:
+            raise DegenerateNormError("NIL embedding has zero norm")
+        return self.nil_embedding / norm, norm
 
     def score_candidates(
         self,
@@ -107,9 +114,7 @@ class TinyCrossScorer:
         """Per query, ``scale·(q·c)`` for the NIL unit vector, then for each of its candidates."""
         if len(query_rows) != len(partner_lists):
             raise ValueError(f"{len(query_rows)} query rows for {len(partner_lists)} partner lists")
-        nil_norm = np.linalg.norm(self.nil_embedding)
-        if nil_norm == 0.0:
-            raise DegenerateNormError("NIL embedding has zero norm")
+        nil_unit, _ = self.nil_unit()
         # partner 0, the NIL unit, leads each query; candidate row j is partner j + 1
         sizes = np.fromiter(map(len, partner_lists), np.intp)
         flat = np.fromiter(chain.from_iterable(partner_lists), np.intp)
@@ -117,17 +122,12 @@ class TinyCrossScorer:
         owner = np.repeat(np.arange(len(sizes)), sizes + 1)
         queries = self.encoder.encode_many(query_rows)
         candidates = self.encoder.encode_many(candidate_rows)
-        partners = np.vstack([self.nil_embedding / nil_norm, candidates])
+        partners = np.vstack([nil_unit, candidates])
         scores = self.scale[0] * pair_dots(queries, partners, owner, partner)
         return np.split(scores, (sizes + 1).cumsum())[:-1]
 
     def state_dict(self, array=np.ndarray.tolist) -> dict:
-        state = self.encoder.state_dict(array)
-        state["kind"] = "tiny_cross"
-        state["format_version"] = CHECKPOINT_VERSION
-        state["nil"] = array(self.nil_embedding)
-        state["scale"] = array(self.scale)
-        return state
+        return checkpoint_state(self, array)
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "TinyCrossScorer":
@@ -136,13 +136,6 @@ class TinyCrossScorer:
         scorer.nil_embedding = checkpoint_array(state, "nil", (scorer.dim,))
         scorer.scale = checkpoint_array(state, "scale", (1,))
         return scorer
-
-    def save(self, path) -> None:
-        save_encoder(self, path)
-
-    @classmethod
-    def load(cls, path) -> "TinyCrossScorer":
-        return load_checkpoint(path, {"tiny_cross": cls.from_state_dict})
 
 
 @dataclass(frozen=True, slots=True)

@@ -182,7 +182,7 @@ def build_index(kb: KnowledgeBase, encoder: EncoderAdapter) -> DenseIndex:
     """Encode every entry's candidate text into one index row, in KB order.
 
     One ``encode_many`` call encodes the whole KB, each text cut at
-    ``RETRIEVER_MAX_LEN`` tokens; its rows equal per-entry ``encode`` bit for bit.
+    ``RETRIEVER_MAX_LEN`` tokens; its rows equal per-entry ``forward`` bit for bit.
     """
     if kb.n == 0:
         raise ValueError("cannot index an empty knowledge base")

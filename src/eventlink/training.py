@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .encoders import OOV_TOKEN, DegenerateNormError, TinyEncoder
+from .encoders import OOV_TOKEN, TinyEncoder
 from .extraction import TaggedQuery
 from .formatting import format_query
 from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KnowledgeBase
@@ -241,10 +241,7 @@ def crossencoder_batch_loss(
     examples share is encoded once.
     """
     encoder = scorer.encoder
-    nil_norm = np.linalg.norm(scorer.nil_embedding)
-    if nil_norm == 0.0:
-        raise DegenerateNormError("NIL embedding has zero norm")
-    nil_unit = scorer.nil_embedding / nil_norm
+    nil_unit, nil_norm = scorer.nil_unit()
     scale = float(scorer.scale[0])
     batch = len(examples)
     ids = list(dict.fromkeys(cid for example in examples for cid in example.candidate_ids))

@@ -136,7 +136,7 @@ def stack():
 def _test_candidate_sets(stack_dict, k):
     data, encoder, index = stack_dict["data"], stack_dict["encoder"], stack_dict["index"]
     return [
-        retrieve(index, encoder.encode(format_query(t, STYLE, QLEN)), k, t.base.query_id)
+        retrieve(index, encoder.forward(format_query(t, STYLE, QLEN)), k, t.base.query_id)
         for t in data.test
     ]
 
@@ -166,7 +166,7 @@ def _decide(stack_dict, scorer, rule, theta=0.5, direction="conventional"):
 def _test_candidate_sets_one(stack_dict, tagged, k=10):
     encoder, index = stack_dict["encoder"], stack_dict["index"]
     return retrieve(
-        index, encoder.encode(format_query(tagged, STYLE, QLEN)), k, tagged.base.query_id
+        index, encoder.forward(format_query(tagged, STYLE, QLEN)), k, tagged.base.query_id
     )
 
 
@@ -238,7 +238,7 @@ def test_criterion_03_recall_monotonicity(stack):
         unt_sets = [
             retrieve(
                 stack["untrained_index"],
-                stack["untrained"].encode(format_query(t, STYLE, QLEN)),
+                stack["untrained"].forward(format_query(t, STYLE, QLEN)),
                 n,
                 t.base.query_id,
             )
@@ -395,7 +395,7 @@ def test_criterion_07_toy_end_to_end_learning(stack):
         untrained_sets = [
             retrieve(
                 stack["untrained_index"],
-                stack["untrained"].encode(format_query(t, STYLE, QLEN)),
+                stack["untrained"].forward(format_query(t, STYLE, QLEN)),
                 10,
                 t.base.query_id,
             )

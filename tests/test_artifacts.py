@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eventlink.artifacts import iter_jsonl, read_document, read_json, read_manifest, read_records
 from eventlink.artifacts import write_jsonl
-from eventlink.encoders import TinyEncoder, load_encoder, save_encoder
+from eventlink.encoders import TinyEncoder, load_checkpoint, load_encoder, save_checkpoint
 from eventlink.kb import KBError, KnowledgeBase, load_kb
 from eventlink.rerank import TinyCrossScorer
 from eventlink.retrieval import DenseIndex
@@ -33,8 +33,8 @@ class _FailingFile:
 
 
 @pytest.mark.parametrize("save", [
-    lambda path: save_encoder(TinyEncoder(["a", "b"], 8, seed=0), path),
-    lambda path: TinyCrossScorer(["a", "b"], 8, seed=0).save(path),
+    lambda path: save_checkpoint(TinyEncoder(["a", "b"], 8, seed=0), path),
+    lambda path: save_checkpoint(TinyCrossScorer(["a", "b"], 8, seed=0), path),
     lambda path: DenseIndex(("E0", "E1"), np.eye(2), "t").save(path),
 ], ids=["encoder", "cross-scorer", "index"])
 def test_library_save_failing_partway_leaves_no_file(tmp_path, monkeypatch, save):
@@ -215,7 +215,11 @@ def test_load_kb_truncated_file_names_file_or_reads_a_prefix(tmp_path, entries, 
         _assert_names_file(result, path)
 
 
-@pytest.mark.parametrize("read", [load_kb, TinyCrossScorer.load, load_encoder, DenseIndex.load],
+def _load_scorer(path):
+    return load_checkpoint(path, TinyCrossScorer)
+
+
+@pytest.mark.parametrize("read", [load_kb, _load_scorer, load_encoder, DenseIndex.load],
                          ids=["kb", "scorer", "encoder", "index"])
 def test_typed_readers_reject_a_manifest_only_file(tmp_path, read):
     path = tmp_path / "only.json"
@@ -233,10 +237,10 @@ _CHECKPOINTS = {
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_load_checkpoint_truncated_file_names_file(tmp_path, kind, data):
     path = tmp_path / "full.json"
-    save_encoder(_CHECKPOINTS[kind](), path)
+    save_checkpoint(_CHECKPOINTS[kind](), path)
     text = path.read_text(encoding="utf-8")
     cut = _truncated(tmp_path, text, data.draw(st.integers(0, len(text.encode("utf-8")) - 1)))
-    for read in (TinyCrossScorer.load, load_encoder):
+    for read in (_load_scorer, load_encoder):
         _assert_names_file(_outcome(lambda: read(cut)), cut)
 
 
@@ -256,17 +260,18 @@ def test_load_index_truncated_file_names_file(tmp_path, data):
 
 
 @given(kind=st.one_of(st.sampled_from(sorted(_CHECKPOINTS)), _TEXT, st.integers(), st.none(),
-                      st.lists(st.integers(), max_size=2)))
+                      st.lists(st.integers(), max_size=2)),
+       version=st.one_of(st.just(1), st.integers(), _TEXT, st.none()))
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_load_checkpoint_of_the_wrong_kind_names_file(tmp_path, kind):
+def test_load_checkpoint_of_the_wrong_kind_names_file(tmp_path, kind, version):
+    # and of the wrong format_version: only kind "tiny_cross" at version 1 loads as a scorer
     path = tmp_path / "ckpt.json"
     state = _CHECKPOINTS["tiny_cross"]().state_dict()
-    state["kind"] = kind
+    state["kind"], state["format_version"] = kind, version
     path.write_text(json.dumps(state), encoding="utf-8")
-    if kind != "tiny_cross":
-        _assert_names_file(_outcome(lambda: TinyCrossScorer.load(path)), path)
-    if kind != "tiny":
-        _assert_names_file(_outcome(lambda: load_encoder(path)), path)
+    for loads, read in (("tiny_cross", _load_scorer), ("tiny", load_encoder)):
+        if kind != loads or version != 1:
+            _assert_names_file(_outcome(lambda: read(path)), path)
 
 
 # --- read_records and read_document ------------------------------------------

@@ -12,7 +12,7 @@ from eventlink import cli
 from eventlink import kb as kb_module
 from eventlink.artifacts import file_digest, json_digest, read_json, read_manifest, read_records
 from eventlink.cli import build_parser, main
-from eventlink.encoders import TinyEncoder, load_encoder, save_encoder
+from eventlink.encoders import TinyEncoder, load_encoder, save_checkpoint
 from eventlink.rerank import TinyCrossScorer
 from eventlink.toy import build_toy_data, write_toy_inputs
 from eventlink.training import build_vocab
@@ -40,8 +40,8 @@ def dense_stack(toy_data, toy_inputs, tmp_path_factory):
     assert main(["build-kb", "--in", toy_inputs["kb"], "--out", paths["kb.jsonl"]]) == 0
     assert main(["tag", "--in", toy_inputs["test"], "--out", paths["tagged.jsonl"],
                  "--extractor", "rule", "--lexicon", toy_inputs["lexicon"]]) == 0
-    save_encoder(TinyEncoder(build_vocab(toy_data.kb, toy_data.test), 16, seed=3),
-                 paths["encoder.json"])
+    save_checkpoint(TinyEncoder(build_vocab(toy_data.kb, toy_data.test), 16, seed=3),
+                    paths["encoder.json"])
     assert main(["index", "--kb", paths["kb.jsonl"], "--encoder", paths["encoder.json"],
                  "--out", paths["index.json"]]) == 0
     return paths
@@ -814,6 +814,17 @@ def test_llm_link_rule_with_scripted_responses(tmp_path):
     assert all(d["rule"] == "llm" for d in decisions)
 
 
+def test_llm_link_with_k_other_than_ten_is_usage_error(tmp_path, capsys):
+    # no input file exists: the option is refused before any input is read
+    missing = {name: str(tmp_path / name) for name in ("kb", "queries", "index", "encoder", "responses")}
+    out = tmp_path / "llm-decisions.jsonl"
+    argv = ["link", *(f"--{name}={path}" for name, path in missing.items()),
+            "--rule", "llm", "--k", "5", "--out", str(out)]
+    assert main(argv) == 1
+    assert "--k must be 10, not 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_retrieve_bm25_baseline(toy_inputs, tmp_path):
     tagged = tmp_path / "tagged.jsonl"
     main(["tag", "--in", toy_inputs["test"], "--out", str(tagged),
@@ -1170,11 +1181,42 @@ def test_encoder_checkpoint_missing_key_is_data_error(dense_stack, tmp_path, cap
 
 
 def test_checkpoint_of_another_kind_is_data_error(dense_stack, tmp_path, capsys):
-    out = tmp_path / "d.jsonl"
-    code = main(_link_argv(dense_stack, out, "--scorer", dense_stack["encoder.json"]))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert dense_stack["encoder.json"] in err and "'tiny'" in err
+    # and of another format_version, through the encoder of `index` and the scorer of `link`
+    for command, wanted, other in (("index", TinyEncoder, TinyCrossScorer),
+                                   ("link", TinyCrossScorer, TinyEncoder)):
+        for fault, message in (("kind", f"checkpoint kind {other.kind!r}, expected {wanted.kind!r}"),
+                               ("version", "checkpoint format_version 2 is not supported, expected 1")):
+            state = (other if fault == "kind" else wanted)(["a", "b"], 4, seed=0).state_dict()
+            if fault == "version":
+                state["format_version"] = 2
+            bad = tmp_path / f"{command}-{fault}.json"
+            bad.write_text(json.dumps(state), encoding="utf-8")
+            out = tmp_path / "out.jsonl"
+            if command == "index":
+                argv = ["index", "--kb", dense_stack["kb.jsonl"], "--encoder", str(bad),
+                        "--out", str(out)]
+            else:
+                argv = _link_argv(dense_stack, out, "--scorer", str(bad))
+            assert main(argv) == 2, (command, fault)
+            assert f"{bad}: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("vocab, message", [
+    (["a", "b", "c"], "checkpoint vocab has no '[OOV]' token"),
+    (["a", "a", "[OOV]"], "checkpoint vocab repeats the token 'a'"),
+], ids=["no-oov", "repeated-token"])
+def test_checkpoint_vocab_without_oov_or_with_a_repeat_is_data_error(dense_stack, tmp_path, capsys,
+                                                                     vocab, message):
+    state = TinyEncoder(["a", "b"], 4, seed=0).state_dict()
+    assert len(state["embed"]) == len(vocab)
+    state["vocab"] = vocab
+    bad = tmp_path / "bad-vocab.json"
+    bad.write_text(json.dumps(state), encoding="utf-8")
+    out = tmp_path / "index.json"
+    assert main(["index", "--kb", dense_stack["kb.jsonl"], "--encoder", str(bad),
+                 "--out", str(out)]) == 2
+    assert f"{bad}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1207,7 +1249,7 @@ def test_empty_queries_file_writes_manifest_only(dense_stack, tmp_path, command)
     stack = dict(dense_stack, **{"tagged.jsonl": str(empty)})
     out = tmp_path / "out.jsonl"
     scorer = tmp_path / "scorer.json"
-    TinyCrossScorer(["a"], 16, seed=0).save(scorer)
+    save_checkpoint(TinyCrossScorer(["a"], 16, seed=0), scorer)
     argv = {"retrieve": ["retrieve", "--index", stack["index.json"], "--queries", str(empty),
                          "--encoder", stack["encoder.json"], "--out", str(out)],
             "link": _link_argv(stack, out, "--scorer", str(scorer))}[command]

@@ -10,7 +10,7 @@ from eventlink.encoders import (
     distinct_ids,
     encoder_fingerprint,
     load_encoder,
-    save_encoder,
+    save_checkpoint,
 )
 from eventlink.llm import token_hash
 
@@ -21,7 +21,7 @@ def test_marker_tokens_distinct_from_corpus():
     corpus = [f"word{i}" for i in range(40)]
     markers = ["[M_s]", "[M_e]", "[SEP]", "[TITLE_SEP]", "[Victim_s]", "[Victim_e]"]
     enc = TinyEncoder(corpus + markers, 64, seed=11)
-    vectors = {t: enc.encode([t]) for t in corpus + markers}
+    vectors = {t: enc.forward([t]) for t in corpus + markers}
     for marker in markers:
         for token in corpus + [m for m in markers if m != marker]:
             cos = float(vectors[marker] @ vectors[token])
@@ -33,7 +33,7 @@ def test_marker_tokens_distinct_from_corpus():
 )
 @settings(max_examples=100)
 def test_unit_norm_everywhere(tokens):
-    norm = float(np.linalg.norm(TinyEncoder(["war", "city", "a"], 16, seed=3).encode(tokens)))
+    norm = float(np.linalg.norm(TinyEncoder(["war", "city", "a"], 16, seed=3).forward(tokens)))
     assert norm == pytest.approx(1.0, abs=1e-6)
 
 
@@ -46,20 +46,20 @@ def test_tiny_seeded_init_deterministic():
     a = TinyEncoder(["a", "b"], 8, seed=4)
     b = TinyEncoder(["a", "b"], 8, seed=4)
     assert np.array_equal(a.embed, b.embed)
-    assert np.array_equal(a.encode(["a", "b"]), b.encode(["a", "b"]))
+    assert np.array_equal(a.forward(["a", "b"]), b.forward(["a", "b"]))
 
 
 def test_tiny_unknown_tokens_map_to_oov():
     enc = TinyEncoder(["a", "b"], 8, seed=4)
-    unknown = enc.encode(["zzz", "qqq"])
-    oov = enc.encode([OOV_TOKEN, OOV_TOKEN])
+    unknown = enc.forward(["zzz", "qqq"])
+    oov = enc.forward([OOV_TOKEN, OOV_TOKEN])
     np.testing.assert_allclose(unknown, oov, atol=1e-12)
 
 
 def test_tiny_empty_sequence_error():
     enc = TinyEncoder(["a"], 8, seed=0)
     with pytest.raises(ValueError, match="empty token sequence"):
-        enc.encode([])
+        enc.forward([])
     with pytest.raises(ValueError, match="empty token sequence"):
         enc.encode_many([["a"], []])
     assert enc.encode_many([]).shape == (0, 8)
@@ -68,10 +68,10 @@ def test_tiny_empty_sequence_error():
 def test_checkpoint_round_trip(tmp_path):
     enc = TinyEncoder(["a", "b", "c"], 8, seed=2)
     path = tmp_path / "enc.json"
-    save_encoder(enc, path)
+    save_checkpoint(enc, path)
     loaded = load_encoder(path)
     assert isinstance(loaded, TinyEncoder)
-    np.testing.assert_allclose(loaded.encode(["a", "c"]), enc.encode(["a", "c"]), atol=0)
+    np.testing.assert_allclose(loaded.forward(["a", "c"]), enc.forward(["a", "c"]), atol=0)
     assert encoder_fingerprint(loaded) == encoder_fingerprint(enc)
 
 
@@ -111,7 +111,7 @@ def _element(draw, enc):
 @settings(max_examples=60, deadline=None)
 def test_fingerprint_survives_save_and_load(tmp_path_factory, enc):
     path = tmp_path_factory.mktemp("fp") / "enc.json"
-    save_encoder(enc, path)
+    save_checkpoint(enc, path)
     assert encoder_fingerprint(load_encoder(path)) == encoder_fingerprint(enc)
 
 
@@ -186,7 +186,7 @@ def test_batched_kernels_match_per_sequence_reference(rows, seed):
     expected = np.stack([_reference_forward(enc, row)[0] for row in rows])
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
     for row, got in zip(rows, out):
-        np.testing.assert_allclose(got, enc.encode(row), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, enc.forward(row), rtol=0, atol=1e-12)
     grads = enc.zero_grads()
     enc.backward(cache, grad_out, grads)
     grads = dense_grads(enc.params(), grads)
@@ -269,6 +269,6 @@ def _encode_row_by_row(enc, rows):
 def test_encode_many_is_bit_identical_to_stacked_rows(case, dim, seed):
     vocab, rows = case
     tiny = TinyEncoder(vocab, dim, seed=seed)
-    expected = np.stack([tiny.encode(row) for row in rows])
+    expected = np.stack([tiny.forward(row) for row in rows])
     assert tiny.encode_many(rows).tobytes() == expected.tobytes()
     assert tiny.encode_many(rows).tobytes() == _encode_row_by_row(tiny, rows).tobytes()

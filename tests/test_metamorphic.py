@@ -15,7 +15,8 @@ from it, and serve the same queries again (``index``, dense and BM25
 The query relations serve rewritten query files against the same KB and
 index. Each stage batches a file's queries (one ``retrieve_many``, one
 ``score_pairs`` call), and a query's records must not depend on which other
-queries share its call:
+queries share its call. Dense ``retrieve`` also serves at the link depth
+``K``, half the KB, so its records come from each query's shortlist:
 
 - Split: serving the query file in parts writes the same records as
   serving it whole, concatenated.
@@ -36,7 +37,7 @@ from eventlink.cli import main
 from conftest import write_jsonl
 from pipeline import run_toy_pipeline
 
-K = 10  # link depth
+K = 10  # link depth, and the depth of the query relations' shortlist retrieval
 DEPTH = 20  # retrieval depth: the whole 20-entry KB, so every tie group is returned whole
 
 
@@ -68,7 +69,10 @@ def queries(trained, kb):
 
 def _serve_queries(directory, trained, kb, index, query_records):
     """The records dense and BM25 ``retrieve`` and learned and threshold ``link`` write for
-    these query records, against this KB and index file and the module's checkpoints."""
+    these query records, against this KB and index file and the module's checkpoints.
+
+    Dense ``retrieve`` runs at ``DEPTH`` and at ``K``; only at ``K``, below the KB's size,
+    does each query's record come from a shortlist of the index."""
     write_jsonl(directory / "queries.jsonl", query_records)
     queries, encoder = str(directory / "queries.jsonl"), trained["encoder"]
     link = ["link", "--kb", kb, "--index", index, "--encoder", encoder,
@@ -76,6 +80,8 @@ def _serve_queries(directory, trained, kb, index, query_records):
     argvs = {
         "dense": ["retrieve", "--index", index, "--encoder", encoder, "--queries", queries,
                   "--k", str(DEPTH)],
+        "shortlist": ["retrieve", "--index", index, "--encoder", encoder, "--queries", queries,
+                      "--k", str(K)],
         "bm25": ["retrieve", "--retriever", "bm25", "--kb", kb, "--queries", queries,
                  "--k", str(DEPTH)],
         "link": link,
@@ -165,7 +171,7 @@ def test_renaming_the_kb_ids_renames_them_in_every_output(tmp_path, trained, kb,
 
 # The query relations serve against the pipeline's own KB file and index; ``base`` served the
 # same KB records with an index the same encoder rebuilt from them.
-_RECORDS = ("dense", "bm25", "link", "threshold")
+_RECORDS = ("dense", "shortlist", "bm25", "link", "threshold")
 
 
 @given(data=st.data())

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventlink import retrieval
-from eventlink.encoders import DegenerateNormError, TinyEncoder
+from eventlink.encoders import DegenerateNormError, TinyEncoder, load_checkpoint, save_checkpoint
 from eventlink.kb import NIL, SCORER_MAX_LEN, TITLE_SEP, KBEntry, KBError, KnowledgeBase
 from eventlink.llm import ClientExhausted, LLMTransportError, ScriptedClient
 from eventlink.rerank import (
@@ -158,7 +158,7 @@ def test_score_pairs_cuts_a_long_entry_at_the_scorer_budget():
     expected = _reference_scores(scorer, ["war"], [_spelled("Entry 5", "war city"),
                                                    tokens[:SCORER_MAX_LEN]])
     np.testing.assert_array_equal(got, expected)
-    q, whole = scorer.encoder.encode(["war"]), scorer.encoder.encode(tokens)
+    q, whole = scorer.encoder.forward(["war"]), scorer.encoder.forward(tokens)
     assert got[2] != scorer.scale[0] * np.dot(q, whole)
 
 
@@ -409,8 +409,8 @@ def test_llm_rerank_requires_ten_candidates(kb10):
 def test_scorer_checkpoint_round_trip(tmp_path, kb10):
     scorer = TinyCrossScorer(VOCAB, 16, seed=3)
     path = tmp_path / "scorer.json"
-    scorer.save(path)
-    loaded = TinyCrossScorer.load(path)
+    save_checkpoint(scorer, path)
+    loaded = load_checkpoint(path, TinyCrossScorer)
     a = score_pairs(scorer, [["war"]], [_cands(["E0", "E1"])], kb10)
     b = score_pairs(loaded, [["war"]], [_cands(["E0", "E1"])], kb10)
     np.testing.assert_array_equal(a, b)

@@ -289,9 +289,9 @@ def test_build_index_rows_match_direct_encoding(small_kb):
     vocab = sorted({*sorted({token for text in texts for token in text})[::2], "harbor"})
     encoder = TinyEncoder(vocab, 32, seed=2)
     index = build_index(kb, encoder)
-    expected = np.stack([encoder.encode(text) for text in texts])
+    expected = np.stack([encoder.forward(text) for text in texts])
     assert index.matrix.tobytes() == expected.tobytes()
-    assert not np.array_equal(index.matrix[-1], encoder.encode(whole))
+    assert not np.array_equal(index.matrix[-1], encoder.forward(whole))
 
 
 def test_build_index_empty_kb():
