@@ -25,6 +25,9 @@ is row-sparse, ``(uniq, rows)``: the step's distinct ids and one gradient
 row each, so no step touches the rest of the table. The bag and affine
 matmuls are ``gemm`` calls, which block and order sums their own way, so
 these kernels round differently from ``forward`` and serve training only.
+``backward`` sets each gradient to ``0.0 + ...``, a sum from 0.0. Sums
+that keep example order avoid numpy's 1-D ``add.reduce`` (pairwise from
+8 terms) and Python 3.12's ``sum()`` (compensated).
 
 Adapters may sub-tokenize internally but must treat marker tokens as
 atomic. ``encode_many`` is safe for concurrent calls on frozen parameters.
@@ -97,9 +100,6 @@ class TinyEncoder:
     def params(self) -> dict[str, np.ndarray]:
         return {"embed": self.embed, "weight": self.weight, "bias": self.bias}
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return dense_zero_grads(self)
-
     def forward(self, tokens: Sequence[str]) -> np.ndarray:
         """Encode one sequence: the per-row reference ``encode_many`` equals bit for bit."""
         if not tokens:
@@ -118,35 +118,36 @@ class TinyEncoder:
         ``bag[r, u]`` counts distinct id ``uniq[u]`` in row ``r``, divided
         by the row's length, so ``bag @ embed[uniq]`` mean-pools every row.
         """
-        lengths = np.array([len(ids) for ids in id_rows])
+        lengths = np.fromiter(map(len, id_rows), np.intp, count=len(id_rows))
         if not lengths.all():
             raise ValueError("cannot encode an empty token sequence")
         uniq, col = distinct_ids(np.concatenate(id_rows), len(self.vocab))
         batch, width = len(id_rows), len(uniq)
-        cell = np.repeat(np.arange(batch) * width, lengths) + col
+        cell = np.repeat(np.arange(0, batch * width, width), lengths) + col
         counts = np.bincount(cell, minlength=batch * width).reshape(batch, width)
         bag = counts / lengths[:, None]
         means = bag @ self.embed[uniq]
         pre = means @ self.weight.T + self.bias
-        norms = np.linalg.norm(pre, axis=1)
+        # the body of np.linalg.norm(pre, axis=1, keepdims=True) without its Python wrapper
+        norms = np.sqrt(np.add.reduce(pre * pre, axis=1, keepdims=True))
         if not norms.all():
             raise DegenerateNormError("encoder pre-activation has zero norm")
-        out = pre / norms[:, None]
+        out = pre / norms
         return out, {"uniq": uniq, "bag": bag, "means": means, "norms": norms, "out": out}
 
     def backward(self, cache: dict, grad_out: np.ndarray, grads: dict) -> None:
         """Gradients of one ``forward_batch`` given its ``(B, dim)`` output gradients.
 
-        Adds into the dense ``grads`` of ``zero_grads`` and sets
+        Sets ``grads["weight"]`` and ``grads["bias"]``, and sets
         ``grads["embed"]`` to ``(uniq, rows)``, row ``rows[u]`` being the
-        gradient of ``embed[uniq[u]]``. Each row starts from ``0.0``, as a
-        sum into a zeroed table does, so a ``-0.0`` gradient is ``+0.0``.
+        gradient of ``embed[uniq[u]]``. Each is ``0.0 + ...``: the bits of a
+        sum into a zeroed array, so a ``-0.0`` gradient is ``+0.0``.
         """
-        out, norms = cache["out"], cache["norms"]
+        out = cache["out"]
         radial = np.einsum("ij,ij->i", out, grad_out)
-        grad_pre = (grad_out - out * radial[:, None]) / norms[:, None]
-        grads["weight"] += grad_pre.T @ cache["means"]
-        grads["bias"] += grad_pre.sum(axis=0)
+        grad_pre = (grad_out - out * radial[:, None]) / cache["norms"]
+        grads["weight"] = 0.0 + grad_pre.T @ cache["means"]
+        grads["bias"] = 0.0 + np.add.reduce(grad_pre, axis=0)
         grads["embed"] = (cache["uniq"], 0.0 + cache["bag"].T @ (grad_pre @ self.weight))
 
     def encode_many(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
@@ -186,9 +187,13 @@ class TinyEncoder:
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "TinyEncoder":
+        vocab, dim = state["vocab"], state["dim"]
+        if type(vocab) is not list or not all(type(token) is str for token in vocab):
+            raise ValueError("checkpoint vocab is not a list of strings")
+        if type(dim) is not int or dim < 2:
+            raise ValueError(f"checkpoint dim {dim!r} is not an integer of at least 2")
         enc = cls.__new__(cls)
-        enc.vocab = list(state["vocab"])
-        enc.dim = int(state["dim"])
+        enc.vocab, enc.dim = list(vocab), dim
         enc._ids = {token: i for i, token in enumerate(enc.vocab)}
         if len(enc._ids) < len(enc.vocab):  # the first token not at its last position repeats
             repeat = next(t for i, t in enumerate(enc.vocab) if enc._ids[t] != i)
@@ -226,11 +231,6 @@ def checkpoint_state(model, array=np.ndarray.tolist) -> dict:
             "vocab": list(model.vocab), **{name: array(p) for name, p in model.params().items()}}
 
 
-def dense_zero_grads(model) -> dict[str, np.ndarray]:
-    """Zeroed gradients of every parameter but the row-sparse ``embed``, which ``backward`` sets."""
-    return {name: np.zeros_like(p) for name, p in model.params().items() if name != "embed"}
-
-
 def save_checkpoint(model, path) -> None:
     """Write an encoder or scorer checkpoint atomically."""
     artifacts.atomic_write_text(path, json.dumps(model.state_dict(), sort_keys=True))
@@ -240,10 +240,11 @@ def load_checkpoint(path, cls):
     """Read a ``cls`` checkpoint, embedded ``_manifest`` optional, and build it with ``cls.from_state_dict``.
 
     Another format_version or kind, malformed JSON or a missing or malformed
-    field is a ``ValueError`` naming the file.
+    field is a ``ValueError`` naming the file; ``true`` or ``1.0`` is no integer.
     """
     def build(state: dict):
-        if (version := state.get("format_version")) != CHECKPOINT_VERSION:
+        version = state.get("format_version")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ValueError(f"checkpoint format_version {version!r} is not supported, "
                              f"expected {CHECKPOINT_VERSION}")
         if (kind := state.get("kind")) != cls.kind:

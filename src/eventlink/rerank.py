@@ -26,7 +26,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .encoders import DegenerateNormError, TinyEncoder, checkpoint_array, checkpoint_state
-from .encoders import dense_zero_grads
 from .kb import NIL, SCORER_MAX_LEN, KnowledgeBase, tokenize
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
 from .retrieval import CandidateSet, pair_dots
@@ -94,9 +93,6 @@ class TinyCrossScorer:
     def params(self) -> dict[str, np.ndarray]:
         """The parameter arrays, to be changed in place."""
         return {**self.encoder.params(), "nil": self.nil_embedding, "scale": self.scale}
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return dense_zero_grads(self)
 
     def nil_unit(self) -> tuple[np.ndarray, float]:
         """The NIL embedding scaled to unit length, and its norm; a zero norm is ``DegenerateNormError``."""

@@ -149,7 +149,7 @@ class DenseIndex:
     @classmethod
     def _from_parts(cls, header: dict, body: bytes) -> "DenseIndex":
         version = header["format_version"]
-        if version != INDEX_FORMAT_VERSION:
+        if type(version) is not int or version != INDEX_FORMAT_VERSION:
             raise ValueError(f"index format_version {version!r} is not supported; {_REBUILD}")
         ids = tuple(str(i) for i in header["ids"])
         block = header["matrix"]
@@ -157,7 +157,7 @@ class DenseIndex:
             raise ValueError(f"matrix dtype {block['dtype']!r} is not {INDEX_DTYPE!r}")
         shape = block["shape"]
         if not (isinstance(shape, list) and len(shape) == 2
-                and all(isinstance(x, int) and x >= 0 for x in shape)):
+                and all(type(x) is int and x >= 0 for x in shape)):
             raise ValueError(f"matrix shape {shape!r} is not a pair of sizes")
         n, d = shape
         if len(body) != n * d * 8:

@@ -21,6 +21,11 @@ them. The embedding gradient is row-sparse, ``(uniq, rows)``, and its
 step updates only those rows; every other row would have moved by
 ``lr * 0.0``, which leaves any value as it is. Both loss functions also
 return their gradients so finite differences can audit them directly.
+
+The cross step keeps the bits of a per-example loop: each sum over its
+examples runs in example order from 0.0, by ``np.add.accumulate`` and
+``np.add.at``, never by numpy's 1-D ``add.reduce`` (pairwise from 8
+terms) or Python 3.12's ``sum()`` (compensated).
 """
 
 from __future__ import annotations
@@ -121,25 +126,25 @@ def _sgd_epochs(
     params: Mapping[str, np.ndarray],
     n: int,
     cfg: TrainConfig,
-    step_loss: Callable[[np.ndarray], tuple[float, dict[str, np.ndarray]]],
+    step_loss: Callable[[list[int]], tuple[float, dict[str, np.ndarray]]],
 ) -> TrainReport:
     """SGD over ``n`` examples: a seeded permutation per epoch, one step per batch.
 
-    ``step_loss`` takes a batch's example positions and returns its loss
-    and gradients. A non-finite loss, or a parameter left non-finite by the
-    last step, raises ``TrainingError``. The run is one ``np.errstate``
-    block, so a diverging run reports that error alone, without numpy's
-    overflow and invalid-value warnings before it.
+    ``step_loss`` takes a batch's example positions, as ints, and returns
+    its float loss and its gradients. A non-finite loss, or a parameter
+    left non-finite by the last step, raises ``TrainingError``. The run is
+    one ``np.errstate`` block, so a diverging run reports that error alone,
+    without numpy's overflow and invalid-value warnings before it.
     """
     rng = np.random.default_rng(cfg.seed)
     epoch_losses: list[float] = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
+            order = rng.permutation(n).tolist()
             losses = []
             for start in range(0, n, cfg.batch_size):
                 loss, grads = step_loss(order[start : start + cfg.batch_size])
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise TrainingError(
                         f"non-finite loss {loss!r} at epoch {epoch}, step {start // cfg.batch_size}"
                     )
@@ -166,13 +171,13 @@ def biencoder_batch_loss(
     out, cache = encoder.forward_batch([*query_batches, *candidate_batches])
     q_mat, c_mat = out[:batch], out[batch:]
     probs = softmax(q_mat @ c_mat.T)
-    diagonal = np.arange(batch)
-    loss = -np.log(probs[diagonal, diagonal]).sum() / batch
+    diagonal = probs.reshape(-1)[:: batch + 1]  # a view: probs is a new contiguous array
+    loss = -np.log(diagonal).sum() / batch
     grad_logits = probs
-    grad_logits[diagonal, diagonal] -= 1.0
+    diagonal -= 1.0
     grad_logits /= batch
-    grads = encoder.zero_grads()
-    encoder.backward(cache, np.vstack([grad_logits @ c_mat, grad_logits.T @ q_mat]), grads)
+    grads = {}
+    encoder.backward(cache, np.concatenate([grad_logits @ c_mat, grad_logits.T @ q_mat]), grads)
     return float(loss), grads
 
 
@@ -243,48 +248,46 @@ def crossencoder_batch_loss(
     encoder = scorer.encoder
     nil_unit, nil_norm = scorer.nil_unit()
     scale = float(scorer.scale[0])
-    batch = len(examples)
-    ids = list(dict.fromkeys(cid for example in examples for cid in example.candidate_ids))
-    slots = {cid: batch + i for i, cid in enumerate(ids)}
-    out, cache = encoder.forward_batch([*query_rows, *(candidate_rows[cid] for cid in ids)])
-    slot_lists = [np.array([slots[cid] for cid in example.candidate_ids], dtype=np.intp)
-                  for example in examples]
+    batch, dim = len(examples), encoder.dim
+    lists = [example.candidate_ids for example in examples]
+    slots = {cid: batch + i for i, cid in enumerate(dict.fromkeys(chain.from_iterable(lists)))}
+    out, cache = encoder.forward_batch([*query_rows, *map(candidate_rows.__getitem__, slots)])
+    # the examples' candidate slots end to end: example i's are flat[starts[i]:][:sizes[i]]
+    sizes = np.fromiter(map(len, lists), np.intp, count=batch)
+    flat = np.fromiter(map(slots.__getitem__, chain.from_iterable(lists)), np.intp)
+    starts = sizes.cumsum() - sizes
+    # per example: its loss, its scale gradient, then its NIL-unit gradient
+    terms = np.empty((batch, 2 + dim))
+    candidate_terms = np.empty((len(flat), dim))
+    grad_out = np.zeros_like(out)
     # Each example's terms, for all examples of one candidate count at once: a
     # stacked matmul rounds as each example's own matmul does.
-    losses, scale_terms = np.empty(batch), np.empty(batch)
-    nil_terms = np.empty((batch, encoder.dim))
-    candidate_terms = [None] * batch
-    grad_out = np.zeros_like(out)
-    for k in {len(slot) for slot in slot_lists}:
-        members = [i for i, slot in enumerate(slot_lists) if len(slot) == k]
-        group_slots = np.array([slot_lists[i] for i in members])
+    for k in set(sizes.tolist()):
+        members = np.flatnonzero(sizes == k)
+        at = starts[members, None] + np.arange(k)
         q = out[members]
-        nil_rows = np.broadcast_to(nil_unit, (len(members), 1, encoder.dim))
-        partners = np.concatenate([nil_rows, out[group_slots]], axis=1)
+        nil_rows = np.broadcast_to(nil_unit, (len(members), 1, dim))
+        partners = np.concatenate([nil_rows, out[flat[at]]], axis=1)
         raw = np.matmul(partners, q[:, :, None])[:, :, 0]
         probs = softmax(scale * raw)
-        at = (np.arange(len(members)), [examples[i].target for i in members])
-        losses[members] = -np.log(probs[at])
+        gold = (np.arange(len(members)), [examples[i].target for i in members])
+        terms[members, 0] = -np.log(probs[gold])
         grad_logits = probs
-        grad_logits[at] -= 1.0
+        grad_logits[gold] -= 1.0
         grad_logits /= batch
-        scale_terms[members] = np.matmul(grad_logits[:, None, :], raw[:, :, None])[:, 0, 0]
+        terms[members, 1] = np.matmul(grad_logits[:, None, :], raw[:, :, None])[:, 0, 0]
+        terms[members, 2:] = (scale * grad_logits[:, 0])[:, None] * q
         grad_out[members] += scale * np.matmul(grad_logits[:, None, :], partners)[:, 0]
-        nil_terms[members] = (scale * grad_logits[:, 0])[:, None] * q
-        for i, terms in zip(members, scale * (grad_logits[:, 1:, None] * q[:, None, :])):
-            candidate_terms[i] = terms
-    # sums over the examples, in example order, each from 0.0
-    grads = scorer.zero_grads()
-    grad_nil_unit = np.zeros_like(nil_unit)
-    total = 0.0
-    for loss, scale_term, nil_term in zip(losses, scale_terms, nil_terms):
-        total += loss
-        grads["scale"][0] += scale_term
-        grad_nil_unit += nil_term
-    np.add.at(grad_out, np.concatenate(slot_lists), np.concatenate(candidate_terms))
+        candidate_terms[at] = scale * (grad_logits[:, 1:, None] * q[:, None, :])
+    # Sums in example order: accumulate and add.at add one row after another, and
+    # 0.0 + turns a sum of -0.0 terms into the +0.0 that a sum from 0.0 gives.
+    sums = 0.0 + np.add.accumulate(terms)[-1]
+    np.add.at(grad_out, flat, candidate_terms)
+    grad_nil_unit = sums[2:]
+    grads = {"nil": 0.0 + (grad_nil_unit - nil_unit * (nil_unit @ grad_nil_unit)) / nil_norm,
+             "scale": sums[1:2]}
     encoder.backward(cache, grad_out, grads)
-    grads["nil"] += (grad_nil_unit - nil_unit * (nil_unit @ grad_nil_unit)) / nil_norm
-    return float(total / batch), grads
+    return float(sums[0] / batch), grads
 
 
 def mine_candidates(

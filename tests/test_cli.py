@@ -75,6 +75,16 @@ def _old_version_header(header, body):
     return _framed(header, body)
 
 
+def _float_version(header, body):
+    header["format_version"] = 3.0
+    return _framed(header, body)
+
+
+def _bool_in_shape(header, body):
+    header["matrix"]["shape"][1] = True
+    return _framed(header, body)
+
+
 def _shape_vs_ids(header, body):
     header["ids"] = header["ids"][:-1]
     return _framed(header, body)
@@ -114,13 +124,16 @@ def _index_parts(path):
     (_format_v1, "rebuild it with `eventlink index`"),
     (_format_v2, "rebuild it with `eventlink index`"),
     (_old_version_header, "index format_version 2 is not supported; rebuild it with `eventlink index`"),
+    (_float_version, "index format_version 3.0 is not supported; rebuild it with `eventlink index`"),
+    (_bool_in_shape, "matrix shape [10, True] is not a pair of sizes"),
     (_shape_vs_ids, "shape [10, 16] does not hold one row per id for 9 ids"),
     (_shape_vs_bytes, "shape [10, 17] needs 1360 bytes, found 1280"),
     (_non_finite, "non-finite"),
     (_truncated_body, "shape [10, 16] needs 1280 bytes, found 1272"),
     (_empty, "no index header line; rebuild it with `eventlink index`"),
     (_no_newline, "no index header line; rebuild it with `eventlink index`"),
-], ids=["missing-key", "format-v1", "format-v2", "old-version-header", "shape-vs-ids",
+], ids=["missing-key", "format-v1", "format-v2", "old-version-header", "float-version",
+        "bool-in-shape", "shape-vs-ids",
         "shape-vs-bytes", "non-finite", "truncated-body", "empty", "no-newline"])
 def test_malformed_index_is_data_error_naming_file(dense_stack, tmp_path, capsys, corrupt, message):
     bad = tmp_path / "bad-index.json"
@@ -1212,6 +1225,25 @@ def test_checkpoint_vocab_without_oov_or_with_a_repeat_is_data_error(dense_stack
     assert len(state["embed"]) == len(vocab)
     state["vocab"] = vocab
     bad = tmp_path / "bad-vocab.json"
+    bad.write_text(json.dumps(state), encoding="utf-8")
+    out = tmp_path / "index.json"
+    assert main(["index", "--kb", dense_stack["kb.jsonl"], "--encoder", str(bad),
+                 "--out", str(out)]) == 2
+    assert f"{bad}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("format_version", True, "checkpoint format_version True is not supported, expected 1"),
+    ("dim", 4.9, "checkpoint dim 4.9 is not an integer of at least 2"),
+    ("vocab", ["a", 7, "[OOV]"], "checkpoint vocab is not a list of strings"),
+], ids=["format-version", "dim", "vocab"])
+def test_checkpoint_field_that_is_no_json_integer_or_string_list_is_data_error(
+        dense_stack, tmp_path, capsys, field, value, message):
+    # each value loaded before: true == 1, int(4.9) == 4 with arrays 4 wide, and 7 as a token
+    state = TinyEncoder(["a", "b"], 4, seed=0).state_dict()
+    state[field] = value
+    bad = tmp_path / "bad-field.json"
     bad.write_text(json.dumps(state), encoding="utf-8")
     out = tmp_path / "index.json"
     assert main(["index", "--kb", dense_stack["kb.jsonl"], "--encoder", str(bad),

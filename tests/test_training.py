@@ -149,7 +149,8 @@ def _per_example_cross_loss(scorer, examples, query_rows, candidate_rows):
     ids = list(dict.fromkeys(cid for example in examples for cid in example.candidate_ids))
     slots = {cid: batch + i for i, cid in enumerate(ids)}
     out, cache = encoder.forward_batch([*query_rows, *(candidate_rows[cid] for cid in ids)])
-    grads = scorer.zero_grads()
+    # backward sets the encoder's gradients; the scorer's own are sums into zeroed arrays
+    grads = {"nil": np.zeros_like(scorer.nil_embedding), "scale": np.zeros_like(scorer.scale)}
     grad_out = np.zeros_like(out)
     grad_nil_unit = np.zeros_like(nil_unit)
     total = 0.0
@@ -198,6 +199,63 @@ def test_batched_cross_loss_equals_per_example_loss_bit_for_bit(examples, seed, 
     got, want = dense_grads(scorer.params(), grads), dense_grads(scorer.params(), expected)
     assert {name: got[name].tobytes() for name in got} == {
         name: want[name].tobytes() for name in want}
+
+
+def _parent_biencoder_loss(encoder, query_rows, candidate_rows):
+    """The in-batch loss as first written: ``np.linalg.norm``, ``np.vstack``, zeroed gradients summed into."""
+    id_rows = [*query_rows, *candidate_rows]
+    lengths = np.array([len(ids) for ids in id_rows])
+    uniq, col = distinct_ids(np.concatenate(id_rows), len(encoder.vocab))
+    rows, width = len(id_rows), len(uniq)
+    cell = np.repeat(np.arange(rows) * width, lengths) + col
+    bag = np.bincount(cell, minlength=rows * width).reshape(rows, width) / lengths[:, None]
+    means = bag @ encoder.embed[uniq]
+    pre = means @ encoder.weight.T + encoder.bias
+    norms = np.linalg.norm(pre, axis=1)
+    out = pre / norms[:, None]
+    batch = len(query_rows)
+    q_mat, c_mat = out[:batch], out[batch:]
+    probs = softmax(q_mat @ c_mat.T)
+    diagonal = np.arange(batch)
+    loss = -np.log(probs[diagonal, diagonal]).sum() / batch
+    grad_logits = probs
+    grad_logits[diagonal, diagonal] -= 1.0
+    grad_logits /= batch
+    grad_out = np.vstack([grad_logits @ c_mat, grad_logits.T @ q_mat])
+    radial = np.einsum("ij,ij->i", out, grad_out)
+    grad_pre = (grad_out - out * radial[:, None]) / norms[:, None]
+    grads = {name: np.zeros_like(array) for name, array in encoder.params().items()}
+    grads["weight"] += grad_pre.T @ means
+    grads["bias"] += grad_pre.sum(axis=0)
+    grads["embed"][uniq] += bag.T @ (grad_pre @ encoder.weight)
+    return float(loss), grads
+
+
+@st.composite
+def _bi_batches(draw):
+    """Ragged id rows over ``VOCAB`` and ``[OOV]``, 1 to 9 query/gold pairs."""
+    batch = draw(st.integers(1, 9))
+    rows = st.lists(st.integers(0, len(VOCAB)), min_size=1, max_size=12)
+    return [draw(st.lists(rows, min_size=batch, max_size=batch)) for _ in range(2)]
+
+
+@given(batches=_bi_batches(), seed=st.integers(0, 2**16), dim=st.sampled_from([2, 6, 64]),
+       tiny_rows=st.sets(st.integers(0, len(VOCAB))))
+@settings(max_examples=150, deadline=None)
+def test_biencoder_loss_equals_reference_bit_for_bit(batches, seed, dim, tiny_rows):
+    encoder = TinyEncoder(VOCAB, dim, seed=seed)
+    # Subnormal embedding rows make products that round to -0.0, so some raw
+    # gradients hold -0.0 before the sum from 0.0; the bias keeps a row of them
+    # away from a zero norm.
+    encoder.embed[sorted(tiny_rows)] *= 5e-324
+    encoder.bias[:] = np.random.default_rng(seed).normal(0.0, 0.1, dim)
+    queries, golds = ([np.array(row, dtype=np.intp) for row in rows] for rows in batches)
+    loss, grads = biencoder_batch_loss(encoder, queries, golds)
+    expected_loss, expected = _parent_biencoder_loss(encoder, queries, golds)
+    assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+    got = dense_grads(encoder.params(), grads)
+    assert {name: got[name].tobytes() for name in expected} == {
+        name: expected[name].tobytes() for name in expected}
 
 
 def test_cross_step_encodes_each_distinct_candidate_once(monkeypatch):
