@@ -6,7 +6,7 @@ controlled manipulation of tagged event arguments.
 """
 
 from .extraction import Argument, EventQuery, Span, TaggedQuery
-from .kb import NIL, KBEntry, KnowledgeBase, load_kb
+from .kb import NIL, KnowledgeBase, load_kb
 from .retrieval import CandidateSet, DenseIndex
 from .rerank import LinkDecision
 
@@ -17,7 +17,6 @@ __all__ = [
     "CandidateSet",
     "DenseIndex",
     "EventQuery",
-    "KBEntry",
     "KnowledgeBase",
     "LinkDecision",
     "NIL",

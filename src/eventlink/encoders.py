@@ -101,7 +101,11 @@ class TinyEncoder:
         return {"embed": self.embed, "weight": self.weight, "bias": self.bias}
 
     def forward(self, tokens: Sequence[str]) -> np.ndarray:
-        """Encode one sequence: the per-row reference ``encode_many`` equals bit for bit."""
+        """Encode one sequence: the per-row reference ``encode_many`` equals bit for bit.
+
+        The tests compare against it and ``bench/tracing.py`` wraps it by name; kept here, as
+        moving it beside the tests would not make less code.
+        """
         if not tokens:
             raise ValueError("cannot encode an empty token sequence")
         ids = self.token_ids(tokens)

@@ -219,7 +219,11 @@ def format_arguments(tagged: TaggedQuery, max_len: int) -> list[str]:
 
 
 def strip_markers(tokens: Sequence[str]) -> list[str]:
-    """Remove every marker token, leaving the surface tokens."""
+    """Remove every marker token, leaving the surface tokens.
+
+    The marker-free reference of the tests; kept here, as moving it beside the tests would not
+    make less code.
+    """
     return [t for t in tokens if not _MARKER_RE.match(t)]
 
 

@@ -5,19 +5,19 @@ A KB file is UTF-8 JSON-lines: one object per line with string fields
 out-of-KB label and may never appear as an entry id.
 
 A ``KnowledgeBase`` holds its entries as three columns (``ids``,
-``titles``, ``descriptions``) and an id → position dict. ``load_kb`` fills
-them straight from the file's records. Below the CLI, candidates travel as
-KB rows (``KnowledgeBase.rows``) and are read from the columns:
-``KnowledgeBase.candidate_texts`` is the one candidate serializer.
-``KBEntry`` values exist only where a KB is built by hand, and iteration
-hands them out.
+``titles``, ``descriptions``) and an id → position dict.
+``KnowledgeBase.from_records`` is its one constructor: one loop checks
+numbered records and fills the columns, and ``load_kb`` feeds it a file's.
+Below the CLI, candidates travel as KB rows (``KnowledgeBase.rows``) and
+are read from the columns: ``KnowledgeBase.candidate_texts`` is the one
+candidate serializer. Nothing here builds a ``KBEntry``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import artifacts
 
@@ -73,7 +73,7 @@ def _refusal(record, position: dict[str, int]) -> str | None:
 
 @dataclass(frozen=True, slots=True)
 class KBEntry:
-    """One knowledge-base node."""
+    """One KB node. It remains only for the benchmark, and ROADMAP item 2a deletes it."""
 
     id: str
     title: str
@@ -88,34 +88,42 @@ class KBEntry:
 class KnowledgeBase:
     """Ordered, immutable entries held as columns, with unique-id lookup.
 
-    ``KnowledgeBase(entries)`` takes ``KBEntry`` values; ``load_kb`` reads a
-    file. Iteration builds a ``KBEntry`` per entry handed out. Safe for
-    concurrent readers once constructed.
+    ``from_records`` is the one constructor. Safe for concurrent readers.
     """
 
-    def __init__(self, entries: Iterable[KBEntry]):
-        entries = tuple(entries)
-        position: dict[str, int] = {}
-        for row, entry in enumerate(entries):
-            if position.setdefault(entry.id, row) != row:
-                raise KBError(f"duplicate entry id {entry.id!r}")
-        self._fill(position, [e.title for e in entries], [e.description for e in entries])
-
     @classmethod
-    def _of_columns(cls, position: dict[str, int], titles: list[str],
-                    descriptions: list[str]) -> "KnowledgeBase":
+    def from_records(cls, numbered_records: Iterable[tuple[int, object]], source) -> "KnowledgeBase":
+        """The KB of ``(lineno, record)`` pairs, as ``artifacts.iter_jsonl`` yields them, in order.
+
+        The first bad record (for ``_refusal``'s first reason), no records at
+        all, and a ``ValueError`` from ``numbered_records`` are a ``KBError``
+        naming ``source`` and, for a record, its line. No ``KBEntry`` is built.
+        """
+        position: dict[str, int] = {}  # also the duplicate check
+        titles, descriptions = [], []
+        fields = itemgetter(*_FIELDS)
+        try:
+            for lineno, record in numbered_records:
+                row = len(titles)
+                try:
+                    entry_id, title, description = fields(record)
+                    accepted = (type(entry_id) is type(title) is type(description) is str
+                                and entry_id and title and entry_id != NIL
+                                and position.setdefault(entry_id, row) == row)
+                except (KeyError, TypeError):  # a missing field, or a record that is not an object
+                    accepted = False
+                if not accepted:
+                    raise ValueError(f"{source}: line {lineno}: {_refusal(record, position)}")
+                titles.append(title)
+                descriptions.append(description)
+        except ValueError as exc:  # its message names the source and the line
+            raise KBError(str(exc)) from None
+        if not titles:
+            raise KBError(f"{source}: no entries")
         kb = cls.__new__(cls)
-        kb._fill(position, titles, descriptions)
+        kb._position = position  # ids in KB order, each mapped to its row
+        kb.ids, kb.titles, kb.descriptions = tuple(position), tuple(titles), tuple(descriptions)
         return kb
-
-    def _fill(self, position: dict[str, int], titles: list[str], descriptions: list[str]) -> None:
-        self._position = position  # ids in KB order, each mapped to its row
-        self.ids: tuple[str, ...] = tuple(position)
-        self.titles: tuple[str, ...] = tuple(titles)
-        self.descriptions: tuple[str, ...] = tuple(descriptions)
-
-    def __iter__(self) -> Iterator[KBEntry]:
-        return map(KBEntry, self.ids, self.titles, self.descriptions)
 
     @property
     def n(self) -> int:
@@ -148,33 +156,8 @@ class KnowledgeBase:
 
 
 def load_kb(path) -> KnowledgeBase:
-    """Load a JSON-lines KB file, preserving record order.
+    """``KnowledgeBase.from_records`` of a JSON-lines KB file's records, naming the file.
 
-    Rejects duplicate ids (naming the id), the reserved id ``NIL``,
-    malformed lines (naming the line number) and a file without entries,
-    always with a ``KBError`` naming the file. A first line holding a
-    single ``_manifest`` object is an artifact header and is skipped. One
-    loop fills the columns; no ``KBEntry`` is built.
+    A first line holding a single ``_manifest`` object is an artifact header and is skipped.
     """
-    position: dict[str, int] = {}  # also the duplicate check
-    titles, descriptions = [], []
-    fields = itemgetter(*_FIELDS)
-    try:
-        for lineno, record in artifacts.iter_jsonl(path):
-            row = len(titles)
-            try:
-                entry_id, title, description = fields(record)
-                accepted = (type(entry_id) is type(title) is type(description) is str
-                            and entry_id and title and entry_id != NIL
-                            and position.setdefault(entry_id, row) == row)
-            except (KeyError, TypeError):  # a missing field, or a record that is not an object
-                accepted = False
-            if not accepted:
-                raise ValueError(f"{path}: line {lineno}: {_refusal(record, position)}")
-            titles.append(title)
-            descriptions.append(description)
-    except ValueError as exc:  # its message names the file and the line
-        raise KBError(str(exc)) from None
-    if not titles:
-        raise KBError(f"{path}: no entries")
-    return KnowledgeBase._of_columns(position, titles, descriptions)
+    return KnowledgeBase.from_records(artifacts.iter_jsonl(path), path)

@@ -143,7 +143,10 @@ class DenseIndex:
 
     @classmethod
     def load(cls, path) -> "DenseIndex":
-        """Read an index written by ``save``; a malformed file raises ValueError naming it."""
+        """Read an index written by ``save``; a malformed file raises ValueError naming it.
+
+        Its ``ids`` must be a JSON list of distinct strings, and a repeat is named as the KB does.
+        """
         return artifacts.read_framed(path, cls._from_parts, f"no index header line; {_REBUILD}")
 
     @classmethod
@@ -151,7 +154,13 @@ class DenseIndex:
         version = header["format_version"]
         if type(version) is not int or version != INDEX_FORMAT_VERSION:
             raise ValueError(f"index format_version {version!r} is not supported; {_REBUILD}")
-        ids = tuple(str(i) for i in header["ids"])
+        ids = header["ids"]
+        if type(ids) is not list or not all(type(i) is str for i in ids):
+            raise ValueError("index ids must be a JSON list of strings")
+        if len(set(ids)) < len(ids):
+            first = {}
+            repeated = next(i for row, i in enumerate(ids) if first.setdefault(i, row) != row)
+            raise ValueError(f"duplicate entry id {repeated!r}")
         block = header["matrix"]
         if block["dtype"] != INDEX_DTYPE:
             raise ValueError(f"matrix dtype {block['dtype']!r} is not {INDEX_DTYPE!r}")
@@ -164,7 +173,7 @@ class DenseIndex:
             raise ValueError(f"matrix shape {shape} needs {n * d * 8} bytes, found {len(body)}")
         matrix = np.frombuffer(body, dtype=INDEX_DTYPE).reshape(n, d).astype(np.float64, copy=False)
         fingerprint = str(header["encoder_fingerprint"])
-        return cls(ids=ids, matrix=matrix, encoder_fingerprint=fingerprint)
+        return cls(ids=tuple(ids), matrix=matrix, encoder_fingerprint=fingerprint)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -184,8 +193,6 @@ def build_index(kb: KnowledgeBase, encoder: EncoderAdapter) -> DenseIndex:
     One ``encode_many`` call encodes the whole KB, each text cut at
     ``RETRIEVER_MAX_LEN`` tokens; its rows equal per-entry ``forward`` bit for bit.
     """
-    if kb.n == 0:
-        raise ValueError("cannot index an empty knowledge base")
     return DenseIndex(
         ids=kb.ids,
         matrix=encoder.encode_many(kb.candidate_texts(RETRIEVER_MAX_LEN)),
@@ -271,7 +278,11 @@ def retrieve_many(
 
 
 def retrieve(index: DenseIndex, query_embedding: np.ndarray, k: int, query_id: str = "") -> CandidateSet:
-    """Exact top-k by dot product for one query: ``retrieve_many`` of a one-row block."""
+    """Exact top-k by dot product for one query: ``retrieve_many`` of a one-row block.
+
+    The one-row reference of the tests, wrapped by name in ``bench/tracing.py``; kept here, as
+    moving it beside the tests would not make less code.
+    """
     q = np.asarray(query_embedding, dtype=float)
     return retrieve_many(index, q[None], k, [query_id])[0]
 
@@ -335,8 +346,6 @@ def bm25_build(kb: KnowledgeBase) -> BM25Index:
     token stream; one sort of the (term id, KB position) keys groups the
     postings by term, in first-occurrence order, and counts each one's tf.
     """
-    if kb.n == 0:
-        raise ValueError("cannot index an empty knowledge base")
     texts = kb.candidate_texts()
     doc_lens = np.fromiter(map(len, texts), dtype=np.intp, count=kb.n)
     first: dict[str, int] = {}

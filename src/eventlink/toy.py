@@ -26,7 +26,7 @@ from . import artifacts
 from .evaluation import RECALL_GRID
 from .extraction import EventQuery, RoleLexicon, RuleExtractor, Span, TaggedQuery, extract
 from .extraction import query_to_record
-from .kb import KBEntry, KnowledgeBase
+from .kb import KnowledgeBase
 
 _ONSETS = (
     "Bar", "Dren", "Kel", "Mor", "Tar", "Vas", "Zor", "Quen", "Hal", "Fen",
@@ -88,25 +88,20 @@ def build_toy_data(
     alias_p = names[5 * n_entries : 6 * n_entries]
     years = rng.choice(np.arange(1400, 1900), size=n_entries, replace=False)
 
-    entries = []
+    records = []
     facts = []
     for i in range(n_entries):
         kind = _KINDS[i % len(_KINDS)]
         verb = _VERBS[i % len(_VERBS)]
         place, year = canon_p[i], str(int(years[i]))
         a, d = canon_a[i], canon_d[i]
-        entry = KBEntry(
-            id=f"E{i:03d}",
-            title=f"{kind.capitalize()} of {place}",
-            description=(
-                f"The {kind} of {place} began when {a} forces struck {d} "
-                f"positions near {place} . The clash between {a} and {d} "
-                f"shaped the region for years ."
-            ),
-        )
-        entries.append(entry)
-        facts.append((entry.id, verb, alias_p[i], year, alias_a[i], alias_d[i]))
-    kb = KnowledgeBase(entries)
+        description = (f"The {kind} of {place} began when {a} forces struck {d} positions near "
+                       f"{place} . The clash between {a} and {d} shaped the region for years .")
+        entry_id = f"E{i:03d}"
+        records.append({"id": entry_id, "title": f"{kind.capitalize()} of {place}",
+                        "description": description})
+        facts.append((entry_id, verb, alias_p[i], year, alias_a[i], alias_d[i]))
+    kb = KnowledgeBase.from_records(enumerate(records, start=1), "toy KB")
 
     roles: dict[str, str] = {}
     for _, _, place, year, a, d in facts:

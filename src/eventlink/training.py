@@ -69,12 +69,12 @@ class TrainConfig:
                              "and batch size and epochs positive")
 
     @classmethod
-    def biencoder_defaults(cls, **overrides) -> "TrainConfig":
-        return cls(**{"learning_rate": 1e-5, "batch_size": 48, "epochs": 15, **overrides})
+    def biencoder_defaults(cls) -> "TrainConfig":
+        return cls(learning_rate=1e-5, batch_size=48, epochs=15)
 
     @classmethod
-    def crossencoder_defaults(cls, **overrides) -> "TrainConfig":
-        return cls(**{"learning_rate": 2e-5, "batch_size": 6, "epochs": 20, **overrides})
+    def crossencoder_defaults(cls) -> "TrainConfig":
+        return cls(learning_rate=2e-5, batch_size=6, epochs=20)
 
     def to_dict(self) -> dict:
         return asdict(self)

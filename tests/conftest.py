@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from eventlink.extraction import Argument, EventQuery, Span, TaggedQuery
-from eventlink.kb import KBEntry, KnowledgeBase
+from eventlink.kb import KnowledgeBase
 
 
 @pytest.fixture
 def small_kb():
-    return KnowledgeBase(
+    return kb_of(
         [
-            KBEntry("E1", "Siege of Kesh", "A long siege of the walled city of Kesh ."),
-            KBEntry("E2", "Harbor uprising", "Dock workers rose against the harbor council ."),
-            KBEntry("E3", "WWII", "global war"),
+            ("E1", "Siege of Kesh", "A long siege of the walled city of Kesh ."),
+            ("E2", "Harbor uprising", "Dock workers rose against the harbor council ."),
+            ("E3", "WWII", "global war"),
         ]
     )
 
@@ -39,6 +39,13 @@ def invasion_tagged(invasion_query):
             Argument(Span(2, 4), "Victim"),
         ),
     )
+
+
+def kb_of(rows):
+    """``KnowledgeBase.from_records`` of ``(id, title, description)`` rows, numbered from line 1."""
+    records = ({"id": entry_id, "title": title, "description": description}
+               for entry_id, title, description in rows)
+    return KnowledgeBase.from_records(enumerate(records, start=1), "test KB")
 
 
 def write_jsonl(path, records):

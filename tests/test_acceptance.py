@@ -25,7 +25,7 @@ from eventlink.extraction import (
     resolve_overlaps,
 )
 from eventlink.formatting import format_arguments, format_query, strip_markers
-from eventlink.kb import NIL, RETRIEVER_MAX_LEN, KBEntry, KnowledgeBase
+from eventlink.kb import NIL, RETRIEVER_MAX_LEN
 from eventlink.llm import StorytellerMock
 from eventlink.neggen import (
     STYLE_ARGUMENT_AWARE,
@@ -57,7 +57,7 @@ from eventlink.training import (
     train_crossencoder,
 )
 
-from conftest import dense_grads
+from conftest import dense_grads, kb_of
 from pipeline import run_toy_pipeline
 from test_bm25 import FIVE_DOC_EXPECTED
 from test_training import _fd_check
@@ -92,7 +92,7 @@ def stack():
     rows = data.kb.rows(t.base.gold for t in data.train)
     golds = data.kb.candidate_texts(RETRIEVER_MAX_LEN, rows)
     pairs = list(zip([format_query(t, STYLE, QLEN) for t in data.train], golds))
-    bi_cfg = TrainConfig.biencoder_defaults(
+    bi_cfg = TrainConfig(
         learning_rate=0.3, batch_size=8, epochs=300, seed=SEED
     )
     train_biencoder(pairs, encoder, bi_cfg)
@@ -108,7 +108,7 @@ def stack():
     train_negs, held_negs = negatives[:50], negatives[50:]
 
     positives = mine_candidates(data.train, index, encoder, 10, STYLE)
-    cross_cfg = TrainConfig.crossencoder_defaults(
+    cross_cfg = TrainConfig(
         learning_rate=0.1, batch_size=8, epochs=10, seed=SEED
     )
     scorer_plain = TinyCrossScorer(vocab, DIM, seed=SEED)
@@ -204,13 +204,13 @@ def test_criterion_01_retrieval_oracle_equivalence():
 
 def test_criterion_02_bm25_oracle():
     with criterion(2, "BM25 hand-computed oracle"):
-        kb = KnowledgeBase(
+        kb = kb_of(
             [
-                KBEntry("F0", "alpha", "beta gamma"),
-                KBEntry("F1", "beta", "beta delta"),
-                KBEntry("F2", "gamma delta", "epsilon"),
-                KBEntry("F3", "zeta", "alpha beta gamma delta epsilon"),
-                KBEntry("F4", "eta", "theta iota"),
+                ("F0", "alpha", "beta gamma"),
+                ("F1", "beta", "beta delta"),
+                ("F2", "gamma delta", "epsilon"),
+                ("F3", "zeta", "alpha beta gamma delta epsilon"),
+                ("F4", "eta", "theta iota"),
             ]
         )
         index = bm25_build(kb)
@@ -338,8 +338,8 @@ def test_criterion_05_prompt_byte_exactness():
         filled = build_prompt(tagged, STYLE_ARGUMENT_AWARE)
         assert 'This "invaded" event is of the type "Attack".' in filled
 
-        kb = KnowledgeBase(
-            [KBEntry(f"E{i}", f"Battle {i}", f"An account of battle number {i} .") for i in range(10)]
+        kb = kb_of(
+            [(f"E{i}", f"Battle {i}", f"An account of battle number {i} .") for i in range(10)]
         )
         cands = CandidateSet(
             "fix-1", tuple(f"E{i}" for i in range(10)), tuple(float(10 - i) for i in range(10))
@@ -365,7 +365,7 @@ def test_criterion_06_gradient_checks():
             dense_grads(encoder.params(), grads),
             tol=1e-4,
         )
-        kb = KnowledgeBase([KBEntry(f"E{i}", f"city {i}", f"war north {i}") for i in range(3)])
+        kb = kb_of([(f"E{i}", f"city {i}", f"war north {i}") for i in range(3)])
         scorer = TinyCrossScorer(vocab, 6, seed=0)
         from eventlink.training import CrossExample
 

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventlink.extraction import EventQuery, Span
-from eventlink.kb import KBEntry, KnowledgeBase, tokenize
+from eventlink.kb import tokenize
 from eventlink.retrieval import BM25_B, BM25_K1, bm25_build, bm25_query_terms, bm25_retrieve
 from eventlink.toy import build_toy_data
+
+from conftest import kb_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -51,30 +53,31 @@ FIVE_DOC_EXPECTED = {
 
 @pytest.fixture
 def five_doc_kb():
-    return KnowledgeBase(
+    return kb_of(
         [
-            KBEntry("F0", "alpha", "beta gamma"),
-            KBEntry("F1", "beta", "beta delta"),
-            KBEntry("F2", "gamma delta", "epsilon"),
-            KBEntry("F3", "zeta", "alpha beta gamma delta epsilon"),
-            KBEntry("F4", "eta", "theta iota"),
+            ("F0", "alpha", "beta gamma"),
+            ("F1", "beta", "beta delta"),
+            ("F2", "gamma delta", "epsilon"),
+            ("F3", "zeta", "alpha beta gamma delta epsilon"),
+            ("F4", "eta", "theta iota"),
         ]
     )
 
 
 @pytest.fixture
 def two_doc_kb():
-    return KnowledgeBase(
+    return kb_of(
         [
-            KBEntry("D1", "a", "b"),
-            KBEntry("D2", "b", "c"),
+            ("D1", "a", "b"),
+            ("D2", "b", "c"),
         ]
     )
 
 
 def _oracle_scores(kb, terms, k1=1.2, b=0.75):
     # independent Okapi implementation: plain loops over the formula
-    docs = [entry.title.split() + ["[TITLE_SEP]"] + entry.description.split() for entry in kb]
+    docs = [title.split() + ["[TITLE_SEP]"] + description.split()
+            for title, description in zip(kb.titles, kb.descriptions)]
     n = len(docs)
     avgdl = sum(len(d) for d in docs) / n
     df = Counter()
@@ -140,7 +143,9 @@ def test_zero_overlap_scores_exactly_zero(five_doc_kb):
 
 def test_scores_nonnegative_and_zero_iff_no_overlap(five_doc_kb):
     index = bm25_build(five_doc_kb)
-    texts = {entry.id: set(entry.title.split() + entry.description.split()) for entry in five_doc_kb}
+    kb = five_doc_kb
+    texts = {entry_id: set(title.split() + description.split())
+             for entry_id, title, description in zip(kb.ids, kb.titles, kb.descriptions)}
     for terms in (["alpha"], ["beta", "eta"], ["theta", "zeta", "zeta"]):
         scores = index.scores(terms)
         for position, entry_id in enumerate(index.ids):
@@ -183,8 +188,8 @@ def _reference_scores(kb, terms):
     k1, b = BM25_K1, BM25_B
     doc_lens = []
     postings = {}
-    for position, entry in enumerate(kb):
-        tokens = entry.title.split() + ["[TITLE_SEP]"] + entry.description.split()
+    for position, (title, description) in enumerate(zip(kb.titles, kb.descriptions)):
+        tokens = title.split() + ["[TITLE_SEP]"] + description.split()
         doc_lens.append(len(tokens))
         for term, tf in Counter(tokens).items():
             postings.setdefault(term, []).append((position, tf))
@@ -210,8 +215,8 @@ words = st.lists(st.sampled_from(VOCAB), max_size=12)
 @st.composite
 def bm25_cases(draw):
     n = draw(st.integers(1, 60))
-    kb = KnowledgeBase([
-        KBEntry(f"E{i}", " ".join(draw(words.filter(bool))), " ".join(draw(words)))
+    kb = kb_of([
+        (f"E{i}", " ".join(draw(words.filter(bool))), " ".join(draw(words)))
         for i in range(n)
     ])
     pool = draw(st.sampled_from([VOCAB, ABSENT, VOCAB + ABSENT]))
@@ -241,10 +246,10 @@ def test_scores_and_top_k_bit_identical_to_reference_loop(case):
 def _golden_queries():
     data = build_toy_data(n_entries=20, n_train=20, n_test=20, seed=11)
     queries = [q.base for q in data.train + data.test]
-    for entry in data.kb:
-        tokens = tuple(tokenize(entry.description))
+    for entry_id, description in zip(data.kb.ids, data.kb.descriptions):
+        tokens = tuple(tokenize(description))
         middle = Span(len(tokens) // 2, len(tokens) // 2)
-        queries.append(EventQuery(f"desc-{entry.id}", tokens, middle))
+        queries.append(EventQuery(f"desc-{entry_id}", tokens, middle))
     return data.kb, queries
 
 

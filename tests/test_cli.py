@@ -113,6 +113,15 @@ def _no_newline(header, body):
     return json.dumps(header).encode("utf-8")
 
 
+def _ids(ids):
+    """Two rows of the index under the header ``ids``, so that the file would load but for them."""
+    def corrupt(header, body):
+        shape = header["matrix"]["shape"]
+        shape[0], header["ids"] = 2, ids
+        return _framed(header, body[:2 * shape[1] * 8])
+    return corrupt
+
+
 def _index_parts(path):
     """The JSON header line, manifest included, and the matrix bytes of an index file."""
     head, _, body = open(path, "rb").read().partition(b"\n")
@@ -132,19 +141,30 @@ def _index_parts(path):
     (_truncated_body, "shape [10, 16] needs 1280 bytes, found 1272"),
     (_empty, "no index header line; rebuild it with `eventlink index`"),
     (_no_newline, "no index header line; rebuild it with `eventlink index`"),
+    (_ids([1, None]), "index ids must be a JSON list of strings"),
+    (_ids([1, 1]), "index ids must be a JSON list of strings"),
+    (_ids(["a", "a"]), "duplicate entry id 'a'"),
+    (_ids("ab"), "index ids must be a JSON list of strings"),
 ], ids=["missing-key", "format-v1", "format-v2", "old-version-header", "float-version",
         "bool-in-shape", "shape-vs-ids",
-        "shape-vs-bytes", "non-finite", "truncated-body", "empty", "no-newline"])
+        "shape-vs-bytes", "non-finite", "truncated-body", "empty", "no-newline",
+        "int-and-null-ids", "repeated-int-ids", "repeated-string-ids", "string-ids"])
 def test_malformed_index_is_data_error_naming_file(dense_stack, tmp_path, capsys, corrupt, message):
     bad = tmp_path / "bad-index.json"
     bad.write_bytes(corrupt(*_index_parts(dense_stack["index.json"])))
-    out = tmp_path / "c.jsonl"
-    code = main(["retrieve", "--index", str(bad), "--queries", dense_stack["tagged.jsonl"],
-                 "--encoder", dense_stack["encoder.json"], "--k", "3", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 2, err
-    assert str(bad) in err and message in err
-    assert not out.exists()
+    responses, out = tmp_path / "responses.jsonl", tmp_path / "c.jsonl"
+    write_jsonl(responses, [{"completion": "NIL"}])
+    retrieve = ["retrieve", "--index", str(bad), "--queries", dense_stack["tagged.jsonl"],
+                "--encoder", dense_stack["encoder.json"], "--k", "3", "--out", str(out)]
+    link = ["link", "--kb", dense_stack["kb.jsonl"], "--queries", dense_stack["tagged.jsonl"],
+            "--index", str(bad), "--encoder", dense_stack["encoder.json"], "--rule", "llm",
+            "--responses", str(responses), "--out", str(out)]
+    for argv in (retrieve, link):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert str(bad) in err and message in err
+        assert not out.exists()
 
 
 def _link_llm(stack, tmp_path, extra):

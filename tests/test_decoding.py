@@ -8,9 +8,11 @@ import pytest
 from eventlink import cli
 from eventlink.cli import main
 from eventlink.extraction import Argument, EventQuery, NamedEntityAnnotation, Span, TaggedQuery
-from eventlink.kb import KBEntry, KBError, KnowledgeBase
+from eventlink.kb import KBEntry, KBError
 from eventlink.rerank import LinkDecision
 from eventlink.retrieval import CandidateSet
+
+from conftest import kb_of
 
 
 def _entry(**fields):
@@ -117,8 +119,8 @@ def test_kb_entry_constructor_checks_field_types():
         KBEntry("E1", b"T", "d")
     with pytest.raises(KBError, match="^field 'description' must be a string$"):
         KBEntry("E1", "T", None)
-    with pytest.raises(KBError, match="^duplicate entry id 'E1'$"):
-        KnowledgeBase([KBEntry("E1", "T", "d"), KBEntry("E2", "T", "d"), KBEntry("E1", "U", "d")])
+    with pytest.raises(KBError, match="^test KB: line 3: duplicate entry id 'E1'$"):
+        kb_of([("E1", "T", "d"), ("E2", "T", "d"), ("E1", "U", "d")])
 
 
 # --- value semantics of the slotted record types -----------------------------------------

@@ -1,21 +1,20 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eventlink import kb as kb_module
 from eventlink.kb import (
     NIL,
     TITLE_SEP,
-    KBEntry,
     KBError,
     KnowledgeBase,
     load_kb,
     tokenize,
 )
 
-from conftest import write_jsonl
+from conftest import kb_of, write_jsonl
 
 
 def test_load_preserves_order(tmp_path):
@@ -29,7 +28,7 @@ def test_load_preserves_order(tmp_path):
     )
     kb = load_kb(path)
     assert kb.n == 2
-    assert [e.id for e in kb] == ["E1", "E2"]
+    assert kb.ids == ("E1", "E2")
 
 
 def test_duplicate_id_rejected_naming_id(tmp_path):
@@ -95,12 +94,12 @@ def test_entries_resolve_ids_in_order(small_kb):
 
 
 def test_empty_title_rejected():
-    with pytest.raises(KBError):
-        KBEntry("E1", "", "desc")
+    with pytest.raises(KBError, match="^test KB: line 1: entry 'E1': title must be non-empty$"):
+        kb_of([("E1", "", "desc")])
 
 
 def _candidate_text(title, description, max_len):
-    return KnowledgeBase([KBEntry("E1", title, description)]).candidate_texts(max_len)[0]
+    return kb_of([("E1", title, description)]).candidate_texts(max_len)[0]
 
 
 def test_candidate_text_under_limit():
@@ -117,43 +116,80 @@ def test_candidate_text_empty_description():
 
 def test_candidate_text_strip_marker_is_prefix(small_kb):
     for max_len in (4, 6, 9, 50):
-        for entry, text in zip(small_kb, small_kb.candidate_texts(max_len), strict=True):
+        for title, description, text in zip(small_kb.titles, small_kb.descriptions,
+                                            small_kb.candidate_texts(max_len), strict=True):
             toks = [t for t in text if t != TITLE_SEP]
-            full = tokenize(entry.title) + tokenize(entry.description)
+            full = tokenize(title) + tokenize(description)
             assert toks == full[: len(toks)]
 
 
 def test_duplicate_construction_rejected():
-    entry = KBEntry("E1", "A", "d")
-    with pytest.raises(KBError, match="duplicate"):
-        KnowledgeBase([entry, entry])
+    with pytest.raises(KBError, match="^test KB: line 2: duplicate entry id 'E1'$"):
+        kb_of([("E1", "A", "d"), ("E1", "A", "d")])
 
 
-# --- the two ways of building a KB ----------------------------------------------------------
+def test_from_records_of_no_records_names_the_source():
+    for source in ("kb.jsonl", "test KB"):
+        with pytest.raises(KBError, match=f"^{source}: no entries$"):
+            KnowledgeBase.from_records([], source)
+
+
+# --- a KB from a file and from records ----------------------------------------------------
 
 # words and the separators str.split splits on, Unicode and ASCII control ones included
 _KB_TEXT = st.text(st.sampled_from(["a", "b", "\u00e9", " ", "\t", "\u2003", "\x1c", "\x85"]),
                    max_size=12)
 _ENTRIES = st.lists(st.tuples(_KB_TEXT.filter(len), _KB_TEXT), min_size=1, max_size=6).map(
-    lambda fields: [KBEntry(f"E{i}", title, description)
+    lambda fields: [{"id": f"E{i}", "title": title, "description": description}
                     for i, (title, description) in enumerate(fields)])
+# records that may break any rule: not an object, a missing or non-string field, an
+# empty id or title, the reserved id, or an id repeated from the small pool
+_FIELD = st.one_of(_KB_TEXT, st.sampled_from([5, None, ["x"]]))
+_ANY_RECORD = st.one_of(
+    st.fixed_dictionaries({"id": st.sampled_from(["E0", "E1", "", NIL, 5]),
+                           "title": _FIELD, "description": _FIELD}),
+    st.dictionaries(st.sampled_from(["id", "title", "description"]), _FIELD),
+    st.sampled_from([["E1"], "E1", 5, None]),
+)
+_RECORDS = st.one_of(_ENTRIES, st.lists(_ANY_RECORD, max_size=6),
+                     st.tuples(_ENTRIES, _ANY_RECORD).map(lambda pair: [*pair[0], pair[1]]))
 
 
-@given(entries=_ENTRIES)
-@settings(max_examples=40, deadline=None,
+def _kb_or_refusal(build):
+    try:
+        return build()
+    except KBError as exc:
+        return exc
+
+
+@given(records=_RECORDS)
+@example(records=[])
+@example(records=[{"id": "E1", "title": "A", "description": "d"}, ["E1"]])
+@example(records=[{"id": "E1", "title": "A"}])
+@example(records=[{"id": "E1", "title": 5, "description": "d"}])
+@example(records=[{"id": "", "title": "A", "description": "d"}])
+@example(records=[{"id": "E1", "title": "", "description": "d"}])
+@example(records=[{"id": NIL, "title": "A", "description": "d"}])
+@example(records=[{"id": "E1", "title": "A", "description": "d"},
+                  {"id": "E1", "title": "B", "description": "e"}])
+@settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_loaded_and_constructed_kbs_agree(tmp_path, entries):
+def test_loaded_and_constructed_kbs_agree(tmp_path, records):
     path = tmp_path / "kb.jsonl"
-    write_jsonl(path, [{"id": e.id, "title": e.title, "description": e.description}
-                       for e in entries])
-    ids = [e.id for e in entries]
-    loaded, built = load_kb(path), KnowledgeBase(entries)
+    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    loaded = _kb_or_refusal(lambda: load_kb(path))
+    built = _kb_or_refusal(lambda: KnowledgeBase.from_records(enumerate(records, start=1), "records"))
+    if isinstance(built, KBError):
+        # the same wording, line and first refused record, up to the source name
+        assert isinstance(loaded, KBError) and str(built).startswith("records: ")
+        assert str(loaded) == f"{path}{str(built).removeprefix('records')}"
+        return
+    assert not isinstance(loaded, KBError), loaded
+    ids = [record["id"] for record in records]
     assert (loaded.titles, loaded.descriptions) == (built.titles, built.descriptions)
     for kb in (loaded, built):
-        assert kb.n == len(entries) and kb.ids == tuple(ids)
-        assert list(kb) == entries
-        assert kb.records() == [json.loads(line) for line in
-                                path.read_text(encoding="utf-8").splitlines()]
+        assert kb.n == len(records) and kb.ids == tuple(ids)
+        assert kb.records() == records
         assert kb.rows([*ids[::-1], ids[0]]) == [*range(len(ids))[::-1], 0]
         for unknown in (NIL, "E99"):
             with pytest.raises(KBError, match=f"^candidate id '{unknown}' not found in the KB$"):
@@ -163,9 +199,9 @@ def test_loaded_and_constructed_kbs_agree(tmp_path, entries):
 @given(entries=_ENTRIES, data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_candidate_texts_are_each_entrys_candidate_text(entries, data):
-    kb = KnowledgeBase(entries)
+    kb = KnowledgeBase.from_records(enumerate(entries, start=1), "records")
     # uncut: what BM25 indexes and the vocabulary covers
-    whole = [e.title.split() + [TITLE_SEP] + e.description.split() for e in entries]
+    whole = [e["title"].split() + [TITLE_SEP] + e["description"].split() for e in entries]
     assert kb.candidate_texts() == whole
     rows = data.draw(st.lists(st.integers(0, len(entries) - 1), max_size=8))
     for max_len in (1, 4, 300):

@@ -3,7 +3,6 @@ from pathlib import Path
 import pytest
 
 from eventlink.extraction import Argument, EventQuery, Span, TaggedQuery
-from eventlink.kb import KBEntry, KnowledgeBase
 from eventlink.neggen import (
     STYLE_ARGUMENT_AWARE,
     STYLE_PLAIN,
@@ -16,6 +15,8 @@ from eventlink.neggen import (
 )
 from eventlink.rerank import build_rerank_prompt, rerank_prompt_template
 from eventlink.retrieval import CandidateSet
+
+from conftest import kb_of
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,8 +47,8 @@ def fixture_tagged():
 
 @pytest.fixture
 def kb10():
-    return KnowledgeBase(
-        [KBEntry(f"E{i}", f"Battle {i}", f"An account of battle number {i} .") for i in range(10)]
+    return kb_of(
+        [(f"E{i}", f"Battle {i}", f"An account of battle number {i} .") for i in range(10)]
     )
 
 

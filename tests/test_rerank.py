@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from eventlink import retrieval
 from eventlink.encoders import DegenerateNormError, TinyEncoder, load_checkpoint, save_checkpoint
-from eventlink.kb import NIL, SCORER_MAX_LEN, TITLE_SEP, KBEntry, KBError, KnowledgeBase
+from eventlink.kb import NIL, SCORER_MAX_LEN, TITLE_SEP, KBError
 from eventlink.llm import ClientExhausted, LLMTransportError, ScriptedClient
 from eventlink.rerank import (
     RULE_LEARNED,
@@ -21,6 +21,8 @@ from eventlink.rerank import (
 from eventlink.retrieval import CandidateSet
 from eventlink.training import CrossExample, TrainConfig, train_crossencoder
 
+from conftest import kb_of
+
 VOCAB = ["city", "war", "north", "siege", "harbor", "[SEP]", "[M_s]", "[M_e]"]
 
 
@@ -31,8 +33,8 @@ def _cands(ids, query_id="q"):
 
 @pytest.fixture
 def kb10():
-    return KnowledgeBase(
-        [KBEntry(f"E{i}", f"Entry {i}", f"description number {i} war city") for i in range(10)]
+    return kb_of(
+        [(f"E{i}", f"Entry {i}", f"description number {i} war city") for i in range(10)]
     )
 
 
@@ -149,8 +151,7 @@ def test_score_candidates_matches_per_pair_reference(batches, seed, dim, pairs_p
 def test_score_pairs_cuts_a_long_entry_at_the_scorer_budget():
     # 300 description tokens: those past SCORER_MAX_LEN are all "harbor"
     description = " ".join(["war"] * 250 + ["harbor"] * 50)
-    kb = KnowledgeBase([KBEntry("E5", "Entry 5", "war city"),
-                        KBEntry("L", "Long siege", description)])
+    kb = kb_of([("E5", "Entry 5", "war city"), ("L", "Long siege", description)])
     tokens = _spelled("Long siege", description)
     assert len(tokens) > SCORER_MAX_LEN
     scorer = TinyCrossScorer(VOCAB, 16, seed=0)

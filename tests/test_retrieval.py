@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from eventlink.encoders import TinyEncoder
-from eventlink.kb import RETRIEVER_MAX_LEN, TITLE_SEP, KBEntry, KnowledgeBase
+from eventlink.kb import RETRIEVER_MAX_LEN, TITLE_SEP
 from eventlink import retrieval
 from eventlink.retrieval import (
     CandidateSet, DenseIndex, _shortlist, build_index, retrieve, retrieve_many,
 )
 from eventlink.training import build_vocab
+
+from conftest import kb_of
 
 
 def _index_from_matrix(matrix):
@@ -280,11 +282,12 @@ def test_build_index_shape_and_determinism(small_kb):
 
 def test_build_index_rows_match_direct_encoding(small_kb):
     # a 400-token entry whose tokens past the retriever's budget are all "harbor"
-    long = KBEntry("E4", "Long siege", " ".join(["war"] * 300 + ["harbor"] * 100))
-    kb = KnowledgeBase([*small_kb, long])
-    whole = long.title.split() + [TITLE_SEP] + long.description.split()
+    long = ("E4", "Long siege", " ".join(["war"] * 300 + ["harbor"] * 100))
+    kb = kb_of([*zip(small_kb.ids, small_kb.titles, small_kb.descriptions), long])
+    whole = long[1].split() + [TITLE_SEP] + long[2].split()
     assert len(whole) > RETRIEVER_MAX_LEN
-    texts = [[*e.title.split(), TITLE_SEP, *e.description.split()][:RETRIEVER_MAX_LEN] for e in kb]
+    texts = [[*title.split(), TITLE_SEP, *description.split()][:RETRIEVER_MAX_LEN]
+             for title, description in zip(kb.titles, kb.descriptions)]
     # every other distinct token but "harbor" is left out of the vocabulary, so it encodes as [OOV]
     vocab = sorted({*sorted({token for text in texts for token in text})[::2], "harbor"})
     encoder = TinyEncoder(vocab, 32, seed=2)
@@ -292,11 +295,6 @@ def test_build_index_rows_match_direct_encoding(small_kb):
     expected = np.stack([encoder.forward(text) for text in texts])
     assert index.matrix.tobytes() == expected.tobytes()
     assert not np.array_equal(index.matrix[-1], encoder.forward(whole))
-
-
-def test_build_index_empty_kb():
-    with pytest.raises(ValueError, match="empty"):
-        build_index(KnowledgeBase([]), TinyEncoder(["a"], 8, seed=0))
 
 
 def test_index_save_load_round_trip(tmp_path, small_kb):

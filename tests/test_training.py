@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from eventlink.encoders import DegenerateNormError, TinyEncoder, distinct_ids
 
 from eventlink.extraction import EventQuery, Span, TaggedQuery
 from eventlink.formatting import format_query
-from eventlink.kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBEntry, KBError, KnowledgeBase
+from eventlink.kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBError
 from eventlink.llm import StorytellerMock
 from eventlink.neggen import (
     PROVENANCE_KB_PRUNING,
@@ -36,7 +38,7 @@ from eventlink.training import (
     train_crossencoder,
 )
 
-from conftest import dense_grads
+from conftest import dense_grads, kb_of
 
 VOCAB = ["war", "city", "north", "harbor", "siege", "[M_s]", "[M_e]", "[TITLE_SEP]"]
 
@@ -101,8 +103,8 @@ def test_biencoder_gradients_match_finite_differences():
 
 
 def test_crossencoder_gradients_match_finite_differences():
-    kb = KnowledgeBase(
-        [KBEntry(f"E{i}", f"city {i}", f"war north {i}") for i in range(3)]
+    kb = kb_of(
+        [(f"E{i}", f"city {i}", f"war north {i}") for i in range(3)]
     )
     scorer = TinyCrossScorer(VOCAB, 6, seed=0)
     examples = [
@@ -120,8 +122,8 @@ def test_crossencoder_gradients_match_finite_differences():
 
 
 def test_crossencoder_gradients_with_shared_candidates_and_ragged_lists():
-    kb = KnowledgeBase(
-        [KBEntry(f"E{i}", f"city {i}", f"war north {i}") for i in range(4)]
+    kb = kb_of(
+        [(f"E{i}", f"city {i}", f"war north {i}") for i in range(4)]
     )
     scorer = TinyCrossScorer(VOCAB, 6, seed=3)
     # E1 appears in all three examples and E0 in two; lists have 3, 1 and 2 entries
@@ -189,7 +191,7 @@ def _cross_batches(draw):
        scale=st.sampled_from([1.0, 10.0, 100.0]), dim=st.sampled_from([2, 6, 64]))
 @settings(max_examples=150, deadline=None)
 def test_batched_cross_loss_equals_per_example_loss_bit_for_bit(examples, seed, scale, dim):
-    kb = KnowledgeBase([KBEntry(f"E{j}", f"city {j}", "war north " * j) for j in range(8)])
+    kb = kb_of([(f"E{j}", f"city {j}", "war north " * j) for j in range(8)])
     scorer = TinyCrossScorer(VOCAB, dim, seed=seed)
     scorer.scale[0] = scale
     rows = cross_id_rows(scorer.encoder, examples, kb)
@@ -259,7 +261,7 @@ def test_biencoder_loss_equals_reference_bit_for_bit(batches, seed, dim, tiny_ro
 
 
 def test_cross_step_encodes_each_distinct_candidate_once(monkeypatch):
-    kb = KnowledgeBase([KBEntry(f"E{i}", f"city {i}", "war") for i in range(3)])
+    kb = kb_of([(f"E{i}", f"city {i}", "war") for i in range(3)])
     scorer = TinyCrossScorer(VOCAB, 6, seed=0)
     examples = [
         CrossExample("a", ("war",), ("E0", "E1"), 1),
@@ -281,7 +283,7 @@ def test_cross_step_encodes_each_distinct_candidate_once(monkeypatch):
 def test_train_biencoder_runs_one_backward_per_step(small_toy, monkeypatch):
     data, vocab = small_toy
     pairs = _biencoder_pairs(data)
-    cfg = TrainConfig.biencoder_defaults(learning_rate=0.3, batch_size=8, epochs=3, seed=0)
+    cfg = TrainConfig(learning_rate=0.3, batch_size=8, epochs=3, seed=0)
     calls = []
     original = TinyEncoder.backward
 
@@ -298,7 +300,7 @@ def test_train_biencoder_runs_one_backward_per_step(small_toy, monkeypatch):
 
 
 def test_crossencoder_zero_nil_embedding_raises_named_error():
-    kb = KnowledgeBase([KBEntry("E0", "city", "war")])
+    kb = kb_of([("E0", "city", "war")])
     scorer = TinyCrossScorer(VOCAB, 6, seed=0)
     scorer.nil_embedding[:] = 0.0
     examples = [CrossExample("a", ("war",), ("E0",), 1)]
@@ -307,7 +309,7 @@ def test_crossencoder_zero_nil_embedding_raises_named_error():
 
 
 def test_cross_step_with_unknown_candidate_is_kb_error():
-    kb = KnowledgeBase([KBEntry("E0", "city", "war")])
+    kb = kb_of([("E0", "city", "war")])
     scorer = TinyCrossScorer(VOCAB, 6, seed=0)
     examples = [CrossExample("a", ("war",), ("E0", "E9"), 1)]
     # candidates are mapped to token ids once per run, before any step
@@ -370,7 +372,7 @@ def test_training_progress_on_toy_pairs(small_toy):
     data, vocab = small_toy
     encoder = TinyEncoder(vocab, 32, seed=0)
     pairs = _biencoder_pairs(data)
-    cfg = TrainConfig.biencoder_defaults(
+    cfg = TrainConfig(
         learning_rate=0.3, batch_size=8, epochs=10, seed=0
     )
     report = train_biencoder(pairs, encoder, cfg)
@@ -383,7 +385,7 @@ def test_train_biencoder_requires_enough_data(small_toy):
     data, vocab = small_toy
     encoder = TinyEncoder(vocab, 8, seed=0)
     with pytest.raises(ValueError, match="at least"):
-        train_biencoder([], encoder, TrainConfig.biencoder_defaults(batch_size=4))
+        train_biencoder([], encoder, replace(TrainConfig.biencoder_defaults(), batch_size=4))
 
 
 def test_training_reproducible(small_toy):
@@ -391,7 +393,7 @@ def test_training_reproducible(small_toy):
 
     data, vocab = small_toy
     pairs = _biencoder_pairs(data)
-    cfg = TrainConfig.biencoder_defaults(learning_rate=0.3, batch_size=8, epochs=3, seed=5)
+    cfg = TrainConfig(learning_rate=0.3, batch_size=8, epochs=3, seed=5)
     first = TinyEncoder(vocab, 16, seed=5)
     train_biencoder(pairs, first, cfg)
     second = TinyEncoder(vocab, 16, seed=5)
@@ -477,7 +479,6 @@ def test_mine_formats_a_long_query_once_at_the_scorer_budget(mined_stack):
 
 def test_mine_nil_query_gets_plain_candidates(mined_stack):
     data, encoder, index = mined_stack
-    from dataclasses import replace
 
     nil_query = replace(
         data.train[0],
@@ -528,7 +529,7 @@ def test_all_negative_training_prefers_nil(mined_stack):
     negatives = _negatives(data, encoder, index, 20)
     train_negs, held_negs = negatives[:14], negatives[14:]
     scorer = TinyCrossScorer(build_vocab(data.kb, data.train), 32, seed=0)
-    cfg = TrainConfig.crossencoder_defaults(
+    cfg = TrainConfig(
         learning_rate=0.1, batch_size=4, epochs=5, seed=0
     )
     train_crossencoder([], train_negs, scorer, cfg, data.kb)
@@ -548,7 +549,7 @@ def test_zero_negatives_is_plain_reranker_training(mined_stack):
     data, encoder, index = mined_stack
     positives = mine_candidates(data.train, index, encoder, k=5)
     scorer = TinyCrossScorer(build_vocab(data.kb, data.train), 32, seed=0)
-    cfg = TrainConfig.crossencoder_defaults(
+    cfg = TrainConfig(
         learning_rate=0.1, batch_size=4, epochs=2, seed=0
     )
     report = train_crossencoder(positives, [], scorer, cfg, data.kb)
@@ -560,7 +561,7 @@ def test_cross_training_shuffle_ignores_insertion_order(mined_stack):
     data, encoder, index = mined_stack
     positives = mine_candidates(data.train[:12], index, encoder, k=5)
     negatives = _negatives(data, encoder, index, 6)
-    cfg = TrainConfig.crossencoder_defaults(
+    cfg = TrainConfig(
         learning_rate=0.1, batch_size=4, epochs=2, seed=7
     )
     vocab = build_vocab(data.kb, data.train)
@@ -574,19 +575,19 @@ def test_cross_training_shuffle_ignores_insertion_order(mined_stack):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig.biencoder_defaults(learning_rate=0.0)
+        replace(TrainConfig.biencoder_defaults(), learning_rate=0.0)
     for lr in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
-            TrainConfig.crossencoder_defaults(learning_rate=lr)
+            replace(TrainConfig.crossencoder_defaults(), learning_rate=lr)
     with pytest.raises(ValueError):
-        TrainConfig.crossencoder_defaults(epochs=-1)
+        replace(TrainConfig.crossencoder_defaults(), epochs=-1)
 
 
 def test_cross_training_ignores_negative_order(mined_stack):
     data, encoder, index = mined_stack
     positives = mine_candidates(data.train, index, encoder, k=5)
     negatives = _negatives(data, encoder, index, 12)
-    cfg = TrainConfig.crossencoder_defaults(
+    cfg = TrainConfig(
         learning_rate=0.1, batch_size=4, epochs=1, seed=7,
     )
     vocab = build_vocab(data.kb, data.train)
