@@ -29,7 +29,7 @@ from .kb import NIL, RETRIEVER_MAX_LEN, SCORER_MAX_LEN, KBError, load_kb
 from .llm import ScriptedClient, StorytellerMock
 from .rerank import LinkDecision, TinyCrossScorer, llm_rerank, score_pairs
 from .rerank import select_learned_nil, select_threshold
-from .retrieval import CandidateSet, DenseIndex, bm25_build, bm25_retrieve, build_index, retrieve_many
+from .retrieval import CandidateSet, DenseIndex, bm25_build, bm25_retrieve_many, build_index, retrieve_many
 
 
 class UsageError(Exception):
@@ -200,7 +200,7 @@ def cmd_retrieve(args) -> dict:
     inputs, kb, tagged, index, encoder = _stack(args, kb=bm25, dense=not bm25)
     if bm25:
         index = bm25_build(kb)
-        results = [bm25_retrieve(index, query.base, args.k) for query in tagged]
+        results = bm25_retrieve_many(index, [query.base for query in tagged], args.k)
     else:
         embeddings = encoder.encode_many(
             [format_query(query, args.style, RETRIEVER_MAX_LEN) for query in tagged])

@@ -10,6 +10,8 @@ desk-scale runs in place of learned extraction models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from . import artifacts
@@ -121,7 +123,7 @@ class TaggedQuery:
         if type(self.arguments) is not tuple:
             object.__setattr__(self, "arguments", tuple(self.arguments))
         length = len(self.base.tokens)
-        ordered = sorted(self.arguments, key=lambda a: (a.span.start, a.span.end))
+        ordered = sorted(self.arguments, key=attrgetter("span"))  # Span orders by (start, end)
         for i, arg in enumerate(ordered):
             if not arg.span.within(length):
                 raise ValueError(f"argument span {arg.span} outside query tokens")
@@ -264,10 +266,16 @@ def query_to_record(query: EventQuery) -> dict:
     return record
 
 
+@lru_cache(maxsize=4096)
+def _argument(start: int, end: int, role: str) -> Argument:
+    # Arguments are immutable, so one validated object serves every repeat of (start, end, role)
+    return Argument(Span(start, end), role)
+
+
 def tagged_from_record(record: dict) -> TaggedQuery:
     base = query_from_record(record)
     arguments = tuple(
-        Argument(Span(int(a["start"]), int(a["end"])), str(a["role"]))
+        _argument(int(a["start"]), int(a["end"]), str(a["role"]))
         for a in record.get("arguments", [])
     )
     return TaggedQuery(

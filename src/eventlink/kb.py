@@ -45,6 +45,15 @@ def tokenize(text: str) -> list[str]:
     return text.split()
 
 
+def id_refusal(entry_id: str) -> str | None:
+    """Why the string ``entry_id`` cannot name a KB entry, or None: it is empty, or the reserved id."""
+    if not entry_id:
+        return "entry id must be non-empty"
+    if entry_id == NIL:
+        return f"entry id {NIL!r} is reserved for the out-of-KB label"
+    return None
+
+
 def _refusal(record, position: dict[str, int]) -> str | None:
     """Why ``record`` cannot be the next entry of a KB holding ``position``'s ids, or None.
 
@@ -60,10 +69,8 @@ def _refusal(record, position: dict[str, int]) -> str | None:
         if not isinstance(record[field], str):
             return f"field {field!r} must be a string"
     entry_id = record["id"]
-    if not entry_id:
-        return "entry id must be non-empty"
-    if entry_id == NIL:
-        return f"entry id {NIL!r} is reserved for the out-of-KB label"
+    if (message := id_refusal(entry_id)) is not None:
+        return message
     if not record["title"]:
         return f"entry {entry_id!r}: title must be non-empty"
     if entry_id in position:

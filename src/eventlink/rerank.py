@@ -157,9 +157,12 @@ class LinkDecision:
 
     @classmethod
     def from_record(cls, record: dict) -> "LinkDecision":
+        """The decision of a ``to_record`` record; its prediction must be a JSON string."""
+        if type(record["prediction"]) is not str:
+            raise ValueError(f"prediction {record['prediction']!r} is not a string")
         return cls(
             query_id=str(record["query_id"]),
-            prediction=str(record["prediction"]),
+            prediction=record["prediction"],
             scores=tuple(float(s) for s in record["scores"]),
             rule=str(record["rule"]),
             note=record.get("note"),

@@ -17,10 +17,12 @@ candidate file is pinned to, and sorted by (score descending, KB position).
 
 BM25 follows BM25S (arXiv 2407.03618): each (term, entry) Okapi
 contribution is computed once, when the index is built, and stored in
-per-term posting arrays. A query's scores are then one ``bincount`` over
-its terms' postings, and top-k sorts only the entries that scored. The
-weights keep the association order of the per-posting formula and the
-sums its addition order, so every score equals that formula bit for bit.
+per-term posting arrays. Queries are scored in blocks sized as the dense
+ones are, and a block's scores are one ``bincount`` over its queries'
+postings into ``query * n + entry`` bins; top-k then sorts only the
+entries of each query that scored. The weights keep the association order
+of the per-posting formula and the sums its addition order, so every
+score equals that formula bit for bit.
 
 ``DenseIndex.save`` and ``DenseIndex.load`` are the only writer and
 reader of the index artifact. The file is one line of JSON holding the ids,
@@ -32,6 +34,7 @@ shape, then the matrix's raw little-endian float64 bytes
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Sequence
@@ -42,7 +45,7 @@ from . import artifacts
 from .encoders import EncoderAdapter, encoder_fingerprint
 from .extraction import EventQuery
 from .formatting import context_window
-from .kb import RETRIEVER_MAX_LEN, KnowledgeBase
+from .kb import NIL, RETRIEVER_MAX_LEN, KnowledgeBase, id_refusal
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -78,7 +81,7 @@ class CandidateSet:
             raise ValueError("ids and scores must align")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("candidate ids must be distinct")
-        if any(a < b for a, b in zip(self.scores, self.scores[1:])):
+        if any(map(operator.lt, self.scores, self.scores[1:])):
             raise ValueError("scores must be non-increasing")
 
     def __len__(self) -> int:
@@ -92,11 +95,15 @@ class CandidateSet:
 
     @classmethod
     def from_record(cls, record: dict) -> "CandidateSet":
-        return cls(
-            query_id=str(record["query_id"]),
-            ids=tuple(c["id"] for c in record["candidates"]),
-            scores=tuple(float(c["score"]) for c in record["candidates"]),
-        )
+        """The set of a ``to_record`` record: each id a JSON string, each score a JSON number."""
+        candidates = record["candidates"]
+        for c in candidates:
+            if type(c["id"]) is not str:
+                raise ValueError(f"candidate id {c['id']!r} is not a string")
+            if type(c["score"]) not in (float, int):
+                raise ValueError(f"candidate score {c['score']!r} is not a number")
+        return cls(query_id=str(record["query_id"]), ids=tuple(c["id"] for c in candidates),
+                   scores=tuple(c["score"] for c in candidates))
 
 
 @dataclass(frozen=True)
@@ -145,7 +152,8 @@ class DenseIndex:
     def load(cls, path) -> "DenseIndex":
         """Read an index written by ``save``; a malformed file raises ValueError naming it.
 
-        Its ``ids`` must be a JSON list of distinct strings, and a repeat is named as the KB does.
+        Its ``ids`` must be a JSON list of distinct KB ids: an empty id, ``NIL`` and a repeat are
+        refused in the KB's words.
         """
         return artifacts.read_framed(path, cls._from_parts, f"no index header line; {_REBUILD}")
 
@@ -157,7 +165,10 @@ class DenseIndex:
         ids = header["ids"]
         if type(ids) is not list or not all(type(i) is str for i in ids):
             raise ValueError("index ids must be a JSON list of strings")
-        if len(set(ids)) < len(ids):
+        distinct = set(ids)
+        if "" in distinct or NIL in distinct:
+            raise ValueError(next(filter(None, map(id_refusal, ids))))
+        if len(distinct) < len(ids):
             first = {}
             repeated = next(i for row, i in enumerate(ids) if first.setdefault(i, row) != row)
             raise ValueError(f"duplicate entry id {repeated!r}")
@@ -325,18 +336,29 @@ class BM25Index:
         return len(self.ids)
 
     def scores(self, terms: Sequence[str]) -> np.ndarray:
-        """Per-entry scores, each adding its weights in query-term order from 0.0.
+        """Per-entry scores of one query: row 0 of ``block_scores([terms])``."""
+        return self.block_scores([terms])[0]
 
-        A repeated term counts each time; an unknown term adds nothing.
-        ``bincount`` adds its weights in input order, so concatenating the
-        terms' postings in query order keeps the per-posting sums exact.
+    def block_scores(self, queries: Sequence[Sequence[str]]) -> np.ndarray:
+        """``(len(queries), n)`` scores, each adding its weights in query-term order from 0.0.
+
+        A repeated term counts each time; an unknown term adds nothing. One
+        ``bincount`` over ``query * n + entry`` bins adds its weights in
+        input order, and the postings go in (query, term) order, so every
+        bin keeps the per-posting sum exact.
         """
-        rows = [self.postings[term] for term in terms if term in self.postings]
-        if not rows:
-            return np.zeros(self.n)
-        docs = np.concatenate([self.docs[r] for r in rows])
-        weights = np.concatenate([self.weights[r] for r in rows])
-        return np.bincount(docs, weights=weights, minlength=self.n)
+        hits = [[self.postings[term] for term in terms if term in self.postings]
+                for terms in queries]
+        found = list(chain.from_iterable(hits))
+        starts = np.fromiter(map(operator.attrgetter("start"), found), np.intp, len(found))
+        sizes = np.fromiter(map(operator.attrgetter("stop"), found), np.intp, len(found)) - starts
+        ends = np.cumsum(sizes)
+        # the postings of each hit, hit after hit, and the first bin of each one's query
+        at = np.arange(ends[-1] if found else 0) + np.repeat(starts - (ends - sizes), sizes)
+        first_bins = np.arange(0, len(queries) * self.n, self.n)
+        bins = self.docs[at] + np.repeat(np.repeat(first_bins, list(map(len, hits))), sizes)
+        scores = np.bincount(bins, weights=self.weights[at], minlength=len(queries) * self.n)
+        return scores.reshape(len(queries), self.n)
 
 
 def bm25_build(kb: KnowledgeBase) -> BM25Index:
@@ -372,23 +394,43 @@ def _scored_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k best non-negative scores, ties to the lower position.
 
     Only the positive scores are sorted, stably; zero-score positions pad
-    the rest in ascending order, as a stable sort of all n would.
+    the rest in ascending order, as a stable sort of all n would. Where more
+    than 4k entries scored, those below the k-th best score are dropped
+    first, by one partition, as they cannot be in the top k; a sort of
+    fewer costs less than the partition.
     """
     scored = np.flatnonzero(scores)
+    if len(scored) > 4 * k:
+        values = scores[scored]
+        scored = scored[values >= np.partition(values, len(values) - k)[len(values) - k]]
     top = scored[np.argsort(-scores[scored], kind="stable")[:k]]
     if len(top) < k:
         top = np.concatenate([top, np.flatnonzero(scores == 0.0)[: k - len(top)]])
     return top
 
 
-def bm25_retrieve(index: BM25Index, query: EventQuery, k: int) -> CandidateSet:
-    """Okapi BM25 top-k with the same KB-position tie rule as dense retrieval."""
+def bm25_retrieve_many(index: BM25Index, queries: Sequence[EventQuery], k: int) -> list[CandidateSet]:
+    """Okapi BM25 top-k for each query, with the same KB-position tie rule as dense retrieval.
+
+    Queries are scored in blocks of ``_BLOCK_ELEMENTS // index.n``, one
+    ``BM25Index.block_scores`` call per block.
+    """
     if not 1 <= k <= index.n:
         raise ValueError(f"k={k} outside [1, {index.n}]")
-    scores = index.scores(bm25_query_terms(query))
-    order = _scored_top_k(scores, k)
-    return CandidateSet(
-        query_id=query.query_id,
-        ids=tuple(index.ids[i] for i in order.tolist()),
-        scores=tuple(scores[order].tolist()),
-    )
+    step = max(1, _BLOCK_ELEMENTS // index.n)
+    results = []
+    for start in range(0, len(queries), step):
+        block = queries[start:start + step]
+        for query, scores in zip(block, index.block_scores(list(map(bm25_query_terms, block)))):
+            top = _scored_top_k(scores, k)
+            results.append(CandidateSet(query.query_id, tuple(map(index.ids.__getitem__, top.tolist())),
+                                        tuple(scores[top].tolist())))
+    return results
+
+
+def bm25_retrieve(index: BM25Index, query: EventQuery, k: int) -> CandidateSet:
+    """Okapi BM25 top-k for one query: ``bm25_retrieve_many`` of a one-query block.
+
+    The one-query form of the tests, wrapped by name in ``bench/tracing.py``.
+    """
+    return bm25_retrieve_many(index, [query], k)[0]

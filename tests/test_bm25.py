@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventlink.extraction import EventQuery, Span
 from eventlink.kb import tokenize
+from eventlink import retrieval
 from eventlink.retrieval import BM25_B, BM25_K1, bm25_build, bm25_query_terms, bm25_retrieve
+from eventlink.retrieval import bm25_retrieve_many
 from eventlink.toy import build_toy_data
 
 from conftest import kb_of
@@ -51,17 +53,18 @@ FIVE_DOC_EXPECTED = {
 }
 
 
+FIVE_DOCS = [
+    ("F0", "alpha", "beta gamma"),
+    ("F1", "beta", "beta delta"),
+    ("F2", "gamma delta", "epsilon"),
+    ("F3", "zeta", "alpha beta gamma delta epsilon"),
+    ("F4", "eta", "theta iota"),
+]
+
+
 @pytest.fixture
 def five_doc_kb():
-    return kb_of(
-        [
-            ("F0", "alpha", "beta gamma"),
-            ("F1", "beta", "beta delta"),
-            ("F2", "gamma delta", "epsilon"),
-            ("F3", "zeta", "alpha beta gamma delta epsilon"),
-            ("F4", "eta", "theta iota"),
-        ]
-    )
+    return kb_of(FIVE_DOCS)
 
 
 @pytest.fixture
@@ -169,6 +172,13 @@ def test_k_bounds(five_doc_kb):
     query = EventQuery("q", ("beta",), Span(0, 0))
     with pytest.raises(ValueError):
         bm25_retrieve(index, query, 6)
+    for k in (0, 6):
+        with pytest.raises(ValueError) as one:
+            bm25_retrieve(index, query, k)
+        with pytest.raises(ValueError) as many:
+            bm25_retrieve_many(index, [query, query], k)
+        assert str(many.value) == str(one.value) == f"k={k} outside [1, 5]"
+    assert bm25_retrieve_many(index, [], 5) == []
 
 
 def test_wide_mention_retrieves_k_candidates(five_doc_kb):
@@ -261,3 +271,52 @@ def test_candidates_match_golden_file_byte_for_byte():
              for q in queries]
     golden = (DATA / "bm25_golden.jsonl").read_bytes()
     assert ("\n".join(lines) + "\n").encode("utf-8") == golden
+
+
+# --- blocks of queries -----------------------------------------------------
+
+WORDS = VOCAB + ABSENT
+
+
+@st.composite
+def bm25_blocks(draw):
+    """A KB, 1-7 queries over its words and unknown ones (mentions up to 40 tokens wide), and k."""
+    kb = draw(bm25_cases())[0]
+    queries = []
+    for q in range(draw(st.integers(1, 7))):
+        tokens = tuple(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=40)))
+        start = draw(st.integers(0, len(tokens) - 1))
+        end = draw(st.integers(start, len(tokens) - 1))
+        queries.append(EventQuery(f"q{q}", tokens, Span(start, end)))
+    return kb, queries, draw(st.integers(1, kb.n))
+
+
+def _blocked(kb, queries, k, per_block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval, "_BLOCK_ELEMENTS", kb.n * per_block)
+        return bm25_retrieve_many(bm25_build(kb), queries, k)
+
+
+def _bits(candidate_sets):
+    return [(c.query_id, c.ids, np.array(c.scores).tobytes()) for c in candidate_sets]
+
+
+WIDE = tuple("alpha beta gamma delta epsilon zeta eta theta iota".split()) * 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(bm25_blocks())
+@example((kb_of(FIVE_DOCS), [EventQuery("none", ("missing", "words"), Span(0, 0)),
+                        EventQuery("twice", ("beta", "beta", "gamma"), Span(2, 2)),
+                        EventQuery("wide", WIDE, Span(1, len(WIDE) - 2))], 1))
+@example((kb_of(FIVE_DOCS), [EventQuery("wide", WIDE, Span(0, 20)),
+                        EventQuery("none", ("missing",), Span(0, 0)),
+                        EventQuery("twice", ("zeta", "eta", "zeta"), Span(0, 0))], 5))
+def test_retrieve_many_equals_one_query_at_a_time_bit_for_bit(case):
+    kb, queries, k = case
+    index = bm25_build(kb)
+    for depth in sorted({1, k, kb.n}):
+        expected = _bits([bm25_retrieve(index, q, depth) for q in queries])
+        for per_block in (1, 2, 3):
+            assert _bits(_blocked(kb, queries, depth, per_block)) == expected, (depth, per_block)
+

@@ -145,10 +145,13 @@ def _index_parts(path):
     (_ids([1, 1]), "index ids must be a JSON list of strings"),
     (_ids(["a", "a"]), "duplicate entry id 'a'"),
     (_ids("ab"), "index ids must be a JSON list of strings"),
+    (_ids(["a", ""]), "entry id must be non-empty"),
+    (_ids(["NIL", "a"]), "entry id 'NIL' is reserved for the out-of-KB label"),
 ], ids=["missing-key", "format-v1", "format-v2", "old-version-header", "float-version",
         "bool-in-shape", "shape-vs-ids",
         "shape-vs-bytes", "non-finite", "truncated-body", "empty", "no-newline",
-        "int-and-null-ids", "repeated-int-ids", "repeated-string-ids", "string-ids"])
+        "int-and-null-ids", "repeated-int-ids", "repeated-string-ids", "string-ids",
+        "empty-id", "nil-id"])
 def test_malformed_index_is_data_error_naming_file(dense_stack, tmp_path, capsys, corrupt, message):
     bad = tmp_path / "bad-index.json"
     bad.write_bytes(corrupt(*_index_parts(dense_stack["index.json"])))
@@ -410,6 +413,30 @@ def test_eval_coverage_error_names_the_file_at_fault(small_run, tmp_path, capsys
         "repeated-gold": (gold, "duplicate query ids among golds"),
     }[case]
     assert f"{at_fault}: {message}" in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("at_fault, key, value, message", [
+    ("candidates", "id", 1, "candidate id 1 is not a string"),
+    ("candidates", "score", "0.5", "candidate score '0.5' is not a number"),
+    ("candidates", "score", True, "candidate score True is not a number"),
+    ("preds", "prediction", 5, "prediction 5 is not a string"),
+], ids=["int-candidate-id", "string-score", "bool-score", "int-prediction"])
+def test_eval_refuses_mistyped_candidates_and_predictions(small_run, tmp_path, capsys, at_fault, key,
+                                                          value, message):
+    records = {"preds": read_records(small_run["decisions_learned_nil"], dict),
+               "candidates": read_records(small_run["candidates"], dict)}
+    second = records[at_fault][1]
+    (second["candidates"][0] if at_fault == "candidates" else second)[key] = value
+    paths = {name: tmp_path / f"{name}.jsonl" for name in records}
+    for name, path in paths.items():
+        write_jsonl(path, records[name])
+    report = tmp_path / "r.json"
+    code = main(["eval", "--preds", str(paths["preds"]), "--gold", small_run["eval_tagged"],
+                 "--candidates", str(paths["candidates"]), "--out", str(report)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{paths[at_fault]}: line 2: {message}" in err
     assert not report.exists()
 
 

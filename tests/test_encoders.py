@@ -197,6 +197,23 @@ def test_batched_kernels_match_per_sequence_reference(rows, seed):
         np.testing.assert_allclose(grads[name], reference[name], rtol=0, atol=1e-12)
 
 
+def test_backward_gradients_of_signed_zeros_are_positive_zeros():
+    # every term of bias component 0 is -0.0: column 0 of grad_out is -0.0 where every
+    # out is positive, the rest +0.0, so the radial part is +0.0. A sum into zeroed
+    # arrays reads +0.0 there, as backward must; a sum started from its first term,
+    # such as functools.reduce(np.add, rows), reads -0.0 without backward's `0.0 +`
+    enc = TinyEncoder(KERNEL_VOCAB, 8, seed=5)
+    enc.bias[:] = 100.0
+    out, cache = enc.forward_batch(enc.id_rows([["war", "city"], ["north"], ["harbor", "zzz"]]))
+    assert (out > 0.0).all()
+    grad_out = np.zeros_like(out)
+    grad_out[:, 0] = -0.0
+    grads = {}
+    enc.backward(cache, grad_out, grads)
+    for name, grad in dense_grads(enc.params(), grads).items():
+        assert grad.tobytes() == np.zeros_like(grad).tobytes(), name
+
+
 @given(ids=st.lists(st.integers(0, 40), min_size=1, max_size=60), spare=st.integers(0, 5))
 def test_distinct_ids_equal_np_unique(ids, spare):
     ids = np.array(ids, dtype=np.intp)
