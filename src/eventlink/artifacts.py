@@ -17,6 +17,14 @@ object and turn a ``KeyError``, ``TypeError``, ``ValueError`` or
 naming the file, and the line for JSON lines. ``read_records`` is one loop
 over ``iter_jsonl`` with one error handler, so a record costs its ``parse``
 call alone; it also refuses a repeated key, such as a query id.
+
+Single JSON documents (checkpoints, eval reports, the role lexicon) decode
+with ``orjson``: several times faster than ``json`` on nested float lists,
+with the same bits for every finite double ``json`` writes, and refusing
+``NaN``, ``Infinity`` and numbers beyond the double range. JSON lines,
+framed headers and the manifest line decode with the stdlib ``json``
+module, and every writer encodes with it, because the goldens pin its
+bytes.
 """
 
 from __future__ import annotations
@@ -26,6 +34,8 @@ import json
 import os
 import tempfile
 from typing import Callable, Iterable, Iterator, TypeVar
+
+import orjson
 
 MANIFEST_KEY = "_manifest"
 
@@ -166,13 +176,21 @@ def write_json(path, payload: dict, manifest: dict | None = None) -> None:
 
 
 def read_json(path) -> tuple[dict | None, dict]:
-    """Return (manifest or None, document); a file that is not UTF-8 JSON raises ValueError naming it."""
+    """Return (manifest or None, document); a file that is not UTF-8 JSON raises ValueError naming it.
+
+    ``orjson`` decodes the bytes: ``NaN``, ``Infinity``, a number beyond the
+    double range and a lone surrogate escape are malformed JSON, and an
+    integer wider than 64 bits decodes as a float.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            document = json.load(fh)
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: not UTF-8") from None
-    except json.JSONDecodeError as exc:
+        document = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        try:  # decoded only on refusal, so a document read keeps no second copy of its text
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8") from None
         raise ValueError(f"{path}: malformed JSON: {exc}") from None
     manifest = document.pop(MANIFEST_KEY, None) if isinstance(document, dict) else None
     return manifest, document

@@ -243,7 +243,8 @@ def save_checkpoint(model, path) -> None:
 def load_checkpoint(path, cls):
     """Read a ``cls`` checkpoint, embedded ``_manifest`` optional, and build it with ``cls.from_state_dict``.
 
-    Another format_version or kind, malformed JSON or a missing or malformed
+    Another format_version or kind, malformed JSON (``NaN``, ``Infinity`` and
+    numbers beyond the double range included) or a missing or malformed
     field is a ``ValueError`` naming the file; ``true`` or ``1.0`` is no integer.
     """
     def build(state: dict):

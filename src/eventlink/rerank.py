@@ -28,7 +28,7 @@ import numpy as np
 from .encoders import DegenerateNormError, TinyEncoder, checkpoint_array, checkpoint_state
 from .kb import NIL, SCORER_MAX_LEN, KnowledgeBase, tokenize
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
-from .retrieval import CandidateSet, pair_dots
+from .retrieval import CandidateSet, json_float, pair_dots
 
 NIL_PSEUDO_TOKEN = "[NIL]"
 
@@ -157,14 +157,18 @@ class LinkDecision:
 
     @classmethod
     def from_record(cls, record: dict) -> "LinkDecision":
-        """The decision of a ``to_record`` record; its prediction must be a JSON string."""
-        if type(record["prediction"]) is not str:
-            raise ValueError(f"prediction {record['prediction']!r} is not a string")
+        """The decision of a ``to_record`` record.
+
+        Its query id, prediction and rule must be JSON strings, and its scores JSON numbers.
+        """
+        for key, name in (("query_id", "query id"), ("prediction", "prediction"), ("rule", "rule")):
+            if type(record[key]) is not str:
+                raise ValueError(f"{name} {record[key]!r} is not a string")
         return cls(
-            query_id=str(record["query_id"]),
+            query_id=record["query_id"],
             prediction=record["prediction"],
-            scores=tuple(float(s) for s in record["scores"]),
-            rule=str(record["rule"]),
+            scores=tuple(json_float(s, "score") for s in record["scores"]),
+            rule=record["rule"],
             note=record.get("note"),
         )
 

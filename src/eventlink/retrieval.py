@@ -95,15 +95,26 @@ class CandidateSet:
 
     @classmethod
     def from_record(cls, record: dict) -> "CandidateSet":
-        """The set of a ``to_record`` record: each id a JSON string, each score a JSON number."""
-        candidates = record["candidates"]
-        for c in candidates:
+        """The set of a ``to_record`` record: query id and ids JSON strings, each score a JSON number."""
+        ids, scores = [], []
+        for c in record["candidates"]:
             if type(c["id"]) is not str:
                 raise ValueError(f"candidate id {c['id']!r} is not a string")
-            if type(c["score"]) not in (float, int):
-                raise ValueError(f"candidate score {c['score']!r} is not a number")
-        return cls(query_id=str(record["query_id"]), ids=tuple(c["id"] for c in candidates),
-                   scores=tuple(c["score"] for c in candidates))
+            ids.append(c["id"])
+            scores.append(json_float(c["score"], "candidate score"))
+        if type(record["query_id"]) is not str:
+            raise ValueError(f"query id {record['query_id']!r} is not a string")
+        return cls(query_id=record["query_id"], ids=tuple(ids), scores=tuple(scores))
+
+
+def json_float(value, what: str) -> float:
+    """A decoded JSON number that is not a bool, as a float; else a ``ValueError`` naming ``what``."""
+    if type(value) not in (float, int):
+        raise ValueError(f"{what} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is an integer beyond the float range") from None
 
 
 @dataclass(frozen=True)

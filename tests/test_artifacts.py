@@ -166,6 +166,33 @@ def test_read_json_truncated_file_names_file(tmp_path, payload, data):
     _assert_names_file(_outcome(lambda: read_json(path)), path)
 
 
+def _decoded_bits(tmp_path, values):
+    """The bytes of ``values`` as ``read_json`` and ``json.loads`` decode the text ``json`` writes."""
+    text = json.dumps({"values": values})
+    path = tmp_path / "values.json"
+    path.write_text(text, encoding="utf-8")
+    return (np.array(read_json(path)[1]["values"], dtype=float).tobytes(),
+            np.array(json.loads(text)["values"], dtype=float).tobytes())
+
+
+def test_read_json_decodes_random_doubles_to_the_bits_of_json_loads(tmp_path):
+    # random 64-bit patterns: every exponent, subnormals and signed zeros among them
+    doubles = np.frombuffer(np.random.default_rng(28).bytes(8 * 100_200), dtype="<f8")
+    doubles = doubles[np.isfinite(doubles)][:100_000]
+    assert len(doubles) == 100_000
+    ours, reference = _decoded_bits(tmp_path, doubles.tolist())
+    assert reference == doubles.tobytes()
+    assert ours == reference
+
+
+@given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
+@example(values=[0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_json_decodes_doubles_to_the_bits_of_json_loads(tmp_path, values):
+    ours, reference = _decoded_bits(tmp_path, values)
+    assert ours == reference
+
+
 def test_generic_readers_accept_a_manifest_only_file(tmp_path):
     # an empty queries file is a valid input, so a manifest alone is an empty artifact
     path = tmp_path / "only.jsonl"

@@ -12,7 +12,7 @@ from eventlink import cli
 from eventlink import kb as kb_module
 from eventlink.artifacts import file_digest, json_digest, read_json, read_manifest, read_records
 from eventlink.cli import build_parser, main
-from eventlink.encoders import TinyEncoder, load_encoder, save_checkpoint
+from eventlink.encoders import TinyEncoder, load_checkpoint, load_encoder, save_checkpoint
 from eventlink.rerank import TinyCrossScorer
 from eventlink.toy import build_toy_data, write_toy_inputs
 from eventlink.training import build_vocab
@@ -416,18 +416,31 @@ def test_eval_coverage_error_names_the_file_at_fault(small_run, tmp_path, capsys
     assert not report.exists()
 
 
-@pytest.mark.parametrize("at_fault, key, value, message", [
-    ("candidates", "id", 1, "candidate id 1 is not a string"),
-    ("candidates", "score", "0.5", "candidate score '0.5' is not a number"),
-    ("candidates", "score", True, "candidate score True is not a number"),
-    ("preds", "prediction", 5, "prediction 5 is not a string"),
-], ids=["int-candidate-id", "string-score", "bool-score", "int-prediction"])
-def test_eval_refuses_mistyped_candidates_and_predictions(small_run, tmp_path, capsys, at_fault, key,
+@pytest.mark.parametrize("at_fault, where, value, message", [
+    ("candidates", ("candidates", 0, "id"), 1, "candidate id 1 is not a string"),
+    ("candidates", ("candidates", 0, "score"), "0.5", "candidate score '0.5' is not a number"),
+    ("candidates", ("candidates", 0, "score"), True, "candidate score True is not a number"),
+    ("candidates", ("candidates", 0, "score"), 10 ** 400,
+     "candidate score is an integer beyond the float range"),
+    ("candidates", ("query_id",), 5, "query id 5 is not a string"),
+    ("preds", ("prediction",), 5, "prediction 5 is not a string"),
+    ("preds", ("query_id",), 5, "query id 5 is not a string"),
+    ("preds", ("rule",), 7, "rule 7 is not a string"),
+    ("preds", ("scores", 0), "0.5", "score '0.5' is not a number"),
+    ("preds", ("scores", 1), True, "score True is not a number"),
+    ("preds", ("scores", 0), 10 ** 400, "score is an integer beyond the float range"),
+], ids=["int-candidate-id", "string-score", "bool-score", "overflowing-candidate-score",
+        "int-candidates-query-id", "int-prediction", "int-decision-query-id", "int-rule",
+        "string-decision-score", "bool-decision-score", "overflowing-decision-score"])
+def test_eval_refuses_mistyped_candidates_and_predictions(small_run, tmp_path, capsys, at_fault, where,
                                                           value, message):
+    # each loaded at the parent as a coerced value, except the overflowing scores (exit 3)
     records = {"preds": read_records(small_run["decisions_learned_nil"], dict),
                "candidates": read_records(small_run["candidates"], dict)}
-    second = records[at_fault][1]
-    (second["candidates"][0] if at_fault == "candidates" else second)[key] = value
+    field = records[at_fault][1]
+    for key in where[:-1]:
+        field = field[key]
+    field[where[-1]] = value
     paths = {name: tmp_path / f"{name}.jsonl" for name in records}
     for name, path in paths.items():
         write_jsonl(path, records[name])
@@ -1319,6 +1332,35 @@ def test_checkpoint_array_of_wrong_shape_is_data_error(dense_stack, tmp_path, ca
     err = capsys.readouterr().err
     assert str(bad) in err and f"{name!r} has shape {shape}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity", "1e400", '"\\ud800"'],
+                         ids=["nan", "infinity", "minus-infinity", "overflow", "lone-surrogate"])
+def test_checkpoint_holding_a_non_finite_number_or_a_lone_surrogate_is_data_error(
+        dense_stack, tmp_path, capsys, spelling):
+    # json.load read each of these: NaN as an array value loaded and reached the scores
+    out = tmp_path / "out.jsonl"
+    for cls, flag in ((TinyEncoder, "--encoder"), (TinyCrossScorer, "--scorer")):
+        state = cls(["a", "b"], 4, seed=0).state_dict()
+        if spelling.startswith('"'):
+            state["vocab"][0] = "@"
+        else:
+            state["weight"][1][2] = "@"
+        bad = tmp_path / f"{cls.kind}.json"
+        bad.write_text(json.dumps(state).replace('"@"', spelling), encoding="utf-8")
+        with pytest.raises(ValueError) as refusal:
+            load_checkpoint(bad, cls)
+        assert str(refusal.value).startswith(f"{bad}: malformed JSON: ")
+        commands = [_link_argv(dense_stack, out, flag, str(bad))]
+        if cls is TinyEncoder:
+            commands.append(["retrieve", "--index", dense_stack["index.json"], "--queries",
+                             dense_stack["tagged.jsonl"], "--encoder", str(bad), "--out", str(out)])
+        for argv in commands:
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2, err
+            assert f"{bad}: malformed JSON: " in err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["retrieve", "link"])
