@@ -18,13 +18,12 @@ naming the file, and the line for JSON lines. ``read_records`` is one loop
 over ``iter_jsonl`` with one error handler, so a record costs its ``parse``
 call alone; it also refuses a repeated key, such as a query id.
 
-Single JSON documents (checkpoints, eval reports, the role lexicon) decode
-with ``orjson``: several times faster than ``json`` on nested float lists,
-with the same bits for every finite double ``json`` writes, and refusing
-``NaN``, ``Infinity`` and numbers beyond the double range. JSON lines,
-framed headers and the manifest line decode with the stdlib ``json``
-module, and every writer encodes with it, because the goldens pin its
-bytes.
+Every reader decodes with ``orjson``: several times faster than ``json``
+on nested float lists, with the same bits for every finite double ``json``
+writes. It refuses ``NaN``, ``Infinity``, numbers beyond the double range
+and lone surrogate escapes, in a JSON line as in a document, and decodes an
+integer wider than 64 bits as a float. Every writer encodes with the
+stdlib ``json`` module, because the goldens pin its bytes.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ from typing import Callable, Iterable, Iterator, TypeVar
 import orjson
 
 MANIFEST_KEY = "_manifest"
-
-# what bytes.strip() removes; str.strip() would also remove \x1c-\x1f, \x85 and more
-_ASCII_WHITESPACE = " \t\n\r\x0b\x0c"
-_SCAN = json.JSONDecoder().scan_once  # what JSONDecoder.raw_decode calls, without its frame
 
 T = TypeVar("T")
 
@@ -105,45 +100,43 @@ def write_jsonl(path, records: Iterable[dict], manifest: dict | None = None) -> 
     atomic_write_text(path, "\n".join([*lines, ""]))
 
 
+def _decode(data: bytes, path, lineno: int | None = None):
+    """``orjson.loads`` of ``data``; a refusal is a ValueError naming ``path``, and ``lineno`` if given.
+
+    Refused bytes alone are decoded as UTF-8, to tell ``not UTF-8`` from ``malformed JSON``.
+    """
+    try:
+        return orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        where, reason = (path, exc) if lineno is None else (f"{path}: line {lineno}", exc.msg)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{where}: not UTF-8") from None
+        raise ValueError(f"{where}: malformed JSON: {reason}") from None
+
+
 def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     """Yield (lineno, record), skipping the manifest header on line 1 if present.
 
     A line past line 1 whose only key is ``_manifest`` is not a record:
     it raises ValueError naming the file and the line.
 
-    A blank line, or a line that is not UTF-8 JSON (a truncated file, say),
-    raises ValueError naming the file and the line. The file is read and
-    decoded once, split on ``\\n`` only, and each line loses the ASCII
-    whitespace that ``bytes.strip`` removes. A file that is not UTF-8 as a
-    whole is decoded line by line, so that the error of an earlier line
-    still comes first.
+    The file is split on ``\\n`` only, and each line loses the ASCII
+    whitespace that ``bytes.strip`` removes. A blank line, or a line that is
+    not UTF-8 JSON (a truncated file, say), raises ValueError naming the
+    file and the line: ``{path}: line N: not UTF-8`` or
+    ``{path}: line N: malformed JSON: {reason}``.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        lines = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        lines = data.split(b"\n")
+        lines = fh.read().split(b"\n")
     if not lines[-1]:  # what follows the final newline
         lines.pop()
     for lineno, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ValueError(f"{path}: line {lineno} is not UTF-8") from None
-        line = line.strip(_ASCII_WHITESPACE)
+        line = line.strip()
         if not line:
             raise ValueError(f"{path}: blank line at line {lineno}")
-        try:  # one scan when the whole line is one value; else json.loads raises its error
-            record, end = _SCAN(line, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end != len(line):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
+        record = _decode(line, path, lineno)
         if isinstance(record, dict) and len(record) == 1 and MANIFEST_KEY in record:
             if lineno == 1:
                 continue
@@ -160,8 +153,8 @@ def read_manifest(path) -> dict | None:
     with open(path, "rb") as fh:
         first = fh.readline()
     try:
-        record = json.loads(first.decode("utf-8").strip(_ASCII_WHITESPACE))
-    except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+        record = orjson.loads(first.strip())
+    except orjson.JSONDecodeError:
         return None
     if isinstance(record, dict) and len(record) == 1 and MANIFEST_KEY in record:
         return record[MANIFEST_KEY]
@@ -176,22 +169,9 @@ def write_json(path, payload: dict, manifest: dict | None = None) -> None:
 
 
 def read_json(path) -> tuple[dict | None, dict]:
-    """Return (manifest or None, document); a file that is not UTF-8 JSON raises ValueError naming it.
-
-    ``orjson`` decodes the bytes: ``NaN``, ``Infinity``, a number beyond the
-    double range and a lone surrogate escape are malformed JSON, and an
-    integer wider than 64 bits decodes as a float.
-    """
+    """Return (manifest or None, document); a file that is not UTF-8 JSON raises ValueError naming it."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        document = orjson.loads(data)
-    except orjson.JSONDecodeError as exc:
-        try:  # decoded only on refusal, so a document read keeps no second copy of its text
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: not UTF-8") from None
-        raise ValueError(f"{path}: malformed JSON: {exc}") from None
+        document = _decode(fh.read(), path)
     manifest = document.pop(MANIFEST_KEY, None) if isinstance(document, dict) else None
     return manifest, document
 
@@ -257,8 +237,8 @@ def read_framed(path, parse: Callable[[dict, bytes], T], unframed: str) -> T:
     with open(path, "rb") as fh:
         line = fh.readline()
         try:
-            header = json.loads(line.decode("utf-8")) if line.endswith(b"\n") else None
-        except ValueError:  # UnicodeDecodeError and JSONDecodeError alike
+            header = orjson.loads(line) if line.endswith(b"\n") else None
+        except orjson.JSONDecodeError:
             header = None
         if not isinstance(header, dict):
             raise ValueError(f"{path}: {unframed}")

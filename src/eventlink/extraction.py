@@ -231,20 +231,39 @@ class RuleExtractor:
 
 # --- record (de)serialization for query files -------------------------------
 
+_KINDS = {str: "a string", int: "an integer", list: "a list"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind`` (a bool is no int); else a ValueError naming ``what``."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} {value!r} is not {_KINDS[kind]}")
+    return value
+
+
+def _bounds(record: dict, prefix: str = "") -> tuple[int, int]:
+    start, end = f"{prefix}start", f"{prefix}end"
+    return _typed(record[start], int, start), _typed(record[end], int, end)
+
+
 def query_from_record(record: dict) -> EventQuery:
+    """The query of a ``query_to_record`` record: text fields JSON strings, span bounds JSON integers."""
     for field in ("query_id", "tokens", "mention_start", "mention_end"):
         if field not in record:
             raise ValueError(f"missing field {field!r}")
+    tokens = _typed(record["tokens"], list, "tokens")
+    if not {str}.issuperset(map(type, tokens)):
+        _typed(next(t for t in tokens if type(t) is not str), str, "token")
     entities = tuple(
-        NamedEntityAnnotation(Span(int(e["start"]), int(e["end"])), str(e["entity_type"]))
+        NamedEntityAnnotation(Span(*_bounds(e)), _typed(e["entity_type"], str, "entity_type"))
         for e in record.get("entities", [])
     )
     return EventQuery(
-        query_id=str(record["query_id"]),
-        tokens=tuple(map(str, record["tokens"])),
-        mention=Span(int(record["mention_start"]), int(record["mention_end"])),
-        pos=str(record.get("pos", "other")),
-        gold=str(record.get("gold", NIL)),
+        query_id=_typed(record["query_id"], str, "query_id"),
+        tokens=tuple(tokens),
+        mention=Span(*_bounds(record, "mention_")),
+        pos=_typed(record.get("pos", "other"), str, "pos"),
+        gold=_typed(record.get("gold", NIL), str, "gold"),
         entities=entities,
     )
 
@@ -274,13 +293,12 @@ def _argument(start: int, end: int, role: str) -> Argument:
 
 def tagged_from_record(record: dict) -> TaggedQuery:
     base = query_from_record(record)
-    arguments = tuple(
-        _argument(int(a["start"]), int(a["end"]), str(a["role"]))
-        for a in record.get("arguments", [])
+    arguments = tuple(  # types checked first, as True and 1 are one cache key
+        _argument(*_bounds(a), _typed(a["role"], str, "role")) for a in record.get("arguments", [])
     )
     return TaggedQuery(
         base=base,
-        event_type=str(record.get("event_type", "UNKNOWN")),
+        event_type=_typed(record.get("event_type", "UNKNOWN"), str, "event_type"),
         arguments=arguments,
     )
 

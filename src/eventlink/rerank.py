@@ -159,11 +159,13 @@ class LinkDecision:
     def from_record(cls, record: dict) -> "LinkDecision":
         """The decision of a ``to_record`` record.
 
-        Its query id, prediction and rule must be JSON strings, and its scores JSON numbers.
+        Its query id, prediction, rule and any note must be JSON strings, and its scores JSON numbers.
         """
         for key, name in (("query_id", "query id"), ("prediction", "prediction"), ("rule", "rule")):
             if type(record[key]) is not str:
                 raise ValueError(f"{name} {record[key]!r} is not a string")
+        if "note" in record and type(record["note"]) is not str:
+            raise ValueError(f"note {record['note']!r} is not a string")
         return cls(
             query_id=record["query_id"],
             prediction=record["prediction"],

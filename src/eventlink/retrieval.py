@@ -108,13 +108,10 @@ class CandidateSet:
 
 
 def json_float(value, what: str) -> float:
-    """A decoded JSON number that is not a bool, as a float; else a ``ValueError`` naming ``what``."""
+    """An orjson-decoded number (finite), not a bool, as a float; else a ``ValueError`` naming ``what``."""
     if type(value) not in (float, int):
         raise ValueError(f"{what} {value!r} is not a number")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} is an integer beyond the float range") from None
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -86,9 +87,12 @@ def test_iter_jsonl_truncated_file_names_file_or_reads_a_prefix(tmp_path, record
 
 
 def _reference_iter_jsonl(path):
-    """The line-by-line reader that ``iter_jsonl`` replaced: the reference for its records and errors.
+    """A line-by-line reader, the reference for the records and errors of ``iter_jsonl``.
 
-    It skips a manifest-only line 1 and refuses a manifest-only line after it.
+    Each line, less the ASCII whitespace of ``bytes.strip``, is checked as
+    UTF-8 first and then decoded by ``orjson``, the one decoder of the
+    readers. It skips a manifest-only line 1 and refuses a manifest-only
+    line after it.
     """
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -96,11 +100,13 @@ def _reference_iter_jsonl(path):
             if not stripped:
                 raise ValueError(f"{path}: blank line at line {lineno}")
             try:
-                record = json.loads(stripped.decode("utf-8"))
+                stripped.decode("utf-8")
             except UnicodeDecodeError:
-                raise ValueError(f"{path}: line {lineno} is not UTF-8") from None
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: malformed JSON at line {lineno}: {exc.msg}") from exc
+                raise ValueError(f"{path}: line {lineno}: not UTF-8") from None
+            try:
+                record = orjson.loads(stripped)
+            except orjson.JSONDecodeError as exc:
+                raise ValueError(f"{path}: line {lineno}: malformed JSON: {exc.msg}") from exc
             if isinstance(record, dict) and set(record) == {"_manifest"}:
                 if lineno == 1:
                     continue
@@ -166,30 +172,40 @@ def test_read_json_truncated_file_names_file(tmp_path, payload, data):
     _assert_names_file(_outcome(lambda: read_json(path)), path)
 
 
-def _decoded_bits(tmp_path, values):
-    """The bytes of ``values`` as ``read_json`` and ``json.loads`` decode the text ``json`` writes."""
+_DECODERS = pytest.mark.parametrize("read", [lambda path: read_json(path)[1]["values"],
+                                             lambda path: next(iter_jsonl(path))[1]["values"]],
+                                    ids=["read_json", "iter_jsonl"])
+
+
+def _decoded_bits(tmp_path, values, read):
+    """The bytes of ``values`` as ``read`` and ``json.loads`` decode the text ``json`` writes.
+
+    The text is one line, so it is a JSON document and a JSON-lines file alike.
+    """
     text = json.dumps({"values": values})
     path = tmp_path / "values.json"
     path.write_text(text, encoding="utf-8")
-    return (np.array(read_json(path)[1]["values"], dtype=float).tobytes(),
+    return (np.array(read(path), dtype=float).tobytes(),
             np.array(json.loads(text)["values"], dtype=float).tobytes())
 
 
-def test_read_json_decodes_random_doubles_to_the_bits_of_json_loads(tmp_path):
+@_DECODERS
+def test_readers_decode_random_doubles_to_the_bits_of_json_loads(tmp_path, read):
     # random 64-bit patterns: every exponent, subnormals and signed zeros among them
     doubles = np.frombuffer(np.random.default_rng(28).bytes(8 * 100_200), dtype="<f8")
     doubles = doubles[np.isfinite(doubles)][:100_000]
     assert len(doubles) == 100_000
-    ours, reference = _decoded_bits(tmp_path, doubles.tolist())
+    ours, reference = _decoded_bits(tmp_path, doubles.tolist(), read)
     assert reference == doubles.tobytes()
     assert ours == reference
 
 
+@_DECODERS
 @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20))
 @example(values=[0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_read_json_decodes_doubles_to_the_bits_of_json_loads(tmp_path, values):
-    ours, reference = _decoded_bits(tmp_path, values)
+def test_readers_decode_doubles_to_the_bits_of_json_loads(tmp_path, read, values):
+    ours, reference = _decoded_bits(tmp_path, values, read)
     assert ours == reference
 
 

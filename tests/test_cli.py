@@ -421,20 +421,27 @@ def test_eval_coverage_error_names_the_file_at_fault(small_run, tmp_path, capsys
     ("candidates", ("candidates", 0, "score"), "0.5", "candidate score '0.5' is not a number"),
     ("candidates", ("candidates", 0, "score"), True, "candidate score True is not a number"),
     ("candidates", ("candidates", 0, "score"), 10 ** 400,
-     "candidate score is an integer beyond the float range"),
+     "malformed JSON: number is infinity when parsed as double"),
+    ("candidates", ("candidates", 1, "score"), float("nan"), "malformed JSON: unexpected character"),
+    ("candidates", ("candidates", 0, "score"), float("inf"), "malformed JSON: unexpected character"),
     ("candidates", ("query_id",), 5, "query id 5 is not a string"),
     ("preds", ("prediction",), 5, "prediction 5 is not a string"),
     ("preds", ("query_id",), 5, "query id 5 is not a string"),
     ("preds", ("rule",), 7, "rule 7 is not a string"),
     ("preds", ("scores", 0), "0.5", "score '0.5' is not a number"),
     ("preds", ("scores", 1), True, "score True is not a number"),
-    ("preds", ("scores", 0), 10 ** 400, "score is an integer beyond the float range"),
+    ("preds", ("scores", 0), 10 ** 400, "malformed JSON: number is infinity when parsed as double"),
+    ("preds", ("scores", 1), float("nan"), "malformed JSON: unexpected character"),
+    ("preds", ("scores", 0), float("-inf"), "malformed JSON: no digit after minus sign"),
+    ("preds", ("note",), [1, 2], "note [1, 2] is not a string"),
 ], ids=["int-candidate-id", "string-score", "bool-score", "overflowing-candidate-score",
+        "nan-candidate-score", "infinite-candidate-score",
         "int-candidates-query-id", "int-prediction", "int-decision-query-id", "int-rule",
-        "string-decision-score", "bool-decision-score", "overflowing-decision-score"])
+        "string-decision-score", "bool-decision-score", "overflowing-decision-score",
+        "nan-decision-score", "infinite-decision-score", "list-note"])
 def test_eval_refuses_mistyped_candidates_and_predictions(small_run, tmp_path, capsys, at_fault, where,
                                                           value, message):
-    # each loaded at the parent as a coerced value, except the overflowing scores (exit 3)
+    # values that a lax reader coerces or lets through; each is a data error naming file and line
     records = {"preds": read_records(small_run["decisions_learned_nil"], dict),
                "candidates": read_records(small_run["candidates"], dict)}
     field = records[at_fault][1]

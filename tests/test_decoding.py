@@ -49,12 +49,34 @@ _KB_REFUSALS = {
     "bad type before a duplicate": ([_entry(), _entry(id=3), _entry()], 2,
                                     "field 'id' must be a string"),
     "not an object": ([_entry(), ["E2"]], 2, "expected a JSON object, found list"),
+    # json.dumps refuses an integer this wide, so the line is raw text
+    "5,000-digit integer": ([_entry(), 'RAW:{"id": "E2", "title": "T", "description": "d", "n": 1'
+                             + "0" * 4999 + "}"], 2,
+                            "malformed JSON: number is infinity when parsed as double"),
 }
 
 _QUERY_REFUSALS = {
-    "tokens not a list": ([_query(tokens=5)], 1, "'int' object is not iterable"),
-    "mention not a number": ([_query(mention_start="x")], 1,
-                             "invalid literal for int() with base 10: 'x'"),
+    "tokens not a list": ([_query(tokens=5)], 1, "tokens 5 is not a list"),
+    "tokens a string": ([_query(tokens="abcde")], 1, "tokens 'abcde' is not a list"),
+    "token not a string": ([_query(tokens=[1, 2, None, "d", "e"])], 1, "token 1 is not a string"),
+    "mention not a number": ([_query(mention_start="x")], 1, "mention_start 'x' is not an integer"),
+    "mention a float": ([_query(mention_end=2.9)], 1, "mention_end 2.9 is not an integer"),
+    "mention a bool": ([_query(mention_start=True, mention_end=True)], 1,
+                       "mention_start True is not an integer"),
+    "query id not a string": ([_query(query_id=7)], 1, "query_id 7 is not a string"),
+    "pos null": ([_query(pos=None)], 1, "pos None is not a string"),
+    "gold not a string": ([_query(gold=1)], 1, "gold 1 is not a string"),
+    "entity bound a bool": ([_query(entities=[{"start": True, "end": 1, "entity_type": "GPE"}])], 1,
+                            "start True is not an integer"),
+    "entity type null": ([_query(entities=[{"start": 0, "end": 0, "entity_type": None}])], 1,
+                         "entity_type None is not a string"),
+    "argument bound a bool": ([_query(arguments=[{"start": 0, "end": True, "role": "R"}])], 1,
+                              "end True is not an integer"),
+    "argument bound a float": ([_query(arguments=[{"start": 0.0, "end": 0, "role": "R"}])], 1,
+                               "start 0.0 is not an integer"),
+    "role not a string": ([_query(arguments=[{"start": 0, "end": 0, "role": 5}])], 1,
+                          "role 5 is not a string"),
+    "event type null": ([_query(event_type=None)], 1, "event_type None is not a string"),
     "mention out of range": ([_query(mention_start=7, mention_end=7)], 1,
                              "query 'q1': mention span (7, 7) outside 5 tokens"),
     "negative mention": ([_query(mention_start=-1)], 1, "invalid span (-1, 2)"),
