@@ -22,8 +22,16 @@ Every reader decodes with ``orjson``: several times faster than ``json``
 on nested float lists, with the same bits for every finite double ``json``
 writes. It refuses ``NaN``, ``Infinity``, numbers beyond the double range
 and lone surrogate escapes, in a JSON line as in a document, and decodes an
-integer wider than 64 bits as a float. Every writer encodes with the
-stdlib ``json`` module, because the goldens pin its bytes.
+integer wider than 64 bits as a float.
+
+Every writer writes the bytes ``json`` writes, which the goldens pin.
+``write_jsonl`` takes lines: a dict record becomes one through
+``json_line``, which is ``json.dumps(record, sort_keys=True)``. Candidate
+and decision lines, one per query of ``retrieve`` and ``link``, are
+formatted by their types (``CandidateSet.to_line``,
+``LinkDecision.to_line``) from their fields with ``json_string`` and
+``json_floats``, json's text for a string and a float: the same bytes,
+without building a dict per line.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import hashlib
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as json_string
 from typing import Callable, Iterable, Iterator, TypeVar
 
 import orjson
@@ -39,6 +48,17 @@ import orjson
 MANIFEST_KEY = "_manifest"
 
 T = TypeVar("T")
+
+# json.dumps(record, sort_keys=True) without building an encoder per call
+json_line = json.JSONEncoder(sort_keys=True).encode
+
+# json's text for the floats whose repr is not JSON
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def json_floats(values: Iterable[float]) -> list[str]:
+    """``json``'s text of each float: its ``repr``, or ``Infinity``, ``-Infinity`` or ``NaN``."""
+    return [_NON_FINITE.get(text, text) for text in map(float.__repr__, values)]
 
 
 def canonical_json(obj) -> str:
@@ -90,25 +110,24 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_jsonl(path, records: Iterable[dict], manifest: dict | None = None) -> None:
-    lines = []
-    if manifest is not None:
-        lines.append(json.dumps({MANIFEST_KEY: manifest}, sort_keys=True))
-    for record in records:
-        lines.append(json.dumps(record, sort_keys=True))
+def write_jsonl(path, lines: Iterable[str], manifest: dict | None = None) -> None:
+    """Write each of ``lines``, after a ``_manifest`` header line if ``manifest`` is given."""
+    header = [] if manifest is None else [json_line({MANIFEST_KEY: manifest})]
     # each line ends in a newline, so no records and no manifest is an empty file
-    atomic_write_text(path, "\n".join([*lines, ""]))
+    atomic_write_text(path, "\n".join([*header, *lines, ""]))
 
 
 def _decode(data: bytes, path, lineno: int | None = None):
     """``orjson.loads`` of ``data``; a refusal is a ValueError naming ``path``, and ``lineno`` if given.
 
     Refused bytes alone are decoded as UTF-8, to tell ``not UTF-8`` from ``malformed JSON``.
+    A line's reason ends with orjson's column; its line number is always 1.
     """
     try:
         return orjson.loads(data)
     except orjson.JSONDecodeError as exc:
-        where, reason = (path, exc) if lineno is None else (f"{path}: line {lineno}", exc.msg)
+        where, reason = ((path, exc) if lineno is None else
+                         (f"{path}: line {lineno}", f"{exc.msg} at column {exc.colno}"))
         try:
             data.decode("utf-8")
         except UnicodeDecodeError:
@@ -125,8 +144,9 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     The file is split on ``\\n`` only, and each line loses the ASCII
     whitespace that ``bytes.strip`` removes. A blank line, or a line that is
     not UTF-8 JSON (a truncated file, say), raises ValueError naming the
-    file and the line: ``{path}: line N: not UTF-8`` or
-    ``{path}: line N: malformed JSON: {reason}``.
+    file and the line: ``{path}: line N: blank line``,
+    ``{path}: line N: not UTF-8`` or
+    ``{path}: line N: malformed JSON: {reason} at column C``.
     """
     with open(path, "rb") as fh:
         lines = fh.read().split(b"\n")
@@ -135,12 +155,12 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
-            raise ValueError(f"{path}: blank line at line {lineno}")
+            raise ValueError(f"{path}: line {lineno}: blank line")
         record = _decode(line, path, lineno)
         if isinstance(record, dict) and len(record) == 1 and MANIFEST_KEY in record:
             if lineno == 1:
                 continue
-            raise ValueError(f"{path}: manifest header at line {lineno}, not line 1")
+            raise ValueError(f"{path}: line {lineno}: manifest header not on line 1")
         yield lineno, record
 
 

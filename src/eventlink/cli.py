@@ -141,7 +141,7 @@ def cmd_build_kb(args) -> dict:
     source = _require(args.in_path, "--in")
     kb = load_kb(source)
     manifest = _manifest("build-kb", args, {"kb": source})
-    artifacts.write_jsonl(args.out, kb.records(), manifest)
+    artifacts.write_jsonl(args.out, map(artifacts.json_line, kb.records()), manifest)
     return manifest
 
 
@@ -151,7 +151,7 @@ def cmd_tag(args) -> dict:
     extractor = RuleExtractor(RoleLexicon.from_file(lexicon_path))
     tagged = [extract(extractor, q) for q in artifacts.read_records(source, query_from_record)]
     manifest = _manifest("tag", args, {"queries": source, "lexicon": lexicon_path})
-    artifacts.write_jsonl(args.out, (tagged_to_record(t) for t in tagged), manifest)
+    artifacts.write_jsonl(args.out, (artifacts.json_line(tagged_to_record(t)) for t in tagged), manifest)
     return manifest
 
 
@@ -163,7 +163,7 @@ def cmd_format(args) -> dict:
         for t in _load_tagged(source)
     )
     manifest = _manifest("format", args, {"queries": source})
-    artifacts.write_jsonl(args.out, records, manifest)
+    artifacts.write_jsonl(args.out, map(artifacts.json_line, records), manifest)
     return manifest
 
 
@@ -206,7 +206,7 @@ def cmd_retrieve(args) -> dict:
             [format_query(query, args.style, RETRIEVER_MAX_LEN) for query in tagged])
         results = retrieve_many(index, embeddings, args.k, [q.base.query_id for q in tagged])
     manifest = _manifest("retrieve", args, inputs)
-    artifacts.write_jsonl(args.out, (r.to_record() for r in results), manifest)
+    artifacts.write_jsonl(args.out, (r.to_line() for r in results), manifest)
     return manifest
 
 
@@ -224,7 +224,7 @@ def cmd_neg_gen(args) -> dict:
         ]
         manifest = _manifest("neg-gen", args, inputs)
         manifest["config"]["pruned_labels"] = sorted(pruned)
-        artifacts.write_jsonl(args.out, (n.to_record() for n in negatives), manifest)
+        artifacts.write_jsonl(args.out, (artifacts.json_line(n.to_record()) for n in negatives), manifest)
         return manifest
     storyteller = args.client == "storyteller"
     client = StorytellerMock() if storyteller else _scripted_client(args, inputs)
@@ -233,9 +233,9 @@ def cmd_neg_gen(args) -> dict:
         tagged, index, encoder, client, gen_style, args.count, seed=args.seed, k=args.k,
     )
     manifest = _manifest("neg-gen", args, inputs)
-    artifacts.write_jsonl(args.out, (n.to_record() for n in negatives), manifest)
+    artifacts.write_jsonl(args.out, (artifacts.json_line(n.to_record()) for n in negatives), manifest)
     if args.log:
-        artifacts.write_jsonl(args.log, (r.to_record() for r in records), manifest)
+        artifacts.write_jsonl(args.log, (artifacts.json_line(r.to_record()) for r in records), manifest)
     return manifest
 
 
@@ -288,7 +288,7 @@ def cmd_link(args) -> dict:
             for scores, candidates in zip(score_lists, candidate_sets)
         ]
     manifest = _manifest("link", args, inputs)
-    artifacts.write_jsonl(args.out, (d.to_record() for d in decisions), manifest)
+    artifacts.write_jsonl(args.out, (d.to_line() for d in decisions), manifest)
     return manifest
 
 

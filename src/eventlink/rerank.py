@@ -25,6 +25,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .artifacts import json_floats, json_string
 from .encoders import DegenerateNormError, TinyEncoder, checkpoint_array, checkpoint_state
 from .kb import NIL, SCORER_MAX_LEN, KnowledgeBase, tokenize
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
@@ -144,20 +145,20 @@ class LinkDecision:
     rule: str
     note: str | None = None
 
-    def to_record(self) -> dict:
-        record = {
-            "query_id": self.query_id,
-            "prediction": self.prediction,
-            "rule": self.rule,
-            "scores": list(self.scores),
-        }
-        if self.note:
-            record["note"] = self.note
-        return record
+    def to_line(self) -> str:
+        """This decision's JSON line, as ``json.dumps(record, sort_keys=True)`` writes it.
+
+        The record is ``{"query_id": ..., "prediction": ..., "rule": ..., "scores": [...]}``,
+        with ``"note"`` too if the note is non-empty.
+        """
+        note = f'"note": {json_string(self.note)}, ' if self.note else ""
+        return (f'{{{note}"prediction": {json_string(self.prediction)}, '
+                f'"query_id": {json_string(self.query_id)}, "rule": {json_string(self.rule)}, '
+                f'"scores": [{", ".join(json_floats(self.scores))}]}}')
 
     @classmethod
     def from_record(cls, record: dict) -> "LinkDecision":
-        """The decision of a ``to_record`` record.
+        """The decision of a ``to_line`` line's record.
 
         Its query id, prediction, rule and any note must be JSON strings, and its scores JSON numbers.
         """
@@ -202,7 +203,7 @@ def select_learned_nil(scores: np.ndarray, candidates: CandidateSet) -> LinkDeci
     return LinkDecision(
         query_id=candidates.query_id,
         prediction=prediction,
-        scores=tuple(float(s) for s in scores),
+        scores=tuple(scores.tolist()),
         rule=RULE_LEARNED,
     )
 
@@ -244,7 +245,7 @@ def select_threshold(
     return LinkDecision(
         query_id=candidates.query_id,
         prediction=prediction,
-        scores=(0.0, *(float(x) for x in probs)),
+        scores=(0.0, *probs.tolist()),
         rule=RULE_THRESHOLD,
     )
 

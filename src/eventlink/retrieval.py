@@ -87,15 +87,18 @@ class CandidateSet:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def to_record(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "candidates": [{"id": i, "score": s} for i, s in zip(self.ids, self.scores)],
-        }
+    def to_line(self) -> str:
+        """This set's JSON line, as ``json.dumps(record, sort_keys=True)`` writes it.
+
+        The record is ``{"query_id": ..., "candidates": [{"id": ..., "score": ...}, ...]}``.
+        """
+        ids, scores = map(artifacts.json_string, self.ids), artifacts.json_floats(self.scores)
+        candidates = ", ".join([f'{{"id": {i}, "score": {s}}}' for i, s in zip(ids, scores)])
+        return f'{{"candidates": [{candidates}], "query_id": {artifacts.json_string(self.query_id)}}}'
 
     @classmethod
     def from_record(cls, record: dict) -> "CandidateSet":
-        """The set of a ``to_record`` record: query id and ids JSON strings, each score a JSON number."""
+        """The set of a ``to_line`` line's record: query id and ids JSON strings, scores JSON numbers."""
         ids, scores = [], []
         for c in record["candidates"]:
             if type(c["id"]) is not str:

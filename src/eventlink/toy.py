@@ -156,9 +156,9 @@ def write_toy_inputs(directory, data: ToyData) -> dict[str, str]:
         "test": os.path.join(directory, "test.jsonl"),
         "lexicon": os.path.join(directory, "lexicon.json"),
     }
-    artifacts.write_jsonl(paths["kb"], data.kb.records())
+    artifacts.write_jsonl(paths["kb"], map(artifacts.json_line, data.kb.records()))
     for split, queries in (("train", data.train), ("test", data.test)):
-        artifacts.write_jsonl(paths[split], (query_to_record(tagged.base) for tagged in queries))
+        artifacts.write_jsonl(paths[split], (artifacts.json_line(query_to_record(t.base)) for t in queries))
     artifacts.atomic_write_text(paths["lexicon"],
                                 json.dumps(data.lexicon.to_dict(), sort_keys=True, indent=1))
     return paths
@@ -266,4 +266,4 @@ def write_toy_eval_set(paths: dict[str, str]) -> None:
     """The combined eval set: the in-KB test rows, then the generated out-of-KB rows."""
     test = artifacts.read_records(paths["test_tagged"], dict)
     generated = artifacts.read_records(paths["eval_negatives"], itemgetter("generated"))
-    artifacts.write_jsonl(paths["eval_tagged"], test + generated)
+    artifacts.write_jsonl(paths["eval_tagged"], map(artifacts.json_line, test + generated))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -8,11 +9,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from eventlink.artifacts import iter_jsonl, read_document, read_json, read_manifest, read_records
-from eventlink.artifacts import write_jsonl
+from eventlink.artifacts import json_line, write_jsonl
 from eventlink.encoders import TinyEncoder, load_checkpoint, load_encoder, save_checkpoint
 from eventlink.kb import KBError, KnowledgeBase, load_kb
-from eventlink.rerank import TinyCrossScorer
-from eventlink.retrieval import DenseIndex
+from eventlink.rerank import LinkDecision, TinyCrossScorer
+from eventlink.retrieval import CandidateSet, DenseIndex
 
 
 class _FailingFile:
@@ -98,7 +99,7 @@ def _reference_iter_jsonl(path):
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped:
-                raise ValueError(f"{path}: blank line at line {lineno}")
+                raise ValueError(f"{path}: line {lineno}: blank line")
             try:
                 stripped.decode("utf-8")
             except UnicodeDecodeError:
@@ -106,11 +107,12 @@ def _reference_iter_jsonl(path):
             try:
                 record = orjson.loads(stripped)
             except orjson.JSONDecodeError as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed JSON: {exc.msg}") from exc
+                raise ValueError(f"{path}: line {lineno}: malformed JSON: {exc.msg} "
+                                 f"at column {exc.colno}") from exc
             if isinstance(record, dict) and set(record) == {"_manifest"}:
                 if lineno == 1:
                     continue
-                raise ValueError(f"{path}: manifest header at line {lineno}, not line 1")
+                raise ValueError(f"{path}: line {lineno}: manifest header not on line 1")
             yield lineno, record
 
 
@@ -220,7 +222,7 @@ def test_generic_readers_accept_a_manifest_only_file(tmp_path):
 @pytest.mark.parametrize("records", [[], [{"a": 1}, {"b": "é"}]], ids=["none", "two"])
 def test_write_jsonl_without_a_manifest_reads_back(tmp_path, records):
     path = tmp_path / "records.jsonl"
-    write_jsonl(path, records)
+    write_jsonl(path, map(json_line, records))
     assert read_records(path, dict) == records
 
 
@@ -378,3 +380,44 @@ def test_readers_return_every_accepted_record_in_order(tmp_path, records, header
     document = tmp_path / "document.json"
     document.write_text(json.dumps({**(_MANIFEST if header else {}), **records[0]}), encoding="utf-8")
     assert read_document(document, lambda payload: payload) == records[0]
+
+
+# --- candidate and decision lines ----------------------------------------------
+
+# any code point, lone surrogates included
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+# a quote, a backslash, control characters, DEL, non-ASCII, non-BMP and lone surrogates
+_EDGE_TEXT = '"\\/\x00\x1f\n\x7f\x80\xe9\u2028\U0001F600\ud800\udfff\udbffx'
+# in a candidate set's order: NaN is neither above nor below another score, and 0.0 equals -0.0
+_EDGE_SCORES = [float("inf"), 1.7976931348623157e308, 5e-324, 0.0, -0.0, -2.2250738585072e-308,
+                -1.7976931348623157e308, float("-inf"), float("nan")]
+
+
+@given(query_id=_ANY_TEXT, candidates=st.lists(st.tuples(_ANY_TEXT, st.floats()), max_size=6,
+                                               unique_by=lambda candidate: candidate[0]))
+@example(query_id=_EDGE_TEXT, candidates=[])
+@example(query_id="q", candidates=[(c, 1.0) for c in _EDGE_TEXT])
+@example(query_id="q", candidates=[(str(i), score) for i, score in enumerate(_EDGE_SCORES)])
+@example(query_id="q", candidates=[("a", 1.0), ("b", float("nan")), ("c", 2.0)])
+@settings(max_examples=300, deadline=None)
+def test_candidate_line_is_json_dumps_of_its_record(query_id, candidates):
+    scores = [score for _, score in candidates]
+    if any(a < b for a, b in zip(scores, scores[1:])):  # not a set's order: scores descending, NaN last
+        candidates = sorted(candidates, key=lambda c: (not math.isnan(c[1]), c[1]), reverse=True)
+    record = {"query_id": query_id, "candidates": [{"id": i, "score": s} for i, s in candidates]}
+    ids, scores = zip(*candidates) if candidates else ((), ())
+    assert CandidateSet(query_id, ids, scores).to_line() == json.dumps(record, sort_keys=True)
+
+
+@given(query_id=_ANY_TEXT, prediction=_ANY_TEXT, rule=_ANY_TEXT, scores=st.lists(st.floats(), max_size=6),
+       note=st.one_of(st.none(), _ANY_TEXT))
+@example(query_id=_EDGE_TEXT, prediction=_EDGE_TEXT, rule=_EDGE_TEXT, scores=[], note=_EDGE_TEXT)
+@example(query_id="q", prediction="NIL", rule="learned_nil", scores=_EDGE_SCORES, note=None)
+@example(query_id="q", prediction="E1", rule="llm", scores=[0.0], note="")
+@settings(max_examples=300, deadline=None)
+def test_decision_line_is_json_dumps_of_its_record(query_id, prediction, rule, scores, note):
+    record = {"query_id": query_id, "prediction": prediction, "rule": rule, "scores": scores}
+    if note:
+        record["note"] = note
+    decision = LinkDecision(query_id, prediction, tuple(scores), rule, note)
+    assert decision.to_line() == json.dumps(record, sort_keys=True)

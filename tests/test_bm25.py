@@ -1,4 +1,3 @@
-import json
 import math
 from collections import Counter
 from pathlib import Path
@@ -267,8 +266,7 @@ def test_candidates_match_golden_file_byte_for_byte():
     # written by the per-posting implementation that preceded the posting arrays
     kb, queries = _golden_queries()
     index = bm25_build(kb)
-    lines = [json.dumps(bm25_retrieve(index, q, index.n).to_record(), sort_keys=True)
-             for q in queries]
+    lines = [bm25_retrieve(index, q, index.n).to_line() for q in queries]
     golden = (DATA / "bm25_golden.jsonl").read_bytes()
     assert ("\n".join(lines) + "\n").encode("utf-8") == golden
 

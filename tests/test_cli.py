@@ -251,8 +251,7 @@ def test_build_kb_refuses_a_manifest_line_past_line_1(tmp_path, capsys):
                          {"id": "E2", "title": "y", "description": "d"}])
     out = tmp_path / "out.jsonl"
     assert main(["build-kb", "--in", str(source), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (f"data error: {source}: manifest header at line 2,"
-                                       " not line 1\n")
+    assert capsys.readouterr().err == f"data error: {source}: line 2: manifest header not on line 1\n"
     assert not out.exists()
 
 
@@ -421,18 +420,21 @@ def test_eval_coverage_error_names_the_file_at_fault(small_run, tmp_path, capsys
     ("candidates", ("candidates", 0, "score"), "0.5", "candidate score '0.5' is not a number"),
     ("candidates", ("candidates", 0, "score"), True, "candidate score True is not a number"),
     ("candidates", ("candidates", 0, "score"), 10 ** 400,
-     "malformed JSON: number is infinity when parsed as double"),
-    ("candidates", ("candidates", 1, "score"), float("nan"), "malformed JSON: unexpected character"),
-    ("candidates", ("candidates", 0, "score"), float("inf"), "malformed JSON: unexpected character"),
+     "malformed JSON: number is infinity when parsed as double at column 41"),
+    ("candidates", ("candidates", 1, "score"), float("nan"),
+     "malformed JSON: unexpected character at column 87"),
+    ("candidates", ("candidates", 0, "score"), float("inf"),
+     "malformed JSON: unexpected character at column 41"),
     ("candidates", ("query_id",), 5, "query id 5 is not a string"),
     ("preds", ("prediction",), 5, "prediction 5 is not a string"),
     ("preds", ("query_id",), 5, "query id 5 is not a string"),
     ("preds", ("rule",), 7, "rule 7 is not a string"),
     ("preds", ("scores", 0), "0.5", "score '0.5' is not a number"),
     ("preds", ("scores", 1), True, "score True is not a number"),
-    ("preds", ("scores", 0), 10 ** 400, "malformed JSON: number is infinity when parsed as double"),
-    ("preds", ("scores", 1), float("nan"), "malformed JSON: unexpected character"),
-    ("preds", ("scores", 0), float("-inf"), "malformed JSON: no digit after minus sign"),
+    ("preds", ("scores", 0), 10 ** 400,
+     "malformed JSON: number is infinity when parsed as double at column 83"),
+    ("preds", ("scores", 1), float("nan"), "malformed JSON: unexpected character at column 103"),
+    ("preds", ("scores", 0), float("-inf"), "malformed JSON: no digit after minus sign at column 83"),
     ("preds", ("note",), [1, 2], "note [1, 2] is not a string"),
 ], ids=["int-candidate-id", "string-score", "bool-score", "overflowing-candidate-score",
         "nan-candidate-score", "infinite-candidate-score",
@@ -456,7 +458,7 @@ def test_eval_refuses_mistyped_candidates_and_predictions(small_run, tmp_path, c
                  "--candidates", str(paths["candidates"]), "--out", str(report)])
     err = capsys.readouterr().err
     assert code == 2, err
-    assert f"{paths[at_fault]}: line 2: {message}" in err
+    assert err == f"data error: {paths[at_fault]}: line 2: {message}\n"
     assert not report.exists()
 
 

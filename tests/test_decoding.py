@@ -52,7 +52,7 @@ _KB_REFUSALS = {
     # json.dumps refuses an integer this wide, so the line is raw text
     "5,000-digit integer": ([_entry(), 'RAW:{"id": "E2", "title": "T", "description": "d", "n": 1'
                              + "0" * 4999 + "}"], 2,
-                            "malformed JSON: number is infinity when parsed as double"),
+                            "malformed JSON: number is infinity when parsed as double at column 53"),
 }
 
 _QUERY_REFUSALS = {
