@@ -4,8 +4,9 @@ The package ships one adapter, a tiny trainable encoder (embedding table,
 mean pool, affine map, L2 normalization) whose analytic gradients back the
 desk-scale training loops; seeded and untrained, it also serves tests as
 a fixture encoder. It emits unit-norm vectors, so dot product equals
-cosine everywhere downstream; a zero vector that would have to be
-normalized raises ``DegenerateNormError`` instead of NaN.
+cosine everywhere downstream; a vector that would have to be normalized
+but whose norm is zero, beyond the float range or NaN raises
+``DegenerateNormError`` instead of giving NaN or a row of zeros.
 
 Every adapter has ``encode_many`` for a list of sequences. On
 ``TinyEncoder`` it equals ``np.stack([forward(r) for r in rows])`` bit for
@@ -14,7 +15,10 @@ lists of ``retrieve``, ``link``, candidate mining and negative pairing, and
 cross scoring's queries and candidates encode in one call each, and
 goldens and oracles that recompute rows one at a time still pin every bit:
 ``encode_many`` stacks the ``gemv`` and ``ddot`` of ``forward`` in
-``np.matmul``, which hands each item to the same kernel.
+``np.matmul``, which hands each item to the same kernel. It works in
+blocks of rows holding at most ``CACHE_ELEMENTS`` values, which stay in
+cache: one ``(n, d)`` temporary of the 10k-entry KB is 5 MB, read from
+memory afresh on each whole-matrix pass.
 
 Training runs on batched kernels over token ids that the trainers map
 once per run (``TinyEncoder.id_rows``): ``TinyEncoder.forward_batch``
@@ -52,9 +56,16 @@ OOV_TOKEN = "[OOV]"
 
 CHECKPOINT_VERSION = 1
 
+# Values in one block of rows that a kernel works on at a time: 2**15 float64
+# values (256 KB) stay in cache, where a whole-matrix temporary is paged in
+# afresh on every pass. ``encode_many`` and ``retrieval.pair_dots`` use it.
+CACHE_ELEMENTS = 2 ** 15
+
+_DEGENERATE = "encoder pre-activation norm is zero or not finite"
+
 
 class DegenerateNormError(ValueError):
-    """A vector that must be L2-normalized has zero norm."""
+    """A vector that must be L2-normalized has a norm that is zero, infinite or NaN."""
 
 
 class EncoderAdapter(Protocol):
@@ -109,11 +120,12 @@ class TinyEncoder:
         if not tokens:
             raise ValueError("cannot encode an empty token sequence")
         ids = self.token_ids(tokens)
-        mean = self.embed[ids].mean(axis=0)
-        pre = self.weight @ mean + self.bias
-        norm = np.linalg.norm(pre)
-        if norm == 0.0:
-            raise DegenerateNormError("encoder pre-activation has zero norm")
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm is refused below
+            mean = self.embed[ids].mean(axis=0)
+            pre = self.weight @ mean + self.bias
+            norm = np.linalg.norm(pre)
+        if not 0.0 < norm < np.inf:
+            raise DegenerateNormError(_DEGENERATE)
         return pre / norm
 
     def forward_batch(self, id_rows: Sequence[np.ndarray]) -> tuple[np.ndarray, dict]:
@@ -157,12 +169,18 @@ class TinyEncoder:
     def encode_many(self, rows: Sequence[Sequence[str]]) -> np.ndarray:
         """Encode every row; equal bit for bit to stacking ``forward`` of each row.
 
-        The mean pool sums position by position over the rows sorted longest
-        first, so the rows still running at a position are a prefix, and
-        each row adds its embeddings in token order starting from 0.0, as
-        ``mean`` does. No padded matrix is built. The affine map and norm are
-        stacked matmuls whose ``(d, d) @ (d, 1)`` and ``(1, d) @ (d, 1)`` items
-        numpy hands to the ``gemv`` and ``ddot`` of ``forward``, bit for bit.
+        Rows are sorted longest first and encoded in blocks of at most
+        ``CACHE_ELEMENTS`` values (512 rows at dim 64), so a block's sums and
+        pre-activations stay in cache: one ``(n, d)`` temporary of the
+        10k-entry KB is 5 MB, which each whole-matrix pass reads from memory
+        afresh. The ``(n, d)`` output is the only array of all rows. In a
+        block, the mean pool sums position by position, so the rows still
+        running at a position are a prefix, and each row adds its embeddings
+        in token order starting from 0.0, as ``mean`` does; no padded matrix
+        is built. The affine map and norm are stacked matmuls whose
+        ``(d, d) @ (d, 1)`` and ``(1, d) @ (d, 1)`` items numpy hands to the
+        ``gemv`` and ``ddot`` of ``forward``, bit for bit. A block holding a
+        norm that is not positive and finite is refused.
         """
         lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
         if not lengths.all():
@@ -172,19 +190,25 @@ class TinyEncoder:
         order = np.argsort(-lengths, kind="stable")
         sorted_lengths = lengths[order]
         starts = (np.cumsum(lengths) - lengths)[order]
-        # how many rows are longer than each position: a prefix of the sorted rows
-        running = np.searchsorted(-sorted_lengths, -np.arange(lengths.max(initial=0)))
-        sums = np.zeros((len(rows), self.dim))
-        for position, m in enumerate(running):
-            sums[:m] += self.embed[flat[starts[:m] + position]]
-        means = np.empty_like(sums)
-        means[order] = sums / sorted_lengths[:, None]
-        pre = np.matmul(self.weight, means[:, :, None])[:, :, 0]
-        pre += self.bias
-        norms = np.sqrt(np.matmul(pre[:, None, :], pre[:, :, None]))[:, 0, 0]
-        if not norms.all():
-            raise DegenerateNormError("encoder pre-activation has zero norm")
-        return pre / norms[:, None]
+        out = np.empty((len(rows), self.dim))
+        step = max(1, CACHE_ELEMENTS // self.dim)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN norm is refused below
+            for lo in range(0, len(rows), step):
+                block_lengths, block_starts = sorted_lengths[lo:lo + step], starts[lo:lo + step]
+                # how many rows of the block are longer than each position: a prefix
+                running = np.searchsorted(-block_lengths, -np.arange(block_lengths[0]))
+                sums = np.zeros((len(block_lengths), self.dim))
+                for position, m in enumerate(running.tolist()):
+                    sums[:m] += self.embed[flat[block_starts[:m] + position]]
+                sums /= block_lengths[:, None]
+                pre = np.matmul(self.weight, sums[:, :, None])[:, :, 0]
+                pre += self.bias
+                norms = np.sqrt(np.matmul(pre[:, None, :], pre[:, :, None]))[:, 0, 0]
+                if not 0.0 < norms.min() <= norms.max() < np.inf:  # both NaN if any norm is
+                    raise DegenerateNormError(_DEGENERATE)
+                pre /= norms[:, None]
+                out[order[lo:lo + step]] = pre
+        return out
 
     def state_dict(self, array=np.ndarray.tolist) -> dict:
         return checkpoint_state(self, array)

@@ -151,15 +151,20 @@ class KnowledgeBase:
                         rows: Sequence[int] | None = None) -> list[list[str]]:
         """The ``title [TITLE_SEP] description`` tokens of each of ``rows``, or of every row.
 
-        Each is cut from the right at ``max_len`` tokens, or left whole when
-        ``max_len`` is None.
+        Each entry is split once, as ``f"{title} {TITLE_SEP} {description}".split()``,
+        ``tokenize``'s convention: the joining spaces are whitespace, so this
+        is the title's tokens, the marker, then the description's. A text
+        longer than ``max_len`` tokens is cut from the right to ``max_len``;
+        every text is left whole when ``max_len`` is None.
         """
         titles, descriptions = self.titles, self.descriptions
         if rows is not None:
             titles, descriptions = [titles[r] for r in rows], [descriptions[r] for r in rows]
-        texts = ([*tokenize(title), TITLE_SEP, *tokenize(description)]
-                 for title, description in zip(titles, descriptions))
-        return list(texts) if max_len is None else [tokens[:max_len] for tokens in texts]
+        texts = [f"{title} {TITLE_SEP} {description}".split()
+                 for title, description in zip(titles, descriptions)]
+        if max_len is None:
+            return texts
+        return [tokens if len(tokens) <= max_len else tokens[:max_len] for tokens in texts]
 
 
 def load_kb(path) -> KnowledgeBase:

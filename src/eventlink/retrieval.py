@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import artifacts
-from .encoders import EncoderAdapter, encoder_fingerprint
+from .encoders import CACHE_ELEMENTS, EncoderAdapter, encoder_fingerprint
 from .extraction import EventQuery
 from .formatting import context_window
 from .kb import NIL, RETRIEVER_MAX_LEN, KnowledgeBase, id_refusal
@@ -61,9 +61,9 @@ _FLOAT_MAX = float(np.finfo(float).max)
 # Caps the (block, n) score matrix of one block of queries at 2**18 float64
 # values (2 MB), so peak memory stays flat at any index size.
 _BLOCK_ELEMENTS = 2 ** 18
-# Caps each side of a pair_dots row gather at 2**15 float64 values (256 KB), so
+# Caps each side of a pair_dots row gather at the encoders' cache block, so
 # gathers stay in cache; 2 MB ones were paged in afresh per call, 3x slower.
-_GATHER_ELEMENTS = 2 ** 15
+_GATHER_ELEMENTS = CACHE_ELEMENTS
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,7 +270,10 @@ def retrieve_many(
     """Exact top-k by dot product for each row of ``embeddings``, named by ``query_ids``.
 
     Ties break toward lower KB position. Queries are shortlisted in blocks
-    of ``_BLOCK_ELEMENTS // index.n`` rows, one matrix product per block.
+    of ``_BLOCK_ELEMENTS // index.n`` rows, one matrix product per block. A
+    non-finite query row is a ``ValueError``, and so is a score that is not
+    finite, naming its query: a finite index row of huge norm can give one,
+    and no reader of candidate files accepts it.
     """
     queries = np.asarray(embeddings, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
@@ -289,9 +292,13 @@ def retrieve_many(
         shortlists = _shortlist(index, block, k)
         sizes = np.fromiter(map(len, shortlists), dtype=np.intp, count=len(block))
         owner, rows = np.repeat(np.arange(len(block)), sizes), np.concatenate(shortlists)
-        with np.errstate(over="ignore"):  # beyond the float range is inf, as in the oracle
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             scores = pair_dots(block, index.matrix, owner, rows)
-        # per query, score descending (NaN last, -0.0 == 0.0), ties to the lower KB position
+        finite = np.isfinite(scores)
+        if not finite.all():
+            query_id = query_ids[start + owner[finite.argmin()]]
+            raise ValueError(f"query {query_id!r} has a non-finite score")
+        # per query, score descending (-0.0 == 0.0), ties to the lower KB position
         top = np.lexsort((rows, -scores, owner))[(np.cumsum(sizes) - sizes)[:, None] + np.arange(k)]
         results += (CandidateSet(query_id, tuple(index.ids[r] for r in rows[picks].tolist()),
                                  tuple(scores[picks].tolist()))

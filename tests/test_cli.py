@@ -12,8 +12,11 @@ from eventlink import cli
 from eventlink import kb as kb_module
 from eventlink.artifacts import file_digest, json_digest, read_json, read_manifest, read_records
 from eventlink.cli import build_parser, main
-from eventlink.encoders import TinyEncoder, load_checkpoint, load_encoder, save_checkpoint
+from eventlink.encoders import (
+    TinyEncoder, encoder_fingerprint, load_checkpoint, load_encoder, save_checkpoint,
+)
 from eventlink.rerank import TinyCrossScorer
+from eventlink.retrieval import DenseIndex
 from eventlink.toy import build_toy_data, write_toy_inputs
 from eventlink.training import build_vocab
 
@@ -460,6 +463,52 @@ def test_eval_refuses_mistyped_candidates_and_predictions(small_run, tmp_path, c
     assert code == 2, err
     assert err == f"data error: {paths[at_fault]}: line 2: {message}\n"
     assert not report.exists()
+
+
+def _retrieve_with(stack, encoder, matrix, tmp_path, capsys):
+    """``retrieve`` of the stack's queries with ``encoder`` from a finite index of ``matrix``
+    built for it; the exit code, standard error and output path."""
+    save_checkpoint(encoder, tmp_path / "encoder.json")
+    index = tmp_path / "index.json"
+    ids = tuple(f"E{i}" for i in range(len(matrix)))
+    DenseIndex(ids=ids, matrix=matrix, encoder_fingerprint=encoder_fingerprint(encoder)).save(index)
+    out = tmp_path / "c.jsonl"
+    code = main(["retrieve", "--index", str(index), "--queries", stack["tagged.jsonl"],
+                 "--encoder", str(tmp_path / "encoder.json"), "--k", "1", "--out", str(out)])
+    return code, capsys.readouterr().err, out
+
+
+def test_encoder_whose_norm_overflows_is_data_error(dense_stack, tmp_path, capsys):
+    # every pre-activation is finite, but its squared norm is beyond the float range
+    encoder = load_encoder(dense_stack["encoder.json"])
+    encoder.weight *= 1e300
+    save_checkpoint(encoder, tmp_path / "encoder.json")
+    out = tmp_path / "index.json"
+    code = main(["index", "--kb", dense_stack["kb.jsonl"], "--encoder", str(tmp_path / "encoder.json"),
+                 "--out", str(out)])
+    assert code == 2
+    assert "encoder pre-activation norm is zero or not finite" in capsys.readouterr().err
+    assert not out.exists()
+    code, err, out = _retrieve_with(dense_stack, encoder, np.eye(2, encoder.dim), tmp_path, capsys)
+    assert code == 2
+    assert "encoder pre-activation norm is zero or not finite" in err
+    assert not out.exists()
+
+
+def test_retrieve_refuses_a_score_beyond_the_float_range(dense_stack, tmp_path, capsys):
+    # every query encodes to (1, 1, 0, ...) / sqrt(2), whose dot product with the finite
+    # first row overflows
+    encoder = load_encoder(dense_stack["encoder.json"])
+    encoder.weight[:] = 0.0
+    encoder.bias[:] = 0.0
+    encoder.bias[:2] = 1.0
+    matrix = np.zeros((2, encoder.dim))
+    matrix[0, :2], matrix[1, 2] = 1.5e308, 1.0
+    first = read_records(dense_stack["tagged.jsonl"], dict)[0]["query_id"]
+    code, err, out = _retrieve_with(dense_stack, encoder, matrix, tmp_path, capsys)
+    assert code == 2
+    assert f"query {first!r} has a non-finite score" in err
+    assert not out.exists()
 
 
 def test_fingerprint_mismatch_between_index_and_encoder(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eventlink import encoders
 from eventlink.encoders import (
     OOV_TOKEN,
     DegenerateNormError,
@@ -244,6 +245,18 @@ def test_forward_zero_norm_raises_named_error():
         enc.encode_many([["a"], ["a", "b"]])
 
 
+@pytest.mark.parametrize("scale", [1e300, np.nan])
+def test_norm_beyond_the_float_range_or_nan_raises_named_error(scale):
+    # a weight of 1e300 leaves every pre-activation finite but squares it past the float
+    # range: the norm is inf, and dividing by it would give a row of zeros
+    enc = TinyEncoder(["a", "b", "c"], 4, seed=0)
+    enc.weight *= scale
+    with pytest.raises(DegenerateNormError, match="^encoder pre-activation norm is zero or not finite$"):
+        enc.forward(["a"])
+    with pytest.raises(DegenerateNormError, match="^encoder pre-activation norm is zero or not finite$"):
+        enc.encode_many([["a"], ["a", "b"]])
+
+
 def test_forward_batch_zero_norm_raises_named_error():
     enc = _degenerate(TinyEncoder(["a"], 8, seed=0))
     with pytest.raises(DegenerateNormError):
@@ -277,15 +290,35 @@ def _encode_row_by_row(enc, rows):
     return np.stack(out)
 
 
-@given(case=_rows_over_vocab(), dim=st.integers(2, 130), seed=st.integers(0, 2**16))
-@example(case=(["a"], [["a", "b"]]), dim=64, seed=0)
+@given(case=_rows_over_vocab(), dim=st.integers(2, 130), seed=st.integers(0, 2**16),
+       rows_per_block=st.sampled_from([1, 2, 3, None]))
+@example(case=(["a"], [["a", "b"]]), dim=64, seed=0, rows_per_block=None)
 @example(case=(["a", "b"], [["a"], ["b", "a", "b"], ["a"], ["a", "a"], ["b", "a", "b"]]),
-         dim=3, seed=1)
-@example(case=(["a", "b"], [["a"], ["b"] * 300, ["zz"], ["a"]]), dim=130, seed=2)
+         dim=3, seed=1, rows_per_block=2)
+@example(case=(["a", "b"], [["a"], ["b"] * 300, ["zz"], ["a"]]), dim=130, seed=2, rows_per_block=1)
 @settings(max_examples=150, deadline=None)
-def test_encode_many_is_bit_identical_to_stacked_rows(case, dim, seed):
+def test_encode_many_is_bit_identical_to_stacked_rows(case, dim, seed, rows_per_block):
     vocab, rows = case
     tiny = TinyEncoder(vocab, dim, seed=seed)
     expected = np.stack([tiny.forward(row) for row in rows])
-    assert tiny.encode_many(rows).tobytes() == expected.tobytes()
-    assert tiny.encode_many(rows).tobytes() == _encode_row_by_row(tiny, rows).tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        if rows_per_block is not None:
+            patch.setattr(encoders, "CACHE_ELEMENTS", rows_per_block * dim)
+        assert tiny.encode_many(rows).tobytes() == expected.tobytes()
+        assert tiny.encode_many(rows).tobytes() == _encode_row_by_row(tiny, rows).tobytes()
+
+
+def test_encode_many_is_bit_identical_across_cache_blocks():
+    # at dim 64 a block holds 512 rows, so 1,300 rows make 3 blocks; lengths from 1 to 300
+    # leave later blocks shorter longest rows than the first
+    rng = np.random.default_rng(3101)
+    vocab = [f"w{i}" for i in range(400)]
+    tokens = np.array(vocab + [OOV_TOKEN, "zz-unknown", "[M_s]"])
+    lengths = [1, 300, *rng.integers(1, 301, size=1297).tolist()]
+    rows = [tokens[rng.integers(0, len(tokens), size=n)].tolist() for n in lengths]
+    rows.insert(700, rows[5])  # a repeated row
+    tiny = TinyEncoder(vocab, 64, seed=7)
+    assert len(rows) > 2 * (encoders.CACHE_ELEMENTS // tiny.dim)
+    got = tiny.encode_many(rows)
+    assert got.tobytes() == np.stack([tiny.forward(row) for row in rows]).tobytes()
+    assert got.tobytes() == _encode_row_by_row(tiny, rows).tobytes()

@@ -139,9 +139,16 @@ def test_from_records_of_no_records_names_the_source():
 # words and the separators str.split splits on, Unicode and ASCII control ones included
 _KB_TEXT = st.text(st.sampled_from(["a", "b", "\u00e9", " ", "\t", "\u2003", "\x1c", "\x85"]),
                    max_size=12)
+
+
+def _entries(*fields):
+    """KB records ``E0``, ``E1``, ... of ``(title, description)`` pairs."""
+    return [{"id": f"E{i}", "title": title, "description": description}
+            for i, (title, description) in enumerate(fields)]
+
+
 _ENTRIES = st.lists(st.tuples(_KB_TEXT.filter(len), _KB_TEXT), min_size=1, max_size=6).map(
-    lambda fields: [{"id": f"E{i}", "title": title, "description": description}
-                    for i, (title, description) in enumerate(fields)])
+    lambda fields: _entries(*fields))
 # records that may break any rule: not an object, a missing or non-string field, an
 # empty id or title, the reserved id, or an id repeated from the small pool
 _FIELD = st.one_of(_KB_TEXT, st.sampled_from([5, None, ["x"]]))
@@ -196,14 +203,19 @@ def test_loaded_and_constructed_kbs_agree(tmp_path, records):
                 kb.rows([ids[0], unknown])
 
 
-@given(entries=_ENTRIES, data=st.data())
+@given(entries=_ENTRIES, picks=st.lists(st.integers(0, 5), max_size=8))
+@example(entries=_entries((" \u2003\x85", "war games")), picks=[0])  # a whitespace-only title
+@example(entries=_entries((f"a {TITLE_SEP} b", f"{TITLE_SEP}c"), ("T", TITLE_SEP)), picks=[1, 0])
+@example(entries=_entries(("T", "\x85\x85 lead\x85\x85mid \u2003 trail\x85 \x85")), picks=[])
+# rows exactly as long as a max_len below: kept whole, as a cut to their length
+@example(entries=_entries(("a b", "c"), ("t", " ".join(["w"] * 298))), picks=[1, 0, 1])
 @settings(max_examples=60, deadline=None)
-def test_candidate_texts_are_each_entrys_candidate_text(entries, data):
+def test_candidate_texts_are_each_entrys_candidate_text(entries, picks):
     kb = KnowledgeBase.from_records(enumerate(entries, start=1), "records")
     # uncut: what BM25 indexes and the vocabulary covers
     whole = [e["title"].split() + [TITLE_SEP] + e["description"].split() for e in entries]
     assert kb.candidate_texts() == whole
-    rows = data.draw(st.lists(st.integers(0, len(entries) - 1), max_size=8))
+    rows = [pick % len(entries) for pick in picks]
     for max_len in (1, 4, 300):
         assert kb.candidate_texts(max_len) == [text[:max_len] for text in whole]
         assert kb.candidate_texts(max_len, rows) == [whole[row][:max_len] for row in rows]

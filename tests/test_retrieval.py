@@ -138,6 +138,8 @@ def _overflowing_matrix(rng, n, d):
 
 
 def test_overflowing_products_fall_back_to_every_row():
+    # every row is shortlisted and scored, and a score beyond the float range is refused
+    # naming the query, as no reader of candidate files accepts one
     rng = np.random.default_rng(5)
     matrix = _overflowing_matrix(rng, 12, 8)
     q = 1e160 * rng.uniform(0.5, 1.0, size=8)
@@ -146,11 +148,17 @@ def test_overflowing_products_fall_back_to_every_row():
     for k in (1, 4, 12):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = retrieve(index, q, k)
-        with np.errstate(over="ignore"):
-            ids, scores = _brute_force(matrix, q, k)
-        assert list(got.ids) == ids and list(got.scores) == scores
-    assert got.scores[:4] == (np.inf,) * 4 and got.scores[-4:] == (-np.inf,) * 4
+            assert _shortlist(index, q[None], k)[0].tolist() == list(range(12))
+            with pytest.raises(ValueError, match="^query 'q' has a non-finite score$"):
+                retrieve(index, q, k, query_id="q")
+
+
+def test_a_finite_row_of_huge_norm_gives_a_refused_score():
+    # both rows are finite, but the first one's dot product with a unit query overflows
+    index = _index_from_matrix(np.array([[1.5e308, 1.5e308, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+    query = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    with pytest.raises(ValueError, match="^query 'q1' has a non-finite score$"):
+        retrieve_many(index, np.stack([np.eye(4)[3], query]), 1, ["q0", "q1"])
 
 
 def _retrieve_many_matches_oracles(index, matrix, queries, k):
@@ -212,14 +220,16 @@ def test_retrieve_many_matches_oracles(seed, n, d, m, k_rule, spread_norms, rows
 def test_retrieve_many_block_mixes_overflowing_and_ordinary_queries(monkeypatch, rows_per_block):
     rng = np.random.default_rng(9)
     matrix = _overflowing_matrix(rng, 15, 6)
-    matrix[7] = matrix[4]  # a tie among the -inf products, broken by KB position
+    matrix[7] = matrix[4]  # a tie, broken by KB position
     index = _index_from_matrix(matrix)
     queries = rng.normal(size=(4, 6))
     queries[2] = 1e160 * rng.uniform(0.5, 1.0, size=6)  # every product is +-inf or finite
     monkeypatch.setattr(retrieval, "_BLOCK_ELEMENTS", rows_per_block * index.n)
     monkeypatch.setattr(retrieval, "_GATHER_ELEMENTS", rows_per_block * 6)
     for k in (1, 5, 15):
-        _retrieve_many_matches_oracles(index, matrix, queries, k)
+        _retrieve_many_matches_oracles(index, matrix, queries[[0, 1, 3]], k)
+        with pytest.raises(ValueError, match="^query 'q2' has a non-finite score$"):
+            retrieve_many(index, queries, k, ["q0", "q1", "q2", "q3"])
 
 
 def test_retrieve_many_rejects_misaligned_ids_and_bad_shapes():
