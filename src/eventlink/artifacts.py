@@ -18,6 +18,11 @@ naming the file, and the line for JSON lines. ``read_records`` is one loop
 over ``iter_jsonl`` with one error handler, so a record costs its ``parse``
 call alone; it also refuses a repeated key, such as a query id.
 
+A framed body moves without intermediate copies: ``read_framed`` reads it
+once, straight into a fresh numpy byte array, so the doubles viewed in it
+are aligned whatever the header's length, and ``write_framed`` writes the
+header line and then the body's own buffer.
+
 Every reader decodes with ``orjson``: several times faster than ``json``
 on nested float lists, with the same bits for every finite double ``json``
 writes. It refuses ``NaN``, ``Infinity``, numbers beyond the double range
@@ -31,7 +36,11 @@ and decision lines, one per query of ``retrieve`` and ``link``, are
 formatted by their types (``CandidateSet.to_line``,
 ``LinkDecision.to_line``) from their fields with ``json_string`` and
 ``json_floats``, json's text for a string and a float: the same bytes,
-without building a dict per line.
+without building a dict per line. Both types refuse a non-finite score,
+which no reader accepts.
+
+``file_digest`` hashes a file in fixed-size chunks, so a manifest costs
+no second copy of a stage's largest input.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import tempfile
 from json.encoder import encode_basestring_ascii as json_string
 from typing import Callable, Iterable, Iterator, TypeVar
 
+import numpy as np
 import orjson
 
 MANIFEST_KEY = "_manifest"
@@ -52,26 +62,32 @@ T = TypeVar("T")
 # json.dumps(record, sort_keys=True) without building an encoder per call
 json_line = json.JSONEncoder(sort_keys=True).encode
 
-# json's text for the floats whose repr is not JSON
-_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+# bytes that file_digest reads and hashes at a time, few enough to stay in cache
+_DIGEST_CHUNK = 2 ** 16
 
 
 def json_floats(values: Iterable[float]) -> list[str]:
-    """``json``'s text of each float: its ``repr``, or ``Infinity``, ``-Infinity`` or ``NaN``."""
-    return [_NON_FINITE.get(text, text) for text in map(float.__repr__, values)]
+    """``json``'s text of each finite float: its ``repr``."""
+    return list(map(float.__repr__, values))
 
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def digest_bytes(data: bytes) -> str:
+def digest_bytes(data) -> str:
+    """sha256 of ``data``: bytes, or a C-contiguous array's own buffer."""
     return hashlib.sha256(data).hexdigest()
 
 
 def file_digest(path) -> str:
-    with open(path, "rb") as fh:
-        return digest_bytes(fh.read())
+    """sha256 of a file's bytes, read ``_DIGEST_CHUNK`` bytes at a time into one buffer."""
+    digest, chunk = hashlib.sha256(), bytearray(_DIGEST_CHUNK)
+    view = memoryview(chunk)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(chunk):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 def json_digest(obj) -> str:
@@ -92,13 +108,15 @@ def make_manifest(command: str, config: dict, inputs: dict[str, str]) -> dict:
     }
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write ``data`` to a temporary file beside ``path`` and rename it into place."""
+def atomic_write_bytes(path, *chunks) -> None:
+    """Write each of ``chunks`` (bytes, or a C-contiguous array's own buffer) in turn to a
+    temporary file beside ``path``, and rename it into place."""
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -196,15 +214,16 @@ def read_json(path) -> tuple[dict | None, dict]:
     return manifest, document
 
 
-def write_framed(path, header: dict, body: bytes, manifest: dict | None = None) -> None:
+def write_framed(path, header: dict, body, manifest: dict | None = None) -> None:
     """Write ``header`` as one line of canonical JSON, ``manifest`` embedded if given, then ``body``.
 
-    JSON escapes every newline inside a string, so the first newline of the
-    file ends the header.
+    ``body`` is bytes or a C-contiguous array, whose own buffer is written
+    after the header line: no copy of it is made. JSON escapes every
+    newline inside a string, so the first newline of the file ends the header.
     """
     if manifest is not None:
         header = {MANIFEST_KEY: manifest, **header}
-    atomic_write_bytes(path, canonical_json(header).encode("utf-8") + b"\n" + body)
+    atomic_write_bytes(path, canonical_json(header).encode("utf-8") + b"\n", body)
 
 
 def _refusal(exc: Exception, where) -> ValueError:
@@ -248,11 +267,15 @@ def read_document(path, parse: Callable[[dict], T]) -> T:
     return _parse(parse, read_json(path)[1], path)
 
 
-def read_framed(path, parse: Callable[[dict, bytes], T], unframed: str) -> T:
+def read_framed(path, parse: Callable[[dict, np.ndarray], T], unframed: str) -> T:
     """``parse(header, body)`` of a file written by ``write_framed``, manifest removed; errors name the file.
 
-    A file whose first line is not a UTF-8 JSON object, such as a file of
-    an older format, raises ValueError with the message ``unframed``.
+    ``body`` is a fresh ``uint8`` array of every byte after the header
+    line, sized from ``fstat`` and filled by one ``readinto``. numpy
+    allocates it aligned, so a view of it as wider numbers is aligned
+    too, whatever the header's length. A file whose first line is not a
+    UTF-8 JSON object, such as a file of an older format, raises
+    ValueError with the message ``unframed``.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -262,6 +285,7 @@ def read_framed(path, parse: Callable[[dict, bytes], T], unframed: str) -> T:
             header = None
         if not isinstance(header, dict):
             raise ValueError(f"{path}: {unframed}")
-        body = fh.read()
+        body = np.empty(os.fstat(fh.fileno()).st_size - fh.tell(), dtype=np.uint8)
+        body = body[:fh.readinto(body)]
     header.pop(MANIFEST_KEY, None)
     return _parse(lambda fields: parse(fields, body), header, path)

@@ -58,7 +58,8 @@ CHECKPOINT_VERSION = 1
 
 # Values in one block of rows that a kernel works on at a time: 2**15 float64
 # values (256 KB) stay in cache, where a whole-matrix temporary is paged in
-# afresh on every pass. ``encode_many`` and ``retrieval.pair_dots`` use it.
+# afresh on every pass. ``encode_many``, ``retrieval.pair_dots`` and the checks
+# of ``retrieval.DenseIndex`` use it.
 CACHE_ELEMENTS = 2 ** 15
 
 _DEGENERATE = "encoder pre-activation norm is zero or not finite"
@@ -289,8 +290,7 @@ def load_encoder(path) -> TinyEncoder:
 
 def _array_digest(arr: np.ndarray) -> dict:
     data = np.ascontiguousarray(arr, dtype="<f8")
-    digest = artifacts.digest_bytes(data.tobytes())
-    return {"dtype": "<f8", "shape": list(data.shape), "sha256": digest}
+    return {"dtype": "<f8", "shape": list(data.shape), "sha256": artifacts.digest_bytes(data)}
 
 
 def encoder_fingerprint(encoder) -> str:

@@ -29,7 +29,7 @@ from .artifacts import json_floats, json_string
 from .encoders import DegenerateNormError, TinyEncoder, checkpoint_array, checkpoint_state
 from .kb import NIL, SCORER_MAX_LEN, KnowledgeBase, tokenize
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
-from .retrieval import CandidateSet, json_float, pair_dots
+from .retrieval import CandidateSet, check_finite_scores, json_float, pair_dots
 
 NIL_PSEUDO_TOKEN = "[NIL]"
 
@@ -137,13 +137,16 @@ class TinyCrossScorer:
 
 @dataclass(frozen=True, slots=True)
 class LinkDecision:
-    """One linking verdict: a KB id or NIL, with the (k+1)-length score vector."""
+    """One linking verdict: a KB id or NIL, with the (k+1)-length score vector, every score finite."""
 
     query_id: str
     prediction: str
     scores: tuple[float, ...]
     rule: str
     note: str | None = None
+
+    def __post_init__(self) -> None:
+        check_finite_scores(self.query_id, self.scores)
 
     def to_line(self) -> str:
         """This decision's JSON line, as ``json.dumps(record, sort_keys=True)`` writes it.

@@ -28,7 +28,12 @@ score equals that formula bit for bit.
 reader of the index artifact. The file is one line of JSON holding the ids,
 the encoder fingerprint, an optional manifest and the matrix's dtype and
 shape, then the matrix's raw little-endian float64 bytes
-(``artifacts.write_framed``), so a round trip restores every bit.
+(``artifacts.write_framed``), so a round trip restores every bit. ``save``
+writes the header line and then the matrix's own buffer; ``load`` reads
+the body once into an aligned array and views it as the matrix, with no
+copy. ``DenseIndex`` checks the matrix for finiteness and takes its
+largest row norm in blocks of ``CACHE_ELEMENTS`` values, which stay in
+cache, so no whole-matrix temporary is built.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ _GATHER_ELEMENTS = CACHE_ELEMENTS
 
 @dataclass(frozen=True, slots=True)
 class CandidateSet:
-    """Ranked top-k entries for one query: distinct ids, non-increasing scores."""
+    """Ranked top-k entries for one query: distinct ids, finite non-increasing scores."""
 
     query_id: str
     ids: tuple[str, ...]
@@ -81,6 +86,7 @@ class CandidateSet:
             raise ValueError("ids and scores must align")
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("candidate ids must be distinct")
+        check_finite_scores(self.query_id, self.scores)
         if any(map(operator.lt, self.scores, self.scores[1:])):
             raise ValueError("scores must be non-increasing")
 
@@ -110,6 +116,12 @@ class CandidateSet:
         return cls(query_id=record["query_id"], ids=tuple(ids), scores=tuple(scores))
 
 
+def check_finite_scores(query_id: str, scores: tuple[float, ...]) -> None:
+    """A ``ValueError`` naming ``query_id`` unless every score is finite: no reader accepts another."""
+    if not all(map(math.isfinite, scores)):
+        raise ValueError(f"query {query_id!r} has a non-finite score")
+
+
 def json_float(value, what: str) -> float:
     """An orjson-decoded number (finite), not a bool, as a float; else a ``ValueError`` naming ``what``."""
     if type(value) not in (float, int):
@@ -122,7 +134,10 @@ class DenseIndex:
     """Entry ids aligned with a finite (n, d) embedding matrix.
 
     ``max_row_norm`` is computed once here; it sizes the shortlist bound
-    of every query.
+    of every query. The matrix is checked and its row norms taken in
+    blocks of at most ``CACHE_ELEMENTS`` values; each row's norm does not
+    depend on its block, so the maximum equals ``_norms(matrix).max()``
+    bit for bit.
     """
 
     ids: tuple[str, ...]
@@ -136,9 +151,13 @@ class DenseIndex:
                 f"matrix of shape {list(self.matrix.shape)} does not hold one row per id "
                 f"for {len(self.ids)} ids"
             )
-        if not np.isfinite(self.matrix).all():
-            raise ValueError("matrix holds a non-finite value")
-        object.__setattr__(self, "max_row_norm", float(_norms(self.matrix).max()))
+        step, max_row_norm = max(1, CACHE_ELEMENTS // self.dim), 0.0
+        for lo in range(0, self.n, step):
+            block = self.matrix[lo:lo + step]
+            if not np.isfinite(block).all():
+                raise ValueError("matrix holds a non-finite value")
+            max_row_norm = max(max_row_norm, float(_norms(block).max()))
+        object.__setattr__(self, "max_row_norm", max_row_norm)
 
     @property
     def n(self) -> int:
@@ -149,14 +168,15 @@ class DenseIndex:
         return int(self.matrix.shape[1])
 
     def save(self, path, manifest: dict | None = None) -> None:
-        """Write the index atomically, embedding ``manifest`` if given."""
+        """Write the index atomically, embedding ``manifest`` if given: the header line, then
+        the matrix's own buffer (no copy when it is already C-contiguous ``<f8``)."""
         header = {
             "format_version": INDEX_FORMAT_VERSION,
             "encoder_fingerprint": self.encoder_fingerprint,
             "ids": list(self.ids),
             "matrix": {"dtype": INDEX_DTYPE, "shape": [self.n, self.dim]},
         }
-        body = np.ascontiguousarray(self.matrix, dtype=INDEX_DTYPE).tobytes()
+        body = np.ascontiguousarray(self.matrix, dtype=INDEX_DTYPE)
         artifacts.write_framed(path, header, body, manifest)
 
     @classmethod
@@ -164,12 +184,13 @@ class DenseIndex:
         """Read an index written by ``save``; a malformed file raises ValueError naming it.
 
         Its ``ids`` must be a JSON list of distinct KB ids: an empty id, ``NIL`` and a repeat are
-        refused in the KB's words.
+        refused in the KB's words; its ``encoder_fingerprint`` must be a JSON string. The matrix
+        is a view of the aligned body that ``artifacts.read_framed`` reads.
         """
         return artifacts.read_framed(path, cls._from_parts, f"no index header line; {_REBUILD}")
 
     @classmethod
-    def _from_parts(cls, header: dict, body: bytes) -> "DenseIndex":
+    def _from_parts(cls, header: dict, body: np.ndarray) -> "DenseIndex":
         version = header["format_version"]
         if type(version) is not int or version != INDEX_FORMAT_VERSION:
             raise ValueError(f"index format_version {version!r} is not supported; {_REBUILD}")
@@ -193,20 +214,26 @@ class DenseIndex:
         n, d = shape
         if len(body) != n * d * 8:
             raise ValueError(f"matrix shape {shape} needs {n * d * 8} bytes, found {len(body)}")
-        matrix = np.frombuffer(body, dtype=INDEX_DTYPE).reshape(n, d).astype(np.float64, copy=False)
-        fingerprint = str(header["encoder_fingerprint"])
+        fingerprint = header["encoder_fingerprint"]
+        if type(fingerprint) is not str:
+            raise ValueError(f"index encoder_fingerprint {fingerprint!r} is not a string")
+        matrix = body.view(INDEX_DTYPE).reshape(n, d).astype(np.float64, copy=False)
         return cls(ids=tuple(ids), matrix=matrix, encoder_fingerprint=fingerprint)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis, scaled first so that no square under- or overflows.
 
-    A norm beyond the float range comes out as inf.
+    A norm beyond the float range comes out as inf. The square root of
+    ``add.reduce`` of the squares is what ``np.linalg.norm(axis=-1)`` computes,
+    bit for bit, without its copy of ``x.conj()``.
     """
     scale = np.abs(x).max(axis=-1, keepdims=True)
     scale[scale == 0.0] = 1.0
     with np.errstate(over="ignore"):
-        return scale[..., 0] * np.linalg.norm(x / scale, axis=-1)
+        squares = x / scale
+        squares *= squares
+        return scale[..., 0] * np.sqrt(np.add.reduce(squares, axis=-1))
 
 
 def build_index(kb: KnowledgeBase, encoder: EncoderAdapter) -> DenseIndex:

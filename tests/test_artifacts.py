@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from eventlink.artifacts import iter_jsonl, read_document, read_json, read_manifest, read_records
+from eventlink import artifacts
+from eventlink.artifacts import file_digest, iter_jsonl, read_document, read_json, read_manifest
+from eventlink.artifacts import read_records
 from eventlink.artifacts import json_line, write_jsonl
 from eventlink.encoders import TinyEncoder, load_checkpoint, load_encoder, save_checkpoint
 from eventlink.kb import KBError, KnowledgeBase, load_kb
@@ -319,6 +322,18 @@ def test_load_checkpoint_of_the_wrong_kind_names_file(tmp_path, kind, version):
             _assert_names_file(_outcome(lambda: read(path)), path)
 
 
+@given(data=st.binary(max_size=40), chunk=st.integers(1, 9))
+@example(data=b"", chunk=1)
+@example(data=b"x" * 18, chunk=9)
+@settings(max_examples=60, deadline=None)
+def test_file_digest_in_chunks_is_the_sha256_of_the_whole_file(tmp_path_factory, data, chunk):
+    path = tmp_path_factory.mktemp("digest") / "file.bin"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(artifacts, "_DIGEST_CHUNK", chunk)
+        assert file_digest(path) == hashlib.sha256(data).hexdigest()
+
+
 # --- read_records and read_document ------------------------------------------
 
 _RECORDS = st.lists(st.dictionaries(_TEXT.filter(lambda key: key != "_manifest"), _TEXT, max_size=3),
@@ -391,6 +406,17 @@ _EDGE_TEXT = '"\\/\x00\x1f\n\x7f\x80\xe9\u2028\U0001F600\ud800\udfff\udbffx'
 # in a candidate set's order: NaN is neither above nor below another score, and 0.0 equals -0.0
 _EDGE_SCORES = [float("inf"), 1.7976931348623157e308, 5e-324, 0.0, -0.0, -2.2250738585072e-308,
                 -1.7976931348623157e308, float("-inf"), float("nan")]
+_FINITE_EDGE_SCORES = [score for score in _EDGE_SCORES if math.isfinite(score)]
+
+
+def _refuses_non_finite(query_id, scores, build):
+    """True, after checking the refusal, if ``build()`` must refuse one of ``scores`` naming the query."""
+    if all(map(math.isfinite, scores)):
+        return False
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == f"query {query_id!r} has a non-finite score"
+    return True
 
 
 @given(query_id=_ANY_TEXT, candidates=st.lists(st.tuples(_ANY_TEXT, st.floats()), max_size=6,
@@ -398,26 +424,34 @@ _EDGE_SCORES = [float("inf"), 1.7976931348623157e308, 5e-324, 0.0, -0.0, -2.2250
 @example(query_id=_EDGE_TEXT, candidates=[])
 @example(query_id="q", candidates=[(c, 1.0) for c in _EDGE_TEXT])
 @example(query_id="q", candidates=[(str(i), score) for i, score in enumerate(_EDGE_SCORES)])
+@example(query_id="q", candidates=[(str(i), score) for i, score in enumerate(_FINITE_EDGE_SCORES)])
 @example(query_id="q", candidates=[("a", 1.0), ("b", float("nan")), ("c", 2.0)])
 @settings(max_examples=300, deadline=None)
 def test_candidate_line_is_json_dumps_of_its_record(query_id, candidates):
+    # a non-finite score is refused, naming the query, whatever the order
     scores = [score for _, score in candidates]
     if any(a < b for a, b in zip(scores, scores[1:])):  # not a set's order: scores descending, NaN last
         candidates = sorted(candidates, key=lambda c: (not math.isnan(c[1]), c[1]), reverse=True)
     record = {"query_id": query_id, "candidates": [{"id": i, "score": s} for i, s in candidates]}
     ids, scores = zip(*candidates) if candidates else ((), ())
-    assert CandidateSet(query_id, ids, scores).to_line() == json.dumps(record, sort_keys=True)
+    if not _refuses_non_finite(query_id, scores, lambda: CandidateSet(query_id, ids, scores)):
+        assert CandidateSet(query_id, ids, scores).to_line() == json.dumps(record, sort_keys=True)
 
 
 @given(query_id=_ANY_TEXT, prediction=_ANY_TEXT, rule=_ANY_TEXT, scores=st.lists(st.floats(), max_size=6),
        note=st.one_of(st.none(), _ANY_TEXT))
 @example(query_id=_EDGE_TEXT, prediction=_EDGE_TEXT, rule=_EDGE_TEXT, scores=[], note=_EDGE_TEXT)
 @example(query_id="q", prediction="NIL", rule="learned_nil", scores=_EDGE_SCORES, note=None)
+@example(query_id="q", prediction="NIL", rule="learned_nil", scores=_FINITE_EDGE_SCORES, note=None)
 @example(query_id="q", prediction="E1", rule="llm", scores=[0.0], note="")
 @settings(max_examples=300, deadline=None)
 def test_decision_line_is_json_dumps_of_its_record(query_id, prediction, rule, scores, note):
+    # a non-finite score is refused, naming the query
     record = {"query_id": query_id, "prediction": prediction, "rule": rule, "scores": scores}
     if note:
         record["note"] = note
-    decision = LinkDecision(query_id, prediction, tuple(scores), rule, note)
-    assert decision.to_line() == json.dumps(record, sort_keys=True)
+    def build():
+        return LinkDecision(query_id, prediction, tuple(scores), rule, note)
+
+    if not _refuses_non_finite(query_id, scores, build):
+        assert build().to_line() == json.dumps(record, sort_keys=True)

@@ -125,6 +125,13 @@ def _ids(ids):
     return corrupt
 
 
+def _fingerprint(value):
+    def corrupt(header, body):
+        header["encoder_fingerprint"] = value
+        return _framed(header, body)
+    return corrupt
+
+
 def _index_parts(path):
     """The JSON header line, manifest included, and the matrix bytes of an index file."""
     head, _, body = open(path, "rb").read().partition(b"\n")
@@ -150,11 +157,13 @@ def _index_parts(path):
     (_ids("ab"), "index ids must be a JSON list of strings"),
     (_ids(["a", ""]), "entry id must be non-empty"),
     (_ids(["NIL", "a"]), "entry id 'NIL' is reserved for the out-of-KB label"),
+    (_fingerprint(5), "index encoder_fingerprint 5 is not a string"),
+    (_fingerprint(["x"]), "index encoder_fingerprint ['x'] is not a string"),
 ], ids=["missing-key", "format-v1", "format-v2", "old-version-header", "float-version",
         "bool-in-shape", "shape-vs-ids",
         "shape-vs-bytes", "non-finite", "truncated-body", "empty", "no-newline",
         "int-and-null-ids", "repeated-int-ids", "repeated-string-ids", "string-ids",
-        "empty-id", "nil-id"])
+        "empty-id", "nil-id", "int-fingerprint", "list-fingerprint"])
 def test_malformed_index_is_data_error_naming_file(dense_stack, tmp_path, capsys, corrupt, message):
     bad = tmp_path / "bad-index.json"
     bad.write_bytes(corrupt(*_index_parts(dense_stack["index.json"])))

@@ -11,7 +11,7 @@ from eventlink.encoders import TinyEncoder
 from eventlink.kb import RETRIEVER_MAX_LEN, TITLE_SEP
 from eventlink import retrieval
 from eventlink.retrieval import (
-    CandidateSet, DenseIndex, _shortlist, build_index, retrieve, retrieve_many,
+    CandidateSet, DenseIndex, _norms, _shortlist, build_index, retrieve, retrieve_many,
 )
 from eventlink.training import build_vocab
 
@@ -340,6 +340,82 @@ def test_index_round_trip_is_bit_exact(tmp_path_factory, matrix):
     again = path.with_name("again.json")
     loaded.save(again, manifest={"command": "index"})
     assert again.read_bytes() == path.read_bytes()
+
+
+# signed zeros, subnormals, one ulp above 1.0 and values near the ends of the double range
+_EDGE_ROWS = np.array([[-0.0, 0.0, 5e-324, -2.5e-310], [1e300, -1e300, np.nextafter(1.0, 2.0), -np.pi],
+                       [-5e-324, 1e-300, -1e300, 2.0 ** -1022]])
+
+
+def test_index_round_trip_is_aligned_and_bit_exact_at_every_header_offset(tmp_path):
+    # the fingerprint's length moves the body's file offset through every residue mod 8
+    offsets = set()
+    for length in range(1, 9):
+        path = tmp_path / f"index-{length}.json"
+        index = DenseIndex(("E0", "E1", "E2"), _EDGE_ROWS, "f" * length)
+        index.save(path, manifest={"command": "index"})
+        offsets.add((path.read_bytes().index(b"\n") + 1) % 8)
+        loaded = DenseIndex.load(path)
+        assert loaded.matrix.flags.aligned and loaded.matrix.dtype == np.float64
+        assert loaded.matrix.tobytes() == _EDGE_ROWS.tobytes()
+        assert loaded.encoder_fingerprint == index.encoder_fingerprint
+        assert loaded.max_row_norm == index.max_row_norm
+    assert offsets == set(range(8))
+
+
+def test_index_of_a_strided_matrix_saves_the_bytes_of_its_contiguous_copy(tmp_path):
+    contiguous, fortran = tmp_path / "c.json", tmp_path / "f.json"
+    DenseIndex(("E0", "E1", "E2"), _EDGE_ROWS, "f").save(contiguous)
+    DenseIndex(("E0", "E1", "E2"), np.asfortranarray(_EDGE_ROWS), "f").save(fortran)
+    assert fortran.read_bytes() == contiguous.read_bytes()
+
+
+@pytest.mark.parametrize("change, found", [(lambda body: body[:-1], 95), (lambda body: body + b"\0", 97)],
+                         ids=["one-byte-short", "one-byte-long"])
+def test_index_body_of_the_wrong_length_is_refused_naming_the_file(tmp_path, change, found):
+    path = tmp_path / "index.json"
+    DenseIndex(("E0", "E1", "E2"), _EDGE_ROWS, "f").save(path)
+    head, _, body = path.read_bytes().partition(b"\n")
+    path.write_bytes(head + b"\n" + change(body))
+    with pytest.raises(ValueError) as info:
+        DenseIndex.load(path)
+    assert str(info.value) == f"{path}: matrix shape [3, 4] needs 96 bytes, found {found}"
+
+
+def _linalg_norms(x):
+    """``_norms`` as ``np.linalg.norm`` computes it: the whole-matrix reference."""
+    scale = np.abs(x).max(axis=-1, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    with np.errstate(over="ignore"):
+        return scale[..., 0] * np.linalg.norm(x / scale, axis=-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 5)),
+                     elements=st.floats(allow_nan=False, allow_infinity=False)),
+       rows_per_block=st.integers(1, 4))
+@example(matrix=np.zeros((5, 2)), rows_per_block=2)
+@example(matrix=np.array([[1e308, 1e308], [0.0, -0.0], [5e-324, 0.0]]), rows_per_block=1)
+def test_max_row_norm_over_blocks_is_the_whole_matrix_maximum(matrix, rows_per_block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(retrieval, "CACHE_ELEMENTS", rows_per_block * matrix.shape[1])
+        index = _index_from_matrix(matrix)
+    assert _norms(matrix).tobytes() == _linalg_norms(matrix).tobytes()
+    assert index.max_row_norm.hex() == float(_norms(matrix).max()).hex()
+
+
+def test_max_row_norm_across_cache_blocks_and_a_non_finite_value_in_the_last_block():
+    # 1,300 rows at dim 64 are two full blocks and a partial one of 276 rows
+    rng = np.random.default_rng(32)
+    matrix = _adversarial_matrix(rng, 1300, 64, spread_norms=True)
+    assert 2 * (retrieval.CACHE_ELEMENTS // 64) < len(matrix) < 3 * (retrieval.CACHE_ELEMENTS // 64)
+    assert _norms(matrix).tobytes() == _linalg_norms(matrix).tobytes()
+    assert _index_from_matrix(matrix).max_row_norm.hex() == float(_norms(matrix).max()).hex()
+    for value in (np.nan, np.inf, -np.inf):
+        bad = matrix.copy()
+        bad[-1, -1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            _index_from_matrix(bad)
 
 
 def test_index_rejects_non_finite_and_misshapen_matrices():
