@@ -16,7 +16,8 @@ object and turn a ``KeyError``, ``TypeError``, ``ValueError`` or
 ``AttributeError`` of the caller's ``parse`` into one ``ValueError``
 naming the file, and the line for JSON lines. ``read_records`` is one loop
 over ``iter_jsonl`` with one error handler, so a record costs its ``parse``
-call alone; it also refuses a repeated key, such as a query id.
+call alone; it also refuses a repeated key, such as a query id. A ``parse``
+checks each field's type with ``typed``, the one such check, and coerces nothing.
 
 A framed body moves without intermediate copies: ``read_framed`` reads it
 once, straight into a fresh numpy byte array, so the doubles viewed in it
@@ -62,8 +63,23 @@ T = TypeVar("T")
 # json.dumps(record, sort_keys=True) without building an encoder per call
 json_line = json.JSONEncoder(sort_keys=True).encode
 
+_KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list", dict: "an object"}
+
 # bytes that file_digest reads and hashes at a time, few enough to stay in cache
 _DIGEST_CHUNK = 2 ** 16
+
+
+def typed(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind``: ``str``, ``int``, ``float``, ``list`` or ``dict``.
+
+    Else a ``ValueError`` reading ``{what} {value!r} is not a string`` (``an integer``, ``a number``,
+    ``a list``, ``an object``). A bool is no integer; ``float`` takes any other JSON number, as a float.
+    """
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise ValueError(f"{what} {value!r} is not {_KINDS[kind]}")
 
 
 def json_floats(values: Iterable[float]) -> list[str]:

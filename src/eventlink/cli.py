@@ -111,16 +111,11 @@ def _stack(args, kb: bool = True, dense: bool = True, distinct: bool = False):
     return inputs, loaded_kb, tagged, index, encoder
 
 
-def _completion(record: dict) -> str:
-    if not isinstance(record.get("completion"), str):
-        raise ValueError("no string 'completion'")
-    return record["completion"]
-
-
 def _scripted_client(args, inputs: dict) -> ScriptedClient:
     """A client replaying the ``completion`` of each ``--responses`` record in order."""
     inputs["responses"] = _require(args.responses, "--responses")
-    return ScriptedClient(artifacts.read_records(inputs["responses"], _completion))
+    return ScriptedClient(artifacts.read_records(
+        inputs["responses"], lambda record: artifacts.typed(record["completion"], str, "completion")))
 
 
 def _train_config(args) -> training.TrainConfig:
@@ -298,23 +293,22 @@ def _lineage_digest(manifest: dict) -> str | None:
 
 
 def cmd_eval(args) -> dict:
-    preds_path = _require(args.preds, "--preds")
-    gold_path = _require(args.gold, "--gold")
-    decisions = artifacts.read_records(preds_path, LinkDecision.from_record)
-    golds = [q.base for q in _load_tagged(gold_path)]
-    preds_manifest = artifacts.read_manifest(preds_path)
-    gold_digest = artifacts.file_digest(gold_path)
+    inputs = {"preds": _require(args.preds, "--preds"), "gold": _require(args.gold, "--gold")}
+    if args.candidates:
+        inputs["candidates"] = _require(args.candidates, "--candidates")
+    decisions = artifacts.read_records(inputs["preds"], LinkDecision.from_record)
+    golds = [q.base for q in _load_tagged(inputs["gold"])]
+    preds_manifest = artifacts.read_manifest(inputs["preds"])
+    manifest = _manifest("eval", args, inputs)
+    gold_digest = manifest["inputs"]["gold"]["sha256"]
     if preds_manifest is not None:
-        recorded = artifacts._parse(_lineage_digest, preds_manifest, preds_path)
+        recorded = artifacts._parse(_lineage_digest, preds_manifest, inputs["preds"])
         if recorded and recorded != gold_digest:
             raise DataError(
                 "lineage mismatch: predictions were linked against a different queries file"
             )
-    candidate_sets = None
-    if args.candidates:
-        candidate_sets = artifacts.read_records(
-            _require(args.candidates, "--candidates"), CandidateSet.from_record
-        )
+    candidate_sets = (artifacts.read_records(inputs["candidates"], CandidateSet.from_record)
+                      if args.candidates else None)
     try:
         report = evaluation.evaluate(
             decisions, golds, candidate_sets, args.ks,
@@ -322,9 +316,8 @@ def cmd_eval(args) -> dict:
             config_fingerprint=artifacts.json_digest(preds_manifest) if preds_manifest else "",
         )
     except evaluation.CoverageError as exc:
-        paths = {"decisions": preds_path, "golds": gold_path, "candidate_sets": args.candidates}
+        paths = {"decisions": inputs["preds"], "golds": inputs["gold"], "candidate_sets": args.candidates}
         raise DataError(f"{paths[exc.source]}: {exc}") from None
-    manifest = _manifest("eval", args, {"preds": preds_path, "gold": gold_path})
     artifacts.write_json(args.out, report.to_dict(), manifest)
     return manifest
 

@@ -246,12 +246,14 @@ def distinct_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def checkpoint_array(state: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """``state[name]`` as a float64 array; any shape but ``shape`` is a ``ValueError``."""
-    arr = np.array(state[name], dtype=float)
+    """``state[name]``, JSON numbers of shape ``shape``, as a float64 array; else a ``ValueError``."""
+    arr = np.array(state[name])
+    if arr.dtype.kind not in "fiu":
+        raise ValueError(f"checkpoint array {name!r} holds a value that is not a number")
     if arr.shape != shape:
         raise ValueError(f"checkpoint array {name!r} has shape {list(arr.shape)}, "
                          f"expected {list(shape)}")
-    return arr
+    return arr.astype(float, copy=False)
 
 
 def checkpoint_state(model, array=np.ndarray.tolist) -> dict:

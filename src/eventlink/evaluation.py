@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Iterator, Sequence
 
+from .artifacts import typed
 from .extraction import EventQuery
 from .kb import NIL
 from .rerank import LinkDecision
@@ -42,30 +43,36 @@ def _written(value):
 
 @dataclass
 class EvalReport:
-    """Metric bundle for one run over one dataset; its fields are the document's keys.
-
-    ``from_dict`` passes a stored value through its field's ``decode``, if any.
-    """
+    """Metric bundle for one run over one dataset; its fields are the document's keys."""
 
     accuracy_all: float | None
     accuracy_verb: float | None
     accuracy_noun: float | None
     accuracy_in_kb: float | None
     accuracy_out_of_kb: float | None
-    recall_at: dict[int, float] = field(default_factory=dict, metadata={
-        "decode": lambda stored: {int(k): float(v) for k, v in stored.items()}})
-    counts: dict[str, int] = field(default_factory=dict, metadata={
-        "decode": lambda stored: {k: int(v) for k, v in stored.items()}})
-    dataset_fingerprint: str = field(default="", metadata={"decode": str})
-    config_fingerprint: str = field(default="", metadata={"decode": str})
+    recall_at: dict[int, float] = field(default_factory=dict)
+    counts: dict[str, int] = field(default_factory=dict)
+    dataset_fingerprint: str = ""
+    config_fingerprint: str = ""
 
     def to_dict(self) -> dict:
         return {f.name: _written(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
-        return cls(**{f.name: f.metadata.get("decode", lambda stored: stored)(payload[f.name])
-                      for f in fields(cls)})
+        """The report of a ``to_dict`` document, each field of its JSON type; nothing is coerced."""
+        def entries(name: str, kind: type) -> dict:
+            return {k: typed(v, kind, f"{name}[{k!r}]") for k, v in typed(payload[name], dict, name).items()}
+
+        accuracies = {f"accuracy_{split}": payload[f"accuracy_{split}"] for split in _SPLITS}
+        return cls(
+            **{name: value if value is None else typed(value, float, name)
+               for name, value in accuracies.items()},
+            recall_at={int(k): v for k, v in entries("recall_at", float).items()},
+            counts=entries("counts", int),
+            dataset_fingerprint=typed(payload["dataset_fingerprint"], str, "dataset_fingerprint"),
+            config_fingerprint=typed(payload["config_fingerprint"], str, "config_fingerprint"),
+        )
 
 
 def _ratio(correct: int, total: int) -> float | None:

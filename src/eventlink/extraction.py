@@ -15,6 +15,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from . import artifacts
+from .artifacts import typed
 from .kb import NIL
 
 POS_CLASSES = ("verb", "noun", "other")
@@ -183,12 +184,21 @@ class RoleLexicon:
 
     @classmethod
     def from_file(cls, path) -> "RoleLexicon":
+        """``roles`` and ``triggers`` objects of a JSON document, mapping phrases to non-empty strings."""
         return artifacts.read_document(path, lambda data: cls(
-            roles=dict(data.get("roles", {})), triggers=dict(data.get("triggers", {}))
+            roles=_names(data, "roles", "role"), triggers=_names(data, "triggers", "event_type")
         ))
 
     def to_dict(self) -> dict:
         return {"roles": dict(self.roles), "triggers": dict(self.triggers)}
+
+
+def _names(data: dict, key: str, what: str) -> dict[str, str]:
+    names = typed(data.get(key, {}), dict, key)
+    for phrase, name in names.items():
+        if not typed(name, str, what):
+            raise ValueError(f"{what} of {phrase!r} must be non-empty")
+    return names
 
 
 class RuleExtractor:
@@ -231,19 +241,9 @@ class RuleExtractor:
 
 # --- record (de)serialization for query files -------------------------------
 
-_KINDS = {str: "a string", int: "an integer", list: "a list"}
-
-
-def _typed(value, kind: type, what: str):
-    """``value`` if its type is exactly ``kind`` (a bool is no int); else a ValueError naming ``what``."""
-    if type(value) is not kind:
-        raise ValueError(f"{what} {value!r} is not {_KINDS[kind]}")
-    return value
-
-
 def _bounds(record: dict, prefix: str = "") -> tuple[int, int]:
     start, end = f"{prefix}start", f"{prefix}end"
-    return _typed(record[start], int, start), _typed(record[end], int, end)
+    return typed(record[start], int, start), typed(record[end], int, end)
 
 
 def query_from_record(record: dict) -> EventQuery:
@@ -251,19 +251,19 @@ def query_from_record(record: dict) -> EventQuery:
     for field in ("query_id", "tokens", "mention_start", "mention_end"):
         if field not in record:
             raise ValueError(f"missing field {field!r}")
-    tokens = _typed(record["tokens"], list, "tokens")
+    tokens = typed(record["tokens"], list, "tokens")
     if not {str}.issuperset(map(type, tokens)):
-        _typed(next(t for t in tokens if type(t) is not str), str, "token")
+        typed(next(t for t in tokens if type(t) is not str), str, "token")
     entities = tuple(
-        NamedEntityAnnotation(Span(*_bounds(e)), _typed(e["entity_type"], str, "entity_type"))
+        NamedEntityAnnotation(Span(*_bounds(e)), typed(e["entity_type"], str, "entity_type"))
         for e in record.get("entities", [])
     )
     return EventQuery(
-        query_id=_typed(record["query_id"], str, "query_id"),
+        query_id=typed(record["query_id"], str, "query_id"),
         tokens=tuple(tokens),
         mention=Span(*_bounds(record, "mention_")),
-        pos=_typed(record.get("pos", "other"), str, "pos"),
-        gold=_typed(record.get("gold", NIL), str, "gold"),
+        pos=typed(record.get("pos", "other"), str, "pos"),
+        gold=typed(record.get("gold", NIL), str, "gold"),
         entities=entities,
     )
 
@@ -294,11 +294,11 @@ def _argument(start: int, end: int, role: str) -> Argument:
 def tagged_from_record(record: dict) -> TaggedQuery:
     base = query_from_record(record)
     arguments = tuple(  # types checked first, as True and 1 are one cache key
-        _argument(*_bounds(a), _typed(a["role"], str, "role")) for a in record.get("arguments", [])
+        _argument(*_bounds(a), typed(a["role"], str, "role")) for a in record.get("arguments", [])
     )
     return TaggedQuery(
         base=base,
-        event_type=_typed(record.get("event_type", "UNKNOWN"), str, "event_type"),
+        event_type=typed(record.get("event_type", "UNKNOWN"), str, "event_type"),
         arguments=arguments,
     )
 

@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifacts import typed
 from .encoders import EncoderAdapter
 from .extraction import Argument, EventQuery, Span, TaggedQuery, tagged_from_record
 from .extraction import tagged_to_record
@@ -126,10 +127,11 @@ class NegativeExample:
     @classmethod
     def from_record(cls, record: dict) -> "NegativeExample":
         return cls(
-            generated=tagged_from_record(record["generated"]),
-            origin_query_id=str(record["origin_query_id"]),
-            paired_candidate_ids=tuple(record["paired_candidate_ids"]),
-            provenance=str(record["provenance"]),
+            generated=tagged_from_record(typed(record["generated"], dict, "generated")),
+            origin_query_id=typed(record["origin_query_id"], str, "origin_query_id"),
+            paired_candidate_ids=tuple(typed(i, str, "paired candidate id") for i in
+                                       typed(record["paired_candidate_ids"], list, "paired_candidate_ids")),
+            provenance=typed(record["provenance"], str, "provenance"),
         )
 
 

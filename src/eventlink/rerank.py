@@ -25,11 +25,11 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .artifacts import json_floats, json_string
+from .artifacts import json_floats, json_string, typed
 from .encoders import DegenerateNormError, TinyEncoder, checkpoint_array, checkpoint_state
 from .kb import NIL, SCORER_MAX_LEN, KnowledgeBase, tokenize
 from .llm import ClientExhausted, TextCompletionClient, complete, prompt_file
-from .retrieval import CandidateSet, check_finite_scores, json_float, pair_dots
+from .retrieval import CandidateSet, check_finite_scores, pair_dots
 
 NIL_PSEUDO_TOKEN = "[NIL]"
 
@@ -161,21 +161,14 @@ class LinkDecision:
 
     @classmethod
     def from_record(cls, record: dict) -> "LinkDecision":
-        """The decision of a ``to_line`` line's record.
-
-        Its query id, prediction, rule and any note must be JSON strings, and its scores JSON numbers.
-        """
-        for key, name in (("query_id", "query id"), ("prediction", "prediction"), ("rule", "rule")):
-            if type(record[key]) is not str:
-                raise ValueError(f"{name} {record[key]!r} is not a string")
-        if "note" in record and type(record["note"]) is not str:
-            raise ValueError(f"note {record['note']!r} is not a string")
+        """The decision of a ``to_line`` line's record: query id, prediction, rule and any note
+        JSON strings, and scores JSON numbers."""
         return cls(
-            query_id=record["query_id"],
-            prediction=record["prediction"],
-            scores=tuple(json_float(s, "score") for s in record["scores"]),
-            rule=record["rule"],
-            note=record.get("note"),
+            query_id=typed(record["query_id"], str, "query id"),
+            prediction=typed(record["prediction"], str, "prediction"),
+            rule=typed(record["rule"], str, "rule"),
+            note=typed(record["note"], str, "note") if "note" in record else None,
+            scores=tuple(typed(s, float, "score") for s in typed(record["scores"], list, "scores")),
         )
 
 

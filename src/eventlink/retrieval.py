@@ -47,6 +47,7 @@ from typing import Sequence
 import numpy as np
 
 from . import artifacts
+from .artifacts import typed
 from .encoders import CACHE_ELEMENTS, EncoderAdapter, encoder_fingerprint
 from .extraction import EventQuery
 from .formatting import context_window
@@ -105,28 +106,16 @@ class CandidateSet:
     @classmethod
     def from_record(cls, record: dict) -> "CandidateSet":
         """The set of a ``to_line`` line's record: query id and ids JSON strings, scores JSON numbers."""
-        ids, scores = [], []
-        for c in record["candidates"]:
-            if type(c["id"]) is not str:
-                raise ValueError(f"candidate id {c['id']!r} is not a string")
-            ids.append(c["id"])
-            scores.append(json_float(c["score"], "candidate score"))
-        if type(record["query_id"]) is not str:
-            raise ValueError(f"query id {record['query_id']!r} is not a string")
-        return cls(query_id=record["query_id"], ids=tuple(ids), scores=tuple(scores))
+        candidates = typed(record["candidates"], list, "candidates")
+        return cls(ids=tuple(typed(c["id"], str, "candidate id") for c in candidates),
+                   scores=tuple(typed(c["score"], float, "candidate score") for c in candidates),
+                   query_id=typed(record["query_id"], str, "query id"))
 
 
 def check_finite_scores(query_id: str, scores: tuple[float, ...]) -> None:
     """A ``ValueError`` naming ``query_id`` unless every score is finite: no reader accepts another."""
     if not all(map(math.isfinite, scores)):
         raise ValueError(f"query {query_id!r} has a non-finite score")
-
-
-def json_float(value, what: str) -> float:
-    """An orjson-decoded number (finite), not a bool, as a float; else a ``ValueError`` naming ``what``."""
-    if type(value) not in (float, int):
-        raise ValueError(f"{what} {value!r} is not a number")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -214,9 +203,7 @@ class DenseIndex:
         n, d = shape
         if len(body) != n * d * 8:
             raise ValueError(f"matrix shape {shape} needs {n * d * 8} bytes, found {len(body)}")
-        fingerprint = header["encoder_fingerprint"]
-        if type(fingerprint) is not str:
-            raise ValueError(f"index encoder_fingerprint {fingerprint!r} is not a string")
+        fingerprint = typed(header["encoder_fingerprint"], str, "index encoder_fingerprint")
         matrix = body.view(INDEX_DTYPE).reshape(n, d).astype(np.float64, copy=False)
         return cls(ids=tuple(ids), matrix=matrix, encoder_fingerprint=fingerprint)
 

@@ -335,6 +335,8 @@ def test_full_pipeline_smoke(tmp_path):
         assert field in report
     assert report["counts"]["all"] == 10
     assert manifest["command"] == "eval"
+    assert sorted(manifest["inputs"]) == ["candidates", "gold", "preds"]  # every input eval reads
+    assert report["dataset_fingerprint"] == manifest["inputs"]["gold"]["sha256"]
     negatives = read_records(paths["negatives"], dict)
     assert len(negatives) == 10
     log = read_records(paths["genlog"], dict)
@@ -448,11 +450,14 @@ def test_eval_coverage_error_names_the_file_at_fault(small_run, tmp_path, capsys
     ("preds", ("scores", 1), float("nan"), "malformed JSON: unexpected character at column 103"),
     ("preds", ("scores", 0), float("-inf"), "malformed JSON: no digit after minus sign at column 83"),
     ("preds", ("note",), [1, 2], "note [1, 2] is not a string"),
+    ("candidates", ("candidates",), "E1", "candidates 'E1' is not a list"),
+    ("preds", ("scores",), "0.5", "scores '0.5' is not a list"),
 ], ids=["int-candidate-id", "string-score", "bool-score", "overflowing-candidate-score",
         "nan-candidate-score", "infinite-candidate-score",
         "int-candidates-query-id", "int-prediction", "int-decision-query-id", "int-rule",
         "string-decision-score", "bool-decision-score", "overflowing-decision-score",
-        "nan-decision-score", "infinite-decision-score", "list-note"])
+        "nan-decision-score", "infinite-decision-score", "list-note", "string-candidates",
+        "string-decision-scores"])
 def test_eval_refuses_mistyped_candidates_and_predictions(small_run, tmp_path, capsys, at_fault, where,
                                                           value, message):
     # values that a lax reader coerces or lets through; each is a data error naming file and line
@@ -1364,10 +1369,14 @@ def test_checkpoint_vocab_without_oov_or_with_a_repeat_is_data_error(dense_stack
     ("format_version", True, "checkpoint format_version True is not supported, expected 1"),
     ("dim", 4.9, "checkpoint dim 4.9 is not an integer of at least 2"),
     ("vocab", ["a", 7, "[OOV]"], "checkpoint vocab is not a list of strings"),
-], ids=["format-version", "dim", "vocab"])
+    ("bias", ["0.5", 0.0, 0.0, 0.0], "checkpoint array 'bias' holds a value that is not a number"),
+    ("bias", [None, 0.0, 0.0, 0.0], "checkpoint array 'bias' holds a value that is not a number"),
+    ("weight", [[True] * 4] * 4, "checkpoint array 'weight' holds a value that is not a number"),
+], ids=["format-version", "dim", "vocab", "string-in-array", "null-in-array", "bool-array"])
 def test_checkpoint_field_that_is_no_json_integer_or_string_list_is_data_error(
         dense_stack, tmp_path, capsys, field, value, message):
-    # each value loaded before: true == 1, int(4.9) == 4 with arrays 4 wide, and 7 as a token
+    # each value loaded before: true == 1, int(4.9) == 4 with arrays 4 wide, 7 as a token,
+    # "0.5" as 0.5, null as NaN (refused later, naming no file) and true as 1.0
     state = TinyEncoder(["a", "b"], 4, seed=0).state_dict()
     state[field] = value
     bad = tmp_path / "bad-field.json"
@@ -1479,10 +1488,33 @@ def _without(record, key):
     return {k: v for k, v in record.items() if k != key}
 
 
+# A valid report document, and the refusal after the file name (and line) of each case that pins it:
+# each of these was read before, coerced, or failed later naming no file or the wrong value.
+_REPORT = {"accuracy_all": 0.5, "accuracy_verb": 0.5, "accuracy_noun": None, "accuracy_in_kb": 1.0,
+           "accuracy_out_of_kb": 0.0, "recall_at": {"1": 1.0},
+           "counts": {"all": 2, "verb": 2, "noun": 0, "in_kb": 1, "out_of_kb": 1},
+           "dataset_fingerprint": "f", "config_fingerprint": ""}
+_MALFORMED_FIELDS = {
+    "negatives generated-string": "generated 'q' is not an object",
+    "negatives ids-string": "paired_candidate_ids 'E000' is not a list",
+    "negatives origin-int": "origin_query_id 5 is not a string",
+    "report accuracy-string": "accuracy_all '0.5' is not a number",
+    "report accuracy-bool": "accuracy_verb True is not a number",  # after accuracy_all 1, a number
+    "report recall-bool": "recall_at['2'] True is not a number",
+    "report counts-float": "counts['all'] 1.5 is not an integer",
+    "report counts-bool": "counts['all'] True is not an integer",
+    "report fingerprint-int": "dataset_fingerprint 5 is not a string",
+    "lexicon role-int": "role 5 is not a string",
+    "lexicon trigger-int": "event_type 7 is not a string",
+    "lexicon role-empty": "role of 'troops' must be non-empty",
+    "lexicon trigger-empty": "event_type of 'attacked' must be non-empty",
+}
+
+
 @pytest.mark.parametrize("case", [
     "query format", "query tag", "negatives", "decisions", "candidates", "report list",
     "report recall_at", "report keys", "lexicon list", "lexicon json", "lexicon utf-8",
-    "directory kb", "directory lexicon",
+    "directory kb", "directory lexicon", *_MALFORMED_FIELDS,
 ])
 def test_malformed_input_is_data_error_naming_file_and_line(toy_inputs, dense_stack, tmp_path,
                                                             capsys, case):
@@ -1498,8 +1530,13 @@ def test_malformed_input_is_data_error_naming_file_and_line(toy_inputs, dense_st
         argv = (["format", "--in", str(bad)] if variant == "format" else
                 ["tag", "--in", str(bad), "--lexicon", toy_inputs["lexicon"]])
     elif kind == "negatives":
-        write_jsonl(bad, [{"origin_query_id": "q", "paired_candidate_ids": [],
-                           "provenance": "kb_pruning"}])
+        negative = {"generated": dict(query, gold="NIL"), "origin_query_id": "q",
+                    "paired_candidate_ids": [], "provenance": "kb_pruning"}
+        write_jsonl(bad, [{"": _without(negative, "generated"),
+                           "generated-string": dict(negative, generated="q"),
+                           "ids-string": dict(negative, paired_candidate_ids="E000",
+                                              provenance="argument_aware"),
+                           "origin-int": dict(negative, origin_query_id=5)}[variant]])
         line = 1
         argv = ["train-cross", "--kb", dense_stack["kb.jsonl"],
                 "--queries", dense_stack["tagged.jsonl"], "--index", dense_stack["index.json"],
@@ -1515,12 +1552,21 @@ def test_malformed_input_is_data_error_naming_file_and_line(toy_inputs, dense_st
         line = 1
         argv = ["eval", "--preds", str(preds), *gold, "--candidates", str(bad)]
     elif kind == "report":
-        bad.write_text({"list": "[]", "recall_at": '{"recall_at": []}', "keys": '{"runs": 1}'}[variant],
-                       encoding="utf-8")
+        fields = {"accuracy-string": {"accuracy_all": "0.5"},
+                  "accuracy-bool": {"accuracy_all": 1, "accuracy_verb": True},
+                  "recall-bool": {"recall_at": {"1": 1, "2": True}},
+                  "counts-float": {"counts": {"all": 1.5}}, "counts-bool": {"counts": {"all": True}},
+                  "fingerprint-int": {"dataset_fingerprint": 5}}
+        bad.write_text({"list": "[]", "recall_at": '{"recall_at": []}', "keys": '{"runs": 1}'}.get(
+            variant) or json.dumps({**_REPORT, **fields[variant]}), encoding="utf-8")
         argv = ["report", "--runs", str(bad)]
     elif kind == "lexicon":
         bad.write_bytes({"list": b"[]", "json": b'{"roles": ',
-                         "utf-8": b'{"roles": {"\xff": "Agent"}}'}[variant])
+                         "utf-8": b'{"roles": {"\xff": "Agent"}}',
+                         "role-int": b'{"roles": {"troops": 5}}',
+                         "trigger-int": b'{"triggers": {"attacked": 7}}',
+                         "role-empty": b'{"roles": {"troops": ""}}',
+                         "trigger-empty": b'{"triggers": {"attacked": ""}}'}[variant])
         argv = ["tag", "--in", toy_inputs["test"], "--lexicon", str(bad)]
     else:  # a directory given where a file is expected
         bad.mkdir()
@@ -1533,6 +1579,9 @@ def test_malformed_input_is_data_error_naming_file_and_line(toy_inputs, dense_st
     assert str(bad) in err
     if line is not None:
         assert f"line {line}" in err, err
+    if case in _MALFORMED_FIELDS:
+        where = "" if line is None else f"line {line}: "
+        assert err == f"data error: {bad}: {where}{_MALFORMED_FIELDS[case]}\n"
     assert not out.exists()
 
 
