@@ -37,8 +37,21 @@ and decision lines, one per query of ``retrieve`` and ``link``, are
 formatted by their types (``CandidateSet.to_line``,
 ``LinkDecision.to_line``) from their fields with ``json_string`` and
 ``json_floats``, json's text for a string and a float: the same bytes,
-without building a dict per line. Both types refuse a non-finite score,
-which no reader accepts.
+without building a dict per line. Checkpoints are ``json_object`` of
+their fields, each parameter array written by ``json_array``, a row at
+a time, with no Python float per value.
+
+Floats are formatted by ``orjson``, several times faster than ``repr``:
+both give the shortest digits that read back to the same double, but
+orjson writes an exponent as ``1e16`` and ``1.5e-7`` (``repr``: ``1e+16``
+and ``1.5e-07``) and a value in [1e-5, 1e-4) as ``0.00001`` (``repr``:
+``1e-05``). So orjson's text holding an ``e`` or ``0.0000``, or a
+``null`` (its text of a non-finite value), is formatted again
+(``_not_repr``): a float by ``repr`` in ``json_floats``, a row by
+``json`` in ``json_array``. Non-finite values are refused before they reach a
+writer, since no reader accepts one: ``CandidateSet`` and
+``LinkDecision`` refuse a non-finite score, and
+``encoders.save_checkpoint`` a non-finite parameter.
 
 ``file_digest`` hashes a file in fixed-size chunks, so a manifest costs
 no second copy of a stage's largest input.
@@ -82,9 +95,45 @@ def typed(value, kind: type, what: str):
     raise ValueError(f"{what} {value!r} is not {_KINDS[kind]}")
 
 
-def json_floats(values: Iterable[float]) -> list[str]:
-    """``json``'s text of each finite float: its ``repr``."""
-    return list(map(float.__repr__, values))
+def _not_repr(text, e="e", zeros="0.0000", null="n") -> bool:
+    """True if ``text``, orjson's of some floats, may not be their ``repr``: it holds an ``e``,
+    a ``0.0000`` or a ``null``. Bytes are tested with ``b"e"``, ``b"0.0000"`` and ``b"n"``."""
+    return e in text or zeros in text or null in text
+
+
+def json_floats(values: tuple[float, ...] | list[float]) -> list[str]:
+    """``json``'s text of each finite float, its ``repr``, from one ``orjson.dumps`` of them all.
+
+    A value whose orjson text fails ``_not_repr`` is formatted by ``repr``.
+    """
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    texts = text[1:-1].split(",") if values else []
+    if _not_repr(text):
+        return [float.__repr__(v) if _not_repr(t) else t for t, v in zip(texts, values)]
+    return texts
+
+
+def json_array(arr: np.ndarray) -> bytes:
+    """The bytes of ``json.dumps(arr.tolist())`` for a C-contiguous float64 array of one or more dimensions.
+
+    Each row is one ``orjson.dumps``, its commas spaced as ``json`` spaces them;
+    a row whose text fails ``_not_repr`` is written by ``json`` itself.
+    """
+    if arr.ndim > 1:
+        return b"[" + b", ".join(map(json_array, arr)) + b"]"
+    text = orjson.dumps(arr, option=orjson.OPT_SERIALIZE_NUMPY)
+    if _not_repr(text, b"e", b"0.0000", b"n"):
+        return json.dumps(arr.tolist()).encode()
+    return text.replace(b",", b", ")
+
+
+def json_object(fields: dict) -> bytes:
+    """``json.dumps(fields, sort_keys=True)``, where a ``bytes`` value is its own JSON text,
+    as ``json_array`` gives it."""
+    items = (json_string(key).encode() + b": " +
+             (value if type(value) is bytes else json_line(value).encode())
+             for key, value in sorted(fields.items()))
+    return b"{" + b", ".join(items) + b"}"
 
 
 def canonical_json(obj) -> str:

@@ -44,7 +44,6 @@ checks the version and kind before the class builds the model.
 
 from __future__ import annotations
 
-import json
 from itertools import chain, repeat
 from typing import Protocol, Sequence
 
@@ -263,8 +262,18 @@ def checkpoint_state(model, array=np.ndarray.tolist) -> dict:
 
 
 def save_checkpoint(model, path) -> None:
-    """Write an encoder or scorer checkpoint atomically."""
-    artifacts.atomic_write_text(path, json.dumps(model.state_dict(), sort_keys=True))
+    """Write an encoder or scorer checkpoint atomically: the bytes of
+    ``json.dumps(model.state_dict(), sort_keys=True)``.
+
+    Each ``params()`` array is written by ``artifacts.json_array``, a row at a
+    time, with no Python float per value. A parameter array holding a
+    non-finite value, which no reader accepts, is refused before anything
+    is written: ``checkpoint array 'weight' holds a non-finite value``.
+    """
+    for name, p in model.params().items():
+        if not np.isfinite(p).all():
+            raise ValueError(f"checkpoint array {name!r} holds a non-finite value")
+    artifacts.atomic_write_bytes(path, artifacts.json_object(model.state_dict(artifacts.json_array)))
 
 
 def load_checkpoint(path, cls):

@@ -68,11 +68,18 @@ class EvalReport:
         return cls(
             **{name: value if value is None else typed(value, float, name)
                for name, value in accuracies.items()},
-            recall_at={int(k): v for k, v in entries("recall_at", float).items()},
+            recall_at={_depth(k): v for k, v in entries("recall_at", float).items()},
             counts=entries("counts", int),
             dataset_fingerprint=typed(payload["dataset_fingerprint"], str, "dataset_fingerprint"),
             config_fingerprint=typed(payload["config_fingerprint"], str, "config_fingerprint"),
         )
+
+
+def _depth(key: str) -> int:
+    """A ``recall_at`` key as its depth: the canonical decimal text of an integer of at least 1."""
+    if not (key.isascii() and key.isdigit() and key[0] != "0"):
+        raise ValueError(f"recall_at key {key!r} is not the decimal text of an integer of at least 1")
+    return int(key)
 
 
 def _ratio(correct: int, total: int) -> float | None:

@@ -41,6 +41,11 @@ def invasion_tagged(invasion_query):
     )
 
 
+# finite doubles whose orjson text is not their repr (exponents, and values in [1e-5, 1e-4)),
+# and two either side of those ranges that both write alike
+ORJSON_EDGE_FLOATS = [1e-05, 9.99e-05, -1.2e-05, 1.5e-07, 1e+16, 1.2345678901234568e+17, 123.0, 1e15]
+
+
 def kb_of(rows):
     """``KnowledgeBase.from_records`` of ``(id, title, description)`` rows, numbered from line 1."""
     records = ({"id": entry_id, "title": title, "description": description}

@@ -8,6 +8,7 @@ import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eventlink import artifacts
 from eventlink.artifacts import file_digest, iter_jsonl, read_document, read_json, read_manifest
@@ -17,6 +18,8 @@ from eventlink.encoders import TinyEncoder, load_checkpoint, load_encoder, save_
 from eventlink.kb import KBError, KnowledgeBase, load_kb
 from eventlink.rerank import LinkDecision, TinyCrossScorer
 from eventlink.retrieval import CandidateSet, DenseIndex
+
+from conftest import ORJSON_EDGE_FLOATS
 
 
 class _FailingFile:
@@ -426,6 +429,7 @@ def _refuses_non_finite(query_id, scores, build):
 @example(query_id="q", candidates=[(str(i), score) for i, score in enumerate(_EDGE_SCORES)])
 @example(query_id="q", candidates=[(str(i), score) for i, score in enumerate(_FINITE_EDGE_SCORES)])
 @example(query_id="q", candidates=[("a", 1.0), ("b", float("nan")), ("c", 2.0)])
+@example(query_id="q", candidates=[(str(i), score) for i, score in enumerate(ORJSON_EDGE_FLOATS)])
 @settings(max_examples=300, deadline=None)
 def test_candidate_line_is_json_dumps_of_its_record(query_id, candidates):
     # a non-finite score is refused, naming the query, whatever the order
@@ -444,6 +448,7 @@ def test_candidate_line_is_json_dumps_of_its_record(query_id, candidates):
 @example(query_id="q", prediction="NIL", rule="learned_nil", scores=_EDGE_SCORES, note=None)
 @example(query_id="q", prediction="NIL", rule="learned_nil", scores=_FINITE_EDGE_SCORES, note=None)
 @example(query_id="q", prediction="E1", rule="llm", scores=[0.0], note="")
+@example(query_id="q", prediction="NIL", rule="learned_nil", scores=ORJSON_EDGE_FLOATS, note=None)
 @settings(max_examples=300, deadline=None)
 def test_decision_line_is_json_dumps_of_its_record(query_id, prediction, rule, scores, note):
     # a non-finite score is refused, naming the query
@@ -455,3 +460,13 @@ def test_decision_line_is_json_dumps_of_its_record(query_id, prediction, rule, s
 
     if not _refuses_non_finite(query_id, scores, build):
         assert build().to_line() == json.dumps(record, sort_keys=True)
+
+
+@given(arr=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+                      elements=st.one_of(st.floats(), st.sampled_from(ORJSON_EDGE_FLOATS))))
+@example(arr=np.array([ORJSON_EDGE_FLOATS[::-1], ORJSON_EDGE_FLOATS]))
+@example(arr=np.array([[0.5, -0.0], [float("nan"), float("-inf")], [5e-324, 1.0]]))
+@settings(max_examples=300, deadline=None)
+def test_json_array_is_json_dumps_of_its_list(arr):
+    # every row is json's text, NaN and infinities included, whatever orjson writes for it
+    assert artifacts.json_array(arr) == json.dumps(arr.tolist()).encode()

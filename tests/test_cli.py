@@ -1494,6 +1494,9 @@ _REPORT = {"accuracy_all": 0.5, "accuracy_verb": 0.5, "accuracy_noun": None, "ac
            "accuracy_out_of_kb": 0.0, "recall_at": {"1": 1.0},
            "counts": {"all": 2, "verb": 2, "noun": 0, "in_kb": 1, "out_of_kb": 1},
            "dataset_fingerprint": "f", "config_fingerprint": ""}
+# recall_at keys that int() reads, none the canonical decimal text of a depth of at least 1
+_BAD_DEPTHS = {"underscore": "1_0", "space": " 2", "plus": "+3", "zero-led": "03", "zero": "0",
+               "negative": "-1"}
 _MALFORMED_FIELDS = {
     "negatives generated-string": "generated 'q' is not an object",
     "negatives ids-string": "paired_candidate_ids 'E000' is not a list",
@@ -1501,6 +1504,9 @@ _MALFORMED_FIELDS = {
     "report accuracy-string": "accuracy_all '0.5' is not a number",
     "report accuracy-bool": "accuracy_verb True is not a number",  # after accuracy_all 1, a number
     "report recall-bool": "recall_at['2'] True is not a number",
+    **{f"report recall-key-{name}":
+       f"recall_at key {key!r} is not the decimal text of an integer of at least 1"
+       for name, key in _BAD_DEPTHS.items()},
     "report counts-float": "counts['all'] 1.5 is not an integer",
     "report counts-bool": "counts['all'] True is not an integer",
     "report fingerprint-int": "dataset_fingerprint 5 is not a string",
@@ -1555,6 +1561,7 @@ def test_malformed_input_is_data_error_naming_file_and_line(toy_inputs, dense_st
         fields = {"accuracy-string": {"accuracy_all": "0.5"},
                   "accuracy-bool": {"accuracy_all": 1, "accuracy_verb": True},
                   "recall-bool": {"recall_at": {"1": 1, "2": True}},
+                  **{f"recall-key-{name}": {"recall_at": {key: 1.0}} for name, key in _BAD_DEPTHS.items()},
                   "counts-float": {"counts": {"all": 1.5}}, "counts-bool": {"counts": {"all": True}},
                   "fingerprint-int": {"dataset_fingerprint": 5}}
         bad.write_text({"list": "[]", "recall_at": '{"recall_at": []}', "keys": '{"runs": 1}'}.get(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,12 +12,14 @@ from eventlink.encoders import (
     TinyEncoder,
     distinct_ids,
     encoder_fingerprint,
+    load_checkpoint,
     load_encoder,
     save_checkpoint,
 )
 from eventlink.llm import token_hash
+from eventlink.rerank import TinyCrossScorer
 
-from conftest import dense_grads
+from conftest import ORJSON_EDGE_FLOATS, dense_grads
 
 
 def test_marker_tokens_distinct_from_corpus():
@@ -66,16 +70,6 @@ def test_tiny_empty_sequence_error():
     assert enc.encode_many([]).shape == (0, 8)
 
 
-def test_checkpoint_round_trip(tmp_path):
-    enc = TinyEncoder(["a", "b", "c"], 8, seed=2)
-    path = tmp_path / "enc.json"
-    save_checkpoint(enc, path)
-    loaded = load_encoder(path)
-    assert isinstance(loaded, TinyEncoder)
-    np.testing.assert_allclose(loaded.forward(["a", "c"]), enc.forward(["a", "c"]), atol=0)
-    assert encoder_fingerprint(loaded) == encoder_fingerprint(enc)
-
-
 def test_fingerprint_tracks_parameters():
     enc = TinyEncoder(["a", "b"], 8, seed=2)
     before = encoder_fingerprint(enc)
@@ -93,13 +87,51 @@ _ELEMENTS = st.one_of(
 
 
 @st.composite
-def tiny_encoders(draw):
+def tiny_models(draw, kinds=(TinyEncoder,), elements=_ELEMENTS):
+    """A model of one of ``kinds`` whose every parameter is drawn from ``elements``."""
     vocab = draw(st.lists(st.text(min_size=1, max_size=5), min_size=1, max_size=6, unique=True))
-    enc = TinyEncoder(vocab, draw(st.integers(2, 5)), seed=0)
-    for arr in enc.params().values():
-        values = draw(st.lists(_ELEMENTS, min_size=arr.size, max_size=arr.size))
+    model = draw(st.sampled_from(kinds))(vocab, draw(st.integers(2, 5)), seed=0)
+    for arr in model.params().values():
+        values = draw(st.lists(elements, min_size=arr.size, max_size=arr.size))
         arr[...] = np.array(values, dtype=float).reshape(arr.shape)
-    return enc
+    return model
+
+
+def _edge_model(kind):
+    """A ``kind`` model of dim 8 each of whose arrays ends in the edge floats: its last row holds
+    all 8 of them (``scale``, of one value, the first)."""
+    model = kind(["a", "b", "c"], len(ORJSON_EDGE_FLOATS), seed=2)
+    for arr in model.params().values():
+        arr.reshape(-1)[-len(ORJSON_EDGE_FLOATS):] = ORJSON_EDGE_FLOATS[:arr.size]
+    return model
+
+
+@given(model=tiny_models((TinyEncoder, TinyCrossScorer),
+                         st.one_of(_ELEMENTS, st.sampled_from(ORJSON_EDGE_FLOATS))))
+@example(model=_edge_model(TinyEncoder))
+@example(model=_edge_model(TinyCrossScorer))
+@settings(max_examples=100, deadline=None)
+def test_checkpoint_round_trip(tmp_path_factory, model):
+    # the file holds json's bytes of the state, and a load restores every bit of every array
+    path = tmp_path_factory.mktemp("ckpt") / "model.json"
+    save_checkpoint(model, path)
+    assert path.read_bytes() == json.dumps(model.state_dict(), sort_keys=True).encode()
+    loaded = load_checkpoint(path, type(model))
+    assert type(loaded) is type(model) and loaded.vocab == model.vocab
+    assert {name: arr.tobytes() for name, arr in loaded.params().items()} == {
+        name: arr.tobytes() for name, arr in model.params().items()}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["embed", "weight", "bias", "nil", "scale"])
+def test_save_checkpoint_refuses_a_non_finite_value(tmp_path, name, value):
+    # refused before anything is written: orjson would write it as null, json as NaN
+    scorer = TinyCrossScorer(["a", "b"], 4, seed=0)
+    scorer.params()[name].reshape(-1)[-1] = value
+    with pytest.raises(ValueError) as info:
+        save_checkpoint(scorer, tmp_path / "scorer.json")
+    assert str(info.value) == f"checkpoint array {name!r} holds a non-finite value"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _element(draw, enc):
@@ -108,7 +140,7 @@ def _element(draw, enc):
     return arr.reshape(-1), draw(st.integers(0, arr.size - 1))
 
 
-@given(enc=tiny_encoders())
+@given(enc=tiny_models())
 @settings(max_examples=60, deadline=None)
 def test_fingerprint_survives_save_and_load(tmp_path_factory, enc):
     path = tmp_path_factory.mktemp("fp") / "enc.json"
@@ -116,7 +148,7 @@ def test_fingerprint_survives_save_and_load(tmp_path_factory, enc):
     assert encoder_fingerprint(load_encoder(path)) == encoder_fingerprint(enc)
 
 
-@given(enc=tiny_encoders(), data=st.data())
+@given(enc=tiny_models(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_fingerprint_sees_one_ulp(enc, data):
     flat, i = _element(data.draw, enc)
@@ -128,7 +160,7 @@ def test_fingerprint_sees_one_ulp(enc, data):
     assert encoder_fingerprint(enc) != before
 
 
-@given(enc=tiny_encoders(), data=st.data())
+@given(enc=tiny_models(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_fingerprint_sees_the_sign_of_zero(enc, data):
     flat, i = _element(data.draw, enc)
@@ -138,7 +170,7 @@ def test_fingerprint_sees_the_sign_of_zero(enc, data):
     assert encoder_fingerprint(enc) != before
 
 
-@given(enc=tiny_encoders(), data=st.data())
+@given(enc=tiny_models(), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_fingerprint_sees_vocabulary_order(enc, data):
     state = enc.state_dict()
