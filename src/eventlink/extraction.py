@@ -248,9 +248,6 @@ def _bounds(record: dict, prefix: str = "") -> tuple[int, int]:
 
 def query_from_record(record: dict) -> EventQuery:
     """The query of a ``query_to_record`` record: text fields JSON strings, span bounds JSON integers."""
-    for field in ("query_id", "tokens", "mention_start", "mention_end"):
-        if field not in record:
-            raise ValueError(f"missing field {field!r}")
     tokens = typed(record["tokens"], list, "tokens")
     if not {str}.issuperset(map(type, tokens)):
         typed(next(t for t in tokens if type(t) is not str), str, "token")

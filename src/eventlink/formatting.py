@@ -1,6 +1,6 @@
 """Serialization of queries into marker-tagged token sequences.
 
-Three query-side input formats share one truncation discipline:
+Three query-side input formats share one truncation rule, ``_window``:
 
 * ``blink``: mention wrapped in ``[M_s]``/``[M_e]``; this is
   ``format_arguments`` on the query without its arguments.
@@ -11,16 +11,19 @@ Three query-side input formats share one truncation discipline:
 
 All of them, and the tagged passages of negative-generation prompts,
 insert their markers with one walk, ``marked_sequence``, which takes the
-marker spelling from its caller.
+marker spelling from its caller. BM25's plain query window,
+``context_window``, is the same window without markers.
 
 Truncation always keeps the marked mention. The window is centered on the
-mention with ties biased so the mention sits right of center (the extra
-token goes to the left context). Argument groups are atomic: a window
-boundary never splits a ``[role_s] .. [role_e]`` group, so a group is
-either fully kept or fully dropped, and centered shrinking drops the
-groups farthest from the mention first. Entity groups on the evelink
-suffix are dropped last-first; the query text is never sacrificed to keep
-an entity group.
+mention, the spare budget split with the extra token on the left (so the
+mention sits right of center), then clamped into the sequence. Argument
+groups are atomic: a window edge inside a ``[role_s] .. [role_e]`` group
+steps off it, dropping the group, and the window then regrows, first
+leftwards and then rightwards, by whole tokens or whole groups while they
+fit. So a group is either fully kept or fully dropped, and the group next
+to the mention can be dropped while plain tokens farther away are kept.
+Entity groups on the evelink suffix are dropped last-first; the query
+text is never sacrificed to keep an entity group.
 
 Marker tokens are single atomic tokens of the form ``[name]``. Corpora are
 assumed not to contain tokens of that shape.
@@ -32,9 +35,7 @@ import functools
 import re
 from typing import Callable, Sequence
 
-from .extraction import Argument, EventQuery, NamedEntityAnnotation, Span, TaggedQuery
-
-_MARKER_RE = re.compile(r"^\[[A-Za-z0-9_]+\]$")
+from .extraction import Argument, EventQuery, Span, TaggedQuery
 
 
 def slug(name: str) -> str:
@@ -96,102 +97,64 @@ def marked_sequence(
     return out, (mention_block[0], mention_block[1]), extents
 
 
-def _centered_window(length: int, block: tuple[int, int], max_len: int) -> tuple[int, int]:
-    """Window of width <= max_len containing ``block``, mention-centered.
-
-    The spare budget is split with the ceiling on the left, then clamped
-    into the sequence.
-    """
-    block_size = block[1] - block[0] + 1
-    if max_len < block_size:
-        raise ValueError(f"budget {max_len} smaller than the marked mention ({block_size})")
-    extra = max_len - block_size
-    start = block[0] - (extra + 1) // 2
-    end = block[1] + extra // 2
-    if start < 0:
-        end = min(length - 1, end - start)
-        start = 0
-    if end > length - 1:
-        start = max(0, start - (end - (length - 1)))
-        end = length - 1
-    return start, end
-
-
-def _align_to_groups(
-    length: int,
-    start: int,
-    end: int,
-    groups: Sequence[tuple[int, int]],
-    max_len: int,
+def _window(
+    length: int, block: tuple[int, int], max_len: int, groups: Sequence[tuple[int, int]] = ()
 ) -> tuple[int, int]:
-    """Shrink the window off straddled groups, then re-extend whole tokens."""
-    changed = True
-    while changed:
-        changed = False
-        for gs, ge in groups:
-            if gs < start <= ge:
-                start = ge + 1
-                changed = True
-            if gs <= end < ge:
-                end = gs - 1
-                changed = True
+    """Inclusive window of at most ``max_len`` of ``length`` positions around ``block``.
 
-    def group_at(idx: int) -> tuple[int, int] | None:
-        for gs, ge in groups:
-            if gs <= idx <= ge:
-                return gs, ge
-        return None
-
+    A sequence that fits is its own window. Otherwise the spare budget is
+    split with the ceiling on the left, and the window is clamped into the
+    sequence; a ``block`` wider than ``max_len`` keeps its central
+    positions. With ``groups`` (disjoint inclusive extents outside
+    ``block``), an edge inside a group steps off it, and the window
+    regrows left, then right, by whole positions or whole groups while
+    they fit.
+    """
+    if length <= max_len:
+        return 0, length - 1
+    spare = max_len - (block[1] - block[0] + 1)
+    start = max(0, min(block[0] - (spare + 1) // 2, length - max_len))
+    end = start + max_len - 1
+    if not groups:
+        return start, end
+    owner = {i: g for g in groups for i in range(g[0], g[1] + 1)}
+    if start in owner and owner[start][0] < start:
+        start = owner[start][1] + 1
+    if end in owner and end < owner[end][1]:
+        end = owner[end][0] - 1
     while end - start + 1 < max_len and start > 0:
-        grp = group_at(start - 1)
-        if grp is None:
-            start -= 1
-        elif end - grp[0] + 1 <= max_len:
-            start = grp[0]
-        else:
+        grown = owner.get(start - 1, (start - 1,))[0]
+        if end - grown + 1 > max_len:
             break
+        start = grown
     while end - start + 1 < max_len and end < length - 1:
-        grp = group_at(end + 1)
-        if grp is None:
-            end += 1
-        elif grp[1] - start + 1 <= max_len:
-            end = grp[1]
-        else:
+        grown = owner.get(end + 1, (end + 1,))[-1]
+        if grown - start + 1 > max_len:
             break
+        end = grown
     return start, end
 
 
-def format_evelink(
-    query: EventQuery,
-    entities: Sequence[NamedEntityAnnotation],
-    max_len: int,
-) -> list[str]:
-    """Mention-marked sequence, ``[SEP]``, then typed entity groups.
+def format_evelink(query: EventQuery, max_len: int) -> list[str]:
+    """Mention-marked sequence, ``[SEP]``, then a typed group per entity of ``query``.
 
     Entity groups are kept in document order and dropped last-first when
     over budget; the query text and its mention window always win over
     entity groups.
     """
-    for entity in entities:
-        if not entity.span.within(len(query.tokens)):
-            raise ValueError(f"entity span {entity.span} outside query tokens")
     marked, block, _ = marked_sequence(query, (), (MENTION_START, MENTION_END), group_markers)
-    group_tokens: list[list[str]] = []
-    for entity in entities:
+    kept: list[list[str]] = []
+    for entity in query.entities:
         ts, te = group_markers(entity.entity_type)
-        surface = list(query.tokens[entity.span.start : entity.span.end + 1])
-        group_tokens.append([ts, *surface, te])
-    kept = list(group_tokens)
+        kept.append([ts, *query.tokens[entity.span.start : entity.span.end + 1], te])
     while kept and len(marked) + 1 + sum(len(g) for g in kept) > max_len:
         kept.pop()
-    suffix_len = 1 + sum(len(g) for g in kept)
-    if len(marked) + suffix_len <= max_len:
-        base = marked
-    else:
-        start, end = _centered_window(len(marked), block, max_len - 1)
-        base = marked[start : end + 1]
-    out = list(base)
-    out.append(SEP)
+    budget = max_len - 1 - sum(len(g) for g in kept)
+    block_size = block[1] - block[0] + 1
+    if budget < block_size:
+        raise ValueError(f"budget {budget} smaller than the marked mention ({block_size})")
+    start, end = _window(len(marked), block, budget)
+    out = [*marked[start : end + 1], SEP]
     for group in kept:
         out.extend(group)
     return out
@@ -211,20 +174,8 @@ def format_arguments(tagged: TaggedQuery, max_len: int) -> list[str]:
     marked, block, groups = marked_sequence(
         tagged.base, tagged.arguments, (MENTION_START, MENTION_END), group_markers
     )
-    if len(marked) <= max_len:
-        return marked
-    start, end = _centered_window(len(marked), block, max_len)
-    start, end = _align_to_groups(len(marked), start, end, groups, max_len)
+    start, end = _window(len(marked), block, max_len, groups)
     return marked[start : end + 1]
-
-
-def strip_markers(tokens: Sequence[str]) -> list[str]:
-    """Remove every marker token, leaving the surface tokens.
-
-    The marker-free reference of the tests; kept here, as moving it beside the tests would not
-    make less code.
-    """
-    return [t for t in tokens if not _MARKER_RE.match(t)]
 
 
 FORMAT_STYLES = ("blink", "evelink", "args")
@@ -235,7 +186,7 @@ def format_query(tagged: TaggedQuery, style: str, max_len: int) -> list[str]:
     if style == "blink":
         return format_arguments(TaggedQuery(tagged.base), max_len)
     if style == "evelink":
-        return format_evelink(tagged.base, tagged.base.entities, max_len)
+        return format_evelink(tagged.base, max_len)
     if style == "args":
         return format_arguments(tagged, max_len)
     raise ValueError(f"unknown format style {style!r}; expected one of {FORMAT_STYLES}")
@@ -244,15 +195,9 @@ def format_query(tagged: TaggedQuery, style: str, max_len: int) -> list[str]:
 def context_window(tokens: Sequence[str], span: Span, width: int) -> list[str]:
     """Plain (marker-free) token window of ``width`` centered on ``span``.
 
-    Shares the mention-centering tie rule with the marked formats; used by
-    the BM25 query side. A mention wider than ``width`` gives its central
-    ``width`` tokens; the same left-heavy rule drops the odd token on the
-    right.
+    The marked formats' window, used by the BM25 query side. A mention
+    wider than ``width`` gives its central ``width`` tokens; the same
+    left-heavy rule drops the odd token on the right.
     """
-    if width < len(span):
-        start = span.start + (len(span) - width) // 2
-        return list(tokens[start : start + width])
-    if len(tokens) <= width:
-        return list(tokens)
-    start, end = _centered_window(len(tokens), (span.start, span.end), width)
+    start, end = _window(len(tokens), (span.start, span.end), width)
     return list(tokens[start : end + 1])

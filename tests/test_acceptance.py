@@ -24,7 +24,7 @@ from eventlink.extraction import (
     TaggedQuery,
     resolve_overlaps,
 )
-from eventlink.formatting import format_arguments, format_query, strip_markers
+from eventlink.formatting import format_arguments, format_query
 from eventlink.kb import NIL, RETRIEVER_MAX_LEN
 from eventlink.llm import StorytellerMock
 from eventlink.neggen import (
@@ -59,6 +59,7 @@ from eventlink.training import (
 
 from conftest import dense_grads, kb_of
 from pipeline import run_toy_pipeline
+from reference import strip_markers
 from test_bm25 import FIVE_DOC_EXPECTED
 from test_training import _fd_check
 
@@ -260,17 +261,17 @@ def test_criterion_04_formatting_goldens_and_round_trip():
             base = EventQuery(
                 case["query_id"], tuple(case["tokens"]),
                 Span(case["mention_start"], case["mention_end"]),
+                entities=tuple(
+                    NamedEntityAnnotation(Span(e["start"], e["end"]), e["entity_type"])
+                    for e in case["entities"]
+                ),
             )
             tagged = TaggedQuery(
                 base, "T",
                 tuple(Argument(Span(a["start"], a["end"]), a["role"]) for a in case["arguments"]),
             )
-            entities = [
-                NamedEntityAnnotation(Span(e["start"], e["end"]), e["entity_type"])
-                for e in case["entities"]
-            ]
             assert format_query(TaggedQuery(base), "blink", case["max_len"]) == case["blink"]
-            assert format_evelink(base, entities, case["max_len"]) == case["evelink"]
+            assert format_evelink(base, case["max_len"]) == case["evelink"]
             assert format_arguments(tagged, case["max_len"]) == case["args"]
             if not case["arguments"]:
                 assert case["args"] == case["blink"]

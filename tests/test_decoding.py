@@ -82,7 +82,7 @@ _QUERY_REFUSALS = {
     "negative mention": ([_query(mention_start=-1)], 1, "invalid span (-1, 2)"),
     "empty tokens": ([_query(tokens=[], mention_start=0, mention_end=0)], 1,
                      "query 'q1': empty token sequence"),
-    "tokens missing": ([{"query_id": "q"}], 1, "missing field 'tokens'"),
+    "tokens missing": ([{"query_id": "q"}], 1, "missing key 'tokens'"),
     "bad pos": ([_query(pos="adj")], 1, "query 'q1': pos must be one of ('verb', 'noun', 'other')"),
     "entity out of range": ([_query(entities=[{"start": 9, "end": 9, "entity_type": "GPE"}])], 1,
                             "query 'q1': entity span out of bounds"),

@@ -150,5 +150,5 @@ def test_query_record_round_trip(invasion_query):
 
 
 def test_query_record_missing_field():
-    with pytest.raises(ValueError, match="mention_start"):
+    with pytest.raises(KeyError, match="mention_start"):
         query_from_record({"query_id": "q", "tokens": ["a"]})

@@ -2,7 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventlink.extraction import (
@@ -14,13 +14,15 @@ from eventlink.extraction import (
     resolve_overlaps,
 )
 from eventlink.formatting import (
+    _window,
     context_window,
     format_arguments,
     format_evelink,
     format_query,
     group_markers,
-    strip_markers,
 )
+from reference import _align_to_groups, _centered_window, strip_markers
+from reference import context_window as reference_context_window
 
 DATA = Path(__file__).parent / "data"
 
@@ -72,9 +74,9 @@ def test_blink_window_clamps_at_edges():
 # --- format_evelink ----------------------------------------------------------
 
 def test_evelink_basic():
-    query = q("Germany invaded Poland", Span(1, 1))
     entities = [NamedEntityAnnotation(Span(0, 0), "GPE")]
-    assert format_evelink(query, entities, 300) == [
+    query = q("Germany invaded Poland", Span(1, 1), entities=entities)
+    assert format_evelink(query, 300) == [
         "Germany", "[M_s]", "invaded", "[M_e]", "Poland",
         "[SEP]", "[GPE_s]", "Germany", "[GPE_e]",
     ]
@@ -82,39 +84,38 @@ def test_evelink_basic():
 
 def test_evelink_zero_entities():
     query = q("Germany invaded Poland", Span(1, 1))
-    assert format_evelink(query, [], 300) == blink(query, 300) + ["[SEP]"]
+    assert format_evelink(query, 300) == blink(query, 300) + ["[SEP]"]
 
 
 def test_evelink_budget_allows_one_entity():
-    query = q("Germany invaded Poland", Span(1, 1))
     entities = [
         NamedEntityAnnotation(Span(0, 0), "GPE"),
         NamedEntityAnnotation(Span(2, 2), "GPE"),
     ]
-    assert format_evelink(query, entities, 9) == [
+    query = q("Germany invaded Poland", Span(1, 1), entities=entities)
+    assert format_evelink(query, 9) == [
         "Germany", "[M_s]", "invaded", "[M_e]", "Poland",
         "[SEP]", "[GPE_s]", "Germany", "[GPE_e]",
     ]
 
 
 def test_evelink_query_text_beats_entities():
-    query = q("Germany invaded Poland", Span(1, 1))
     entities = [NamedEntityAnnotation(Span(0, 0), "GPE")]
-    assert format_evelink(query, entities, 7) == [
+    query = q("Germany invaded Poland", Span(1, 1), entities=entities)
+    assert format_evelink(query, 7) == [
         "Germany", "[M_s]", "invaded", "[M_e]", "Poland", "[SEP]",
     ]
 
 
 def test_evelink_windows_base_when_everything_dropped():
-    query = q("a b c d e f g h i j", Span(0, 0))
-    out = format_evelink(query, [NamedEntityAnnotation(Span(9, 9), "ORG")], 8)
+    query = q("a b c d e f g h i j", Span(0, 0), entities=[NamedEntityAnnotation(Span(9, 9), "ORG")])
+    out = format_evelink(query, 8)
     assert out == ["[M_s]", "a", "[M_e]", "b", "c", "d", "e", "[SEP]"]
 
 
 def test_evelink_entity_out_of_bounds():
-    query = q("a b", Span(0, 0))
-    with pytest.raises(ValueError, match="entity"):
-        format_evelink(query, [NamedEntityAnnotation(Span(5, 5), "ORG")], 50)
+    with pytest.raises(ValueError, match="query 'q': entity span out of bounds"):
+        q("a b", Span(0, 0), entities=[NamedEntityAnnotation(Span(5, 5), "ORG")])
 
 
 # --- format_arguments --------------------------------------------------------
@@ -219,6 +220,10 @@ def test_formatting_golden_fixture():
             query_id=case["query_id"],
             tokens=tuple(case["tokens"]),
             mention=Span(case["mention_start"], case["mention_end"]),
+            entities=tuple(
+                NamedEntityAnnotation(Span(e["start"], e["end"]), e["entity_type"])
+                for e in case["entities"]
+            ),
         )
         tagged = TaggedQuery(
             base=base,
@@ -227,13 +232,9 @@ def test_formatting_golden_fixture():
                 Argument(Span(a["start"], a["end"]), a["role"]) for a in case["arguments"]
             ),
         )
-        entities = [
-            NamedEntityAnnotation(Span(e["start"], e["end"]), e["entity_type"])
-            for e in case["entities"]
-        ]
         max_len = case["max_len"]
         assert blink(base, max_len) == case["blink"], case["query_id"]
-        assert format_evelink(base, entities, max_len) == case["evelink"], case["query_id"]
+        assert format_evelink(base, max_len) == case["evelink"], case["query_id"]
         assert format_arguments(tagged, max_len) == case["args"], case["query_id"]
 
 
@@ -282,3 +283,46 @@ def test_property_marked_formats(case):
     for arg in tagged.arguments:
         start, end = group_markers(arg.role)
         assert (start in out) == (end in out)
+
+
+# --- the one window against the three functions it replaced ------------------
+
+@st.composite
+def window_cases(draw):
+    """A length, a mention block in it, a budget, and disjoint groups around the block.
+
+    Groups may touch each other and the block, and there may be none.
+    """
+    length = draw(st.integers(1, 60))
+    b0 = draw(st.integers(0, length - 1))
+    b1 = draw(st.integers(b0, length - 1))
+    groups = []
+    for lo, hi in ((0, b0), (b1 + 1, length)):
+        i = lo
+        while i < hi:
+            size = draw(st.integers(1, min(6, hi - i)))
+            if draw(st.booleans()):
+                groups.append((i, i + size - 1))
+            i += size
+    return length, (b0, b1), draw(st.integers(1, length + 3)), groups
+
+
+# the marked probe x0 [L a1 a2] x3 [M m4] [R c5 c6] x7 x8 x9 at budgets 9, 10 and 11
+@example((16, (6, 8), 9, [(1, 4), (9, 12)]))
+@example((16, (6, 8), 10, [(1, 4), (9, 12)]))
+@example((16, (6, 8), 11, [(1, 4), (9, 12)]))
+@given(window_cases())
+@settings(max_examples=1000)
+def test_window_matches_reference(case):
+    length, block, budget, groups = case
+    tokens = tuple(f"t{i}" for i in range(length))
+    expected = reference_context_window(tokens, Span(*block), budget)
+    assert context_window(tokens, Span(*block), budget) == expected
+    start, end = _window(length, block, budget)
+    assert list(tokens[start : end + 1]) == expected
+    if budget >= block[1] - block[0] + 1:
+        centered = _centered_window(length, block, budget)
+        assert (start, end) == centered
+        assert _window(length, block, budget, groups) == _align_to_groups(
+            length, *centered, groups, budget
+        )
