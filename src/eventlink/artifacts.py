@@ -28,7 +28,10 @@ Every reader decodes with ``orjson``: several times faster than ``json``
 on nested float lists, with the same bits for every finite double ``json``
 writes. It refuses ``NaN``, ``Infinity``, numbers beyond the double range
 and lone surrogate escapes, in a JSON line as in a document, and decodes an
-integer wider than 64 bits as a float.
+integer wider than 64 bits as a float. It keeps the last value of a
+repeated key, so a file a person writes is first checked by
+``check_unique_keys``, which decodes it with ``json`` and refuses an
+object repeating a key; files eventlink writes have no repeats.
 
 Every writer writes the bytes ``json`` writes, which the goldens pin.
 ``write_jsonl`` takes lines: a dict record becomes one through
@@ -61,6 +64,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import json.scanner
 import os
 import tempfile
 from json.encoder import encode_basestring_ascii as json_string
@@ -245,6 +249,61 @@ def iter_jsonl(path) -> Iterator[tuple[int, dict]]:
                 continue
             raise ValueError(f"{path}: line {lineno}: manifest header not on line 1")
         yield lineno, record
+
+
+class _RepeatedKey(Exception):
+    """A JSON object repeats ``key``; ``at`` is the index where the object opens, once known."""
+
+    def __init__(self, key: str):
+        super().__init__(key)
+        self.key, self.at = key, 0
+
+
+def _unique_pairs(pairs: list) -> dict:
+    """The object of ``pairs``, as json's ``object_pairs_hook``; a repeated key raises ``_RepeatedKey``."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen = set()
+        raise _RepeatedKey(next(key for key, _ in pairs if key in seen or seen.add(key)))
+    return record
+
+
+def _located_object(s_and_end, *args):
+    """json's ``JSONObject``, noting on the ``_RepeatedKey`` of its own pairs where it opens."""
+    try:
+        return json.decoder.JSONObject(s_and_end, *args)
+    except _RepeatedKey as exc:
+        exc.at = exc.at or s_and_end[1] - 1
+        raise
+
+
+# json's C scanner for JSON lines, whose line is the line of the object; its Python scanner,
+# which calls _located_object for each object, for a document
+_UNIQUE_LINES = json.JSONDecoder(object_pairs_hook=_unique_pairs)
+_UNIQUE_DOCUMENT = json.JSONDecoder(object_pairs_hook=_unique_pairs)
+_UNIQUE_DOCUMENT.parse_object = _located_object
+_UNIQUE_DOCUMENT.scan_once = json.scanner.py_make_scanner(_UNIQUE_DOCUMENT)
+
+
+def check_unique_keys(path, document: bool = False) -> None:
+    """Refuse a file a person writes, JSON lines or with ``document`` one JSON document, in which an
+    object repeats a key: ``orjson`` would keep the key's last value, silently.
+
+    The ValueError reads ``{path}: line N: repeated key 'k'``, N being the line
+    where the innermost object repeating it opens. Text that ``json`` cannot
+    decode is left to the reader, which refuses it in its own words.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    decoder = _UNIQUE_DOCUMENT if document else _UNIQUE_LINES
+    for lineno, piece in enumerate([data] if document else data.split(b"\n"), start=1):
+        try:
+            decoder.decode(text := piece.decode("utf-8"))
+        except _RepeatedKey as exc:
+            line = lineno + text.count("\n", 0, exc.at)
+            raise ValueError(f"{path}: line {line}: repeated key {exc.key!r}") from None
+        except (ValueError, RecursionError):
+            continue
 
 
 def read_manifest(path) -> dict | None:

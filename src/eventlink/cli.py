@@ -8,7 +8,10 @@ not options: each stage uses the budget of the model it feeds,
 ``kb.RETRIEVER_MAX_LEN`` or ``kb.SCORER_MAX_LEN``. Outputs are written
 atomically and carry a manifest header recording the command, every
 resolved option, and sha256 digests of every input, so downstream stages
-can refuse mismatched lineages.
+can refuse mismatched lineages. The inputs a person writes (``build-kb --in``,
+``tag --in`` and ``--lexicon``, and ``--responses``) are refused if an
+object in them repeats a key, by ``artifacts.check_unique_keys`` before
+they are read; files eventlink writes are read as they are.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
@@ -114,6 +117,7 @@ def _stack(args, kb: bool = True, dense: bool = True, distinct: bool = False):
 def _scripted_client(args, inputs: dict) -> ScriptedClient:
     """A client replaying the ``completion`` of each ``--responses`` record in order."""
     inputs["responses"] = _require(args.responses, "--responses")
+    artifacts.check_unique_keys(inputs["responses"])
     return ScriptedClient(artifacts.read_records(
         inputs["responses"], lambda record: artifacts.typed(record["completion"], str, "completion")))
 
@@ -134,6 +138,7 @@ def _save_checkpoint(obj, path: str, report: training.TrainReport) -> None:
 
 def cmd_build_kb(args) -> dict:
     source = _require(args.in_path, "--in")
+    artifacts.check_unique_keys(source)
     kb = load_kb(source)
     manifest = _manifest("build-kb", args, {"kb": source})
     artifacts.write_jsonl(args.out, map(artifacts.json_line, kb.records()), manifest)
@@ -143,7 +148,9 @@ def cmd_build_kb(args) -> dict:
 def cmd_tag(args) -> dict:
     source = _require(args.in_path, "--in")
     lexicon_path = _require(args.lexicon, "--lexicon")
+    artifacts.check_unique_keys(lexicon_path, document=True)
     extractor = RuleExtractor(RoleLexicon.from_file(lexicon_path))
+    artifacts.check_unique_keys(source)
     tagged = [extract(extractor, q) for q in artifacts.read_records(source, query_from_record)]
     manifest = _manifest("tag", args, {"queries": source, "lexicon": lexicon_path})
     artifacts.write_jsonl(args.out, (artifacts.json_line(tagged_to_record(t)) for t in tagged), manifest)

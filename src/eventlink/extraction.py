@@ -5,6 +5,16 @@ The module enforces the tagged-query invariants after every adapter call:
 arguments never overlap each other or the mention, whatever the adapter
 returned. A deterministic lexicon-based extractor serves tests and
 desk-scale runs in place of learned extraction models.
+
+Query files are decoded by ``query_from_record`` and
+``tagged_from_record``, once per query by every serving stage. Each field
+is read by a constant key and checked by an inline exact-type test
+(``type(x) is int``), so the common case makes no call per field;
+``artifacts.typed`` is called only to word a refusal. The checks fire in
+a fixed order, field after field, so a record with two faults is refused
+for the same one every time. ``TaggedQuery`` checks its arguments as
+``(start, end)`` tuples, sorted, with no ``Span`` compared or built unless
+one is refused.
 """
 
 from __future__ import annotations
@@ -108,6 +118,10 @@ class Argument:
             raise ValueError("argument role must be non-empty")
 
 
+# an argument's span bounds as a (start, end) tuple, which orders as its Span does
+_BOUNDS = attrgetter("span.start", "span.end")
+
+
 @dataclass(frozen=True, slots=True)
 class TaggedQuery:
     """EventQuery enriched with a predicted event type and arguments.
@@ -123,15 +137,16 @@ class TaggedQuery:
     def __post_init__(self) -> None:
         if type(self.arguments) is not tuple:
             object.__setattr__(self, "arguments", tuple(self.arguments))
-        length = len(self.base.tokens)
-        ordered = sorted(self.arguments, key=attrgetter("span"))  # Span orders by (start, end)
-        for i, arg in enumerate(ordered):
-            if not arg.span.within(length):
-                raise ValueError(f"argument span {arg.span} outside query tokens")
-            if arg.span.overlaps(self.base.mention):
-                raise ValueError(f"argument span {arg.span} overlaps the mention")
-            if i and ordered[i - 1].span.overlaps(arg.span):
-                raise ValueError(f"argument spans {ordered[i-1].span} and {arg.span} overlap")
+        length, mention = len(self.base.tokens), self.base.mention
+        last = -1, -1  # the (start, end) before, in (start, end) order
+        for start, end in sorted(map(_BOUNDS, self.arguments)):
+            if end >= length:
+                raise ValueError(f"argument span {Span(start, end)} outside query tokens")
+            if start <= mention.end and mention.start <= end:
+                raise ValueError(f"argument span {Span(start, end)} overlaps the mention")
+            if start <= last[1]:
+                raise ValueError(f"argument spans {Span(*last)} and {Span(start, end)} overlap")
+            last = start, end
 
 
 class ExtractorAdapter(Protocol):
@@ -241,28 +256,47 @@ class RuleExtractor:
 
 # --- record (de)serialization for query files -------------------------------
 
-def _bounds(record: dict, prefix: str = "") -> tuple[int, int]:
-    start, end = f"{prefix}start", f"{prefix}end"
-    return typed(record[start], int, start), typed(record[end], int, end)
+def _entity(record) -> NamedEntityAnnotation:
+    if type(record) is not dict:
+        typed(record, dict, "entity")
+    if type(start := record["start"]) is not int:
+        typed(start, int, "start")
+    if type(end := record["end"]) is not int:
+        typed(end, int, "end")
+    span = Span(start, end)
+    if type(entity_type := record["entity_type"]) is not str:
+        typed(entity_type, str, "entity_type")
+    return NamedEntityAnnotation(span, entity_type)
 
 
 def query_from_record(record: dict) -> EventQuery:
-    """The query of a ``query_to_record`` record: text fields JSON strings, span bounds JSON integers."""
-    tokens = typed(record["tokens"], list, "tokens")
+    """The query of a ``query_to_record`` record: text fields JSON strings, span bounds JSON integers.
+
+    Each field is checked where it is read by an inline exact-type test, and
+    ``typed`` is called only to word a refusal; the first fault in this order
+    is the one refused: ``tokens`` and each token, each of ``entities`` (its
+    bounds, its span, its type), ``query_id``, the mention's bounds and span,
+    ``pos``, ``gold``, then ``EventQuery``'s own checks.
+    """
+    if type(tokens := record["tokens"]) is not list:
+        typed(tokens, list, "tokens")
     if not {str}.issuperset(map(type, tokens)):
         typed(next(t for t in tokens if type(t) is not str), str, "token")
-    entities = tuple(
-        NamedEntityAnnotation(Span(*_bounds(e)), typed(e["entity_type"], str, "entity_type"))
-        for e in record.get("entities", [])
-    )
-    return EventQuery(
-        query_id=typed(record["query_id"], str, "query_id"),
-        tokens=tuple(tokens),
-        mention=Span(*_bounds(record, "mention_")),
-        pos=typed(record.get("pos", "other"), str, "pos"),
-        gold=typed(record.get("gold", NIL), str, "gold"),
-        entities=entities,
-    )
+    if type(entities := record.get("entities", [])) is not list:
+        typed(entities, list, "entities")
+    entities = tuple(map(_entity, entities))
+    if type(query_id := record["query_id"]) is not str:
+        typed(query_id, str, "query_id")
+    if type(start := record["mention_start"]) is not int:
+        typed(start, int, "mention_start")
+    if type(end := record["mention_end"]) is not int:
+        typed(end, int, "mention_end")
+    mention = Span(start, end)
+    if type(pos := record.get("pos", "other")) is not str:
+        typed(pos, str, "pos")
+    if type(gold := record.get("gold", NIL)) is not str:
+        typed(gold, str, "gold")
+    return EventQuery(query_id, tuple(tokens), mention, pos, gold, entities)
 
 
 def query_to_record(query: EventQuery) -> dict:
@@ -289,15 +323,29 @@ def _argument(start: int, end: int, role: str) -> Argument:
 
 
 def tagged_from_record(record: dict) -> TaggedQuery:
+    """The tagged query of a ``tagged_to_record`` record, checked as ``query_from_record`` checks.
+
+    The query's fields come first, then each of ``arguments`` (its bounds and
+    role types, its span, its role), then ``event_type``, then ``TaggedQuery``'s
+    own checks.
+    """
     base = query_from_record(record)
-    arguments = tuple(  # types checked first, as True and 1 are one cache key
-        _argument(*_bounds(a), typed(a["role"], str, "role")) for a in record.get("arguments", [])
-    )
-    return TaggedQuery(
-        base=base,
-        event_type=typed(record.get("event_type", "UNKNOWN"), str, "event_type"),
-        arguments=arguments,
-    )
+    if type(records := record.get("arguments", [])) is not list:
+        typed(records, list, "arguments")
+    arguments = []
+    for argument in records:
+        if type(argument) is not dict:
+            typed(argument, dict, "argument")
+        if type(start := argument["start"]) is not int:
+            typed(start, int, "start")
+        if type(end := argument["end"]) is not int:
+            typed(end, int, "end")
+        if type(role := argument["role"]) is not str:
+            typed(role, str, "role")
+        arguments.append(_argument(start, end, role))  # types checked first, as True and 1 are one cache key
+    if type(event_type := record.get("event_type", "UNKNOWN")) is not str:
+        typed(event_type, str, "event_type")
+    return TaggedQuery(base, event_type, tuple(arguments))
 
 
 def tagged_to_record(tagged: TaggedQuery) -> dict:

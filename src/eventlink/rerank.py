@@ -152,9 +152,9 @@ class LinkDecision:
         """This decision's JSON line, as ``json.dumps(record, sort_keys=True)`` writes it.
 
         The record is ``{"query_id": ..., "prediction": ..., "rule": ..., "scores": [...]}``,
-        with ``"note"`` too if the note is non-empty.
+        with ``"note"`` too if there is a note, so an empty one reads back as itself.
         """
-        note = f'"note": {json_string(self.note)}, ' if self.note else ""
+        note = f'"note": {json_string(self.note)}, ' if self.note is not None else ""
         return (f'{{{note}"prediction": {json_string(self.prediction)}, '
                 f'"query_id": {json_string(self.query_id)}, "rule": {json_string(self.rule)}, '
                 f'"scores": [{", ".join(json_floats(self.scores))}]}}')

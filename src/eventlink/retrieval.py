@@ -249,9 +249,9 @@ def pair_dots(left: np.ndarray, right: np.ndarray, i: np.ndarray, j: np.ndarray)
     return out
 
 
-def _shortlist(index: DenseIndex, block: np.ndarray, k: int) -> list[np.ndarray]:
-    """For each query row of ``block``, the ascending KB positions of every
-    row that can be in its exact top k.
+def _shortlist(index: DenseIndex, block: np.ndarray, k: int) -> np.ndarray:
+    """A ``(len(block), n)`` mask, True at every KB position that can be in
+    the exact top k of its query row of ``block``.
 
     Each computed dot product of a row with a query q, by the block's matrix
     product here or by ``np.dot`` on one row, lies within
@@ -274,8 +274,9 @@ def _shortlist(index: DenseIndex, block: np.ndarray, k: int) -> list[np.ndarray]
     bounds = 2.0 * (gamma * scales[exact] + d * _SMALLEST_SUBNORMAL)
     approx = block[exact] @ index.matrix.T
     kth = np.partition(approx, index.n - k, axis=1)[:, index.n - k]
-    kept = iter(approx >= (kth - 4.0 * bounds)[:, None])
-    return [np.flatnonzero(next(kept)) if e else np.arange(index.n) for e in exact]
+    kept = np.ones((len(block), index.n), dtype=bool)
+    kept[exact] = approx >= (kth - 4.0 * bounds)[:, None]
+    return kept
 
 
 def retrieve_many(
@@ -283,11 +284,16 @@ def retrieve_many(
 ) -> list[CandidateSet]:
     """Exact top-k by dot product for each row of ``embeddings``, named by ``query_ids``.
 
-    Ties break toward lower KB position. Queries are shortlisted in blocks
-    of ``_BLOCK_ELEMENTS // index.n`` rows, one matrix product per block. A
-    non-finite query row is a ``ValueError``, and so is a score that is not
-    finite, naming its query: a finite index row of huge norm can give one,
-    and no reader of candidate files accepts it.
+    Ties break toward lower KB position. Queries go in blocks of
+    ``_BLOCK_ELEMENTS // index.n`` rows, and each block is a few whole-block
+    array steps: one matrix product for the shortlists, one ``np.flatnonzero``
+    of their mask for every (query, KB position) pair on them, the per-row dot
+    products of those pairs, and one ``lexsort`` that ranks each query's
+    pairs. Its ``CandidateSet``s are then built from one ``tolist`` of the
+    block's top-k KB positions and one of their scores. A non-finite query
+    row is a ``ValueError``, and so is a score that is not finite, naming its
+    query: a finite index row of huge norm can give one, and no reader of
+    candidate files accepts it.
     """
     queries = np.asarray(embeddings, dtype=float)
     if queries.ndim != 2 or queries.shape[1] != index.dim:
@@ -299,13 +305,12 @@ def retrieve_many(
         raise ValueError(f"k={k} outside [1, {index.n}]")
     if not np.isfinite(queries).all():
         raise ValueError("query embedding holds a non-finite value")
-    step = max(1, _BLOCK_ELEMENTS // index.n)
+    step, ids = max(1, _BLOCK_ELEMENTS // index.n), index.ids
     results = []
     for start in range(0, len(queries), step):
         block = queries[start:start + step]
-        shortlists = _shortlist(index, block, k)
-        sizes = np.fromiter(map(len, shortlists), dtype=np.intp, count=len(block))
-        owner, rows = np.repeat(np.arange(len(block)), sizes), np.concatenate(shortlists)
+        # by query, then KB position; np.nonzero of the 2-D mask takes several times as long
+        owner, rows = np.divmod(np.flatnonzero(_shortlist(index, block, k)), index.n)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             scores = pair_dots(block, index.matrix, owner, rows)
         finite = np.isfinite(scores)
@@ -313,10 +318,11 @@ def retrieve_many(
             query_id = query_ids[start + owner[finite.argmin()]]
             raise ValueError(f"query {query_id!r} has a non-finite score")
         # per query, score descending (-0.0 == 0.0), ties to the lower KB position
-        top = np.lexsort((rows, -scores, owner))[(np.cumsum(sizes) - sizes)[:, None] + np.arange(k)]
-        results += (CandidateSet(query_id, tuple(index.ids[r] for r in rows[picks].tolist()),
-                                 tuple(scores[picks].tolist()))
-                    for query_id, picks in zip(query_ids[start:start + step], top))
+        firsts = np.searchsorted(owner, np.arange(len(block)))
+        top = np.lexsort((rows, -scores, owner))[firsts[:, None] + np.arange(k)]
+        results += (CandidateSet(query_id, tuple(map(ids.__getitem__, positions)), values)
+                    for query_id, positions, values in zip(
+                        query_ids[start:start + step], rows[top].tolist(), scores[top].tolist()))
     return results
 
 
@@ -431,11 +437,11 @@ def _scored_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     first, by one partition, as they cannot be in the top k; a sort of
     fewer costs less than the partition.
     """
-    scored = np.flatnonzero(scores)
+    scored = scores.nonzero()[0]  # a row: its flatnonzero, without the wrapper's calls
     if len(scored) > 4 * k:
         values = scores[scored]
         scored = scored[values >= np.partition(values, len(values) - k)[len(values) - k]]
-    top = scored[np.argsort(-scores[scored], kind="stable")[:k]]
+    top = scored[(-scores[scored]).argsort(kind="stable")[:k]]
     if len(top) < k:
         top = np.concatenate([top, np.flatnonzero(scores == 0.0)[: k - len(top)]])
     return top
@@ -445,18 +451,22 @@ def bm25_retrieve_many(index: BM25Index, queries: Sequence[EventQuery], k: int) 
     """Okapi BM25 top-k for each query, with the same KB-position tie rule as dense retrieval.
 
     Queries are scored in blocks of ``_BLOCK_ELEMENTS // index.n``, one
-    ``BM25Index.block_scores`` call per block.
+    ``BM25Index.block_scores`` call per block. Each query's top k is taken
+    from its own row by ``_scored_top_k``, and the block's ``CandidateSet``s
+    are built from one ``tolist`` of its top-k KB positions and one of their
+    scores.
     """
     if not 1 <= k <= index.n:
         raise ValueError(f"k={k} outside [1, {index.n}]")
-    step = max(1, _BLOCK_ELEMENTS // index.n)
+    step, ids = max(1, _BLOCK_ELEMENTS // index.n), index.ids
     results = []
     for start in range(0, len(queries), step):
         block = queries[start:start + step]
-        for query, scores in zip(block, index.block_scores(list(map(bm25_query_terms, block)))):
-            top = _scored_top_k(scores, k)
-            results.append(CandidateSet(query.query_id, tuple(map(index.ids.__getitem__, top.tolist())),
-                                        tuple(scores[top].tolist())))
+        scores = index.block_scores(list(map(bm25_query_terms, block)))
+        top = np.array([_scored_top_k(row, k) for row in scores])
+        results += (CandidateSet(query.query_id, tuple(map(ids.__getitem__, positions)), values)
+                    for query, positions, values in zip(
+                        block, top.tolist(), np.take_along_axis(scores, top, 1).tolist()))
     return results
 
 

@@ -453,7 +453,7 @@ def test_candidate_line_is_json_dumps_of_its_record(query_id, candidates):
 def test_decision_line_is_json_dumps_of_its_record(query_id, prediction, rule, scores, note):
     # a non-finite score is refused, naming the query
     record = {"query_id": query_id, "prediction": prediction, "rule": rule, "scores": scores}
-    if note:
+    if note is not None:
         record["note"] = note
     def build():
         return LinkDecision(query_id, prediction, tuple(scores), rule, note)

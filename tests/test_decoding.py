@@ -1,18 +1,24 @@
 """Record decoding: refusals worded exactly, and value semantics of the record types."""
 
+import argparse
 import dataclasses
 import json
 
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventlink import cli
+from eventlink.artifacts import json_line
 from eventlink.cli import main
-from eventlink.extraction import Argument, EventQuery, NamedEntityAnnotation, Span, TaggedQuery
+from eventlink.extraction import POS_CLASSES, Argument, EventQuery, NamedEntityAnnotation, Span, TaggedQuery
+from eventlink.extraction import resolve_overlaps, tagged_from_record, tagged_to_record
 from eventlink.kb import KBEntry, KBError
 from eventlink.rerank import LinkDecision
 from eventlink.retrieval import CandidateSet
 
-from conftest import kb_of
+from conftest import ORJSON_EDGE_FLOATS, kb_of
 
 
 def _entry(**fields):
@@ -100,7 +106,23 @@ _QUERY_REFUSALS = {
     "empty role": ([_query(arguments=[{"start": 0, "end": 0, "role": ""}])], 1,
                    "argument role must be non-empty"),
     "argument not an object": ([_query(arguments=[[0, 0, "R"]])], 1,
-                               "list indices must be integers or slices, not str"),
+                               "argument [0, 0, 'R'] is not an object"),
+    "arguments an object": ([_query(arguments={})], 1, "arguments {} is not a list"),
+    "arguments null": ([_query(arguments=None)], 1, "arguments None is not a list"),
+    "entities an object": ([_query(entities={})], 1, "entities {} is not a list"),
+    "entity not an object": ([_query(entities=["GPE"])], 1, "entity 'GPE' is not an object"),
+    # two faults in one record: the one checked first is refused
+    "bad query id before a bad mention": ([_query(query_id=7, mention_start="x")], 1,
+                                          "query_id 7 is not a string"),
+    "bad role before a bad event type": (
+        [_query(arguments=[{"start": 0, "end": 0, "role": 5}], event_type=None)], 1,
+        "role 5 is not a string"),
+    "bad token before a mention out of range": (
+        [_query(tokens=[1, "b", "c", "d", "e"], mention_start=7, mention_end=7)], 1,
+        "token 1 is not a string"),
+    "empty role before overlapping arguments": (
+        [_query(arguments=[{"start": 3, "end": 4, "role": ""}, {"start": 4, "end": 4, "role": "S"}])],
+        1, "argument role must be non-empty"),
     "not an object": ([_query(), "q2"], 2, "expected a JSON object, found str"),
 }
 
@@ -126,6 +148,46 @@ def test_load_tagged_refusals_keep_their_wording(tmp_path, capsys, case):
     path = _write(tmp_path / "queries.jsonl", lines)
     code, err = _refusal(tmp_path, capsys, ["format", "--in", str(path)])
     assert (code, err) == (2, f"data error: {path}: line {line}: {message}\n")
+
+
+_LEXICON = '{"roles": {"troops": "Assailant"}, "triggers": {"attacked": "Attack"}}'
+_RAW_QUERY = '{"query_id": "q1", "tokens": ["troops", "attacked", "it"], "mention_start": 1, "mention_end": 1'
+
+
+# (the file a person writes, the rest of the command line, its text, the refusal after the path)
+_REPEATED_KEYS = {
+    "build-kb --in": ("kb.jsonl", ["build-kb"],
+                      json.dumps(_entry()) + '\n{"id": "E2", "title": "T", "description": "d", "id": "E3"}\n',
+                      "line 2: repeated key 'id'"),
+    "tag --in": ("queries.jsonl", ["tag", "--lexicon", "lexicon.json"],
+                 _RAW_QUERY + ', "query_id": "q2"}\n', "line 1: repeated key 'query_id'"),
+    "tag --in, nested": ("queries.jsonl", ["tag", "--lexicon", "lexicon.json"], _RAW_QUERY
+                         + ', "entities": [{"start": 0, "end": 0, "entity_type": "A", "end": 2}]}\n',
+                         "line 1: repeated key 'end'"),
+    "tag --lexicon": ("lexicon.json", ["tag", "--in", "queries.jsonl"],
+                      '{"roles": {"troops": "Assailant"},\n "triggers": {\n  "attacked": "Attack",\n'
+                      '  "attacked": "Conflict"}}\n', "line 2: repeated key 'attacked'"),
+}
+
+
+@pytest.mark.parametrize("case", _REPEATED_KEYS)
+def test_person_written_inputs_refuse_a_repeated_key(tmp_path, capsys, monkeypatch, case):
+    name, command, text, message = _REPEATED_KEYS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lexicon.json").write_text(_LEXICON, encoding="utf-8")
+    (tmp_path / "queries.jsonl").write_text(_RAW_QUERY + "}\n", encoding="utf-8")
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    flag = "--lexicon" if name == "lexicon.json" else "--in"
+    code, err = _refusal(tmp_path, capsys, [*command, flag, name])
+    assert (code, err) == (2, f"data error: {name}: {message}\n")
+
+
+def test_scripted_responses_refuse_a_repeated_key(tmp_path):
+    path = tmp_path / "responses.jsonl"
+    path.write_text('{"completion": "NIL"}\n{"completion": "NIL", "completion": "E1"}\n', encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        cli._scripted_client(argparse.Namespace(responses=str(path)), {})
+    assert str(info.value) == f"{path}: line 2: repeated key 'completion'"
 
 
 def test_load_tagged_distinct_names_the_repeated_query_id(tmp_path):
@@ -205,3 +267,54 @@ def test_sequence_fields_are_stored_as_plain_tuples():
     assert (type(candidates.ids), candidates.scores, type(candidates.scores[0])) == (tuple, (1.0,), float)
     assert tagged == TaggedQuery(EventQuery("q", ("a", "b"), Span(0, 0), entities=(
         NamedEntityAnnotation(Span(1, 1), "X"),)), "T", (Argument(Span(1, 1), "R"),))
+
+
+# --- closure: every record a constructor accepts reads back from the line it writes -------
+
+# any character UTF-8 can encode: non-ASCII and control characters too, never a lone
+# surrogate, which no reader accepts and so no input holds
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
+_SCORES = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(ORJSON_EDGE_FLOATS))
+
+
+@st.composite
+def _tagged_queries(draw):
+    tokens = draw(st.lists(_TEXT, min_size=1, max_size=8))
+
+    def span():
+        start = draw(st.integers(0, len(tokens) - 1))
+        return Span(start, draw(st.integers(start, len(tokens) - 1)))
+
+    mention = span()
+    entities = [NamedEntityAnnotation(span(), draw(_TEXT)) for _ in range(draw(st.integers(0, 3)))]
+    query = EventQuery(draw(_TEXT), tokens, mention, draw(st.sampled_from(POS_CLASSES)), draw(_TEXT), entities)
+    drawn = [Argument(span(), draw(_TEXT.filter(bool))) for _ in range(draw(st.integers(0, 5)))]
+    arguments = draw(st.permutations(resolve_overlaps(drawn, mention, len(tokens))))
+    return TaggedQuery(query, draw(_TEXT), arguments)
+
+
+@given(tagged=_tagged_queries())
+@settings(max_examples=300, deadline=None)
+def test_tagged_query_reads_back_from_its_line(tagged):
+    line = json_line(tagged_to_record(tagged))
+    assert tagged_from_record(orjson.loads(line)) == tagged
+
+
+@given(ids=st.lists(_TEXT, unique=True, max_size=6), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_candidate_set_reads_back_from_its_line(ids, data):
+    scores = sorted(data.draw(st.lists(_SCORES, min_size=len(ids), max_size=len(ids))), reverse=True)
+    candidates = CandidateSet(data.draw(_TEXT), ids, scores)
+    line = candidates.to_line()
+    read = CandidateSet.from_record(orjson.loads(line))
+    assert read == candidates and read.to_line() == line  # the line also keeps the sign of a zero
+
+
+@given(query_id=_TEXT, prediction=_TEXT, scores=st.lists(_SCORES, max_size=6), rule=_TEXT,
+       note=st.none() | _TEXT)
+@settings(max_examples=300, deadline=None)
+def test_link_decision_reads_back_from_its_line(query_id, prediction, scores, rule, note):
+    decision = LinkDecision(query_id, prediction, tuple(scores), rule, note)
+    line = decision.to_line()
+    read = LinkDecision.from_record(orjson.loads(line))
+    assert read == decision and read.to_line() == line

@@ -117,7 +117,7 @@ def test_shortlist_keeps_rows_rounding_cannot_separate(scale):
     assert len(set((matrix @ row)[[3, 54, 55]].tolist())) > 1
     index = _index_from_matrix(matrix)
     block = np.vstack([rng.normal(size=64), row, -row, matrix[20] / scale])
-    shortlists = _shortlist(index, block, 1)
+    shortlists = [np.flatnonzero(kept) for kept in _shortlist(index, block, 1)]
     assert len(shortlists) == len(block)
     assert {3, 54, 55} <= set(shortlists[1].tolist())
     for q, rows, got in zip(block, shortlists, retrieve_many(index, block, 1, ["a", "b", "c", "d"])):
@@ -148,7 +148,7 @@ def test_overflowing_products_fall_back_to_every_row():
     for k in (1, 4, 12):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _shortlist(index, q[None], k)[0].tolist() == list(range(12))
+            assert np.flatnonzero(_shortlist(index, q[None], k)[0]).tolist() == list(range(12))
             with pytest.raises(ValueError, match="^query 'q' has a non-finite score$"):
                 retrieve(index, q, k, query_id="q")
 
